@@ -96,6 +96,7 @@ from .sounder import (
     estimate_paths,
     generate_pn,
     load_capture,
+    process_capture,
     save_capture,
     slide_correlate,
     sounder_roundtrip,

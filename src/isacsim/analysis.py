@@ -19,6 +19,7 @@ from scipy.ndimage import maximum_filter
 
 from .core import (
     C_LIGHT,
+    TWO_PI,
     Angle3D,
     Cir,
     Origin,
@@ -36,26 +37,28 @@ from .gbsm import AntennaModel
 
 @dataclass(frozen=True, eq=False)
 class ScanGrid:
-    """Angle-indexed CIR collection from a turntable-style directional scan."""
+    """PADP of a turntable-style directional scan: linear power per
+    (scan angle, delay bin)."""
 
     angles_deg: np.ndarray
-    cirs: tuple[Cir, ...]
+    power: np.ndarray  # (angles, delay bins), linear
     delay_bins: np.ndarray  # bin edges, seconds
 
     def __post_init__(self):
         angles = np.asarray(self.angles_deg, dtype=float)
-        edges = np.asarray(self.delay_bins, dtype=float)
+        edges = _check_edges(self.delay_bins)
         if angles.ndim != 1 or len(angles) < 1:
             raise ValueError("need a 1-D array of scan angles")
         if len(angles) > 1:
             steps = np.diff(angles)
             if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
                 raise ValueError("scan angles must be strictly increasing with uniform step")
-        if len(self.cirs) != len(angles):
-            raise ValueError("one CIR per scan angle required")
-        if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("delay_bins must be increasing bin edges")
+        power = np.array(self.power, dtype=float)
+        if power.shape != (len(angles), len(edges) - 1):
+            raise ValueError("need one PADP row per scan angle and one column per delay bin")
+        power.flags.writeable = False
         object.__setattr__(self, "angles_deg", angles)
+        object.__setattr__(self, "power", power)
         object.__setattr__(self, "delay_bins", edges)
 
     @property
@@ -74,50 +77,59 @@ def delay_grid(max_delay_s: float, bin_width_s: float, start_s: float = 0.0) -> 
     return start_s + bin_width_s * np.arange(n + 1)
 
 
-def pdp(cir: Cir, delay_bins: np.ndarray) -> np.ndarray:
-    """Power delay profile: non-coherent |amp|^2 binning over delay.
-
-    Every path must fall inside the grid so that the bins conserve the
-    total CIR power exactly.
-    """
+def _check_edges(delay_bins) -> np.ndarray:
     edges = np.asarray(delay_bins, dtype=float)
-    if len(edges) < 2 or np.any(np.diff(edges) <= 0):
+    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("delay_bins must be increasing bin edges")
-    if len(cir.paths) == 0:
-        return np.zeros(len(edges) - 1)
-    delays = cir.delays()
+    return edges
+
+
+def _bin_rows(delays: np.ndarray, powers: np.ndarray, delay_bins) -> np.ndarray:
+    """Non-coherent delay binning of every row of ``powers`` (rows x paths).
+
+    Bins are half-open [lo, hi), except that a delay on the last edge
+    goes into the last bin. Each bin is summed on its own in path order,
+    so a weak bin keeps its full precision whatever came before it.
+    Every path must fall inside the grid, so that each row conserves
+    its total power.
+    """
+    edges = _check_edges(delay_bins)
+    n_rows, n_bins = powers.shape[0], len(edges) - 1
+    if len(delays) == 0:
+        return np.zeros((n_rows, n_bins))
     if delays.min() < edges[0] or delays.max() > edges[-1]:
         raise ValueError("a path delay falls outside the delay grid")
-    powers = np.abs(cir.amps()) ** 2
-    hist, _ = np.histogram(delays, bins=edges, weights=powers)
-    return hist
+    idx = np.minimum(np.searchsorted(edges, delays, side="right") - 1, n_bins - 1)
+    cells = np.arange(n_rows)[:, None] * n_bins + idx
+    return np.bincount(cells.ravel(), weights=powers.ravel(),
+                       minlength=n_rows * n_bins).reshape(n_rows, n_bins)
+
+
+def pdp(cir: Cir, delay_bins: np.ndarray) -> np.ndarray:
+    """Power delay profile: non-coherent |amp|^2 binning over delay."""
+    return _bin_rows(cir.delays(), np.abs(cir.amps())[None, :] ** 2, delay_bins)[0]
 
 
 def padp(grid: ScanGrid) -> np.ndarray:
     """Power-angle delay profile: one PDP row per scan angle (linear)."""
-    if len(grid.cirs) != len(grid.angles_deg):
-        raise ValueError("scan grid rows mismatch")
-    return np.vstack([pdp(c, grid.delay_bins) for c in grid.cirs])
+    return grid.power
 
 
 def turntable_scan(cir: Cir, rx_antenna: AntennaModel, angles_deg: Sequence[float],
                    delay_bins: np.ndarray) -> ScanGrid:
     """Emulate a rotating directional receive antenna over one CIR.
 
-    For each pointing angle the path amplitudes are re-weighted by the
-    antenna's field response toward each path's arrival direction. An
-    omni antenna reproduces the same CIR at every angle.
+    At each pointing angle (horizontal boresight) every path amplitude
+    is weighted by the antenna's field gain toward its arrival
+    direction before the powers are binned. An omni antenna gives the
+    same PDP at every angle.
     """
-    cirs = []
-    for ang in angles_deg:
-        boresight = Angle3D(math.radians(float(ang)), 0.0)
-        aimed = replace(rx_antenna, boresight=boresight)
-        weighted = tuple(
-            replace(p, amp=p.amp * complex(aimed.field(p.aoa)[0]))
-            for p in cir.paths
-        )
-        cirs.append(Cir(weighted, t0=cir.t0, carrier_freq=cir.carrier_freq))
-    return ScanGrid(np.asarray(angles_deg, dtype=float), tuple(cirs), delay_bins)
+    angles = np.asarray(angles_deg, dtype=float)
+    boresight = np.column_stack([np.radians(angles) % TWO_PI, np.zeros(len(angles))])
+    arrival = np.array([(p.aoa.azimuth, p.aoa.elevation) for p in cir.paths]).reshape(-1, 2)
+    gain = rx_antenna.field_gain(boresight, arrival)
+    powers = np.abs(cir.amps() * gain) ** 2
+    return ScanGrid(angles, _bin_rows(cir.delays(), powers, delay_bins), delay_bins)
 
 
 # ---------------------------------------------------------------------------

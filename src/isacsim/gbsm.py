@@ -95,10 +95,11 @@ class ClusterSet:
 # Antennas
 # ---------------------------------------------------------------------------
 
-def _offaxis_angle(a: Angle3D, boresight: Angle3D) -> float:
-    """Great-circle angle between two directions, radians."""
-    c = float(np.dot(unit_vector(a), unit_vector(boresight)))
-    return math.acos(max(-1.0, min(1.0, c)))
+def _unit_vectors(az_el: np.ndarray) -> np.ndarray:
+    """(n, 3) unit vectors for (n, 2) rows of (azimuth, elevation)."""
+    az, el = az_el[:, 0], az_el[:, 1]
+    ce = np.cos(el)
+    return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,15 +132,33 @@ class AntennaModel:
     def n_elements(self) -> int:
         return self.element_positions.shape[0]
 
-    def field(self, angle: Angle3D) -> np.ndarray:
-        """Complex (F_theta, F_phi) field pattern toward ``angle``."""
+    def field_gain(self, boresight, arrival) -> np.ndarray:
+        """Real F_theta amplitude for every (boresight, arrival) pair.
+
+        ``boresight`` (m, 2) and ``arrival`` (n, 2) hold (azimuth,
+        elevation) rows in radians; the result is an (m, n) array. The
+        antenna's own ``boresight`` attribute is not used here.
+        """
         if self.kind == "omni":
-            return np.array([1.0 + 0.0j, 0.0 + 0.0j])
-        off = _offaxis_angle(angle, self.boresight)
+            return np.ones((len(boresight), len(arrival)))
+        b = _unit_vectors(np.asarray(boresight, dtype=float))
+        a = _unit_vectors(np.asarray(arrival, dtype=float))
+        # the (m, 3) x (3, n) product written out term by term: a BLAS
+        # product may fuse and order the terms by shape, and a 1 x 1 call
+        # must round exactly like the same cell of a scan's matrix
+        cos = (b[:, None, 0] * a[None, :, 0] + b[:, None, 1] * a[None, :, 1]
+               + b[:, None, 2] * a[None, :, 2])
+        off = np.arccos(np.minimum(np.maximum(cos, -1.0), 1.0))
         g_peak = 10.0 ** (self.peak_gain_db / 10.0)
         hpbw = math.radians(self.hpbw_deg)
         # Gaussian main lobe: power is g_peak * exp(-4 ln2 (off/hpbw)^2)
-        f_theta = math.sqrt(g_peak) * math.exp(-2.0 * math.log(2.0) * (off / hpbw) ** 2)
+        return math.sqrt(g_peak) * np.exp(-2.0 * math.log(2.0) * (off / hpbw) ** 2)
+
+    def field(self, angle: Angle3D) -> np.ndarray:
+        """Complex (F_theta, F_phi) field pattern toward ``angle``."""
+        b = self.boresight
+        f_theta = self.field_gain([[b.azimuth, b.elevation]],
+                                  [[angle.azimuth, angle.elevation]])[0, 0]
         return np.array([f_theta + 0.0j, 0.0 + 0.0j])
 
     def power_gain(self, angle: Angle3D) -> float:

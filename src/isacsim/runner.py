@@ -58,7 +58,7 @@ from .gbsm import (
     with_los_ray,
 )
 from .linkbudget import FreeSpacePathLoss, conv_path_power, delta_p
-from .sounder import generate_pn, save_capture, sounder_roundtrip, transmit_through
+from .sounder import generate_pn, process_capture, save_capture, transmit_through
 from .target import Side, SubLink, multi_point_target
 
 OUTPUT_ROOT_ENV = "ISACSIM_OUTPUT_ROOT"
@@ -281,12 +281,6 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
     timings["simulate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lb = sim.budget()
-    budget = {"pl_tar_db": list(lb.pl_tar_db), "pl_back_db": lb.pl_back_db,
-              "o_back": lb.o_back, "wavelength_m": lb.wavelength}
-    write_cir_json(out / "target.json", sim.target_cir, {"link_budget": budget})
-    write_cir_json(out / "background.json", sim.background_cir, {"link_budget": budget})
-
     combined = Cir(sim.target_cir.paths + sim.background_cir.paths,
                    carrier_freq=config.carrier_freq_hz)
     angles = config.scan_angles_deg()
@@ -294,6 +288,14 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
     max_delay = (max((p.delay for p in combined.paths), default=0.0) + 2 * bin_w)
     bins = delay_grid(max_delay, bin_w)
     grid = turntable_scan(combined, config.rx.antenna, angles, bins)
+    timings["scan"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    lb = sim.budget()
+    budget = {"pl_tar_db": list(lb.pl_tar_db), "pl_back_db": lb.pl_back_db,
+              "o_back": lb.o_back, "wavelength_m": lb.wavelength}
+    write_cir_json(out / "target.json", sim.target_cir, {"link_budget": budget})
+    write_cir_json(out / "background.json", sim.background_cir, {"link_budget": budget})
     write_padp_csv(out / "padp.csv", grid)
     timings["write"] = time.perf_counter() - t0
 
@@ -501,9 +503,8 @@ def run_sounder_roundtrip(config: ScenarioConfig, out_dir=None) -> dict:
     pn = generate_pn(config.sounder_m, chip_rate=config.bandwidth_hz)
     seed = _child_seed(np.random.SeedSequence(config.seed).spawn(4)[3])
     threshold_db = 15.0
-    result = sounder_roundtrip(combined, pn, snr_db=config.sounder_snr_db, seed=seed,
-                               threshold_db=threshold_db)
     capture = transmit_through(combined, pn, config.sounder_snr_db, seed)
+    result = process_capture(capture, pn, threshold_db=threshold_db)
     save_capture(capture, out / "capture.bin")
 
     # ground truth at the sounder's own resolution: coherent chip-width

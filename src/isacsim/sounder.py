@@ -223,18 +223,18 @@ class RoundTripResult:
     flagged_bins: int
 
 
-def sounder_roundtrip(cir: Cir, pn: PnSequence, snr_db: float | None, seed: int | None,
-                      samples_per_chip: int = 1, system_ir: np.ndarray | None = None,
-                      threshold_db: float = 15.0) -> RoundTripResult:
-    """Full measurement emulation: excite, capture, correlate, calibrate.
+def process_capture(capture: CaptureRecord, pn: PnSequence,
+                    system_ir: np.ndarray | None = None,
+                    threshold_db: float = 15.0) -> RoundTripResult:
+    """Receive side of the round trip: correlate, calibrate, estimate.
 
     ``system_ir`` is an optional synthetic transmit/receive chain
     impulse response (applied circularly to both the channel capture
     and the back-to-back capture, exactly as a real calibration sees
     it).
     """
-    capture = transmit_through(cir, pn, snr_db, seed, samples_per_chip)
-    ref = reference_waveform(pn, samples_per_chip)
+    spc = int(round(capture.sample_rate / pn.chip_rate))
+    ref = reference_waveform(pn, spc)
 
     def through_system(x: np.ndarray) -> np.ndarray:
         if system_ir is None:
@@ -246,7 +246,7 @@ def sounder_roundtrip(cir: Cir, pn: PnSequence, snr_db: float | None, seed: int 
     rx = through_system(capture.samples)
     b2b = through_system(ref)
     raw = slide_correlate(
-        CaptureRecord(rx, capture.sample_rate, snr_db, seed,
+        CaptureRecord(rx, capture.sample_rate, capture.snr_db, capture.seed,
                       pn_m=pn.m, pn_taps=pn.taps, chip_rate=pn.chip_rate), pn)
     b2b_raw = slide_correlate(
         CaptureRecord(b2b, capture.sample_rate, None, None,
@@ -256,6 +256,15 @@ def sounder_roundtrip(cir: Cir, pn: PnSequence, snr_db: float | None, seed: int 
                                threshold_db=threshold_db)
     return RoundTripResult(recovered=recovered, response=cal.response,
                            flagged_bins=int(np.sum(cal.flagged_bins)))
+
+
+def sounder_roundtrip(cir: Cir, pn: PnSequence, snr_db: float | None, seed: int | None,
+                      samples_per_chip: int = 1, system_ir: np.ndarray | None = None,
+                      threshold_db: float = 15.0) -> RoundTripResult:
+    """Full measurement emulation: excite and capture, then
+    :func:`process_capture`."""
+    capture = transmit_through(cir, pn, snr_db, seed, samples_per_chip)
+    return process_capture(capture, pn, system_ir=system_ir, threshold_db=threshold_db)
 
 
 # ---------------------------------------------------------------------------

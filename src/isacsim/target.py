@@ -95,18 +95,18 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
     d_rx = rx_antenna.element_positions[u]
 
     paths = []
+    f_rxs = [rx_antenna.field(r2.aoa) for r2 in rays_b]
     for r1 in rays_a:
         cpm1 = cross_polarization_matrix(r1.xpr, r1.phases)
         f_tx = tx_antenna.field(r1.aod)
         phase1 = k * (float(unit_vector(r1.aoa) @ d_sp) + float(unit_vector(r1.aod) @ d_tx))
-        for r2 in rays_b:
+        for r2, f_rx in zip(rays_b, f_rxs):
             try:
                 sigma = rcs_eval(sp.rcs_model, g_in=r1.aoa, g_out=r2.aod)
             except Exception as exc:
                 raise ValueError(
                     f"RCS evaluation failed for in={r1.aoa} out={r2.aod}: {exc}") from exc
             cpm2 = cross_polarization_matrix(r2.xpr, r2.phases)
-            f_rx = rx_antenna.field(r2.aoa)
             gain = complex(f_rx @ cpm2 @ sp.cpm_k @ cpm1 @ f_tx)
             phase2 = k * (float(unit_vector(r2.aoa) @ d_rx) + float(unit_vector(r2.aod) @ d_sp))
             doppler = r1.doppler + r2.doppler

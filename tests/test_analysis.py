@@ -1,4 +1,6 @@
+import bisect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,11 +71,28 @@ class TestPdp:
         with pytest.raises(ValueError):
             pdp(cir, delay_grid(100e-9, 1e-9))
 
+    def test_weak_bin_after_strong_bin_keeps_its_power(self):
+        weak = 1e-16
+        cir = Cir((path(10.5e-9, 1.0), path(20.5e-9, weak)))
+        out = pdp(cir, delay_grid(100e-9, 1e-9))
+        assert out[10] == 1.0
+        assert out[20] == abs(weak) ** 2
+        assert out[20] == pytest.approx(1e-32, rel=1e-15)
+
+    def test_delay_on_last_edge_in_last_bin(self):
+        bins = delay_grid(100e-9, 1e-9)
+        cir = Cir((path(bins[-1], 1.0), path(bins[3], 0.5)))
+        out = pdp(cir, bins)
+        assert out[-1] == 1.0
+        assert out[3] == 0.25  # an interior edge opens the bin above it
+        assert np.count_nonzero(out) == 2
+
 
 class TestPadp:
     def _grid(self, cirs, angles=None):
         angles = angles if angles is not None else np.arange(0.0, 360.0, 5.0)[: len(cirs)]
-        return ScanGrid(angles, tuple(cirs), delay_grid(200e-9, 2e-9))
+        bins = delay_grid(200e-9, 2e-9)
+        return ScanGrid(angles, np.vstack([pdp(c, bins) for c in cirs]), bins)
 
     def test_identical_cirs_equal_rows(self):
         cir = Cir((path(10e-9, 1.0), path(50e-9, 0.5)))
@@ -130,6 +149,54 @@ class TestTurntableScan:
         peaks = extract_paths(padp(grid), grid.angles_deg, grid.delay_bins,
                               peak_threshold_db=10.0, min_sep_deg=20.0, min_sep_s=1e-9)
         assert sorted(p.angle_deg for p in peaks) == [0.0, 90.0, 180.0, 270.0]
+
+    @staticmethod
+    def _random_cir(rng, n, bins):
+        # half the delays sit exactly on bin edges, the last edge included
+        on_edge = bins[rng.integers(0, len(bins), n)]
+        delays = np.where(rng.random(n) < 0.5, on_edge, rng.uniform(bins[0], bins[-1], n))
+        delays[0] = bins[-1]
+        return Cir(tuple(
+            PathComponent(delay=float(d), amp=complex(rng.normal(), rng.normal()),
+                          aod=Angle3D(0.0, 0.0),
+                          aoa=Angle3D(rng.uniform(0.0, 2 * math.pi),
+                                      rng.uniform(-1.4, 1.4)))
+            for d in delays))
+
+    @staticmethod
+    def _reference(cir, antenna, angles, bins):
+        """Per angle, per path: re-aim the antenna and weight each amplitude.
+
+        Returns the PADP and, per angle, sum(|amp|^2 x power gain)."""
+        ref = np.zeros((len(angles), len(bins) - 1))
+        row_sums = np.zeros(len(angles))
+        for i, ang in enumerate(angles):
+            aimed = replace(antenna, boresight=Angle3D(math.radians(ang), 0.0))
+            for p in cir.paths:
+                j = min(bisect.bisect_right(bins, p.delay) - 1, len(bins) - 2)
+                w = abs(p.amp * complex(aimed.field(p.aoa)[0]))
+                ref[i, j] += w * w
+                row_sums[i] += abs(p.amp) ** 2 * aimed.power_gain(p.aoa)
+        return ref, row_sums
+
+    @pytest.mark.parametrize("antenna", [
+        OMNI, AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0)],
+        ids=["omni", "horn"])
+    @pytest.mark.parametrize("step", [5.0, 60.0])
+    def test_matches_per_path_reference(self, antenna, step):
+        rng = np.random.default_rng(int(step) + len(antenna.kind))
+        bins = delay_grid(200e-9, 2.5e-9)
+        angles = np.arange(0.0, 360.0, step)
+        for n in (1, 300, rng.integers(1, 301)):
+            cir = self._random_cir(rng, int(n), bins)
+            got = padp(turntable_scan(cir, antenna, angles, bins))
+            ref, row_sums = self._reference(cir, antenna, angles, bins)
+            np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+            nz = ref != 0.0
+            np.testing.assert_allclose(got[nz], ref[nz], rtol=1e-12, atol=0.0)
+            # powers below about 1e-300 are near or in the subnormal range,
+            # where |amp|^2 x gain and |amp x field|^2 round differently
+            np.testing.assert_allclose(got.sum(axis=1), row_sums, rtol=1e-12, atol=1e-300)
 
 
 class TestExtractPaths:

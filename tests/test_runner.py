@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isacsim import runner, sounder
 from isacsim.cli import main as cli_main
 from isacsim.config import ConfigError, load_config
 from isacsim.runner import (
@@ -17,6 +18,7 @@ from isacsim.runner import (
     simulate_channels,
     write_cir_json,
 )
+from isacsim.sounder import load_capture, transmit_through
 
 CONFIG_DIR = Path(__file__).parents[1] / "demos" / "configs"
 
@@ -137,6 +139,9 @@ class TestRunSimulate:
         assert r1.manifest == r2.manifest
         for name in ("target.json", "background.json", "padp.csv", "report.json"):
             assert (tmp_path / "a" / name).exists()
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert set(report["timings_s"]) == {"simulate", "scan", "write"}
+        assert set(report["manifest"]) == {"target.json", "background.json", "padp.csv"}
 
     def test_seed_changes_output(self, tmp_path):
         r1 = run_simulate(load_config(scen1_like(tmp_path)), out_dir=tmp_path / "a")
@@ -239,6 +244,21 @@ class TestSounderRoundtripPipeline:
         assert (tmp_path / "snd" / "capture.bin").exists()
         assert (tmp_path / "snd" / "capture.bin.json").exists()
 
+    def test_one_transmission_saved_as_captured(self, tmp_path, monkeypatch):
+        captures = []
+
+        def transmit(*args, **kwargs):
+            captures.append(transmit_through(*args, **kwargs))
+            return captures[-1]
+
+        monkeypatch.setattr(runner, "transmit_through", transmit)
+        monkeypatch.setattr(sounder, "transmit_through", transmit)
+        run_sounder_roundtrip(load_config(scen1_like(tmp_path)), out_dir=tmp_path / "snd")
+        assert len(captures) == 1
+        saved = load_capture(tmp_path / "snd" / "capture.bin")
+        np.testing.assert_array_equal(saved.samples,
+                                      captures[0].samples.astype(np.complex64))
+
 
 class TestCli:
     def test_simulate_and_analyze(self, tmp_path, capsys):
@@ -268,3 +288,18 @@ class TestCli:
         assert cli_main(["sounder-roundtrip", str(cfg_path),
                          "--out", str(tmp_path / "snd")]) == 0
         assert "chip-resolvable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("m, message", [
+        (5, "outside one PN period"),
+        (20, "no default taps"),
+    ])
+    def test_sounder_roundtrip_bad_register_length(self, tmp_path, capsys, m, message):
+        doc = json.loads((CONFIG_DIR / "bistatic_ris_factory.json").read_text())
+        doc["sounder"]["register_length"] = m
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["sounder-roundtrip", str(cfg_path),
+                         "--out", str(tmp_path / "snd")]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
