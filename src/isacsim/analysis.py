@@ -15,7 +15,6 @@ from itertools import permutations
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .core import (
     C_LIGHT,
@@ -148,6 +147,15 @@ class PadpPeak:
         return linear_to_db(self.power)
 
 
+def _max3x3(arr: np.ndarray) -> np.ndarray:
+    """Maximum over each cell's 3 x 3 neighbourhood, the edges repeated
+    outward."""
+    rows, cols = arr.shape
+    padded = np.pad(arr, 1, mode="edge")
+    return np.max([padded[i:i + rows, j:j + cols] for i in range(3) for j in range(3)],
+                  axis=0)
+
+
 def extract_paths(padp_arr: np.ndarray, angles_deg: np.ndarray,
                   delay_bins: np.ndarray, peak_threshold_db: float,
                   min_sep_deg: float = 0.0, min_sep_s: float = 0.0) -> list[PadpPeak]:
@@ -163,7 +171,7 @@ def extract_paths(padp_arr: np.ndarray, angles_deg: np.ndarray,
     if peak_threshold_db <= 0.0:
         raise ValueError("peak threshold must be > 0 dB below the global peak")
     centers = 0.5 * (np.asarray(delay_bins)[:-1] + np.asarray(delay_bins)[1:])
-    local_max = (arr == maximum_filter(arr, size=3, mode="nearest")) & (arr > 0.0)
+    local_max = (arr == _max3x3(arr)) & (arr > 0.0)
     floor = arr.max() * 10.0 ** (-peak_threshold_db / 10.0)
     cand = np.argwhere(local_max & (arr >= floor))
     order = np.argsort(arr[cand[:, 0], cand[:, 1]])[::-1]

@@ -268,7 +268,7 @@ def load_config(path) -> ScenarioConfig:
             errors.append(f"scan.step_deg {step} does not divide the range {span}")
 
     seed = raw.get("seed")
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         errors.append("seed must be an integer")
         seed = 0
 

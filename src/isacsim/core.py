@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -102,6 +103,14 @@ def unit_vector(angle: Angle3D) -> np.ndarray:
     ])
 
 
+def unit_vectors(az_el) -> np.ndarray:
+    """(n, 3) unit vectors for (n, 2) rows of (azimuth, elevation)."""
+    az_el = np.asarray(az_el, dtype=float)
+    az, el = az_el[:, 0], az_el[:, 1]
+    ce = np.cos(el)
+    return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=1)
+
+
 def angle_from_vector(v: np.ndarray) -> Angle3D:
     """Inverse of :func:`unit_vector`; accepts any nonzero 3-vector."""
     v = np.asarray(v, dtype=float)
@@ -169,18 +178,36 @@ class PathComponent:
 # RCS models
 # ---------------------------------------------------------------------------
 
+def _angle_rows(angles) -> np.ndarray:
+    return np.asarray(angles, dtype=float).reshape(-1, 2)
+
+
+class _PairwiseRcs:
+    """Scalar evaluation on top of a model's ``eval_dbsm_pairs``.
+
+    ``eval_dbsm_pairs(angles_in, angles_out)`` takes (n, 2) and (m, 2)
+    rows of (azimuth, elevation) in radians and returns the (n, m)
+    dBsm values of every (incoming, outgoing) pair.
+    """
+
+    def eval_dbsm(self, g_in: Angle3D, g_out: Angle3D) -> float:
+        return float(self.eval_dbsm_pairs([[g_in.azimuth, g_in.elevation]],
+                                          [[g_out.azimuth, g_out.elevation]])[0, 0])
+
+
 @dataclass(frozen=True)
-class ConstantRcs:
+class ConstantRcs(_PairwiseRcs):
     """Angle-independent radar cross section."""
 
     sigma_dbsm: float
 
-    def eval_dbsm(self, g_in: Angle3D, g_out: Angle3D) -> float:
-        return self.sigma_dbsm
+    def eval_dbsm_pairs(self, angles_in, angles_out) -> np.ndarray:
+        return np.full((len(_angle_rows(angles_in)), len(_angle_rows(angles_out))),
+                       float(self.sigma_dbsm))
 
 
 @dataclass(frozen=True)
-class CosineLobeRcs:
+class CosineLobeRcs(_PairwiseRcs):
     """Scattering lobe sigma0 * cos(theta)^exponent about a lobe axis.
 
     The angular argument is the mean off-axis angle of the incoming and
@@ -196,18 +223,16 @@ class CosineLobeRcs:
         if self.exponent < 0.0:
             raise ValueError("cosine lobe exponent must be >= 0")
 
-    def eval_dbsm(self, g_in: Angle3D, g_out: Angle3D) -> float:
-        if self.exponent == 0.0:
-            return self.sigma0_dbsm
-        ax = unit_vector(self.axis)
-        c_in = float(np.dot(unit_vector(g_in), ax))
-        c_out = float(np.dot(unit_vector(g_out), ax))
-        c = max(0.5 * (c_in + c_out), 1e-30)
-        return self.sigma0_dbsm + 10.0 * self.exponent * math.log10(c)
+    def eval_dbsm_pairs(self, angles_in, angles_out) -> np.ndarray:
+        ax = unit_vectors([[self.axis.azimuth, self.axis.elevation]])[0]
+        c_in = unit_vectors(_angle_rows(angles_in)) @ ax
+        c_out = unit_vectors(_angle_rows(angles_out)) @ ax
+        c = np.maximum(0.5 * (c_in[:, None] + c_out[None, :]), 1e-30)
+        return self.sigma0_dbsm + 10.0 * self.exponent * np.log10(c)
 
 
 @dataclass(frozen=True, eq=False)
-class TableRcs:
+class TableRcs(_PairwiseRcs):
     """Gridded RCS over (incoming, outgoing) angle pairs, dBsm values.
 
     Axes are radians; queries outside the grid clamp to the boundary
@@ -238,23 +263,33 @@ class TableRcs:
         object.__setattr__(self, "el_out", axes[3])
         object.__setattr__(self, "values_dbsm", vals)
 
-    def eval_dbsm(self, g_in: Angle3D, g_out: Angle3D) -> float:
-        query = [g_in.azimuth, g_in.elevation, g_out.azimuth, g_out.elevation]
-        axes = [self.az_in, self.el_in, self.az_out, self.el_out]
-        vals = self.values_dbsm
-        # collapse singleton axes, clamp the rest
-        pts, keep = [], []
-        for i, ax in enumerate(axes):
-            if len(ax) == 1:
-                vals = np.take(vals, 0, axis=len(keep))
-            else:
-                pts.append(float(np.clip(query[i], ax[0], ax[-1])))
-                keep.append(ax)
+    @cached_property
+    def _interpolator(self):
+        """(indices of the non-singleton axes, linear interpolator over
+        them), built on first use; with no such axis the interpolator is
+        the table's single value."""
+        axes = (self.az_in, self.el_in, self.az_out, self.el_out)
+        keep = [i for i, ax in enumerate(axes) if len(ax) > 1]
+        vals = self.values_dbsm[tuple(slice(None) if i in keep else 0 for i in range(4))]
         if not keep:
-            return float(vals)
+            return keep, float(vals)
         from scipy.interpolate import RegularGridInterpolator
-        interp = RegularGridInterpolator(tuple(keep), vals, method="linear")
-        return float(interp(np.array(pts))[0])
+        return keep, RegularGridInterpolator(tuple(axes[i] for i in keep), vals,
+                                             method="linear")
+
+    def eval_dbsm_pairs(self, angles_in, angles_out) -> np.ndarray:
+        ang_in, ang_out = _angle_rows(angles_in), _angle_rows(angles_out)
+        n, m = len(ang_in), len(ang_out)
+        keep, interp = self._interpolator
+        if not keep:
+            return np.full((n, m), interp)
+        query = np.concatenate([np.broadcast_to(ang_in[:, None, :], (n, m, 2)),
+                                np.broadcast_to(ang_out[None, :, :], (n, m, 2))],
+                               axis=2)[..., keep]
+        grid = interp.grid
+        lo = np.array([ax[0] for ax in grid])
+        hi = np.array([ax[-1] for ax in grid])
+        return interp(np.clip(query, lo, hi).reshape(-1, len(keep))).reshape(n, m)
 
 
 RcsModel = ConstantRcs | CosineLobeRcs | TableRcs
@@ -317,7 +352,10 @@ class Cir:
 
     def scaled(self, factor: complex) -> "Cir":
         """New Cir with every amplitude multiplied by ``factor``."""
-        return Cir(tuple(replace(p, amp=p.amp * factor) for p in self.paths),
+        amps = (self.amps() * factor).tolist()
+        return Cir(tuple(PathComponent(p.delay, amp, p.doppler, p.aod, p.aoa,
+                                       p.bounce_order, p.origin)
+                         for p, amp in zip(self.paths, amps)),
                    t0=self.t0, carrier_freq=self.carrier_freq)
 
 
@@ -335,6 +373,10 @@ def merge_paths(paths: Iterable[PathComponent], delay_tol: float,
     supplies the merged delay, angles, Doppler, and bounce order, which
     makes the operation idempotent. Mixed-origin groups become SHARED.
 
+    With both tolerances zero only paths with equal delay and angles
+    coincide, and the anchor is found by that exact key in constant
+    time instead of by scanning the anchors.
+
     Args:
         paths: any iterable of PathComponent.
         delay_tol: seconds, >= 0.
@@ -349,25 +391,41 @@ def merge_paths(paths: Iterable[PathComponent], delay_tol: float,
     anchors: list[PathComponent] = []
     sums: list[complex] = []
     origins: list[set] = []
+    sizes: list[int] = []
+    exact = delay_tol == 0.0 and angle_tol == 0.0
+    by_key: dict[tuple[float, ...], int] = {}
     for p in ordered:
-        placed = False
-        for gi in range(len(anchors) - 1, -1, -1):
-            a = anchors[gi]
-            if p.delay - a.delay > delay_tol:
-                break  # anchors are delay-sorted; earlier ones are farther
-            if angles_close(p.aoa, a.aoa, angle_tol) and angles_close(p.aod, a.aod, angle_tol):
-                sums[gi] += p.amp
-                origins[gi].add(p.origin)
-                placed = True
-                break
-        if not placed:
+        if exact:
+            # azimuths are normalized, so a zero wrapped distance means
+            # equal floats; -0.0 and 0.0 are one key, as they match in the scan
+            gi = by_key.setdefault(
+                (p.delay, p.aoa.azimuth, p.aoa.elevation, p.aod.azimuth, p.aod.elevation),
+                len(anchors))
+            placed = gi < len(anchors)
+        else:
+            placed = False
+            for gi in range(len(anchors) - 1, -1, -1):
+                a = anchors[gi]
+                if p.delay - a.delay > delay_tol:
+                    break  # anchors are delay-sorted; earlier ones are farther
+                if angles_close(p.aoa, a.aoa, angle_tol) and angles_close(p.aod, a.aod, angle_tol):
+                    placed = True
+                    break
+        if placed:
+            sums[gi] += p.amp
+            origins[gi].add(p.origin)
+            sizes[gi] += 1
+        else:
             anchors.append(p)
             sums.append(p.amp)
             origins.append({p.origin})
+            sizes.append(1)
     merged = []
-    for a, s, og in zip(anchors, sums, origins):
-        origin = a.origin if len(og) == 1 else Origin.SHARED
-        merged.append(replace(a, amp=s, origin=origin))
+    for a, s, og, size in zip(anchors, sums, origins, sizes):
+        if size == 1:  # nothing merged: the anchor is its own result
+            merged.append(a)
+        else:
+            merged.append(replace(a, amp=s, origin=a.origin if len(og) == 1 else Origin.SHARED))
     return merged
 
 

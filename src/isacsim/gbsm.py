@@ -21,6 +21,7 @@ from .core import (
     PathComponent,
     merge_paths,
     unit_vector,
+    unit_vectors,
 )
 
 
@@ -95,13 +96,6 @@ class ClusterSet:
 # Antennas
 # ---------------------------------------------------------------------------
 
-def _unit_vectors(az_el: np.ndarray) -> np.ndarray:
-    """(n, 3) unit vectors for (n, 2) rows of (azimuth, elevation)."""
-    az, el = az_el[:, 0], az_el[:, 1]
-    ce = np.cos(el)
-    return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=1)
-
-
 @dataclass(frozen=True, eq=False)
 class AntennaModel:
     """Antenna array with a scalar field pattern per element.
@@ -141,8 +135,8 @@ class AntennaModel:
         """
         if self.kind == "omni":
             return np.ones((len(boresight), len(arrival)))
-        b = _unit_vectors(np.asarray(boresight, dtype=float))
-        a = _unit_vectors(np.asarray(arrival, dtype=float))
+        b = unit_vectors(boresight)
+        a = unit_vectors(arrival)
         # the (m, 3) x (3, n) product written out term by term: a BLAS
         # product may fuse and order the terms by shape, and a 1 x 1 call
         # must round exactly like the same cell of a scan's matrix
@@ -154,12 +148,17 @@ class AntennaModel:
         # Gaussian main lobe: power is g_peak * exp(-4 ln2 (off/hpbw)^2)
         return math.sqrt(g_peak) * np.exp(-2.0 * math.log(2.0) * (off / hpbw) ** 2)
 
+    def fields(self, angles) -> np.ndarray:
+        """Complex (F_theta, F_phi) field pattern toward each (azimuth,
+        elevation) row of ``angles`` (n, 2); the result is (n, 2)."""
+        b = self.boresight
+        out = np.zeros((len(angles), 2), dtype=complex)
+        out[:, 0] = self.field_gain([[b.azimuth, b.elevation]], angles)[0]
+        return out
+
     def field(self, angle: Angle3D) -> np.ndarray:
         """Complex (F_theta, F_phi) field pattern toward ``angle``."""
-        b = self.boresight
-        f_theta = self.field_gain([[b.azimuth, b.elevation]],
-                                  [[angle.azimuth, angle.elevation]])[0, 0]
-        return np.array([f_theta + 0.0j, 0.0 + 0.0j])
+        return self.fields([[angle.azimuth, angle.elevation]])[0]
 
     def power_gain(self, angle: Angle3D) -> float:
         f = self.field(angle)

@@ -115,22 +115,23 @@ def transmit_through(cir: Cir, pn: PnSequence, snr_db: float | None,
     delays would alias and raise.
     """
     fs = pn.chip_rate * samples_per_chip
-    n_chips = pn.length
-    n = n_chips * samples_per_chip
+    n = pn.length * samples_per_chip
     period = pn.period_s
-    for p in cir.paths:
-        if not (0.0 <= p.delay < period):
-            raise ValueError(
-                f"path delay {p.delay * 1e9:.1f} ns outside one PN period "
-                f"({period * 1e9:.1f} ns); range is ambiguous")
+    delays = cir.delays()
+    outside = np.flatnonzero((delays < 0.0) | (delays >= period))
+    if len(outside):
+        raise ValueError(
+            f"path delay {delays[outside[0]] * 1e9:.1f} ns outside one PN period "
+            f"({period * 1e9:.1f} ns); range is ambiguous")
 
-    # sample positions in chip units; the 1e-9 chip epsilon keeps
-    # exactly-on-boundary delays on the correct side of the floor
-    pos = np.arange(n) / samples_per_chip
-    rx = np.zeros(n, dtype=complex)
-    for p in cir.paths:
-        idx = np.floor(pos - p.delay * pn.chip_rate + 1e-9).astype(int) % n_chips
-        rx += p.amp * pn.chips[idx]
+    # sample i of a path holds chip floor(i / spc - delay * chip_rate + 1e-9),
+    # i.e. the waveform circularly shifted by a whole number of samples;
+    # the 1e-9 chip epsilon keeps exactly-on-boundary delays on the
+    # correct side of the floor
+    shifts = np.ceil(samples_per_chip * (delays * pn.chip_rate - 1e-9)).astype(int) % n
+    impulses = np.zeros(n, dtype=complex)
+    np.add.at(impulses, shifts, cir.amps())
+    rx = np.fft.ifft(np.fft.fft(impulses) * np.fft.fft(reference_waveform(pn, samples_per_chip)))
 
     if snr_db is not None and np.isfinite(snr_db):
         rng = np.random.default_rng(seed)

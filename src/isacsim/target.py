@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +27,7 @@ from .core import (
     TableRcs,
     merge_paths,
     spreading_gain,
-    unit_vector,
+    unit_vectors,
 )
 from .gbsm import OMNI, AntennaModel, ClusterSet, Ray, cross_polarization_matrix
 
@@ -53,13 +54,27 @@ class SubLink:
         return self.clusters.all_rays()
 
 
+def _rcs_linear(model, angles_in: np.ndarray, angles_out: np.ndarray) -> np.ndarray:
+    """Radar cross section in linear square meters for every pair of an
+    (n, 2) and an (m, 2) array of (azimuth, elevation) rows: (n, m)."""
+    sigma_dbsm = model.eval_dbsm_pairs(angles_in, angles_out)
+    bad = np.argwhere(~np.isfinite(sigma_dbsm))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(
+            f"RCS model returned non-finite value for in={Angle3D(*angles_in[i])} "
+            f"out={Angle3D(*angles_out[j])}")
+    return 10.0 ** (sigma_dbsm / 10.0)
+
+
 def rcs_eval(model, g_in: Angle3D, g_out: Angle3D) -> float:
     """Radar cross section in linear square meters for an angle pair."""
-    sigma_dbsm = model.eval_dbsm(g_in, g_out)
-    if not math.isfinite(sigma_dbsm):
-        raise ValueError(
-            f"RCS model returned non-finite value for in={g_in} out={g_out}")
-    return 10.0 ** (sigma_dbsm / 10.0)
+    return float(_rcs_linear(model, np.array([[g_in.azimuth, g_in.elevation]]),
+                             np.array([[g_out.azimuth, g_out.elevation]]))[0, 0])
+
+
+def _angles(angles: Sequence[Angle3D]) -> np.ndarray:
+    return np.array([(g.azimuth, g.elevation) for g in angles])
 
 
 def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
@@ -78,7 +93,8 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
     with sigma evaluated at the target-side angle pair, plus the array
     and Doppler phase rotations. With identity polarization matrices
     and omni antennas the linear path power is p1 * p2 * sigma *
-    lambda^2/(4 pi).
+    lambda^2/(4 pi). Every term is computed for all pairs at once, as
+    an |a| x |b| array.
     """
     if a.side is not Side.TX_TO_TARGET or b.side is not Side.TARGET_TO_RX:
         raise ValueError("concatenate expects (tx_to_target, target_to_rx) sub-links")
@@ -88,41 +104,38 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
     if wl <= 0.0:
         raise ValueError("wavelength must be positive")
 
-    sqrt_spread = math.sqrt(spreading_gain(wl))
     k = 2.0 * math.pi / wl
     d_sp = sp.position
     d_tx = tx_antenna.element_positions[s]
     d_rx = rx_antenna.element_positions[u]
+    aod_a, aoa_a = _angles([r.aod for r in rays_a]), _angles([r.aoa for r in rays_a])
+    aod_b, aoa_b = _angles([r.aod for r in rays_b]), _angles([r.aoa for r in rays_b])
+    cpm_a = np.stack([cross_polarization_matrix(r.xpr, r.phases) for r in rays_a])
+    cpm_b = np.stack([cross_polarization_matrix(r.xpr, r.phases) for r in rays_b])
 
-    paths = []
-    f_rxs = [rx_antenna.field(r2.aoa) for r2 in rays_b]
-    for r1 in rays_a:
-        cpm1 = cross_polarization_matrix(r1.xpr, r1.phases)
-        f_tx = tx_antenna.field(r1.aod)
-        phase1 = k * (float(unit_vector(r1.aoa) @ d_sp) + float(unit_vector(r1.aod) @ d_tx))
-        for r2, f_rx in zip(rays_b, f_rxs):
-            try:
-                sigma = rcs_eval(sp.rcs_model, g_in=r1.aoa, g_out=r2.aod)
-            except Exception as exc:
-                raise ValueError(
-                    f"RCS evaluation failed for in={r1.aoa} out={r2.aod}: {exc}") from exc
-            cpm2 = cross_polarization_matrix(r2.xpr, r2.phases)
-            gain = complex(f_rx @ cpm2 @ sp.cpm_k @ cpm1 @ f_tx)
-            phase2 = k * (float(unit_vector(r2.aoa) @ d_rx) + float(unit_vector(r2.aod) @ d_sp))
-            doppler = r1.doppler + r2.doppler
-            amp = (math.sqrt(r1.power * r2.power * sigma) * gain * sqrt_spread
-                   * complex(np.exp(1j * (phase1 + phase2)))
-                   * complex(np.exp(1j * 2.0 * math.pi * doppler * t)))
-            paths.append(PathComponent(
-                delay=r1.delay + r2.delay,
-                amp=amp,
-                doppler=doppler,
-                aod=r1.aod,
-                aoa=r2.aoa,
-                bounce_order=r1.bounce_order + r2.bounce_order,
-                origin=Origin.TARGET,
-            ))
-    return Cir(tuple(paths), t0=t, carrier_freq=carrier_freq)
+    # the chain F_rx^T . CPM_2 . CPM_k . CPM_1 . F_tx, split after CPM_k
+    rx_side = np.einsum("bi,bij,jk->bk", rx_antenna.fields(aoa_b), cpm_b, sp.cpm_k)
+    tx_side = np.einsum("akl,al->ak", cpm_a, tx_antenna.fields(aod_a))
+    gain = np.einsum("ak,bk->ab", tx_side, rx_side)
+    phase_a = k * (unit_vectors(aoa_a) @ d_sp + unit_vectors(aod_a) @ d_tx)
+    phase_b = k * (unit_vectors(aoa_b) @ d_rx + unit_vectors(aod_b) @ d_sp)
+    sigma = _rcs_linear(sp.rcs_model, aoa_a, aod_b)
+    power_a = np.array([r.power for r in rays_a])
+    power_b = np.array([r.power for r in rays_b])
+    delay = np.add.outer([r.delay for r in rays_a], [r.delay for r in rays_b])
+    doppler = np.add.outer([r.doppler for r in rays_a], [r.doppler for r in rays_b])
+    amp = (np.sqrt(power_a[:, None] * power_b[None, :] * sigma) * gain
+           * math.sqrt(spreading_gain(wl))
+           * np.exp(1j * (phase_a[:, None] + phase_b[None, :]))
+           * np.exp(1j * 2.0 * math.pi * doppler * t))
+
+    paths = tuple(
+        PathComponent(delay=d, amp=g, doppler=f, aod=r1.aod, aoa=r2.aoa,
+                      bounce_order=r1.bounce_order + r2.bounce_order,
+                      origin=Origin.TARGET)
+        for (r1, r2), d, g, f in zip(product(rays_a, rays_b), delay.ravel().tolist(),
+                                     amp.ravel().tolist(), doppler.ravel().tolist()))
+    return Cir(paths, t0=t, carrier_freq=carrier_freq)
 
 
 def multi_point_target(points: Sequence[ScatteringPoint],
@@ -152,8 +165,9 @@ def multi_point_target(points: Sequence[ScatteringPoint],
     for i, (sp, (sub_a, sub_b)) in enumerate(zip(points, sublinks)):
         cir = concatenate(sub_a, sub_b, sp, wl, tx_antenna, rx_antenna,
                           s=s, u=u, t=t, carrier_freq=carrier_freq)
-        weight = 1.0 if pl_tar_db is None else 10.0 ** (-pl_tar_db[i] / 20.0)
-        all_paths.extend(replace(p, amp=p.amp * weight) for p in cir.paths)
+        if pl_tar_db is not None:
+            cir = cir.scaled(10.0 ** (-pl_tar_db[i] / 20.0))
+        all_paths.extend(cir.paths)
     merged = merge_paths(all_paths, merge_delay_tol, merge_angle_tol)
     return Cir(tuple(merged), t0=t, carrier_freq=carrier_freq)
 

@@ -30,6 +30,7 @@ from isacsim import (
     turntable_scan,
 )
 from isacsim.analysis import (
+    _max3x3,
     locate_bistatic,
     locate_monostatic,
     read_padp_csv,
@@ -234,6 +235,16 @@ class TestExtractPaths:
     def test_empty_padp_rejected(self):
         with pytest.raises(ValueError):
             extract_paths(np.zeros((4, 4)), np.arange(4.0), delay_grid(4e-9, 1e-9), 20.0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (17, 23)])
+    def test_neighbourhood_max_matches_scipy(self, shape):
+        from scipy.ndimage import maximum_filter
+
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for arr in (rng.integers(0, 3, shape).astype(float),  # many ties
+                    rng.uniform(0.0, 1.0, shape)):
+            np.testing.assert_array_equal(
+                _max3x3(arr), maximum_filter(arr, size=3, mode="nearest"))
 
 
 class TestSubtractBackground:

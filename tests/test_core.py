@@ -1,7 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from isacsim import (
     Angle3D,
@@ -21,6 +25,42 @@ from isacsim import (
     unit_vector,
     wavelength_m,
 )
+from isacsim.core import angles_close
+
+
+def reference_merge(paths, delay_tol, angle_tol):
+    """The anchor scan: each path, in delay order, joins the latest anchor
+    within the tolerances, scanning back while delays are in reach."""
+    groups = []  # [anchor, amplitude sum, origins]
+    for p in sorted(paths, key=lambda p: p.delay):
+        for g in reversed(groups):
+            if p.delay - g[0].delay > delay_tol:
+                g = None
+                break
+            if angles_close(p.aoa, g[0].aoa, angle_tol) and angles_close(p.aod, g[0].aod, angle_tol):
+                break
+        else:
+            g = None
+        if g is None:
+            groups.append([p, p.amp, {p.origin}])
+        else:
+            g[1] += p.amp
+            g[2].add(p.origin)
+    return [replace(a, amp=s, origin=a.origin if len(og) == 1 else Origin.SHARED)
+            for a, s, og in groups]
+
+
+# small pools, so that equal keys, equal delays with other angles, and
+# -0.0 next to 0.0 all come up
+_angles = st.builds(Angle3D, st.sampled_from([0.0, 1.0, 2 * math.pi - 1e-9]),
+                    st.sampled_from([0.0, -0.0, 0.3]))
+_paths = st.lists(st.builds(
+    PathComponent,
+    delay=st.sampled_from([0.0, 1e-9, 1e-9 + 1e-24, 2.5e-9]),
+    amp=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    aod=_angles, aoa=_angles,
+    bounce_order=st.integers(0, 2),
+    origin=st.sampled_from([Origin.TARGET, Origin.BACKGROUND])), max_size=40)
 
 
 class TestUnitVector:
@@ -132,6 +172,13 @@ class TestMergePaths:
         delays = [p.delay for p in merged]
         assert delays == sorted(delays)
 
+    @settings(max_examples=150, deadline=None)
+    @given(paths=_paths, tols=st.sampled_from([(0.0, 0.0), (1e-9, 0.5)]))
+    def test_matches_anchor_scan(self, paths, tols):
+        # repr tells -0.0 from 0.0, which == does not
+        assert ([repr(p) for p in merge_paths(paths, *tols)]
+                == [repr(p) for p in reference_merge(paths, *tols)])
+
     def test_mixed_origin_becomes_shared(self):
         a = self._p(10e-9, 1.0, origin=Origin.TARGET)
         b = self._p(10e-9, 1.0, origin=Origin.BACKGROUND)
@@ -182,6 +229,31 @@ class TestRcsModels:
         assert mid == pytest.approx(5.0)
         beyond = t.eval_dbsm(Angle3D(0.0, 0.0), Angle3D(2.0, 0.0))
         assert beyond == pytest.approx(10.0)  # clamped, no extrapolation
+
+
+    @pytest.mark.parametrize("shape", [(4, 1, 5, 3), (1, 1, 1, 1), (3, 2, 1, 1)])
+    def test_table_pairs_match_pointwise_interpolation(self, shape):
+        # every pair against its own interpolator over the non-singleton
+        # axes, queried at the clamped angles
+        rng = np.random.default_rng(sum(shape))
+        axes = [np.sort(rng.uniform(-1.0, 1.0, n)) + (3.0 if i % 2 == 0 else 0.0)
+                for i, n in enumerate(shape)]
+        t = TableRcs(*axes, rng.uniform(-10.0, 10.0, shape))
+        ang_in = np.column_stack([rng.uniform(1.5, 4.5, 6), rng.uniform(-1.2, 1.2, 6)])
+        ang_out = np.column_stack([rng.uniform(1.5, 4.5, 5), rng.uniform(-1.2, 1.2, 5)])
+        keep = [i for i, n in enumerate(shape) if n > 1]
+        vals = t.values_dbsm[tuple(slice(None) if i in keep else 0 for i in range(4))]
+        got = t.eval_dbsm_pairs(ang_in, ang_out)
+        for i, g_in in enumerate(ang_in):
+            for j, g_out in enumerate(ang_out):
+                q = np.concatenate([g_in, g_out])[keep]
+                if keep:
+                    q = np.clip(q, [axes[k][0] for k in keep], [axes[k][-1] for k in keep])
+                    want = RegularGridInterpolator([axes[k] for k in keep], vals)(q)[0]
+                else:
+                    want = float(vals)
+                assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert t.eval_dbsm(Angle3D(*g_in), Angle3D(*g_out)) == got[i, j]
 
 
 class TestLinkBudget:

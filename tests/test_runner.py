@@ -283,6 +283,13 @@ class TestCli:
         assert cli_main(["simulate", str(cfg_path)]) == 2
         assert "bandwidth_hz" in capsys.readouterr().err
 
+    def test_boolean_seed_rejected(self, tmp_path, capsys):
+        cfg_path = scen1_like(tmp_path, seed=True)
+        assert cli_main(["simulate", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n  - ") == 1
+        assert "seed must be an integer" in err
+
     def test_sounder_roundtrip_command(self, tmp_path, capsys):
         cfg_path = scen1_like(tmp_path)
         assert cli_main(["sounder-roundtrip", str(cfg_path),

@@ -56,7 +56,35 @@ class TestGeneratePn:
             generate_pn(4, (3, 1))  # top tap must equal the register length
 
 
+def reference_samples(cir, pn, samples_per_chip):
+    """Noiseless capture built one path at a time: sample i of a path
+    holds chip floor(i / spc - delay * chip_rate + 1e-9)."""
+    pos = np.arange(pn.length * samples_per_chip) / samples_per_chip
+    rx = np.zeros(len(pos), dtype=complex)
+    for p in cir.paths:
+        idx = np.floor(pos - p.delay * pn.chip_rate + 1e-9).astype(int) % pn.length
+        rx += p.amp * pn.chips[idx]
+    return rx
+
+
 class TestTransmitThrough:
+    @pytest.mark.parametrize("spc", [1, 2, 3])
+    def test_matches_per_path_reference(self, spc):
+        pn = generate_pn(7, chip_rate=100e6)
+        rng = np.random.default_rng(spc)
+        fs = pn.chip_rate * spc
+        delays = np.concatenate([
+            rng.uniform(0.0, pn.period_s, 300),
+            rng.integers(0, pn.length, 50) / pn.chip_rate,  # on chip boundaries
+            rng.integers(0, pn.length * spc, 50) / fs,      # on sample boundaries
+            [0.0, (pn.length - 1) / pn.chip_rate, pn.period_s * (1 - 1e-12)],
+        ])
+        amps = rng.normal(size=len(delays)) + 1j * rng.normal(size=len(delays))
+        c = chan(zip(delays.tolist(), amps.tolist()))
+        got = transmit_through(c, pn, snr_db=None, seed=None, samples_per_chip=spc).samples
+        want = reference_samples(c, pn, spc)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_identity_channel_reproduces_pn(self):
         pn = generate_pn(6, chip_rate=100e6)
         cap = transmit_through(chan([(0.0, 1.0)]), pn, snr_db=None, seed=None)
@@ -80,8 +108,9 @@ class TestTransmitThrough:
 
     def test_delay_beyond_period_rejected(self):
         pn = generate_pn(5, chip_rate=100e6)  # period 310 ns
-        with pytest.raises(ValueError):
-            transmit_through(chan([(400e-9, 1.0)]), pn, snr_db=None, seed=None)
+        with pytest.raises(ValueError, match="path delay 400.0 ns outside one PN period"):
+            transmit_through(chan([(10e-9, 1.0), (400e-9, 1.0), (500e-9, 1.0)]), pn,
+                             snr_db=None, seed=None)
 
     def test_noise_is_seed_deterministic(self):
         pn = generate_pn(6, chip_rate=100e6)

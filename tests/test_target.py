@@ -4,22 +4,29 @@ import numpy as np
 import pytest
 
 from isacsim import (
+    AntennaModel,
     Angle3D,
     Cluster,
     ClusterSet,
     ConstantRcs,
     CosineLobeRcs,
+    GenerationProfile,
+    Origin,
     Ray,
     ScatteringPoint,
     Side,
     SubLink,
     TableRcs,
     concatenate,
+    cross_polarization_matrix,
     load_rcs_table_csv,
     merge_paths,
     multi_point_target,
     rcs_eval,
+    sample_clusters,
     spreading_gain,
+    unit_vector,
+    with_los_ray,
 )
 
 
@@ -57,7 +64,87 @@ class TestRcsEval:
             assert rcs_eval(m, Angle3D(az, 0), Angle3D(0, 0)) == pytest.approx(10 ** 0.3)
 
 
+def reference_concatenate(a, b, sp, wl, tx, rx, s, u, t):
+    """One ray pair at a time: (delay, amp, doppler, aod, aoa, bounce
+    order) per pair, in delay order."""
+    k = 2.0 * math.pi / wl
+    out = []
+    for r1 in a.rays():
+        for r2 in b.rays():
+            sigma = rcs_eval(sp.rcs_model, r1.aoa, r2.aod)
+            gain = complex(rx.field(r2.aoa) @ cross_polarization_matrix(r2.xpr, r2.phases)
+                           @ sp.cpm_k @ cross_polarization_matrix(r1.xpr, r1.phases)
+                           @ tx.field(r1.aod))
+            phase = k * (unit_vector(r1.aoa) @ sp.position
+                         + unit_vector(r1.aod) @ tx.element_positions[s]
+                         + unit_vector(r2.aoa) @ rx.element_positions[u]
+                         + unit_vector(r2.aod) @ sp.position)
+            doppler = r1.doppler + r2.doppler
+            amp = (math.sqrt(r1.power * r2.power * sigma) * gain
+                   * math.sqrt(spreading_gain(wl)) * np.exp(1j * phase)
+                   * np.exp(1j * 2.0 * math.pi * doppler * t))
+            out.append((r1.delay + r2.delay, amp, doppler, r1.aod, r2.aoa,
+                        r1.bounce_order + r2.bounce_order))
+    return sorted(out, key=lambda row: row[0])
+
+
+class NanRcs:
+    """An RCS model that is non-finite at given (in, out) pair indices."""
+
+    def __init__(self, *cells):
+        self.cells = cells
+
+    def eval_dbsm_pairs(self, angles_in, angles_out):
+        out = np.zeros((len(angles_in), len(angles_out)))
+        for cell, value in zip(self.cells, (np.nan, np.inf)):
+            out[cell] = value
+        return out
+
+
 class TestConcatenate:
+    @pytest.mark.parametrize("rcs", [
+        ConstantRcs(8.48),
+        CosineLobeRcs(3.0, exponent=2.0, axis=Angle3D(1.0, 0.1)),
+        TableRcs(np.linspace(0.0, 6.0, 7), [0.0], np.linspace(0.5, 5.5, 4),
+                 [-0.1, 0.0, 0.1],
+                 np.random.default_rng(3).uniform(-10.0, 10.0, (7, 1, 4, 3))),
+    ], ids=["constant", "cosine_lobe", "table"])
+    def test_matches_per_pair_reference(self, rcs):
+        def link(side, seed):
+            profile = GenerationProfile(n_clusters=3, rays_per_cluster=4,
+                                        doppler_max_hz=300.0, ray_delay_scale_s=2e-9,
+                                        seed=seed)
+            los = Ray(power=1.0, delay=12e-9, aod=Angle3D(0.4, 0.05),
+                      aoa=Angle3D(3.5, -0.05), doppler=40.0, bounce_order=0)
+            return SubLink(side, with_los_ray(sample_clusters(profile), los, 4.0))
+
+        positions = [[0.0, 0.0, 0.0], [0.011, -0.02, 0.003], [-0.007, 0.015, 0.021]]
+        tx = AntennaModel(kind="horn", element_positions=positions, hpbw_deg=15.0,
+                          peak_gain_db=20.0, boresight=Angle3D(0.7, 0.1))
+        rx = AntennaModel(kind="horn", element_positions=positions, hpbw_deg=30.0,
+                          peak_gain_db=10.0, boresight=Angle3D(4.0, -0.2))
+        sp = ScatteringPoint(position=[4.6, 2.5, 1.5], rcs_model=rcs,
+                             cpm_k=[[0.9, 0.2j], [0.1 - 0.3j, -0.7]])
+        a, b = link(Side.TX_TO_TARGET, 1), link(Side.TARGET_TO_RX, 2)
+        cir = concatenate(a, b, sp, WL, tx, rx, s=2, u=1, t=1.3e-3)
+        want = reference_concatenate(a, b, sp, WL, tx, rx, 2, 1, 1.3e-3)
+        assert len(cir) == len(a.rays()) * len(b.rays())
+        for p, (delay, _, doppler, aod, aoa, order) in zip(cir.paths, want):
+            assert (p.delay, p.doppler, p.aod, p.aoa, p.bounce_order, p.origin) == (
+                delay, doppler, aod, aoa, order, Origin.TARGET)
+        np.testing.assert_allclose(cir.amps(), [row[1] for row in want], rtol=1e-11)
+
+    def test_non_finite_rcs_names_first_angle_pair(self):
+        a = make_sublink(Side.TX_TO_TARGET, [1e-9, 2e-9, 3e-9], seed=1)
+        b = make_sublink(Side.TARGET_TO_RX, [4e-9, 5e-9], seed=2)
+        sp = ScatteringPoint(position=[0.0, 0.0, 0.0], rcs_model=NanRcs((1, 1), (2, 0)))
+        with pytest.raises(ValueError) as info:
+            concatenate(a, b, sp, WL)
+        assert str(info.value) == (f"RCS model returned non-finite value for "
+                                   f"in={a.rays()[1].aoa} out={b.rays()[1].aod}")
+        with pytest.raises(ValueError, match="non-finite value for in=Angle3D"):
+            rcs_eval(ConstantRcs(float("nan")), Angle3D(0, 0), Angle3D(1, 0))
+
     def test_delay_additivity_single_pair(self):
         a = make_sublink(Side.TX_TO_TARGET, [10e-9])
         b = make_sublink(Side.TARGET_TO_RX, [20e-9])
