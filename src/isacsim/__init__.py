@@ -15,15 +15,12 @@ from .core import (
     Cir,
     ConstantRcs,
     CosineLobeRcs,
-    LinkBudget,
     Origin,
     PathComponent,
     ScatteringPoint,
     TableRcs,
     angle_from_vector,
     db_to_linear,
-    default_delay_tol,
-    DEFAULT_ANGLE_TOL_RAD,
     identity_cpm,
     linear_to_db,
     merge_paths,
@@ -60,9 +57,7 @@ from .background import (
     sample_pcf,
 )
 from .linkbudget import (
-    AbgPathLoss,
     FreeSpacePathLoss,
-    TablePathLoss,
     conv_path_power,
     delta_p,
     estimate_rcs,

@@ -250,7 +250,6 @@ class ReconstructionScene:
     rx: np.ndarray
     target: np.ndarray
     reflectors: tuple[GeometricScatterer, ...] = ()
-    beamwidth_deg: float = 360.0
 
     def __post_init__(self):
         for name in ("tx", "rx", "target"):

@@ -28,37 +28,21 @@ class ConfigError(ValueError):
         super().__init__("invalid scenario config:\n  - " + "\n  - ".join(self.violations))
 
 
-@dataclass(frozen=True)
-class SublinkSpec:
-    """Statistical recipe for one target's Tx-target / target-Rx hops."""
-
-    n_clusters: int = 4
-    rays_per_cluster: int = 5
-    delay_scale_ns: float = 20.0
-    angle_spread_deg: float = 5.0
-    xpr_mean_db: float = 9.0
-    xpr_std_db: float = 3.0
-    shadow_std_db: float = 3.0
-    k_factor_db: float = 6.0
-
-
 @dataclass(frozen=True, eq=False)
 class TargetSpec:
+    """One scattering point and the recipe of its Tx-target and target-Rx
+    hops: statistical clusters (reseeded per hop) plus a LOS ray whose
+    power relative to them is the K-factor."""
+
     point: ScatteringPoint
-    sublink: SublinkSpec
+    profile: GenerationProfile
+    k_factor_db: float
 
 
 @dataclass(frozen=True, eq=False)
 class EndpointSpec:
     position_m: np.ndarray
     antenna: AntennaModel
-
-
-@dataclass(frozen=True)
-class PcfSpec:
-    model: PcfModel | None  # None means a fixed value
-    fixed: float | None
-    domain: str = "linear_power"  # or "db_pathloss"
 
 
 @dataclass(frozen=True)
@@ -78,12 +62,13 @@ class ScenarioConfig:
     rx: EndpointSpec
     targets: tuple[TargetSpec, ...]
     background: BackgroundSpec
-    pcf: PcfSpec
+    pcf: PcfModel  # a fixed pcf.value is a model with std 0
     scan_start_deg: float
     scan_stop_deg: float
     scan_step_deg: float
     seed: int
     outputs: str
+    base_dir: Path  # relative file names in the config resolve against it
     sounder_m: int = 11
     sounder_snr_db: float = 30.0
     raw: dict = field(default_factory=dict, repr=False)
@@ -98,11 +83,15 @@ def _parse_antenna(spec: dict, errors, where: str) -> AntennaModel:
         return AntennaModel(kind="omni")
     if kind == "horn":
         hpbw = spec.get("hpbw_deg", 10.0)
-        gain = spec.get("peak_gain_db", 0.0)
-        if hpbw <= 0:
-            errors.append(f"{where}: horn hpbw_deg must be > 0")
+        try:
+            valid = float(hpbw) > 0
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            errors.append(f"{where}: hpbw_deg must be a number > 0, got {hpbw!r}")
             hpbw = 10.0
-        return AntennaModel(kind="horn", hpbw_deg=float(hpbw), peak_gain_db=float(gain))
+        return AntennaModel(kind="horn", hpbw_deg=float(hpbw),
+                            peak_gain_db=float(spec.get("peak_gain_db", 0.0)))
     errors.append(f"{where}: unknown antenna kind {kind!r}")
     return AntennaModel(kind="omni")
 
@@ -131,29 +120,52 @@ def _parse_rcs(spec: dict, errors, where: str, base_dir: Path):
     return ConstantRcs(0.0)
 
 
-def _parse_profile(spec: dict, seed: int) -> GenerationProfile:
-    return GenerationProfile(
-        n_clusters=int(spec.get("n_clusters", 8)),
-        rays_per_cluster=int(spec.get("rays_per_cluster", 10)),
-        delay_scale_s=float(spec.get("delay_scale_ns", 30.0)) * 1e-9,
-        angle_spread_rad=math.radians(float(spec.get("angle_spread_deg", 5.0))),
-        xpr_mean_db=float(spec.get("xpr_mean_db", 9.0)),
-        xpr_std_db=float(spec.get("xpr_std_db", 3.0)),
-        shadow_std_db=float(spec.get("shadow_std_db", 3.0)),
-        doppler_max_hz=float(spec.get("doppler_max_hz", 0.0)),
-        seed=seed,
-    )
+# sub-link defaults where they differ from the background's (GenerationProfile's)
+SUBLINK_DEFAULTS = {"n_clusters": 4, "rays_per_cluster": 5, "delay_scale_ns": 20.0}
+
+
+def _parse_profile(spec: dict, errors, where: str) -> GenerationProfile | None:
+    """Cluster recipe of a background or a sub-link, seed 0; each user
+    reseeds it with its own child seed."""
+    try:
+        return GenerationProfile(
+            n_clusters=int(spec.get("n_clusters", 8)),
+            rays_per_cluster=int(spec.get("rays_per_cluster", 10)),
+            delay_scale_s=float(spec.get("delay_scale_ns", 30.0)) * 1e-9,
+            angle_spread_rad=math.radians(float(spec.get("angle_spread_deg", 5.0))),
+            xpr_mean_db=float(spec.get("xpr_mean_db", 9.0)),
+            xpr_std_db=float(spec.get("xpr_std_db", 3.0)),
+            shadow_std_db=float(spec.get("shadow_std_db", 3.0)),
+            doppler_max_hz=float(spec.get("doppler_max_hz", 0.0)),
+            seed=0,
+        )
+    except (TypeError, ValueError) as exc:
+        errors.append(f"{where}: {exc}")
+        return None
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse and validate a scenario JSON; raises ConfigError listing
-    every violation found."""
+    """Read a scenario JSON and parse it with :func:`parse_config`; a
+    missing name is the file's stem."""
     path = Path(path)
     with open(path) as f:
         raw = json.load(f)
+    if isinstance(raw, dict) and not raw.get("name"):
+        raw["name"] = path.stem
+    return parse_config(raw, path.parent)
+
+
+def parse_config(raw, base_dir) -> ScenarioConfig:
+    """Validate a raw scenario dict; relative file names resolve against
+    ``base_dir``. Raises ConfigError listing every violation found."""
+    if not isinstance(raw, dict):
+        raise ConfigError(["a scenario must be a JSON object"])
+    base_dir = Path(base_dir)
     errors: list[str] = []
 
-    name = raw.get("name") or path.stem
+    name = raw.get("name")
+    if not isinstance(name, str) or not name:
+        errors.append("name must be a non-empty string")
     carrier = float(raw.get("carrier_freq_hz", 0.0))
     if carrier <= 0:
         errors.append("carrier_freq_hz must be > 0")
@@ -177,23 +189,17 @@ def load_config(path) -> ScenarioConfig:
     targets = []
     for i, t in enumerate(raw.get("targets", [])):
         where = f"targets[{i}]"
-        rcs = _parse_rcs(t.get("rcs", {}), errors, where, path.parent)
+        rcs = _parse_rcs(t.get("rcs", {}), errors, where, base_dir)
         point = ScatteringPoint(
             position=np.asarray(t.get("position_m", [0, 0, 0]), dtype=float),
             velocity=np.asarray(t.get("velocity_mps", [0, 0, 0]), dtype=float),
             rcs_model=rcs,
         )
         sl = t.get("sublink", {})
-        targets.append(TargetSpec(point=point, sublink=SublinkSpec(
-            n_clusters=int(sl.get("n_clusters", 4)),
-            rays_per_cluster=int(sl.get("rays_per_cluster", 5)),
-            delay_scale_ns=float(sl.get("delay_scale_ns", 20.0)),
-            angle_spread_deg=float(sl.get("angle_spread_deg", 5.0)),
-            xpr_mean_db=float(sl.get("xpr_mean_db", 9.0)),
-            xpr_std_db=float(sl.get("xpr_std_db", 3.0)),
-            shadow_std_db=float(sl.get("shadow_std_db", 3.0)),
-            k_factor_db=float(sl.get("k_factor_db", 6.0)),
-        )))
+        targets.append(TargetSpec(
+            point=point,
+            profile=_parse_profile({**SUBLINK_DEFAULTS, **sl}, errors, f"{where}.sublink"),
+            k_factor_db=float(sl.get("k_factor_db", 6.0))))
 
     bg_raw = raw.get("background", {})
     bg_mode = bg_raw.get("mode", "")
@@ -203,10 +209,10 @@ def load_config(path) -> ScenarioConfig:
         prof_raw = bg_raw.get("profile")
         if prof_raw is None:
             errors.append("statistical background needs a 'profile'")
-        elif int(prof_raw.get("n_clusters", 8)) < 1:
-            errors.append("background profile needs n_clusters >= 1")
         else:
-            profile = _parse_profile(prof_raw, seed=0)  # reseeded by the runner
+            profile = _parse_profile(prof_raw, errors, "background.profile")
+            if profile is not None and profile.n_clusters < 1:
+                errors.append("background profile needs n_clusters >= 1")
     elif bg_mode == "geometric":
         sc_raw = bg_raw.get("scatterers", [])
         try:
@@ -229,29 +235,29 @@ def load_config(path) -> ScenarioConfig:
     background = BackgroundSpec(mode=bg_mode, profile=profile, scatterers=scatterers)
 
     pcf_raw = raw.get("pcf", {"value": 1.0})
-    pcf_domain = pcf_raw.get("domain", "linear_power")
-    if pcf_domain not in ("linear_power", "db_pathloss"):
-        errors.append(f"pcf.domain must be linear_power or db_pathloss, got {pcf_domain!r}")
-    model = None
-    fixed = None
+    pcf = None
+    if "domain" in pcf_raw:
+        errors.append("pcf.domain is not supported: the PCF always scales "
+                      "linear received power")
     if "value" in pcf_raw:
-        fixed = float(pcf_raw["value"])
-        if not (0.0 < fixed <= 1.5):
-            errors.append(f"pcf.value {fixed} outside (0, 1.5]")
+        value = float(pcf_raw["value"])
+        try:
+            pcf = PcfModel("fixed", value, 0.0)
+        except ValueError:
+            errors.append(f"pcf.value {value} outside (0, 1.5]")
     elif "mean" in pcf_raw:
         try:
-            model = PcfModel(pcf_raw.get("condition", "custom"),
-                             float(pcf_raw["mean"]), float(pcf_raw.get("std", 0.0)))
+            pcf = PcfModel(pcf_raw.get("condition", "custom"),
+                           float(pcf_raw["mean"]), float(pcf_raw.get("std", 0.0)))
         except ValueError as exc:
             errors.append(f"pcf model invalid: {exc}")
     elif "condition" in pcf_raw:
         try:
-            model = default_pcf_model(pcf_raw["condition"])
+            pcf = default_pcf_model(pcf_raw["condition"])
         except ValueError as exc:
             errors.append(str(exc))
     else:
         errors.append("pcf needs one of: value, mean, condition")
-    pcf = PcfSpec(model=model, fixed=fixed, domain=pcf_domain)
 
     scan_raw = raw.get("scan", {})
     start = float(scan_raw.get("start_deg", 0.0))
@@ -284,6 +290,6 @@ def load_config(path) -> ScenarioConfig:
         sensing_mode=mode, tx=tx, rx=rx, targets=tuple(targets),
         background=background, pcf=pcf,
         scan_start_deg=start, scan_stop_deg=stop, scan_step_deg=step,
-        seed=seed, outputs=raw.get("outputs", name),
+        seed=seed, outputs=raw.get("outputs", name), base_dir=base_dir,
         sounder_m=sounder_m, sounder_snr_db=sounder_snr, raw=raw,
     )

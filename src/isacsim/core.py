@@ -427,38 +427,3 @@ def merge_paths(paths: Iterable[PathComponent], delay_tol: float,
         else:
             merged.append(replace(a, amp=s, origin=a.origin if len(og) == 1 else Origin.SHARED))
     return merged
-
-
-def default_delay_tol(bandwidth_hz: float) -> float:
-    """Delay-resolution merge tolerance: one over the sounding bandwidth."""
-    if bandwidth_hz <= 0.0:
-        raise ValueError("bandwidth must be positive")
-    return 1.0 / bandwidth_hz
-
-
-# half the 5-degree turntable step used by the directional scans
-DEFAULT_ANGLE_TOL_RAD = math.radians(2.5)
-
-
-# ---------------------------------------------------------------------------
-# Link budget bookkeeping
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Large-scale bookkeeping for one sensing-channel realization."""
-
-    pl_tar_db: tuple[float, ...]
-    pl_back_db: float
-    o_back: float
-    wavelength: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(x) for x in self.pl_tar_db):
-            raise ValueError("per-point target path losses must be finite")
-        if not math.isfinite(self.pl_back_db):
-            raise ValueError("background path loss must be finite")
-        if not (0.0 < self.o_back <= 1.5):
-            raise ValueError(f"power control factor {self.o_back} outside (0, 1.5]")
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")

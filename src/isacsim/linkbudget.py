@@ -60,7 +60,7 @@ def fit_rcs_line(samples) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Distance-dependent path loss models
+# Free-space path loss
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -73,43 +73,3 @@ class FreeSpacePathLoss:
         if d_m <= 0.0:
             raise ValueError("distance must be positive")
         return 20.0 * math.log10(4.0 * math.pi * d_m / wavelength_m(self.frequency_hz))
-
-
-@dataclass(frozen=True)
-class AbgPathLoss:
-    """Alpha-beta-gamma fit: 10 a log10(d) + b + 10 g log10(f_GHz)."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    frequency_hz: float
-
-    def eval_db(self, d_m: float) -> float:
-        if d_m <= 0.0:
-            raise ValueError("distance must be positive")
-        return (10.0 * self.alpha * math.log10(d_m) + self.beta
-                + 10.0 * self.gamma * math.log10(self.frequency_hz / 1e9))
-
-
-@dataclass(frozen=True, eq=False)
-class TablePathLoss:
-    """Piecewise-linear interpolation of measured (distance, PL) pairs."""
-
-    distances_m: np.ndarray
-    pl_db: np.ndarray
-    frequency_hz: float = 0.0
-
-    def __post_init__(self):
-        d = np.asarray(self.distances_m, dtype=float)
-        pl = np.asarray(self.pl_db, dtype=float)
-        if d.ndim != 1 or d.shape != pl.shape or len(d) < 1:
-            raise ValueError("need matching 1-D distance and path loss arrays")
-        if np.any(np.diff(d) <= 0):
-            raise ValueError("distances must be strictly increasing")
-        object.__setattr__(self, "distances_m", d)
-        object.__setattr__(self, "pl_db", pl)
-
-    def eval_db(self, d_m: float) -> float:
-        if d_m <= 0.0:
-            raise ValueError("distance must be positive")
-        return float(np.interp(d_m, self.distances_m, self.pl_db))

@@ -30,17 +30,17 @@ from .analysis import (
 from .background import (
     GeometricScatterer,
     PcfModel,
+    apply_pcf,
     background_bistatic,
     background_monostatic,
     default_pcf_model,
     sample_pcf,
 )
-from .config import ScenarioConfig, SublinkSpec
+from .config import ScenarioConfig, TargetSpec, parse_config
 from .core import (
     Angle3D,
     C_LIGHT,
     Cir,
-    LinkBudget,
     Origin,
     PathComponent,
     angle_from_vector,
@@ -51,7 +51,6 @@ from .gbsm import (
     AntennaModel,
     ClusterSet,
     Cluster,
-    GenerationProfile,
     Ray,
     doppler_shift,
     sample_clusters,
@@ -72,21 +71,8 @@ def _child_seed(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _sublink_profile(spec: SublinkSpec, seed: int) -> GenerationProfile:
-    return GenerationProfile(
-        n_clusters=spec.n_clusters,
-        rays_per_cluster=spec.rays_per_cluster,
-        delay_scale_s=spec.delay_scale_ns * 1e-9,
-        angle_spread_rad=math.radians(spec.angle_spread_deg),
-        xpr_mean_db=spec.xpr_mean_db,
-        xpr_std_db=spec.xpr_std_db,
-        shadow_std_db=spec.shadow_std_db,
-        seed=seed,
-    )
-
-
 def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos, velocity, wl: float,
-                 spec: SublinkSpec, seed: int) -> SubLink:
+                 spec: TargetSpec, seed: int) -> SubLink:
     """Sub-link with a geometric line-of-sight ray plus statistical clusters.
 
     The LOS ray carries the exact geometric delay, the target-side angle,
@@ -105,10 +91,10 @@ def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos, velocity, wl: float,
         aod, aoa = to_endpoint, to_target  # departs the target, arrives at the Rx
     los = Ray(power=1.0, delay=d / C_LIGHT, aod=aod, aoa=aoa,
               doppler=dop, bounce_order=0)
-    if spec.n_clusters == 0:
+    if spec.profile.n_clusters == 0:
         clusters = ClusterSet((Cluster(power=1.0, rays=(los,)),))
     else:
-        sampled = sample_clusters(_sublink_profile(spec, seed))
+        sampled = sample_clusters(replace(spec.profile, seed=seed))
         clusters = with_los_ray(sampled, los, 10.0 ** (spec.k_factor_db / 10.0))
     return SubLink(side, clusters)
 
@@ -129,10 +115,15 @@ class SimulationResult:
     o_back: float
     wavelength: float
 
-    def budget(self) -> LinkBudget:
-        """Large-scale bookkeeping, validated against the type invariants."""
-        return LinkBudget(self.pl_tar_db, self.pl_back_db, self.o_back,
-                          self.wavelength)
+    def __post_init__(self):
+        if not all(math.isfinite(x) for x in self.pl_tar_db):
+            raise ValueError("per-point target path losses must be finite")
+        if not math.isfinite(self.pl_back_db):
+            raise ValueError("background path loss must be finite")
+        if not (0.0 < self.o_back <= 1.5):
+            raise ValueError(f"power control factor {self.o_back} outside (0, 1.5]")
+        if self.wavelength <= 0.0:
+            raise ValueError("wavelength must be positive")
 
 
 def simulate_channels(config: ScenarioConfig) -> SimulationResult:
@@ -151,9 +142,9 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
             seed_a, seed_b = (_child_seed(s) for s in seq.spawn(2))
             sp = spec.point
             sub_a = _los_sublink(Side.TX_TO_TARGET, tx_pos, sp.position,
-                                 sp.velocity, wl, spec.sublink, seed_a)
+                                 sp.velocity, wl, spec, seed_a)
             sub_b = _los_sublink(Side.TARGET_TO_RX, rx_pos, sp.position,
-                                 sp.velocity, wl, spec.sublink, seed_b)
+                                 sp.velocity, wl, spec, seed_b)
             d1 = float(np.linalg.norm(sp.position - tx_pos))
             d2 = float(np.linalg.norm(sp.position - rx_pos))
             points.append(sp)
@@ -182,15 +173,10 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
                                        carrier_freq=config.carrier_freq_hz)
         pl_back = 0.0  # two-way spreading already inside the path amplitudes
 
-    # power control factor coupling
-    if config.pcf.fixed is not None:
-        o_back = config.pcf.fixed
-    else:
-        o_back = sample_pcf(config.pcf.model, _child_seed(pcf_seq))
-    if config.pcf.domain == "linear_power":
-        bg_cir = bg_cir.scaled(math.sqrt(o_back))
-    else:  # db_pathloss: the factor multiplies the dB path loss figure
-        bg_cir = bg_cir.scaled(10.0 ** ((1.0 - o_back) * pl_back / 20.0))
+    # power control factor coupling: o_back scales linear received power,
+    # so each amplitude scales by the root of the scaled unit power
+    o_back = sample_pcf(config.pcf, _child_seed(pcf_seq))
+    bg_cir = bg_cir.scaled(math.sqrt(apply_pcf(1.0, o_back)))
 
     return SimulationResult(target_cir=target_cir, background_cir=bg_cir,
                             pl_tar_db=pl_tar, pl_back_db=pl_back,
@@ -269,6 +255,15 @@ def _resolve_out_dir(config: ScenarioConfig, out_dir) -> Path:
     return Path(config.outputs)
 
 
+def _scan_input(target_cir: Cir, bg_cir: Cir, bandwidth_hz: float):
+    """The combined sensing CIR, the delay-bin width (one over the
+    bandwidth) and the delay bins a scan of it uses."""
+    combined = Cir(target_cir.paths + bg_cir.paths, carrier_freq=target_cir.carrier_freq)
+    bin_w = 1.0 / bandwidth_hz
+    max_delay = max((p.delay for p in combined.paths), default=0.0) + 2 * bin_w
+    return combined, bin_w, delay_grid(max_delay, bin_w)
+
+
 def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
     """Simulate one scenario and write target.json, background.json,
     padp.csv, and report.json into the output directory."""
@@ -281,19 +276,14 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
     timings["simulate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    combined = Cir(sim.target_cir.paths + sim.background_cir.paths,
-                   carrier_freq=config.carrier_freq_hz)
-    angles = config.scan_angles_deg()
-    bin_w = 1.0 / config.bandwidth_hz
-    max_delay = (max((p.delay for p in combined.paths), default=0.0) + 2 * bin_w)
-    bins = delay_grid(max_delay, bin_w)
-    grid = turntable_scan(combined, config.rx.antenna, angles, bins)
+    combined, _, bins = _scan_input(sim.target_cir, sim.background_cir,
+                                    config.bandwidth_hz)
+    grid = turntable_scan(combined, config.rx.antenna, config.scan_angles_deg(), bins)
     timings["scan"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    lb = sim.budget()
-    budget = {"pl_tar_db": list(lb.pl_tar_db), "pl_back_db": lb.pl_back_db,
-              "o_back": lb.o_back, "wavelength_m": lb.wavelength}
+    budget = {"pl_tar_db": list(sim.pl_tar_db), "pl_back_db": sim.pl_back_db,
+              "o_back": sim.o_back, "wavelength_m": sim.wavelength}
     write_cir_json(out / "target.json", sim.target_cir, {"link_budget": budget})
     write_cir_json(out / "background.json", sim.background_cir, {"link_budget": budget})
     write_padp_csv(out / "padp.csv", grid)
@@ -305,7 +295,8 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
                        out_dir=str(out))
     with open(out / "report.json", "w") as f:
         json.dump({"seed": report.seed, "manifest": report.manifest,
-                   "timings_s": report.timings_s, "config": config.raw}, f, indent=1)
+                   "timings_s": report.timings_s, "config": config.raw,
+                   "config_dir": str(config.base_dir.resolve())}, f, indent=1)
     return report
 
 
@@ -324,7 +315,6 @@ def load_scene(path) -> ReconstructionScene:
             GeometricScatterer(position=np.asarray(r["position_m"], dtype=float),
                                label=r.get("label", f"R{i}"))
             for i, r in enumerate(doc.get("reflectors", []))),
-        beamwidth_deg=float(doc.get("beamwidth_deg", 360.0)),
     )
 
 
@@ -335,30 +325,17 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0,
     run_dir = Path(run_dir)
     with open(run_dir / "report.json") as f:
         report = json.load(f)
-    cfg = report["config"]
-    bandwidth = float(cfg["bandwidth_hz"])
-    scan = cfg.get("scan", {})
-    angles = np.arange(float(scan.get("start_deg", 0.0)),
-                       float(scan.get("stop_deg", 360.0)),
-                       float(scan.get("step_deg", 5.0)))
-    rx_ant_raw = cfg.get("rx", {}).get("antenna", {})
-    if rx_ant_raw.get("kind") == "horn":
-        rx_ant = AntennaModel(kind="horn", hpbw_deg=float(rx_ant_raw.get("hpbw_deg", 10.0)),
-                              peak_gain_db=float(rx_ant_raw.get("peak_gain_db", 0.0)))
-    else:
-        rx_ant = AntennaModel(kind="omni")
+    if "config_dir" not in report:
+        raise ValueError(f"{run_dir / 'report.json'} has no config_dir; simulate again")
+    config = parse_config(report["config"], report["config_dir"])
 
     target_cir = read_cir_json(run_dir / "target.json")
     bg_cir = read_cir_json(run_dir / "background.json")
-    combined = Cir(target_cir.paths + bg_cir.paths, carrier_freq=target_cir.carrier_freq)
+    combined, bin_w, bins = _scan_input(target_cir, bg_cir, config.bandwidth_hz)
+    angles, step = config.scan_angles_deg(), config.scan_step_deg
+    with_target = turntable_scan(combined, config.rx.antenna, angles, bins)
+    without_target = turntable_scan(bg_cir, config.rx.antenna, angles, bins)
 
-    bin_w = 1.0 / bandwidth
-    max_delay = (max((p.delay for p in combined.paths), default=0.0) + 2 * bin_w)
-    bins = delay_grid(max_delay, bin_w)
-    with_target = turntable_scan(combined, rx_ant, angles, bins)
-    without_target = turntable_scan(bg_cir, rx_ant, angles, bins)
-
-    step = float(scan.get("step_deg", 5.0))
     peaks = subtract_background(with_target, without_target,
                                 match_tol=(step / 2.0, bin_w),
                                 margin_db=margin_db,

@@ -12,13 +12,11 @@ from isacsim import (
     Cir,
     ConstantRcs,
     CosineLobeRcs,
-    LinkBudget,
     Origin,
     PathComponent,
     TableRcs,
     angle_from_vector,
     db_to_linear,
-    default_delay_tol,
     linear_to_db,
     merge_paths,
     spreading_gain_db,
@@ -133,7 +131,7 @@ class TestMergePaths:
 
     def test_within_resolution_merges_coherently(self):
         # 600 MHz resolution: 1.67 ns tolerance, delays 0.1 ns apart merge
-        tol = default_delay_tol(600e6)
+        tol = 1.0 / 600e6
         a = self._p(33.3e-9, 1.0 + 0.5j)
         b = self._p(33.4e-9, 0.25 - 1.0j)
         merged = merge_paths([a, b], tol, 0.1)
@@ -254,12 +252,3 @@ class TestRcsModels:
                     want = float(vals)
                 assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
                 assert t.eval_dbsm(Angle3D(*g_in), Angle3D(*g_out)) == got[i, j]
-
-
-class TestLinkBudget:
-    def test_pcf_range_enforced(self):
-        with pytest.raises(ValueError):
-            LinkBudget((80.0,), 90.0, 0.0, 0.01)
-        with pytest.raises(ValueError):
-            LinkBudget((80.0,), 90.0, 1.6, 0.01)
-        LinkBudget((80.0,), 90.0, 0.9, 0.01)

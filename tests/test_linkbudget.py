@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from isacsim import (
-    AbgPathLoss,
     FreeSpacePathLoss,
-    TablePathLoss,
     conv_path_power,
     delta_p,
     estimate_rcs,
@@ -164,14 +162,6 @@ class TestPathLossModels:
     def test_free_space_20db_per_decade(self):
         m = FreeSpacePathLoss(28e9)
         assert m.eval_db(100.0) - m.eval_db(10.0) == pytest.approx(20.0)
-
-    def test_abg_form(self):
-        m = AbgPathLoss(alpha=2.0, beta=32.4, gamma=2.0, frequency_hz=10e9)
-        assert m.eval_db(1.0) == pytest.approx(32.4 + 20.0)
-
-    def test_table_interpolation(self):
-        m = TablePathLoss([1.0, 10.0], [60.0, 80.0])
-        assert m.eval_db(5.5) == pytest.approx(70.0)
 
 
 class TestSpreadingConstantSharedDefinition:

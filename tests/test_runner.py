@@ -1,14 +1,19 @@
 import json
+import math
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isacsim import runner, sounder
+from isacsim import Cir, GenerationProfile, runner, sounder
 from isacsim.cli import main as cli_main
-from isacsim.config import ConfigError, load_config
+from isacsim.config import ConfigError, load_config, parse_config
 from isacsim.runner import (
+    SimulationResult,
+    load_scene,
     packaged_golden_dir,
     read_cir_json,
     run_analyze,
@@ -91,6 +96,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bi_static sensing requires"):
             load_config(path)
 
+    def test_sublink_and_background_profiles_share_one_parser(self, tmp_path):
+        cfg = load_config(scen1_like(tmp_path, targets=[{"position_m": [4.45, 1.0, 1.5]}]))
+        # only the cluster count, ray count and delay scale defaults differ
+        assert cfg.targets[0].profile == GenerationProfile(
+            n_clusters=4, rays_per_cluster=5, delay_scale_s=20.0 * 1e-9)
+        assert cfg.targets[0].k_factor_db == 6.0
+        assert cfg.background.profile == GenerationProfile(
+            n_clusters=5, rays_per_cluster=4, delay_scale_s=30.0 * 1e-9)
+
+    def test_bad_sublink_profile_collected(self, tmp_path):
+        path = scen1_like(tmp_path, bandwidth_hz=0.0, targets=[{
+            "position_m": [4.45, 1.0, 1.5], "sublink": {"rays_per_cluster": 0}}])
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.violations == [
+            "bandwidth_hz must be > 0",
+            "targets[0].sublink: rays_per_cluster must be >= 1"]
+
     def test_demo_configs_all_valid(self):
         for cfg_path in sorted(CONFIG_DIR.glob("*.json")):
             if "scene" in cfg_path.name:
@@ -119,6 +142,15 @@ class TestSimulateChannels:
         ratio = scaled.background_cir.total_power() / base.background_cir.total_power()
         assert ratio == pytest.approx(0.5, rel=1e-12)
 
+    def test_pcf_scales_monostatic_background_power(self):
+        doc = json.loads((CONFIG_DIR / "monostatic_hall.json").read_text())
+        powers = []
+        for value in (1.0, 0.5):
+            doc["pcf"] = {"value": value}
+            cfg = parse_config(doc, CONFIG_DIR)
+            powers.append(simulate_channels(cfg).background_cir.total_power())
+        assert powers[1] / powers[0] == pytest.approx(0.5, rel=1e-12)
+
     def test_target_doppler_from_velocity(self, tmp_path):
         path = scen1_like(tmp_path, targets=[{
             "position_m": [4.45, 1.0, 1.5],
@@ -129,6 +161,34 @@ class TestSimulateChannels:
         sim = simulate_channels(load_config(path))
         assert len(sim.target_cir) == 1
         assert sim.target_cir.paths[0].doppler != 0.0
+
+
+class TestLinkBudget:
+    """SimulationResult rejects a link budget outside its physical bounds."""
+
+    @staticmethod
+    def _result(**fields):
+        budget = dict(pl_tar_db=(80.0,), pl_back_db=90.0, o_back=0.9, wavelength=0.01)
+        budget.update(fields)
+        return SimulationResult(target_cir=Cir(()), background_cir=Cir(()), **budget)
+
+    def test_pcf_range_enforced(self):
+        for o_back in (0.0, 1.6, math.nan):
+            with pytest.raises(ValueError, match="power control factor"):
+                self._result(o_back=o_back)
+        self._result(o_back=1.5)
+
+    def test_path_losses_must_be_finite(self):
+        with pytest.raises(ValueError, match="target path losses"):
+            self._result(pl_tar_db=(80.0, math.inf))
+        with pytest.raises(ValueError, match="background path loss"):
+            self._result(pl_back_db=math.nan)
+        self._result(pl_tar_db=())
+
+    def test_wavelength_must_be_positive(self):
+        for wavelength in (0.0, -0.01):
+            with pytest.raises(ValueError, match="wavelength"):
+                self._result(wavelength=wavelength)
 
 
 class TestRunSimulate:
@@ -142,6 +202,15 @@ class TestRunSimulate:
         report = json.loads((tmp_path / "a" / "report.json").read_text())
         assert set(report["timings_s"]) == {"simulate", "scan", "write"}
         assert set(report["manifest"]) == {"target.json", "background.json", "padp.csv"}
+        assert report["config"] == cfg.raw
+        assert report["config_dir"] == str(tmp_path.resolve())
+
+    def test_pcf_value_written_exactly(self, tmp_path):
+        for value in (0.37, 1.5, 2.5e-308):
+            cfg = load_config(scen1_like(tmp_path, pcf={"value": value}))
+            run_simulate(cfg, out_dir=tmp_path / "run")
+            doc = json.loads((tmp_path / "run" / "target.json").read_text())
+            assert doc["link_budget"]["o_back"] == value
 
     def test_seed_changes_output(self, tmp_path):
         r1 = run_simulate(load_config(scen1_like(tmp_path)), out_dir=tmp_path / "a")
@@ -225,6 +294,12 @@ class TestRunAnalyze:
         assert len(direct) == 1
         assert (tmp_path / "run" / "paths.json").exists()
 
+    def test_shipped_scene_loads(self):
+        # the file still carries beamwidth_deg, which nothing reads
+        scene = load_scene(CONFIG_DIR / "indoor_human_scene.json")
+        assert [r.label for r in scene.reflectors] == ["south_wall", "west_wall"]
+        np.testing.assert_array_equal(scene.target, [5.0, 0.71, 1.4])
+
 
 class TestSounderRoundtripPipeline:
     def test_reports_full_recovery(self, tmp_path):
@@ -283,6 +358,56 @@ class TestCli:
         assert cli_main(["simulate", str(cfg_path)]) == 2
         assert "bandwidth_hz" in capsys.readouterr().err
 
+    def test_pcf_domain_rejected(self, tmp_path, capsys):
+        cfg_path = scen1_like(tmp_path, pcf={"value": 0.5, "domain": "db_pathloss"})
+        assert cli_main(["simulate", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n  - ") == 1
+        assert "pcf.domain" in err
+
+    @pytest.mark.parametrize("hpbw", ["x", None, -3.0])
+    def test_bad_horn_beamwidth_rejected(self, tmp_path, capsys, hpbw):
+        doc = json.loads((CONFIG_DIR / "bistatic_ris_factory.json").read_text())
+        doc["rx"]["antenna"]["hpbw_deg"] = hpbw
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n  - ") == 1
+        assert f"rx.antenna: hpbw_deg must be a number > 0, got {hpbw!r}" in err
+
+    def test_analyze_rejects_bad_stored_config(self, tmp_path, capsys):
+        cfg_path = scen1_like(tmp_path)
+        assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        report_path = tmp_path / "run" / "report.json"
+        report = json.loads(report_path.read_text())
+        report["config"]["scan"]["step_deg"] = 0
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert cli_main(["analyze", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid scenario config" in err
+        assert "scan.step_deg must be > 0" in err
+
+    def test_analyze_resolves_table_rcs_against_config_dir(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        rows = ["az_in_deg,el_in_deg,az_out_deg,el_out_deg,rcs_dbsm"]
+        rows += [f"{a},0,{b},0,{10.0 + a / 100.0 - b / 200.0}"
+                 for a in (0, 180) for b in (0, 180)]
+        (cfg_dir / "rcs.csv").write_text("\n".join(rows) + "\n")
+        cfg_path = scen1_like(cfg_dir, targets=[{
+            "position_m": [4.45, 1.0, 1.5],
+            "rcs": {"variant": "table", "csv": "rcs.csv"},
+            "sublink": {"n_clusters": 0}}])
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["simulate", "cfg/scenario.json", "--out", "run"]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert cli_main(["analyze", str(tmp_path / "run"), "--threshold-db", "90"]) == 0
+        assert (tmp_path / "run" / "paths.json").exists()
+
     def test_boolean_seed_rejected(self, tmp_path, capsys):
         cfg_path = scen1_like(tmp_path, seed=True)
         assert cli_main(["simulate", str(cfg_path)]) == 2
@@ -310,3 +435,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err
         assert len(err.strip().splitlines()) == 1
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import isacsim; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
