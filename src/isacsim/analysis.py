@@ -125,7 +125,7 @@ def turntable_scan(cir: Cir, rx_antenna: AntennaModel, angles_deg: Sequence[floa
     """
     angles = np.asarray(angles_deg, dtype=float)
     boresight = np.column_stack([np.radians(angles) % TWO_PI, np.zeros(len(angles))])
-    arrival = np.array([(p.aoa.azimuth, p.aoa.elevation) for p in cir.paths]).reshape(-1, 2)
+    arrival = np.column_stack([cir.aoa_az, cir.aoa_el])
     gain = rx_antenna.field_gain(boresight, arrival)
     powers = np.abs(cir.amps() * gain) ** 2
     return ScanGrid(angles, _bin_rows(cir.delays(), powers, delay_bins), delay_bins)

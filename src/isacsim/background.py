@@ -18,7 +18,6 @@ from .core import (
     C_LIGHT,
     Cir,
     Origin,
-    PathComponent,
     angle_from_vector,
 )
 from .gbsm import AntennaModel, GenerationProfile, sample_clusters, synthesize_cir
@@ -138,7 +137,7 @@ def background_monostatic(scatterers, txrx_position, wl: float,
     if wl <= 0.0:
         raise ValueError("wavelength must be positive")
     p0 = np.asarray(txrx_position, dtype=float).reshape(3)
-    paths = []
+    delay, amp, az, el = [], [], [], []
     for sc in scatterers:
         d_vec = sc.position - p0
         dist = float(np.linalg.norm(d_vec))
@@ -146,16 +145,12 @@ def background_monostatic(scatterers, txrx_position, wl: float,
             raise ValueError(f"scatterer {sc.label!r} coincides with the Tx/Rx position")
         direction = angle_from_vector(d_vec)
         one_way_amp = wl / (4.0 * math.pi * dist)
-        amp = (one_way_amp ** 2
-               * math.sqrt(10.0 ** (sc.reflection_gain_db / 10.0))
-               * complex(np.exp(-1j * 2.0 * math.pi * (2.0 * dist) / wl)))
-        paths.append(PathComponent(
-            delay=2.0 * dist / C_LIGHT,
-            amp=amp,
-            doppler=0.0,
-            aod=direction,
-            aoa=direction,
-            bounce_order=1,
-            origin=Origin.BACKGROUND,
-        ))
-    return Cir(tuple(paths), carrier_freq=carrier_freq)
+        delay.append(2.0 * dist / C_LIGHT)
+        amp.append(one_way_amp ** 2
+                   * math.sqrt(10.0 ** (sc.reflection_gain_db / 10.0))
+                   * complex(np.exp(-1j * 2.0 * math.pi * (2.0 * dist) / wl)))
+        az.append(direction.azimuth)
+        el.append(direction.elevation)
+    return Cir.from_columns(delay, amp, 0.0, aod_az=az, aod_el=el, aoa_az=az, aoa_el=el,
+                            bounce_order=1, origin=Origin.BACKGROUND,
+                            carrier_freq=carrier_freq)

@@ -77,6 +77,27 @@ class ScenarioConfig:
         return np.arange(self.scan_start_deg, self.scan_stop_deg, self.scan_step_deg)
 
 
+def _section(parent: dict, key: str, errors, where: str, default=None) -> dict:
+    """``parent[key]`` when it is a JSON object; otherwise a violation
+    naming ``where`` and an empty object to parse on with."""
+    value = parent.get(key, {} if default is None else default)
+    if isinstance(value, dict):
+        return value
+    errors.append(f"{where} must be an object, got {value!r}")
+    return {}
+
+
+def _number(spec: dict, key: str, default, errors, where: str, kind=float):
+    """``spec[key]`` (or the default) as ``kind``; otherwise a violation
+    naming ``where`` and the default."""
+    value = spec.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        errors.append(f"{where} must be a number, got {value!r}")
+        return kind(default)
+
+
 def _parse_antenna(spec: dict, errors, where: str) -> AntennaModel:
     kind = spec.get("kind", "omni")
     if kind == "omni":
@@ -166,10 +187,10 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         errors.append("name must be a non-empty string")
-    carrier = float(raw.get("carrier_freq_hz", 0.0))
+    carrier = _number(raw, "carrier_freq_hz", 0.0, errors, "carrier_freq_hz")
     if carrier <= 0:
         errors.append("carrier_freq_hz must be > 0")
-    bandwidth = float(raw.get("bandwidth_hz", 0.0))
+    bandwidth = _number(raw, "bandwidth_hz", 0.0, errors, "bandwidth_hz")
     if bandwidth <= 0:
         errors.append("bandwidth_hz must be > 0")
 
@@ -177,31 +198,37 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
     if mode not in ("mono_static", "bi_static"):
         errors.append(f"sensing_mode must be mono_static or bi_static, got {mode!r}")
 
-    tx_raw = raw.get("tx", {})
-    rx_raw = raw.get("rx", {})
+    tx_raw = _section(raw, "tx", errors, "tx")
+    rx_raw = _section(raw, "rx", errors, "rx")
     tx = EndpointSpec(np.asarray(tx_raw.get("position_m", [0, 0, 0]), dtype=float),
-                      _parse_antenna(tx_raw.get("antenna", {}), errors, "tx.antenna"))
+                      _parse_antenna(_section(tx_raw, "antenna", errors, "tx.antenna"),
+                                     errors, "tx.antenna"))
     rx = EndpointSpec(np.asarray(rx_raw.get("position_m", [0, 0, 0]), dtype=float),
-                      _parse_antenna(rx_raw.get("antenna", {}), errors, "rx.antenna"))
+                      _parse_antenna(_section(rx_raw, "antenna", errors, "rx.antenna"),
+                                     errors, "rx.antenna"))
     if mode == "mono_static" and not np.array_equal(tx.position_m, rx.position_m):
         errors.append("mono_static requires tx.position_m == rx.position_m")
 
     targets = []
     for i, t in enumerate(raw.get("targets", [])):
         where = f"targets[{i}]"
-        rcs = _parse_rcs(t.get("rcs", {}), errors, where, base_dir)
+        if not isinstance(t, dict):
+            errors.append(f"{where} must be an object, got {t!r}")
+            continue
+        rcs = _parse_rcs(_section(t, "rcs", errors, f"{where}.rcs"), errors, where, base_dir)
         point = ScatteringPoint(
             position=np.asarray(t.get("position_m", [0, 0, 0]), dtype=float),
             velocity=np.asarray(t.get("velocity_mps", [0, 0, 0]), dtype=float),
             rcs_model=rcs,
         )
-        sl = t.get("sublink", {})
+        sl = _section(t, "sublink", errors, f"{where}.sublink")
         targets.append(TargetSpec(
             point=point,
             profile=_parse_profile({**SUBLINK_DEFAULTS, **sl}, errors, f"{where}.sublink"),
-            k_factor_db=float(sl.get("k_factor_db", 6.0))))
+            k_factor_db=_number(sl, "k_factor_db", 6.0, errors,
+                                f"{where}.sublink.k_factor_db")))
 
-    bg_raw = raw.get("background", {})
+    bg_raw = _section(raw, "background", errors, "background")
     bg_mode = bg_raw.get("mode", "")
     profile = None
     scatterers: tuple[GeometricScatterer, ...] = ()
@@ -209,6 +236,8 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         prof_raw = bg_raw.get("profile")
         if prof_raw is None:
             errors.append("statistical background needs a 'profile'")
+        elif not isinstance(prof_raw, dict):
+            errors.append(f"background.profile must be an object, got {prof_raw!r}")
         else:
             profile = _parse_profile(prof_raw, errors, "background.profile")
             if profile is not None and profile.n_clusters < 1:
@@ -234,13 +263,13 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         errors.append("bi_static sensing requires background.mode = statistical")
     background = BackgroundSpec(mode=bg_mode, profile=profile, scatterers=scatterers)
 
-    pcf_raw = raw.get("pcf", {"value": 1.0})
+    pcf_raw = _section(raw, "pcf", errors, "pcf", default={"value": 1.0})
     pcf = None
     if "domain" in pcf_raw:
         errors.append("pcf.domain is not supported: the PCF always scales "
                       "linear received power")
     if "value" in pcf_raw:
-        value = float(pcf_raw["value"])
+        value = _number(pcf_raw, "value", math.nan, errors, "pcf.value")
         try:
             pcf = PcfModel("fixed", value, 0.0)
         except ValueError:
@@ -248,7 +277,8 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
     elif "mean" in pcf_raw:
         try:
             pcf = PcfModel(pcf_raw.get("condition", "custom"),
-                           float(pcf_raw["mean"]), float(pcf_raw.get("std", 0.0)))
+                           _number(pcf_raw, "mean", math.nan, errors, "pcf.mean"),
+                           _number(pcf_raw, "std", 0.0, errors, "pcf.std"))
         except ValueError as exc:
             errors.append(f"pcf model invalid: {exc}")
     elif "condition" in pcf_raw:
@@ -259,10 +289,10 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
     else:
         errors.append("pcf needs one of: value, mean, condition")
 
-    scan_raw = raw.get("scan", {})
-    start = float(scan_raw.get("start_deg", 0.0))
-    stop = float(scan_raw.get("stop_deg", 360.0))
-    step = float(scan_raw.get("step_deg", 5.0))
+    scan_raw = _section(raw, "scan", errors, "scan")
+    start = _number(scan_raw, "start_deg", 0.0, errors, "scan.start_deg")
+    stop = _number(scan_raw, "stop_deg", 360.0, errors, "scan.stop_deg")
+    step = _number(scan_raw, "step_deg", 5.0, errors, "scan.step_deg")
     if step <= 0:
         errors.append("scan.step_deg must be > 0")
     elif stop <= start:
@@ -278,9 +308,10 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         errors.append("seed must be an integer")
         seed = 0
 
-    sounder_raw = raw.get("sounder", {})
-    sounder_m = int(sounder_raw.get("register_length", 11))
-    sounder_snr = float(sounder_raw.get("snr_db", 30.0))
+    sounder_raw = _section(raw, "sounder", errors, "sounder")
+    sounder_m = _number(sounder_raw, "register_length", 11, errors,
+                        "sounder.register_length", kind=int)
+    sounder_snr = _number(sounder_raw, "snr_db", 30.0, errors, "sounder.snr_db")
 
     if errors:
         raise ConfigError(errors)

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Iterable
 
 import numpy as np
@@ -264,32 +267,35 @@ class TableRcs(_PairwiseRcs):
         object.__setattr__(self, "values_dbsm", vals)
 
     @cached_property
-    def _interpolator(self):
-        """(indices of the non-singleton axes, linear interpolator over
-        them), built on first use; with no such axis the interpolator is
-        the table's single value."""
+    def _grid(self):
+        """(indices of the non-singleton axes, those axes, the values
+        over them); singleton axes collapse to their one value."""
         axes = (self.az_in, self.el_in, self.az_out, self.el_out)
         keep = [i for i, ax in enumerate(axes) if len(ax) > 1]
         vals = self.values_dbsm[tuple(slice(None) if i in keep else 0 for i in range(4))]
-        if not keep:
-            return keep, float(vals)
-        from scipy.interpolate import RegularGridInterpolator
-        return keep, RegularGridInterpolator(tuple(axes[i] for i in keep), vals,
-                                             method="linear")
+        return keep, [axes[i] for i in keep], vals
 
     def eval_dbsm_pairs(self, angles_in, angles_out) -> np.ndarray:
+        """Multilinear interpolation over the non-singleton axes, each
+        query clamped to the grid: the 2^k corners of its cell, weighted
+        by the products of the per-axis fractions."""
         ang_in, ang_out = _angle_rows(angles_in), _angle_rows(angles_out)
-        n, m = len(ang_in), len(ang_out)
-        keep, interp = self._interpolator
-        if not keep:
-            return np.full((n, m), interp)
-        query = np.concatenate([np.broadcast_to(ang_in[:, None, :], (n, m, 2)),
-                                np.broadcast_to(ang_out[None, :, :], (n, m, 2))],
-                               axis=2)[..., keep]
-        grid = interp.grid
-        lo = np.array([ax[0] for ax in grid])
-        hi = np.array([ax[-1] for ax in grid])
-        return interp(np.clip(query, lo, hi).reshape(-1, len(keep))).reshape(n, m)
+        keep, axes, vals = self._grid
+        # per table axis, the query coordinate broadcast to (in, out)
+        coords = (ang_in[:, :1], ang_in[:, 1:], ang_out[:, 0][None, :], ang_out[:, 1][None, :])
+        lo, frac = [], []
+        for i, ax in zip(keep, axes):
+            x = np.clip(coords[i], ax[0], ax[-1])
+            j = np.clip(np.searchsorted(ax, x, side="right") - 1, 0, len(ax) - 2)
+            lo.append(j)
+            frac.append((x - ax[j]) / (ax[j + 1] - ax[j]))
+        out = np.zeros((len(ang_in), len(ang_out)))
+        for corner in product((0, 1), repeat=len(keep)):
+            weight = 1.0
+            for f, c in zip(frac, corner):
+                weight = weight * (f if c else 1.0 - f)
+            out += weight * vals[tuple(j + c for j, c in zip(lo, corner))]
+        return out
 
 
 RcsModel = ConstantRcs | CosineLobeRcs | TableRcs
@@ -326,104 +332,264 @@ class ScatteringPoint:
         object.__setattr__(self, "cpm_k", cpm)
 
 
-@dataclass(frozen=True)
+# Path components are stored by origin code: the index into ORIGINS
+ORIGINS = (Origin.TARGET, Origin.BACKGROUND, Origin.SHARED)
+_ORIGIN_CODE = {o: i for i, o in enumerate(ORIGINS)}
+
+# the per-path columns of a Cir, in PathComponent field order
+COLUMNS = ("delay", "amp", "doppler", "aod_az", "aod_el", "aoa_az", "aoa_el",
+           "bounce_order", "origin_code")
+_DTYPES = (float, complex, float, float, float, float, float, np.int64, np.int8)
+
+
+def _path_from_row(delay, amp, doppler, aod_az, aod_el, aoa_az, aoa_el,
+                   bounce_order, origin_code) -> PathComponent:
+    return PathComponent(delay, amp, doppler, Angle3D(aod_az, aod_el),
+                         Angle3D(aoa_az, aoa_el), bounce_order, ORIGINS[origin_code])
+
+
 class Cir:
-    """Channel impulse response: delay-sorted sparse path components."""
+    """Channel impulse response: one column per path attribute, the rows
+    sorted by delay (stably, so paths of equal delay keep their order).
 
-    paths: tuple[PathComponent, ...]
-    t0: float = 0.0
-    carrier_freq: float = 0.0
+    The columns are read-only numpy arrays of one length: ``delay`` (s),
+    ``amp`` (complex field gain), ``doppler`` (Hz), ``aod_az``,
+    ``aod_el``, ``aoa_az``, ``aoa_el`` (radians, azimuths in [0, 2 pi)),
+    ``bounce_order`` and ``origin_code`` (index into ``ORIGINS``).
+    ``Cir(paths)`` builds the columns from PathComponents; ``paths`` is a
+    sequence view that builds a PathComponent per row on access.
+    """
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.paths, key=lambda p: p.delay))
-        object.__setattr__(self, "paths", ordered)
+    __slots__ = COLUMNS + ("t0", "carrier_freq")
+
+    def __init__(self, paths: Iterable[PathComponent] = (), t0: float = 0.0,
+                 carrier_freq: float = 0.0):
+        if isinstance(paths, PathView):
+            cols = {name: getattr(paths._cir, name) for name in COLUMNS}
+        else:
+            rows = [(p.delay, p.amp, p.doppler, p.aod.azimuth, p.aod.elevation,
+                     p.aoa.azimuth, p.aoa.elevation, p.bounce_order, _ORIGIN_CODE[p.origin])
+                    for p in paths]
+            cols = dict(zip(COLUMNS, zip(*rows) if rows else [()] * len(COLUMNS)))
+        self._assign(_sorted_columns(cols), t0, carrier_freq)
+
+    @classmethod
+    def from_columns(cls, delay, amp, doppler=0.0, aod_az=0.0, aod_el=0.0,
+                     aoa_az=0.0, aoa_el=0.0, bounce_order=0,
+                     origin: Origin | np.ndarray = Origin.BACKGROUND,
+                     t0: float = 0.0, carrier_freq: float = 0.0) -> "Cir":
+        """Cir from per-path arrays; scalars broadcast to every path.
+        ``origin`` is one Origin or an array of origin codes. Checks the
+        values as PathComponent and Angle3D do, normalizes the azimuths
+        and sorts the rows by delay."""
+        if isinstance(origin, Origin):
+            origin = _ORIGIN_CODE[origin]
+        delay = np.asarray(delay, dtype=float).ravel()
+        n = len(delay)
+        raw = (delay, amp, doppler, aod_az, aod_el, aoa_az, aoa_el, bounce_order, origin)
+        cols = {}
+        for name, v, dt in zip(COLUMNS, raw, _DTYPES):
+            arr = np.asarray(v, dtype=dt)
+            cols[name] = np.broadcast_to(arr.ravel() if arr.ndim else arr, (n,))
+        ok = np.isfinite(delay) & (delay >= 0.0)
+        if not ok.all():
+            raise ValueError(f"delay must be finite and >= 0, got {delay[~ok][0]}")
+        if not np.all(np.isfinite(cols["amp"])):
+            raise ValueError("amplitude must be finite")
+        if np.any(cols["bounce_order"] < 0):
+            raise ValueError("bounce_order must be >= 0")
+        for az, el in (("aod_az", "aod_el"), ("aoa_az", "aoa_el")):
+            if not (np.all(np.isfinite(cols[az])) and np.all(np.isfinite(cols[el]))):
+                raise ValueError("angles must be finite")
+            if np.any(np.abs(cols[el]) > math.pi / 2):
+                raise ValueError("elevation outside [-pi/2, pi/2]")
+            cols[az] = np.mod(cols[az], TWO_PI)
+        if np.any((cols["origin_code"] < 0) | (cols["origin_code"] >= len(ORIGINS))):
+            raise ValueError("origin code outside ORIGINS")
+        return cls._make(_sorted_columns(cols), t0, carrier_freq)
+
+    @classmethod
+    def concat(cls, cirs: Iterable["Cir"], t0: float = 0.0,
+               carrier_freq: float = 0.0) -> "Cir":
+        """All paths of ``cirs`` in one Cir, stably delay-sorted (so on
+        equal delays the earlier Cir's paths come first)."""
+        cirs = list(cirs)
+        return cls._make(_sorted_columns(
+            {name: np.concatenate([getattr(c, name) for c in cirs] or [[]]) for name in COLUMNS}),
+            t0, carrier_freq)
+
+    @classmethod
+    def _make(cls, cols: dict, t0: float, carrier_freq: float) -> "Cir":
+        """A Cir of columns already checked and sorted by delay."""
+        out = object.__new__(cls)
+        out._assign(cols, t0, carrier_freq)
+        return out
+
+    def _assign(self, cols: dict, t0: float, carrier_freq: float) -> None:
+        for name, dt in zip(COLUMNS, _DTYPES):
+            arr = np.asarray(cols[name], dtype=dt)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "carrier_freq", carrier_freq)
+
+    def _with(self, **cols) -> "Cir":
+        """This Cir with some columns replaced; the delay order must hold."""
+        return self._make({name: cols.get(name, getattr(self, name)) for name in COLUMNS},
+                          self.t0, self.carrier_freq)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Cir is immutable")
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.delay)
+
+    def __repr__(self) -> str:
+        return f"Cir({len(self)} paths, t0={self.t0}, carrier_freq={self.carrier_freq})"
+
+    @property
+    def paths(self) -> "PathView":
+        return PathView(self)
 
     def total_power(self) -> float:
-        return float(sum(p.power for p in self.paths))
+        return math.fsum(self.powers().tolist())
 
     def delays(self) -> np.ndarray:
-        return np.array([p.delay for p in self.paths])
+        return self.delay
 
     def amps(self) -> np.ndarray:
-        return np.array([p.amp for p in self.paths], dtype=complex)
+        return self.amp
+
+    def powers(self) -> np.ndarray:
+        return np.abs(self.amp) ** 2
 
     def scaled(self, factor: complex) -> "Cir":
         """New Cir with every amplitude multiplied by ``factor``."""
-        amps = (self.amps() * factor).tolist()
-        return Cir(tuple(PathComponent(p.delay, amp, p.doppler, p.aod, p.aoa,
-                                       p.bounce_order, p.origin)
-                         for p, amp in zip(self.paths, amps)),
-                   t0=self.t0, carrier_freq=self.carrier_freq)
+        return self._with(amp=self.amp * factor)
+
+
+def _sorted_columns(cols: dict) -> dict:
+    """The columns as arrays, rows stably sorted by delay."""
+    cols = {name: np.asarray(cols[name], dtype=dt) for name, dt in zip(COLUMNS, _DTYPES)}
+    order = np.argsort(cols["delay"], kind="stable")
+    return {name: arr[order] for name, arr in cols.items()}
+
+
+class PathView(Sequence):
+    """Read-only sequence of a Cir's paths; each access builds the
+    PathComponent of a row, so holding the view costs nothing."""
+
+    __slots__ = ("_cir",)
+
+    def __init__(self, cir: Cir):
+        self._cir = cir
+
+    def __len__(self) -> int:
+        return len(self._cir)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("path index out of range")
+        return _path_from_row(*(getattr(self._cir, name)[i].item() for name in COLUMNS))
+
+    def __iter__(self):
+        return map(_path_from_row, *(getattr(self._cir, name).tolist() for name in COLUMNS))
+
+    def __repr__(self) -> str:
+        return f"PathView({len(self)} paths)"
 
 
 # ---------------------------------------------------------------------------
 # Path merging
 # ---------------------------------------------------------------------------
 
-def merge_paths(paths: Iterable[PathComponent], delay_tol: float,
-                angle_tol: float) -> list[PathComponent]:
+def _exact_groups(cir: Cir) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows with equal (delay, AoA, AoD); -0.0 and 0.0 are equal."""
+    keys = (cir.aod_el, cir.aod_az, cir.aoa_el, cir.aoa_az, cir.delay)
+    order = np.lexsort(keys)  # stable: equal keys keep row order
+    same = np.ones(max(len(order) - 1, 0), dtype=bool)  # row equals the one before
+    for k in keys:
+        sk = k[order]
+        same &= sk[1:] == sk[:-1]
+    starts = np.concatenate([np.ones(min(len(order), 1), dtype=bool), ~same])
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    first = order[starts]  # each group's earliest row
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[group], np.sort(first)
+
+
+def _anchor_groups(cir: Cir, delay_tol: float, angle_tol: float):
+    """The anchor scan: each row, in delay order, joins the latest anchor
+    within both tolerances, scanning back while delays are in reach."""
+    delay, aod_az, aod_el, aoa_az, aoa_el = (
+        getattr(cir, name).tolist() for name in ("delay", "aod_az", "aod_el", "aoa_az", "aoa_el"))
+    anchors: list[int] = []
+    group = [0] * len(delay)
+    for i, d in enumerate(delay):
+        gi = -1
+        for g in range(len(anchors) - 1, -1, -1):
+            a = anchors[g]
+            if d - delay[a] > delay_tol:
+                break  # anchors are delay-sorted; earlier ones are farther
+            if (wrapped_angle_distance(aoa_az[i], aoa_az[a]) <= angle_tol
+                    and abs(aoa_el[i] - aoa_el[a]) <= angle_tol
+                    and wrapped_angle_distance(aod_az[i], aod_az[a]) <= angle_tol
+                    and abs(aod_el[i] - aod_el[a]) <= angle_tol):
+                gi = g
+                break
+        if gi < 0:
+            gi = len(anchors)
+            anchors.append(i)
+        group[i] = gi
+    return np.array(group, dtype=np.intp), np.array(anchors, dtype=np.intp)
+
+
+def merge_paths(paths: Cir | Iterable[PathComponent], delay_tol: float,
+                angle_tol: float) -> Cir | list[PathComponent]:
     """Coherently merge paths that coincide within the given tolerances.
 
     Paths whose delay differs by at most ``delay_tol`` and whose AoA and
     AoD both differ by at most ``angle_tol`` from a group anchor are
-    summed as complex amplitudes. The anchor (earliest-delay member)
-    supplies the merged delay, angles, Doppler, and bounce order, which
-    makes the operation idempotent. Mixed-origin groups become SHARED.
+    summed as complex amplitudes, in delay order. The anchor
+    (earliest-delay member) supplies the merged delay, angles, Doppler,
+    and bounce order, which makes the operation idempotent. Mixed-origin
+    groups become SHARED.
 
     With both tolerances zero only paths with equal delay and angles
-    coincide, and the anchor is found by that exact key in constant
-    time instead of by scanning the anchors.
+    coincide, and the groups are found by sorting on that exact key
+    instead of by scanning the anchors.
 
     Args:
-        paths: any iterable of PathComponent.
+        paths: a Cir, or any iterable of PathComponent.
         delay_tol: seconds, >= 0.
         angle_tol: radians, >= 0.
 
     Returns:
-        Delay-sorted list of merged components.
+        The merged Cir for a Cir, otherwise a delay-sorted list of
+        merged components.
     """
     if delay_tol < 0.0:
         raise ValueError("delay_tol must be >= 0")
-    ordered = sorted(paths, key=lambda p: p.delay)
-    anchors: list[PathComponent] = []
-    sums: list[complex] = []
-    origins: list[set] = []
-    sizes: list[int] = []
-    exact = delay_tol == 0.0 and angle_tol == 0.0
-    by_key: dict[tuple[float, ...], int] = {}
-    for p in ordered:
-        if exact:
-            # azimuths are normalized, so a zero wrapped distance means
-            # equal floats; -0.0 and 0.0 are one key, as they match in the scan
-            gi = by_key.setdefault(
-                (p.delay, p.aoa.azimuth, p.aoa.elevation, p.aod.azimuth, p.aod.elevation),
-                len(anchors))
-            placed = gi < len(anchors)
-        else:
-            placed = False
-            for gi in range(len(anchors) - 1, -1, -1):
-                a = anchors[gi]
-                if p.delay - a.delay > delay_tol:
-                    break  # anchors are delay-sorted; earlier ones are farther
-                if angles_close(p.aoa, a.aoa, angle_tol) and angles_close(p.aod, a.aod, angle_tol):
-                    placed = True
-                    break
-        if placed:
-            sums[gi] += p.amp
-            origins[gi].add(p.origin)
-            sizes[gi] += 1
-        else:
-            anchors.append(p)
-            sums.append(p.amp)
-            origins.append({p.origin})
-            sizes.append(1)
-    merged = []
-    for a, s, og, size in zip(anchors, sums, origins, sizes):
-        if size == 1:  # nothing merged: the anchor is its own result
-            merged.append(a)
-        else:
-            merged.append(replace(a, amp=s, origin=a.origin if len(og) == 1 else Origin.SHARED))
-    return merged
+    cir = paths if isinstance(paths, Cir) else Cir(paths)
+    if delay_tol == 0.0 and angle_tol == 0.0:
+        group, anchors = _exact_groups(cir)
+    else:
+        group, anchors = _anchor_groups(cir, delay_tol, angle_tol)
+    members = np.ones(len(cir), dtype=bool)
+    members[anchors] = False
+    members = np.flatnonzero(members)
+    sums = cir.amp[anchors]
+    np.add.at(sums, group[members], cir.amp[members])  # in row order
+    origin = cir.origin_code[anchors]
+    mixed = group[cir.origin_code != origin[group]]
+    origin[mixed] = _ORIGIN_CODE[Origin.SHARED]
+    cols = {name: getattr(cir, name)[anchors] for name in COLUMNS}
+    cols.update(amp=sums, origin_code=origin)
+    merged = cir._with(**cols)
+    return merged if isinstance(paths, Cir) else list(merged.paths)

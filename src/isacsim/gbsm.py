@@ -18,7 +18,6 @@ from .core import (
     Angle3D,
     Cir,
     Origin,
-    PathComponent,
     merge_paths,
     unit_vector,
     unit_vectors,
@@ -295,10 +294,10 @@ def cross_polarization_matrix(xpr: float, phases: Sequence[float]) -> np.ndarray
     ])
 
 
-def ray_coefficient(ray: Ray, tx_antenna: AntennaModel, rx_antenna: AntennaModel,
-                    s: int = 0, u: int = 0, t: float = 0.0,
-                    wl: float = 1.0) -> complex:
-    """Complex channel coefficient of one ray between elements s and u.
+def ray_coefficients(rays: Sequence[Ray], tx_antenna: AntennaModel,
+                     rx_antenna: AntennaModel, s: int = 0, u: int = 0,
+                     t: float = 0.0, wl: float = 1.0) -> np.ndarray:
+    """Complex channel coefficient of each ray between elements s and u.
 
     sqrt(power) * F_rx^T . CPM . F_tx, rotated by the Doppler phase at
     time ``t`` and by the array phase terms for the element positions.
@@ -307,17 +306,22 @@ def ray_coefficient(ray: Ray, tx_antenna: AntennaModel, rx_antenna: AntennaModel
     """
     if wl <= 0.0:
         raise ValueError("wavelength must be positive")
-    f_rx = rx_antenna.field(ray.aoa)
-    f_tx = tx_antenna.field(ray.aod)
-    cpm = cross_polarization_matrix(ray.xpr, ray.phases)
-    gain = complex(f_rx @ cpm @ f_tx)
-    d_rx = rx_antenna.element_positions[u]
-    d_tx = tx_antenna.element_positions[s]
-    array_phase = (2.0 * math.pi / wl) * (
-        float(unit_vector(ray.aoa) @ d_rx) + float(unit_vector(ray.aod) @ d_tx))
-    return (math.sqrt(ray.power) * gain
-            * complex(np.exp(1j * 2.0 * math.pi * ray.doppler * t))
-            * complex(np.exp(1j * array_phase)))
+    aod = np.array([(r.aod.azimuth, r.aod.elevation) for r in rays]).reshape(-1, 2)
+    aoa = np.array([(r.aoa.azimuth, r.aoa.elevation) for r in rays]).reshape(-1, 2)
+    cpm = np.array([cross_polarization_matrix(r.xpr, r.phases) for r in rays]).reshape(-1, 2, 2)
+    gain = np.einsum("ni,nij,nj->n", rx_antenna.fields(aoa), cpm, tx_antenna.fields(aod))
+    array_phase = (2.0 * math.pi / wl) * (unit_vectors(aoa) @ rx_antenna.element_positions[u]
+                                          + unit_vectors(aod) @ tx_antenna.element_positions[s])
+    doppler = np.array([r.doppler for r in rays])
+    return (np.sqrt([r.power for r in rays]) * gain
+            * np.exp(1j * 2.0 * math.pi * doppler * t) * np.exp(1j * array_phase))
+
+
+def ray_coefficient(ray: Ray, tx_antenna: AntennaModel, rx_antenna: AntennaModel,
+                    s: int = 0, u: int = 0, t: float = 0.0,
+                    wl: float = 1.0) -> complex:
+    """:func:`ray_coefficients` of one ray."""
+    return complex(ray_coefficients([ray], tx_antenna, rx_antenna, s, u, t, wl)[0])
 
 
 def synthesize_cir(clusters: ClusterSet, tx_antenna: AntennaModel,
@@ -332,21 +336,17 @@ def synthesize_cir(clusters: ClusterSet, tx_antenna: AntennaModel,
     No merging happens unless ``merge_delay_tol`` is given; the total
     linear power then equals the sum of per-ray |coefficient|^2.
     """
-    paths = [
-        PathComponent(
-            delay=ray.delay,
-            amp=ray_coefficient(ray, tx_antenna, rx_antenna, s, u, t, wl),
-            doppler=ray.doppler,
-            aod=ray.aod,
-            aoa=ray.aoa,
-            bounce_order=ray.bounce_order,
-            origin=origin,
-        )
-        for cluster in clusters.clusters for ray in cluster.rays
-    ]
+    rays = clusters.all_rays()
+    cir = Cir.from_columns(
+        [r.delay for r in rays], ray_coefficients(rays, tx_antenna, rx_antenna, s, u, t, wl),
+        [r.doppler for r in rays],
+        aod_az=[r.aod.azimuth for r in rays], aod_el=[r.aod.elevation for r in rays],
+        aoa_az=[r.aoa.azimuth for r in rays], aoa_el=[r.aoa.elevation for r in rays],
+        bounce_order=[r.bounce_order for r in rays],
+        origin=origin, t0=t, carrier_freq=carrier_freq)
     if merge_delay_tol is not None:
-        paths = merge_paths(paths, merge_delay_tol, merge_angle_tol)
-    return Cir(tuple(paths), t0=t, carrier_freq=carrier_freq)
+        cir = merge_paths(cir, merge_delay_tol, merge_angle_tol)
+    return cir
 
 
 def doppler_shift(v_scatterer: np.ndarray, v_observer: np.ndarray,

@@ -38,11 +38,9 @@ from .background import (
 )
 from .config import ScenarioConfig, TargetSpec, parse_config
 from .core import (
-    Angle3D,
     C_LIGHT,
+    ORIGINS,
     Cir,
-    Origin,
-    PathComponent,
     angle_from_vector,
     merge_paths,
     wavelength_m,
@@ -187,49 +185,56 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
 # File output
 # ---------------------------------------------------------------------------
 
-def _path_record(p: PathComponent) -> dict:
-    return {
-        "delay_s": p.delay,  # exact value; delay_ns is for display only
-        "delay_ns": p.delay * 1e9,
-        "amp_re": p.amp.real,
-        "amp_im": p.amp.imag,
-        "power_db": None if p.power == 0 else 10.0 * math.log10(p.power),
-        "doppler_hz": p.doppler,
-        "aod_az_deg": math.degrees(p.aod.azimuth),
-        "aod_el_deg": math.degrees(p.aod.elevation),
-        "aoa_az_deg": math.degrees(p.aoa.azimuth),
-        "aoa_el_deg": math.degrees(p.aoa.elevation),
-        "bounce_order": p.bounce_order,
-        "origin": p.origin.value,
-    }
-
-
-def _record_path(rec: dict) -> PathComponent:
-    return PathComponent(
-        delay=rec.get("delay_s", rec["delay_ns"] * 1e-9),
-        amp=complex(rec["amp_re"], rec["amp_im"]),
-        doppler=rec["doppler_hz"],
-        aod=Angle3D.from_degrees(rec["aod_az_deg"], rec["aod_el_deg"]),
-        aoa=Angle3D.from_degrees(rec["aoa_az_deg"], rec["aoa_el_deg"]),
-        bounce_order=rec["bounce_order"],
-        origin=Origin(rec["origin"]),
-    )
+# the keys of a path record in target.json and background.json, in order
+RECORD_KEYS = ("delay_s", "delay_ns", "amp_re", "amp_im", "power_db", "doppler_hz",
+               "aod_az_deg", "aod_el_deg", "aoa_az_deg", "aoa_el_deg",
+               "bounce_order", "origin")
 
 
 def write_cir_json(path, cir: Cir, extra: dict | None = None) -> None:
+    """Write the CIR as compact JSON, one record per path: delay_s is the
+    exact delay (delay_ns is for display only) and power_db is null at
+    zero power."""
+    powers = cir.powers().tolist()
+    columns = (
+        cir.delay.tolist(),
+        (cir.delay * 1e9).tolist(),
+        cir.amp.real.tolist(),
+        cir.amp.imag.tolist(),
+        [None if pw == 0 else 10.0 * math.log10(pw) for pw in powers],
+        cir.doppler.tolist(),
+        np.degrees(cir.aod_az).tolist(),
+        np.degrees(cir.aod_el).tolist(),
+        np.degrees(cir.aoa_az).tolist(),
+        np.degrees(cir.aoa_el).tolist(),
+        cir.bounce_order.tolist(),
+        [ORIGINS[code].value for code in cir.origin_code.tolist()],
+    )
     doc = {"carrier_freq_hz": cir.carrier_freq,
-           "paths": [_path_record(p) for p in cir.paths]}
+           "paths": [dict(zip(RECORD_KEYS, row)) for row in zip(*columns)]}
     if extra:
         doc.update(extra)
     with open(path, "w") as f:
-        json.dump(doc, f, indent=1)
+        f.write(json.dumps(doc, separators=(",", ":")))  # dumps, unlike dump, runs in C
 
 
 def read_cir_json(path) -> Cir:
     with open(path) as f:
         doc = json.load(f)
-    return Cir(tuple(_record_path(r) for r in doc["paths"]),
-               carrier_freq=doc["carrier_freq_hz"])
+    recs = doc["paths"]
+    codes = {o.value: i for i, o in enumerate(ORIGINS)}
+    delay = [r["delay_s"] if "delay_s" in r else r["delay_ns"] * 1e-9 for r in recs]
+    amp = np.array([r["amp_re"] for r in recs], dtype=complex)
+    amp.imag = [r["amp_im"] for r in recs]  # set, not added, so that signed zeros survive
+    return Cir.from_columns(
+        delay, amp, [r["doppler_hz"] for r in recs],
+        aod_az=np.radians([r["aod_az_deg"] for r in recs]),
+        aod_el=np.radians([r["aod_el_deg"] for r in recs]),
+        aoa_az=np.radians([r["aoa_az_deg"] for r in recs]),
+        aoa_el=np.radians([r["aoa_el_deg"] for r in recs]),
+        bounce_order=[r["bounce_order"] for r in recs],
+        origin=np.array([codes[r["origin"]] for r in recs], dtype=np.int8),
+        carrier_freq=doc["carrier_freq_hz"])
 
 
 def _sha256(path: Path) -> str:
@@ -258,9 +263,9 @@ def _resolve_out_dir(config: ScenarioConfig, out_dir) -> Path:
 def _scan_input(target_cir: Cir, bg_cir: Cir, bandwidth_hz: float):
     """The combined sensing CIR, the delay-bin width (one over the
     bandwidth) and the delay bins a scan of it uses."""
-    combined = Cir(target_cir.paths + bg_cir.paths, carrier_freq=target_cir.carrier_freq)
+    combined = Cir.concat([target_cir, bg_cir], carrier_freq=target_cir.carrier_freq)
     bin_w = 1.0 / bandwidth_hz
-    max_delay = max((p.delay for p in combined.paths), default=0.0) + 2 * bin_w
+    max_delay = combined.delay.max(initial=0.0) + 2 * bin_w
     return combined, bin_w, delay_grid(max_delay, bin_w)
 
 
@@ -472,9 +477,9 @@ def run_sounder_roundtrip(config: ScenarioConfig, out_dir=None) -> dict:
     out = _resolve_out_dir(config, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sim = simulate_channels(config)
-    combined = Cir(sim.target_cir.paths + sim.background_cir.paths,
-                   carrier_freq=config.carrier_freq_hz)
-    if len(combined.paths) == 0:
+    combined = Cir.concat([sim.target_cir, sim.background_cir],
+                          carrier_freq=config.carrier_freq_hz)
+    if len(combined) == 0:
         raise ValueError("scenario produced no paths to sound")
 
     pn = generate_pn(config.sounder_m, chip_rate=config.bandwidth_hz)
@@ -487,25 +492,25 @@ def run_sounder_roundtrip(config: ScenarioConfig, out_dir=None) -> dict:
     # ground truth at the sounder's own resolution: coherent chip-width
     # binning, keeping bins within the detection threshold of the peak
     chip = 1.0 / config.bandwidth_hz
-    merged = merge_paths(combined.paths, chip / 2, math.pi)
-    powers = np.array([p.power for p in merged])
+    merged = merge_paths(combined, chip / 2, math.pi)
+    powers = merged.powers()
     floor = powers.max() * 10.0 ** (-threshold_db / 10.0)
-    resolvable = [(p.delay, abs(p.amp)) for p in merged if p.power >= floor]
+    resolvable = merged.delay[powers >= floor].tolist()
 
     matches = []
     for d_est, a_est in result.recovered:
-        best = min(resolvable, key=lambda t: abs(t[0] - d_est), default=None)
-        matched = best is not None and abs(best[0] - d_est) <= chip
+        best = min(resolvable, key=lambda d: abs(d - d_est), default=None)
+        matched = best is not None and abs(best - d_est) <= chip
         matches.append({
             "delay_est_ns": d_est * 1e9,
             "power_est_db": 20.0 * math.log10(abs(a_est)),
-            "matched_truth_ns": best[0] * 1e9 if matched else None,
-            "delay_err_chips": (d_est - best[0]) / chip if matched else None,
+            "matched_truth_ns": best * 1e9 if matched else None,
+            "delay_err_chips": (d_est - best) / chip if matched else None,
         })
     doc = {
         "pn": {"m": pn.m, "taps": list(pn.taps), "chip_rate_hz": pn.chip_rate},
         "snr_db": config.sounder_snr_db,
-        "n_true_paths": len(combined.paths),
+        "n_true_paths": len(combined),
         "n_resolvable": len(resolvable),
         "n_recovered": len(result.recovered),
         "recovered": matches,

@@ -9,11 +9,10 @@ exactly once here (not in the link-budget module).
 """
 from __future__ import annotations
 
-import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ from .core import (
     Angle3D,
     Cir,
     Origin,
-    PathComponent,
     ScatteringPoint,
     TableRcs,
     merge_paths,
@@ -129,13 +127,14 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
            * np.exp(1j * (phase_a[:, None] + phase_b[None, :]))
            * np.exp(1j * 2.0 * math.pi * doppler * t))
 
-    paths = tuple(
-        PathComponent(delay=d, amp=g, doppler=f, aod=r1.aod, aoa=r2.aoa,
-                      bounce_order=r1.bounce_order + r2.bounce_order,
-                      origin=Origin.TARGET)
-        for (r1, r2), d, g, f in zip(product(rays_a, rays_b), delay.ravel().tolist(),
-                                     amp.ravel().tolist(), doppler.ravel().tolist()))
-    return Cir(paths, t0=t, carrier_freq=carrier_freq)
+    n_b = len(rays_b)
+    return Cir.from_columns(
+        delay, amp, doppler,
+        aod_az=np.repeat(aod_a[:, 0], n_b), aod_el=np.repeat(aod_a[:, 1], n_b),
+        aoa_az=np.tile(aoa_b[:, 0], len(rays_a)), aoa_el=np.tile(aoa_b[:, 1], len(rays_a)),
+        bounce_order=np.add.outer([r.bounce_order for r in rays_a],
+                                  [r.bounce_order for r in rays_b]),
+        origin=Origin.TARGET, t0=t, carrier_freq=carrier_freq)
 
 
 def multi_point_target(points: Sequence[ScatteringPoint],
@@ -161,42 +160,46 @@ def multi_point_target(points: Sequence[ScatteringPoint],
     if pl_tar_db is not None and len(pl_tar_db) != len(points):
         raise ValueError("need one target path loss per point")
 
-    all_paths: list[PathComponent] = []
+    cirs = []
     for i, (sp, (sub_a, sub_b)) in enumerate(zip(points, sublinks)):
         cir = concatenate(sub_a, sub_b, sp, wl, tx_antenna, rx_antenna,
                           s=s, u=u, t=t, carrier_freq=carrier_freq)
         if pl_tar_db is not None:
             cir = cir.scaled(10.0 ** (-pl_tar_db[i] / 20.0))
-        all_paths.extend(cir.paths)
-    merged = merge_paths(all_paths, merge_delay_tol, merge_angle_tol)
-    return Cir(tuple(merged), t0=t, carrier_freq=carrier_freq)
+        cirs.append(cir)
+    return merge_paths(Cir.concat(cirs, t0=t, carrier_freq=carrier_freq),
+                       merge_delay_tol, merge_angle_tol)
+
+
+RCS_TABLE_COLUMNS = ("az_in_deg", "el_in_deg", "az_out_deg", "el_out_deg", "rcs_dbsm")
 
 
 def load_rcs_table_csv(path) -> TableRcs:
     """Load a gridded RCS table from CSV.
 
-    Expected columns: az_in_deg, el_in_deg, az_out_deg, el_out_deg,
-    rcs_dbsm. The rows must cover a full regular grid (every
-    combination of the axis values exactly once).
+    Expected columns, found by their header names: az_in_deg,
+    el_in_deg, az_out_deg, el_out_deg, rcs_dbsm. The rows must cover a
+    full regular grid (every combination of the axis values exactly
+    once).
     """
-    rows = []
-    with open(path, newline="") as f:
-        for rec in csv.DictReader(f):
-            rows.append((float(rec["az_in_deg"]), float(rec["el_in_deg"]),
-                         float(rec["az_out_deg"]), float(rec["el_out_deg"]),
-                         float(rec["rcs_dbsm"])))
-    if not rows:
+    with open(path) as f:
+        header = [name.strip() for name in f.readline().split(",")]
+        body = f.read()
+    if not body.strip():
         raise ValueError(f"RCS table {path} is empty")
-    data = np.array(rows)
-    axes_deg = [np.unique(data[:, i]) for i in range(4)]
+    missing = [c for c in RCS_TABLE_COLUMNS if c not in header]
+    if missing:
+        raise ValueError(f"RCS table {path} lacks column(s) {', '.join(missing)}")
+    data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
+                      usecols=[header.index(c) for c in RCS_TABLE_COLUMNS])
+    axes_deg, index = zip(*(np.unique(data[:, i], return_inverse=True) for i in range(4)))
     shape = tuple(len(a) for a in axes_deg)
-    if int(np.prod(shape)) != len(rows):
+    if math.prod(shape) != len(data):
         raise ValueError("RCS table rows do not form a full regular grid")
-    values = np.full(shape, np.nan)
-    index = [{v: i for i, v in enumerate(a)} for a in axes_deg]
-    for az_i, el_i, az_o, el_o, dbsm in rows:
-        values[index[0][az_i], index[1][el_i], index[2][az_o], index[3][el_o]] = dbsm
-    if np.any(np.isnan(values)):
+    cell = np.ravel_multi_index(index, shape)
+    if len(np.unique(cell)) != len(cell):
         raise ValueError("RCS table has duplicate or missing grid rows")
+    values = np.empty(shape)
+    values.flat[cell] = data[:, 4]
     axes_rad = [np.radians(a) for a in axes_deg]
     return TableRcs(axes_rad[0], axes_rad[1], axes_rad[2], axes_rad[3], values)

@@ -192,6 +192,66 @@ class TestCir:
         assert cir.paths[0].delay == 1e-9
         assert cir.total_power() == pytest.approx(5.0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(paths=_paths)
+    def test_paths_view_returns_stable_delay_order(self, paths):
+        # repr tells -0.0 from 0.0, which == does not
+        want = [repr(p) for p in sorted(paths, key=lambda p: p.delay)]
+        cir = Cir(paths, t0=0.5, carrier_freq=6.9e9)
+        assert len(cir) == len(cir.paths) == len(paths)
+        assert [repr(p) for p in cir.paths] == want
+        assert [repr(cir.paths[i]) for i in range(len(paths))] == want
+        assert [repr(p) for p in Cir(cir.paths).paths] == want
+        assert (cir.t0, cir.carrier_freq) == (0.5, 6.9e9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(paths=_paths, tols=st.sampled_from([(0.0, 0.0), (1e-9, 0.5)]))
+    def test_merge_of_cir_matches_merge_of_paths(self, paths, tols):
+        merged = merge_paths(Cir(paths, carrier_freq=1.0), *tols)
+        assert isinstance(merged, Cir) and merged.carrier_freq == 1.0
+        assert [repr(p) for p in merged.paths] == [repr(p) for p in merge_paths(paths, *tols)]
+
+    def test_view_indexing(self):
+        cir = Cir(tuple(PathComponent(delay=d, amp=complex(d)) for d in (3.0, 1.0, 2.0)))
+        assert cir.paths[-1].delay == 3.0
+        assert [p.amp for p in cir.paths[1:]] == [2, 3]
+        with pytest.raises(IndexError):
+            cir.paths[3]
+        with pytest.raises(IndexError):
+            cir.paths[-4]
+
+    def test_concat_keeps_earlier_cir_first_on_ties(self):
+        a = Cir((PathComponent(delay=1e-9, amp=1.0, origin=Origin.TARGET),
+                 PathComponent(delay=3e-9, amp=1.0, origin=Origin.TARGET)))
+        b = Cir((PathComponent(delay=1e-9, amp=2.0), PathComponent(delay=2e-9, amp=2.0)))
+        both = Cir.concat([a, b], carrier_freq=5.0)
+        assert [(p.delay, p.amp) for p in both.paths] == [(1e-9, 1), (1e-9, 2), (2e-9, 2), (3e-9, 1)]
+        assert both.carrier_freq == 5.0
+        assert len(Cir.concat([])) == 0
+
+    def test_from_columns_checks_and_normalizes(self):
+        cir = Cir.from_columns([2e-9, 1e-9], [1.0, 2j], aoa_az=[-0.5, 2 * math.pi + 1.0],
+                               aoa_el=-0.0, bounce_order=1, origin=Origin.TARGET)
+        p = cir.paths[0]
+        assert (p.delay, p.amp, p.aoa.azimuth, p.bounce_order, p.origin) == (
+            1e-9, 2j, (2 * math.pi + 1.0) % (2 * math.pi), 1, Origin.TARGET)
+        assert math.copysign(1.0, p.aoa.elevation) == -1.0
+        assert cir.aoa_az.tolist() == [(2 * math.pi + 1.0) % (2 * math.pi), -0.5 % (2 * math.pi)]
+        for bad, match in [(dict(delay=[-1e-9]), "delay"), (dict(amp=[np.nan]), "amplitude"),
+                           (dict(aod_el=[2.0]), "elevation"), (dict(bounce_order=[-1]), "bounce"),
+                           (dict(aoa_az=[np.inf]), "finite")]:
+            kwargs = dict(delay=[1e-9], amp=[1.0]) | bad
+            with pytest.raises(ValueError, match=match):
+                Cir.from_columns(**kwargs)
+
+    def test_immutable(self):
+        cir = Cir((PathComponent(delay=1e-9, amp=1.0),))
+        with pytest.raises(AttributeError):
+            cir.t0 = 1.0
+        with pytest.raises(ValueError):
+            cir.amp[0] = 2.0
+        assert cir.scaled(2.0).amps()[0] == 2.0 and cir.amps()[0] == 1.0
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             PathComponent(delay=-1e-9, amp=1.0)
@@ -218,6 +278,27 @@ class TestRcsModels:
     def test_single_entry_table(self):
         t = TableRcs([0.0], [0.0], [0.0], [0.0], np.array([[[[8.48]]]]))
         assert t.eval_dbsm(Angle3D(1.0, 0.2), Angle3D(2.0, -0.2)) == pytest.approx(8.48)
+
+    def test_table_clamps_every_axis_to_its_edges(self):
+        rng = np.random.default_rng(9)
+        axes = [np.array([0.5, 1.0, 2.0]), np.array([-0.2, 0.3]),
+                np.array([1.0, 4.0]), np.array([-0.5, 0.0, 0.5])]
+        t = TableRcs(*axes, rng.uniform(-10.0, 10.0, (3, 2, 2, 3)))
+        # below every axis, above every axis, and exactly on the upper edges
+        got = t.eval_dbsm_pairs([[0.0, -1.0], [6.0, 1.0], [2.0, 0.3]],
+                                [[0.0, -1.0], [6.0, 1.0], [4.0, 0.5]])
+        v = t.values_dbsm
+        assert got[0, 0] == v[0, 0, 0, 0]
+        assert got[1, 1] == v[-1, -1, -1, -1]
+        assert got[2, 2] == v[-1, -1, -1, -1]
+        assert got[0, 1] == v[0, 0, -1, -1]
+
+    def test_table_singleton_axes_ignore_their_coordinate(self):
+        vals = np.array([0.0, 4.0]).reshape(1, 2, 1, 1)  # varies along el_in only
+        t = TableRcs([1.0], [0.0, 0.4], [2.0], [0.1], vals)
+        got = t.eval_dbsm_pairs([[0.0, 0.1], [5.0, 0.1], [3.0, 0.3]],
+                                [[0.0, -1.0], [6.0, 1.0]])
+        np.testing.assert_allclose(got, [[1.0, 1.0], [1.0, 1.0], [3.0, 3.0]], rtol=1e-12)
 
     def test_table_interpolates_and_clamps(self):
         az_out = np.array([0.0, 1.0])

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isacsim import Cir, GenerationProfile, runner, sounder
+from isacsim import Angle3D, Cir, GenerationProfile, Origin, PathComponent, runner, sounder
+from isacsim.core import COLUMNS
 from isacsim.cli import main as cli_main
 from isacsim.config import ConfigError, load_config, parse_config
 from isacsim.runner import (
@@ -245,6 +246,55 @@ class TestRunSimulate:
             assert p.origin == q.origin
 
 
+    def test_cir_json_is_compact_records(self, tmp_path):
+        cir = Cir((PathComponent(delay=2e-9, amp=0j, origin=Origin.TARGET),
+                   PathComponent(delay=1e-9, amp=0.5 - 0.5j, doppler=3.0,
+                                 aod=Angle3D(1.0, -0.1), aoa=Angle3D(2.0, 0.2),
+                                 bounce_order=2)), carrier_freq=6e9)
+        write_cir_json(tmp_path / "t.json", cir, {"link_budget": {"o_back": 0.5}})
+        text = (tmp_path / "t.json").read_text()
+        assert "\n" not in text and ": " not in text and ", " not in text
+        doc = json.loads(text)
+        assert list(doc) == ["carrier_freq_hz", "paths", "link_budget"]
+        assert [list(r) for r in doc["paths"]] == [list(runner.RECORD_KEYS)] * 2
+        first, zero = doc["paths"]
+        assert first.pop("power_db") == pytest.approx(10.0 * math.log10(0.5), rel=1e-15)
+        assert first == {
+            "delay_s": 1e-9, "delay_ns": 1e-9 * 1e9, "amp_re": 0.5, "amp_im": -0.5,
+            "doppler_hz": 3.0,
+            "aod_az_deg": math.degrees(1.0), "aod_el_deg": math.degrees(-0.1),
+            "aoa_az_deg": math.degrees(2.0), "aoa_el_deg": math.degrees(0.2),
+            "bounce_order": 2, "origin": "background"}
+        assert zero["power_db"] is None and zero["origin"] == "target"
+
+    def test_read_cir_json_matches_per_record_reader(self, tmp_path):
+        def record_path(rec):  # the per-record reader that read_cir_json replaced
+            return PathComponent(
+                delay=rec.get("delay_s", rec["delay_ns"] * 1e-9),
+                amp=complex(rec["amp_re"], rec["amp_im"]),
+                doppler=rec["doppler_hz"],
+                aod=Angle3D.from_degrees(rec["aod_az_deg"], rec["aod_el_deg"]),
+                aoa=Angle3D.from_degrees(rec["aoa_az_deg"], rec["aoa_el_deg"]),
+                bounce_order=rec["bounce_order"],
+                origin=Origin(rec["origin"]),
+            )
+
+        sim = simulate_channels(load_config(CONFIG_DIR / "bistatic_ris_factory.json"))
+        write_cir_json(tmp_path / "t.json", Cir.concat([sim.target_cir, sim.background_cir]))
+        doc = json.loads((tmp_path / "t.json").read_text())
+        # edge cases: signed zeros, a full turn, zero power, no delay_s, equal delays
+        edge = {"delay_ns": 7.0, "amp_re": -0.0, "amp_im": 0.0, "power_db": None,
+                "doppler_hz": -0.0, "aod_az_deg": 360.0, "aod_el_deg": -0.0,
+                "aoa_az_deg": -0.0, "aoa_el_deg": 90.0, "bounce_order": 0, "origin": "shared"}
+        doc["paths"] += [edge, dict(edge, delay_s=7e-9, aod_az_deg=-1e-300, aoa_az_deg=359.9)]
+        (tmp_path / "t.json").write_text(json.dumps(doc))
+        got = read_cir_json(tmp_path / "t.json")
+        want = Cir(tuple(record_path(r) for r in doc["paths"]), carrier_freq=doc["carrier_freq_hz"])
+        assert len(got) == len(want) == len(sim.target_cir) + len(sim.background_cir) + 2
+        for name in COLUMNS:  # bit for bit, so signed zeros count
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert got.carrier_freq == want.carrier_freq
+
 class TestRunValidate:
     def test_packaged_golden_passes(self):
         report = run_validate()
@@ -435,6 +485,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert message in err
         assert len(err.strip().splitlines()) == 1
+
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d.update(pcf=0.5), "pcf must be an object, got 0.5"),
+        (lambda d: d.update(scan=5), "scan must be an object, got 5"),
+        (lambda d: d["tx"].update(antenna="horn"), "tx.antenna must be an object, got 'horn'"),
+        (lambda d: d["targets"][0].update(sublink=3),
+         "targets[0].sublink must be an object, got 3"),
+        (lambda d: d["sounder"].update(snr_db=None), "sounder.snr_db must be a number, got None"),
+    ], ids=["pcf", "scan", "tx.antenna", "sublink", "snr_db"])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, change, message):
+        doc = json.loads((CONFIG_DIR / "bistatic_ris_factory.json").read_text())
+        change(doc)
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario config")
+        assert f"\n  - {message}\n" in err
+
+
+def test_table_rcs_simulate_leaves_scipy_unloaded(tmp_path):
+    rows = ["az_in_deg,el_in_deg,az_out_deg,el_out_deg,rcs_dbsm"]
+    rows += [f"{a},{e},{b},0,{a / 100.0 - b / 200.0 + e}"
+             for a in (0, 180) for e in (-10, 10) for b in (0, 90, 180)]
+    (tmp_path / "rcs.csv").write_text("\n".join(rows) + "\n")
+    cfg_path = scen1_like(tmp_path, targets=[{
+        "position_m": [4.45, 1.0, 1.5],
+        "rcs": {"variant": "table", "csv": "rcs.csv"},
+        "sublink": {"n_clusters": 2, "rays_per_cluster": 3}}])
+    src = Path(__file__).parents[1] / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from isacsim.cli import main; "
+            "assert main(['simulate', sys.argv[2], '--out', sys.argv[3]]) == 0; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(src), str(cfg_path),
+                          str(tmp_path / "run")], check=True, capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "run" / "target.json").exists()
 
 
 def test_import_leaves_scipy_unloaded():

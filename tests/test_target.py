@@ -316,5 +316,42 @@ class TestRcsTableCsv:
             "0,0,0,0,5.0\n"
             "10,0,90,0,8.0\n"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="do not form a full regular grid"):
+            load_rcs_table_csv(csv_path)
+
+    @pytest.mark.parametrize("text", ["", "az_in_deg,el_in_deg,az_out_deg,el_out_deg,rcs_dbsm\n\n"])
+    def test_empty_table_rejected(self, tmp_path, text):
+        csv_path = tmp_path / "rcs.csv"
+        csv_path.write_text(text)
+        with pytest.raises(ValueError, match="is empty"):
+            load_rcs_table_csv(csv_path)
+
+    def test_duplicate_row_rejected(self, tmp_path):
+        # four rows over a 2 x 2 grid, but (0, 0, 0, 0) twice and (10, 0, 90, 0) missing
+        csv_path = tmp_path / "rcs.csv"
+        csv_path.write_text(
+            "az_in_deg,el_in_deg,az_out_deg,el_out_deg,rcs_dbsm\n"
+            "0,0,0,0,5.0\n0,0,90,0,8.0\n10,0,0,0,1.0\n0,0,0,0,2.0\n")
+        with pytest.raises(ValueError, match="duplicate or missing grid rows"):
+            load_rcs_table_csv(csv_path)
+
+    def test_columns_found_by_header_name(self, tmp_path):
+        rng = np.random.default_rng(5)
+        grid = [(a, e, b, f) for a in (0.0, 120.0, 240.0) for e in (-10.0, 10.0)
+                for b in (0.0, 90.0) for f in (0.0,)]
+        vals = rng.uniform(-10.0, 10.0, len(grid)).round(3)
+        rows = [f"{v},{f},{a},x,{b},{e}" for (a, e, b, f), v in zip(grid, vals)]
+        rng.shuffle(rows)
+        csv_path = tmp_path / "rcs.csv"
+        csv_path.write_text("rcs_dbsm,el_out_deg,az_in_deg,note,az_out_deg,el_in_deg\n"
+                            + "\n".join(rows) + "\n")
+        t = load_rcs_table_csv(csv_path)
+        assert t.values_dbsm.shape == (3, 2, 2, 1)
+        np.testing.assert_array_equal(t.az_in, np.radians([0.0, 120.0, 240.0]))
+        np.testing.assert_array_equal(t.values_dbsm.ravel(), vals)
+
+    def test_missing_column_named(self, tmp_path):
+        csv_path = tmp_path / "rcs.csv"
+        csv_path.write_text("az_in_deg,el_in_deg,az_out_deg,rcs_dbsm\n0,0,0,5.0\n")
+        with pytest.raises(ValueError, match="lacks column.*el_out_deg"):
             load_rcs_table_csv(csv_path)
