@@ -455,15 +455,17 @@ def write_padp_csv(path, grid: ScanGrid, padp_arr: np.ndarray | None = None) -> 
     Values are formatted to round-trip exactly through the reader.
     """
     arr = padp(grid) if padp_arr is None else np.asarray(padp_arr, dtype=float)
-    centers = grid.bin_centers()
+    # each angle and each bin centre is formatted once, not once per cell
+    centers = [f",{tau * 1e9:.17g}," for tau in grid.bin_centers().tolist()]
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["angle_deg", "delay_ns", "power_db"])
-        for i, ang in enumerate(grid.angles_deg):
-            for j, tau in enumerate(centers):
-                p = arr[i, j]
+        f.write("angle_deg,delay_ns,power_db\r\n")
+        for ang, row in zip(grid.angles_deg.tolist(), arr):
+            ang = f"{ang:.17g}"
+            lines = []
+            for tau, p in zip(centers, row.tolist()):
                 p_db = "" if p <= 0.0 else f"{10.0 * math.log10(p):.17g}"
-                w.writerow([f"{ang:.17g}", f"{tau * 1e9:.17g}", p_db])
+                lines.append(f"{ang}{tau}{p_db}\r\n")
+            f.write("".join(lines))
 
 
 def read_padp_csv(path) -> list[tuple[float, float, float | None]]:

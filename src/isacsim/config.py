@@ -145,9 +145,28 @@ def _parse_rcs(spec: dict, errors, where: str, base_dir: Path):
 SUBLINK_DEFAULTS = {"n_clusters": 4, "rays_per_cluster": 5, "delay_scale_ns": 20.0}
 
 
-def _parse_profile(spec: dict, errors, where: str) -> GenerationProfile | None:
+# the keys _parse_profile reads; a sub-link also takes k_factor_db
+PROFILE_KEYS = ("n_clusters", "rays_per_cluster", "delay_scale_ns", "angle_spread_deg",
+                "xpr_mean_db", "xpr_std_db", "shadow_std_db", "doppler_max_hz")
+
+
+def _unknown_keys(spec: dict, allowed, errors, where: str) -> None:
+    """A violation naming each key of ``spec`` outside ``allowed``, with
+    the closest allowed key as a suggestion."""
+    for key in spec:
+        if key not in allowed:
+            import difflib  # only on this error path: it costs ms at startup
+            close = difflib.get_close_matches(str(key), allowed, n=1)
+            hint = f"; did you mean {close[0]!r}?" if close else ""
+            errors.append(f"{where}.{key} is not a known key{hint}")
+
+
+def _parse_profile(spec: dict, errors, where: str,
+                   also_allowed: tuple[str, ...] = ()) -> GenerationProfile | None:
     """Cluster recipe of a background or a sub-link, seed 0; each user
-    reseeds it with its own child seed."""
+    reseeds it with its own child seed. A key outside PROFILE_KEYS and
+    ``also_allowed`` is a violation."""
+    _unknown_keys(spec, PROFILE_KEYS + also_allowed, errors, where)
     try:
         return GenerationProfile(
             n_clusters=int(spec.get("n_clusters", 8)),
@@ -224,7 +243,8 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         sl = _section(t, "sublink", errors, f"{where}.sublink")
         targets.append(TargetSpec(
             point=point,
-            profile=_parse_profile({**SUBLINK_DEFAULTS, **sl}, errors, f"{where}.sublink"),
+            profile=_parse_profile({**SUBLINK_DEFAULTS, **sl}, errors, f"{where}.sublink",
+                                   also_allowed=("k_factor_db",)),
             k_factor_db=_number(sl, "k_factor_db", 6.0, errors,
                                 f"{where}.sublink.k_factor_db")))
 

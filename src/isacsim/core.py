@@ -10,6 +10,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 import operator
@@ -83,6 +84,8 @@ class Angle3D:
 
     def __post_init__(self):
         az = float(self.azimuth) % TWO_PI
+        if az == TWO_PI:  # the remainder of a tiny negative azimuth rounds up
+            az = 0.0
         el = float(self.elevation)
         if not math.isfinite(az) or not math.isfinite(el):
             raise ValueError("angles must be finite")
@@ -403,7 +406,8 @@ class Cir:
                 raise ValueError("angles must be finite")
             if np.any(np.abs(cols[el]) > math.pi / 2):
                 raise ValueError("elevation outside [-pi/2, pi/2]")
-            cols[az] = np.mod(cols[az], TWO_PI)
+            wrapped = np.mod(cols[az], TWO_PI)
+            cols[az] = np.where(wrapped == TWO_PI, 0.0, wrapped)  # as in Angle3D
         if np.any((cols["origin_code"] < 0) | (cols["origin_code"] >= len(ORIGINS))):
             raise ValueError("origin code outside ORIGINS")
         return cls._make(_sorted_columns(cols), t0, carrier_freq)
@@ -550,6 +554,23 @@ def _anchor_groups(cir: Cir, delay_tol: float, angle_tol: float):
     return np.array(group, dtype=np.intp), np.array(anchors, dtype=np.intp)
 
 
+def _delay_gap_groups(cir: Cir, delay_tol: float):
+    """The anchor scan when no angle test can fail (``angle_tol >= pi``):
+    each row joins the latest anchor unless its delay exceeds that
+    anchor's by more than ``delay_tol``, so each next anchor is found by
+    bisection with the scan's own comparison."""
+    delay = cir.delay.tolist()
+    anchors: list[int] = []
+    i = 0
+    while i < len(delay):
+        anchors.append(i)
+        start = delay[i]
+        i = bisect.bisect_right(delay, delay_tol, lo=i + 1, key=lambda d: d - start)
+    anchors = np.array(anchors, dtype=np.intp)
+    group = np.repeat(np.arange(len(anchors)), np.diff(anchors, append=len(delay)))
+    return group, anchors
+
+
 def merge_paths(paths: Cir | Iterable[PathComponent], delay_tol: float,
                 angle_tol: float) -> Cir | list[PathComponent]:
     """Coherently merge paths that coincide within the given tolerances.
@@ -563,7 +584,9 @@ def merge_paths(paths: Cir | Iterable[PathComponent], delay_tol: float,
 
     With both tolerances zero only paths with equal delay and angles
     coincide, and the groups are found by sorting on that exact key
-    instead of by scanning the anchors.
+    instead of by scanning the anchors. With ``angle_tol >= pi`` every
+    angle test passes, and each next anchor is found by bisecting the
+    delays.
 
     Args:
         paths: a Cir, or any iterable of PathComponent.
@@ -579,6 +602,10 @@ def merge_paths(paths: Cir | Iterable[PathComponent], delay_tol: float,
     cir = paths if isinstance(paths, Cir) else Cir(paths)
     if delay_tol == 0.0 and angle_tol == 0.0:
         group, anchors = _exact_groups(cir)
+    elif angle_tol >= math.pi:
+        # wrapped azimuth distances are at most pi and elevations lie in
+        # [-pi/2, pi/2], so only the delays decide the groups
+        group, anchors = _delay_gap_groups(cir, delay_tol)
     else:
         group, anchors = _anchor_groups(cir, delay_tol, angle_tol)
     members = np.ones(len(cir), dtype=bool)

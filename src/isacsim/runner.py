@@ -14,6 +14,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -191,31 +192,66 @@ RECORD_KEYS = ("delay_s", "delay_ns", "amp_re", "amp_im", "power_db", "doppler_h
                "bounce_order", "origin")
 
 
+# one path record, each field a JSON text
+_RECORD = "{" + ",".join(f'"{key}":%s' for key in RECORD_KEYS) + "}"
+_ORIGIN_TEXTS = np.array([json.dumps(o.value) for o in ORIGINS], dtype=object)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))  # runs in C
+
+
+def _json_texts(col: np.ndarray, value=None) -> np.ndarray:
+    """The JSON text of ``value(x)`` (default ``x``) for each element of a
+    numeric column, computing and formatting each distinct element once.
+    Elements are told apart by their bits, so -0.0 and 0.0 stay distinct."""
+    col = np.ascontiguousarray(col)
+    distinct, index = np.unique(col.view(np.int64), return_inverse=True)
+    values = distinct.view(col.dtype).tolist()
+    if value is not None:
+        values = [value(x) for x in values]
+    texts = _dumps(values)[1:-1].split(",") if values else []
+    return np.array(texts, dtype=object)[index]
+
+
+def _power_db(pw: float) -> float | None:
+    return None if pw == 0 else 10.0 * math.log10(pw)
+
+
 def write_cir_json(path, cir: Cir, extra: dict | None = None) -> None:
     """Write the CIR as compact JSON, one record per path: delay_s is the
     exact delay (delay_ns is for display only) and power_db is null at
-    zero power."""
-    powers = cir.powers().tolist()
+    zero power. ``extra`` adds keys after ``carrier_freq_hz`` and
+    ``paths``, which it must not replace."""
+    extra = extra or {}
+    if {"carrier_freq_hz", "paths"} & extra.keys():
+        raise ValueError("extra must not replace carrier_freq_hz or paths")
     columns = (
-        cir.delay.tolist(),
-        (cir.delay * 1e9).tolist(),
-        cir.amp.real.tolist(),
-        cir.amp.imag.tolist(),
-        [None if pw == 0 else 10.0 * math.log10(pw) for pw in powers],
-        cir.doppler.tolist(),
-        np.degrees(cir.aod_az).tolist(),
-        np.degrees(cir.aod_el).tolist(),
-        np.degrees(cir.aoa_az).tolist(),
-        np.degrees(cir.aoa_el).tolist(),
-        cir.bounce_order.tolist(),
-        [ORIGINS[code].value for code in cir.origin_code.tolist()],
+        _json_texts(cir.delay),
+        _json_texts(cir.delay * 1e9),
+        _json_texts(cir.amp.real),
+        _json_texts(cir.amp.imag),
+        _json_texts(cir.powers(), _power_db),
+        _json_texts(cir.doppler),
+        _json_texts(np.degrees(cir.aod_az)),
+        _json_texts(np.degrees(cir.aod_el)),
+        _json_texts(np.degrees(cir.aoa_az)),
+        _json_texts(np.degrees(cir.aoa_el)),
+        _json_texts(cir.bounce_order),
+        _ORIGIN_TEXTS[cir.origin_code],
     )
-    doc = {"carrier_freq_hz": cir.carrier_freq,
-           "paths": [dict(zip(RECORD_KEYS, row)) for row in zip(*columns)]}
-    if extra:
-        doc.update(extra)
+    records = zip(*(c.tolist() for c in columns))
+    head = _dumps({"carrier_freq_hz": cir.carrier_freq})[:-1]
+    tail = "," + _dumps(extra)[1:] if extra else "}"
     with open(path, "w") as f:
-        f.write(json.dumps(doc, separators=(",", ":")))  # dumps, unlike dump, runs in C
+        f.write(f'{head},"paths":[')
+        # a few thousand records at a time: holding the texts of all the
+        # records of a large CIR at once raises the peak memory
+        sep = ""
+        while chunk := list(islice(records, 4096)):
+            f.write(sep + ",".join([_RECORD % row for row in chunk]))
+            sep = ","
+        f.write(f"]{tail}")
 
 
 def read_cir_json(path) -> Cir:

@@ -1,9 +1,13 @@
 import bisect
+import csv
+import io
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from isacsim import (
     C_LIGHT,
@@ -517,6 +521,34 @@ class TestFileRoundTrips:
                 else:
                     assert g_db == 10 * math.log10(arr[i, j])
                 k += 1
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(start=st.sampled_from([0.0, -90.0, 0.1, 1e-300]),
+           step=st.sampled_from([5.0, 0.1, 60.0, 1 / 3]),
+           n_angles=st.integers(1, 6),
+           edges=st.sampled_from([delay_grid(100e-9, 10e-9), delay_grid(30e-9, 2.5e-9, 1e-9),
+                                  np.array([0.0, 1e-300])]),
+           data=st.data())
+    def test_padp_csv_matches_per_cell_formatting(self, tmp_path, start, step, n_angles,
+                                                  edges, data):
+        cells = n_angles * (len(edges) - 1)
+        power = data.draw(st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1.9e-32, 0.5, 1.0, 3e5]),
+            min_size=cells, max_size=cells))
+        grid = ScanGrid(start + step * np.arange(n_angles),
+                        np.reshape(power, (n_angles, -1)), edges)
+        write_padp_csv(tmp_path / "padp.csv", grid)
+        # the per-cell writer that write_padp_csv replaced
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["angle_deg", "delay_ns", "power_db"])
+        for i, ang in enumerate(grid.angles_deg):
+            for j, tau in enumerate(grid.bin_centers()):
+                p = grid.power[i, j]
+                p_db = "" if p <= 0.0 else f"{10.0 * math.log10(p):.17g}"
+                w.writerow([f"{ang:.17g}", f"{tau * 1e9:.17g}", p_db])
+        assert (tmp_path / "padp.csv").read_bytes() == want.getvalue().encode()
 
     def test_paths_json_round_trip(self, tmp_path):
         sc = make_scene()

@@ -61,6 +61,20 @@ _paths = st.lists(st.builds(
     origin=st.sampled_from([Origin.TARGET, Origin.BACKGROUND])), max_size=40)
 
 
+# delays on a grid of half the tolerance, so that gaps of exactly the
+# tolerance come up, next to delays whose differences round
+_GAP_TOL = 2.0 ** -30
+_gap_paths = st.lists(st.builds(
+    PathComponent,
+    delay=st.one_of(st.integers(0, 12).map(lambda k: k * _GAP_TOL / 2),
+                    st.sampled_from([1e-9, 1e-9 + 1e-24, 2e-9])),
+    amp=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+    aod=st.builds(Angle3D, st.floats(0.0, 2 * math.pi), st.floats(-math.pi / 2, math.pi / 2)),
+    aoa=st.builds(Angle3D, st.sampled_from([0.0, math.pi, 2 * math.pi - 1e-15]),
+                  st.sampled_from([-math.pi / 2, -0.0, math.pi / 2])),
+    origin=st.sampled_from([Origin.TARGET, Origin.BACKGROUND])), max_size=40)
+
+
 class TestUnitVector:
     def test_axis_cases(self):
         np.testing.assert_allclose(unit_vector(Angle3D(0.0, 0.0)), [1, 0, 0], atol=1e-15)
@@ -89,6 +103,14 @@ class TestUnitVector:
     def test_azimuth_wraps(self):
         a = Angle3D(2 * math.pi + 0.25, 0.0)
         assert abs(a.azimuth - 0.25) < 1e-12
+
+    @pytest.mark.parametrize("az", [-1e-17, -1e-300])
+    def test_tiny_negative_azimuth_wraps_to_zero_not_two_pi(self, az):
+        assert (az % (2 * math.pi)) == 2 * math.pi  # the remainder rounds up
+        assert Angle3D(az, 0.0).azimuth == 0.0
+        cir = Cir.from_columns([1e-9, 2e-9], [1.0, 1.0], aod_az=az, aoa_az=[az, -0.5])
+        assert cir.aod_az.tolist() == [0.0, 0.0]
+        assert cir.aoa_az.tolist() == [0.0, -0.5 % (2 * math.pi)]
 
     def test_elevation_range_enforced(self):
         with pytest.raises(ValueError):
@@ -176,6 +198,31 @@ class TestMergePaths:
         # repr tells -0.0 from 0.0, which == does not
         assert ([repr(p) for p in merge_paths(paths, *tols)]
                 == [repr(p) for p in reference_merge(paths, *tols)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(paths=_gap_paths, angle_tol=st.sampled_from([math.pi, 4.0]),
+           delay_tol=st.sampled_from([_GAP_TOL, 0.0, 1e-9]))
+    def test_wide_angle_tolerance_matches_anchor_scan(self, paths, angle_tol, delay_tol):
+        # no angle test can fail, so only the delay gaps decide the groups
+        assert ([repr(p) for p in merge_paths(paths, delay_tol, angle_tol)]
+                == [repr(p) for p in reference_merge(paths, delay_tol, angle_tol)])
+
+    def test_wide_angle_tolerance_gap_equal_to_tolerance(self):
+        delays = [0.0, _GAP_TOL, 2 * _GAP_TOL, 2 * _GAP_TOL, 3.5 * _GAP_TOL]
+        merged = merge_paths(Cir.from_columns(delays, 1.0), _GAP_TOL, math.pi)
+        # the gap of exactly the tolerance joins; so do the equal delays
+        assert merged.delay.tolist() == [0.0, 2 * _GAP_TOL, 3.5 * _GAP_TOL]
+        assert merged.amp.tolist() == [2, 2, 1]
+
+    @pytest.mark.parametrize("tols", [(0.0, 0.0), (1e-12, 1e-9)])
+    def test_merge_joins_tiny_negative_azimuth_with_zero(self, tols):
+        paths = [self._p(10e-9, 1.0, az=-1e-17), self._p(10e-9, 2.0, az=0.0)]
+        for merged in (merge_paths(paths, *tols),
+                       merge_paths(Cir.from_columns([10e-9] * 2, [1.0, 2.0],
+                                                    aod_az=[-1e-17, 0.0],
+                                                    aoa_az=[-1e-17, 0.0]), *tols).paths):
+            assert len(merged) == 1
+            assert merged[0].amp == 3.0 and merged[0].aoa.azimuth == 0.0
 
     def test_mixed_origin_becomes_shared(self):
         a = self._p(10e-9, 1.0, origin=Origin.TARGET)

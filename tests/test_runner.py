@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from isacsim import Angle3D, Cir, GenerationProfile, Origin, PathComponent, runner, sounder
-from isacsim.core import COLUMNS
+from isacsim.core import COLUMNS, ORIGINS
 from isacsim.cli import main as cli_main
 from isacsim.config import ConfigError, load_config, parse_config
 from isacsim.runner import (
@@ -267,6 +269,48 @@ class TestRunSimulate:
             "bounce_order": 2, "origin": "background"}
         assert zero["power_db"] is None and zero["origin"] == "target"
 
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(
+        st.sampled_from([0.0, 1e-9, 1e-9, 2.5e-9, 1e-300, 7.3e-8]),
+        st.one_of(st.sampled_from([0.5, -0.0, 0.0, 5e-324, -2.2e-310, 1e-160, -1.25]),
+                  st.floats(-10.0, 10.0)),
+        st.one_of(st.sampled_from([0.5, -0.0, 0.0, 5e-324, 3e-170]), st.floats(-1.0, 1.0)),
+        st.sampled_from([0.0, -0.0, 12.5, -3.1e4]),
+        st.sampled_from([0.0, -1e-17, 2 * math.pi - 1e-15, math.nextafter(2 * math.pi, 0), 1.0]),
+        st.sampled_from([-0.0, 0.25, -math.pi / 2, math.pi / 2]),
+        st.integers(0, 3), st.integers(0, len(ORIGINS) - 1)), max_size=30),
+        extra=st.sampled_from([None, {}, {"link_budget": {
+            "pl_tar_db": [81.25, 0.1], "pl_back_db": 0.0, "o_back": 0.88, "wavelength_m": 0.0434}}]))
+    def test_cir_json_matches_per_record_encoding(self, tmp_path, rows, extra):
+        delay, re, im, dop, az, el, order, origin = (
+            np.array(c) for c in (zip(*rows) if rows else [[]] * 8))
+        amp = np.zeros(len(rows), dtype=complex)
+        amp.real, amp.imag = re, im  # set, not added, so that signed zeros survive
+        cir = Cir.from_columns(delay, amp, dop, aod_az=az, aod_el=el,
+                               aoa_az=np.flip(az), aoa_el=np.flip(el), bounce_order=order,
+                               origin=origin.astype(np.int8), carrier_freq=28e9)
+        write_cir_json(tmp_path / "t.json", cir, extra)
+        # the per-record writer that write_cir_json replaced
+        powers = cir.powers().tolist()
+        columns = (
+            cir.delay.tolist(), (cir.delay * 1e9).tolist(),
+            cir.amp.real.tolist(), cir.amp.imag.tolist(),
+            [None if pw == 0 else 10.0 * math.log10(pw) for pw in powers],
+            cir.doppler.tolist(),
+            np.degrees(cir.aod_az).tolist(), np.degrees(cir.aod_el).tolist(),
+            np.degrees(cir.aoa_az).tolist(), np.degrees(cir.aoa_el).tolist(),
+            cir.bounce_order.tolist(), [ORIGINS[c].value for c in cir.origin_code.tolist()])
+        want = json.dumps({"carrier_freq_hz": cir.carrier_freq,
+                           "paths": [dict(zip(runner.RECORD_KEYS, row)) for row in zip(*columns)],
+                           **(extra or {})}, separators=(",", ":"))
+        assert (tmp_path / "t.json").read_text() == want
+
+    def test_cir_json_extra_may_not_replace_paths(self, tmp_path):
+        for key in ("paths", "carrier_freq_hz"):
+            with pytest.raises(ValueError, match="must not replace"):
+                write_cir_json(tmp_path / "t.json", Cir(), {key: 1})
+
     def test_read_cir_json_matches_per_record_reader(self, tmp_path):
         def record_path(rec):  # the per-record reader that read_cir_json replaced
             return PathComponent(
@@ -504,6 +548,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("invalid scenario config")
         assert f"\n  - {message}\n" in err
+
+    def test_unknown_profile_key_is_config_error(self, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "bistatic_ris_factory.json").read_text())
+        doc["targets"][0]["sublink"]["n_cluster"] = 2
+        doc["background"]["profile"]["k_factor_db"] = 3.0  # a sub-link key only
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario config")
+        assert ("\n  - targets[0].sublink.n_cluster is not a known key; "
+                "did you mean 'n_clusters'?\n") in err
+        assert "\n  - background.profile.k_factor_db is not a known key" in err
+        assert not (tmp_path / "run").exists()
 
 
 def test_table_rcs_simulate_leaves_scipy_unloaded(tmp_path):
