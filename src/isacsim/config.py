@@ -98,11 +98,30 @@ def _number(spec: dict, key: str, default, errors, where: str, kind=float):
         return kind(default)
 
 
+# the keys each section reads, by antenna kind, RCS variant or background
+# mode where they depend on it; any other key is a violation
+TOP_KEYS = ("name", "carrier_freq_hz", "bandwidth_hz", "sensing_mode", "tx", "rx",
+            "targets", "background", "pcf", "scan", "seed", "outputs", "sounder")
+ENDPOINT_KEYS = ("position_m", "antenna")
+ANTENNA_KEYS = {"omni": ("kind",), "horn": ("kind", "hpbw_deg", "peak_gain_db")}
+TARGET_KEYS = ("position_m", "velocity_mps", "rcs", "sublink")
+RCS_KEYS = {"constant": ("variant", "sigma_dbsm"),
+            "cosine_lobe": ("variant", "sigma0_dbsm", "exponent"),
+            "table": ("variant", "csv")}
+BACKGROUND_KEYS = {"statistical": ("mode", "profile"), "geometric": ("mode", "scatterers")}
+SCATTERER_KEYS = ("position_m", "reflection_gain_db", "label")
+PCF_KEYS = ("value", "mean", "std", "condition", "domain")  # domain has its own violation
+SCAN_KEYS = ("start_deg", "stop_deg", "step_deg")
+SOUNDER_KEYS = ("register_length", "snr_db")
+
+
 def _parse_antenna(spec: dict, errors, where: str) -> AntennaModel:
     kind = spec.get("kind", "omni")
     if kind == "omni":
+        _unknown_keys(spec, ANTENNA_KEYS["omni"], errors, where)
         return AntennaModel(kind="omni")
     if kind == "horn":
+        _unknown_keys(spec, ANTENNA_KEYS["horn"], errors, where)
         hpbw = spec.get("hpbw_deg", 10.0)
         try:
             valid = float(hpbw) > 0
@@ -119,6 +138,8 @@ def _parse_antenna(spec: dict, errors, where: str) -> AntennaModel:
 
 def _parse_rcs(spec: dict, errors, where: str, base_dir: Path):
     variant = spec.get("variant", "constant")
+    if variant in ("constant", "cosine_lobe", "table"):
+        _unknown_keys(spec, RCS_KEYS[variant], errors, f"{where}.rcs")
     if variant == "constant":
         return ConstantRcs(float(spec.get("sigma_dbsm", 0.0)))
     if variant == "cosine_lobe":
@@ -152,13 +173,15 @@ PROFILE_KEYS = ("n_clusters", "rays_per_cluster", "delay_scale_ns", "angle_sprea
 
 def _unknown_keys(spec: dict, allowed, errors, where: str) -> None:
     """A violation naming each key of ``spec`` outside ``allowed``, with
-    the closest allowed key as a suggestion."""
+    the closest allowed key as a suggestion; ``where`` is the key path of
+    ``spec``, empty at the top level."""
     for key in spec:
         if key not in allowed:
             import difflib  # only on this error path: it costs ms at startup
             close = difflib.get_close_matches(str(key), allowed, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
-            errors.append(f"{where}.{key} is not a known key{hint}")
+            name = f"{where}.{key}" if where else str(key)
+            errors.append(f"{name} is not a known key{hint}")
 
 
 def _parse_profile(spec: dict, errors, where: str,
@@ -202,6 +225,7 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         raise ConfigError(["a scenario must be a JSON object"])
     base_dir = Path(base_dir)
     errors: list[str] = []
+    _unknown_keys(raw, TOP_KEYS, errors, "")
 
     name = raw.get("name")
     if not isinstance(name, str) or not name:
@@ -219,6 +243,8 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
 
     tx_raw = _section(raw, "tx", errors, "tx")
     rx_raw = _section(raw, "rx", errors, "rx")
+    _unknown_keys(tx_raw, ENDPOINT_KEYS, errors, "tx")
+    _unknown_keys(rx_raw, ENDPOINT_KEYS, errors, "rx")
     tx = EndpointSpec(np.asarray(tx_raw.get("position_m", [0, 0, 0]), dtype=float),
                       _parse_antenna(_section(tx_raw, "antenna", errors, "tx.antenna"),
                                      errors, "tx.antenna"))
@@ -234,6 +260,7 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         if not isinstance(t, dict):
             errors.append(f"{where} must be an object, got {t!r}")
             continue
+        _unknown_keys(t, TARGET_KEYS, errors, where)
         rcs = _parse_rcs(_section(t, "rcs", errors, f"{where}.rcs"), errors, where, base_dir)
         point = ScatteringPoint(
             position=np.asarray(t.get("position_m", [0, 0, 0]), dtype=float),
@@ -250,6 +277,8 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
 
     bg_raw = _section(raw, "background", errors, "background")
     bg_mode = bg_raw.get("mode", "")
+    if bg_mode in ("statistical", "geometric"):
+        _unknown_keys(bg_raw, BACKGROUND_KEYS[bg_mode], errors, "background")
     profile = None
     scatterers: tuple[GeometricScatterer, ...] = ()
     if bg_mode == "statistical":
@@ -264,6 +293,9 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
                 errors.append("background profile needs n_clusters >= 1")
     elif bg_mode == "geometric":
         sc_raw = bg_raw.get("scatterers", [])
+        for i, sc in enumerate(sc_raw if isinstance(sc_raw, list) else ()):
+            if isinstance(sc, dict):
+                _unknown_keys(sc, SCATTERER_KEYS, errors, f"background.scatterers[{i}]")
         try:
             scatterers = tuple(
                 GeometricScatterer(
@@ -284,6 +316,7 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
     background = BackgroundSpec(mode=bg_mode, profile=profile, scatterers=scatterers)
 
     pcf_raw = _section(raw, "pcf", errors, "pcf", default={"value": 1.0})
+    _unknown_keys(pcf_raw, PCF_KEYS, errors, "pcf")
     pcf = None
     if "domain" in pcf_raw:
         errors.append("pcf.domain is not supported: the PCF always scales "
@@ -310,6 +343,7 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         errors.append("pcf needs one of: value, mean, condition")
 
     scan_raw = _section(raw, "scan", errors, "scan")
+    _unknown_keys(scan_raw, SCAN_KEYS, errors, "scan")
     start = _number(scan_raw, "start_deg", 0.0, errors, "scan.start_deg")
     stop = _number(scan_raw, "stop_deg", 360.0, errors, "scan.stop_deg")
     step = _number(scan_raw, "step_deg", 5.0, errors, "scan.step_deg")
@@ -329,6 +363,7 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         seed = 0
 
     sounder_raw = _section(raw, "sounder", errors, "sounder")
+    _unknown_keys(sounder_raw, SOUNDER_KEYS, errors, "sounder")
     sounder_m = _number(sounder_raw, "register_length", 11, errors,
                         "sounder.register_length", kind=int)
     sounder_snr = _number(sounder_raw, "snr_db", 30.0, errors, "sounder.snr_db")

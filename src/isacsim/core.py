@@ -343,6 +343,10 @@ _ORIGIN_CODE = {o: i for i, o in enumerate(ORIGINS)}
 COLUMNS = ("delay", "amp", "doppler", "aod_az", "aod_el", "aoa_az", "aoa_el",
            "bounce_order", "origin_code")
 _DTYPES = (float, complex, float, float, float, float, float, np.int64, np.int8)
+# one path as one little-endian record of those columns: the row type of
+# the path table files (target.npy, background.npy)
+PATH_RECORD = np.dtype([(name, np.dtype(dt).newbyteorder("<"))
+                        for name, dt in zip(COLUMNS, _DTYPES)])
 
 
 def _path_from_row(delay, amp, doppler, aod_az, aod_el, aoa_az, aoa_el,

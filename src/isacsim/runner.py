@@ -40,7 +40,9 @@ from .background import (
 from .config import ScenarioConfig, TargetSpec, parse_config
 from .core import (
     C_LIGHT,
+    COLUMNS,
     ORIGINS,
+    PATH_RECORD,
     Cir,
     angle_from_vector,
     merge_paths,
@@ -255,6 +257,9 @@ def write_cir_json(path, cir: Cir, extra: dict | None = None) -> None:
 
 
 def read_cir_json(path) -> Cir:
+    """The CIR in a JSON path list that write_cir_json wrote. The angles
+    come back through degrees, so they may differ from the simulated ones
+    in the last bit; the pipelines read the path tables instead."""
     with open(path) as f:
         doc = json.load(f)
     recs = doc["paths"]
@@ -271,6 +276,48 @@ def read_cir_json(path) -> Cir:
         bounce_order=[r["bounce_order"] for r in recs],
         origin=np.array([codes[r["origin"]] for r in recs], dtype=np.int8),
         carrier_freq=doc["carrier_freq_hz"])
+
+
+def write_path_table(path, cir: Cir) -> None:
+    """Write the CIR's columns bit for bit as one .npy array of PATH_RECORD
+    records, one per path, in the CIR's row order."""
+    table = np.empty(len(cir), dtype=PATH_RECORD)
+    for name in COLUMNS:
+        table[name] = getattr(cir, name)
+    with open(path, "wb") as f:
+        np.save(f, table, allow_pickle=False)
+
+
+def read_path_table(path, carrier_freq: float) -> Cir:
+    """The CIR in a path table that write_path_table wrote. The file must
+    hold exactly one one-dimensional array of PATH_RECORD records, and
+    Cir.from_columns checks every value; otherwise a ValueError names the
+    file. The .npy format is read directly, so nothing is ever unpickled."""
+    path = Path(path)
+    try:
+        with open(path, "rb") as f:
+            table = np.lib.format.read_array(f, allow_pickle=False)
+            trailing = f.read(1)
+    except FileNotFoundError:
+        raise ValueError(f"{path} not found: the run was written before path tables "
+                         "or is incomplete; simulate again") from None
+    except (OSError, ValueError):
+        # numpy's own message can advise allowing pickles: keep it from the user
+        raise ValueError(f"{path} is not a readable .npy array "
+                         "(empty, truncated or another format); simulate again") from None
+    if trailing:
+        raise ValueError(f"{path} has bytes past its array; simulate again")
+    if table.dtype != PATH_RECORD:
+        raise ValueError(f"{path} holds records of dtype {table.dtype}, "
+                         "not path records; simulate again")
+    if table.ndim != 1:
+        raise ValueError(f"{path} holds a {table.ndim}-D array, "
+                         "not one record per path; simulate again")
+    try:
+        return Cir.from_columns(*(table[name] for name in COLUMNS[:-1]),
+                                origin=table["origin_code"], carrier_freq=carrier_freq)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -305,9 +352,14 @@ def _scan_input(target_cir: Cir, bg_cir: Cir, bandwidth_hz: float):
     return combined, bin_w, delay_grid(max_delay, bin_w)
 
 
+# the files simulate writes and report.json's manifest hashes
+OUTPUT_FILES = ("target.json", "background.json", "target.npy", "background.npy", "padp.csv")
+
+
 def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
-    """Simulate one scenario and write target.json, background.json,
-    padp.csv, and report.json into the output directory."""
+    """Simulate one scenario and write OUTPUT_FILES and report.json into
+    the output directory: the path lists as JSON for people and other
+    tools, and as the path tables that analyze reads."""
     out = _resolve_out_dir(config, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
@@ -327,11 +379,12 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
               "o_back": sim.o_back, "wavelength_m": sim.wavelength}
     write_cir_json(out / "target.json", sim.target_cir, {"link_budget": budget})
     write_cir_json(out / "background.json", sim.background_cir, {"link_budget": budget})
+    write_path_table(out / "target.npy", sim.target_cir)
+    write_path_table(out / "background.npy", sim.background_cir)
     write_padp_csv(out / "padp.csv", grid)
     timings["write"] = time.perf_counter() - t0
 
-    manifest = {name: _sha256(out / name)
-                for name in ("target.json", "background.json", "padp.csv")}
+    manifest = {name: _sha256(out / name) for name in OUTPUT_FILES}
     report = RunReport(seed=config.seed, manifest=manifest, timings_s=timings,
                        out_dir=str(out))
     with open(out / "report.json", "w") as f:
@@ -361,7 +414,7 @@ def load_scene(path) -> ReconstructionScene:
 
 def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0,
                 margin_db: float = 6.0) -> list[dict]:
-    """Re-scan the stored path lists, separate target from background
+    """Re-scan the stored path tables, separate target from background
     peaks, optionally classify bounce orders, and write paths.json."""
     run_dir = Path(run_dir)
     with open(run_dir / "report.json") as f:
@@ -370,8 +423,8 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0,
         raise ValueError(f"{run_dir / 'report.json'} has no config_dir; simulate again")
     config = parse_config(report["config"], report["config_dir"])
 
-    target_cir = read_cir_json(run_dir / "target.json")
-    bg_cir = read_cir_json(run_dir / "background.json")
+    target_cir = read_path_table(run_dir / "target.npy", config.carrier_freq_hz)
+    bg_cir = read_path_table(run_dir / "background.npy", config.carrier_freq_hz)
     combined, bin_w, bins = _scan_input(target_cir, bg_cir, config.bandwidth_hz)
     angles, step = config.scan_angles_deg(), config.scan_step_deg
     with_target = turntable_scan(combined, config.rx.antenna, angles, bins)

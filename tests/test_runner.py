@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from isacsim import Angle3D, Cir, GenerationProfile, Origin, PathComponent, runner, sounder
-from isacsim.core import COLUMNS, ORIGINS
+from isacsim.core import COLUMNS, ORIGINS, PATH_RECORD
 from isacsim.cli import main as cli_main
 from isacsim.config import ConfigError, load_config, parse_config
 from isacsim.runner import (
@@ -19,16 +19,25 @@ from isacsim.runner import (
     load_scene,
     packaged_golden_dir,
     read_cir_json,
+    read_path_table,
     run_analyze,
     run_simulate,
     run_sounder_roundtrip,
     run_validate,
     simulate_channels,
     write_cir_json,
+    write_path_table,
 )
+from isacsim.analysis import turntable_scan
 from isacsim.sounder import load_capture, transmit_through
 
 CONFIG_DIR = Path(__file__).parents[1] / "demos" / "configs"
+SHIPPED_CONFIGS = sorted(p for p in CONFIG_DIR.glob("*.json") if "scene" not in p.name)
+
+
+def _bits(col: np.ndarray) -> np.ndarray:
+    """A column's integer view: equal views mean equal bits, signed zeros included."""
+    return col.view(np.int64) if col.dtype.kind in "fc" else col
 
 
 def scen1_like(tmp_path, **overrides) -> Path:
@@ -200,11 +209,13 @@ class TestRunSimulate:
         r1 = run_simulate(cfg, out_dir=tmp_path / "a")
         r2 = run_simulate(cfg, out_dir=tmp_path / "b")
         assert r1.manifest == r2.manifest
-        for name in ("target.json", "background.json", "padp.csv", "report.json"):
+        for name in ("target.json", "background.json", "target.npy", "background.npy",
+                     "padp.csv", "report.json"):
             assert (tmp_path / "a" / name).exists()
         report = json.loads((tmp_path / "a" / "report.json").read_text())
         assert set(report["timings_s"]) == {"simulate", "scan", "write"}
-        assert set(report["manifest"]) == {"target.json", "background.json", "padp.csv"}
+        assert set(report["manifest"]) == {"target.json", "background.json", "target.npy",
+                                           "background.npy", "padp.csv"}
         assert report["config"] == cfg.raw
         assert report["config_dir"] == str(tmp_path.resolve())
 
@@ -339,6 +350,44 @@ class TestRunSimulate:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.carrier_freq == want.carrier_freq
 
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(
+        st.one_of(st.sampled_from([0.0, 1e-9, 1e-9, 5e-324, 7.3e-8]), st.floats(0.0, 1e-6)),
+        st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.2e-310, 1e-160]), st.floats(-10.0, 10.0)),
+        st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 3e-170]), st.floats(-1.0, 1.0)),
+        st.sampled_from([0.0, -0.0, 12.5, -3.1e4, 5e-324]),
+        st.one_of(st.sampled_from([0.0, -0.0, -1e-17, math.nextafter(2 * math.pi, 0),
+                                   2 * math.pi - 1e-15]), st.floats(0.0, 7.0)),
+        st.one_of(st.sampled_from([-0.0, -math.pi / 2, math.pi / 2]),
+                  st.floats(-math.pi / 2, math.pi / 2)),
+        st.integers(0, 40), st.integers(0, len(ORIGINS) - 1)), max_size=30))
+    def test_path_table_round_trip_bit_for_bit(self, tmp_path, rows):
+        delay, re, im, dop, az, el, order, origin = (
+            np.array(c) for c in (zip(*rows) if rows else [[]] * 8))
+        amp = np.zeros(len(rows), dtype=complex)
+        amp.real, amp.imag = re, im  # set, not added, so that signed zeros survive
+        cir = Cir.from_columns(delay, amp, dop, aod_az=az, aod_el=el,
+                               aoa_az=np.flip(az), aoa_el=np.flip(el), bounce_order=order,
+                               origin=origin.astype(np.int8), carrier_freq=28e9)
+        write_path_table(tmp_path / "t.npy", cir)
+        back = read_path_table(tmp_path / "t.npy", 28e9)
+        assert len(back) == len(cir) and back.carrier_freq == 28e9
+        for name in COLUMNS:
+            got, want = getattr(back, name), getattr(cir, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=name)
+
+    def test_path_table_is_plain_npy(self, tmp_path):
+        cir = simulate_channels(load_config(scen1_like(tmp_path))).target_cir
+        write_path_table(tmp_path / "t.npy", cir)
+        table = np.load(tmp_path / "t.npy", allow_pickle=False)
+        assert table.dtype == PATH_RECORD and table.shape == (len(cir),)
+        assert table.dtype.names == COLUMNS
+        assert all(table.dtype[name].str[0] in "<|" for name in COLUMNS)
+        assert table["aoa_az"].tobytes() == cir.aoa_az.tobytes()  # radians, as in memory
+
+
 class TestRunValidate:
     def test_packaged_golden_passes(self):
         report = run_validate()
@@ -387,6 +436,20 @@ class TestRunAnalyze:
         direct = [p for p in paths if p["bounce_order"] == 0]
         assert len(direct) == 1
         assert (tmp_path / "run" / "paths.json").exists()
+
+    @pytest.mark.parametrize("cfg_path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_rescan_equals_simulate_scan(self, tmp_path, monkeypatch, cfg_path):
+        grids = []
+
+        def scan(*args, **kwargs):
+            grids.append(turntable_scan(*args, **kwargs))
+            return grids[-1]
+
+        monkeypatch.setattr(runner, "turntable_scan", scan)
+        run_simulate(load_config(cfg_path), out_dir=tmp_path / "run")
+        run_analyze(tmp_path / "run")
+        simulated, with_target, _ = grids
+        assert np.array_equal(with_target.power, simulated.power)
 
     def test_shipped_scene_loads(self):
         # the file still carries beamwidth_deg, which nothing reads
@@ -562,6 +625,114 @@ class TestCli:
                 "did you mean 'n_clusters'?\n") in err
         assert "\n  - background.profile.k_factor_db is not a known key" in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section, key, hint", [
+        (lambda d: d["sounder"], "snr", "sounder.snr is not a known key; did you mean 'snr_db'?"),
+        (lambda d: d["scan"], "step", "scan.step is not a known key; did you mean 'step_deg'?"),
+        (lambda d: d["targets"][0], "velocity",
+         "targets[0].velocity is not a known key; did you mean 'velocity_mps'?"),
+        (lambda d: d, "bandwidth", "bandwidth is not a known key; did you mean 'bandwidth_hz'?"),
+        (lambda d: d["rx"]["antenna"], "hpbw", "rx.antenna.hpbw is not a known key"),
+        (lambda d: d["targets"][0]["rcs"], "exponent", "targets[0].rcs.exponent is not a known key"),
+        (lambda d: d["background"], "scatterers", "background.scatterers is not a known key"),
+        (lambda d: d["pcf"], "sigma", "pcf.sigma is not a known key"),
+        (lambda d: d["tx"], "pos", "tx.pos is not a known key"),
+    ], ids=["sounder.snr", "scan.step", "targets.velocity", "bandwidth", "antenna", "rcs",
+            "background", "pcf", "tx"])
+    def test_unknown_key_anywhere_is_config_error(self, tmp_path, capsys, section, key, hint):
+        doc = json.loads((CONFIG_DIR / "bistatic_ris_factory.json").read_text())
+        section(doc)[key] = 1
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario config")
+        assert err.count("\n  - ") == 1
+        assert f"\n  - {hint}" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_scatterer_key_is_config_error(self, tmp_path, capsys):
+        doc = json.loads((CONFIG_DIR / "monostatic_hall.json").read_text())
+        doc["background"]["scatterers"][2]["reflection_gain"] = -3.0
+        doc["tx"]["antenna"] = doc["rx"]["antenna"] = {"kind": "omni", "peak_gain_db": 3.0}
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "\n  - background.scatterers[2].reflection_gain is not a known key; " \
+               "did you mean 'reflection_gain_db'?" in err
+        assert "\n  - tx.antenna.peak_gain_db is not a known key" in err
+        assert "\n  - rx.antenna.peak_gain_db is not a known key" in err
+
+
+def _save(path, array):
+    """np.save, object arrays included, as a foreign file may hold them."""
+    with open(path, "wb") as f:
+        np.save(f, array, allow_pickle=True)
+
+
+def _with_first_value(column, value):
+    def damage(path):
+        table = np.load(path, allow_pickle=False)
+        table[column][0] = value
+        _save(path, table)
+    return damage
+
+
+class TestAnalyzeReadsPathTables:
+    """analyze reads target.npy and background.npy; a damaged, foreign or
+    missing table ends with one line naming the file and exit code 2."""
+
+    @pytest.fixture
+    def run_dir(self, tmp_path, capsys):
+        cfg_path = scen1_like(tmp_path)
+        assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        return tmp_path / "run"
+
+    def test_json_edits_do_not_reach_analyze(self, run_dir):
+        before = run_analyze(run_dir, peak_threshold_db=90.0)
+        (run_dir / "target.json").write_text("not json")
+        (run_dir / "background.json").unlink()
+        assert run_analyze(run_dir, peak_threshold_db=90.0) == before
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda p: p.write_bytes(b""), "is not a readable .npy array"),
+        (lambda p: p.write_bytes(p.read_bytes()[:-5]), "is not a readable .npy array"),
+        (lambda p: p.write_bytes(p.read_bytes()[:60]), "is not a readable .npy array"),
+        (lambda p: p.write_text('{"paths": []}'), "is not a readable .npy array"),
+        (lambda p: _save(p, np.array([{"delay": 0.0}], dtype=object)),
+         "is not a readable .npy array"),
+        (lambda p: p.write_bytes(p.read_bytes() + b"\0"), "has bytes past its array"),
+        (lambda p: _save(p, np.zeros(4)), "holds records of dtype float64"),
+        (lambda p: _save(p, np.load(p).astype(PATH_RECORD.newbyteorder(">"))),
+         "not path records"),
+        (lambda p: _save(p, np.stack([np.load(p)] * 2)), "holds a 2-D array"),
+        (_with_first_value("amp", complex(math.nan, 0.0)), "amplitude must be finite"),
+        (_with_first_value("delay", -1e-9), "delay must be finite and >= 0, got -1e-09"),
+        (_with_first_value("origin_code", 7), "origin code outside ORIGINS"),
+    ], ids=["empty", "truncated", "truncated-header", "not-npy", "object-array",
+            "trailing-bytes", "wrong-dtype", "big-endian", "2-D", "nan-amplitude",
+            "negative-delay", "bad-origin"])
+    def test_bad_table_exits_2_naming_the_file(self, run_dir, capsys, damage, message):
+        table = run_dir / "target.npy"
+        damage(table)
+        assert cli_main(["analyze", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}")
+        assert message in err
+        assert len(err.strip().splitlines()) == 1
+        assert "pickle" not in err
+        assert not (run_dir / "paths.json").exists()
+
+    def test_run_without_tables_is_refused(self, run_dir, capsys):
+        (run_dir / "target.npy").unlink()
+        (run_dir / "background.npy").unlink()
+        assert cli_main(["analyze", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / 'target.npy'} not found")
+        assert err.strip().endswith("simulate again")
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_table_rcs_simulate_leaves_scipy_unloaded(tmp_path):
