@@ -1,20 +1,23 @@
-"""Scenario configuration: JSON schema, loading, and whole-file validation.
+"""Scenario and scene files: one key table per section, one reader that
+collects every violation under its key path, and the model builders.
 
 Field names carry explicit SI units (..._hz, ..._m, ..._deg) because the
 sensing literature mixes GHz/ns/degrees freely and silent unit errors
-are the most common failure mode. Validation collects every violation
-before raising, not just the first.
+are the most common failure mode. Each key is declared once, as
+``key: (type, default, rule)``; the README lists the same keys.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .background import GeometricScatterer, PcfModel, default_pcf_model
+from .background import (PCF_CLAMP, PCF_MEASUREMENTS, GeometricScatterer, PcfModel,
+                         default_pcf_model)
 from .core import ConstantRcs, CosineLobeRcs, ScatteringPoint
 from .gbsm import AntennaModel, GenerationProfile
 from .target import load_rcs_table_csv
@@ -23,9 +26,9 @@ from .target import load_rcs_table_csv
 class ConfigError(ValueError):
     """Carries the full list of validation violations."""
 
-    def __init__(self, violations):
+    def __init__(self, violations, source: str = "scenario config"):
         self.violations = list(violations)
-        super().__init__("invalid scenario config:\n  - " + "\n  - ".join(self.violations))
+        super().__init__(f"invalid {source}:\n  - " + "\n  - ".join(self.violations))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,112 +72,149 @@ class ScenarioConfig:
     seed: int
     outputs: str
     base_dir: Path  # relative file names in the config resolve against it
-    sounder_m: int = 11
-    sounder_snr_db: float = 30.0
+    sounder_m: int
+    sounder_snr_db: float
     raw: dict = field(default_factory=dict, repr=False)
 
     def scan_angles_deg(self) -> np.ndarray:
         return np.arange(self.scan_start_deg, self.scan_stop_deg, self.scan_step_deg)
 
 
-def _section(parent: dict, key: str, errors, where: str, default=None) -> dict:
-    """``parent[key]`` when it is a JSON object; otherwise a violation
-    naming ``where`` and an empty object to parse on with."""
-    value = parent.get(key, {} if default is None else default)
-    if isinstance(value, dict):
-        return value
-    errors.append(f"{where} must be an object, got {value!r}")
-    return {}
+REQUIRED = object()  # the default of a key that must be given
+VECTOR = "vector"    # the type of a position or velocity: a list of 3 numbers
 
 
-def _number(spec: dict, key: str, default, errors, where: str, kind=float):
-    """``spec[key]`` (or the default) as ``kind``; otherwise a violation
-    naming ``where`` and the default."""
-    value = spec.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        errors.append(f"{where} must be a number, got {value!r}")
-        return kind(default)
+def _is_number(v) -> bool:
+    # a finite JSON number: not a bool, NaN, an infinity or an int too large for a float
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -sys.float_info.max <= v <= sys.float_info.max)
 
 
-# the keys each section reads, by antenna kind, RCS variant or background
-# mode where they depend on it; any other key is a violation
-TOP_KEYS = ("name", "carrier_freq_hz", "bandwidth_hz", "sensing_mode", "tx", "rx",
-            "targets", "background", "pcf", "scan", "seed", "outputs", "sounder")
-ENDPOINT_KEYS = ("position_m", "antenna")
-ANTENNA_KEYS = {"omni": ("kind",), "horn": ("kind", "hpbw_deg", "peak_gain_db")}
-TARGET_KEYS = ("position_m", "velocity_mps", "rcs", "sublink")
-RCS_KEYS = {"constant": ("variant", "sigma_dbsm"),
-            "cosine_lobe": ("variant", "sigma0_dbsm", "exponent"),
-            "table": ("variant", "csv")}
-BACKGROUND_KEYS = {"statistical": ("mode", "profile"), "geometric": ("mode", "scatterers")}
-SCATTERER_KEYS = ("position_m", "reflection_gain_db", "label")
-PCF_KEYS = ("value", "mean", "std", "condition", "domain")  # domain has its own violation
-SCAN_KEYS = ("start_deg", "stop_deg", "step_deg")
-SOUNDER_KEYS = ("register_length", "snr_db")
+# each leaf type: its name in a violation, its test of a JSON value, its conversion
+LEAF_TYPES = {
+    float: ("a number", _is_number, float),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    str: ("a string", lambda v: isinstance(v, str), str),
+    VECTOR: ("a list of 3 numbers",
+             lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
+             lambda v: np.asarray(v, dtype=float)),
+}
 
 
-def _parse_antenna(spec: dict, errors, where: str) -> AntennaModel:
-    kind = spec.get("kind", "omni")
-    if kind == "omni":
-        _unknown_keys(spec, ANTENNA_KEYS["omni"], errors, where)
-        return AntennaModel(kind="omni")
-    if kind == "horn":
-        _unknown_keys(spec, ANTENNA_KEYS["horn"], errors, where)
-        hpbw = spec.get("hpbw_deg", 10.0)
-        try:
-            valid = float(hpbw) > 0
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            errors.append(f"{where}: hpbw_deg must be a number > 0, got {hpbw!r}")
-            hpbw = 10.0
-        return AntennaModel(kind="horn", hpbw_deg=float(hpbw),
-                            peak_gain_db=float(spec.get("peak_gain_db", 0.0)))
-    errors.append(f"{where}: unknown antenna kind {kind!r}")
-    return AntennaModel(kind="omni")
+def _one_of(*names):
+    return " or ".join(map(repr, names)), lambda v: v in names
 
 
-def _parse_rcs(spec: dict, errors, where: str, base_dir: Path):
-    variant = spec.get("variant", "constant")
-    if variant in ("constant", "cosine_lobe", "table"):
-        _unknown_keys(spec, RCS_KEYS[variant], errors, f"{where}.rcs")
-    if variant == "constant":
-        return ConstantRcs(float(spec.get("sigma_dbsm", 0.0)))
-    if variant == "cosine_lobe":
-        exponent = float(spec.get("exponent", 0.0))
-        if exponent < 0:
-            errors.append(f"{where}: cosine lobe exponent must be >= 0")
-            exponent = 0.0
-        return CosineLobeRcs(float(spec.get("sigma0_dbsm", 0.0)), exponent)
-    if variant == "table":
-        csv_rel = spec.get("csv")
-        if not csv_rel:
-            errors.append(f"{where}: table RCS needs a 'csv' path")
-            return ConstantRcs(0.0)
-        try:
-            return load_rcs_table_csv(base_dir / csv_rel)
-        except Exception as exc:
-            errors.append(f"{where}: failed to load RCS table: {exc}")
-            return ConstantRcs(0.0)
-    errors.append(f"{where}: unknown RCS variant {variant!r}")
-    return ConstantRcs(0.0)
+# a rule: its text in a violation, and its test of a value of the right type
+POSITIVE = ("> 0", lambda v: v > 0)
+NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
+NON_EMPTY = ("non-empty", bool)
+PCF_RANGE = ("in (0, 1.5]", lambda v: PCF_CLAMP[0] < v <= PCF_CLAMP[1])
 
 
-# sub-link defaults where they differ from the background's (GenerationProfile's)
-SUBLINK_DEFAULTS = {"n_clusters": 4, "rays_per_cluster": 5, "delay_scale_ns": 20.0}
+@dataclass(frozen=True)
+class Tagged:
+    """Key tables chosen by the string at ``key`` (``default`` where it
+    is absent), which every table accepts; with no ``key``, by the first
+    table name that is a key of the object."""
+
+    key: str | None
+    default: object
+    tables: dict
+
+    def pick(self, doc: dict, path: str, errors) -> dict | None:
+        if self.key is None:
+            tag = next((name for name in self.tables if name in doc), None)
+            if tag is None:
+                errors.append(f"{path} must have one of the keys "
+                              f"{_one_of(*self.tables)[0]}, got {doc!r}")
+            return self.tables.get(tag)
+        tag = doc.get(self.key, self.default)
+        if _check(tag, str, _one_of(*self.tables), f"{path}.{self.key}", errors) is None:
+            return None
+        return {self.key: (str, self.default, None), **self.tables[tag]}
 
 
-# the keys _parse_profile reads; a sub-link also takes k_factor_db
-PROFILE_KEYS = ("n_clusters", "rays_per_cluster", "delay_scale_ns", "angle_spread_deg",
-                "xpr_mean_db", "xpr_std_db", "shadow_std_db", "doppler_max_hz")
+# the cluster recipe of a background or a sub-link (GenerationProfile)
+PROFILE = {
+    "n_clusters": (int, 8, NON_NEGATIVE),
+    "rays_per_cluster": (int, 10, AT_LEAST_ONE),
+    "delay_scale_ns": (float, 30.0, NON_NEGATIVE),
+    "angle_spread_deg": (float, 5.0, NON_NEGATIVE),
+    "xpr_mean_db": (float, 9.0, None),
+    "xpr_std_db": (float, 3.0, NON_NEGATIVE),
+    "shadow_std_db": (float, 3.0, NON_NEGATIVE),
+    "doppler_max_hz": (float, 0.0, NON_NEGATIVE),
+}
+SUBLINK = {**PROFILE,
+           "n_clusters": (int, 4, NON_NEGATIVE),
+           "rays_per_cluster": (int, 5, AT_LEAST_ONE),
+           "delay_scale_ns": (float, 20.0, NON_NEGATIVE),
+           "k_factor_db": (float, 6.0, None)}
+ENDPOINT = {
+    "position_m": (VECTOR, [0.0, 0.0, 0.0], None),
+    "antenna": (Tagged("kind", "omni", {
+        "omni": {},
+        "horn": {"hpbw_deg": (float, 10.0, POSITIVE), "peak_gain_db": (float, 0.0, None)},
+    }), {}, None),
+}
+TARGET = {
+    "position_m": (VECTOR, [0.0, 0.0, 0.0], None),
+    "velocity_mps": (VECTOR, [0.0, 0.0, 0.0], None),
+    "rcs": (Tagged("variant", "constant", {
+        "constant": {"sigma_dbsm": (float, 0.0, None)},
+        "cosine_lobe": {"sigma0_dbsm": (float, 0.0, None),
+                        "exponent": (float, 0.0, NON_NEGATIVE)},
+        "table": {"csv": (str, REQUIRED, NON_EMPTY)},  # resolved against the config's directory
+    }), {}, None),
+    "sublink": (SUBLINK, {}, None),
+}
+SCATTERER = {
+    "position_m": (VECTOR, REQUIRED, None),
+    "reflection_gain_db": (float, 0.0, None),
+    "label": (str, None, None),  # S<index> where absent
+}
+SCENARIO = {
+    "name": (str, REQUIRED, NON_EMPTY),  # load_config: the file's stem where absent
+    "carrier_freq_hz": (float, REQUIRED, POSITIVE),
+    "bandwidth_hz": (float, REQUIRED, POSITIVE),
+    "sensing_mode": (str, REQUIRED, _one_of("mono_static", "bi_static")),
+    "tx": (ENDPOINT, {}, None),
+    "rx": (ENDPOINT, {}, None),
+    "targets": ([TARGET], [], None),
+    "background": (Tagged("mode", REQUIRED, {
+        "statistical": {"profile": ({**PROFILE, "n_clusters": (int, 8, AT_LEAST_ONE)},
+                                    REQUIRED, None)},
+        "geometric": {"scatterers": ([SCATTERER], [], None)},
+    }), {}, None),
+    "pcf": (Tagged(None, None, {
+        "value": {"value": (float, REQUIRED, PCF_RANGE)},
+        "mean": {"mean": (float, REQUIRED, PCF_RANGE), "std": (float, 0.0, NON_NEGATIVE),
+                 "condition": (str, "custom", None)},
+        "condition": {"condition": (str, REQUIRED,
+                                    _one_of(*dict.fromkeys(c for _, c, _ in PCF_MEASUREMENTS)))},
+    }), {"value": 1.0}, None),
+    "scan": ({"start_deg": (float, 0.0, None), "stop_deg": (float, 360.0, None),
+              "step_deg": (float, 5.0, POSITIVE)}, {}, None),
+    "seed": (int, REQUIRED, NON_NEGATIVE),
+    "outputs": (str, None, None),  # the name where absent
+    "sounder": ({"register_length": (int, 11, None), "snr_db": (float, 30.0, None)}, {}, None),
+}
+# the reconstruction scene that `analyze --scene` reads
+SCENE = {
+    "tx_m": (VECTOR, REQUIRED, None),
+    "rx_m": (VECTOR, REQUIRED, None),
+    "target_m": (VECTOR, REQUIRED, None),
+    "reflectors": ([{"position_m": (VECTOR, REQUIRED, None),
+                     "label": (str, None, None)}], [], None),  # R<index> where absent
+    "beamwidth_deg": (float, None, POSITIVE),  # accepted, not used
+}
 
 
 def _unknown_keys(spec: dict, allowed, errors, where: str) -> None:
-    """A violation naming each key of ``spec`` outside ``allowed``, with
-    the closest allowed key as a suggestion; ``where`` is the key path of
-    ``spec``, empty at the top level."""
+    """A violation naming each key of ``spec`` outside ``allowed``, with the
+    closest allowed key as a suggestion; ``where`` is the key path of ``spec``."""
     for key in spec:
         if key not in allowed:
             import difflib  # only on this error path: it costs ms at startup
@@ -184,36 +224,55 @@ def _unknown_keys(spec: dict, allowed, errors, where: str) -> None:
             errors.append(f"{name} is not a known key{hint}")
 
 
-def _parse_profile(spec: dict, errors, where: str,
-                   also_allowed: tuple[str, ...] = ()) -> GenerationProfile | None:
-    """Cluster recipe of a background or a sub-link, seed 0; each user
-    reseeds it with its own child seed. A key outside PROFILE_KEYS and
-    ``also_allowed`` is a violation."""
-    _unknown_keys(spec, PROFILE_KEYS + also_allowed, errors, where)
-    try:
-        return GenerationProfile(
-            n_clusters=int(spec.get("n_clusters", 8)),
-            rays_per_cluster=int(spec.get("rays_per_cluster", 10)),
-            delay_scale_s=float(spec.get("delay_scale_ns", 30.0)) * 1e-9,
-            angle_spread_rad=math.radians(float(spec.get("angle_spread_deg", 5.0))),
-            xpr_mean_db=float(spec.get("xpr_mean_db", 9.0)),
-            xpr_std_db=float(spec.get("xpr_std_db", 3.0)),
-            shadow_std_db=float(spec.get("shadow_std_db", 3.0)),
-            doppler_max_hz=float(spec.get("doppler_max_hz", 0.0)),
-            seed=0,
-        )
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{where}: {exc}")
-        return None
+def _read(doc: dict, table, path: str, errors) -> dict | None:
+    """The object ``doc`` at key path ``path`` read against ``table``:
+    each key's checked value, its default where it is absent, or None
+    where it breaks its type or rule. None where a tag picks no table."""
+    if isinstance(table, Tagged):
+        table = table.pick(doc, path, errors)
+        if table is None:
+            return None
+    _unknown_keys(doc, table, errors, path)
+    values = {}
+    for key, (kind, default, rule) in table.items():
+        value = doc.get(key, default)
+        if value is None and key not in doc:  # absent, and no default value
+            values[key] = None
+        else:
+            values[key] = _check(value, kind, rule, f"{path}.{key}" if path else key, errors)
+    return values
+
+
+def _check(value, kind, rule, where: str, errors):
+    """``value`` read as ``kind`` (a leaf type, a table, or a list of one
+    table's objects) under ``rule``; None and a violation where it breaks either."""
+    if isinstance(kind, (dict, Tagged)):
+        expected = "an object"
+        if isinstance(value, dict):
+            return _read(value, kind, where, errors)
+    elif isinstance(kind, list):
+        expected = "a list"
+        if isinstance(value, list):
+            return [_check(item, kind[0], None, f"{where}[{i}]", errors)
+                    for i, item in enumerate(value)]
+    else:
+        expected, test, convert = LEAF_TYPES[kind]
+        if test(value):
+            if rule is None or rule[1](value):
+                return convert(value)
+            expected = rule[0]
+    errors.append(f"{where} is missing: it must be {expected}" if value is REQUIRED
+                  else f"{where} must be {expected}, got {value!r}")
+    return None
 
 
 def load_config(path) -> ScenarioConfig:
-    """Read a scenario JSON and parse it with :func:`parse_config`; a
-    missing name is the file's stem."""
+    """Read a scenario JSON and parse it with :func:`parse_config`; an
+    absent name is the file's stem."""
     path = Path(path)
     with open(path) as f:
         raw = json.load(f)
-    if isinstance(raw, dict) and not raw.get("name"):
+    if isinstance(raw, dict) and "name" not in raw:
         raw["name"] = path.stem
     return parse_config(raw, path.parent)
 
@@ -225,157 +284,98 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         raise ConfigError(["a scenario must be a JSON object"])
     base_dir = Path(base_dir)
     errors: list[str] = []
-    _unknown_keys(raw, TOP_KEYS, errors, "")
+    c = _read(raw, SCENARIO, "", errors)
 
-    name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        errors.append("name must be a non-empty string")
-    carrier = _number(raw, "carrier_freq_hz", 0.0, errors, "carrier_freq_hz")
-    if carrier <= 0:
-        errors.append("carrier_freq_hz must be > 0")
-    bandwidth = _number(raw, "bandwidth_hz", 0.0, errors, "bandwidth_hz")
-    if bandwidth <= 0:
-        errors.append("bandwidth_hz must be > 0")
-
-    mode = raw.get("sensing_mode", "")
-    if mode not in ("mono_static", "bi_static"):
-        errors.append(f"sensing_mode must be mono_static or bi_static, got {mode!r}")
-
-    tx_raw = _section(raw, "tx", errors, "tx")
-    rx_raw = _section(raw, "rx", errors, "rx")
-    _unknown_keys(tx_raw, ENDPOINT_KEYS, errors, "tx")
-    _unknown_keys(rx_raw, ENDPOINT_KEYS, errors, "rx")
-    tx = EndpointSpec(np.asarray(tx_raw.get("position_m", [0, 0, 0]), dtype=float),
-                      _parse_antenna(_section(tx_raw, "antenna", errors, "tx.antenna"),
-                                     errors, "tx.antenna"))
-    rx = EndpointSpec(np.asarray(rx_raw.get("position_m", [0, 0, 0]), dtype=float),
-                      _parse_antenna(_section(rx_raw, "antenna", errors, "rx.antenna"),
-                                     errors, "rx.antenna"))
-    if mode == "mono_static" and not np.array_equal(tx.position_m, rx.position_m):
+    # cross-field rules, each on values that passed their own checks
+    mode, tx, rx, bg, scan = (c[k] for k in ("sensing_mode", "tx", "rx", "background", "scan"))
+    tx_pos, rx_pos = (end and end["position_m"] for end in (tx, rx))
+    if (mode == "mono_static" and tx_pos is not None and rx_pos is not None
+            and not np.array_equal(tx_pos, rx_pos)):
         errors.append("mono_static requires tx.position_m == rx.position_m")
-
-    targets = []
-    for i, t in enumerate(raw.get("targets", [])):
-        where = f"targets[{i}]"
-        if not isinstance(t, dict):
-            errors.append(f"{where} must be an object, got {t!r}")
-            continue
-        _unknown_keys(t, TARGET_KEYS, errors, where)
-        rcs = _parse_rcs(_section(t, "rcs", errors, f"{where}.rcs"), errors, where, base_dir)
-        point = ScatteringPoint(
-            position=np.asarray(t.get("position_m", [0, 0, 0]), dtype=float),
-            velocity=np.asarray(t.get("velocity_mps", [0, 0, 0]), dtype=float),
-            rcs_model=rcs,
-        )
-        sl = _section(t, "sublink", errors, f"{where}.sublink")
-        targets.append(TargetSpec(
-            point=point,
-            profile=_parse_profile({**SUBLINK_DEFAULTS, **sl}, errors, f"{where}.sublink",
-                                   also_allowed=("k_factor_db",)),
-            k_factor_db=_number(sl, "k_factor_db", 6.0, errors,
-                                f"{where}.sublink.k_factor_db")))
-
-    bg_raw = _section(raw, "background", errors, "background")
-    bg_mode = bg_raw.get("mode", "")
-    if bg_mode in ("statistical", "geometric"):
-        _unknown_keys(bg_raw, BACKGROUND_KEYS[bg_mode], errors, "background")
-    profile = None
-    scatterers: tuple[GeometricScatterer, ...] = ()
-    if bg_mode == "statistical":
-        prof_raw = bg_raw.get("profile")
-        if prof_raw is None:
-            errors.append("statistical background needs a 'profile'")
-        elif not isinstance(prof_raw, dict):
-            errors.append(f"background.profile must be an object, got {prof_raw!r}")
-        else:
-            profile = _parse_profile(prof_raw, errors, "background.profile")
-            if profile is not None and profile.n_clusters < 1:
-                errors.append("background profile needs n_clusters >= 1")
-    elif bg_mode == "geometric":
-        sc_raw = bg_raw.get("scatterers", [])
-        for i, sc in enumerate(sc_raw if isinstance(sc_raw, list) else ()):
-            if isinstance(sc, dict):
-                _unknown_keys(sc, SCATTERER_KEYS, errors, f"background.scatterers[{i}]")
-        try:
-            scatterers = tuple(
-                GeometricScatterer(
-                    position=np.asarray(sc["position_m"], dtype=float),
-                    reflection_gain_db=float(sc.get("reflection_gain_db", 0.0)),
-                    label=sc.get("label", f"S{i}"))
-                for i, sc in enumerate(sc_raw))
-        except (KeyError, TypeError) as exc:
-            errors.append(f"background.scatterers malformed: {exc}")
-    else:
-        errors.append(f"background.mode must be statistical or geometric, got {bg_mode!r}")
     # the statistical engine assumes separated endpoints; co-located
     # sensing needs the geometric echo model
-    if mode == "mono_static" and bg_mode == "statistical":
+    if mode == "mono_static" and bg and bg["mode"] == "statistical":
         errors.append("mono_static sensing requires background.mode = geometric")
-    if mode == "bi_static" and bg_mode == "geometric":
+    if mode == "bi_static" and bg and bg["mode"] == "geometric":
         errors.append("bi_static sensing requires background.mode = statistical")
-    background = BackgroundSpec(mode=bg_mode, profile=profile, scatterers=scatterers)
-
-    pcf_raw = _section(raw, "pcf", errors, "pcf", default={"value": 1.0})
-    _unknown_keys(pcf_raw, PCF_KEYS, errors, "pcf")
-    pcf = None
-    if "domain" in pcf_raw:
-        errors.append("pcf.domain is not supported: the PCF always scales "
-                      "linear received power")
-    if "value" in pcf_raw:
-        value = _number(pcf_raw, "value", math.nan, errors, "pcf.value")
-        try:
-            pcf = PcfModel("fixed", value, 0.0)
-        except ValueError:
-            errors.append(f"pcf.value {value} outside (0, 1.5]")
-    elif "mean" in pcf_raw:
-        try:
-            pcf = PcfModel(pcf_raw.get("condition", "custom"),
-                           _number(pcf_raw, "mean", math.nan, errors, "pcf.mean"),
-                           _number(pcf_raw, "std", 0.0, errors, "pcf.std"))
-        except ValueError as exc:
-            errors.append(f"pcf model invalid: {exc}")
-    elif "condition" in pcf_raw:
-        try:
-            pcf = default_pcf_model(pcf_raw["condition"])
-        except ValueError as exc:
-            errors.append(str(exc))
-    else:
-        errors.append("pcf needs one of: value, mean, condition")
-
-    scan_raw = _section(raw, "scan", errors, "scan")
-    _unknown_keys(scan_raw, SCAN_KEYS, errors, "scan")
-    start = _number(scan_raw, "start_deg", 0.0, errors, "scan.start_deg")
-    stop = _number(scan_raw, "stop_deg", 360.0, errors, "scan.stop_deg")
-    step = _number(scan_raw, "step_deg", 5.0, errors, "scan.step_deg")
-    if step <= 0:
-        errors.append("scan.step_deg must be > 0")
-    elif stop <= start:
-        errors.append("scan.stop_deg must exceed scan.start_deg")
-    else:
-        span = stop - start
-        ratio = span / step
-        if abs(ratio - round(ratio)) > 1e-9:
-            errors.append(f"scan.step_deg {step} does not divide the range {span}")
-
-    seed = raw.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        errors.append("seed must be an integer")
-        seed = 0
-
-    sounder_raw = _section(raw, "sounder", errors, "sounder")
-    _unknown_keys(sounder_raw, SOUNDER_KEYS, errors, "sounder")
-    sounder_m = _number(sounder_raw, "register_length", 11, errors,
-                        "sounder.register_length", kind=int)
-    sounder_snr = _number(sounder_raw, "snr_db", 30.0, errors, "sounder.snr_db")
+    if scan and None not in scan.values():
+        start, stop, step = scan["start_deg"], scan["stop_deg"], scan["step_deg"]
+        ratio = (stop - start) / step
+        if stop <= start:
+            errors.append("scan.stop_deg must exceed scan.start_deg")
+        elif not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
+            errors.append(f"scan.step_deg {step} does not divide the range {stop - start}")
+    for i, t in enumerate(c["targets"] or ()):
+        rcs = t and t["rcs"]
+        if rcs and rcs["variant"] == "table" and rcs["csv"]:
+            try:
+                rcs["table"] = load_rcs_table_csv(base_dir / rcs["csv"])
+            except Exception as exc:
+                errors.append(f"targets[{i}].rcs.csv must name a readable RCS table, "
+                              f"got {rcs['csv']!r}: {exc}")
 
     if errors:
         raise ConfigError(errors)
 
     return ScenarioConfig(
-        name=name, carrier_freq_hz=carrier, bandwidth_hz=bandwidth,
-        sensing_mode=mode, tx=tx, rx=rx, targets=tuple(targets),
-        background=background, pcf=pcf,
-        scan_start_deg=start, scan_stop_deg=stop, scan_step_deg=step,
-        seed=seed, outputs=raw.get("outputs", name), base_dir=base_dir,
-        sounder_m=sounder_m, sounder_snr_db=sounder_snr, raw=raw,
+        name=c["name"], carrier_freq_hz=c["carrier_freq_hz"], bandwidth_hz=c["bandwidth_hz"],
+        sensing_mode=mode, tx=EndpointSpec(tx_pos, AntennaModel(**tx["antenna"])),
+        rx=EndpointSpec(rx_pos, AntennaModel(**rx["antenna"])),
+        targets=tuple(TargetSpec(
+            point=ScatteringPoint(position=t["position_m"], velocity=t["velocity_mps"],
+                                  rcs_model=_rcs(t["rcs"])),
+            profile=_profile(t["sublink"]), k_factor_db=t["sublink"]["k_factor_db"])
+            for t in c["targets"]),
+        background=BackgroundSpec(
+            mode=bg["mode"],
+            profile=_profile(bg["profile"]) if bg["mode"] == "statistical" else None,
+            scatterers=tuple(
+                GeometricScatterer(position=sc["position_m"],
+                                   reflection_gain_db=sc["reflection_gain_db"],
+                                   label=sc["label"] or f"S{i}")
+                for i, sc in enumerate(bg.get("scatterers", ())))),
+        pcf=_pcf(c["pcf"]),
+        scan_start_deg=scan["start_deg"], scan_stop_deg=scan["stop_deg"],
+        scan_step_deg=scan["step_deg"], seed=c["seed"],
+        outputs=c["name"] if c["outputs"] is None else c["outputs"], base_dir=base_dir,
+        sounder_m=c["sounder"]["register_length"], sounder_snr_db=c["sounder"]["snr_db"],
+        raw=raw,
     )
+
+
+def _rcs(spec: dict):
+    if spec["variant"] == "constant":
+        return ConstantRcs(spec["sigma_dbsm"])
+    if spec["variant"] == "cosine_lobe":
+        return CosineLobeRcs(spec["sigma0_dbsm"], spec["exponent"])
+    return spec["table"]
+
+
+def _profile(spec: dict) -> GenerationProfile:
+    """Cluster recipe of a background or a sub-link, seed 0: each user reseeds it."""
+    return GenerationProfile(
+        n_clusters=spec["n_clusters"], rays_per_cluster=spec["rays_per_cluster"],
+        delay_scale_s=spec["delay_scale_ns"] * 1e-9,
+        angle_spread_rad=math.radians(spec["angle_spread_deg"]),
+        xpr_mean_db=spec["xpr_mean_db"], xpr_std_db=spec["xpr_std_db"],
+        shadow_std_db=spec["shadow_std_db"], doppler_max_hz=spec["doppler_max_hz"], seed=0)
+
+
+def _pcf(spec: dict) -> PcfModel:
+    if "value" in spec:
+        return PcfModel("fixed", spec["value"], 0.0)
+    if "mean" in spec:
+        return PcfModel(spec["condition"], spec["mean"], spec["std"])
+    return default_pcf_model(spec["condition"])
+
+
+def parse_scene(doc) -> dict:
+    """The checked values of a reconstruction scene document (SCENE);
+    raises ConfigError naming every bad key of the scene file."""
+    if not isinstance(doc, dict):
+        raise ConfigError(["a scene must be a JSON object"], "scene file")
+    errors: list[str] = []
+    scene = _read(doc, SCENE, "", errors)
+    if errors:
+        raise ConfigError(errors, "scene file")
+    return scene

@@ -37,7 +37,7 @@ from .background import (
     default_pcf_model,
     sample_pcf,
 )
-from .config import ScenarioConfig, TargetSpec, parse_config
+from .config import ScenarioConfig, TargetSpec, parse_config, parse_scene
 from .core import (
     C_LIGHT,
     COLUMNS,
@@ -400,16 +400,11 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
 
 def load_scene(path) -> ReconstructionScene:
     with open(path) as f:
-        doc = json.load(f)
+        scene = parse_scene(json.load(f))
     return ReconstructionScene(
-        tx=np.asarray(doc["tx_m"], dtype=float),
-        rx=np.asarray(doc["rx_m"], dtype=float),
-        target=np.asarray(doc["target_m"], dtype=float),
-        reflectors=tuple(
-            GeometricScatterer(position=np.asarray(r["position_m"], dtype=float),
-                               label=r.get("label", f"R{i}"))
-            for i, r in enumerate(doc.get("reflectors", []))),
-    )
+        tx=scene["tx_m"], rx=scene["rx_m"], target=scene["target_m"],
+        reflectors=tuple(GeometricScatterer(position=r["position_m"], label=r["label"] or f"R{i}")
+                         for i, r in enumerate(scene["reflectors"])))
 
 
 def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0,

@@ -98,8 +98,9 @@ class TestLoadConfig:
 
     def test_pcf_value_range(self, tmp_path):
         path = scen1_like(tmp_path, pcf={"value": 2.0})
-        with pytest.raises(ConfigError, match="outside"):
+        with pytest.raises(ConfigError) as err:
             load_config(path)
+        assert err.value.violations == ["pcf.value must be in (0, 1.5], got 2.0"]
 
     def test_background_mode_tied_to_sensing_mode(self, tmp_path):
         path = scen1_like(tmp_path, background={
@@ -123,8 +124,8 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert err.value.violations == [
-            "bandwidth_hz must be > 0",
-            "targets[0].sublink: rays_per_cluster must be >= 1"]
+            "bandwidth_hz must be > 0, got 0.0",
+            "targets[0].sublink.rays_per_cluster must be >= 1, got 0"]
 
     def test_demo_configs_all_valid(self):
         for cfg_path in sorted(CONFIG_DIR.glob("*.json")):
@@ -531,7 +532,8 @@ class TestCli:
         assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n  - ") == 1
-        assert f"rx.antenna: hpbw_deg must be a number > 0, got {hpbw!r}" in err
+        expected = "> 0" if hpbw == -3.0 else "a number"
+        assert f"\n  - rx.antenna.hpbw_deg must be {expected}, got {hpbw!r}\n" in err
 
     def test_analyze_rejects_bad_stored_config(self, tmp_path, capsys):
         cfg_path = scen1_like(tmp_path)
