@@ -25,7 +25,7 @@ from isacsim import (
 wl = wavelength_m(28e9)
 
 profile = GenerationProfile(n_clusters=6, rays_per_cluster=8, delay_scale_s=35e-9, seed=5)
-bg = background_bistatic(profile, OMNI, OMNI, wl)
+bg = background_bistatic(profile, OMNI, OMNI)
 print(f"bi-static statistical background: {len(bg)} paths, "
       f"total power {bg.total_power():.6f} (normalized before path loss)")
 print(f"  delay span {bg.paths[0].delay * 1e9:.1f} .. {bg.paths[-1].delay * 1e9:.1f} ns\n")

@@ -8,11 +8,8 @@ first-hop delay offset, and the power product law.
 import numpy as np
 
 from isacsim import (
-    Angle3D,
-    Cluster,
     ClusterSet,
     ConstantRcs,
-    Ray,
     ScatteringPoint,
     Side,
     SubLink,
@@ -25,24 +22,21 @@ from isacsim import (
 wl = wavelength_m(6.9e9)
 sp = ScatteringPoint(position=[5.2, 0.0, 1.5], rcs_model=ConstantRcs(8.48))
 
-# first hop: a single line-of-sight ray, 17.5 ns
-los = Ray(power=1.0, delay=17.5e-9, aod=Angle3D(0.1, 0), aoa=Angle3D(3.2, 0),
-          bounce_order=0)
-hop_a = SubLink(Side.TX_TO_TARGET, ClusterSet((Cluster(1.0, (los,)),)))
+# first hop: a single line-of-sight ray, 17.5 ns; each sub-link is a
+# table of rays, one row per ray, with (azimuth, elevation) angle rows
+los = ClusterSet(power=1.0, delay=17.5e-9, aod=(0.1, 0), aoa=(3.2, 0), bounce_order=0)
+hop_a = SubLink(Side.TX_TO_TARGET, los)
 
 # second hop: four paths like a directional scan would resolve
 delays_b = [33.3e-9, 47.0e-9, 60.2e-9, 88.8e-9]
 powers_b = [0.55, 0.25, 0.13, 0.07]
-rng = np.random.default_rng(1)
-rays_b = tuple(
-    Ray(power=p, delay=d, aod=Angle3D(rng.uniform(0, 6.28), 0),
-        aoa=Angle3D(rng.uniform(0, 6.28), 0))
-    for d, p in zip(delays_b, powers_b)
-)
-hop_b = SubLink(Side.TARGET_TO_RX, ClusterSet((Cluster(1.0, rays_b),)))
+az = np.random.default_rng(1).uniform(0, 6.28, (4, 2))  # (AoD, AoA) azimuth per ray
+hop_b = SubLink(Side.TARGET_TO_RX, ClusterSet(
+    power=powers_b, delay=delays_b,
+    aod=np.stack([az[:, 0], np.zeros(4)], axis=1), aoa=np.stack([az[:, 1], np.zeros(4)], axis=1)))
 
 cir = concatenate(hop_a, hop_b, sp, wl)
-print(f"{len(hop_a.rays())} x {len(hop_b.rays())} sub-link rays -> {len(cir)} "
+print(f"{len(hop_a.clusters)} x {len(hop_b.clusters)} sub-link rays -> {len(cir)} "
       f"concatenated paths\n")
 
 print("every concatenated delay is the second-hop delay shifted by the")

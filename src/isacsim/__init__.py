@@ -32,14 +32,12 @@ from .core import (
 from .gbsm import (
     OMNI,
     AntennaModel,
-    Cluster,
     ClusterSet,
     EmptyChannelError,
     GenerationProfile,
-    Ray,
     cross_polarization_matrix,
     doppler_shift,
-    ray_coefficient,
+    ray_coefficients,
     sample_clusters,
     synthesize_cir,
     with_los_ray,

@@ -95,18 +95,15 @@ def apply_pcf(background_power_linear, o_back: float):
 # ---------------------------------------------------------------------------
 
 def background_bistatic(profile: GenerationProfile, tx_antenna: AntennaModel,
-                        rx_antenna: AntennaModel, wl: float,
-                        t: float = 0.0, s: int = 0, u: int = 0,
+                        rx_antenna: AntennaModel, t: float = 0.0,
                         carrier_freq: float = 0.0) -> Cir:
     """Statistical background channel for separated Tx and Rx.
 
     Structurally identical to a conventional communication-channel
     realization; paths are tagged with the background origin.
     """
-    clusters = sample_clusters(profile)
-    return synthesize_cir(clusters, tx_antenna, rx_antenna, s=s, u=u, t=t,
-                          wl=wl, origin=Origin.BACKGROUND,
-                          carrier_freq=carrier_freq)
+    return synthesize_cir(sample_clusters(profile), tx_antenna, rx_antenna, t=t,
+                          origin=Origin.BACKGROUND, carrier_freq=carrier_freq)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,6 +20,7 @@ from .background import (PCF_CLAMP, PCF_MEASUREMENTS, GeometricScatterer, PcfMod
                          default_pcf_model)
 from .core import ConstantRcs, CosineLobeRcs, ScatteringPoint
 from .gbsm import AntennaModel, GenerationProfile
+from .sounder import DEFAULT_TAPS
 from .target import load_rcs_table_csv
 
 
@@ -111,6 +112,9 @@ NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
 NON_EMPTY = ("non-empty", bool)
 PCF_RANGE = ("in (0, 1.5]", lambda v: PCF_CLAMP[0] < v <= PCF_CLAMP[1])
+# the PN register lengths that have default feedback taps (a contiguous range)
+REGISTER_LENGTH = (f"between {min(DEFAULT_TAPS)} and {max(DEFAULT_TAPS)}",
+                   lambda v: v in DEFAULT_TAPS)
 
 
 @dataclass(frozen=True)
@@ -199,7 +203,7 @@ SCENARIO = {
               "step_deg": (float, 5.0, POSITIVE)}, {}, None),
     "seed": (int, REQUIRED, NON_NEGATIVE),
     "outputs": (str, None, None),  # the name where absent
-    "sounder": ({"register_length": (int, 11, None), "snr_db": (float, 30.0, None)}, {}, None),
+    "sounder": ({"register_length": (int, 11, REGISTER_LENGTH), "snr_db": (float, 30.0, None)}, {}, None),
 }
 # the reconstruction scene that `analyze --scene` reads
 SCENE = {
@@ -352,7 +356,7 @@ def _rcs(spec: dict):
 
 
 def _profile(spec: dict) -> GenerationProfile:
-    """Cluster recipe of a background or a sub-link, seed 0: each user reseeds it."""
+    """The cluster recipe of a background or a sub-link, seed 0: each user reseeds it."""
     return GenerationProfile(
         n_clusters=spec["n_clusters"], rays_per_cluster=spec["rays_per_cluster"],
         delay_scale_s=spec["delay_scale_ns"] * 1e-9,

@@ -109,6 +109,18 @@ def unit_vector(angle: Angle3D) -> np.ndarray:
     ])
 
 
+def wrapped_azimuths(az, el) -> np.ndarray:
+    """The azimuths wrapped into [0, 2 pi) as Angle3D wraps them, once
+    every angle is checked to be finite and every elevation to lie
+    within [-pi/2, pi/2]."""
+    if not (np.all(np.isfinite(az)) and np.all(np.isfinite(el))):
+        raise ValueError("angles must be finite")
+    if np.any(np.abs(el) > math.pi / 2):
+        raise ValueError("elevation outside [-pi/2, pi/2]")
+    wrapped = np.mod(az, TWO_PI)
+    return np.where(wrapped == TWO_PI, 0.0, wrapped)
+
+
 def unit_vectors(az_el) -> np.ndarray:
     """(n, 3) unit vectors for (n, 2) rows of (azimuth, elevation)."""
     az_el = np.asarray(az_el, dtype=float)
@@ -406,12 +418,7 @@ class Cir:
         if np.any(cols["bounce_order"] < 0):
             raise ValueError("bounce_order must be >= 0")
         for az, el in (("aod_az", "aod_el"), ("aoa_az", "aoa_el")):
-            if not (np.all(np.isfinite(cols[az])) and np.all(np.isfinite(cols[el]))):
-                raise ValueError("angles must be finite")
-            if np.any(np.abs(cols[el]) > math.pi / 2):
-                raise ValueError("elevation outside [-pi/2, pi/2]")
-            wrapped = np.mod(cols[az], TWO_PI)
-            cols[az] = np.where(wrapped == TWO_PI, 0.0, wrapped)  # as in Angle3D
+            cols[az] = wrapped_azimuths(cols[az], cols[el])
         if np.any((cols["origin_code"] < 0) | (cols["origin_code"] >= len(ORIGINS))):
             raise ValueError("origin code outside ORIGINS")
         return cls._make(_sorted_columns(cols), t0, carrier_freq)

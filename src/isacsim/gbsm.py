@@ -1,16 +1,16 @@
-"""Cluster/ray generation and 5G-style stochastic channel synthesis.
+"""Tables of rays and 5G-style stochastic channel synthesis.
 
 This is the shared machinery behind both the sensing sub-links and the
-bi-static background channel: statistical clusters of rays are sampled
-from a seeded profile, and per-ray complex coefficients combine antenna
-field patterns, the cross-polarization matrix, Doppler, and array phase
-terms.
+bi-static background channel: a table of rays in statistical clusters
+is sampled from a seeded profile, and the per-ray complex coefficients
+combine antenna field patterns, the cross-polarization matrix and the
+Doppler phase. The ray-level steps (per-ray XPR, initial phases and
+coefficients, 3GPP TR 38.901 §7.5) work on whole columns.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +18,9 @@ from .core import (
     Angle3D,
     Cir,
     Origin,
-    merge_paths,
     unit_vector,
     unit_vectors,
+    wrapped_azimuths,
 )
 
 
@@ -29,66 +29,78 @@ class EmptyChannelError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Cluster / ray containers
+# The ray table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ray:
-    """One ray inside a cluster.
+# the shape of one row of each ClusterSet column, and its dtype
+_ROW = {"power": ((), float), "delay": ((), float), "aod": ((2,), float),
+        "aoa": ((2,), float), "xpr": ((), float), "phases": ((4,), float),
+        "doppler": ((), float), "bounce_order": ((), np.int64), "cluster": ((), np.int64)}
 
-    ``power`` is the linear per-ray power and already contains the
-    1/M split across the cluster's rays. ``xpr`` is the linear
-    cross-polarization ratio; ``phases`` are the four initial phases
-    (theta-theta, theta-phi, phi-theta, phi-phi) in radians.
+
+@dataclass(frozen=True, eq=False)
+class ClusterSet:
+    """The rays of a channel as a read-only table, one row per ray.
+
+    ``power`` is the linear power of each ray (a sampled set sums to 1,
+    the split across a cluster's rays included) and ``delay`` its delay
+    in seconds. ``aod`` and ``aoa`` are (n, 2) arrays of (azimuth,
+    elevation) rows in radians; the azimuths are wrapped into [0, 2 pi)
+    as Angle3D wraps them. ``xpr`` is the linear cross-polarization
+    ratio, ``phases`` (n, 4) the initial phases (theta-theta,
+    theta-phi, phi-theta, phi-phi) in radians, ``doppler`` the Doppler
+    shift in Hz and ``cluster`` the index of the ray's cluster. A
+    scalar, or one angle pair, applies to every row.
     """
 
-    power: float
-    delay: float
-    aod: Angle3D
-    aoa: Angle3D
-    xpr: float = 1e12
-    phases: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-    doppler: float = 0.0
-    bounce_order: int = 1
+    power: np.ndarray
+    delay: np.ndarray
+    aod: np.ndarray
+    aoa: np.ndarray
+    xpr: np.ndarray = 1e12
+    phases: np.ndarray = 0.0
+    doppler: np.ndarray = 0.0
+    bounce_order: np.ndarray = 1
+    cluster: np.ndarray = 0
 
     def __post_init__(self):
-        if self.power < 0.0 or not math.isfinite(self.power):
-            raise ValueError("ray power must be finite and >= 0")
-        if self.xpr <= 0.0:
-            raise ValueError("XPR must be > 0")
-        if self.delay < 0.0:
-            raise ValueError("ray delay must be >= 0")
-
-
-@dataclass(frozen=True)
-class Cluster:
-    power: float  # linear cluster power, sums to 1 over the set
-    rays: tuple[Ray, ...]
-
-    def __post_init__(self):
-        if len(self.rays) < 1:
-            raise ValueError("a cluster needs at least one ray")
-
-
-@dataclass(frozen=True)
-class ClusterSet:
-    """Normalized statistical clusters: sum of cluster powers is 1."""
-
-    clusters: tuple[Cluster, ...]
-
-    def __post_init__(self):
-        if len(self.clusters) == 0:
+        cols = {name: np.asarray(getattr(self, name), dtype=dt)
+                for name, (_, dt) in _ROW.items()}
+        # the leading shape that the columns share: () or (number of rays,)
+        rows = np.broadcast_shapes(*(col.shape[:col.ndim - len(_ROW[name][0])]
+                                     for name, col in cols.items()))
+        if len(rows) > 1:
+            raise ValueError("a ray table takes one row per ray")
+        n = rows[0] if rows else 1
+        if n == 0:
             raise EmptyChannelError("cluster set is empty")
-        total = sum(c.power for c in self.clusters)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"cluster powers sum to {total}, expected 1")
+        cols = {name: np.broadcast_to(col, (n,) + _ROW[name][0]) for name, col in cols.items()}
+        if not np.all(np.isfinite(cols["power"]) & (cols["power"] >= 0.0)):
+            raise ValueError("ray power must be finite and >= 0")
+        if not np.all(cols["xpr"] > 0.0):
+            raise ValueError("XPR must be > 0")
+        if not np.all(np.isfinite(cols["delay"]) & (cols["delay"] >= 0.0)):
+            raise ValueError("ray delay must be finite and >= 0")
+        for name in ("aod", "aoa"):
+            az, el = cols[name].T
+            cols[name] = np.stack([wrapped_azimuths(az, el), el], axis=1)
+        for name, col in cols.items():
+            col = np.array(col)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return len(self.delay)
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return len(np.unique(self.cluster))
 
-    def all_rays(self) -> list[Ray]:
-        return [r for c in self.clusters for r in c.rays]
+    def all_rays(self) -> ClusterSet:
+        """The table itself, which holds one row per ray. Kept so that
+        ``len(clusters.all_rays())`` counts the rays, as the benchmark's
+        tracer (isacbench/tracing.py) does."""
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +109,7 @@ class ClusterSet:
 
 @dataclass(frozen=True, eq=False)
 class AntennaModel:
-    """Antenna array with a scalar field pattern per element.
+    """One antenna element with a scalar field pattern (there is no array).
 
     ``kind`` is "omni" (unit vertical-polarization response everywhere)
     or "horn" (Gaussian main lobe; the boresight power gain equals the
@@ -106,7 +118,6 @@ class AntennaModel:
     """
 
     kind: str = "omni"
-    element_positions: np.ndarray = field(default_factory=lambda: np.zeros((1, 3)))
     hpbw_deg: float = 10.0
     peak_gain_db: float = 0.0
     boresight: Angle3D = Angle3D(0.0, 0.0)
@@ -114,16 +125,8 @@ class AntennaModel:
     def __post_init__(self):
         if self.kind not in ("omni", "horn"):
             raise ValueError(f"unknown antenna kind {self.kind!r}")
-        pos = np.atleast_2d(np.asarray(self.element_positions, dtype=float))
-        if pos.shape[1] != 3:
-            raise ValueError("element positions must be 3-vectors")
         if self.kind == "horn" and self.hpbw_deg <= 0.0:
             raise ValueError("horn HPBW must be positive")
-        object.__setattr__(self, "element_positions", pos)
-
-    @property
-    def n_elements(self) -> int:
-        return self.element_positions.shape[0]
 
     def field_gain(self, boresight, arrival) -> np.ndarray:
         """Real F_theta amplitude for every (boresight, arrival) pair.
@@ -229,124 +232,94 @@ def sample_clusters(profile: GenerationProfile) -> ClusterSet:
     el_aoa_c = _clip_elevation(rng.normal(0.0, profile.elevation_spread_rad, n))
     el_aod_c = _clip_elevation(rng.normal(0.0, profile.elevation_spread_rad, n))
 
-    clusters = []
+    # the ray draws cluster by cluster, in the order that fixes the stream
+    draws = []
     for i in range(n):
-        az_aoa = az_aoa_c[i] + rng.normal(0.0, profile.angle_spread_rad, m)
-        az_aod = az_aod_c[i] + rng.normal(0.0, profile.angle_spread_rad, m)
-        el_aoa = _clip_elevation(el_aoa_c[i] + rng.normal(0.0, profile.angle_spread_rad / 2, m))
-        el_aod = _clip_elevation(el_aod_c[i] + rng.normal(0.0, profile.angle_spread_rad / 2, m))
-        xpr_db = rng.normal(profile.xpr_mean_db, profile.xpr_std_db, m)
-        phases = rng.uniform(-math.pi, math.pi, (m, 4))
-        doppler = (rng.uniform(-profile.doppler_max_hz, profile.doppler_max_hz, m)
-                   if profile.doppler_max_hz > 0 else np.zeros(m))
-        offsets = (rng.exponential(profile.ray_delay_scale_s, m)
-                   if profile.ray_delay_scale_s > 0 else np.zeros(m))
-        rays = tuple(
-            Ray(power=p[i] / m,
-                delay=float(tau[i] + offsets[j]),
-                aod=Angle3D(float(az_aod[j]), float(el_aod[j])),
-                aoa=Angle3D(float(az_aoa[j]), float(el_aoa[j])),
-                xpr=float(10.0 ** (xpr_db[j] / 10.0)),
-                phases=tuple(float(x) for x in phases[j]),
-                doppler=float(doppler[j]))
-            for j in range(m)
-        )
-        clusters.append(Cluster(power=float(p[i]), rays=rays))
-    return ClusterSet(tuple(clusters))
+        draws.append((
+            az_aoa_c[i] + rng.normal(0.0, profile.angle_spread_rad, m),
+            az_aod_c[i] + rng.normal(0.0, profile.angle_spread_rad, m),
+            el_aoa_c[i] + rng.normal(0.0, profile.angle_spread_rad / 2, m),
+            el_aod_c[i] + rng.normal(0.0, profile.angle_spread_rad / 2, m),
+            rng.normal(profile.xpr_mean_db, profile.xpr_std_db, m),
+            rng.uniform(-math.pi, math.pi, (m, 4)),
+            (rng.uniform(-profile.doppler_max_hz, profile.doppler_max_hz, m)
+             if profile.doppler_max_hz > 0 else np.zeros(m)),
+            (rng.exponential(profile.ray_delay_scale_s, m)
+             if profile.ray_delay_scale_s > 0 else np.zeros(m)),
+        ))
+    az_aoa, az_aod, el_aoa, el_aod, xpr_db, phases, doppler, offsets = (
+        np.concatenate(col) for col in zip(*draws))
+    # Python's float power per ray: numpy's vectorized power can differ from it in the last bit
+    xpr = [10.0 ** (x / 10.0) for x in xpr_db.tolist()]
+    return ClusterSet(
+        power=np.repeat(p / m, m), delay=np.repeat(tau, m) + offsets,
+        aod=np.stack([az_aod, _clip_elevation(el_aod)], axis=1),
+        aoa=np.stack([az_aoa, _clip_elevation(el_aoa)], axis=1),
+        xpr=xpr, phases=phases, doppler=doppler, cluster=np.repeat(np.arange(n), m))
 
 
-def with_los_ray(clusters: ClusterSet, los_ray: Ray, k_factor: float) -> ClusterSet:
+def with_los_ray(clusters: ClusterSet, los: ClusterSet, k_factor: float) -> ClusterSet:
     """Prepend a deterministic (e.g. line-of-sight) ray as its own cluster.
 
-    The new ray takes k/(1+k) of the total power; existing clusters are
-    rescaled by 1/(1+k) so the set stays normalized.
+    The rays of ``los`` (normally one, of power 1) take k/(1+k) of the
+    total power; the other rays are rescaled by 1/(1+k), so a normalized
+    set stays normalized.
     """
     if k_factor <= 0.0:
         raise ValueError("K-factor must be positive")
-    w_los = k_factor / (1.0 + k_factor)
-    w_rest = 1.0 / (1.0 + k_factor)
-    los = Cluster(power=w_los, rays=(replace(los_ray, power=w_los),))
-    rest = tuple(
-        Cluster(power=c.power * w_rest,
-                rays=tuple(replace(r, power=r.power * w_rest) for r in c.rays))
-        for c in clusters.clusters
-    )
-    return ClusterSet((los,) + rest)
+    cols = {name: np.concatenate([getattr(los, name), getattr(clusters, name)])
+            for name in _ROW}
+    cols["power"] = np.concatenate([los.power * (k_factor / (1.0 + k_factor)),
+                                    clusters.power * (1.0 / (1.0 + k_factor))])
+    cols["cluster"] = np.concatenate([np.zeros(len(los), int), clusters.cluster + 1])
+    return ClusterSet(**cols)
 
 
 # ---------------------------------------------------------------------------
 # Coefficient synthesis
 # ---------------------------------------------------------------------------
 
-def cross_polarization_matrix(xpr: float, phases: Sequence[float]) -> np.ndarray:
-    """2x2 polarization coupling matrix for one ray.
+def cross_polarization_matrix(xpr, phases) -> np.ndarray:
+    """2x2 polarization coupling matrix of each ray.
 
-    Diagonal entries are unit-modulus phasors; off-diagonal magnitudes
-    are 1/sqrt(xpr).
+    ``xpr`` has shape (...) and ``phases`` (..., 4); the result is
+    (..., 2, 2), so one XPR and four phases give one matrix. Diagonal
+    entries are unit-modulus phasors; off-diagonal magnitudes are
+    1/sqrt(xpr).
     """
-    if xpr <= 0.0:
+    xpr = np.asarray(xpr, dtype=float)
+    if not np.all(xpr > 0.0):
         raise ValueError("XPR must be > 0")
-    ptt, ptp, ppt, ppp = phases
-    r = 1.0 / math.sqrt(xpr)
-    return np.array([
-        [np.exp(1j * ptt), r * np.exp(1j * ptp)],
-        [r * np.exp(1j * ppt), np.exp(1j * ppp)],
-    ])
+    cpm = np.exp(1j * np.asarray(phases, dtype=float))
+    cpm[..., 1:3] *= (1.0 / np.sqrt(xpr))[..., None]
+    return cpm.reshape(cpm.shape[:-1] + (2, 2))
 
 
-def ray_coefficients(rays: Sequence[Ray], tx_antenna: AntennaModel,
-                     rx_antenna: AntennaModel, s: int = 0, u: int = 0,
-                     t: float = 0.0, wl: float = 1.0) -> np.ndarray:
-    """Complex channel coefficient of each ray between elements s and u.
+def ray_coefficients(rays: ClusterSet, tx_antenna: AntennaModel,
+                     rx_antenna: AntennaModel, t: float = 0.0) -> np.ndarray:
+    """Complex channel coefficient of each ray.
 
     sqrt(power) * F_rx^T . CPM . F_tx, rotated by the Doppler phase at
-    time ``t`` and by the array phase terms for the element positions.
-    Time and element positions only ever rotate the phase; they never
-    change the magnitude.
+    time ``t``. Time only ever rotates the phase; it never changes the
+    magnitude.
     """
-    if wl <= 0.0:
-        raise ValueError("wavelength must be positive")
-    aod = np.array([(r.aod.azimuth, r.aod.elevation) for r in rays]).reshape(-1, 2)
-    aoa = np.array([(r.aoa.azimuth, r.aoa.elevation) for r in rays]).reshape(-1, 2)
-    cpm = np.array([cross_polarization_matrix(r.xpr, r.phases) for r in rays]).reshape(-1, 2, 2)
-    gain = np.einsum("ni,nij,nj->n", rx_antenna.fields(aoa), cpm, tx_antenna.fields(aod))
-    array_phase = (2.0 * math.pi / wl) * (unit_vectors(aoa) @ rx_antenna.element_positions[u]
-                                          + unit_vectors(aod) @ tx_antenna.element_positions[s])
-    doppler = np.array([r.doppler for r in rays])
-    return (np.sqrt([r.power for r in rays]) * gain
-            * np.exp(1j * 2.0 * math.pi * doppler * t) * np.exp(1j * array_phase))
-
-
-def ray_coefficient(ray: Ray, tx_antenna: AntennaModel, rx_antenna: AntennaModel,
-                    s: int = 0, u: int = 0, t: float = 0.0,
-                    wl: float = 1.0) -> complex:
-    """:func:`ray_coefficients` of one ray."""
-    return complex(ray_coefficients([ray], tx_antenna, rx_antenna, s, u, t, wl)[0])
+    gain = np.einsum("ni,nij,nj->n", rx_antenna.fields(rays.aoa),
+                     cross_polarization_matrix(rays.xpr, rays.phases),
+                     tx_antenna.fields(rays.aod))
+    return np.sqrt(rays.power) * gain * np.exp(1j * 2.0 * math.pi * rays.doppler * t)
 
 
 def synthesize_cir(clusters: ClusterSet, tx_antenna: AntennaModel,
-                   rx_antenna: AntennaModel, s: int = 0, u: int = 0,
-                   t: float = 0.0, wl: float = 1.0,
+                   rx_antenna: AntennaModel, t: float = 0.0,
                    origin: Origin = Origin.BACKGROUND,
-                   carrier_freq: float = 0.0,
-                   merge_delay_tol: float | None = None,
-                   merge_angle_tol: float = 0.0) -> Cir:
-    """Assemble a sparse CIR with one path per (cluster, ray).
-
-    No merging happens unless ``merge_delay_tol`` is given; the total
-    linear power then equals the sum of per-ray |coefficient|^2.
-    """
-    rays = clusters.all_rays()
-    cir = Cir.from_columns(
-        [r.delay for r in rays], ray_coefficients(rays, tx_antenna, rx_antenna, s, u, t, wl),
-        [r.doppler for r in rays],
-        aod_az=[r.aod.azimuth for r in rays], aod_el=[r.aod.elevation for r in rays],
-        aoa_az=[r.aoa.azimuth for r in rays], aoa_el=[r.aoa.elevation for r in rays],
-        bounce_order=[r.bounce_order for r in rays],
-        origin=origin, t0=t, carrier_freq=carrier_freq)
-    if merge_delay_tol is not None:
-        cir = merge_paths(cir, merge_delay_tol, merge_angle_tol)
-    return cir
+                   carrier_freq: float = 0.0) -> Cir:
+    """Assemble a sparse CIR with one path per ray, unmerged: the total
+    linear power equals the sum of per-ray |coefficient|^2."""
+    return Cir.from_columns(
+        clusters.delay, ray_coefficients(clusters, tx_antenna, rx_antenna, t), clusters.doppler,
+        aod_az=clusters.aod[:, 0], aod_el=clusters.aod[:, 1],
+        aoa_az=clusters.aoa[:, 0], aoa_el=clusters.aoa[:, 1],
+        bounce_order=clusters.bounce_order, origin=origin, t0=t, carrier_freq=carrier_freq)
 
 
 def doppler_shift(v_scatterer: np.ndarray, v_observer: np.ndarray,

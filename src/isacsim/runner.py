@@ -48,15 +48,7 @@ from .core import (
     merge_paths,
     wavelength_m,
 )
-from .gbsm import (
-    AntennaModel,
-    ClusterSet,
-    Cluster,
-    Ray,
-    doppler_shift,
-    sample_clusters,
-    with_los_ray,
-)
+from .gbsm import AntennaModel, ClusterSet, doppler_shift, sample_clusters, with_los_ray
 from .linkbudget import FreeSpacePathLoss, conv_path_power, delta_p
 from .sounder import generate_pn, process_capture, save_capture, transmit_through
 from .target import Side, SubLink, multi_point_target
@@ -90,14 +82,12 @@ def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos, velocity, wl: float,
         aod, aoa = to_target, to_endpoint  # departs the Tx, arrives at the target
     else:
         aod, aoa = to_endpoint, to_target  # departs the target, arrives at the Rx
-    los = Ray(power=1.0, delay=d / C_LIGHT, aod=aod, aoa=aoa,
-              doppler=dop, bounce_order=0)
+    los = ClusterSet(power=1.0, delay=d / C_LIGHT, aod=(aod.azimuth, aod.elevation),
+                     aoa=(aoa.azimuth, aoa.elevation), doppler=dop, bounce_order=0)
     if spec.profile.n_clusters == 0:
-        clusters = ClusterSet((Cluster(power=1.0, rays=(los,)),))
-    else:
-        sampled = sample_clusters(replace(spec.profile, seed=seed))
-        clusters = with_los_ray(sampled, los, 10.0 ** (spec.k_factor_db / 10.0))
-    return SubLink(side, clusters)
+        return SubLink(side, los)
+    sampled = sample_clusters(replace(spec.profile, seed=seed))
+    return SubLink(side, with_los_ray(sampled, los, 10.0 ** (spec.k_factor_db / 10.0)))
 
 
 def _aim(antenna: AntennaModel, from_pos: np.ndarray, at_pos: np.ndarray) -> AntennaModel:
@@ -164,7 +154,7 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
         profile = replace(config.background.profile, seed=_child_seed(bg_seq))
         aim_at = (config.targets[0].point.position if config.targets else rx_pos)
         bg_cir = background_bistatic(profile, _aim(config.tx.antenna, tx_pos, aim_at),
-                                     AntennaModel(kind="omni"), wl,
+                                     AntennaModel(kind="omni"),
                                      carrier_freq=config.carrier_freq_hz)
         d_txrx = float(np.linalg.norm(rx_pos - tx_pos))
         pl_back = fs_model.eval_db(d_txrx) if d_txrx > 0 else 0.0
@@ -417,6 +407,7 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0,
     if "config_dir" not in report:
         raise ValueError(f"{run_dir / 'report.json'} has no config_dir; simulate again")
     config = parse_config(report["config"], report["config_dir"])
+    scene = load_scene(scene_path) if scene_path is not None else None
 
     target_cir = read_path_table(run_dir / "target.npy", config.carrier_freq_hz)
     bg_cir = read_path_table(run_dir / "background.npy", config.carrier_freq_hz)
@@ -430,8 +421,7 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0,
                                 margin_db=margin_db,
                                 peak_threshold_db=peak_threshold_db)
     bounce = None
-    if scene_path is not None:
-        scene = load_scene(scene_path)
+    if scene is not None:
         bounce = [classify_bounce(pk, scene, delay_tol=bin_w, angle_tol_deg=step / 2.0)
                   for pk in peaks]
     write_paths_json(run_dir / "paths.json", peaks, bounce)

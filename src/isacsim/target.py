@@ -27,7 +27,7 @@ from .core import (
     spreading_gain,
     unit_vectors,
 )
-from .gbsm import OMNI, AntennaModel, ClusterSet, Ray, cross_polarization_matrix
+from .gbsm import OMNI, AntennaModel, ClusterSet, cross_polarization_matrix
 
 
 class Side(enum.Enum):
@@ -47,9 +47,6 @@ class SubLink:
 
     side: Side
     clusters: ClusterSet
-
-    def rays(self) -> list[Ray]:
-        return self.clusters.all_rays()
 
 
 def _rcs_linear(model, angles_in: np.ndarray, angles_out: np.ndarray) -> np.ndarray:
@@ -71,14 +68,9 @@ def rcs_eval(model, g_in: Angle3D, g_out: Angle3D) -> float:
                              np.array([[g_out.azimuth, g_out.elevation]]))[0, 0])
 
 
-def _angles(angles: Sequence[Angle3D]) -> np.ndarray:
-    return np.array([(g.azimuth, g.elevation) for g in angles])
-
-
 def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
                 tx_antenna: AntennaModel = OMNI, rx_antenna: AntennaModel = OMNI,
-                s: int = 0, u: int = 0, t: float = 0.0,
-                carrier_freq: float = 0.0) -> Cir:
+                t: float = 0.0, carrier_freq: float = 0.0) -> Cir:
     """Pair every ray of ``a`` with every ray of ``b`` through the target.
 
     Produces |a| * |b| paths (no merging). Per pair, the delay is the
@@ -88,52 +80,39 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
         sqrt(p1 p2) * F_rx^T . CPM_2 . CPM_k . CPM_1 . F_tx
         * sqrt(sigma(out, in)) * sqrt(lambda^2 / 4 pi)
 
-    with sigma evaluated at the target-side angle pair, plus the array
-    and Doppler phase rotations. With identity polarization matrices
-    and omni antennas the linear path power is p1 * p2 * sigma *
-    lambda^2/(4 pi). Every term is computed for all pairs at once, as
-    an |a| x |b| array.
+    with sigma evaluated at the target-side angle pair, rotated by the
+    phase of the scattering point's position and by the Doppler phase.
+    With identity polarization matrices and omni antennas the linear
+    path power is p1 * p2 * sigma * lambda^2/(4 pi). Every term is
+    computed for all pairs at once, as an |a| x |b| array.
     """
     if a.side is not Side.TX_TO_TARGET or b.side is not Side.TARGET_TO_RX:
         raise ValueError("concatenate expects (tx_to_target, target_to_rx) sub-links")
-    rays_a, rays_b = a.rays(), b.rays()
-    if not rays_a or not rays_b:
-        raise ValueError("both sub-links must be non-empty")
     if wl <= 0.0:
         raise ValueError("wavelength must be positive")
-
-    k = 2.0 * math.pi / wl
-    d_sp = sp.position
-    d_tx = tx_antenna.element_positions[s]
-    d_rx = rx_antenna.element_positions[u]
-    aod_a, aoa_a = _angles([r.aod for r in rays_a]), _angles([r.aoa for r in rays_a])
-    aod_b, aoa_b = _angles([r.aod for r in rays_b]), _angles([r.aoa for r in rays_b])
-    cpm_a = np.stack([cross_polarization_matrix(r.xpr, r.phases) for r in rays_a])
-    cpm_b = np.stack([cross_polarization_matrix(r.xpr, r.phases) for r in rays_b])
+    ra, rb = a.clusters, b.clusters
 
     # the chain F_rx^T . CPM_2 . CPM_k . CPM_1 . F_tx, split after CPM_k
-    rx_side = np.einsum("bi,bij,jk->bk", rx_antenna.fields(aoa_b), cpm_b, sp.cpm_k)
-    tx_side = np.einsum("akl,al->ak", cpm_a, tx_antenna.fields(aod_a))
+    rx_side = np.einsum("bi,bij,jk->bk", rx_antenna.fields(rb.aoa),
+                        cross_polarization_matrix(rb.xpr, rb.phases), sp.cpm_k)
+    tx_side = np.einsum("akl,al->ak", cross_polarization_matrix(ra.xpr, ra.phases),
+                        tx_antenna.fields(ra.aod))
     gain = np.einsum("ak,bk->ab", tx_side, rx_side)
-    phase_a = k * (unit_vectors(aoa_a) @ d_sp + unit_vectors(aod_a) @ d_tx)
-    phase_b = k * (unit_vectors(aoa_b) @ d_rx + unit_vectors(aod_b) @ d_sp)
-    sigma = _rcs_linear(sp.rcs_model, aoa_a, aod_b)
-    power_a = np.array([r.power for r in rays_a])
-    power_b = np.array([r.power for r in rays_b])
-    delay = np.add.outer([r.delay for r in rays_a], [r.delay for r in rays_b])
-    doppler = np.add.outer([r.doppler for r in rays_a], [r.doppler for r in rays_b])
-    amp = (np.sqrt(power_a[:, None] * power_b[None, :] * sigma) * gain
+    k = 2.0 * math.pi / wl
+    phase_a = k * (unit_vectors(ra.aoa) @ sp.position)
+    phase_b = k * (unit_vectors(rb.aod) @ sp.position)
+    sigma = _rcs_linear(sp.rcs_model, ra.aoa, rb.aod)
+    doppler = np.add.outer(ra.doppler, rb.doppler)
+    amp = (np.sqrt(ra.power[:, None] * rb.power[None, :] * sigma) * gain
            * math.sqrt(spreading_gain(wl))
            * np.exp(1j * (phase_a[:, None] + phase_b[None, :]))
            * np.exp(1j * 2.0 * math.pi * doppler * t))
 
-    n_b = len(rays_b)
     return Cir.from_columns(
-        delay, amp, doppler,
-        aod_az=np.repeat(aod_a[:, 0], n_b), aod_el=np.repeat(aod_a[:, 1], n_b),
-        aoa_az=np.tile(aoa_b[:, 0], len(rays_a)), aoa_el=np.tile(aoa_b[:, 1], len(rays_a)),
-        bounce_order=np.add.outer([r.bounce_order for r in rays_a],
-                                  [r.bounce_order for r in rays_b]),
+        np.add.outer(ra.delay, rb.delay), amp, doppler,
+        aod_az=np.repeat(ra.aod[:, 0], len(rb)), aod_el=np.repeat(ra.aod[:, 1], len(rb)),
+        aoa_az=np.tile(rb.aoa[:, 0], len(ra)), aoa_el=np.tile(rb.aoa[:, 1], len(ra)),
+        bounce_order=np.add.outer(ra.bounce_order, rb.bounce_order),
         origin=Origin.TARGET, t0=t, carrier_freq=carrier_freq)
 
 
@@ -143,10 +122,7 @@ def multi_point_target(points: Sequence[ScatteringPoint],
                        pl_tar_db: Sequence[float] | None = None,
                        tx_antenna: AntennaModel = OMNI,
                        rx_antenna: AntennaModel = OMNI,
-                       s: int = 0, u: int = 0, t: float = 0.0,
-                       carrier_freq: float = 0.0,
-                       merge_delay_tol: float = 0.0,
-                       merge_angle_tol: float = 0.0) -> Cir:
+                       t: float = 0.0, carrier_freq: float = 0.0) -> Cir:
     """Coherent union of per-scattering-point concatenations.
 
     Each point's contribution is weighted in amplitude by
@@ -163,12 +139,11 @@ def multi_point_target(points: Sequence[ScatteringPoint],
     cirs = []
     for i, (sp, (sub_a, sub_b)) in enumerate(zip(points, sublinks)):
         cir = concatenate(sub_a, sub_b, sp, wl, tx_antenna, rx_antenna,
-                          s=s, u=u, t=t, carrier_freq=carrier_freq)
+                          t=t, carrier_freq=carrier_freq)
         if pl_tar_db is not None:
             cir = cir.scaled(10.0 ** (-pl_tar_db[i] / 20.0))
         cirs.append(cir)
-    return merge_paths(Cir.concat(cirs, t0=t, carrier_freq=carrier_freq),
-                       merge_delay_tol, merge_angle_tol)
+    return merge_paths(Cir.concat(cirs, t0=t, carrier_freq=carrier_freq), 0.0, 0.0)
 
 
 RCS_TABLE_COLUMNS = ("az_in_deg", "el_in_deg", "az_out_deg", "el_out_deg", "rcs_dbsm")

@@ -14,16 +14,13 @@ import pytest
 from isacsim import (
     C_LIGHT,
     PCF_MEASUREMENTS,
-    Angle3D,
     Cir,
-    Cluster,
     ClusterSet,
     ConstantRcs,
     GeometricScatterer,
     PadpPeak,
     PathComponent,
     PcfModel,
-    Ray,
     ReconstructionScene,
     ScatteringPoint,
     Side,
@@ -126,12 +123,9 @@ def test_criterion_3_radar_equation_inverse():
 
 
 def _sublink(side, delays, amps, az):
-    rays = tuple(
-        Ray(power=float(abs(a)) ** 2, delay=float(d),
-            aod=Angle3D(az, 0), aoa=Angle3D(az + 0.5, 0),
-            phases=(float(np.angle(a)),) * 4)
-        for d, a in zip(delays, amps))
-    return SubLink(side, ClusterSet((Cluster(1.0, rays),)))
+    return SubLink(side, ClusterSet(power=[float(abs(a)) ** 2 for a in amps], delay=delays,
+                                    aod=(az, 0), aoa=(az + 0.5, 0),
+                                    phases=np.angle(amps)[:, None]))
 
 
 def test_criterion_4_concatenation_law():

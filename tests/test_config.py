@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from isacsim import runner
 from isacsim.cli import main as cli_main
 from isacsim.config import (LEAF_TYPES, REQUIRED, SCENARIO, SCENE, ConfigError, Tagged,
                             parse_config, parse_scene)
@@ -73,6 +74,14 @@ CONFIG_CASES = [
     (RIS, ("bandwidth_hz",), "4e8", "bandwidth_hz must be a number, got '4e8'"),
     (RIS, ("sounder", "register_length"), 11.9,
      "sounder.register_length must be an integer, got 11.9"),
+    (RIS, ("sounder", "register_length"), 0,
+     "sounder.register_length must be between 3 and 15, got 0"),
+    (RIS, ("sounder", "register_length"), 2,
+     "sounder.register_length must be between 3 and 15, got 2"),
+    (RIS, ("sounder", "register_length"), 16,
+     "sounder.register_length must be between 3 and 15, got 16"),
+    (RIS, ("sounder", "register_length"), 20,
+     "sounder.register_length must be between 3 and 15, got 20"),
     (RIS, ("sounder", "snr_db"), math.nan, "sounder.snr_db must be a number, got nan"),
     (RIS, ("scan", "stop_deg"), math.nan, "scan.stop_deg must be a number, got nan"),
     (RIS, ("outputs",), 5, "outputs must be a string, got 5"),
@@ -131,6 +140,19 @@ def test_bad_scene_value_is_one_violation(tmp_path, capsys, human_run, path, val
     assert cli_main(["analyze", str(human_run), "--scene", str(scene_path)]) == 2
     assert capsys.readouterr().err == f"invalid scene file:\n  - {message}\n"
     assert not (human_run / "paths.json").exists()
+
+
+def test_bad_scene_fails_before_any_scan(tmp_path, capsys, monkeypatch, human_run):
+    scans = []
+    scan = runner.turntable_scan
+    monkeypatch.setattr(runner, "turntable_scan", lambda *a, **k: scans.append(1) or scan(*a, **k))
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(json.dumps(_edit(_load(SHIPPED_SCENE.name), ("target_m",), DELETE)))
+    capsys.readouterr()
+    assert cli_main(["analyze", str(human_run), "--scene", str(scene_path)]) == 2
+    assert capsys.readouterr().err == ("invalid scene file:\n"
+                                       "  - target_m is missing: it must be a list of 3 numbers\n")
+    assert scans == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,15 +7,14 @@ from isacsim import (
     OMNI,
     Angle3D,
     AntennaModel,
-    Cluster,
     ClusterSet,
     EmptyChannelError,
     GenerationProfile,
     Origin,
-    Ray,
     cross_polarization_matrix,
     doppler_shift,
-    ray_coefficient,
+    merge_paths,
+    ray_coefficients,
     sample_clusters,
     synthesize_cir,
     with_los_ray,
@@ -24,9 +23,60 @@ from isacsim import (
 
 def single_ray_set(power=1.0, delay=10e-9, xpr=1e12, phases=(0, 0, 0, 0),
                    doppler=0.0, az_aod=0.0, az_aoa=0.0):
-    ray = Ray(power=power, delay=delay, aod=Angle3D(az_aod, 0.0),
-              aoa=Angle3D(az_aoa, 0.0), xpr=xpr, phases=phases, doppler=doppler)
-    return ClusterSet((Cluster(power=power, rays=(ray,)),))
+    return ClusterSet(power=power, delay=delay, aod=(az_aod, 0.0), aoa=(az_aoa, 0.0),
+                      xpr=xpr, phases=phases, doppler=doppler)
+
+
+class TestClusterSet:
+    def test_scalars_broadcast_to_every_row(self):
+        cs = ClusterSet(power=[0.25, 0.75], delay=1e-9, aod=(0.5, 0.1), aoa=[[1.0, 0.0], [2.0, -0.2]])
+        assert len(cs) == 2 and cs.n_clusters == 1
+        np.testing.assert_array_equal(cs.delay, [1e-9, 1e-9])
+        np.testing.assert_array_equal(cs.aod, [[0.5, 0.1], [0.5, 0.1]])
+        np.testing.assert_array_equal(cs.phases, np.zeros((2, 4)))
+        np.testing.assert_array_equal(cs.xpr, [1e12, 1e12])
+        np.testing.assert_array_equal(cs.bounce_order, [1, 1])
+        assert cs.all_rays() is cs
+
+    def test_one_ray_of_scalars(self):
+        cs = ClusterSet(power=1.0, delay=2e-9, aod=(0.0, 0.0), aoa=(1.0, 0.0))
+        assert len(cs) == 1 and cs.aoa.shape == (1, 2) and cs.phases.shape == (1, 4)
+
+    def test_azimuths_wrap_as_angle3d(self):
+        az = [-1e-17, -0.5, 7.0, 2 * math.pi]
+        cs = ClusterSet(power=1.0, delay=0.0, aod=[[a, 0.0] for a in az], aoa=(0.0, 0.0))
+        assert cs.aod[:, 0].tolist() == [Angle3D(a, 0.0).azimuth for a in az]
+        assert cs.aod[0, 0] == 0.0
+
+    def test_columns_are_read_only(self):
+        phases = np.zeros((2, 4))
+        cs = ClusterSet(power=[0.5, 0.5], delay=0.0, aod=(0, 0), aoa=(0, 0), phases=phases)
+        with pytest.raises(ValueError):
+            cs.power[0] = 2.0
+        phases[0, 0] = 1.0  # the table holds its own copy
+        assert cs.phases[0, 0] == 0.0
+
+    def test_empty_table_is_error(self):
+        with pytest.raises(EmptyChannelError):
+            ClusterSet(power=[], delay=[], aod=np.zeros((0, 2)), aoa=np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("power", -0.1, "ray power must be finite and >= 0"),
+        ("power", math.nan, "ray power must be finite and >= 0"),
+        ("xpr", 0.0, "XPR must be > 0"),
+        ("delay", -1e-9, "ray delay must be finite and >= 0"),
+        ("aoa", (0.0, 1.6), "elevation outside"),
+        ("aod", (math.inf, 0.0), "angles must be finite"),
+    ])
+    def test_bad_column_rejected(self, column, value, message):
+        kwargs = dict(power=[0.5, 0.5], delay=[1e-9, 2e-9], aod=(0, 0), aoa=(0, 0))
+        kwargs[column] = value
+        with pytest.raises(ValueError, match=message):
+            ClusterSet(**kwargs)
+
+    def test_rows_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            ClusterSet(power=[0.5, 0.5], delay=[1e-9, 2e-9, 3e-9], aod=(0, 0), aoa=(0, 0))
 
 
 class TestCrossPolarizationMatrix:
@@ -57,46 +107,52 @@ class TestCrossPolarizationMatrix:
         with pytest.raises(ValueError):
             cross_polarization_matrix(0.0, (0, 0, 0, 0))
 
+    def test_broadcasts_over_rays(self):
+        rng = np.random.default_rng(8)
+        xpr = rng.uniform(0.5, 20.0, (3, 5))
+        phases = rng.uniform(-math.pi, math.pi, (3, 5, 4))
+        m = cross_polarization_matrix(xpr, phases)
+        assert m.shape == (3, 5, 2, 2)
+        for idx in np.ndindex(3, 5):
+            np.testing.assert_array_equal(m[idx], cross_polarization_matrix(
+                float(xpr[idx]), tuple(phases[idx].tolist())))
+
 
 class TestRayCoefficient:
     def test_identity_configuration(self):
-        ray = single_ray_set().clusters[0].rays[0]
-        c = ray_coefficient(ray, OMNI, OMNI, t=0.0, wl=0.01)
+        c = ray_coefficients(single_ray_set(), OMNI, OMNI, t=0.0)[0]
         assert c == pytest.approx(1.0 + 0.0j)
 
     def test_half_doppler_period_flips_sign(self):
         for f in (10.0, 137.0, 4000.0):
-            ray = single_ray_set(doppler=f).clusters[0].rays[0]
-            c0 = ray_coefficient(ray, OMNI, OMNI, t=0.0, wl=0.01)
-            c1 = ray_coefficient(ray, OMNI, OMNI, t=0.5 / f, wl=0.01)
+            rays = single_ray_set(doppler=f)
+            c0 = ray_coefficients(rays, OMNI, OMNI, t=0.0)[0]
+            c1 = ray_coefficients(rays, OMNI, OMNI, t=0.5 / f)[0]
             assert c1 == pytest.approx(-c0, rel=1e-9)
 
     def test_magnitude_matches_matrix_product(self):
         rng = np.random.default_rng(21)
-        for _ in range(50):
-            power = rng.uniform(0.01, 2.0)
-            xpr = rng.uniform(0.2, 50.0)
-            phases = tuple(rng.uniform(-math.pi, math.pi, 4))
-            ray = Ray(power=power, delay=1e-9,
-                      aod=Angle3D(rng.uniform(0, 6.28), 0.1),
-                      aoa=Angle3D(rng.uniform(0, 6.28), -0.1),
-                      xpr=xpr, phases=phases, doppler=rng.uniform(-100, 100))
-            c = ray_coefficient(ray, OMNI, OMNI, t=rng.uniform(0, 1e-3), wl=0.03)
-            m = cross_polarization_matrix(xpr, phases)
-            f = np.array([1.0, 0.0])
-            expected = math.sqrt(power) * abs(f @ m @ f)
-            assert abs(c) == pytest.approx(expected, rel=1e-12)
+        n = 50
+        power = rng.uniform(0.01, 2.0, n)
+        xpr = rng.uniform(0.2, 50.0, n)
+        phases = rng.uniform(-math.pi, math.pi, (n, 4))
+        rays = ClusterSet(power=power, delay=1e-9,
+                          aod=np.stack([rng.uniform(0, 6.28, n), np.full(n, 0.1)], axis=1),
+                          aoa=np.stack([rng.uniform(0, 6.28, n), np.full(n, -0.1)], axis=1),
+                          xpr=xpr, phases=phases, doppler=rng.uniform(-100, 100, n))
+        c = ray_coefficients(rays, OMNI, OMNI, t=rng.uniform(0, 1e-3))
+        f = np.array([1.0, 0.0])
+        for i in range(n):
+            expected = math.sqrt(power[i]) * abs(f @ cross_polarization_matrix(xpr[i], phases[i]) @ f)
+            assert abs(c[i]) == pytest.approx(expected, rel=1e-12)
 
-    def test_time_and_elements_change_phase_only(self):
-        ray = Ray(power=0.7, delay=1e-9, aod=Angle3D(0.3, 0.0), aoa=Angle3D(1.1, 0.2),
-                  xpr=5.0, phases=(0.1, 0.2, 0.3, 0.4), doppler=55.0)
-        tx = AntennaModel(kind="omni", element_positions=[[0, 0, 0], [0.05, 0, 0]])
-        mags = set()
-        for s in (0, 1):
-            for t in (0.0, 1e-4, 3e-3):
-                c = ray_coefficient(ray, tx, OMNI, s=s, t=t, wl=0.01)
-                mags.add(round(abs(c), 14))
-        assert len(mags) == 1
+    def test_time_changes_phase_only(self):
+        rays = ClusterSet(power=0.7, delay=1e-9, aod=(0.3, 0.0), aoa=(1.1, 0.2),
+                          xpr=5.0, phases=(0.1, 0.2, 0.3, 0.4), doppler=55.0)
+        horn = AntennaModel(kind="horn", hpbw_deg=30.0, peak_gain_db=10.0)
+        coeffs = [ray_coefficients(rays, horn, OMNI, t=t)[0] for t in (0.0, 1e-4, 3e-3)]
+        assert len({round(abs(c), 14) for c in coeffs}) == 1
+        assert len({c for c in coeffs}) == 3
 
 
 class TestAntennaModel:
@@ -121,10 +177,14 @@ class TestSampleClusters:
     def test_seed_determinism(self):
         prof = GenerationProfile(n_clusters=6, rays_per_cluster=4, seed=7)
         a, b = sample_clusters(prof), sample_clusters(prof)
-        for ca, cb in zip(a.clusters, b.clusters):
-            assert ca.power == cb.power
-            for ra, rb in zip(ca.rays, cb.rays):
-                assert ra == rb
+        for name in ("power", "delay", "aod", "aoa", "xpr", "phases", "doppler",
+                     "bounce_order", "cluster"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_rays_grouped_by_cluster(self):
+        cs = sample_clusters(GenerationProfile(n_clusters=6, rays_per_cluster=4, seed=7))
+        assert len(cs) == 24 and cs.n_clusters == 6
+        assert cs.cluster.tolist() == [i for i in range(6) for _ in range(4)]
 
     def test_zero_clusters_is_error(self):
         with pytest.raises(EmptyChannelError):
@@ -132,12 +192,12 @@ class TestSampleClusters:
 
     def test_normalization_single_ray(self):
         cs = sample_clusters(GenerationProfile(n_clusters=1, rays_per_cluster=1, seed=5))
-        assert cs.clusters[0].power == pytest.approx(1.0)
-        assert cs.clusters[0].rays[0].power == pytest.approx(1.0)
+        assert len(cs) == 1
+        assert cs.power[0] == pytest.approx(1.0)
 
     def test_power_sums_to_one(self):
         cs = sample_clusters(GenerationProfile(n_clusters=25, rays_per_cluster=3, seed=2))
-        assert sum(c.power for c in cs.clusters) == pytest.approx(1.0, abs=1e-9)
+        assert cs.power.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_mean_delay_law_of_large_numbers(self):
         # exponential delays: the empirical mean over 1e5 clusters sits
@@ -145,23 +205,19 @@ class TestSampleClusters:
         prof = GenerationProfile(n_clusters=100_000, rays_per_cluster=1,
                                  delay_scale_s=30e-9, seed=42)
         cs = sample_clusters(prof)
-        delays = np.array([c.rays[0].delay for c in cs.clusters])
-        assert delays.mean() == pytest.approx(30e-9, rel=0.03)
+        assert cs.delay.mean() == pytest.approx(30e-9, rel=0.03)
 
 
 class TestSynthesizeCir:
     def test_single_ray_single_path(self):
-        cir = synthesize_cir(single_ray_set(delay=12e-9), OMNI, OMNI, wl=0.01)
+        cir = synthesize_cir(single_ray_set(delay=12e-9), OMNI, OMNI)
         assert len(cir) == 1
         assert cir.paths[0].delay == 12e-9
 
     def test_destructive_interference_with_merge(self):
-        r1 = Ray(power=0.5, delay=10e-9, aod=Angle3D(0, 0), aoa=Angle3D(0, 0),
-                 phases=(0.0, 0.0, 0.0, 0.0))
-        r2 = Ray(power=0.5, delay=10e-9, aod=Angle3D(0, 0), aoa=Angle3D(0, 0),
-                 phases=(math.pi, math.pi, math.pi, math.pi))
-        cs = ClusterSet((Cluster(0.5, (r1,)), Cluster(0.5, (r2,))))
-        cir = synthesize_cir(cs, OMNI, OMNI, wl=0.01, merge_delay_tol=1e-12)
+        cs = ClusterSet(power=0.5, delay=10e-9, aod=(0, 0), aoa=(0, 0),
+                        phases=[[0.0] * 4, [math.pi] * 4], cluster=[0, 1])
+        cir = merge_paths(synthesize_cir(cs, OMNI, OMNI), 1e-12, 0.0)
         assert len(cir) == 1
         assert abs(cir.paths[0].amp) < 1e-12
 
@@ -169,30 +225,30 @@ class TestSynthesizeCir:
         prof = GenerationProfile(n_clusters=9, rays_per_cluster=7, seed=31,
                                  doppler_max_hz=200.0)
         cs = sample_clusters(prof)
-        cir = synthesize_cir(cs, OMNI, OMNI, t=1e-4, wl=0.02)
-        brute = sum(
-            abs(ray_coefficient(r, OMNI, OMNI, t=1e-4, wl=0.02)) ** 2
-            for c in cs.clusters for r in c.rays
-        )
+        cir = synthesize_cir(cs, OMNI, OMNI, t=1e-4)
+        f = np.array([1.0, 0.0])
+        brute = sum(p * abs(f @ cross_polarization_matrix(x, ph) @ f) ** 2
+                    for p, x, ph in zip(cs.power, cs.xpr, cs.phases))
         assert cir.total_power() == pytest.approx(brute, rel=1e-12)
         # pre-path-loss normalization carries through for omni antennas
         assert cir.total_power() == pytest.approx(1.0, rel=1e-9)
 
     def test_origin_tagging(self):
-        cir = synthesize_cir(single_ray_set(), OMNI, OMNI, wl=0.01, origin=Origin.TARGET)
+        cir = synthesize_cir(single_ray_set(), OMNI, OMNI, origin=Origin.TARGET)
         assert cir.paths[0].origin is Origin.TARGET
 
 
 class TestWithLosRay:
     def test_power_split_and_normalization(self):
         cs = sample_clusters(GenerationProfile(n_clusters=4, rays_per_cluster=2, seed=9))
-        los = Ray(power=1.0, delay=5e-9, aod=Angle3D(0, 0), aoa=Angle3D(0, 0),
-                  bounce_order=0)
+        los = ClusterSet(power=1.0, delay=5e-9, aod=(0, 0), aoa=(0, 0), bounce_order=0)
         k = 3.0
         out = with_los_ray(cs, los, k)
-        assert out.clusters[0].power == pytest.approx(k / (1 + k))
-        assert out.clusters[0].rays[0].bounce_order == 0
-        assert sum(c.power for c in out.clusters) == pytest.approx(1.0, abs=1e-9)
+        assert len(out) == 9 and out.n_clusters == 5
+        assert out.power[0] == pytest.approx(k / (1 + k))
+        assert out.bounce_order[0] == 0 and out.cluster[0] == 0
+        np.testing.assert_array_equal(out.cluster[1:], cs.cluster + 1)
+        assert out.power.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestDopplerShift:

@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isacsim import (
+    OMNI,
     AntennaModel,
     Angle3D,
-    Cluster,
     ClusterSet,
     ConstantRcs,
     CosineLobeRcs,
     GenerationProfile,
     Origin,
-    Ray,
     ScatteringPoint,
     Side,
     SubLink,
@@ -32,15 +33,11 @@ from isacsim import (
 
 def make_sublink(side, delays, seed=0, az_lo=0.0):
     """Sub-link with one cluster of deterministic co-polar rays."""
-    rng = np.random.default_rng(seed)
     n = len(delays)
-    rays = tuple(
-        Ray(power=1.0 / n, delay=float(d),
-            aod=Angle3D(az_lo + rng.uniform(0, 2 * math.pi), 0.0),
-            aoa=Angle3D(az_lo + rng.uniform(0, 2 * math.pi), 0.0))
-        for d in delays
-    )
-    return SubLink(side, ClusterSet((Cluster(1.0, rays),)))
+    az = az_lo + np.random.default_rng(seed).uniform(0, 2 * math.pi, (n, 2))
+    return SubLink(side, ClusterSet(power=1.0 / n, delay=delays,
+                                    aod=np.stack([az[:, 0], np.zeros(n)], axis=1),
+                                    aoa=np.stack([az[:, 1], np.zeros(n)], axis=1)))
 
 
 def point(sigma_dbsm=0.0):
@@ -64,27 +61,28 @@ class TestRcsEval:
             assert rcs_eval(m, Angle3D(az, 0), Angle3D(0, 0)) == pytest.approx(10 ** 0.3)
 
 
-def reference_concatenate(a, b, sp, wl, tx, rx, s, u, t):
-    """One ray pair at a time: (delay, amp, doppler, aod, aoa, bounce
-    order) per pair, in delay order."""
+def reference_concatenate(a, b, sp, wl, tx, rx, t):
+    """One ray pair at a time, over the rows of the two ray tables:
+    (delay, amp, doppler, aod, aoa, bounce order) per pair, in delay
+    order."""
     k = 2.0 * math.pi / wl
+    ra, rb = a.clusters, b.clusters
     out = []
-    for r1 in a.rays():
-        for r2 in b.rays():
-            sigma = rcs_eval(sp.rcs_model, r1.aoa, r2.aod)
-            gain = complex(rx.field(r2.aoa) @ cross_polarization_matrix(r2.xpr, r2.phases)
-                           @ sp.cpm_k @ cross_polarization_matrix(r1.xpr, r1.phases)
-                           @ tx.field(r1.aod))
-            phase = k * (unit_vector(r1.aoa) @ sp.position
-                         + unit_vector(r1.aod) @ tx.element_positions[s]
-                         + unit_vector(r2.aoa) @ rx.element_positions[u]
-                         + unit_vector(r2.aod) @ sp.position)
-            doppler = r1.doppler + r2.doppler
-            amp = (math.sqrt(r1.power * r2.power * sigma) * gain
+    for i in range(len(ra)):
+        aod1, aoa1 = Angle3D(*ra.aod[i]), Angle3D(*ra.aoa[i])
+        for j in range(len(rb)):
+            aod2, aoa2 = Angle3D(*rb.aod[j]), Angle3D(*rb.aoa[j])
+            sigma = rcs_eval(sp.rcs_model, aoa1, aod2)
+            gain = complex(rx.field(aoa2) @ cross_polarization_matrix(rb.xpr[j], rb.phases[j])
+                           @ sp.cpm_k @ cross_polarization_matrix(ra.xpr[i], ra.phases[i])
+                           @ tx.field(aod1))
+            phase = k * (unit_vector(aoa1) @ sp.position + unit_vector(aod2) @ sp.position)
+            doppler = ra.doppler[i] + rb.doppler[j]
+            amp = (math.sqrt(ra.power[i] * rb.power[j] * sigma) * gain
                    * math.sqrt(spreading_gain(wl)) * np.exp(1j * phase)
                    * np.exp(1j * 2.0 * math.pi * doppler * t))
-            out.append((r1.delay + r2.delay, amp, doppler, r1.aod, r2.aoa,
-                        r1.bounce_order + r2.bounce_order))
+            out.append((ra.delay[i] + rb.delay[j], amp, doppler, aod1, aoa2,
+                        ra.bounce_order[i] + rb.bounce_order[j]))
     return sorted(out, key=lambda row: row[0])
 
 
@@ -114,21 +112,20 @@ class TestConcatenate:
             profile = GenerationProfile(n_clusters=3, rays_per_cluster=4,
                                         doppler_max_hz=300.0, ray_delay_scale_s=2e-9,
                                         seed=seed)
-            los = Ray(power=1.0, delay=12e-9, aod=Angle3D(0.4, 0.05),
-                      aoa=Angle3D(3.5, -0.05), doppler=40.0, bounce_order=0)
+            los = ClusterSet(power=1.0, delay=12e-9, aod=(0.4, 0.05), aoa=(3.5, -0.05),
+                             doppler=40.0, bounce_order=0)
             return SubLink(side, with_los_ray(sample_clusters(profile), los, 4.0))
 
-        positions = [[0.0, 0.0, 0.0], [0.011, -0.02, 0.003], [-0.007, 0.015, 0.021]]
-        tx = AntennaModel(kind="horn", element_positions=positions, hpbw_deg=15.0,
-                          peak_gain_db=20.0, boresight=Angle3D(0.7, 0.1))
-        rx = AntennaModel(kind="horn", element_positions=positions, hpbw_deg=30.0,
-                          peak_gain_db=10.0, boresight=Angle3D(4.0, -0.2))
+        tx = AntennaModel(kind="horn", hpbw_deg=15.0, peak_gain_db=20.0,
+                          boresight=Angle3D(0.7, 0.1))
+        rx = AntennaModel(kind="horn", hpbw_deg=30.0, peak_gain_db=10.0,
+                          boresight=Angle3D(4.0, -0.2))
         sp = ScatteringPoint(position=[4.6, 2.5, 1.5], rcs_model=rcs,
                              cpm_k=[[0.9, 0.2j], [0.1 - 0.3j, -0.7]])
         a, b = link(Side.TX_TO_TARGET, 1), link(Side.TARGET_TO_RX, 2)
-        cir = concatenate(a, b, sp, WL, tx, rx, s=2, u=1, t=1.3e-3)
-        want = reference_concatenate(a, b, sp, WL, tx, rx, 2, 1, 1.3e-3)
-        assert len(cir) == len(a.rays()) * len(b.rays())
+        cir = concatenate(a, b, sp, WL, tx, rx, t=1.3e-3)
+        want = reference_concatenate(a, b, sp, WL, tx, rx, 1.3e-3)
+        assert len(cir) == len(a.clusters) * len(b.clusters)
         for p, (delay, _, doppler, aod, aoa, order) in zip(cir.paths, want):
             assert (p.delay, p.doppler, p.aod, p.aoa, p.bounce_order, p.origin) == (
                 delay, doppler, aod, aoa, order, Origin.TARGET)
@@ -141,7 +138,8 @@ class TestConcatenate:
         with pytest.raises(ValueError) as info:
             concatenate(a, b, sp, WL)
         assert str(info.value) == (f"RCS model returned non-finite value for "
-                                   f"in={a.rays()[1].aoa} out={b.rays()[1].aod}")
+                                   f"in={Angle3D(*a.clusters.aoa[1])} "
+                                   f"out={Angle3D(*b.clusters.aod[1])}")
         with pytest.raises(ValueError, match="non-finite value for in=Angle3D"):
             rcs_eval(ConstantRcs(float("nan")), Angle3D(0, 0), Angle3D(1, 0))
 
@@ -187,22 +185,22 @@ class TestConcatenate:
         cir = concatenate(a, b, point(), WL)
         aods = {(p.aod.azimuth, p.aod.elevation) for p in cir.paths}
         aoas = {(p.aoa.azimuth, p.aoa.elevation) for p in cir.paths}
-        assert aods == {(r.aod.azimuth, r.aod.elevation) for r in a.rays()}
-        assert aoas == {(r.aoa.azimuth, r.aoa.elevation) for r in b.rays()}
+        assert aods == set(map(tuple, a.clusters.aod.tolist()))
+        assert aoas == set(map(tuple, b.clusters.aoa.tolist()))
 
     def test_doppler_adds(self):
-        ra = Ray(power=1.0, delay=1e-9, aod=Angle3D(0, 0), aoa=Angle3D(1, 0), doppler=100.0)
-        rb = Ray(power=1.0, delay=2e-9, aod=Angle3D(2, 0), aoa=Angle3D(3, 0), doppler=-30.0)
-        a = SubLink(Side.TX_TO_TARGET, ClusterSet((Cluster(1.0, (ra,)),)))
-        b = SubLink(Side.TARGET_TO_RX, ClusterSet((Cluster(1.0, (rb,)),)))
+        a = SubLink(Side.TX_TO_TARGET, ClusterSet(power=1.0, delay=1e-9, aod=(0, 0),
+                                                  aoa=(1, 0), doppler=100.0))
+        b = SubLink(Side.TARGET_TO_RX, ClusterSet(power=1.0, delay=2e-9, aod=(2, 0),
+                                                  aoa=(3, 0), doppler=-30.0))
         cir = concatenate(a, b, point(), WL)
         assert cir.paths[0].doppler == pytest.approx(70.0)
 
     def test_bounce_orders_add_without_target_hop(self):
-        ra = Ray(power=1.0, delay=1e-9, aod=Angle3D(0, 0), aoa=Angle3D(1, 0), bounce_order=0)
-        rb = Ray(power=1.0, delay=2e-9, aod=Angle3D(2, 0), aoa=Angle3D(3, 0), bounce_order=0)
-        a = SubLink(Side.TX_TO_TARGET, ClusterSet((Cluster(1.0, (ra,)),)))
-        b = SubLink(Side.TARGET_TO_RX, ClusterSet((Cluster(1.0, (rb,)),)))
+        a = SubLink(Side.TX_TO_TARGET, ClusterSet(power=1.0, delay=1e-9, aod=(0, 0),
+                                                  aoa=(1, 0), bounce_order=0))
+        b = SubLink(Side.TARGET_TO_RX, ClusterSet(power=1.0, delay=2e-9, aod=(2, 0),
+                                                  aoa=(3, 0), bounce_order=0))
         cir = concatenate(a, b, point(), WL)
         assert cir.paths[0].bounce_order == 0  # LOS+LOS concatenation is direct
 
@@ -224,18 +222,13 @@ class TestConcatenate:
             amps_a = rng.normal(size=na) + 1j * rng.normal(size=na)
             amps_b = rng.normal(size=nb) + 1j * rng.normal(size=nb)
 
-            rays_a = tuple(Ray(power=float(abs(x)) ** 2, delay=float(d),
-                               aod=Angle3D(0.1, 0), aoa=Angle3D(0.2, 0),
-                               phases=(float(np.angle(x)),) * 4)
-                           for x, d in zip(amps_a, da))
-            rays_b = tuple(Ray(power=float(abs(x)) ** 2, delay=float(d),
-                               aod=Angle3D(0.3, 0), aoa=Angle3D(0.4, 0),
-                               phases=(float(np.angle(x)),) * 4)
-                           for x, d in zip(amps_b, db))
-            # bypass ClusterSet normalization checks: build with one
-            # cluster whose nominal power is 1 (ray powers are arbitrary)
-            a = SubLink(Side.TX_TO_TARGET, ClusterSet((Cluster(1.0, rays_a),)))
-            b = SubLink(Side.TARGET_TO_RX, ClusterSet((Cluster(1.0, rays_b),)))
+            # ray powers are arbitrary; all four phases carry the amplitude's
+            a = SubLink(Side.TX_TO_TARGET, ClusterSet(
+                power=np.abs(amps_a) ** 2, delay=da, aod=(0.1, 0), aoa=(0.2, 0),
+                phases=np.angle(amps_a)[:, None]))
+            b = SubLink(Side.TARGET_TO_RX, ClusterSet(
+                power=np.abs(amps_b) ** 2, delay=db, aod=(0.3, 0), aoa=(0.4, 0),
+                phases=np.angle(amps_b)[:, None]))
             cir = concatenate(a, b, point(sigma_dbsm), WL)
 
             # dense oracle: quantize each sub-link to the grid, FFT-convolve
@@ -253,6 +246,40 @@ class TestConcatenate:
             merged = merge_paths(cir.paths, grid_step / 2, 10.0)
             sparse_power = sum(p.power for p in merged)
             assert sparse_power == pytest.approx(oracle_power, rel=1e-6)
+
+
+def _column(draw, n, lo, hi):
+    return draw(st.lists(st.floats(lo, hi, allow_nan=False), min_size=n, max_size=n))
+
+
+@st.composite
+def ray_tables(draw):
+    """A ray table of 1 to 12 co-polar rays with random delays, Dopplers,
+    powers, phases and angles."""
+    n = draw(st.integers(1, 12))
+    angles = lambda: np.stack([_column(draw, n, -10.0, 10.0),
+                               _column(draw, n, -math.pi / 2, math.pi / 2)], axis=1)
+    return ClusterSet(power=_column(draw, n, 0.0, 10.0), delay=_column(draw, n, 0.0, 1e-6),
+                      aod=angles(), aoa=angles(), doppler=_column(draw, n, -1e4, 1e4),
+                      phases=np.reshape(_column(draw, 4 * n, -math.pi, math.pi), (n, 4)))
+
+
+class TestConcatenationLaws:
+    @settings(max_examples=60, deadline=None)
+    @given(ray_tables(), ray_tables(), st.floats(-20.0, 40.0))
+    def test_delay_doppler_and_power_laws(self, rays_a, rays_b, sigma_dbsm):
+        a, b = SubLink(Side.TX_TO_TARGET, rays_a), SubLink(Side.TARGET_TO_RX, rays_b)
+        sp = point(sigma_dbsm)
+        cir = concatenate(a, b, sp, WL)
+        want = reference_concatenate(a, b, sp, WL, OMNI, OMNI, 0.0)
+        # sums of the two rays' delays and Dopplers, exactly
+        assert cir.delay.tolist() == [row[0] for row in want]
+        assert cir.doppler.tolist() == [row[2] for row in want]
+        # identity CPM_k and XPR 1e12: |amp|^2 = p_a p_b sigma lambda^2 / 4 pi
+        pairs = sorted(((da + db, pa * pb) for da, pa in zip(rays_a.delay, rays_a.power)
+                        for db, pb in zip(rays_b.delay, rays_b.power)), key=lambda r: r[0])
+        law = np.array([p for _, p in pairs]) * 10.0 ** (sigma_dbsm / 10.0) * spreading_gain(WL)
+        np.testing.assert_allclose(cir.powers(), law, rtol=1e-9, atol=0.0)
 
 
 class TestMultiPointTarget:
