@@ -1,7 +1,9 @@
 """Frozen reference outputs: every file that simulate, analyze and
 sounder-roundtrip write for the shipped configs must hash to the digest
 recorded in tests/data/reference_digests.json. A refactor that changes
-no behaviour leaves every digest as it is.
+no behaviour leaves every digest as it is. ``analyze`` runs at the
+README's ``--threshold-db 120``, where it finds and classifies target
+paths; at the default 30 dB two configs find none.
 
 report.json is hashed without ``timings_s`` and ``config_dir``, which
 depend on the machine and the checkout. After a deliberate change of the
@@ -43,7 +45,8 @@ def run_chain(config: Path, work: Path) -> dict[str, str]:
     run, sound = work / "run", work / "roundtrip"
     scene = SCENES.get(config.name)
     for argv in (["simulate", str(config), "--out", str(run)],
-                 ["analyze", str(run)] + (["--scene", str(scene)] if scene else []),
+                 ["analyze", str(run), "--threshold-db", "120"]
+                 + (["--scene", str(scene)] if scene else []),
                  ["sounder-roundtrip", str(config), "--out", str(sound)]):
         assert cli_main(argv) == 0, f"{config.name}: {argv[0]} failed"
     return {p.relative_to(work).as_posix(): _digest(p)
