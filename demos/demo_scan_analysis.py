@@ -71,9 +71,9 @@ bins = delay_grid(150e-9, 1.0 / 1.2e9)
 with_target = turntable_scan(Cir(tuple(target_paths) + bg_paths), horn, angles, bins)
 without_target = turntable_scan(Cir(bg_paths), horn, angles, bins)
 
-out = Path(tempfile.mkdtemp(prefix="isacsim_demo_")) / "padp.csv"
-write_padp_csv(out, with_target)
-print(f"PADP exported to {out} ({padp(with_target).size} cells)\n")
+with tempfile.TemporaryDirectory() as tmp:
+    write_padp_csv(Path(tmp) / "padp.csv", with_target)
+print(f"PADP exported to padp.csv ({padp(with_target).size} cells)\n")
 
 peaks = subtract_background(with_target, without_target, match_tol=(2.5, 1e-9),
                             peak_threshold_db=30.0, min_sep_deg=5.0, min_sep_s=2e-9)
