@@ -28,7 +28,7 @@ profile = GenerationProfile(n_clusters=6, rays_per_cluster=8, delay_scale_s=35e-
 bg = background_bistatic(profile, OMNI, OMNI)
 print(f"bi-static statistical background: {len(bg)} paths, "
       f"total power {bg.total_power():.6f} (normalized before path loss)")
-print(f"  delay span {bg.paths[0].delay * 1e9:.1f} .. {bg.paths[-1].delay * 1e9:.1f} ns\n")
+print(f"  delay span {bg.delay[0] * 1e9:.1f} .. {bg.delay[-1] * 1e9:.1f} ns\n")
 
 walls = [
     GeometricScatterer([9.0, 0.0, 1.5], 0.0, "east_wall"),
@@ -38,11 +38,11 @@ walls = [
 mono = background_monostatic(walls, [0.0, 0.0, 1.5], wl)
 print("mono-static geometric background (co-located Tx/Rx, delay-sorted):")
 by_range = sorted(walls, key=lambda w: np.linalg.norm(w.position - [0.0, 0.0, 1.5]))
-for w, p in zip(by_range, mono.paths):
-    rng_m = p.delay * C_LIGHT / 2
-    print(f"  {w.label:>10}: delay {p.delay * 1e9:6.2f} ns -> range {rng_m:5.2f} m, "
-          f"azimuth {np.degrees(p.aoa.azimuth):6.1f} deg, "
-          f"power {linear_to_db(p.power):7.1f} dB")
+for w, delay, az, power in zip(by_range, mono.delay, mono.aoa_az, mono.powers()):
+    rng_m = delay * C_LIGHT / 2
+    print(f"  {w.label:>10}: delay {delay * 1e9:6.2f} ns -> range {rng_m:5.2f} m, "
+          f"azimuth {np.degrees(az):6.1f} deg, "
+          f"power {linear_to_db(power):7.1f} dB")
 
 print("\nmeasured power control factors:")
 for cond in ("los_los", "los_nlos"):

@@ -14,12 +14,10 @@ import numpy as np
 
 from isacsim import (
     C_LIGHT,
-    Angle3D,
     AntennaModel,
     Cir,
     GeometricScatterer,
     PadpPeak,
-    PathComponent,
     ReconstructionScene,
     classify_bounce,
     delay_grid,
@@ -57,19 +55,16 @@ routes = [
           scene.reflectors[0].position, scene.rx),
 ]
 # per-order powers assigned from the indoor-human LOS+LOS proportions
-target_paths = []
-for (label, length, az), frac in zip(routes, (0.189, 0.657, 0.154)):
-    target_paths.append(PathComponent(
-        delay=length / C_LIGHT, amp=math.sqrt(frac),
-        aoa=Angle3D.from_degrees(az), aod=Angle3D(0, 0)))
-bg_paths = (PathComponent(delay=10.0 / C_LIGHT, amp=1.2,
-                          aoa=Angle3D.from_degrees(180.0), aod=Angle3D(0, 0)),)
+amps = [math.sqrt(frac) for frac in (0.189, 0.657, 0.154)]
+target = Cir.from_columns([length / C_LIGHT for _, length, _ in routes], amps,
+                          aoa_az=[math.radians(az) for _, _, az in routes])
+background = Cir.from_columns([10.0 / C_LIGHT], [1.2], aoa_az=math.radians(180.0))
 
 horn = AntennaModel(kind="horn", hpbw_deg=19.8, peak_gain_db=15.0)
 angles = np.arange(0.0, 360.0, 5.0)
 bins = delay_grid(150e-9, 1.0 / 1.2e9)
-with_target = turntable_scan(Cir(tuple(target_paths) + bg_paths), horn, angles, bins)
-without_target = turntable_scan(Cir(bg_paths), horn, angles, bins)
+with_target = turntable_scan(Cir.concat([target, background]), horn, angles, bins)
+without_target = turntable_scan(background, horn, angles, bins)
 
 with tempfile.TemporaryDirectory() as tmp:
     write_padp_csv(Path(tmp) / "padp.csv", with_target)
@@ -88,10 +83,10 @@ print("them into a single path and the comparison cannot isolate it.\n")
 
 # proportions from the planted ground truth, all routes classified
 classified = []
-for (label, length, az), p in zip(routes, target_paths):
-    res = classify_bounce(
-        PadpPeak(az, length / C_LIGHT, p.power), scene, 1e-9, 2.5)
-    classified.append((res.order, p.power))
+for (label, length, az), amp in zip(routes, amps):
+    power = amp ** 2
+    res = classify_bounce(PadpPeak(az, length / C_LIGHT, power), scene, 1e-9, 2.5)
+    classified.append((res.order, power))
 pp = power_proportion(classified)
 print(f"planted-route power proportions: direct {pp.direct:.1%}, "
       f"first-order {pp.first_order:.1%}, higher {pp.higher_order:.1%}")

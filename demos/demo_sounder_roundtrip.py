@@ -10,9 +10,7 @@ import math
 import numpy as np
 
 from isacsim import (
-    Angle3D,
     Cir,
-    PathComponent,
     generate_pn,
     slide_correlate,
     sounder_roundtrip,
@@ -31,8 +29,7 @@ rng = np.random.default_rng(2024)
 delays = np.sort(rng.choice(np.arange(30, 1900, 5), 5, replace=False)) * chip
 delays += rng.uniform(0, 1, 5) * chip
 amps = 10 ** (rng.uniform(-8, 0, 5) / 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
-truth = Cir(tuple(PathComponent(delay=d, amp=a, aoa=Angle3D(0, 0), aod=Angle3D(0, 0))
-                  for d, a in zip(delays, amps)))
+truth = Cir.from_columns(delays, amps)
 
 # mild bandpass ripple standing in for the Tx/Rx hardware chain
 n = pn.length

@@ -41,12 +41,12 @@ print(f"{len(hop_a.clusters)} x {len(hop_b.clusters)} sub-link rays -> {len(cir)
 
 print("every concatenated delay is the second-hop delay shifted by the")
 print("17.5 ns first-hop line of sight:")
-for p, d_b in zip(cir.paths, sorted(delays_b)):
-    print(f"  {d_b * 1e9:5.1f} ns + 17.5 ns = {p.delay * 1e9:6.1f} ns")
+for delay, d_b in zip(cir.delay, sorted(delays_b)):
+    print(f"  {d_b * 1e9:5.1f} ns + 17.5 ns = {delay * 1e9:6.1f} ns")
 
 sigma_lin = 10 ** 0.848
 print("\npower product law (P1 * P2 * sigma * lambda^2/4pi):")
-for p, (d_b, pw) in zip(cir.paths, sorted(zip(delays_b, powers_b))):
+for delay, power, (d_b, pw) in zip(cir.delay, cir.powers(), sorted(zip(delays_b, powers_b))):
     predicted = 1.0 * pw * sigma_lin * spreading_gain(wl)
-    print(f"  path at {p.delay * 1e9:6.1f} ns: |amp|^2 = {linear_to_db(p.power):7.2f} dB, "
+    print(f"  path at {delay * 1e9:6.1f} ns: |amp|^2 = {linear_to_db(power):7.2f} dB, "
           f"predicted {linear_to_db(predicted):7.2f} dB")

@@ -16,7 +16,6 @@ from .core import (
     ConstantRcs,
     CosineLobeRcs,
     Origin,
-    PathComponent,
     ScatteringPoint,
     TableRcs,
     angle_from_vector,
@@ -42,7 +41,7 @@ from .gbsm import (
     synthesize_cir,
     with_los_ray,
 )
-from .target import Side, SubLink, concatenate, load_rcs_table_csv, multi_point_target, rcs_eval
+from .target import Side, SubLink, concatenate, load_rcs_table_csv, multi_point_target
 from .background import (
     GeometricScatterer,
     PcfModel,

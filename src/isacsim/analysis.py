@@ -106,7 +106,7 @@ def _bin_rows(delays: np.ndarray, powers: np.ndarray, delay_bins) -> np.ndarray:
 
 def pdp(cir: Cir, delay_bins: np.ndarray) -> np.ndarray:
     """Power delay profile: non-coherent |amp|^2 binning over delay."""
-    return _bin_rows(cir.delays(), np.abs(cir.amps())[None, :] ** 2, delay_bins)[0]
+    return _bin_rows(cir.delay, np.abs(cir.amp)[None, :] ** 2, delay_bins)[0]
 
 
 def padp(grid: ScanGrid) -> np.ndarray:
@@ -127,8 +127,8 @@ def turntable_scan(cir: Cir, rx_antenna: AntennaModel, angles_deg: Sequence[floa
     boresight = np.column_stack([np.radians(angles) % TWO_PI, np.zeros(len(angles))])
     arrival = np.column_stack([cir.aoa_az, cir.aoa_el])
     gain = rx_antenna.field_gain(boresight, arrival)
-    powers = np.abs(cir.amps() * gain) ** 2
-    return ScanGrid(angles, _bin_rows(cir.delays(), powers, delay_bins), delay_bins)
+    powers = np.abs(cir.amp * gain) ** 2
+    return ScanGrid(angles, _bin_rows(cir.delay, powers, delay_bins), delay_bins)
 
 
 # ---------------------------------------------------------------------------

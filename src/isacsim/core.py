@@ -13,8 +13,6 @@ from __future__ import annotations
 import bisect
 import enum
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -146,75 +144,20 @@ def wrapped_angle_distance(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def angles_close(a: Angle3D, b: Angle3D, tol: float) -> bool:
-    """True if both azimuth and elevation differ by at most tol radians."""
-    return (wrapped_angle_distance(a.azimuth, b.azimuth) <= tol
-            and abs(a.elevation - b.elevation) <= tol)
-
-
-# ---------------------------------------------------------------------------
-# Path components
-# ---------------------------------------------------------------------------
-
-class Origin(enum.Enum):
-    TARGET = "target"
-    BACKGROUND = "background"
-    SHARED = "shared"
-
-
-@dataclass(frozen=True)
-class PathComponent:
-    """One resolvable multipath component.
-
-    ``amp`` is the complex field gain after antenna projection; ``power``
-    is |amp|^2 (linear). ``bounce_order`` counts interactions with
-    environment objects other than the sensing target (0 = direct).
-    """
-
-    delay: float
-    amp: complex
-    doppler: float = 0.0
-    aod: Angle3D = Angle3D(0.0, 0.0)
-    aoa: Angle3D = Angle3D(0.0, 0.0)
-    bounce_order: int = 0
-    origin: Origin = Origin.BACKGROUND
-
-    def __post_init__(self):
-        if not math.isfinite(self.delay) or self.delay < 0.0:
-            raise ValueError(f"delay must be finite and >= 0, got {self.delay}")
-        if not (math.isfinite(self.amp.real) and math.isfinite(self.amp.imag)):
-            raise ValueError("amplitude must be finite")
-        if self.bounce_order < 0:
-            raise ValueError("bounce_order must be >= 0")
-
-    @property
-    def power(self) -> float:
-        return abs(self.amp) ** 2
-
-
 # ---------------------------------------------------------------------------
 # RCS models
 # ---------------------------------------------------------------------------
+
+# Each model's ``eval_dbsm_pairs(angles_in, angles_out)`` takes (n, 2) and
+# (m, 2) rows of (azimuth, elevation) in radians and returns the (n, m)
+# dBsm values of every (incoming, outgoing) pair.
 
 def _angle_rows(angles) -> np.ndarray:
     return np.asarray(angles, dtype=float).reshape(-1, 2)
 
 
-class _PairwiseRcs:
-    """Scalar evaluation on top of a model's ``eval_dbsm_pairs``.
-
-    ``eval_dbsm_pairs(angles_in, angles_out)`` takes (n, 2) and (m, 2)
-    rows of (azimuth, elevation) in radians and returns the (n, m)
-    dBsm values of every (incoming, outgoing) pair.
-    """
-
-    def eval_dbsm(self, g_in: Angle3D, g_out: Angle3D) -> float:
-        return float(self.eval_dbsm_pairs([[g_in.azimuth, g_in.elevation]],
-                                          [[g_out.azimuth, g_out.elevation]])[0, 0])
-
-
 @dataclass(frozen=True)
-class ConstantRcs(_PairwiseRcs):
+class ConstantRcs:
     """Angle-independent radar cross section."""
 
     sigma_dbsm: float
@@ -225,7 +168,7 @@ class ConstantRcs(_PairwiseRcs):
 
 
 @dataclass(frozen=True)
-class CosineLobeRcs(_PairwiseRcs):
+class CosineLobeRcs:
     """Scattering lobe sigma0 * cos(theta)^exponent about a lobe axis.
 
     The angular argument is the mean off-axis angle of the incoming and
@@ -250,7 +193,7 @@ class CosineLobeRcs(_PairwiseRcs):
 
 
 @dataclass(frozen=True, eq=False)
-class TableRcs(_PairwiseRcs):
+class TableRcs:
     """Gridded RCS over (incoming, outgoing) angle pairs, dBsm values.
 
     Axes are radians; queries outside the grid clamp to the boundary
@@ -320,6 +263,12 @@ RcsModel = ConstantRcs | CosineLobeRcs | TableRcs
 # Scattering points and CIRs
 # ---------------------------------------------------------------------------
 
+class Origin(enum.Enum):
+    TARGET = "target"
+    BACKGROUND = "background"
+    SHARED = "shared"
+
+
 def identity_cpm() -> np.ndarray:
     """2x2 identity polarization matrix (no polarization twist)."""
     return np.eye(2, dtype=complex)
@@ -347,11 +296,11 @@ class ScatteringPoint:
         object.__setattr__(self, "cpm_k", cpm)
 
 
-# Path components are stored by origin code: the index into ORIGINS
+# Paths are stored by origin code: the index into ORIGINS
 ORIGINS = (Origin.TARGET, Origin.BACKGROUND, Origin.SHARED)
 _ORIGIN_CODE = {o: i for i, o in enumerate(ORIGINS)}
 
-# the per-path columns of a Cir, in PathComponent field order
+# the per-path columns of a Cir
 COLUMNS = ("delay", "amp", "doppler", "aod_az", "aod_el", "aoa_az", "aoa_el",
            "bounce_order", "origin_code")
 _DTYPES = (float, complex, float, float, float, float, float, np.int64, np.int8)
@@ -361,12 +310,6 @@ PATH_RECORD = np.dtype([(name, np.dtype(dt).newbyteorder("<"))
                         for name, dt in zip(COLUMNS, _DTYPES)])
 
 
-def _path_from_row(delay, amp, doppler, aod_az, aod_el, aoa_az, aoa_el,
-                   bounce_order, origin_code) -> PathComponent:
-    return PathComponent(delay, amp, doppler, Angle3D(aod_az, aod_el),
-                         Angle3D(aoa_az, aoa_el), bounce_order, ORIGINS[origin_code])
-
-
 class Cir:
     """Channel impulse response: one column per path attribute, the rows
     sorted by delay (stably, so paths of equal delay keep their order).
@@ -374,23 +317,15 @@ class Cir:
     The columns are read-only numpy arrays of one length: ``delay`` (s),
     ``amp`` (complex field gain), ``doppler`` (Hz), ``aod_az``,
     ``aod_el``, ``aoa_az``, ``aoa_el`` (radians, azimuths in [0, 2 pi)),
-    ``bounce_order`` and ``origin_code`` (index into ``ORIGINS``).
-    ``Cir(paths)`` builds the columns from PathComponents; ``paths`` is a
-    sequence view that builds a PathComponent per row on access.
+    ``bounce_order`` (interactions with objects other than the sensing
+    target, 0 = direct) and ``origin_code`` (index into ``ORIGINS``).
+    ``Cir.from_columns`` and ``Cir.concat`` build one.
     """
 
     __slots__ = COLUMNS + ("t0", "carrier_freq")
 
-    def __init__(self, paths: Iterable[PathComponent] = (), t0: float = 0.0,
-                 carrier_freq: float = 0.0):
-        if isinstance(paths, PathView):
-            cols = {name: getattr(paths._cir, name) for name in COLUMNS}
-        else:
-            rows = [(p.delay, p.amp, p.doppler, p.aod.azimuth, p.aod.elevation,
-                     p.aoa.azimuth, p.aoa.elevation, p.bounce_order, _ORIGIN_CODE[p.origin])
-                    for p in paths]
-            cols = dict(zip(COLUMNS, zip(*rows) if rows else [()] * len(COLUMNS)))
-        self._assign(_sorted_columns(cols), t0, carrier_freq)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a Cir with Cir.from_columns or Cir.concat")
 
     @classmethod
     def from_columns(cls, delay, amp, doppler=0.0, aod_az=0.0, aod_el=0.0,
@@ -398,9 +333,10 @@ class Cir:
                      origin: Origin | np.ndarray = Origin.BACKGROUND,
                      t0: float = 0.0, carrier_freq: float = 0.0) -> "Cir":
         """Cir from per-path arrays; scalars broadcast to every path.
-        ``origin`` is one Origin or an array of origin codes. Checks the
-        values as PathComponent and Angle3D do, normalizes the azimuths
-        and sorts the rows by delay."""
+        ``origin`` is one Origin or an array of origin codes. Checks that
+        delays are finite and >= 0, amplitudes finite, bounce orders
+        >= 0 and angles as Angle3D checks them, wraps the azimuths as
+        Angle3D does and sorts the rows by delay."""
         if isinstance(origin, Origin):
             origin = _ORIGIN_CODE[origin]
         delay = np.asarray(delay, dtype=float).ravel()
@@ -437,16 +373,13 @@ class Cir:
     def _make(cls, cols: dict, t0: float, carrier_freq: float) -> "Cir":
         """A Cir of columns already checked and sorted by delay."""
         out = object.__new__(cls)
-        out._assign(cols, t0, carrier_freq)
-        return out
-
-    def _assign(self, cols: dict, t0: float, carrier_freq: float) -> None:
         for name, dt in zip(COLUMNS, _DTYPES):
             arr = np.asarray(cols[name], dtype=dt)
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "carrier_freq", carrier_freq)
+            object.__setattr__(out, name, arr)
+        object.__setattr__(out, "t0", t0)
+        object.__setattr__(out, "carrier_freq", carrier_freq)
+        return out
 
     def _with(self, **cols) -> "Cir":
         """This Cir with some columns replaced; the delay order must hold."""
@@ -463,17 +396,14 @@ class Cir:
         return f"Cir({len(self)} paths, t0={self.t0}, carrier_freq={self.carrier_freq})"
 
     @property
-    def paths(self) -> "PathView":
-        return PathView(self)
+    def paths(self) -> "Cir":
+        """The Cir itself, which holds one row per path. Kept so that
+        ``len(cir.paths)`` counts the paths, as the benchmark's tracer
+        (isacbench/tracing.py) does."""
+        return self
 
     def total_power(self) -> float:
         return math.fsum(self.powers().tolist())
-
-    def delays(self) -> np.ndarray:
-        return self.delay
-
-    def amps(self) -> np.ndarray:
-        return self.amp
 
     def powers(self) -> np.ndarray:
         return np.abs(self.amp) ** 2
@@ -488,34 +418,6 @@ def _sorted_columns(cols: dict) -> dict:
     cols = {name: np.asarray(cols[name], dtype=dt) for name, dt in zip(COLUMNS, _DTYPES)}
     order = np.argsort(cols["delay"], kind="stable")
     return {name: arr[order] for name, arr in cols.items()}
-
-
-class PathView(Sequence):
-    """Read-only sequence of a Cir's paths; each access builds the
-    PathComponent of a row, so holding the view costs nothing."""
-
-    __slots__ = ("_cir",)
-
-    def __init__(self, cir: Cir):
-        self._cir = cir
-
-    def __len__(self) -> int:
-        return len(self._cir)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        n = len(self)
-        i = operator.index(i)
-        if not -n <= i < n:
-            raise IndexError("path index out of range")
-        return _path_from_row(*(getattr(self._cir, name)[i].item() for name in COLUMNS))
-
-    def __iter__(self):
-        return map(_path_from_row, *(getattr(self._cir, name).tolist() for name in COLUMNS))
-
-    def __repr__(self) -> str:
-        return f"PathView({len(self)} paths)"
 
 
 # ---------------------------------------------------------------------------
@@ -539,32 +441,6 @@ def _exact_groups(cir: Cir) -> tuple[np.ndarray, np.ndarray]:
     return rank[group], np.sort(first)
 
 
-def _anchor_groups(cir: Cir, delay_tol: float, angle_tol: float):
-    """The anchor scan: each row, in delay order, joins the latest anchor
-    within both tolerances, scanning back while delays are in reach."""
-    delay, aod_az, aod_el, aoa_az, aoa_el = (
-        getattr(cir, name).tolist() for name in ("delay", "aod_az", "aod_el", "aoa_az", "aoa_el"))
-    anchors: list[int] = []
-    group = [0] * len(delay)
-    for i, d in enumerate(delay):
-        gi = -1
-        for g in range(len(anchors) - 1, -1, -1):
-            a = anchors[g]
-            if d - delay[a] > delay_tol:
-                break  # anchors are delay-sorted; earlier ones are farther
-            if (wrapped_angle_distance(aoa_az[i], aoa_az[a]) <= angle_tol
-                    and abs(aoa_el[i] - aoa_el[a]) <= angle_tol
-                    and wrapped_angle_distance(aod_az[i], aod_az[a]) <= angle_tol
-                    and abs(aod_el[i] - aod_el[a]) <= angle_tol):
-                gi = g
-                break
-        if gi < 0:
-            gi = len(anchors)
-            anchors.append(i)
-        group[i] = gi
-    return np.array(group, dtype=np.intp), np.array(anchors, dtype=np.intp)
-
-
 def _delay_gap_groups(cir: Cir, delay_tol: float):
     """The anchor scan when no angle test can fail (``angle_tol >= pi``):
     each row joins the latest anchor unless its delay exceeds that
@@ -582,52 +458,42 @@ def _delay_gap_groups(cir: Cir, delay_tol: float):
     return group, anchors
 
 
-def merge_paths(paths: Cir | Iterable[PathComponent], delay_tol: float,
-                angle_tol: float) -> Cir | list[PathComponent]:
-    """Coherently merge paths that coincide within the given tolerances.
+def merge_paths(paths: Cir, delay_tol: float, angle_tol: float) -> Cir:
+    """Coherently merge the paths of a Cir that coincide.
 
-    Paths whose delay differs by at most ``delay_tol`` and whose AoA and
-    AoD both differ by at most ``angle_tol`` from a group anchor are
-    summed as complex amplitudes, in delay order. The anchor
-    (earliest-delay member) supplies the merged delay, angles, Doppler,
-    and bounce order, which makes the operation idempotent. Mixed-origin
-    groups become SHARED.
+    Each group of coinciding paths becomes its anchor, its earliest row,
+    with the complex sum of the group's amplitudes, added in row order.
+    The anchor supplies the delay, angles, Doppler and bounce order,
+    which makes the merge idempotent. Mixed-origin groups become SHARED.
+    Two rules are supported:
 
-    With both tolerances zero only paths with equal delay and angles
-    coincide, and the groups are found by sorting on that exact key
-    instead of by scanning the anchors. With ``angle_tol >= pi`` every
-    angle test passes, and each next anchor is found by bisecting the
-    delays.
+    * ``delay_tol == angle_tol == 0``: paths with equal delay, AoA and
+      AoD coincide, found by sorting on that key.
+    * ``angle_tol >= pi``: every angle test passes, so each row joins
+      the latest anchor unless its delay exceeds the anchor's by more
+      than ``delay_tol`` (>= 0).
 
-    Args:
-        paths: a Cir, or any iterable of PathComponent.
-        delay_tol: seconds, >= 0.
-        angle_tol: radians, >= 0.
-
-    Returns:
-        The merged Cir for a Cir, otherwise a delay-sorted list of
-        merged components.
+    Any other tolerance pair raises ValueError.
     """
-    if delay_tol < 0.0:
-        raise ValueError("delay_tol must be >= 0")
-    cir = paths if isinstance(paths, Cir) else Cir(paths)
+    if not isinstance(paths, Cir):
+        raise ValueError(f"merge_paths takes a Cir, not {type(paths).__name__}")
     if delay_tol == 0.0 and angle_tol == 0.0:
-        group, anchors = _exact_groups(cir)
-    elif angle_tol >= math.pi:
+        group, anchors = _exact_groups(paths)
+    elif delay_tol >= 0.0 and angle_tol >= math.pi:
         # wrapped azimuth distances are at most pi and elevations lie in
         # [-pi/2, pi/2], so only the delays decide the groups
-        group, anchors = _delay_gap_groups(cir, delay_tol)
+        group, anchors = _delay_gap_groups(paths, delay_tol)
     else:
-        group, anchors = _anchor_groups(cir, delay_tol, angle_tol)
-    members = np.ones(len(cir), dtype=bool)
+        raise ValueError(f"merge_paths supports tolerances (0, 0) or (>= 0, >= pi), "
+                         f"not ({delay_tol}, {angle_tol})")
+    members = np.ones(len(paths), dtype=bool)
     members[anchors] = False
     members = np.flatnonzero(members)
-    sums = cir.amp[anchors]
-    np.add.at(sums, group[members], cir.amp[members])  # in row order
-    origin = cir.origin_code[anchors]
-    mixed = group[cir.origin_code != origin[group]]
+    sums = paths.amp[anchors]
+    np.add.at(sums, group[members], paths.amp[members])  # in row order
+    origin = paths.origin_code[anchors]
+    mixed = group[paths.origin_code != origin[group]]
     origin[mixed] = _ORIGIN_CODE[Origin.SHARED]
-    cols = {name: getattr(cir, name)[anchors] for name in COLUMNS}
+    cols = {name: getattr(paths, name)[anchors] for name in COLUMNS}
     cols.update(amp=sums, origin_code=origin)
-    merged = cir._with(**cols)
-    return merged if isinstance(paths, Cir) else list(merged.paths)
+    return paths._with(**cols)

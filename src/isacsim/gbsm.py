@@ -158,14 +158,6 @@ class AntennaModel:
         out[:, 0] = self.field_gain([[b.azimuth, b.elevation]], angles)[0]
         return out
 
-    def field(self, angle: Angle3D) -> np.ndarray:
-        """Complex (F_theta, F_phi) field pattern toward ``angle``."""
-        return self.fields([[angle.azimuth, angle.elevation]])[0]
-
-    def power_gain(self, angle: Angle3D) -> float:
-        f = self.field(angle)
-        return float(np.sum(np.abs(f) ** 2))
-
 
 OMNI = AntennaModel(kind="omni")
 

@@ -146,7 +146,7 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
                                         carrier_freq=config.carrier_freq_hz)
         pl_tar = tuple(pls)
     else:
-        target_cir = Cir((), carrier_freq=config.carrier_freq_hz)
+        target_cir = Cir.from_columns([], [], carrier_freq=config.carrier_freq_hz)
         pl_tar = ()
 
     # background channel

@@ -117,7 +117,7 @@ def transmit_through(cir: Cir, pn: PnSequence, snr_db: float | None,
     fs = pn.chip_rate * samples_per_chip
     n = pn.length * samples_per_chip
     period = pn.period_s
-    delays = cir.delays()
+    delays = cir.delay
     outside = np.flatnonzero((delays < 0.0) | (delays >= period))
     if len(outside):
         raise ValueError(
@@ -130,7 +130,7 @@ def transmit_through(cir: Cir, pn: PnSequence, snr_db: float | None,
     # correct side of the floor
     shifts = np.ceil(samples_per_chip * (delays * pn.chip_rate - 1e-9)).astype(int) % n
     impulses = np.zeros(n, dtype=complex)
-    np.add.at(impulses, shifts, cir.amps())
+    np.add.at(impulses, shifts, cir.amp)
     rx = np.fft.ifft(np.fft.fft(impulses) * np.fft.fft(reference_waveform(pn, samples_per_chip)))
 
     if snr_db is not None and np.isfinite(snr_db):

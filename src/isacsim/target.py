@@ -62,12 +62,6 @@ def _rcs_linear(model, angles_in: np.ndarray, angles_out: np.ndarray) -> np.ndar
     return 10.0 ** (sigma_dbsm / 10.0)
 
 
-def rcs_eval(model, g_in: Angle3D, g_out: Angle3D) -> float:
-    """Radar cross section in linear square meters for an angle pair."""
-    return float(_rcs_linear(model, np.array([[g_in.azimuth, g_in.elevation]]),
-                             np.array([[g_out.azimuth, g_out.elevation]]))[0, 0])
-
-
 def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
                 tx_antenna: AntennaModel = OMNI, rx_antenna: AntennaModel = OMNI,
                 t: float = 0.0, carrier_freq: float = 0.0) -> Cir:

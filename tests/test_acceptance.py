@@ -19,7 +19,6 @@ from isacsim import (
     ConstantRcs,
     GeometricScatterer,
     PadpPeak,
-    PathComponent,
     PcfModel,
     ReconstructionScene,
     ScatteringPoint,
@@ -145,7 +144,7 @@ def test_criterion_4_concatenation_law():
 
         # every output delay is a sum of one delay from each sub-link
         expected_delays = sorted(float(x + y) for x in da for y in db)
-        np.testing.assert_allclose(sorted(p.delay for p in cir.paths),
+        np.testing.assert_allclose(sorted(cir.delay.tolist()),
                                    expected_delays, atol=1e-20)
 
         # FFT dense-grid convolution oracle on the common delay grid
@@ -157,7 +156,7 @@ def test_criterion_4_concatenation_law():
             gb[int(round(d / grid_step))] += x
         conv = np.fft.ifft(np.fft.fft(ga, 2 * n) * np.fft.fft(gb, 2 * n))
         oracle = float(np.sum(np.abs(conv) ** 2)) * sigma_lin * spreading_gain(WL)
-        got = sum(p.power for p in merge_paths(cir.paths, grid_step / 2, 10.0))
+        got = sum(merge_paths(cir, grid_step / 2, 10.0).powers().tolist())
         worst = max(worst, abs(got - oracle) / oracle)
     assert worst <= 1e-6
 
@@ -238,10 +237,9 @@ def test_criterion_7_monostatic_geometry():
         if np.linalg.norm(pos - p0) < 0.1:
             pos = p0 + np.array([5.0, 0, 0])
         cir = background_monostatic([GeometricScatterer(position=pos)], p0, wl=0.0107)
-        path = cir.paths[0]
-        err = abs(path.delay * C_LIGHT / 2.0 - float(np.linalg.norm(pos - p0)))
+        err = abs(cir.delay[0] * C_LIGHT / 2.0 - float(np.linalg.norm(pos - p0)))
         worst = max(worst, err)
-        assert path.aoa == path.aod
+        assert (cir.aoa_az[0], cir.aoa_el[0]) == (cir.aod_az[0], cir.aod_el[0])
     assert worst <= 1e-9
     report(7, f"100 random scatterers: range recovered within {worst:.2e} m, "
               f"arrival equals departure exactly")
@@ -258,7 +256,7 @@ def test_criterion_8_sounder_round_trip():
         delays = (chips + rng.uniform(0.0, 1.0, 5)) * chip
         amps = (10 ** (rng.uniform(-10.0, 0.0, 5) / 20.0)
                 * np.exp(1j * rng.uniform(0, 2 * math.pi, 5)))
-        cir = Cir(tuple(PathComponent(delay=d, amp=a) for d, a in zip(delays, amps)))
+        cir = Cir.from_columns(delays, amps)
         result = sounder_roundtrip(cir, pn, snr_db=30.0, seed=seed, threshold_db=18.0)
         if len(result.recovered) != 5:
             continue

@@ -18,7 +18,6 @@ from isacsim import (
     GeometricScatterer,
     Origin,
     PadpPeak,
-    PathComponent,
     ReconstructionScene,
     ScanGrid,
     background_monostatic,
@@ -44,21 +43,28 @@ from isacsim.analysis import (
 )
 
 
-def path(delay, amp, az_deg=0.0, origin=Origin.BACKGROUND):
-    ang = Angle3D.from_degrees(az_deg)
-    return PathComponent(delay=delay, amp=amp, aod=ang, aoa=ang, origin=origin)
+def path(delay, amp, az_deg=0.0):
+    return delay, amp, az_deg
+
+
+def cir_of(paths):
+    """A Cir of ``path`` rows, each departing and arriving at its azimuth
+    in the horizontal plane."""
+    delay, amp, az_deg = zip(*paths)
+    az = [math.radians(a) for a in az_deg]
+    return Cir.from_columns(delay, amp, aod_az=az, aoa_az=az)
 
 
 class TestPdp:
     def test_single_path_single_bin(self):
-        cir = Cir((path(10.5e-9, 1.0),))
+        cir = cir_of([path(10.5e-9, 1.0)])
         bins = delay_grid(100e-9, 1e-9)
         out = pdp(cir, bins)
         assert out[10] == pytest.approx(1.0)
         assert np.count_nonzero(out) == 1
 
     def test_same_bin_powers_add(self):
-        cir = Cir((path(10.2e-9, 1.0), path(10.7e-9, 1.0j)))
+        cir = cir_of([path(10.2e-9, 1.0), path(10.7e-9, 1.0j)])
         out = pdp(cir, delay_grid(100e-9, 1e-9))
         # non-coherent binning: 1 + 1, not |1 + j|^2
         assert out[10] == pytest.approx(2.0)
@@ -67,18 +73,18 @@ class TestPdp:
         rng = np.random.default_rng(3)
         paths = tuple(path(rng.uniform(0, 99e-9), complex(rng.normal(), rng.normal()))
                       for _ in range(200))
-        cir = Cir(paths)
+        cir = cir_of(paths)
         out = pdp(cir, delay_grid(100e-9, 2.3e-9))
         assert out.sum() == pytest.approx(cir.total_power(), rel=1e-12)
 
     def test_out_of_grid_delay_rejected(self):
-        cir = Cir((path(150e-9, 1.0),))
+        cir = cir_of([path(150e-9, 1.0)])
         with pytest.raises(ValueError):
             pdp(cir, delay_grid(100e-9, 1e-9))
 
     def test_weak_bin_after_strong_bin_keeps_its_power(self):
         weak = 1e-16
-        cir = Cir((path(10.5e-9, 1.0), path(20.5e-9, weak)))
+        cir = cir_of([path(10.5e-9, 1.0), path(20.5e-9, weak)])
         out = pdp(cir, delay_grid(100e-9, 1e-9))
         assert out[10] == 1.0
         assert out[20] == abs(weak) ** 2
@@ -86,7 +92,7 @@ class TestPdp:
 
     def test_delay_on_last_edge_in_last_bin(self):
         bins = delay_grid(100e-9, 1e-9)
-        cir = Cir((path(bins[-1], 1.0), path(bins[3], 0.5)))
+        cir = cir_of([path(bins[-1], 1.0), path(bins[3], 0.5)])
         out = pdp(cir, bins)
         assert out[-1] == 1.0
         assert out[3] == 0.25  # an interior edge opens the bin above it
@@ -100,7 +106,7 @@ class TestPadp:
         return ScanGrid(angles, np.vstack([pdp(c, bins) for c in cirs]), bins)
 
     def test_identical_cirs_equal_rows(self):
-        cir = Cir((path(10e-9, 1.0), path(50e-9, 0.5)))
+        cir = cir_of([path(10e-9, 1.0), path(50e-9, 0.5)])
         grid = self._grid([cir] * 8)
         arr = padp(grid)
         for row in arr:
@@ -108,8 +114,8 @@ class TestPadp:
 
     def test_conservation_over_grid(self):
         rng = np.random.default_rng(5)
-        cirs = [Cir(tuple(path(rng.uniform(0, 190e-9), complex(rng.normal(), rng.normal()))
-                          for _ in range(17))) for _ in range(12)]
+        cirs = [cir_of(path(rng.uniform(0, 190e-9), complex(rng.normal(), rng.normal()))
+                       for _ in range(17)) for _ in range(12)]
         grid = self._grid(cirs)
         arr = padp(grid)
         assert arr.sum() == pytest.approx(sum(c.total_power() for c in cirs), rel=1e-12)
@@ -118,7 +124,7 @@ class TestPadp:
         # four distinct multipath signals at distinct angle/delay cells,
         # visible through a rotating horn
         specs = [(40.0, 20e-9), (120.0, 55e-9), (200.0, 90e-9), (310.0, 140e-9)]
-        cir = Cir(tuple(path(d, 1.0, az_deg=az) for az, d in specs))
+        cir = cir_of(path(d, 1.0, az_deg=az) for az, d in specs)
         horn = AntennaModel(kind="horn", hpbw_deg=15.0, peak_gain_db=15.0)
         grid = turntable_scan(cir, horn, np.arange(0.0, 360.0, 5.0), delay_grid(200e-9, 5e-9))
         peaks = extract_paths(padp(grid), grid.angles_deg, grid.delay_bins,
@@ -133,7 +139,7 @@ class TestPadp:
 
 class TestTurntableScan:
     def test_omni_rows_identical(self):
-        cir = Cir((path(10e-9, 1.0, az_deg=77.0),))
+        cir = cir_of([path(10e-9, 1.0, az_deg=77.0)])
         grid = turntable_scan(cir, OMNI, np.arange(0.0, 360.0, 5.0), delay_grid(50e-9, 1e-9))
         arr = padp(grid)
         for row in arr:
@@ -161,12 +167,9 @@ class TestTurntableScan:
         on_edge = bins[rng.integers(0, len(bins), n)]
         delays = np.where(rng.random(n) < 0.5, on_edge, rng.uniform(bins[0], bins[-1], n))
         delays[0] = bins[-1]
-        return Cir(tuple(
-            PathComponent(delay=float(d), amp=complex(rng.normal(), rng.normal()),
-                          aod=Angle3D(0.0, 0.0),
-                          aoa=Angle3D(rng.uniform(0.0, 2 * math.pi),
-                                      rng.uniform(-1.4, 1.4)))
-            for d in delays))
+        amp, az, el = zip(*((complex(rng.normal(), rng.normal()), rng.uniform(0.0, 2 * math.pi),
+                             rng.uniform(-1.4, 1.4)) for _ in delays))
+        return Cir.from_columns(delays, amp, aoa_az=az, aoa_el=el)
 
     @staticmethod
     def _reference(cir, antenna, angles, bins):
@@ -177,11 +180,13 @@ class TestTurntableScan:
         row_sums = np.zeros(len(angles))
         for i, ang in enumerate(angles):
             aimed = replace(antenna, boresight=Angle3D(math.radians(ang), 0.0))
-            for p in cir.paths:
-                j = min(bisect.bisect_right(bins, p.delay) - 1, len(bins) - 2)
-                w = abs(p.amp * complex(aimed.field(p.aoa)[0]))
+            for delay, amp, az, el in zip(cir.delay.tolist(), cir.amp.tolist(),
+                                          cir.aoa_az.tolist(), cir.aoa_el.tolist()):
+                j = min(bisect.bisect_right(bins, delay) - 1, len(bins) - 2)
+                field = aimed.fields([[az, el]])[0]
+                w = abs(amp * complex(field[0]))
                 ref[i, j] += w * w
-                row_sums[i] += abs(p.amp) ** 2 * aimed.power_gain(p.aoa)
+                row_sums[i] += abs(amp) ** 2 * float(np.sum(np.abs(field) ** 2))
         return ref, row_sums
 
     @pytest.mark.parametrize("antenna", [
@@ -253,7 +258,7 @@ class TestExtractPaths:
 
 class TestSubtractBackground:
     def _scan(self, paths, angles=None):
-        cir = Cir(tuple(paths))
+        cir = cir_of(paths)
         horn = AntennaModel(kind="horn", hpbw_deg=15.0, peak_gain_db=15.0)
         return turntable_scan(cir, horn, angles if angles is not None else
                               np.arange(0.0, 360.0, 5.0), delay_grid(200e-9, 5e-9))
@@ -503,7 +508,7 @@ class TestIdentifyShared:
 
 class TestFileRoundTrips:
     def test_padp_csv_round_trip(self, tmp_path):
-        cir = Cir((path(10e-9, 1.0, az_deg=40.0), path(55e-9, 0.2, az_deg=90.0)))
+        cir = cir_of([path(10e-9, 1.0, az_deg=40.0), path(55e-9, 0.2, az_deg=90.0)])
         grid = turntable_scan(cir, OMNI, np.arange(0.0, 30.0, 5.0), delay_grid(100e-9, 10e-9))
         arr = padp(grid)
         out = tmp_path / "padp.csv"

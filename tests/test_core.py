@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from isacsim import (
     ConstantRcs,
     CosineLobeRcs,
     Origin,
-    PathComponent,
     TableRcs,
     angle_from_vector,
     db_to_linear,
@@ -23,56 +21,93 @@ from isacsim import (
     unit_vector,
     wavelength_m,
 )
-from isacsim.core import angles_close
+from isacsim.core import COLUMNS, ORIGINS
+
+TARGET, BACKGROUND, SHARED = (ORIGINS.index(o) for o in
+                              (Origin.TARGET, Origin.BACKGROUND, Origin.SHARED))
 
 
-def reference_merge(paths, delay_tol, angle_tol):
-    """The anchor scan: each path, in delay order, joins the latest anchor
-    within the tolerances, scanning back while delays are in reach."""
-    groups = []  # [anchor, amplitude sum, origins]
-    for p in sorted(paths, key=lambda p: p.delay):
+def rows(cir):
+    """The rows of a Cir as tuples of Python values, in COLUMNS order."""
+    return list(zip(*(getattr(cir, name).tolist() for name in COLUMNS)))
+
+
+def cir_of_rows(rows, **kwargs):
+    """A Cir from (delay, amp, (aod_az, aod_el), (aoa_az, aoa_el),
+    bounce_order, origin_code) rows."""
+    delay, amp, aod, aoa, bounce, origin = (list(c) for c in zip(*rows)) if rows else [[]] * 6
+    aod, aoa = np.reshape(aod, (-1, 2)), np.reshape(aoa, (-1, 2))
+    return Cir.from_columns(delay, amp, 0.0, aod[:, 0], aod[:, 1], aoa[:, 0], aoa[:, 1],
+                            bounce, np.array(origin, dtype=np.int8), **kwargs)
+
+
+def _close(az1, el1, az2, el2, tol):
+    d = abs(az1 - az2) % (2 * math.pi)
+    return min(d, 2 * math.pi - d) <= tol and abs(el1 - el2) <= tol
+
+
+def reference_groups(cir, delay_tol, angle_tol):
+    """The anchor scan, row by row: each row, in delay order, joins the
+    latest anchor within the tolerances, scanning back while delays are
+    in reach. The groups as lists of row indices, anchor first."""
+    rs = rows(cir)
+    groups = []
+    for i, (delay, _, _, aod_az, aod_el, aoa_az, aoa_el, _, _) in enumerate(rs):
         for g in reversed(groups):
-            if p.delay - g[0].delay > delay_tol:
+            a = rs[g[0]]
+            if delay - a[0] > delay_tol:
                 g = None
                 break
-            if angles_close(p.aoa, g[0].aoa, angle_tol) and angles_close(p.aod, g[0].aod, angle_tol):
+            if _close(aoa_az, aoa_el, a[5], a[6], angle_tol) and _close(aod_az, aod_el,
+                                                                         a[3], a[4], angle_tol):
                 break
         else:
             g = None
         if g is None:
-            groups.append([p, p.amp, {p.origin}])
+            groups.append([i])
         else:
-            g[1] += p.amp
-            g[2].add(p.origin)
-    return [replace(a, amp=s, origin=a.origin if len(og) == 1 else Origin.SHARED)
-            for a, s, og in groups]
+            g.append(i)
+    return groups
+
+
+def reference_merge(cir, delay_tol, angle_tol):
+    """The rows of the merged Cir by the anchor scan: each anchor row with
+    the summed amplitude, SHARED if the group's origins are mixed."""
+    rs = rows(cir)
+    out = []
+    for g in reference_groups(cir, delay_tol, angle_tol):
+        amp = rs[g[0]][1]
+        for i in g[1:]:
+            amp += rs[i][1]
+        origin = rs[g[0]][8] if len({rs[i][8] for i in g}) == 1 else SHARED
+        out.append(rs[g[0]][:1] + (amp,) + rs[g[0]][2:8] + (origin,))
+    return out
+
+
+def _cirs(delay, aod, aoa):
+    """Cirs of up to 40 paths, drawn row by row."""
+    return st.lists(st.tuples(
+        delay, st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+        aod, aoa, st.integers(0, 2), st.sampled_from([TARGET, BACKGROUND])),
+        max_size=40).map(cir_of_rows)
 
 
 # small pools, so that equal keys, equal delays with other angles, and
 # -0.0 next to 0.0 all come up
-_angles = st.builds(Angle3D, st.sampled_from([0.0, 1.0, 2 * math.pi - 1e-9]),
+_angles = st.tuples(st.sampled_from([0.0, 1.0, 2 * math.pi - 1e-9]),
                     st.sampled_from([0.0, -0.0, 0.3]))
-_paths = st.lists(st.builds(
-    PathComponent,
-    delay=st.sampled_from([0.0, 1e-9, 1e-9 + 1e-24, 2.5e-9]),
-    amp=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-    aod=_angles, aoa=_angles,
-    bounce_order=st.integers(0, 2),
-    origin=st.sampled_from([Origin.TARGET, Origin.BACKGROUND])), max_size=40)
+_key_cirs = _cirs(st.sampled_from([0.0, 1e-9, 1e-9 + 1e-24, 2.5e-9]), _angles, _angles)
 
 
 # delays on a grid of half the tolerance, so that gaps of exactly the
 # tolerance come up, next to delays whose differences round
 _GAP_TOL = 2.0 ** -30
-_gap_paths = st.lists(st.builds(
-    PathComponent,
-    delay=st.one_of(st.integers(0, 12).map(lambda k: k * _GAP_TOL / 2),
-                    st.sampled_from([1e-9, 1e-9 + 1e-24, 2e-9])),
-    amp=st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-    aod=st.builds(Angle3D, st.floats(0.0, 2 * math.pi), st.floats(-math.pi / 2, math.pi / 2)),
-    aoa=st.builds(Angle3D, st.sampled_from([0.0, math.pi, 2 * math.pi - 1e-15]),
-                  st.sampled_from([-math.pi / 2, -0.0, math.pi / 2])),
-    origin=st.sampled_from([Origin.TARGET, Origin.BACKGROUND])), max_size=40)
+_gap_cirs = _cirs(
+    st.one_of(st.integers(0, 12).map(lambda k: k * _GAP_TOL / 2),
+              st.sampled_from([1e-9, 1e-9 + 1e-24, 2e-9])),
+    st.tuples(st.floats(0.0, 2 * math.pi), st.floats(-math.pi / 2, math.pi / 2)),
+    st.tuples(st.sampled_from([0.0, math.pi, 2 * math.pi - 1e-15]),
+              st.sampled_from([-math.pi / 2, -0.0, math.pi / 2])))
 
 
 class TestUnitVector:
@@ -147,65 +182,86 @@ class TestSpreadingGain:
 
 
 class TestMergePaths:
-    def _p(self, delay, amp, az=0.0, el=0.0, origin=Origin.BACKGROUND):
-        ang = Angle3D(az, el)
-        return PathComponent(delay=delay, amp=amp, aod=ang, aoa=ang, origin=origin)
+    def _cir(self, delays, amps, az=0.0, origin=Origin.BACKGROUND):
+        return Cir.from_columns(delays, amps, aod_az=az, aoa_az=az, origin=origin)
 
     def test_within_resolution_merges_coherently(self):
         # 600 MHz resolution: 1.67 ns tolerance, delays 0.1 ns apart merge
         tol = 1.0 / 600e6
-        a = self._p(33.3e-9, 1.0 + 0.5j)
-        b = self._p(33.4e-9, 0.25 - 1.0j)
-        merged = merge_paths([a, b], tol, 0.1)
+        merged = merge_paths(self._cir([33.3e-9, 33.4e-9], [1.0 + 0.5j, 0.25 - 1.0j]),
+                             tol, math.pi)
         assert len(merged) == 1
-        assert merged[0].amp == pytest.approx((1.25 - 0.5j))
-        assert merged[0].delay == 33.3e-9
+        assert merged.amp[0] == pytest.approx((1.25 - 0.5j))
+        assert merged.delay[0] == 33.3e-9
 
     def test_distant_paths_kept(self):
-        merged = merge_paths([self._p(10e-9, 1.0), self._p(50e-9, 1.0)], 1e-9, 0.1)
+        merged = merge_paths(self._cir([10e-9, 50e-9], 1.0), 1e-9, math.pi)
         assert len(merged) == 2
 
     def test_angle_separation_blocks_merge(self):
-        a = self._p(10e-9, 1.0, az=0.0)
-        b = self._p(10e-9, 1.0, az=0.5)
-        merged = merge_paths([a, b], 1e-9, 0.1)
+        merged = merge_paths(self._cir([10e-9, 10e-9], 1.0, az=[0.0, 0.5]), 0.0, 0.0)
         assert len(merged) == 2
 
     def test_idempotent_on_random_paths(self):
         rng = np.random.default_rng(11)
-        paths = [
-            self._p(rng.uniform(0, 50e-9), complex(rng.normal(), rng.normal()),
-                    az=rng.uniform(0, 2 * math.pi))
-            for _ in range(60)
-        ]
-        once = merge_paths(paths, 2e-9, 0.05)
-        twice = merge_paths(once, 2e-9, 0.05)
-        assert len(once) == len(twice)
-        for p, q in zip(once, twice):
-            assert p.delay == q.delay
-            assert p.amp == q.amp
+        cir = self._cir(rng.uniform(0, 50e-9, 60),
+                        rng.normal(size=60) + 1j * rng.normal(size=60),
+                        az=rng.uniform(0, 2 * math.pi, 60))
+        once = merge_paths(cir, 2e-9, math.pi)
+        twice = merge_paths(once, 2e-9, math.pi)
+        assert len(once) == len(twice) < len(cir)
+        assert once.delay.tolist() == twice.delay.tolist()
+        assert once.amp.tolist() == twice.amp.tolist()
 
     def test_output_sorted_by_delay(self):
         rng = np.random.default_rng(12)
-        paths = [self._p(rng.uniform(0, 1e-6), 1.0, az=rng.uniform(0, 6)) for _ in range(40)]
-        merged = merge_paths(paths, 1e-9, 0.01)
-        delays = [p.delay for p in merged]
+        merged = merge_paths(self._cir(rng.uniform(0, 1e-6, 40), 1.0), 1e-9, math.pi)
+        delays = merged.delay.tolist()
         assert delays == sorted(delays)
 
-    @settings(max_examples=150, deadline=None)
-    @given(paths=_paths, tols=st.sampled_from([(0.0, 0.0), (1e-9, 0.5)]))
-    def test_matches_anchor_scan(self, paths, tols):
-        # repr tells -0.0 from 0.0, which == does not
-        assert ([repr(p) for p in merge_paths(paths, *tols)]
-                == [repr(p) for p in reference_merge(paths, *tols)])
+    @pytest.mark.parametrize("tols", [(1e-9, 0.1), (1e-9, 0.0), (0.0, 1e-9), (-1e-9, math.pi)])
+    def test_unsupported_tolerances_raise(self, tols):
+        with pytest.raises(ValueError, match="tolerances"):
+            merge_paths(self._cir([1e-9], 1.0), *tols)
+
+    def test_only_a_cir_is_merged(self):
+        with pytest.raises(ValueError, match="takes a Cir"):
+            merge_paths([(1e-9, 1.0)], 0.0, 0.0)
 
     @settings(max_examples=150, deadline=None)
-    @given(paths=_gap_paths, angle_tol=st.sampled_from([math.pi, 4.0]),
+    @given(cir=_key_cirs)
+    def test_matches_anchor_scan(self, cir):
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(rows(merge_paths(cir, 0.0, 0.0))) == repr(reference_merge(cir, 0.0, 0.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cir=_gap_cirs, angle_tol=st.sampled_from([math.pi, 4.0]),
            delay_tol=st.sampled_from([_GAP_TOL, 0.0, 1e-9]))
-    def test_wide_angle_tolerance_matches_anchor_scan(self, paths, angle_tol, delay_tol):
+    def test_wide_angle_tolerance_matches_anchor_scan(self, cir, angle_tol, delay_tol):
         # no angle test can fail, so only the delay gaps decide the groups
-        assert ([repr(p) for p in merge_paths(paths, delay_tol, angle_tol)]
-                == [repr(p) for p in reference_merge(paths, delay_tol, angle_tol)])
+        assert (repr(rows(merge_paths(cir, delay_tol, angle_tol)))
+                == repr(reference_merge(cir, delay_tol, angle_tol)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rule=st.sampled_from(["exact", "delay gap"]))
+    def test_merge_laws(self, data, rule):
+        # at both supported rules: merging again changes nothing, the
+        # amplitude sum is kept, and each merged power is at most the
+        # group size times the group's power (Cauchy-Schwarz)
+        cirs, tols = {"exact": (_key_cirs, (0.0, 0.0)),
+                      "delay gap": (_gap_cirs, (_GAP_TOL, math.pi))}[rule]
+        cir = Cir.concat([data.draw(cirs)], t0=0.5, carrier_freq=6.9e9)
+        merged = merge_paths(cir, *tols)
+        assert isinstance(merged, Cir) and (merged.t0, merged.carrier_freq) == (0.5, 6.9e9)
+        again = merge_paths(merged, *tols)
+        for name in COLUMNS:
+            assert getattr(again, name).tobytes() == getattr(merged, name).tobytes(), name
+        scale = float(np.sum(np.abs(cir.amp))) + 1.0
+        assert abs(complex(np.sum(merged.amp)) - complex(np.sum(cir.amp))) <= 1e-12 * scale
+        groups = reference_groups(cir, *tols)
+        assert len(groups) == len(merged)
+        for p, g in zip(merged.powers(), groups):
+            assert p <= len(g) * float(np.sum(cir.powers()[g])) * (1 + 1e-12) + 1e-300
 
     def test_wide_angle_tolerance_gap_equal_to_tolerance(self):
         delays = [0.0, _GAP_TOL, 2 * _GAP_TOL, 2 * _GAP_TOL, 3.5 * _GAP_TOL]
@@ -214,75 +270,62 @@ class TestMergePaths:
         assert merged.delay.tolist() == [0.0, 2 * _GAP_TOL, 3.5 * _GAP_TOL]
         assert merged.amp.tolist() == [2, 2, 1]
 
-    @pytest.mark.parametrize("tols", [(0.0, 0.0), (1e-12, 1e-9)])
+    @pytest.mark.parametrize("tols", [(0.0, 0.0), (1e-12, math.pi)])
     def test_merge_joins_tiny_negative_azimuth_with_zero(self, tols):
-        paths = [self._p(10e-9, 1.0, az=-1e-17), self._p(10e-9, 2.0, az=0.0)]
-        for merged in (merge_paths(paths, *tols),
-                       merge_paths(Cir.from_columns([10e-9] * 2, [1.0, 2.0],
-                                                    aod_az=[-1e-17, 0.0],
-                                                    aoa_az=[-1e-17, 0.0]), *tols).paths):
-            assert len(merged) == 1
-            assert merged[0].amp == 3.0 and merged[0].aoa.azimuth == 0.0
+        merged = merge_paths(self._cir([10e-9] * 2, [1.0, 2.0], az=[-1e-17, 0.0]), *tols)
+        assert len(merged) == 1
+        assert merged.amp[0] == 3.0 and merged.aoa_az[0] == 0.0
 
     def test_mixed_origin_becomes_shared(self):
-        a = self._p(10e-9, 1.0, origin=Origin.TARGET)
-        b = self._p(10e-9, 1.0, origin=Origin.BACKGROUND)
-        merged = merge_paths([a, b], 1e-9, 0.1)
-        assert merged[0].origin is Origin.SHARED
+        merged = merge_paths(self._cir([10e-9] * 2, 1.0, origin=[TARGET, BACKGROUND]), 0.0, 0.0)
+        assert ORIGINS[merged.origin_code[0]] is Origin.SHARED
 
 
 class TestCir:
     def test_paths_sorted_on_construction(self):
-        p1 = PathComponent(delay=5e-9, amp=1.0)
-        p2 = PathComponent(delay=1e-9, amp=2.0)
-        cir = Cir((p1, p2))
-        assert cir.paths[0].delay == 1e-9
+        cir = Cir.from_columns([5e-9, 1e-9], [1.0, 2.0])
+        assert cir.delay[0] == 1e-9
         assert cir.total_power() == pytest.approx(5.0)
 
     @settings(max_examples=150, deadline=None)
-    @given(paths=_paths)
-    def test_paths_view_returns_stable_delay_order(self, paths):
+    @given(data=st.data())
+    def test_rows_in_stable_delay_order(self, data):
+        rs = data.draw(st.lists(st.tuples(
+            st.sampled_from([0.0, 1e-9, 1e-9 + 1e-24, 2.5e-9]),
+            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+            _angles, _angles, st.integers(0, 2), st.sampled_from([TARGET, BACKGROUND])),
+            max_size=40))
+        cir = cir_of_rows(rs, t0=0.5, carrier_freq=6.9e9)
+        want = [(d, a, 0.0) + aod + aoa + (b, o)
+                for d, a, aod, aoa, b, o in sorted(rs, key=lambda r: r[0])]
         # repr tells -0.0 from 0.0, which == does not
-        want = [repr(p) for p in sorted(paths, key=lambda p: p.delay)]
-        cir = Cir(paths, t0=0.5, carrier_freq=6.9e9)
-        assert len(cir) == len(cir.paths) == len(paths)
-        assert [repr(p) for p in cir.paths] == want
-        assert [repr(cir.paths[i]) for i in range(len(paths))] == want
-        assert [repr(p) for p in Cir(cir.paths).paths] == want
+        assert repr(rows(cir)) == repr(want)
         assert (cir.t0, cir.carrier_freq) == (0.5, 6.9e9)
 
-    @settings(max_examples=100, deadline=None)
-    @given(paths=_paths, tols=st.sampled_from([(0.0, 0.0), (1e-9, 0.5)]))
-    def test_merge_of_cir_matches_merge_of_paths(self, paths, tols):
-        merged = merge_paths(Cir(paths, carrier_freq=1.0), *tols)
-        assert isinstance(merged, Cir) and merged.carrier_freq == 1.0
-        assert [repr(p) for p in merged.paths] == [repr(p) for p in merge_paths(paths, *tols)]
+    def test_paths_is_the_cir_itself(self):
+        cir = Cir.from_columns([1e-9, 2e-9], 1.0)
+        assert cir.paths is cir and len(cir.paths) == 2
 
-    def test_view_indexing(self):
-        cir = Cir(tuple(PathComponent(delay=d, amp=complex(d)) for d in (3.0, 1.0, 2.0)))
-        assert cir.paths[-1].delay == 3.0
-        assert [p.amp for p in cir.paths[1:]] == [2, 3]
-        with pytest.raises(IndexError):
-            cir.paths[3]
-        with pytest.raises(IndexError):
-            cir.paths[-4]
+    def test_only_built_from_columns(self):
+        with pytest.raises(TypeError, match="from_columns"):
+            Cir()
 
     def test_concat_keeps_earlier_cir_first_on_ties(self):
-        a = Cir((PathComponent(delay=1e-9, amp=1.0, origin=Origin.TARGET),
-                 PathComponent(delay=3e-9, amp=1.0, origin=Origin.TARGET)))
-        b = Cir((PathComponent(delay=1e-9, amp=2.0), PathComponent(delay=2e-9, amp=2.0)))
+        a = Cir.from_columns([1e-9, 3e-9], 1.0, origin=Origin.TARGET)
+        b = Cir.from_columns([1e-9, 2e-9], 2.0)
         both = Cir.concat([a, b], carrier_freq=5.0)
-        assert [(p.delay, p.amp) for p in both.paths] == [(1e-9, 1), (1e-9, 2), (2e-9, 2), (3e-9, 1)]
+        assert list(zip(both.delay.tolist(), both.amp.tolist())) == [
+            (1e-9, 1), (1e-9, 2), (2e-9, 2), (3e-9, 1)]
         assert both.carrier_freq == 5.0
         assert len(Cir.concat([])) == 0
 
     def test_from_columns_checks_and_normalizes(self):
         cir = Cir.from_columns([2e-9, 1e-9], [1.0, 2j], aoa_az=[-0.5, 2 * math.pi + 1.0],
                                aoa_el=-0.0, bounce_order=1, origin=Origin.TARGET)
-        p = cir.paths[0]
-        assert (p.delay, p.amp, p.aoa.azimuth, p.bounce_order, p.origin) == (
+        assert (cir.delay[0], cir.amp[0], cir.aoa_az[0], cir.bounce_order[0],
+                ORIGINS[cir.origin_code[0]]) == (
             1e-9, 2j, (2 * math.pi + 1.0) % (2 * math.pi), 1, Origin.TARGET)
-        assert math.copysign(1.0, p.aoa.elevation) == -1.0
+        assert math.copysign(1.0, cir.aoa_el[0]) == -1.0
         assert cir.aoa_az.tolist() == [(2 * math.pi + 1.0) % (2 * math.pi), -0.5 % (2 * math.pi)]
         for bad, match in [(dict(delay=[-1e-9]), "delay"), (dict(amp=[np.nan]), "amplitude"),
                            (dict(aod_el=[2.0]), "elevation"), (dict(bounce_order=[-1]), "bounce"),
@@ -292,39 +335,39 @@ class TestCir:
                 Cir.from_columns(**kwargs)
 
     def test_immutable(self):
-        cir = Cir((PathComponent(delay=1e-9, amp=1.0),))
+        cir = Cir.from_columns([1e-9], [1.0])
         with pytest.raises(AttributeError):
             cir.t0 = 1.0
         with pytest.raises(ValueError):
             cir.amp[0] = 2.0
-        assert cir.scaled(2.0).amps()[0] == 2.0 and cir.amps()[0] == 1.0
+        assert cir.scaled(2.0).amp[0] == 2.0 and cir.amp[0] == 1.0
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            PathComponent(delay=-1e-9, amp=1.0)
+            Cir.from_columns([-1e-9], [1.0])
 
 
 class TestRcsModels:
     def test_constant_ignores_angles(self):
         m = ConstantRcs(8.48)
-        a, b = Angle3D(0.1, 0.0), Angle3D(3.0, -0.4)
-        assert m.eval_dbsm(a, b) == 8.48
+        a, b = (0.1, 0.0), (3.0, -0.4)
+        assert m.eval_dbsm_pairs([a], [b]).tolist() == [[8.48]]
 
     def test_cosine_lobe_zero_exponent_is_constant(self):
         m = CosineLobeRcs(5.0, exponent=0.0)
         for az in (0.0, 1.0, 3.0):
-            assert m.eval_dbsm(Angle3D(az, 0.0), Angle3D(0.0, 0.0)) == 5.0
+            assert m.eval_dbsm_pairs([[az, 0.0]], [[0.0, 0.0]])[0, 0] == 5.0
 
     def test_cosine_lobe_peaks_on_axis(self):
         m = CosineLobeRcs(0.0, exponent=2.0)
-        on = m.eval_dbsm(Angle3D(0.0, 0.0), Angle3D(0.0, 0.0))
-        off = m.eval_dbsm(Angle3D(0.5, 0.0), Angle3D(0.5, 0.0))
+        on = m.eval_dbsm_pairs([[0.0, 0.0]], [[0.0, 0.0]])[0, 0]
+        off = m.eval_dbsm_pairs([[0.5, 0.0]], [[0.5, 0.0]])[0, 0]
         assert on == pytest.approx(0.0)
         assert off < on
 
     def test_single_entry_table(self):
         t = TableRcs([0.0], [0.0], [0.0], [0.0], np.array([[[[8.48]]]]))
-        assert t.eval_dbsm(Angle3D(1.0, 0.2), Angle3D(2.0, -0.2)) == pytest.approx(8.48)
+        assert t.eval_dbsm_pairs([[1.0, 0.2]], [[2.0, -0.2]])[0, 0] == pytest.approx(8.48)
 
     def test_table_clamps_every_axis_to_its_edges(self):
         rng = np.random.default_rng(9)
@@ -351,9 +394,9 @@ class TestRcsModels:
         az_out = np.array([0.0, 1.0])
         vals = np.array([[[[0.0], [10.0]]]])  # shape (1, 1, 2, 1), varies along az_out
         t = TableRcs([0.0], [0.0], az_out, [0.0], vals)
-        mid = t.eval_dbsm(Angle3D(0.0, 0.0), Angle3D(0.5, 0.0))
+        mid = t.eval_dbsm_pairs([[0.0, 0.0]], [[0.5, 0.0]])[0, 0]
         assert mid == pytest.approx(5.0)
-        beyond = t.eval_dbsm(Angle3D(0.0, 0.0), Angle3D(2.0, 0.0))
+        beyond = t.eval_dbsm_pairs([[0.0, 0.0]], [[2.0, 0.0]])[0, 0]
         assert beyond == pytest.approx(10.0)  # clamped, no extrapolation
 
 
@@ -379,4 +422,4 @@ class TestRcsModels:
                 else:
                     want = float(vals)
                 assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
-                assert t.eval_dbsm(Angle3D(*g_in), Angle3D(*g_out)) == got[i, j]
+                assert t.eval_dbsm_pairs([g_in], [g_out])[0, 0] == got[i, j]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from isacsim import Angle3D, Cir, GenerationProfile, Origin, PathComponent, runner, sounder
+from isacsim import Cir, GenerationProfile, Origin, runner, sounder
 from isacsim.core import COLUMNS, ORIGINS, PATH_RECORD
 from isacsim.cli import main as cli_main
 from isacsim.config import ConfigError, load_config, parse_config
@@ -173,7 +173,7 @@ class TestSimulateChannels:
         }])
         sim = simulate_channels(load_config(path))
         assert len(sim.target_cir) == 1
-        assert sim.target_cir.paths[0].doppler != 0.0
+        assert sim.target_cir.doppler[0] != 0.0
 
 
 class TestLinkBudget:
@@ -183,7 +183,8 @@ class TestLinkBudget:
     def _result(**fields):
         budget = dict(pl_tar_db=(80.0,), pl_back_db=90.0, o_back=0.9, wavelength=0.01)
         budget.update(fields)
-        return SimulationResult(target_cir=Cir(()), background_cir=Cir(()), **budget)
+        empty = Cir.from_columns([], [])
+        return SimulationResult(target_cir=empty, background_cir=empty, **budget)
 
     def test_pcf_range_enforced(self):
         for o_back in (0.0, 1.6, math.nan):
@@ -254,17 +255,16 @@ class TestRunSimulate:
         write_cir_json(tmp_path / "t.json", sim.target_cir)
         back = read_cir_json(tmp_path / "t.json")
         assert len(back) == len(sim.target_cir)
-        for p, q in zip(back.paths, sim.target_cir.paths):
-            assert p.amp == q.amp
-            assert p.delay == q.delay
-            assert p.origin == q.origin
+        for name in ("amp", "delay", "origin_code"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(sim.target_cir, name))
 
 
     def test_cir_json_is_compact_records(self, tmp_path):
-        cir = Cir((PathComponent(delay=2e-9, amp=0j, origin=Origin.TARGET),
-                   PathComponent(delay=1e-9, amp=0.5 - 0.5j, doppler=3.0,
-                                 aod=Angle3D(1.0, -0.1), aoa=Angle3D(2.0, 0.2),
-                                 bounce_order=2)), carrier_freq=6e9)
+        cir = Cir.from_columns([2e-9, 1e-9], [0j, 0.5 - 0.5j], doppler=[0.0, 3.0],
+                               aod_az=[0.0, 1.0], aod_el=[0.0, -0.1],
+                               aoa_az=[0.0, 2.0], aoa_el=[0.0, 0.2], bounce_order=[0, 2],
+                               origin=[ORIGINS.index(Origin.TARGET),
+                                       ORIGINS.index(Origin.BACKGROUND)], carrier_freq=6e9)
         write_cir_json(tmp_path / "t.json", cir, {"link_budget": {"o_back": 0.5}})
         text = (tmp_path / "t.json").read_text()
         assert "\n" not in text and ": " not in text and ", " not in text
@@ -321,19 +321,15 @@ class TestRunSimulate:
     def test_cir_json_extra_may_not_replace_paths(self, tmp_path):
         for key in ("paths", "carrier_freq_hz"):
             with pytest.raises(ValueError, match="must not replace"):
-                write_cir_json(tmp_path / "t.json", Cir(), {key: 1})
+                write_cir_json(tmp_path / "t.json", Cir.from_columns([], []), {key: 1})
 
     def test_read_cir_json_matches_per_record_reader(self, tmp_path):
-        def record_path(rec):  # the per-record reader that read_cir_json replaced
-            return PathComponent(
-                delay=rec.get("delay_s", rec["delay_ns"] * 1e-9),
-                amp=complex(rec["amp_re"], rec["amp_im"]),
-                doppler=rec["doppler_hz"],
-                aod=Angle3D.from_degrees(rec["aod_az_deg"], rec["aod_el_deg"]),
-                aoa=Angle3D.from_degrees(rec["aoa_az_deg"], rec["aoa_el_deg"]),
-                bounce_order=rec["bounce_order"],
-                origin=Origin(rec["origin"]),
-            )
+        def record_row(rec):  # the per-record reader that read_cir_json replaced
+            return (rec.get("delay_s", rec["delay_ns"] * 1e-9),
+                    complex(rec["amp_re"], rec["amp_im"]), rec["doppler_hz"],
+                    math.radians(rec["aod_az_deg"]), math.radians(rec["aod_el_deg"]),
+                    math.radians(rec["aoa_az_deg"]), math.radians(rec["aoa_el_deg"]),
+                    rec["bounce_order"], ORIGINS.index(Origin(rec["origin"])))
 
         sim = simulate_channels(load_config(CONFIG_DIR / "bistatic_ris_factory.json"))
         write_cir_json(tmp_path / "t.json", Cir.concat([sim.target_cir, sim.background_cir]))
@@ -345,7 +341,8 @@ class TestRunSimulate:
         doc["paths"] += [edge, dict(edge, delay_s=7e-9, aod_az_deg=-1e-300, aoa_az_deg=359.9)]
         (tmp_path / "t.json").write_text(json.dumps(doc))
         got = read_cir_json(tmp_path / "t.json")
-        want = Cir(tuple(record_path(r) for r in doc["paths"]), carrier_freq=doc["carrier_freq_hz"])
+        want = Cir.from_columns(*zip(*map(record_row, doc["paths"])),
+                                carrier_freq=doc["carrier_freq_hz"])
         assert len(got) == len(want) == len(sim.target_cir) + len(sim.background_cir) + 2
         for name in COLUMNS:  # bit for bit, so signed zeros count
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name

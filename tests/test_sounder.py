@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from isacsim import (
-    Angle3D,
     CaptureRecord,
     Cir,
-    PathComponent,
     calibrate,
     generate_pn,
     load_capture,
@@ -19,9 +17,8 @@ from isacsim import (
 
 
 def chan(delays_amps, chip_rate=None):
-    paths = tuple(PathComponent(delay=d, amp=a, aoa=Angle3D(0, 0), aod=Angle3D(0, 0))
-                  for d, a in delays_amps)
-    return Cir(paths)
+    delays, amps = zip(*delays_amps)
+    return Cir.from_columns(delays, amps)
 
 
 class TestGeneratePn:
@@ -61,9 +58,9 @@ def reference_samples(cir, pn, samples_per_chip):
     holds chip floor(i / spc - delay * chip_rate + 1e-9)."""
     pos = np.arange(pn.length * samples_per_chip) / samples_per_chip
     rx = np.zeros(len(pos), dtype=complex)
-    for p in cir.paths:
-        idx = np.floor(pos - p.delay * pn.chip_rate + 1e-9).astype(int) % pn.length
-        rx += p.amp * pn.chips[idx]
+    for delay, amp in zip(cir.delay.tolist(), cir.amp.tolist()):
+        idx = np.floor(pos - delay * pn.chip_rate + 1e-9).astype(int) % pn.length
+        rx += amp * pn.chips[idx]
     return rx
 
 
