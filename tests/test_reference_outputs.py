@@ -1,9 +1,11 @@
 """Frozen reference outputs: every file that simulate, analyze and
-sounder-roundtrip write for the shipped configs must hash to the digest
-recorded in tests/data/reference_digests.json. A refactor that changes
-no behaviour leaves every digest as it is. ``analyze`` runs at the
-README's ``--threshold-db 120``, where it finds and classifies target
-paths; at the default 30 dB two configs find none.
+sounder-roundtrip write must hash to the digest recorded in
+tests/data/reference_digests.json, for the shipped configs and for every
+benchmark scenario (isacbench/workloads.py) at seed 11. A refactor that
+changes no behaviour leaves every digest as it is. ``analyze`` runs the
+shipped configs at the README's ``--threshold-db 120``, where it finds
+and classifies target paths (at the default 30 dB two configs find
+none), and each benchmark scenario with its own analyze arguments.
 
 report.json is hashed without ``timings_s`` and ``config_dir``, which
 depend on the machine and the checkout. After a deliberate change of the
@@ -14,6 +16,7 @@ outputs, rewrite the digests with
 and record the change in CHANGES.md.
 """
 import hashlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -22,10 +25,26 @@ import pytest
 
 from isacsim.cli import main as cli_main
 
-CONFIG_DIR = Path(__file__).parents[1] / "demos" / "configs"
+ROOT = Path(__file__).parents[1]
+CONFIG_DIR = ROOT / "demos" / "configs"
 SHIPPED_CONFIGS = sorted(p for p in CONFIG_DIR.glob("*.json") if "scene" not in p.name)
 SCENES = {"bistatic_indoor_human.json": CONFIG_DIR / "indoor_human_scene.json"}
 DIGESTS = Path(__file__).parent / "data" / "reference_digests.json"
+WORKLOAD_SEED = 11
+
+
+def _load_workloads():
+    """isacbench/workloads.py, loaded by path so that the benchmark stays
+    out of the package and unedited. Its dataclasses look their module up
+    in sys.modules, so it is registered there before it runs."""
+    spec = importlib.util.spec_from_file_location(
+        "isacbench_workloads", ROOT / "isacbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
 
 
 def _digest(path: Path) -> str:
@@ -39,28 +58,55 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_chain(config: Path, work: Path) -> dict[str, str]:
-    """simulate, analyze and sounder-roundtrip one config under ``work``;
-    the digest of every file written, keyed by its path under ``work``."""
-    run, sound = work / "run", work / "roundtrip"
+def _shipped_analyze_args(config: Path):
     scene = SCENES.get(config.name)
+    return lambda run: (["analyze", str(run), "--threshold-db", "120"]
+                        + (["--scene", str(scene)] if scene else []))
+
+
+def run_chain(config: Path, work: Path, analyze_args) -> dict[str, str]:
+    """simulate, analyze (``analyze_args(run_dir)``) and sounder-roundtrip
+    one config under ``work``; the digest of every file written, keyed by
+    its path under ``work``."""
+    run, sound = work / "run", work / "roundtrip"
     for argv in (["simulate", str(config), "--out", str(run)],
-                 ["analyze", str(run), "--threshold-db", "120"]
-                 + (["--scene", str(scene)] if scene else []),
+                 analyze_args(run),
                  ["sounder-roundtrip", str(config), "--out", str(sound)]):
         assert cli_main(argv) == 0, f"{config.name}: {argv[0]} failed"
     return {p.relative_to(work).as_posix(): _digest(p)
             for p in sorted(work.rglob("*")) if p.is_file()}
 
 
+def run_workload(name: str, work: Path) -> dict[str, dict[str, str]]:
+    """Every scenario chain of one benchmark workload at WORKLOAD_SEED,
+    keyed by ``<workload>/<scenario>``."""
+    inputs = work / "inputs"
+    inputs.mkdir()
+    return {f"{name}/{s.name}": run_chain(s.config_path, work / s.name, s.analyze_args)
+            for s in WORKLOADS.build(name, WORKLOAD_SEED, inputs).scenarios}
+
+
+def _assert_frozen(got: dict[str, dict[str, str]]) -> None:
+    frozen = json.loads(DIGESTS.read_text())
+    for key, files in got.items():
+        want = frozen[key]
+        assert sorted(files) == sorted(want), f"{key}: the set of output files changed"
+        changed = [name for name in want if files[name] != want[name]]
+        assert not changed, f"{key}: {', '.join(changed)} differ from the frozen digests"
+
+
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=[p.stem for p in SHIPPED_CONFIGS])
 def test_outputs_match_frozen_digests(tmp_path, capsys, config):
-    want = json.loads(DIGESTS.read_text())[config.name]
-    got = run_chain(config, tmp_path)
+    got = run_chain(config, tmp_path, _shipped_analyze_args(config))
     capsys.readouterr()
-    assert sorted(got) == sorted(want), f"{config.name}: the set of output files changed"
-    changed = [name for name in want if got[name] != want[name]]
-    assert not changed, f"{config.name}: {', '.join(changed)} differ from the frozen digests"
+    _assert_frozen({config.name: got})
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.BUILDERS))
+def test_workload_outputs_match_frozen_digests(tmp_path, capsys, workload):
+    got = run_workload(workload, tmp_path)
+    capsys.readouterr()
+    _assert_frozen(got)
 
 
 if __name__ == "__main__":
@@ -68,7 +114,10 @@ if __name__ == "__main__":
     digests = {}
     for cfg in SHIPPED_CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
-            digests[cfg.name] = run_chain(cfg, Path(tmp))
+            digests[cfg.name] = run_chain(cfg, Path(tmp), _shipped_analyze_args(cfg))
+    for name in WORKLOADS.BUILDERS:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests.update(run_workload(name, Path(tmp)))
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}", file=sys.stderr)
