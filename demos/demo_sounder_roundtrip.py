@@ -49,7 +49,7 @@ for (d_est, a_est), d_true, a_true in zip(result.recovered, delays, amps):
           f"{20 * math.log10(abs(a_est) / abs(a_true)):+7.3f}")
 
 cap = transmit_through(truth, pn, snr_db=30.0, seed=7)
-raw = slide_correlate(cap, pn)
+raw = slide_correlate(cap.samples, pn)
 print(f"\nwithout calibration the raw correlator floor sits at "
       f"{20 * math.log10(np.partition(np.abs(raw), -6)[:-6].max() / np.abs(raw).max()):.1f} dB "
       f"below the strongest peak (m-sequence sidelobes plus noise)")

@@ -60,20 +60,16 @@ class ScanGrid:
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "delay_bins", edges)
 
-    @property
-    def step_deg(self) -> float:
-        return float(self.angles_deg[1] - self.angles_deg[0]) if len(self.angles_deg) > 1 else 0.0
-
     def bin_centers(self) -> np.ndarray:
         return 0.5 * (self.delay_bins[:-1] + self.delay_bins[1:])
 
 
-def delay_grid(max_delay_s: float, bin_width_s: float, start_s: float = 0.0) -> np.ndarray:
-    """Uniform delay bin edges covering [start, max_delay]."""
+def delay_grid(max_delay_s: float, bin_width_s: float) -> np.ndarray:
+    """Uniform delay bin edges covering [0, max_delay]."""
     if bin_width_s <= 0.0:
         raise ValueError("bin width must be positive")
-    n = max(1, int(math.ceil((max_delay_s - start_s) / bin_width_s)))
-    return start_s + bin_width_s * np.arange(n + 1)
+    n = max(1, int(math.ceil(max_delay_s / bin_width_s)))
+    return bin_width_s * np.arange(n + 1)
 
 
 def _check_edges(delay_bins) -> np.ndarray:
@@ -156,16 +152,16 @@ def _max3x3(arr: np.ndarray) -> np.ndarray:
                   axis=0)
 
 
-def extract_paths(padp_arr: np.ndarray, angles_deg: np.ndarray,
+def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
                   delay_bins: np.ndarray, peak_threshold_db: float,
                   min_sep_deg: float = 0.0, min_sep_s: float = 0.0) -> list[PadpPeak]:
-    """Local-maximum peak picking on a PADP.
+    """Local-maximum peak picking on a PADP, ``power`` (angles x delay bins).
 
     Returns peaks within ``peak_threshold_db`` of the global maximum,
     strongest first, suppressing any candidate that lies within both
     ``min_sep_deg`` and ``min_sep_s`` of an already accepted peak.
     """
-    arr = np.asarray(padp_arr, dtype=float)
+    arr = np.asarray(power, dtype=float)
     if arr.size == 0 or not np.any(arr > 0.0):
         raise ValueError("PADP is empty")
     if peak_threshold_db <= 0.0:
@@ -448,18 +444,17 @@ def identify_shared(mono_peaks: Sequence[PadpPeak], bi_peaks: Sequence[PadpPeak]
 # File export / import
 # ---------------------------------------------------------------------------
 
-def write_padp_csv(path, grid: ScanGrid, padp_arr: np.ndarray | None = None) -> None:
+def write_padp_csv(path, grid: ScanGrid) -> None:
     """Write a PADP as rows of (angle_deg, delay_ns, power_db).
 
     Zero-power bins (power_db = -inf) are written as an empty field.
     Values are formatted to round-trip exactly through the reader.
     """
-    arr = padp(grid) if padp_arr is None else np.asarray(padp_arr, dtype=float)
     # each angle and each bin centre is formatted once, not once per cell
     centers = [f",{tau * 1e9:.17g}," for tau in grid.bin_centers().tolist()]
     with open(path, "w", newline="") as f:
         f.write("angle_deg,delay_ns,power_db\r\n")
-        for ang, row in zip(grid.angles_deg.tolist(), arr):
+        for ang, row in zip(grid.angles_deg.tolist(), padp(grid)):
             ang = f"{ang:.17g}"
             lines = []
             for tau, p in zip(centers, row.tolist()):

@@ -95,15 +95,14 @@ def apply_pcf(background_power_linear, o_back: float):
 # ---------------------------------------------------------------------------
 
 def background_bistatic(profile: GenerationProfile, tx_antenna: AntennaModel,
-                        rx_antenna: AntennaModel, t: float = 0.0,
-                        carrier_freq: float = 0.0) -> Cir:
+                        rx_antenna: AntennaModel) -> Cir:
     """Statistical background channel for separated Tx and Rx.
 
     Structurally identical to a conventional communication-channel
     realization; paths are tagged with the background origin.
     """
-    return synthesize_cir(sample_clusters(profile), tx_antenna, rx_antenna, t=t,
-                          origin=Origin.BACKGROUND, carrier_freq=carrier_freq)
+    return synthesize_cir(sample_clusters(profile), tx_antenna, rx_antenna,
+                          origin=Origin.BACKGROUND)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +120,7 @@ class GeometricScatterer:
         object.__setattr__(self, "position", pos)
 
 
-def background_monostatic(scatterers, txrx_position, wl: float,
-                          carrier_freq: float = 0.0) -> Cir:
+def background_monostatic(scatterers, txrx_position, wl: float) -> Cir:
     """Geometric mono-static background: one retro-directed echo per scatterer.
 
     Delay is the two-way travel time 2 d / c, arrival and departure
@@ -149,5 +147,4 @@ def background_monostatic(scatterers, txrx_position, wl: float,
         az.append(direction.azimuth)
         el.append(direction.elevation)
     return Cir.from_columns(delay, amp, 0.0, aod_az=az, aod_el=el, aoa_az=az, aoa_el=el,
-                            bounce_order=1, origin=Origin.BACKGROUND,
-                            carrier_freq=carrier_freq)
+                            bounce_order=1, origin=Origin.BACKGROUND)

@@ -92,10 +92,6 @@ class Angle3D:
         object.__setattr__(self, "azimuth", az)
         object.__setattr__(self, "elevation", el)
 
-    @classmethod
-    def from_degrees(cls, az_deg: float, el_deg: float = 0.0) -> "Angle3D":
-        return cls(math.radians(az_deg), math.radians(el_deg))
-
 
 def unit_vector(angle: Angle3D) -> np.ndarray:
     """Unit direction vector (x, y, z) for an azimuth/elevation pair."""
@@ -322,7 +318,7 @@ class Cir:
     ``Cir.from_columns`` and ``Cir.concat`` build one.
     """
 
-    __slots__ = COLUMNS + ("t0", "carrier_freq")
+    __slots__ = COLUMNS
 
     def __init__(self, *args, **kwargs):
         raise TypeError("build a Cir with Cir.from_columns or Cir.concat")
@@ -330,8 +326,7 @@ class Cir:
     @classmethod
     def from_columns(cls, delay, amp, doppler=0.0, aod_az=0.0, aod_el=0.0,
                      aoa_az=0.0, aoa_el=0.0, bounce_order=0,
-                     origin: Origin | np.ndarray = Origin.BACKGROUND,
-                     t0: float = 0.0, carrier_freq: float = 0.0) -> "Cir":
+                     origin: Origin | np.ndarray = Origin.BACKGROUND) -> "Cir":
         """Cir from per-path arrays; scalars broadcast to every path.
         ``origin`` is one Origin or an array of origin codes. Checks that
         delays are finite and >= 0, amplitudes finite, bounce orders
@@ -357,34 +352,29 @@ class Cir:
             cols[az] = wrapped_azimuths(cols[az], cols[el])
         if np.any((cols["origin_code"] < 0) | (cols["origin_code"] >= len(ORIGINS))):
             raise ValueError("origin code outside ORIGINS")
-        return cls._make(_sorted_columns(cols), t0, carrier_freq)
+        return cls._make(_sorted_columns(cols))
 
     @classmethod
-    def concat(cls, cirs: Iterable["Cir"], t0: float = 0.0,
-               carrier_freq: float = 0.0) -> "Cir":
+    def concat(cls, cirs: Iterable["Cir"]) -> "Cir":
         """All paths of ``cirs`` in one Cir, stably delay-sorted (so on
         equal delays the earlier Cir's paths come first)."""
         cirs = list(cirs)
         return cls._make(_sorted_columns(
-            {name: np.concatenate([getattr(c, name) for c in cirs] or [[]]) for name in COLUMNS}),
-            t0, carrier_freq)
+            {name: np.concatenate([getattr(c, name) for c in cirs] or [[]]) for name in COLUMNS}))
 
     @classmethod
-    def _make(cls, cols: dict, t0: float, carrier_freq: float) -> "Cir":
+    def _make(cls, cols: dict) -> "Cir":
         """A Cir of columns already checked and sorted by delay."""
         out = object.__new__(cls)
         for name, dt in zip(COLUMNS, _DTYPES):
             arr = np.asarray(cols[name], dtype=dt)
             arr.flags.writeable = False
             object.__setattr__(out, name, arr)
-        object.__setattr__(out, "t0", t0)
-        object.__setattr__(out, "carrier_freq", carrier_freq)
         return out
 
     def _with(self, **cols) -> "Cir":
         """This Cir with some columns replaced; the delay order must hold."""
-        return self._make({name: cols.get(name, getattr(self, name)) for name in COLUMNS},
-                          self.t0, self.carrier_freq)
+        return self._make({name: cols.get(name, getattr(self, name)) for name in COLUMNS})
 
     def __setattr__(self, name, value):
         raise AttributeError("Cir is immutable")
@@ -393,7 +383,7 @@ class Cir:
         return len(self.delay)
 
     def __repr__(self) -> str:
-        return f"Cir({len(self)} paths, t0={self.t0}, carrier_freq={self.carrier_freq})"
+        return f"Cir({len(self)} paths)"
 
     @property
     def paths(self) -> "Cir":

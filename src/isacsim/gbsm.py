@@ -175,7 +175,8 @@ class GenerationProfile:
     uniformly drawn cluster centers, log-normal per-cluster shadowing,
     normal XPR in dB, uniform Doppler in [-doppler_max_hz, +]. All
     fields are configurable so calibrated parameters can replace the
-    defaults.
+    defaults. Every ray of a cluster takes the cluster's delay, and the
+    cluster centre elevations spread by ELEVATION_SPREAD_RAD.
     """
 
     n_clusters: int = 8
@@ -186,18 +187,19 @@ class GenerationProfile:
     xpr_std_db: float = 3.0
     shadow_std_db: float = 3.0
     doppler_max_hz: float = 0.0
-    ray_delay_scale_s: float = 0.0  # 0 keeps all rays at the cluster delay
-    elevation_spread_rad: float = math.radians(2.0)
     seed: int = 0
 
     def __post_init__(self):
         for name in ("delay_scale_s", "angle_spread_rad", "xpr_std_db",
-                     "shadow_std_db", "doppler_max_hz", "ray_delay_scale_s",
-                     "elevation_spread_rad"):
+                     "shadow_std_db", "doppler_max_hz"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
         if self.rays_per_cluster < 1:
             raise ValueError("rays_per_cluster must be >= 1")
+
+
+# the spread of the cluster centre elevations about the horizontal
+ELEVATION_SPREAD_RAD = math.radians(2.0)
 
 
 def _clip_elevation(el: np.ndarray) -> np.ndarray:
@@ -221,8 +223,8 @@ def sample_clusters(profile: GenerationProfile) -> ClusterSet:
 
     az_aoa_c = rng.uniform(0.0, 2.0 * math.pi, n)
     az_aod_c = rng.uniform(0.0, 2.0 * math.pi, n)
-    el_aoa_c = _clip_elevation(rng.normal(0.0, profile.elevation_spread_rad, n))
-    el_aod_c = _clip_elevation(rng.normal(0.0, profile.elevation_spread_rad, n))
+    el_aoa_c = _clip_elevation(rng.normal(0.0, ELEVATION_SPREAD_RAD, n))
+    el_aod_c = _clip_elevation(rng.normal(0.0, ELEVATION_SPREAD_RAD, n))
 
     # the ray draws cluster by cluster, in the order that fixes the stream
     draws = []
@@ -236,15 +238,13 @@ def sample_clusters(profile: GenerationProfile) -> ClusterSet:
             rng.uniform(-math.pi, math.pi, (m, 4)),
             (rng.uniform(-profile.doppler_max_hz, profile.doppler_max_hz, m)
              if profile.doppler_max_hz > 0 else np.zeros(m)),
-            (rng.exponential(profile.ray_delay_scale_s, m)
-             if profile.ray_delay_scale_s > 0 else np.zeros(m)),
         ))
-    az_aoa, az_aod, el_aoa, el_aod, xpr_db, phases, doppler, offsets = (
+    az_aoa, az_aod, el_aoa, el_aod, xpr_db, phases, doppler = (
         np.concatenate(col) for col in zip(*draws))
     # Python's float power per ray: numpy's vectorized power can differ from it in the last bit
     xpr = [10.0 ** (x / 10.0) for x in xpr_db.tolist()]
     return ClusterSet(
-        power=np.repeat(p / m, m), delay=np.repeat(tau, m) + offsets,
+        power=np.repeat(p / m, m), delay=np.repeat(tau, m),
         aod=np.stack([az_aod, _clip_elevation(el_aod)], axis=1),
         aoa=np.stack([az_aoa, _clip_elevation(el_aoa)], axis=1),
         xpr=xpr, phases=phases, doppler=doppler, cluster=np.repeat(np.arange(n), m))
@@ -303,15 +303,14 @@ def ray_coefficients(rays: ClusterSet, tx_antenna: AntennaModel,
 
 def synthesize_cir(clusters: ClusterSet, tx_antenna: AntennaModel,
                    rx_antenna: AntennaModel, t: float = 0.0,
-                   origin: Origin = Origin.BACKGROUND,
-                   carrier_freq: float = 0.0) -> Cir:
+                   origin: Origin = Origin.BACKGROUND) -> Cir:
     """Assemble a sparse CIR with one path per ray, unmerged: the total
     linear power equals the sum of per-ray |coefficient|^2."""
     return Cir.from_columns(
         clusters.delay, ray_coefficients(clusters, tx_antenna, rx_antenna, t), clusters.doppler,
         aod_az=clusters.aod[:, 0], aod_el=clusters.aod[:, 1],
         aoa_az=clusters.aoa[:, 0], aoa_el=clusters.aoa[:, 1],
-        bounce_order=clusters.bounce_order, origin=origin, t0=t, carrier_freq=carrier_freq)
+        bounce_order=clusters.bounce_order, origin=origin)
 
 
 def doppler_shift(v_scatterer: np.ndarray, v_observer: np.ndarray,

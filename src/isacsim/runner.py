@@ -23,14 +23,15 @@ from .analysis import (
     ReconstructionScene,
     classify_bounce,
     delay_grid,
+    power_proportion,
     subtract_background,
     turntable_scan,
     write_padp_csv,
     write_paths_json,
 )
 from .background import (
+    PCF_MEASUREMENTS,
     GeometricScatterer,
-    PcfModel,
     apply_pcf,
     background_bistatic,
     background_monostatic,
@@ -141,12 +142,10 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
             points.append(sp)
             links.append((sub_a, sub_b))
             pls.append(fs_model.eval_db(d1) + fs_model.eval_db(d2))
-        target_cir = multi_point_target(points, links, wl, pl_tar_db=pls,
-                                        tx_antenna=tx_ant,
-                                        carrier_freq=config.carrier_freq_hz)
+        target_cir = multi_point_target(points, links, wl, pl_tar_db=pls, tx_antenna=tx_ant)
         pl_tar = tuple(pls)
     else:
-        target_cir = Cir.from_columns([], [], carrier_freq=config.carrier_freq_hz)
+        target_cir = Cir.from_columns([], [])
         pl_tar = ()
 
     # background channel
@@ -154,14 +153,12 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
         profile = replace(config.background.profile, seed=_child_seed(bg_seq))
         aim_at = (config.targets[0].point.position if config.targets else rx_pos)
         bg_cir = background_bistatic(profile, _aim(config.tx.antenna, tx_pos, aim_at),
-                                     AntennaModel(kind="omni"),
-                                     carrier_freq=config.carrier_freq_hz)
+                                     AntennaModel(kind="omni"))
         d_txrx = float(np.linalg.norm(rx_pos - tx_pos))
         pl_back = fs_model.eval_db(d_txrx) if d_txrx > 0 else 0.0
         bg_cir = bg_cir.scaled(10.0 ** (-pl_back / 20.0))
     else:
-        bg_cir = background_monostatic(config.background.scatterers, tx_pos, wl,
-                                       carrier_freq=config.carrier_freq_hz)
+        bg_cir = background_monostatic(config.background.scatterers, tx_pos, wl)
         pl_back = 0.0  # two-way spreading already inside the path amplitudes
 
     # power control factor coupling: o_back scales linear received power,
@@ -210,11 +207,12 @@ def _power_db(pw: float) -> float | None:
     return None if pw == 0 else 10.0 * math.log10(pw)
 
 
-def write_cir_json(path, cir: Cir, extra: dict | None = None) -> None:
-    """Write the CIR as compact JSON, one record per path: delay_s is the
-    exact delay (delay_ns is for display only) and power_db is null at
-    zero power. ``extra`` adds keys after ``carrier_freq_hz`` and
-    ``paths``, which it must not replace."""
+def write_cir_json(path, cir: Cir, carrier_freq_hz: float, extra: dict | None = None) -> None:
+    """Write the CIR as compact JSON under the scenario's carrier
+    frequency, one record per path: delay_s is the exact delay (delay_ns
+    is for display only) and power_db is null at zero power. ``extra``
+    adds keys after ``carrier_freq_hz`` and ``paths``, which it must not
+    replace."""
     extra = extra or {}
     if {"carrier_freq_hz", "paths"} & extra.keys():
         raise ValueError("extra must not replace carrier_freq_hz or paths")
@@ -233,7 +231,7 @@ def write_cir_json(path, cir: Cir, extra: dict | None = None) -> None:
         _ORIGIN_TEXTS[cir.origin_code],
     )
     records = zip(*(c.tolist() for c in columns))
-    head = _dumps({"carrier_freq_hz": cir.carrier_freq})[:-1]
+    head = _dumps({"carrier_freq_hz": carrier_freq_hz})[:-1]
     tail = "," + _dumps(extra)[1:] if extra else "}"
     with open(path, "w") as f:
         f.write(f'{head},"paths":[')
@@ -247,9 +245,10 @@ def write_cir_json(path, cir: Cir, extra: dict | None = None) -> None:
 
 
 def read_cir_json(path) -> Cir:
-    """The CIR in a JSON path list that write_cir_json wrote. The angles
-    come back through degrees, so they may differ from the simulated ones
-    in the last bit; the pipelines read the path tables instead."""
+    """The CIR in a JSON path list that write_cir_json wrote (its
+    ``carrier_freq_hz`` is not part of the CIR). The angles come back
+    through degrees, so they may differ from the simulated ones in the
+    last bit; the pipelines read the path tables instead."""
     with open(path) as f:
         doc = json.load(f)
     recs = doc["paths"]
@@ -264,8 +263,7 @@ def read_cir_json(path) -> Cir:
         aoa_az=np.radians([r["aoa_az_deg"] for r in recs]),
         aoa_el=np.radians([r["aoa_el_deg"] for r in recs]),
         bounce_order=[r["bounce_order"] for r in recs],
-        origin=np.array([codes[r["origin"]] for r in recs], dtype=np.int8),
-        carrier_freq=doc["carrier_freq_hz"])
+        origin=np.array([codes[r["origin"]] for r in recs], dtype=np.int8))
 
 
 def write_path_table(path, cir: Cir) -> None:
@@ -278,7 +276,7 @@ def write_path_table(path, cir: Cir) -> None:
         np.save(f, table, allow_pickle=False)
 
 
-def read_path_table(path, carrier_freq: float) -> Cir:
+def read_path_table(path) -> Cir:
     """The CIR in a path table that write_path_table wrote. The file must
     hold exactly one one-dimensional array of PATH_RECORD records, and
     Cir.from_columns checks every value; otherwise a ValueError names the
@@ -305,7 +303,7 @@ def read_path_table(path, carrier_freq: float) -> Cir:
                          "not one record per path; simulate again")
     try:
         return Cir.from_columns(*(table[name] for name in COLUMNS[:-1]),
-                                origin=table["origin_code"], carrier_freq=carrier_freq)
+                                origin=table["origin_code"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -336,7 +334,7 @@ def _resolve_out_dir(config: ScenarioConfig, out_dir) -> Path:
 def _scan_input(target_cir: Cir, bg_cir: Cir, bandwidth_hz: float):
     """The combined sensing CIR, the delay-bin width (one over the
     bandwidth) and the delay bins a scan of it uses."""
-    combined = Cir.concat([target_cir, bg_cir], carrier_freq=target_cir.carrier_freq)
+    combined = Cir.concat([target_cir, bg_cir])
     bin_w = 1.0 / bandwidth_hz
     max_delay = combined.delay.max(initial=0.0) + 2 * bin_w
     return combined, bin_w, delay_grid(max_delay, bin_w)
@@ -367,8 +365,8 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
     t0 = time.perf_counter()
     budget = {"pl_tar_db": list(sim.pl_tar_db), "pl_back_db": sim.pl_back_db,
               "o_back": sim.o_back, "wavelength_m": sim.wavelength}
-    write_cir_json(out / "target.json", sim.target_cir, {"link_budget": budget})
-    write_cir_json(out / "background.json", sim.background_cir, {"link_budget": budget})
+    for name, cir in (("target.json", sim.target_cir), ("background.json", sim.background_cir)):
+        write_cir_json(out / name, cir, config.carrier_freq_hz, {"link_budget": budget})
     write_path_table(out / "target.npy", sim.target_cir)
     write_path_table(out / "background.npy", sim.background_cir)
     write_padp_csv(out / "padp.csv", grid)
@@ -409,8 +407,8 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0,
     config = parse_config(report["config"], report["config_dir"])
     scene = load_scene(scene_path) if scene_path is not None else None
 
-    target_cir = read_path_table(run_dir / "target.npy", config.carrier_freq_hz)
-    bg_cir = read_path_table(run_dir / "background.npy", config.carrier_freq_hz)
+    target_cir = read_path_table(run_dir / "target.npy")
+    bg_cir = read_path_table(run_dir / "background.npy")
     combined, bin_w, bins = _scan_input(target_cir, bg_cir, config.bandwidth_hz)
     angles, step = config.scan_angles_deg(), config.scan_step_deg
     with_target = turntable_scan(combined, config.rx.antenna, angles, bins)
@@ -459,6 +457,14 @@ def packaged_golden_dir() -> Path:
     return Path(str(resources.files("isacsim") / "data"))
 
 
+def _golden_rows(golden: Path, name: str) -> list[dict[str, str]]:
+    path = golden / name
+    if not path.exists():
+        raise FileNotFoundError(f"missing golden file {path}")
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
 def run_validate(golden_dir=None) -> ValidationReport:
     """Check the link-budget arithmetic and statistical defaults against
     the golden measurement tables."""
@@ -466,13 +472,8 @@ def run_validate(golden_dir=None) -> ValidationReport:
     rows: list[ValidationRow] = []
     wl = wavelength_m(6.9e9)
 
-    t2 = golden / "concatenated_power_checks.csv"
-    if not t2.exists():
-        raise FileNotFoundError(f"missing golden file {t2}")
-    with open(t2, newline="") as f:
-        concat_rows = list(csv.DictReader(f))
     abs_dps = []
-    for rec in concat_rows:
+    for rec in _golden_rows(golden, "concatenated_power_checks.csv"):
         p1, p2 = float(rec["p_n1_db"]), float(rec["p_n2_db"])
         sigma = float(rec["sigma_dbsm"])
         expected = float(rec["p_conv_db"])
@@ -498,36 +499,29 @@ def run_validate(golden_dir=None) -> ValidationReport:
                               abs(min(abs_dps) - 0.11) <= 0.005,
                               f"min {min(abs_dps):.2f} dB"))
 
-    t3 = golden / "bounce_power_proportions.csv"
-    if not t3.exists():
-        raise FileNotFoundError(f"missing golden file {t3}")
-    from .analysis import power_proportion
-    with open(t3, newline="") as f:
-        for rec in csv.DictReader(f):
-            pcts = [float(rec["pp0_pct"]), float(rec["pp1_pct"]), float(rec["pp2plus_pct"])]
-            total = sum(pcts)
-            rows.append(ValidationRow(
-                f"proportions {rec['case']} column sum",
-                abs(total - 100.0) <= 0.1, f"sum {total:.3f}%"))
-            planted = [(order, pct) for order, pct in enumerate(pcts) if pct > 0]
-            pp = power_proportion(planted)
-            recon = [x * 100.0 for x in pp.as_tuple()]
-            err = max(abs(a - b) for a, b in zip(recon, pcts))
-            rows.append(ValidationRow(
-                f"proportions {rec['case']} round trip",
-                err <= 1e-9, f"max error {err:.2e}%"))
+    for rec in _golden_rows(golden, "bounce_power_proportions.csv"):
+        pcts = [float(rec["pp0_pct"]), float(rec["pp1_pct"]), float(rec["pp2plus_pct"])]
+        total = sum(pcts)
+        rows.append(ValidationRow(
+            f"proportions {rec['case']} column sum",
+            abs(total - 100.0) <= 0.1, f"sum {total:.3f}%"))
+        planted = [(order, pct) for order, pct in enumerate(pcts) if pct > 0]
+        pp = power_proportion(planted)
+        recon = [x * 100.0 for x in pp.as_tuple()]
+        err = max(abs(a - b) for a, b in zip(recon, pcts))
+        rows.append(ValidationRow(
+            f"proportions {rec['case']} round trip",
+            err <= 1e-9, f"max error {err:.2e}%"))
 
-    t4 = golden / "pcf_measurements.csv"
-    if not t4.exists():
-        raise FileNotFoundError(f"missing golden file {t4}")
-    with open(t4, newline="") as f:
-        pcf_rows = list(csv.DictReader(f))
+    # each measured factor against the one the model's PCF table holds
+    pcf_rows = _golden_rows(golden, "pcf_measurements.csv")
+    model_values = {(pos, cond): val for pos, cond, val in PCF_MEASUREMENTS}
     for rec in pcf_rows:
         val = float(rec["o_back"])
-        got = sample_pcf(PcfModel(rec["condition"], mean=val, std=0.0), seed=1)
+        want = model_values.get((int(rec["position"]), rec["condition"]))
         rows.append(ValidationRow(
-            f"PCF position {rec['position']} fixed value",
-            got == val, f"sampled {got}"))
+            f"PCF position {rec['position']} {rec['condition']}",
+            want == val, f"golden {val}, model table {want}"))
     for cond, expected_mean in (("los_los", 0.817), ("los_nlos", 0.915)):
         vals = [float(r["o_back"]) for r in pcf_rows if r["condition"] == cond]
         mean = sum(vals) / len(vals)
@@ -551,8 +545,7 @@ def run_sounder_roundtrip(config: ScenarioConfig, out_dir=None) -> dict:
     out = _resolve_out_dir(config, out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sim = simulate_channels(config)
-    combined = Cir.concat([sim.target_cir, sim.background_cir],
-                          carrier_freq=config.carrier_freq_hz)
+    combined = Cir.concat([sim.target_cir, sim.background_cir])
     if len(combined) == 0:
         raise ValueError("scenario produced no paths to sound")
 

@@ -64,7 +64,7 @@ def _rcs_linear(model, angles_in: np.ndarray, angles_out: np.ndarray) -> np.ndar
 
 def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
                 tx_antenna: AntennaModel = OMNI, rx_antenna: AntennaModel = OMNI,
-                t: float = 0.0, carrier_freq: float = 0.0) -> Cir:
+                t: float = 0.0) -> Cir:
     """Pair every ray of ``a`` with every ray of ``b`` through the target.
 
     Produces |a| * |b| paths (no merging). Per pair, the delay is the
@@ -107,16 +107,14 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
         aod_az=np.repeat(ra.aod[:, 0], len(rb)), aod_el=np.repeat(ra.aod[:, 1], len(rb)),
         aoa_az=np.tile(rb.aoa[:, 0], len(ra)), aoa_el=np.tile(rb.aoa[:, 1], len(ra)),
         bounce_order=np.add.outer(ra.bounce_order, rb.bounce_order),
-        origin=Origin.TARGET, t0=t, carrier_freq=carrier_freq)
+        origin=Origin.TARGET)
 
 
 def multi_point_target(points: Sequence[ScatteringPoint],
                        sublinks: Sequence[tuple[SubLink, SubLink]],
                        wl: float,
                        pl_tar_db: Sequence[float] | None = None,
-                       tx_antenna: AntennaModel = OMNI,
-                       rx_antenna: AntennaModel = OMNI,
-                       t: float = 0.0, carrier_freq: float = 0.0) -> Cir:
+                       tx_antenna: AntennaModel = OMNI) -> Cir:
     """Coherent union of per-scattering-point concatenations.
 
     Each point's contribution is weighted in amplitude by
@@ -132,12 +130,11 @@ def multi_point_target(points: Sequence[ScatteringPoint],
 
     cirs = []
     for i, (sp, (sub_a, sub_b)) in enumerate(zip(points, sublinks)):
-        cir = concatenate(sub_a, sub_b, sp, wl, tx_antenna, rx_antenna,
-                          t=t, carrier_freq=carrier_freq)
+        cir = concatenate(sub_a, sub_b, sp, wl, tx_antenna)
         if pl_tar_db is not None:
             cir = cir.scaled(10.0 ** (-pl_tar_db[i] / 20.0))
         cirs.append(cir)
-    return merge_paths(Cir.concat(cirs, t0=t, carrier_freq=carrier_freq), 0.0, 0.0)
+    return merge_paths(Cir.concat(cirs), 0.0, 0.0)
 
 
 RCS_TABLE_COLUMNS = ("az_in_deg", "el_in_deg", "az_out_deg", "el_out_deg", "rcs_dbsm")

@@ -252,7 +252,7 @@ class TestRunSimulate:
     def test_cir_json_round_trip(self, tmp_path):
         cfg = load_config(scen1_like(tmp_path))
         sim = simulate_channels(cfg)
-        write_cir_json(tmp_path / "t.json", sim.target_cir)
+        write_cir_json(tmp_path / "t.json", sim.target_cir, cfg.carrier_freq_hz)
         back = read_cir_json(tmp_path / "t.json")
         assert len(back) == len(sim.target_cir)
         for name in ("amp", "delay", "origin_code"):
@@ -264,12 +264,13 @@ class TestRunSimulate:
                                aod_az=[0.0, 1.0], aod_el=[0.0, -0.1],
                                aoa_az=[0.0, 2.0], aoa_el=[0.0, 0.2], bounce_order=[0, 2],
                                origin=[ORIGINS.index(Origin.TARGET),
-                                       ORIGINS.index(Origin.BACKGROUND)], carrier_freq=6e9)
-        write_cir_json(tmp_path / "t.json", cir, {"link_budget": {"o_back": 0.5}})
+                                       ORIGINS.index(Origin.BACKGROUND)])
+        write_cir_json(tmp_path / "t.json", cir, 6e9, {"link_budget": {"o_back": 0.5}})
         text = (tmp_path / "t.json").read_text()
         assert "\n" not in text and ": " not in text and ", " not in text
         doc = json.loads(text)
         assert list(doc) == ["carrier_freq_hz", "paths", "link_budget"]
+        assert doc["carrier_freq_hz"] == 6e9
         assert [list(r) for r in doc["paths"]] == [list(runner.RECORD_KEYS)] * 2
         first, zero = doc["paths"]
         assert first.pop("power_db") == pytest.approx(10.0 * math.log10(0.5), rel=1e-15)
@@ -301,8 +302,8 @@ class TestRunSimulate:
         amp.real, amp.imag = re, im  # set, not added, so that signed zeros survive
         cir = Cir.from_columns(delay, amp, dop, aod_az=az, aod_el=el,
                                aoa_az=np.flip(az), aoa_el=np.flip(el), bounce_order=order,
-                               origin=origin.astype(np.int8), carrier_freq=28e9)
-        write_cir_json(tmp_path / "t.json", cir, extra)
+                               origin=origin.astype(np.int8))
+        write_cir_json(tmp_path / "t.json", cir, 28e9, extra)
         # the per-record writer that write_cir_json replaced
         powers = cir.powers().tolist()
         columns = (
@@ -313,7 +314,7 @@ class TestRunSimulate:
             np.degrees(cir.aod_az).tolist(), np.degrees(cir.aod_el).tolist(),
             np.degrees(cir.aoa_az).tolist(), np.degrees(cir.aoa_el).tolist(),
             cir.bounce_order.tolist(), [ORIGINS[c].value for c in cir.origin_code.tolist()])
-        want = json.dumps({"carrier_freq_hz": cir.carrier_freq,
+        want = json.dumps({"carrier_freq_hz": 28e9,
                            "paths": [dict(zip(runner.RECORD_KEYS, row)) for row in zip(*columns)],
                            **(extra or {})}, separators=(",", ":"))
         assert (tmp_path / "t.json").read_text() == want
@@ -321,7 +322,7 @@ class TestRunSimulate:
     def test_cir_json_extra_may_not_replace_paths(self, tmp_path):
         for key in ("paths", "carrier_freq_hz"):
             with pytest.raises(ValueError, match="must not replace"):
-                write_cir_json(tmp_path / "t.json", Cir.from_columns([], []), {key: 1})
+                write_cir_json(tmp_path / "t.json", Cir.from_columns([], []), 28e9, {key: 1})
 
     def test_read_cir_json_matches_per_record_reader(self, tmp_path):
         def record_row(rec):  # the per-record reader that read_cir_json replaced
@@ -332,7 +333,8 @@ class TestRunSimulate:
                     rec["bounce_order"], ORIGINS.index(Origin(rec["origin"])))
 
         sim = simulate_channels(load_config(CONFIG_DIR / "bistatic_ris_factory.json"))
-        write_cir_json(tmp_path / "t.json", Cir.concat([sim.target_cir, sim.background_cir]))
+        write_cir_json(tmp_path / "t.json", Cir.concat([sim.target_cir, sim.background_cir]),
+                       6.9e9)
         doc = json.loads((tmp_path / "t.json").read_text())
         # edge cases: signed zeros, a full turn, zero power, no delay_s, equal delays
         edge = {"delay_ns": 7.0, "amp_re": -0.0, "amp_im": 0.0, "power_db": None,
@@ -341,12 +343,10 @@ class TestRunSimulate:
         doc["paths"] += [edge, dict(edge, delay_s=7e-9, aod_az_deg=-1e-300, aoa_az_deg=359.9)]
         (tmp_path / "t.json").write_text(json.dumps(doc))
         got = read_cir_json(tmp_path / "t.json")
-        want = Cir.from_columns(*zip(*map(record_row, doc["paths"])),
-                                carrier_freq=doc["carrier_freq_hz"])
+        want = Cir.from_columns(*zip(*map(record_row, doc["paths"])))
         assert len(got) == len(want) == len(sim.target_cir) + len(sim.background_cir) + 2
         for name in COLUMNS:  # bit for bit, so signed zeros count
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        assert got.carrier_freq == want.carrier_freq
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -367,10 +367,10 @@ class TestRunSimulate:
         amp.real, amp.imag = re, im  # set, not added, so that signed zeros survive
         cir = Cir.from_columns(delay, amp, dop, aod_az=az, aod_el=el,
                                aoa_az=np.flip(az), aoa_el=np.flip(el), bounce_order=order,
-                               origin=origin.astype(np.int8), carrier_freq=28e9)
+                               origin=origin.astype(np.int8))
         write_path_table(tmp_path / "t.npy", cir)
-        back = read_path_table(tmp_path / "t.npy", 28e9)
-        assert len(back) == len(cir) and back.carrier_freq == 28e9
+        back = read_path_table(tmp_path / "t.npy")
+        assert len(back) == len(cir)
         for name in COLUMNS:
             got, want = getattr(back, name), getattr(cir, name)
             assert got.dtype == want.dtype, name
@@ -386,6 +386,20 @@ class TestRunSimulate:
         assert table["aoa_az"].tobytes() == cir.aoa_az.tobytes()  # radians, as in memory
 
 
+def perturbed_golden(golden: Path, name: str, *edits: tuple[str, str]) -> Path:
+    """A copy of the packaged golden tables in ``golden`` with each (old,
+    new) text edit made once in the table ``name``."""
+    golden.mkdir()
+    for f in packaged_golden_dir().glob("*.csv"):
+        shutil.copy(f, golden / f.name)
+    text = (golden / name).read_text()
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    (golden / name).write_text(text)
+    return golden
+
+
 class TestRunValidate:
     def test_packaged_golden_passes(self):
         report = run_validate()
@@ -393,19 +407,21 @@ class TestRunValidate:
         assert len(report.rows) == 46
 
     def test_perturbed_golden_fails_that_row_only(self, tmp_path):
-        golden = packaged_golden_dir()
-        for f in golden.glob("*.csv"):
-            shutil.copy(f, tmp_path / f.name)
-        t2 = tmp_path / "concatenated_power_checks.csv"
-        text = t2.read_text().replace("-106.39", "-109.39")
-        t2.write_text(text)
-        report = run_validate(tmp_path)
+        report = run_validate(perturbed_golden(
+            tmp_path / "concat", "concatenated_power_checks.csv", ("-106.39", "-109.39")))
         assert not report.ok
         failed = [r.name for r in report.rows if not r.passed]
         # the perturbed concatenated power breaks its row and the
         # dependent delta-P rows for 1-A
         assert any("1-A" in n for n in failed)
         assert all("1-A" in n or "delta-P" in n for n in failed)
+        # two measured PCFs moved apart, keeping the los_los mean at 0.817
+        report = run_validate(perturbed_golden(
+            tmp_path / "pcf", "pcf_measurements.csv",
+            ("1,los_los,0.89", "1,los_los,0.90"), ("2,los_los,0.73", "2,los_los,0.72")))
+        assert len(report.rows) == 46
+        assert [r.name for r in report.rows if not r.passed] == [
+            "PCF position 1 los_los", "PCF position 2 los_los"]
 
     def test_missing_golden_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -501,12 +517,14 @@ class TestCli:
 
     def test_validate_exit_codes(self, tmp_path, capsys):
         assert cli_main(["validate"]) == 0
-        golden = packaged_golden_dir()
-        for f in golden.glob("*.csv"):
-            shutil.copy(f, tmp_path / f.name)
-        t2 = tmp_path / "concatenated_power_checks.csv"
-        t2.write_text(t2.read_text().replace("-106.39", "-109.39"))
-        assert cli_main(["validate", str(tmp_path)]) == 1
+        golden = perturbed_golden(tmp_path / "concat", "concatenated_power_checks.csv",
+                                  ("-106.39", "-109.39"))
+        assert cli_main(["validate", str(golden)]) == 1
+        golden = perturbed_golden(tmp_path / "pcf", "pcf_measurements.csv",
+                                  ("1,los_los,0.89", "1,los_los,0.90"))
+        assert cli_main(["validate", str(golden)]) == 1
+        assert "[FAIL] PCF position 1 los_los: golden 0.9, model table 0.89" in (
+            capsys.readouterr().out)
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = scen1_like(tmp_path, bandwidth_hz=-1.0)

@@ -1,10 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isacsim import (
-    CaptureRecord,
     Cir,
     calibrate,
     generate_pn,
@@ -14,22 +15,26 @@ from isacsim import (
     sounder_roundtrip,
     transmit_through,
 )
+from isacsim.sounder import DEFAULT_TAPS
 
 
-def chan(delays_amps, chip_rate=None):
+def chan(delays_amps):
     delays, amps = zip(*delays_amps)
     return Cir.from_columns(delays, amps)
 
 
 class TestGeneratePn:
     def test_m3_period_7(self):
-        pn = generate_pn(3, (3, 1))
-        assert pn.length == 7
+        pn = generate_pn(3)
+        assert pn.taps == (3, 1) and pn.length == 7
 
     def test_balance_property(self):
-        for m in (3, 5, 8, 11):
+        # every register length the config accepts: one full period, and
+        # one more +1 chip than -1 chips
+        for m in sorted(DEFAULT_TAPS):
             pn = generate_pn(m)
-            assert int(np.sum(pn.chips == 1)) - int(np.sum(pn.chips == -1)) == 1
+            assert pn.length == 2 ** m - 1, m
+            assert int(np.sum(pn.chips == 1)) - int(np.sum(pn.chips == -1)) == 1, m
 
     def test_autocorrelation_peak(self):
         pn = generate_pn(5)
@@ -37,26 +42,25 @@ class TestGeneratePn:
         assert r0 == 2 ** 5 - 1
 
     def test_autocorrelation_two_valued(self):
-        # brute-force correlation at every nonzero lag equals -1
-        for m in (3, 4, 7, 10):
-            pn = generate_pn(m)
-            for lag in range(1, pn.length):
-                r = float(np.sum(pn.chips * np.roll(pn.chips, lag)))
-                assert r == pytest.approx(-1.0, abs=1e-9)
+        # every default tap set is maximal-length: the circular
+        # autocorrelation is 2^m - 1 at lag 0 and -1 at every other lag
+        for m in sorted(DEFAULT_TAPS):
+            chips = generate_pn(m).chips
+            r = np.fft.ifft(np.abs(np.fft.fft(chips)) ** 2).real
+            want = np.full(len(chips), -1.0)
+            want[0] = 2 ** m - 1
+            np.testing.assert_allclose(r, want, rtol=0, atol=1e-6, err_msg=f"m={m}")
 
-    def test_non_primitive_taps_detected(self):
-        with pytest.raises(ValueError):
-            generate_pn(4, (4, 2))  # x^4 + x^2 + 1 = (x^2+x+1)^2, period 6
-
-    def test_bad_taps_rejected(self):
-        with pytest.raises(ValueError):
-            generate_pn(4, (3, 1))  # top tap must equal the register length
+    @pytest.mark.parametrize("m", [2, 16])
+    def test_register_length_without_taps_rejected(self, m):
+        with pytest.raises(ValueError, match=f"no feedback taps for register length {m}"):
+            generate_pn(m)
 
 
-def reference_samples(cir, pn, samples_per_chip):
+def reference_samples(cir, pn):
     """Noiseless capture built one path at a time: sample i of a path
-    holds chip floor(i / spc - delay * chip_rate + 1e-9)."""
-    pos = np.arange(pn.length * samples_per_chip) / samples_per_chip
+    holds chip floor(i - delay * chip_rate + 1e-9)."""
+    pos = np.arange(pn.length)
     rx = np.zeros(len(pos), dtype=complex)
     for delay, amp in zip(cir.delay.tolist(), cir.amp.tolist()):
         idx = np.floor(pos - delay * pn.chip_rate + 1e-9).astype(int) % pn.length
@@ -65,21 +69,18 @@ def reference_samples(cir, pn, samples_per_chip):
 
 
 class TestTransmitThrough:
-    @pytest.mark.parametrize("spc", [1, 2, 3])
-    def test_matches_per_path_reference(self, spc):
+    def test_matches_per_path_reference(self):
         pn = generate_pn(7, chip_rate=100e6)
-        rng = np.random.default_rng(spc)
-        fs = pn.chip_rate * spc
+        rng = np.random.default_rng(1)
         delays = np.concatenate([
             rng.uniform(0.0, pn.period_s, 300),
             rng.integers(0, pn.length, 50) / pn.chip_rate,  # on chip boundaries
-            rng.integers(0, pn.length * spc, 50) / fs,      # on sample boundaries
             [0.0, (pn.length - 1) / pn.chip_rate, pn.period_s * (1 - 1e-12)],
         ])
         amps = rng.normal(size=len(delays)) + 1j * rng.normal(size=len(delays))
         c = chan(zip(delays.tolist(), amps.tolist()))
-        got = transmit_through(c, pn, snr_db=None, seed=None, samples_per_chip=spc).samples
-        want = reference_samples(c, pn, spc)
+        got = transmit_through(c, pn, snr_db=None, seed=None).samples
+        want = reference_samples(c, pn)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_identity_channel_reproduces_pn(self):
@@ -131,7 +132,7 @@ class TestSlideCorrelate:
         pn = generate_pn(8, chip_rate=100e6)
         k, a = 37, 0.6 - 0.4j
         cap = transmit_through(chan([(k / 100e6, a)]), pn, snr_db=None, seed=None)
-        est = slide_correlate(cap, pn)
+        est = slide_correlate(cap.samples, pn)
         assert np.argmax(np.abs(est)) == k
         n = pn.length
         assert abs(est[k] - a) <= abs(a) / n + 1e-12
@@ -140,9 +141,7 @@ class TestSlideCorrelate:
 
     def test_zero_capture_zero_estimate(self):
         pn = generate_pn(6, chip_rate=100e6)
-        cap = CaptureRecord(np.zeros(pn.length, dtype=complex), 100e6, None, None,
-                            pn_m=6, pn_taps=pn.taps, chip_rate=100e6)
-        est = slide_correlate(cap, pn)
+        est = slide_correlate(np.zeros(pn.length, dtype=complex), pn)
         np.testing.assert_allclose(est, 0.0, atol=1e-15)
 
     def test_three_paths_30db_snr(self):
@@ -155,7 +154,7 @@ class TestSlideCorrelate:
         failures = 0
         for seed in range(100):
             cap = transmit_through(c, pn, snr_db=30.0, seed=seed)
-            est = slide_correlate(cap, pn)
+            est = slide_correlate(cap.samples, pn)
             mag = np.abs(est)
             for k, a in zip(chips, amps):
                 local = np.argmax(mag[k - 1:k + 2]) + k - 1
@@ -166,10 +165,8 @@ class TestSlideCorrelate:
 
     def test_length_mismatch_rejected(self):
         pn = generate_pn(6, chip_rate=100e6)
-        cap = CaptureRecord(np.zeros(10, dtype=complex), 100e6, None, None,
-                            pn_m=6, pn_taps=pn.taps, chip_rate=100e6)
-        with pytest.raises(ValueError):
-            slide_correlate(cap, pn)
+        with pytest.raises(ValueError, match="does not match one PN period 63"):
+            slide_correlate(np.zeros(10, dtype=complex), pn)
 
 
 class TestCalibrate:
@@ -205,7 +202,7 @@ class TestCalibrate:
         b2b = np.fft.ifft(sys_spec)
         raw = np.zeros(n, dtype=complex)
         raw[0] = 1.0
-        out = calibrate(raw, b2b, floor_db=-40.0)
+        out = calibrate(raw, b2b)  # the floor sits 40 dB below the peak
         assert out.flagged_bins.sum() == 4
 
     def test_all_zero_b2b_rejected(self):
@@ -241,7 +238,7 @@ class TestRoundTrip:
         gains = []
         for seed in range(20):
             cap = transmit_through(c, pn, snr_db=snr_in_db, seed=seed)
-            est = slide_correlate(cap, pn)
+            est = slide_correlate(cap.samples, pn)
             noise = np.delete(est, 0)
             snr_out = abs(est[0]) ** 2 / float(np.mean(np.abs(noise) ** 2))
             gains.append(10 * math.log10(snr_out) - snr_in_db)
@@ -255,8 +252,9 @@ class TestCaptureSerialization:
         cap = transmit_through(chan([(30e-9, 0.5 - 0.2j)]), pn, snr_db=25.0, seed=11)
         path = tmp_path / "capture.bin"
         save_capture(cap, path)
+        assert json.loads(Path(f"{path}.json").read_text())["sample_rate"] == 100e6
         back = load_capture(path)
-        assert back.sample_rate == cap.sample_rate
+        assert back.chip_rate == cap.chip_rate == 100e6
         assert back.snr_db == cap.snr_db
         assert back.seed == cap.seed
         assert back.pn_m == 6
@@ -265,3 +263,12 @@ class TestCaptureSerialization:
         np.testing.assert_allclose(back.samples, cap.samples, atol=1e-6)
         raw = np.fromfile(path, dtype="<f4")
         assert len(raw) == 2 * len(cap.samples)
+
+    def test_sample_rate_other_than_chip_rate_rejected(self, tmp_path):
+        pn = generate_pn(6, chip_rate=100e6)
+        path = tmp_path / "capture.bin"
+        save_capture(transmit_through(chan([(30e-9, 1.0)]), pn, snr_db=None, seed=None), path)
+        sidecar = Path(f"{path}.json")
+        sidecar.write_text(json.dumps(json.loads(sidecar.read_text()) | {"sample_rate": 200e6}))
+        with pytest.raises(ValueError, match="sample rate 200000000.0 is not the chip rate"):
+            load_capture(path)

@@ -118,8 +118,7 @@ class TestConcatenate:
     def test_matches_per_pair_reference(self, rcs):
         def link(side, seed):
             profile = GenerationProfile(n_clusters=3, rays_per_cluster=4,
-                                        doppler_max_hz=300.0, ray_delay_scale_s=2e-9,
-                                        seed=seed)
+                                        doppler_max_hz=300.0, seed=seed)
             los = ClusterSet(power=1.0, delay=12e-9, aod=(0.4, 0.05), aoa=(3.5, -0.05),
                              doppler=40.0, bounce_order=0)
             return SubLink(side, with_los_ray(sample_clusters(profile), los, 4.0))
