@@ -1,8 +1,11 @@
 """Frozen reference outputs: every file that simulate, analyze and
 sounder-roundtrip write must hash to the digest recorded in
-tests/data/reference_digests.json, for the shipped configs and for every
-benchmark scenario (isacbench/workloads.py) at seed 11. A refactor that
-changes no behaviour leaves every digest as it is. ``analyze`` runs the
+tests/data/reference_digests.json, for the shipped configs, for a moving
+variant of bistatic_ris_factory and for every benchmark scenario
+(isacbench/workloads.py) at seed 11. Every other frozen scenario holds
+its target still, so the moving variant is the one that covers the
+Doppler shift. A refactor that changes no behaviour leaves every digest
+as it is. ``analyze`` runs the
 shipped configs at the README's ``--threshold-db 120``, where it finds
 and classifies target paths (at the default 30 dB two configs find
 none), and each benchmark scenario with its own analyze arguments.
@@ -31,6 +34,8 @@ SHIPPED_CONFIGS = sorted(p for p in CONFIG_DIR.glob("*.json") if "scene" not in 
 SCENES = {"bistatic_indoor_human.json": CONFIG_DIR / "indoor_human_scene.json"}
 DIGESTS = Path(__file__).parent / "data" / "reference_digests.json"
 WORKLOAD_SEED = 11
+MOVING_KEY = "bistatic_ris_factory_moving"
+MOVING_VELOCITY = [3.0, -2.0, 0.5]
 
 
 def _load_workloads():
@@ -77,6 +82,18 @@ def run_chain(config: Path, work: Path, analyze_args) -> dict[str, str]:
             for p in sorted(work.rglob("*")) if p.is_file()}
 
 
+def run_moving(work: Path) -> dict[str, dict[str, str]]:
+    """The chain of bistatic_ris_factory with its target moving at
+    MOVING_VELOCITY, keyed by MOVING_KEY."""
+    doc = json.loads((CONFIG_DIR / "bistatic_ris_factory.json").read_text())
+    doc["targets"][0]["velocity_mps"] = MOVING_VELOCITY
+    inputs = work / "inputs"
+    inputs.mkdir()
+    config = inputs / "bistatic_ris_factory.json"
+    config.write_text(json.dumps(doc))
+    return {MOVING_KEY: run_chain(config, work / "chain", _shipped_analyze_args(config))}
+
+
 def run_workload(name: str, work: Path) -> dict[str, dict[str, str]]:
     """Every scenario chain of one benchmark workload at WORKLOAD_SEED,
     keyed by ``<workload>/<scenario>``."""
@@ -102,6 +119,12 @@ def test_outputs_match_frozen_digests(tmp_path, capsys, config):
     _assert_frozen({config.name: got})
 
 
+def test_moving_target_outputs_match_frozen_digests(tmp_path, capsys):
+    got = run_moving(tmp_path)
+    capsys.readouterr()
+    _assert_frozen(got)
+
+
 @pytest.mark.parametrize("workload", sorted(WORKLOADS.BUILDERS))
 def test_workload_outputs_match_frozen_digests(tmp_path, capsys, workload):
     got = run_workload(workload, tmp_path)
@@ -115,6 +138,8 @@ if __name__ == "__main__":
     for cfg in SHIPPED_CONFIGS:
         with tempfile.TemporaryDirectory() as tmp:
             digests[cfg.name] = run_chain(cfg, Path(tmp), _shipped_analyze_args(cfg))
+    with tempfile.TemporaryDirectory() as tmp:
+        digests.update(run_moving(Path(tmp)))
     for name in WORKLOADS.BUILDERS:
         with tempfile.TemporaryDirectory() as tmp:
             digests.update(run_workload(name, Path(tmp)))

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from isacsim import Cir, GenerationProfile, Origin, runner, sounder
-from isacsim.core import COLUMNS, ORIGINS, PATH_RECORD
+from isacsim.core import C_LIGHT, COLUMNS, ORIGINS, PATH_RECORD
 from isacsim.cli import main as cli_main
 from isacsim.config import ConfigError, load_config, parse_config
 from isacsim.runner import (
@@ -165,15 +165,23 @@ class TestSimulateChannels:
         assert powers[1] / powers[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_target_doppler_from_velocity(self, tmp_path):
+        velocity = np.array([3.0, -2.0, 0.5])
+        target = np.array([4.45, 1.0, 1.5])
         path = scen1_like(tmp_path, targets=[{
-            "position_m": [4.45, 1.0, 1.5],
-            "velocity_mps": [3.0, 0.0, 0.0],
+            "position_m": target.tolist(),
+            "velocity_mps": velocity.tolist(),
             "rcs": {"variant": "constant", "sigma_dbsm": 10.0},
             "sublink": {"n_clusters": 0},
         }])
         sim = simulate_channels(load_config(path))
         assert len(sim.target_cir) == 1
-        assert sim.target_cir.doppler[0] != 0.0
+        # the LOS x LOS path: each hop shifts by -v.u/lambda, u the unit
+        # vector from that hop's endpoint (Tx, then Rx) toward the target
+        u1 = target - [0, 0, 1.5]
+        u2 = target - [7.45, 0, 1.5]
+        expected = -(velocity @ u1 / np.linalg.norm(u1)
+                     + velocity @ u2 / np.linalg.norm(u2)) / (C_LIGHT / 28e9)
+        assert sim.target_cir.doppler[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestLinkBudget:
