@@ -11,7 +11,6 @@ round trip used to validate the model.
 
 from .core import (
     C_LIGHT,
-    Angle3D,
     Cir,
     ConstantRcs,
     CosineLobeRcs,
@@ -19,13 +18,12 @@ from .core import (
     ScatteringPoint,
     TableRcs,
     angle_from_vector,
-    db_to_linear,
     identity_cpm,
     linear_to_db,
     merge_paths,
     spreading_gain,
     spreading_gain_db,
-    unit_vector,
+    unit_vectors,
     wavelength_m,
 )
 from .gbsm import (

@@ -19,11 +19,10 @@ import numpy as np
 from .core import (
     C_LIGHT,
     TWO_PI,
-    Angle3D,
     Cir,
     Origin,
     linear_to_db,
-    unit_vector,
+    unit_vectors,
     wrapped_angle_distance,
 )
 from .background import GeometricScatterer
@@ -375,7 +374,7 @@ class SharedPartition:
 def locate_monostatic(peak: PadpPeak, txrx: np.ndarray) -> np.ndarray:
     """Scatterer position implied by a mono-static (angle, delay) peak."""
     r = peak.delay_s * C_LIGHT / 2.0
-    u = unit_vector(Angle3D(math.radians(peak.angle_deg), 0.0))
+    u = unit_vectors([(math.radians(peak.angle_deg), 0.0)])[0]
     return np.asarray(txrx, dtype=float) + r * u
 
 
@@ -393,7 +392,7 @@ def locate_bistatic(peak: PadpPeak, tx: np.ndarray, rx: np.ndarray) -> np.ndarra
     base = float(np.linalg.norm(d))
     if total <= base:
         return None
-    u = unit_vector(Angle3D(math.radians(peak.angle_deg), 0.0))
+    u = unit_vectors([(math.radians(peak.angle_deg), 0.0)])[0]
     denom = 2.0 * (total + float(d @ u))
     if denom <= 0.0:
         return None
@@ -475,8 +474,9 @@ def read_padp_csv(path) -> list[tuple[float, float, float | None]]:
 
 
 def write_paths_json(path, peaks: Sequence[PadpPeak],
-                     bounce: Sequence[BounceResult | None] | None = None) -> None:
-    """Write extracted paths with their classification to JSON."""
+                     bounce: Sequence[BounceResult | None] | None = None) -> list[dict]:
+    """Write extracted paths with their classification to JSON; returns
+    the path records written."""
     records = []
     for i, pk in enumerate(peaks):
         b = bounce[i] if bounce is not None else None
@@ -490,8 +490,4 @@ def write_paths_json(path, peaks: Sequence[PadpPeak],
         })
     with open(path, "w") as f:
         json.dump({"paths": records}, f, indent=1)
-
-
-def read_paths_json(path) -> list[dict]:
-    with open(path) as f:
-        return json.load(f)["paths"]
+    return records

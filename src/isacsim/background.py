@@ -50,11 +50,12 @@ def pcf_values(condition: str) -> np.ndarray:
 
 
 PCF_CLAMP = (0.0, 1.5)  # lower bound exclusive
+PCF_INTERVAL = f"({PCF_CLAMP[0]:g}, {PCF_CLAMP[1]:g}]"  # PCF_CLAMP as text
 
 
 @dataclass(frozen=True)
 class PcfModel:
-    """Normal model for the power control factor, clamped to (0, 1.5]."""
+    """Normal model for the power control factor, clamped into PCF_CLAMP."""
 
     condition: str
     mean: float
@@ -64,7 +65,7 @@ class PcfModel:
         if self.std < 0.0:
             raise ValueError("std must be >= 0")
         if not (PCF_CLAMP[0] < self.mean <= PCF_CLAMP[1]):
-            raise ValueError(f"mean {self.mean} outside {PCF_CLAMP}")
+            raise ValueError(f"mean {self.mean} outside {PCF_INTERVAL}")
 
 
 def default_pcf_model(condition: str) -> PcfModel:
@@ -75,7 +76,7 @@ def default_pcf_model(condition: str) -> PcfModel:
 
 
 def sample_pcf(model: PcfModel, seed, size: int | None = None):
-    """Draw power control factor(s), clamped into (0, 1.5]; seeded."""
+    """Draw power control factor(s), clamped into PCF_CLAMP; seeded."""
     rng = np.random.default_rng(seed)
     draws = rng.normal(model.mean, model.std, size if size is not None else 1)
     tiny = np.finfo(float).tiny
@@ -86,7 +87,7 @@ def sample_pcf(model: PcfModel, seed, size: int | None = None):
 def apply_pcf(background_power_linear, o_back: float):
     """Scale linear background received power by the power control factor."""
     if not (PCF_CLAMP[0] < o_back <= PCF_CLAMP[1]):
-        raise ValueError(f"power control factor {o_back} outside (0, 1.5]")
+        raise ValueError(f"power control factor {o_back} outside {PCF_INTERVAL}")
     return o_back * background_power_linear
 
 
@@ -138,13 +139,13 @@ def background_monostatic(scatterers, txrx_position, wl: float) -> Cir:
         dist = float(np.linalg.norm(d_vec))
         if dist <= 0.0:
             raise ValueError(f"scatterer {sc.label!r} coincides with the Tx/Rx position")
-        direction = angle_from_vector(d_vec)
+        direction_az, direction_el = angle_from_vector(d_vec)
         one_way_amp = wl / (4.0 * math.pi * dist)
         delay.append(2.0 * dist / C_LIGHT)
         amp.append(one_way_amp ** 2
                    * math.sqrt(10.0 ** (sc.reflection_gain_db / 10.0))
                    * complex(np.exp(-1j * 2.0 * math.pi * (2.0 * dist) / wl)))
-        az.append(direction.azimuth)
-        el.append(direction.elevation)
+        az.append(direction_az)
+        el.append(direction_el)
     return Cir.from_columns(delay, amp, 0.0, aod_az=az, aod_el=el, aoa_az=az, aoa_el=el,
                             bounce_order=1, origin=Origin.BACKGROUND)

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .background import (PCF_CLAMP, PCF_MEASUREMENTS, GeometricScatterer, PcfModel,
-                         default_pcf_model)
+from .background import (PCF_CLAMP, PCF_INTERVAL, PCF_MEASUREMENTS, GeometricScatterer,
+                         PcfModel, default_pcf_model)
 from .core import ConstantRcs, CosineLobeRcs, ScatteringPoint
 from .gbsm import AntennaModel, GenerationProfile
 from .sounder import DEFAULT_TAPS
@@ -111,7 +111,7 @@ POSITIVE = ("> 0", lambda v: v > 0)
 NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
 NON_EMPTY = ("non-empty", bool)
-PCF_RANGE = ("in (0, 1.5]", lambda v: PCF_CLAMP[0] < v <= PCF_CLAMP[1])
+PCF_RANGE = (f"in {PCF_INTERVAL}", lambda v: PCF_CLAMP[0] < v <= PCF_CLAMP[1])
 # the PN register lengths that have default feedback taps (a contiguous range)
 REGISTER_LENGTH = (f"between {min(DEFAULT_TAPS)} and {max(DEFAULT_TAPS)}",
                    lambda v: v in DEFAULT_TAPS)

@@ -4,8 +4,11 @@ Conventions used throughout the package:
 
 * All internal power bookkeeping is linear; dB appears only at API
   boundaries and in file output.
-* Azimuth is measured counterclockwise from +x in the horizontal plane,
-  elevation from the horizontal; both in radians.
+* A direction is an (azimuth, elevation) pair, or an (n, 2) array of
+  such rows, in radians. Azimuth is measured counterclockwise from +x in
+  the horizontal plane and wrapped into [0, 2 pi) by
+  :func:`wrapped_azimuths`; elevation is measured from the horizontal
+  and lies in [-pi/2, pi/2].
 * Delays are seconds, distances meters, frequencies Hz.
 """
 from __future__ import annotations
@@ -26,15 +29,8 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# dB / linear conversions
+# dB conversion, wavelength and spreading
 # ---------------------------------------------------------------------------
-
-def db_to_linear(x_db):
-    """Convert a power quantity from dB to linear scale."""
-    if np.ndim(x_db) == 0:
-        return 10.0 ** (float(x_db) / 10.0)
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
 
 def linear_to_db(x):
     """Convert a linear power quantity to dB. Raises on non-positive input."""
@@ -73,40 +69,10 @@ def spreading_gain_db(wl_m: float) -> float:
 # Angles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Angle3D:
-    """A 3-D direction: azimuth in [0, 2 pi), elevation in [-pi/2, pi/2]."""
-
-    azimuth: float
-    elevation: float
-
-    def __post_init__(self):
-        az = float(self.azimuth) % TWO_PI
-        if az == TWO_PI:  # the remainder of a tiny negative azimuth rounds up
-            az = 0.0
-        el = float(self.elevation)
-        if not math.isfinite(az) or not math.isfinite(el):
-            raise ValueError("angles must be finite")
-        if not (-math.pi / 2 <= el <= math.pi / 2):
-            raise ValueError(f"elevation {el} outside [-pi/2, pi/2]")
-        object.__setattr__(self, "azimuth", az)
-        object.__setattr__(self, "elevation", el)
-
-
-def unit_vector(angle: Angle3D) -> np.ndarray:
-    """Unit direction vector (x, y, z) for an azimuth/elevation pair."""
-    ce = math.cos(angle.elevation)
-    return np.array([
-        ce * math.cos(angle.azimuth),
-        ce * math.sin(angle.azimuth),
-        math.sin(angle.elevation),
-    ])
-
-
 def wrapped_azimuths(az, el) -> np.ndarray:
-    """The azimuths wrapped into [0, 2 pi) as Angle3D wraps them, once
-    every angle is checked to be finite and every elevation to lie
-    within [-pi/2, pi/2]."""
+    """The azimuths wrapped into [0, 2 pi), once every angle is checked
+    to be finite and every elevation to lie within [-pi/2, pi/2]. The
+    remainder of a tiny negative azimuth rounds up to 2 pi; it wraps to 0."""
     if not (np.all(np.isfinite(az)) and np.all(np.isfinite(el))):
         raise ValueError("angles must be finite")
     if np.any(np.abs(el) > math.pi / 2):
@@ -123,15 +89,15 @@ def unit_vectors(az_el) -> np.ndarray:
     return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=1)
 
 
-def angle_from_vector(v: np.ndarray) -> Angle3D:
-    """Inverse of :func:`unit_vector`; accepts any nonzero 3-vector."""
+def angle_from_vector(v: np.ndarray) -> tuple[float, float]:
+    """The (azimuth, elevation) pair of any nonzero 3-vector; inverse of
+    :func:`unit_vectors` row by row."""
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
     if n == 0.0 or not math.isfinite(n):
         raise ValueError("cannot extract angles from a zero or non-finite vector")
     el = math.asin(max(-1.0, min(1.0, v[2] / n)))
-    az = math.atan2(v[1], v[0]) % TWO_PI
-    return Angle3D(az, el)
+    return float(wrapped_azimuths(math.atan2(v[1], v[0]), el)), el
 
 
 def wrapped_angle_distance(a: float, b: float) -> float:
@@ -170,18 +136,21 @@ class CosineLobeRcs:
     The angular argument is the mean off-axis angle of the incoming and
     outgoing directions. ``exponent = 0`` degenerates to a constant.
     The cosine is floored at 1e-30 so the dBsm value stays finite.
+    ``axis`` is an (azimuth, elevation) pair.
     """
 
     sigma0_dbsm: float
     exponent: float = 0.0
-    axis: Angle3D = Angle3D(0.0, 0.0)
+    axis: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.exponent < 0.0:
             raise ValueError("cosine lobe exponent must be >= 0")
+        az, el = map(float, self.axis)
+        object.__setattr__(self, "axis", (float(wrapped_azimuths(az, el)), el))
 
     def eval_dbsm_pairs(self, angles_in, angles_out) -> np.ndarray:
-        ax = unit_vectors([[self.axis.azimuth, self.axis.elevation]])[0]
+        ax = unit_vectors([self.axis])[0]
         c_in = unit_vectors(_angle_rows(angles_in)) @ ax
         c_out = unit_vectors(_angle_rows(angles_out)) @ ax
         c = np.maximum(0.5 * (c_in[:, None] + c_out[None, :]), 1e-30)
@@ -329,9 +298,9 @@ class Cir:
                      origin: Origin | np.ndarray = Origin.BACKGROUND) -> "Cir":
         """Cir from per-path arrays; scalars broadcast to every path.
         ``origin`` is one Origin or an array of origin codes. Checks that
-        delays are finite and >= 0, amplitudes finite, bounce orders
-        >= 0 and angles as Angle3D checks them, wraps the azimuths as
-        Angle3D does and sorts the rows by delay."""
+        delays are finite and >= 0, amplitudes finite and bounce orders
+        >= 0, checks and wraps the angles with wrapped_azimuths and sorts
+        the rows by delay."""
         if isinstance(origin, Origin):
             origin = _ORIGIN_CODE[origin]
         delay = np.asarray(delay, dtype=float).ravel()

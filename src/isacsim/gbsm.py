@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Angle3D,
-    Cir,
-    Origin,
-    unit_vector,
-    unit_vectors,
-    wrapped_azimuths,
-)
+from .core import Cir, Origin, unit_vectors, wrapped_azimuths
 
 
 class EmptyChannelError(ValueError):
@@ -45,8 +38,8 @@ class ClusterSet:
     ``power`` is the linear power of each ray (a sampled set sums to 1,
     the split across a cluster's rays included) and ``delay`` its delay
     in seconds. ``aod`` and ``aoa`` are (n, 2) arrays of (azimuth,
-    elevation) rows in radians; the azimuths are wrapped into [0, 2 pi)
-    as Angle3D wraps them. ``xpr`` is the linear cross-polarization
+    elevation) rows in radians, the azimuths wrapped by
+    wrapped_azimuths. ``xpr`` is the linear cross-polarization
     ratio, ``phases`` (n, 4) the initial phases (theta-theta,
     theta-phi, phi-theta, phi-phi) in radians, ``doppler`` the Doppler
     shift in Hz and ``cluster`` the index of the ray's cluster. A
@@ -114,19 +107,22 @@ class AntennaModel:
     ``kind`` is "omni" (unit vertical-polarization response everywhere)
     or "horn" (Gaussian main lobe; the boresight power gain equals the
     linearized ``peak_gain_db``, and the pattern is 3 dB down at
-    ``hpbw_deg``/2 off axis).
+    ``hpbw_deg``/2 off axis). ``boresight`` is an (azimuth, elevation)
+    pair.
     """
 
     kind: str = "omni"
     hpbw_deg: float = 10.0
     peak_gain_db: float = 0.0
-    boresight: Angle3D = Angle3D(0.0, 0.0)
+    boresight: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.kind not in ("omni", "horn"):
             raise ValueError(f"unknown antenna kind {self.kind!r}")
         if self.kind == "horn" and self.hpbw_deg <= 0.0:
             raise ValueError("horn HPBW must be positive")
+        az, el = map(float, self.boresight)
+        object.__setattr__(self, "boresight", (float(wrapped_azimuths(az, el)), el))
 
     def field_gain(self, boresight, arrival) -> np.ndarray:
         """Real F_theta amplitude for every (boresight, arrival) pair.
@@ -153,9 +149,8 @@ class AntennaModel:
     def fields(self, angles) -> np.ndarray:
         """Complex (F_theta, F_phi) field pattern toward each (azimuth,
         elevation) row of ``angles`` (n, 2); the result is (n, 2)."""
-        b = self.boresight
         out = np.zeros((len(angles), 2), dtype=complex)
-        out[:, 0] = self.field_gain([[b.azimuth, b.elevation]], angles)[0]
+        out[:, 0] = self.field_gain([self.boresight], angles)[0]
         return out
 
 
@@ -313,10 +308,11 @@ def synthesize_cir(clusters: ClusterSet, tx_antenna: AntennaModel,
         bounce_order=clusters.bounce_order, origin=origin)
 
 
-def doppler_shift(v_scatterer: np.ndarray, v_observer: np.ndarray,
-                  arrival: Angle3D, wl: float) -> float:
-    """Doppler frequency from relative motion projected on the arrival ray."""
+def doppler_shift(v_scatterer: np.ndarray, arrival: tuple[float, float], wl: float) -> float:
+    """Doppler frequency, seen by a stationary observer, of a scatterer
+    moving at ``v_scatterer``: the velocity projected on ``arrival``, the
+    (azimuth, elevation) direction from the scatterer to the observer,
+    over the wavelength."""
     if wl <= 0.0:
         raise ValueError("wavelength must be positive")
-    rel = np.asarray(v_scatterer, dtype=float) - np.asarray(v_observer, dtype=float)
-    return float(rel @ unit_vector(arrival)) / wl
+    return float(np.asarray(v_scatterer, dtype=float) @ unit_vectors([arrival])[0]) / wl

@@ -30,6 +30,8 @@ from .analysis import (
     write_paths_json,
 )
 from .background import (
+    PCF_CLAMP,
+    PCF_INTERVAL,
     PCF_MEASUREMENTS,
     GeometricScatterer,
     apply_pcf,
@@ -78,13 +80,13 @@ def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos, velocity, wl: float,
         raise ValueError("target coincides with an endpoint")
     to_endpoint = angle_from_vector(endpoint - sp_pos)
     to_target = angle_from_vector(sp_pos - endpoint)
-    dop = doppler_shift(velocity, np.zeros(3), to_endpoint, wl)
+    dop = doppler_shift(velocity, to_endpoint, wl)
     if side is Side.TX_TO_TARGET:
         aod, aoa = to_target, to_endpoint  # departs the Tx, arrives at the target
     else:
         aod, aoa = to_endpoint, to_target  # departs the target, arrives at the Rx
-    los = ClusterSet(power=1.0, delay=d / C_LIGHT, aod=(aod.azimuth, aod.elevation),
-                     aoa=(aoa.azimuth, aoa.elevation), doppler=dop, bounce_order=0)
+    los = ClusterSet(power=1.0, delay=d / C_LIGHT, aod=aod, aoa=aoa, doppler=dop,
+                     bounce_order=0)
     if spec.profile.n_clusters == 0:
         return SubLink(side, los)
     sampled = sample_clusters(replace(spec.profile, seed=seed))
@@ -112,8 +114,8 @@ class SimulationResult:
             raise ValueError("per-point target path losses must be finite")
         if not math.isfinite(self.pl_back_db):
             raise ValueError("background path loss must be finite")
-        if not (0.0 < self.o_back <= 1.5):
-            raise ValueError(f"power control factor {self.o_back} outside (0, 1.5]")
+        if not (PCF_CLAMP[0] < self.o_back <= PCF_CLAMP[1]):
+            raise ValueError(f"power control factor {self.o_back} outside {PCF_INTERVAL}")
         if self.wavelength <= 0.0:
             raise ValueError("wavelength must be positive")
 
@@ -422,9 +424,7 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0,
     if scene is not None:
         bounce = [classify_bounce(pk, scene, delay_tol=bin_w, angle_tol_deg=step / 2.0)
                   for pk in peaks]
-    write_paths_json(run_dir / "paths.json", peaks, bounce)
-    with open(run_dir / "paths.json") as f:
-        return json.load(f)["paths"]
+    return write_paths_json(run_dir / "paths.json", peaks, bounce)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    Angle3D,
     Cir,
     Origin,
     ScatteringPoint,
@@ -57,8 +56,8 @@ def _rcs_linear(model, angles_in: np.ndarray, angles_out: np.ndarray) -> np.ndar
     if len(bad):
         i, j = bad[0]
         raise ValueError(
-            f"RCS model returned non-finite value for in={Angle3D(*angles_in[i])} "
-            f"out={Angle3D(*angles_out[j])}")
+            f"RCS model returned non-finite value for in={tuple(angles_in[i].tolist())} "
+            f"out={tuple(angles_out[j].tolist())}")
     return 10.0 ** (sigma_dbsm / 10.0)
 
 

@@ -1,6 +1,7 @@
 import bisect
 import csv
 import io
+import json
 import math
 from dataclasses import replace
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from isacsim import (
     C_LIGHT,
     OMNI,
-    Angle3D,
     AntennaModel,
     Cir,
     GeometricScatterer,
@@ -37,7 +37,6 @@ from isacsim.analysis import (
     locate_bistatic,
     locate_monostatic,
     read_padp_csv,
-    read_paths_json,
     write_padp_csv,
     write_paths_json,
 )
@@ -179,7 +178,7 @@ class TestTurntableScan:
         ref = np.zeros((len(angles), len(bins) - 1))
         row_sums = np.zeros(len(angles))
         for i, ang in enumerate(angles):
-            aimed = replace(antenna, boresight=Angle3D(math.radians(ang), 0.0))
+            aimed = replace(antenna, boresight=(math.radians(ang), 0.0))
             for delay, amp, az, el in zip(cir.delay.tolist(), cir.amp.tolist(),
                                           cir.aoa_az.tolist(), cir.aoa_el.tolist()):
                 j = min(bisect.bisect_right(bins, delay) - 1, len(bins) - 2)
@@ -563,8 +562,9 @@ class TestFileRoundTrips:
                       origin=Origin.TARGET)
         res = classify_bounce(pk, sc, 1e-9, 2.5)
         out = tmp_path / "paths.json"
-        write_paths_json(out, [pk], [res])
-        rec = read_paths_json(out)[0]
+        records = write_paths_json(out, [pk], [res])
+        assert json.loads(out.read_text()) == {"paths": records}
+        rec = records[0]
         assert rec["theta_deg"] == pk.angle_deg
         assert rec["tau_ns"] == pk.delay_s * 1e9
         assert rec["power_db"] == pk.power_db

@@ -7,21 +7,19 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from isacsim import (
-    Angle3D,
     Cir,
     ConstantRcs,
     CosineLobeRcs,
     Origin,
     TableRcs,
     angle_from_vector,
-    db_to_linear,
     linear_to_db,
     merge_paths,
     spreading_gain_db,
-    unit_vector,
+    unit_vectors,
     wavelength_m,
 )
-from isacsim.core import COLUMNS, ORIGINS
+from isacsim.core import COLUMNS, ORIGINS, wrapped_azimuths
 
 TARGET, BACKGROUND, SHARED = (ORIGINS.index(o) for o in
                               (Origin.TARGET, Origin.BACKGROUND, Origin.SHARED))
@@ -112,58 +110,65 @@ _gap_cirs = _cirs(
 
 class TestUnitVector:
     def test_axis_cases(self):
-        np.testing.assert_allclose(unit_vector(Angle3D(0.0, 0.0)), [1, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(unit_vector(Angle3D(math.pi / 2, 0.0)), [0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(unit_vectors([(0.0, 0.0), (math.pi / 2, 0.0)]),
+                                   [[1, 0, 0], [0, 1, 0]], atol=1e-15)
 
     def test_general_direction(self):
         # frozen from an independent cos/sin evaluation of the spherical formula
-        v = unit_vector(Angle3D(0.3, 0.2))
+        v = unit_vectors([(0.3, 0.2)])[0]
         np.testing.assert_allclose(
             v, [0.9362933635841992, 0.28962947762551555, 0.19866933079506122], rtol=1e-14)
 
     def test_norm_is_one(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            a = Angle3D(rng.uniform(0, 2 * math.pi), rng.uniform(-math.pi / 2, math.pi / 2))
-            assert abs(np.linalg.norm(unit_vector(a)) - 1.0) < 1e-12
+        rows = np.column_stack([rng.uniform(0, 2 * math.pi, 200),
+                                rng.uniform(-math.pi / 2, math.pi / 2, 200)])
+        assert np.all(np.abs(np.linalg.norm(unit_vectors(rows), axis=1) - 1.0) < 1e-12)
 
     def test_round_trip_with_angle_extraction(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
-            a = Angle3D(rng.uniform(0, 2 * math.pi), rng.uniform(-1.4, 1.4))
-            b = angle_from_vector(unit_vector(a))
-            assert abs(b.azimuth - a.azimuth) < 1e-9
-            assert abs(b.elevation - a.elevation) < 1e-9
+            a = (rng.uniform(0, 2 * math.pi), rng.uniform(-1.4, 1.4))
+            b = angle_from_vector(unit_vectors([a])[0])
+            assert type(b) is tuple and all(type(x) is float for x in b)
+            assert abs(b[0] - a[0]) < 1e-9
+            assert abs(b[1] - a[1]) < 1e-9
 
     def test_azimuth_wraps(self):
-        a = Angle3D(2 * math.pi + 0.25, 0.0)
-        assert abs(a.azimuth - 0.25) < 1e-12
+        assert abs(wrapped_azimuths(2 * math.pi + 0.25, 0.0) - 0.25) < 1e-12
+        assert abs(CosineLobeRcs(0.0, axis=(2 * math.pi + 0.25, 0.0)).axis[0] - 0.25) < 1e-12
 
     @pytest.mark.parametrize("az", [-1e-17, -1e-300])
     def test_tiny_negative_azimuth_wraps_to_zero_not_two_pi(self, az):
         assert (az % (2 * math.pi)) == 2 * math.pi  # the remainder rounds up
-        assert Angle3D(az, 0.0).azimuth == 0.0
+        assert wrapped_azimuths(az, 0.0) == 0.0
+        assert CosineLobeRcs(0.0, axis=(az, 0.0)).axis == (0.0, 0.0)
+        assert angle_from_vector([1.0, az, 0.0]) == (0.0, 0.0)
         cir = Cir.from_columns([1e-9, 2e-9], [1.0, 1.0], aod_az=az, aoa_az=[az, -0.5])
         assert cir.aod_az.tolist() == [0.0, 0.0]
         assert cir.aoa_az.tolist() == [0.0, -0.5 % (2 * math.pi)]
 
     def test_elevation_range_enforced(self):
-        with pytest.raises(ValueError):
-            Angle3D(0.0, 2.0)
+        with pytest.raises(ValueError, match="elevation outside"):
+            wrapped_azimuths(0.0, 2.0)
+        with pytest.raises(ValueError, match="elevation outside"):
+            CosineLobeRcs(0.0, axis=(0.0, 2.0))
+        with pytest.raises(ValueError, match="finite"):
+            CosineLobeRcs(0.0, axis=(math.nan, 0.0))
 
 
 class TestDbConversions:
     def test_trivial_values(self):
-        assert db_to_linear(0.0) == 1.0
-        assert db_to_linear(10.0) == 10.0
+        assert linear_to_db(1.0) == 0.0
+        assert linear_to_db(10.0) == 10.0
 
     def test_negative_db(self):
         # 10^(-3.823) evaluated independently
-        assert db_to_linear(-38.23) == pytest.approx(1.5031419660900224e-4, abs=1e-7)
+        assert linear_to_db(1.5031419660900224e-4) == pytest.approx(-38.23, abs=1e-12)
 
     def test_round_trip(self):
         x = np.linspace(-200.0, 200.0, 4001)
-        back = linear_to_db(db_to_linear(x))
+        back = linear_to_db(np.logspace(-20.0, 20.0, 4001))
         np.testing.assert_allclose(back, x, rtol=1e-12, atol=1e-12)
 
     def test_nonpositive_rejected(self):

@@ -5,7 +5,6 @@ import pytest
 
 from isacsim import (
     OMNI,
-    Angle3D,
     AntennaModel,
     ClusterSet,
     EmptyChannelError,
@@ -43,11 +42,12 @@ class TestClusterSet:
         cs = ClusterSet(power=1.0, delay=2e-9, aod=(0.0, 0.0), aoa=(1.0, 0.0))
         assert len(cs) == 1 and cs.aoa.shape == (1, 2) and cs.phases.shape == (1, 4)
 
-    def test_azimuths_wrap_as_angle3d(self):
+    def test_azimuths_wrap_as_boresight_pairs(self):
         az = [-1e-17, -0.5, 7.0, 2 * math.pi]
         cs = ClusterSet(power=1.0, delay=0.0, aod=[[a, 0.0] for a in az], aoa=(0.0, 0.0))
-        assert cs.aod[:, 0].tolist() == [Angle3D(a, 0.0).azimuth for a in az]
-        assert cs.aod[0, 0] == 0.0
+        assert cs.aod[:, 0].tolist() == [AntennaModel(boresight=(a, 0.0)).boresight[0]
+                                         for a in az]
+        assert cs.aod[:, 0].tolist() == [0.0, -0.5 % (2 * math.pi), 7.0 % (2 * math.pi), 0.0]
 
     def test_columns_are_read_only(self):
         phases = np.zeros((2, 4))
@@ -168,8 +168,16 @@ class TestAntennaModel:
 
     def test_horn_boresight_gain(self):
         horn = AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0,
-                            boresight=Angle3D(0.0, 0.0))
+                            boresight=(0.0, 0.0))
         assert gain_toward(horn, 0.0) == pytest.approx(10 ** 2.5)
+
+    def test_boresight_checked_and_wrapped(self):
+        assert AntennaModel(boresight=(2 * math.pi + 0.25, -0.1)).boresight == pytest.approx(
+            (0.25, -0.1), abs=1e-12)
+        with pytest.raises(ValueError, match="elevation outside"):
+            AntennaModel(boresight=(0.0, 1.6))
+        with pytest.raises(ValueError, match="finite"):
+            AntennaModel(boresight=(math.inf, 0.0))
 
     def test_horn_half_power_at_half_beamwidth(self):
         horn = AntennaModel(kind="horn", hpbw_deg=10.0, peak_gain_db=20.0)
@@ -259,9 +267,9 @@ class TestWithLosRay:
 class TestDopplerShift:
     def test_radial_motion(self):
         # scatterer receding along +x at 3 m/s seen from origin, 1 cm carrier
-        f = doppler_shift([3.0, 0, 0], [0, 0, 0], Angle3D(0.0, 0.0), 0.01)
+        f = doppler_shift([3.0, 0, 0], (0.0, 0.0), 0.01)
         assert f == pytest.approx(300.0)
 
     def test_transverse_motion_is_zero(self):
-        f = doppler_shift([0, 5.0, 0], [0, 0, 0], Angle3D(0.0, 0.0), 0.01)
+        f = doppler_shift([0, 5.0, 0], (0.0, 0.0), 0.01)
         assert f == pytest.approx(0.0, abs=1e-12)
