@@ -13,7 +13,6 @@ from .core import (
     C_LIGHT,
     Cir,
     ConstantRcs,
-    CosineLobeRcs,
     Origin,
     ScatteringPoint,
     TableRcs,

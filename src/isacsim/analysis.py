@@ -197,12 +197,11 @@ def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
     lies within ``match_tol`` (angle deg, delay s) and the peak rises
     more than ``margin_db`` above the background cell at the same
     (angle, delay), or a background peak does match but the power is
-    raised by more than ``margin_db``.
+    raised by more than ``margin_db``. Both scans must use the same scan
+    angles and delay bin edges, exactly.
     """
-    if (len(target_scan.angles_deg) != len(background_scan.angles_deg)
-            or not np.allclose(target_scan.angles_deg, background_scan.angles_deg)
-            or len(target_scan.delay_bins) != len(background_scan.delay_bins)
-            or not np.allclose(target_scan.delay_bins, background_scan.delay_bins)):
+    if not (np.array_equal(target_scan.angles_deg, background_scan.angles_deg)
+            and np.array_equal(target_scan.delay_bins, background_scan.delay_bins)):
         raise ValueError("target and background scans use different grids")
     tol_deg, tol_s = match_tol
     t_padp = padp(target_scan)

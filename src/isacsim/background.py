@@ -95,14 +95,14 @@ def apply_pcf(background_power_linear, o_back: float):
 # Background channels
 # ---------------------------------------------------------------------------
 
-def background_bistatic(profile: GenerationProfile, tx_antenna: AntennaModel,
-                        rx_antenna: AntennaModel) -> Cir:
-    """Statistical background channel for separated Tx and Rx.
+def background_bistatic(profile: GenerationProfile, seed: int,
+                        tx_antenna: AntennaModel) -> Cir:
+    """Statistical background channel for separated Tx and Rx; ``seed`` draws it.
 
     Structurally identical to a conventional communication-channel
     realization; paths are tagged with the background origin.
     """
-    return synthesize_cir(sample_clusters(profile), tx_antenna, rx_antenna,
+    return synthesize_cir(sample_clusters(profile, seed), tx_antenna,
                           origin=Origin.BACKGROUND)
 
 

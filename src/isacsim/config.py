@@ -18,7 +18,7 @@ import numpy as np
 
 from .background import (PCF_CLAMP, PCF_INTERVAL, PCF_MEASUREMENTS, GeometricScatterer,
                          PcfModel, default_pcf_model)
-from .core import ConstantRcs, CosineLobeRcs, ScatteringPoint
+from .core import ConstantRcs, ScatteringPoint
 from .gbsm import AntennaModel, GenerationProfile
 from .sounder import DEFAULT_TAPS
 from .target import load_rcs_table_csv
@@ -35,8 +35,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True, eq=False)
 class TargetSpec:
     """One scattering point and the recipe of its Tx-target and target-Rx
-    hops: statistical clusters (reseeded per hop) plus a LOS ray whose
-    power relative to them is the K-factor."""
+    hops: statistical clusters (drawn with each hop's own seed) plus a
+    LOS ray whose power relative to them is the K-factor."""
 
     point: ScatteringPoint
     profile: GenerationProfile
@@ -78,7 +78,10 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
     def scan_angles_deg(self) -> np.ndarray:
-        return np.arange(self.scan_start_deg, self.scan_stop_deg, self.scan_step_deg)
+        """The round((stop - start) / step) angles from start on: never stop
+        itself, which arange reaches where rounding lifts the ratio."""
+        n = round((self.scan_stop_deg - self.scan_start_deg) / self.scan_step_deg)
+        return np.arange(self.scan_start_deg, self.scan_stop_deg, self.scan_step_deg)[:n]
 
 
 REQUIRED = object()  # the default of a key that must be given
@@ -168,8 +171,6 @@ TARGET = {
     "velocity_mps": (VECTOR, [0.0, 0.0, 0.0], None),
     "rcs": (Tagged("variant", "constant", {
         "constant": {"sigma_dbsm": (float, 0.0, None)},
-        "cosine_lobe": {"sigma0_dbsm": (float, 0.0, None),
-                        "exponent": (float, 0.0, NON_NEGATIVE)},
         "table": {"csv": (str, REQUIRED, NON_EMPTY)},  # resolved against the config's directory
     }), {}, None),
     "sublink": (SUBLINK, {}, None),
@@ -350,19 +351,17 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
 def _rcs(spec: dict):
     if spec["variant"] == "constant":
         return ConstantRcs(spec["sigma_dbsm"])
-    if spec["variant"] == "cosine_lobe":
-        return CosineLobeRcs(spec["sigma0_dbsm"], spec["exponent"])
     return spec["table"]
 
 
 def _profile(spec: dict) -> GenerationProfile:
-    """The cluster recipe of a background or a sub-link, seed 0: each user reseeds it."""
+    """The cluster recipe of a background or a sub-link."""
     return GenerationProfile(
         n_clusters=spec["n_clusters"], rays_per_cluster=spec["rays_per_cluster"],
         delay_scale_s=spec["delay_scale_ns"] * 1e-9,
         angle_spread_rad=math.radians(spec["angle_spread_deg"]),
         xpr_mean_db=spec["xpr_mean_db"], xpr_std_db=spec["xpr_std_db"],
-        shadow_std_db=spec["shadow_std_db"], doppler_max_hz=spec["doppler_max_hz"], seed=0)
+        shadow_std_db=spec["shadow_std_db"], doppler_max_hz=spec["doppler_max_hz"])
 
 
 def _pcf(spec: dict) -> PcfModel:

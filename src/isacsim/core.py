@@ -129,34 +129,6 @@ class ConstantRcs:
                        float(self.sigma_dbsm))
 
 
-@dataclass(frozen=True)
-class CosineLobeRcs:
-    """Scattering lobe sigma0 * cos(theta)^exponent about a lobe axis.
-
-    The angular argument is the mean off-axis angle of the incoming and
-    outgoing directions. ``exponent = 0`` degenerates to a constant.
-    The cosine is floored at 1e-30 so the dBsm value stays finite.
-    ``axis`` is an (azimuth, elevation) pair.
-    """
-
-    sigma0_dbsm: float
-    exponent: float = 0.0
-    axis: tuple[float, float] = (0.0, 0.0)
-
-    def __post_init__(self):
-        if self.exponent < 0.0:
-            raise ValueError("cosine lobe exponent must be >= 0")
-        az, el = map(float, self.axis)
-        object.__setattr__(self, "axis", (float(wrapped_azimuths(az, el)), el))
-
-    def eval_dbsm_pairs(self, angles_in, angles_out) -> np.ndarray:
-        ax = unit_vectors([self.axis])[0]
-        c_in = unit_vectors(_angle_rows(angles_in)) @ ax
-        c_out = unit_vectors(_angle_rows(angles_out)) @ ax
-        c = np.maximum(0.5 * (c_in[:, None] + c_out[None, :]), 1e-30)
-        return self.sigma0_dbsm + 10.0 * self.exponent * np.log10(c)
-
-
 @dataclass(frozen=True, eq=False)
 class TableRcs:
     """Gridded RCS over (incoming, outgoing) angle pairs, dBsm values.
@@ -221,7 +193,7 @@ class TableRcs:
         return out
 
 
-RcsModel = ConstantRcs | CosineLobeRcs | TableRcs
+RcsModel = ConstantRcs | TableRcs
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 This is the shared machinery behind both the sensing sub-links and the
 bi-static background channel: a table of rays in statistical clusters
-is sampled from a seeded profile, and the per-ray complex coefficients
+is sampled from a profile and a seed, and the per-ray complex coefficients
 combine antenna field patterns, the cross-polarization matrix and the
 Doppler phase. The ray-level steps (per-ray XPR, initial phases and
 coefficients, 3GPP TR 38.901 §7.5) work on whole columns.
@@ -28,7 +28,7 @@ class EmptyChannelError(ValueError):
 # the shape of one row of each ClusterSet column, and its dtype
 _ROW = {"power": ((), float), "delay": ((), float), "aod": ((2,), float),
         "aoa": ((2,), float), "xpr": ((), float), "phases": ((4,), float),
-        "doppler": ((), float), "bounce_order": ((), np.int64), "cluster": ((), np.int64)}
+        "doppler": ((), float), "bounce_order": ((), np.int64)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +42,8 @@ class ClusterSet:
     wrapped_azimuths. ``xpr`` is the linear cross-polarization
     ratio, ``phases`` (n, 4) the initial phases (theta-theta,
     theta-phi, phi-theta, phi-phi) in radians, ``doppler`` the Doppler
-    shift in Hz and ``cluster`` the index of the ray's cluster. A
-    scalar, or one angle pair, applies to every row.
+    shift in Hz and ``bounce_order`` the number of bounces. A scalar,
+    or one angle pair, applies to every row.
     """
 
     power: np.ndarray
@@ -54,7 +54,6 @@ class ClusterSet:
     phases: np.ndarray = 0.0
     doppler: np.ndarray = 0.0
     bounce_order: np.ndarray = 1
-    cluster: np.ndarray = 0
 
     def __post_init__(self):
         cols = {name: np.asarray(getattr(self, name), dtype=dt)
@@ -84,10 +83,6 @@ class ClusterSet:
 
     def __len__(self) -> int:
         return len(self.delay)
-
-    @property
-    def n_clusters(self) -> int:
-        return len(np.unique(self.cluster))
 
     def all_rays(self) -> ClusterSet:
         """The table itself, which holds one row per ray. Kept so that
@@ -182,7 +177,6 @@ class GenerationProfile:
     xpr_std_db: float = 3.0
     shadow_std_db: float = 3.0
     doppler_max_hz: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("delay_scale_s", "angle_spread_rad", "xpr_std_db",
@@ -201,14 +195,14 @@ def _clip_elevation(el: np.ndarray) -> np.ndarray:
     return np.clip(el, -math.pi / 2, math.pi / 2)
 
 
-def sample_clusters(profile: GenerationProfile) -> ClusterSet:
-    """Draw a ClusterSet from the profile; same seed gives identical output."""
+def sample_clusters(profile: GenerationProfile, seed: int) -> ClusterSet:
+    """Draw a ClusterSet from the profile; the same seed gives identical output."""
     n, m = profile.n_clusters, profile.rays_per_cluster
     if n == 0:
         raise EmptyChannelError("profile requests zero clusters")
     if n < 0:
         raise ValueError("n_clusters must be >= 0")
-    rng = np.random.default_rng(profile.seed)
+    rng = np.random.default_rng(seed)
 
     tau = rng.exponential(profile.delay_scale_s, n) if profile.delay_scale_s > 0 else np.zeros(n)
     shadow_db = rng.normal(0.0, profile.shadow_std_db, n) if profile.shadow_std_db > 0 else np.zeros(n)
@@ -242,11 +236,11 @@ def sample_clusters(profile: GenerationProfile) -> ClusterSet:
         power=np.repeat(p / m, m), delay=np.repeat(tau, m),
         aod=np.stack([az_aod, _clip_elevation(el_aod)], axis=1),
         aoa=np.stack([az_aoa, _clip_elevation(el_aoa)], axis=1),
-        xpr=xpr, phases=phases, doppler=doppler, cluster=np.repeat(np.arange(n), m))
+        xpr=xpr, phases=phases, doppler=doppler)
 
 
 def with_los_ray(clusters: ClusterSet, los: ClusterSet, k_factor: float) -> ClusterSet:
-    """Prepend a deterministic (e.g. line-of-sight) ray as its own cluster.
+    """Prepend a deterministic (e.g. line-of-sight) ray.
 
     The rays of ``los`` (normally one, of power 1) take k/(1+k) of the
     total power; the other rays are rescaled by 1/(1+k), so a normalized
@@ -258,7 +252,6 @@ def with_los_ray(clusters: ClusterSet, los: ClusterSet, k_factor: float) -> Clus
             for name in _ROW}
     cols["power"] = np.concatenate([los.power * (k_factor / (1.0 + k_factor)),
                                     clusters.power * (1.0 / (1.0 + k_factor))])
-    cols["cluster"] = np.concatenate([np.zeros(len(los), int), clusters.cluster + 1])
     return ClusterSet(**cols)
 
 
@@ -282,27 +275,26 @@ def cross_polarization_matrix(xpr, phases) -> np.ndarray:
     return cpm.reshape(cpm.shape[:-1] + (2, 2))
 
 
-def ray_coefficients(rays: ClusterSet, tx_antenna: AntennaModel,
-                     rx_antenna: AntennaModel, t: float = 0.0) -> np.ndarray:
+def ray_coefficients(rays: ClusterSet, tx_antenna: AntennaModel, t: float = 0.0) -> np.ndarray:
     """Complex channel coefficient of each ray.
 
-    sqrt(power) * F_rx^T . CPM . F_tx, rotated by the Doppler phase at
+    sqrt(power) * F_rx^T . CPM . F_tx, F_rx the omni field (the turntable
+    scan applies the receive pattern), rotated by the Doppler phase at
     time ``t``. Time only ever rotates the phase; it never changes the
     magnitude.
     """
-    gain = np.einsum("ni,nij,nj->n", rx_antenna.fields(rays.aoa),
+    gain = np.einsum("ni,nij,nj->n", OMNI.fields(rays.aoa),
                      cross_polarization_matrix(rays.xpr, rays.phases),
                      tx_antenna.fields(rays.aod))
     return np.sqrt(rays.power) * gain * np.exp(1j * 2.0 * math.pi * rays.doppler * t)
 
 
-def synthesize_cir(clusters: ClusterSet, tx_antenna: AntennaModel,
-                   rx_antenna: AntennaModel, t: float = 0.0,
+def synthesize_cir(clusters: ClusterSet, tx_antenna: AntennaModel, t: float = 0.0,
                    origin: Origin = Origin.BACKGROUND) -> Cir:
     """Assemble a sparse CIR with one path per ray, unmerged: the total
     linear power equals the sum of per-ray |coefficient|^2."""
     return Cir.from_columns(
-        clusters.delay, ray_coefficients(clusters, tx_antenna, rx_antenna, t), clusters.doppler,
+        clusters.delay, ray_coefficients(clusters, tx_antenna, t), clusters.doppler,
         aod_az=clusters.aod[:, 0], aod_el=clusters.aod[:, 1],
         aoa_az=clusters.aoa[:, 0], aoa_el=clusters.aoa[:, 1],
         bounce_order=clusters.bounce_order, origin=origin)

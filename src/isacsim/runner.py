@@ -89,7 +89,7 @@ def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos, velocity, wl: float,
                      bounce_order=0)
     if spec.profile.n_clusters == 0:
         return SubLink(side, los)
-    sampled = sample_clusters(replace(spec.profile, seed=seed))
+    sampled = sample_clusters(spec.profile, seed)
     return SubLink(side, with_los_ray(sampled, los, 10.0 ** (spec.k_factor_db / 10.0)))
 
 
@@ -152,10 +152,9 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
 
     # background channel
     if config.background.mode == "statistical":
-        profile = replace(config.background.profile, seed=_child_seed(bg_seq))
         aim_at = (config.targets[0].point.position if config.targets else rx_pos)
-        bg_cir = background_bistatic(profile, _aim(config.tx.antenna, tx_pos, aim_at),
-                                     AntennaModel(kind="omni"))
+        bg_cir = background_bistatic(config.background.profile, _child_seed(bg_seq),
+                                     _aim(config.tx.antenna, tx_pos, aim_at))
         d_txrx = float(np.linalg.norm(rx_pos - tx_pos))
         pl_back = fs_model.eval_db(d_txrx) if d_txrx > 0 else 0.0
         bg_cir = bg_cir.scaled(10.0 ** (-pl_back / 20.0))
@@ -402,10 +401,13 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0,
     """Re-scan the stored path tables, separate target from background
     peaks, optionally classify bounce orders, and write paths.json."""
     run_dir = Path(run_dir)
-    with open(run_dir / "report.json") as f:
+    report_path = run_dir / "report.json"
+    with open(report_path) as f:
         report = json.load(f)
-    if "config_dir" not in report:
-        raise ValueError(f"{run_dir / 'report.json'} has no config_dir; simulate again")
+    if not isinstance(report, dict) or "config" not in report:
+        raise ValueError(f"{report_path} has no config; simulate again")
+    if not isinstance(report.get("config_dir"), str):
+        raise ValueError(f"{report_path} has no config_dir string; simulate again")
     config = parse_config(report["config"], report["config_dir"])
     scene = load_scene(scene_path) if scene_path is not None else None
 
@@ -457,12 +459,18 @@ def packaged_golden_dir() -> Path:
     return Path(str(resources.files("isacsim") / "data"))
 
 
-def _golden_rows(golden: Path, name: str) -> list[dict[str, str]]:
+def _golden_rows(golden: Path, name: str, columns: tuple[str, ...]) -> list[dict[str, str]]:
+    """The rows of a golden table, which must have rows and each of ``columns``."""
     path = golden / name
-    if not path.exists():
-        raise FileNotFoundError(f"missing golden file {path}")
     with open(path, newline="") as f:
-        return list(csv.DictReader(f))
+        reader = csv.DictReader(f)
+        rows = list(reader)
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"golden table {path} lacks column(s) {', '.join(missing)}")
+    if not rows:
+        raise ValueError(f"golden table {path} has no rows")
+    return rows
 
 
 def run_validate(golden_dir=None) -> ValidationReport:
@@ -473,7 +481,9 @@ def run_validate(golden_dir=None) -> ValidationReport:
     wl = wavelength_m(6.9e9)
 
     abs_dps = []
-    for rec in _golden_rows(golden, "concatenated_power_checks.csv"):
+    for rec in _golden_rows(golden, "concatenated_power_checks.csv",
+                            ("path_id", "p_n1_db", "p_n2_db", "sigma_dbsm", "p_conv_db",
+                             "p_meas_db", "delta_p_db", "tol_db", "note")):
         p1, p2 = float(rec["p_n1_db"]), float(rec["p_n2_db"])
         sigma = float(rec["sigma_dbsm"])
         expected = float(rec["p_conv_db"])
@@ -499,7 +509,8 @@ def run_validate(golden_dir=None) -> ValidationReport:
                               abs(min(abs_dps) - 0.11) <= 0.005,
                               f"min {min(abs_dps):.2f} dB"))
 
-    for rec in _golden_rows(golden, "bounce_power_proportions.csv"):
+    for rec in _golden_rows(golden, "bounce_power_proportions.csv",
+                            ("case", "pp0_pct", "pp1_pct", "pp2plus_pct")):
         pcts = [float(rec["pp0_pct"]), float(rec["pp1_pct"]), float(rec["pp2plus_pct"])]
         total = sum(pcts)
         rows.append(ValidationRow(
@@ -514,7 +525,7 @@ def run_validate(golden_dir=None) -> ValidationReport:
             err <= 1e-9, f"max error {err:.2e}%"))
 
     # each measured factor against the one the model's PCF table holds
-    pcf_rows = _golden_rows(golden, "pcf_measurements.csv")
+    pcf_rows = _golden_rows(golden, "pcf_measurements.csv", ("position", "condition", "o_back"))
     model_values = {(pos, cond): val for pos, cond, val in PCF_MEASUREMENTS}
     for rec in pcf_rows:
         val = float(rec["o_back"])
@@ -524,7 +535,7 @@ def run_validate(golden_dir=None) -> ValidationReport:
             want == val, f"golden {val}, model table {want}"))
     for cond, expected_mean in (("los_los", 0.817), ("los_nlos", 0.915)):
         vals = [float(r["o_back"]) for r in pcf_rows if r["condition"] == cond]
-        mean = sum(vals) / len(vals)
+        mean = sum(vals) / len(vals) if vals else math.nan  # nan fails the check
         model = default_pcf_model(cond)
         ok = (abs(mean - expected_mean) <= 1e-12
               and abs(model.mean - expected_mean) <= 1e-12)

@@ -195,7 +195,6 @@ def estimate_paths(response: np.ndarray, chip_rate: float,
 @dataclass(frozen=True, eq=False)
 class RoundTripResult:
     recovered: list[tuple[float, complex]]
-    response: np.ndarray
     flagged_bins: int
 
 
@@ -220,8 +219,7 @@ def process_capture(capture: CaptureRecord, pn: PnSequence,
     b2b_raw = slide_correlate(through_system(pn.chips.astype(complex)), pn)
     cal = calibrate(raw, b2b_raw)
     recovered = estimate_paths(cal.response, pn.chip_rate, threshold_db=threshold_db)
-    return RoundTripResult(recovered=recovered, response=cal.response,
-                           flagged_bins=int(np.sum(cal.flagged_bins)))
+    return RoundTripResult(recovered=recovered, flagged_bins=int(np.sum(cal.flagged_bins)))
 
 
 def sounder_roundtrip(cir: Cir, pn: PnSequence, snr_db: float | None, seed: int | None,

@@ -62,8 +62,7 @@ def _rcs_linear(model, angles_in: np.ndarray, angles_out: np.ndarray) -> np.ndar
 
 
 def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
-                tx_antenna: AntennaModel = OMNI, rx_antenna: AntennaModel = OMNI,
-                t: float = 0.0) -> Cir:
+                tx_antenna: AntennaModel = OMNI, t: float = 0.0) -> Cir:
     """Pair every ray of ``a`` with every ray of ``b`` through the target.
 
     Produces |a| * |b| paths (no merging). Per pair, the delay is the
@@ -75,9 +74,10 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
 
     with sigma evaluated at the target-side angle pair, rotated by the
     phase of the scattering point's position and by the Doppler phase.
-    With identity polarization matrices and omni antennas the linear
-    path power is p1 * p2 * sigma * lambda^2/(4 pi). Every term is
-    computed for all pairs at once, as an |a| x |b| array.
+    F_rx is the omni field: the turntable scan applies the receive
+    pattern. With identity polarization matrices and an omni Tx antenna
+    the linear path power is p1 * p2 * sigma * lambda^2/(4 pi). Every
+    term is computed for all pairs at once, as an |a| x |b| array.
     """
     if a.side is not Side.TX_TO_TARGET or b.side is not Side.TARGET_TO_RX:
         raise ValueError("concatenate expects (tx_to_target, target_to_rx) sub-links")
@@ -86,7 +86,7 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
     ra, rb = a.clusters, b.clusters
 
     # the chain F_rx^T . CPM_2 . CPM_k . CPM_1 . F_tx, split after CPM_k
-    rx_side = np.einsum("bi,bij,jk->bk", rx_antenna.fields(rb.aoa),
+    rx_side = np.einsum("bi,bij,jk->bk", OMNI.fields(rb.aoa),
                         cross_polarization_matrix(rb.xpr, rb.phases), sp.cpm_k)
     tx_side = np.einsum("akl,al->ak", cross_polarization_matrix(ra.xpr, ra.phases),
                         tx_antenna.fields(ra.aod))
@@ -112,8 +112,8 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
 def multi_point_target(points: Sequence[ScatteringPoint],
                        sublinks: Sequence[tuple[SubLink, SubLink]],
                        wl: float,
-                       pl_tar_db: Sequence[float] | None = None,
-                       tx_antenna: AntennaModel = OMNI) -> Cir:
+                       pl_tar_db: Sequence[float],
+                       tx_antenna: AntennaModel) -> Cir:
     """Coherent union of per-scattering-point concatenations.
 
     Each point's contribution is weighted in amplitude by
@@ -124,15 +124,11 @@ def multi_point_target(points: Sequence[ScatteringPoint],
         raise ValueError("at least one scattering point is required")
     if len(sublinks) != len(points):
         raise ValueError("need one (tx_to_target, target_to_rx) pair per point")
-    if pl_tar_db is not None and len(pl_tar_db) != len(points):
+    if len(pl_tar_db) != len(points):
         raise ValueError("need one target path loss per point")
 
-    cirs = []
-    for i, (sp, (sub_a, sub_b)) in enumerate(zip(points, sublinks)):
-        cir = concatenate(sub_a, sub_b, sp, wl, tx_antenna)
-        if pl_tar_db is not None:
-            cir = cir.scaled(10.0 ** (-pl_tar_db[i] / 20.0))
-        cirs.append(cir)
+    cirs = [concatenate(sub_a, sub_b, sp, wl, tx_antenna).scaled(10.0 ** (-pl / 20.0))
+            for sp, (sub_a, sub_b), pl in zip(points, sublinks, pl_tar_db)]
     return merge_paths(Cir.concat(cirs), 0.0, 0.0)
 
 

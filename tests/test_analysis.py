@@ -292,6 +292,16 @@ class TestSubtractBackground:
         with pytest.raises(ValueError):
             subtract_background(a, b, match_tol=(2.5, 5e-9))
 
+    def test_delay_grids_compared_exactly(self):
+        # 7 edges at 0.6 and at 1.2 GHz: each pair of edges is within
+        # 1e-8 s, a tolerance larger than either whole grid
+        angles = np.arange(0.0, 360.0, 5.0)
+        power = np.ones((len(angles), 6))
+        a = ScanGrid(angles, power, np.arange(7) / 0.6e9)
+        b = ScanGrid(angles, power, np.arange(7) / 1.2e9)
+        with pytest.raises(ValueError, match="different grids"):
+            subtract_background(a, b, match_tol=(2.5, 1e-9))
+
 
 def make_scene():
     """Indoor human-sensing layout: 10 m Tx-Rx, target near the middle,

@@ -103,9 +103,9 @@ class TestApplyPcf:
 
 class TestBackgroundBistatic:
     def test_matches_communication_channel_with_background_tag(self):
-        prof = GenerationProfile(n_clusters=5, rays_per_cluster=3, seed=77)
-        bg = background_bistatic(prof, OMNI, OMNI)
-        comm = synthesize_cir(sample_clusters(prof), OMNI, OMNI)
+        prof = GenerationProfile(n_clusters=5, rays_per_cluster=3)
+        bg = background_bistatic(prof, 77, OMNI)
+        comm = synthesize_cir(sample_clusters(prof, 77), OMNI)
         assert len(bg) == len(comm)
         np.testing.assert_array_equal(bg.delay, comm.delay)
         np.testing.assert_array_equal(bg.amp, comm.amp)
@@ -113,11 +113,11 @@ class TestBackgroundBistatic:
 
     def test_empty_profile_is_error(self):
         with pytest.raises(EmptyChannelError):
-            background_bistatic(GenerationProfile(n_clusters=0, seed=1), OMNI, OMNI)
+            background_bistatic(GenerationProfile(n_clusters=0), 1, OMNI)
 
     def test_unit_total_power_before_path_loss(self):
-        prof = GenerationProfile(n_clusters=12, rays_per_cluster=5, seed=13)
-        bg = background_bistatic(prof, OMNI, OMNI)
+        prof = GenerationProfile(n_clusters=12, rays_per_cluster=5)
+        bg = background_bistatic(prof, 13, OMNI)
         assert bg.total_power() == pytest.approx(1.0, rel=1e-9)
 
 

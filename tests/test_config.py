@@ -98,6 +98,8 @@ CONFIG_CASES = [
     (RIS, ("pcf",), {"value": 0.5, "mean": 0.8}, "pcf.mean is not a known key"),
     (RIS, ("pcf",), {"condition": "los_nlos", "std": 0.5}, "pcf.std is not a known key"),
     (RIS, TARGET0 + ("rcs", "variant"), [1], "targets[0].rcs.variant must be a string, got [1]"),
+    (RIS, TARGET0 + ("rcs", "variant"), "cosine_lobe",
+     "targets[0].rcs.variant must be 'constant' or 'table', got 'cosine_lobe'"),
     (HALL, ("background", "mode"), [1], "background.mode must be a string, got [1]"),
 ]
 

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from isacsim import (
+    AntennaModel,
     Cir,
     ConstantRcs,
-    CosineLobeRcs,
     Origin,
     TableRcs,
     angle_from_vector,
@@ -136,13 +136,13 @@ class TestUnitVector:
 
     def test_azimuth_wraps(self):
         assert abs(wrapped_azimuths(2 * math.pi + 0.25, 0.0) - 0.25) < 1e-12
-        assert abs(CosineLobeRcs(0.0, axis=(2 * math.pi + 0.25, 0.0)).axis[0] - 0.25) < 1e-12
+        assert abs(AntennaModel(boresight=(2 * math.pi + 0.25, 0.0)).boresight[0] - 0.25) < 1e-12
 
     @pytest.mark.parametrize("az", [-1e-17, -1e-300])
     def test_tiny_negative_azimuth_wraps_to_zero_not_two_pi(self, az):
         assert (az % (2 * math.pi)) == 2 * math.pi  # the remainder rounds up
         assert wrapped_azimuths(az, 0.0) == 0.0
-        assert CosineLobeRcs(0.0, axis=(az, 0.0)).axis == (0.0, 0.0)
+        assert AntennaModel(boresight=(az, 0.0)).boresight == (0.0, 0.0)
         assert angle_from_vector([1.0, az, 0.0]) == (0.0, 0.0)
         cir = Cir.from_columns([1e-9, 2e-9], [1.0, 1.0], aod_az=az, aoa_az=[az, -0.5])
         assert cir.aod_az.tolist() == [0.0, 0.0]
@@ -152,9 +152,9 @@ class TestUnitVector:
         with pytest.raises(ValueError, match="elevation outside"):
             wrapped_azimuths(0.0, 2.0)
         with pytest.raises(ValueError, match="elevation outside"):
-            CosineLobeRcs(0.0, axis=(0.0, 2.0))
+            AntennaModel(boresight=(0.0, 2.0))
         with pytest.raises(ValueError, match="finite"):
-            CosineLobeRcs(0.0, axis=(math.nan, 0.0))
+            AntennaModel(boresight=(math.nan, 0.0))
 
 
 class TestDbConversions:
@@ -355,18 +355,6 @@ class TestRcsModels:
         m = ConstantRcs(8.48)
         a, b = (0.1, 0.0), (3.0, -0.4)
         assert m.eval_dbsm_pairs([a], [b]).tolist() == [[8.48]]
-
-    def test_cosine_lobe_zero_exponent_is_constant(self):
-        m = CosineLobeRcs(5.0, exponent=0.0)
-        for az in (0.0, 1.0, 3.0):
-            assert m.eval_dbsm_pairs([[az, 0.0]], [[0.0, 0.0]])[0, 0] == 5.0
-
-    def test_cosine_lobe_peaks_on_axis(self):
-        m = CosineLobeRcs(0.0, exponent=2.0)
-        on = m.eval_dbsm_pairs([[0.0, 0.0]], [[0.0, 0.0]])[0, 0]
-        off = m.eval_dbsm_pairs([[0.5, 0.0]], [[0.5, 0.0]])[0, 0]
-        assert on == pytest.approx(0.0)
-        assert off < on
 
     def test_single_entry_table(self):
         t = TableRcs([0.0], [0.0], [0.0], [0.0], np.array([[[[8.48]]]]))

@@ -30,7 +30,7 @@ def single_ray_set(power=1.0, delay=10e-9, xpr=1e12, phases=(0, 0, 0, 0),
 class TestClusterSet:
     def test_scalars_broadcast_to_every_row(self):
         cs = ClusterSet(power=[0.25, 0.75], delay=1e-9, aod=(0.5, 0.1), aoa=[[1.0, 0.0], [2.0, -0.2]])
-        assert len(cs) == 2 and cs.n_clusters == 1
+        assert len(cs) == 2
         np.testing.assert_array_equal(cs.delay, [1e-9, 1e-9])
         np.testing.assert_array_equal(cs.aod, [[0.5, 0.1], [0.5, 0.1]])
         np.testing.assert_array_equal(cs.phases, np.zeros((2, 4)))
@@ -121,14 +121,14 @@ class TestCrossPolarizationMatrix:
 
 class TestRayCoefficient:
     def test_identity_configuration(self):
-        c = ray_coefficients(single_ray_set(), OMNI, OMNI, t=0.0)[0]
+        c = ray_coefficients(single_ray_set(), OMNI, t=0.0)[0]
         assert c == pytest.approx(1.0 + 0.0j)
 
     def test_half_doppler_period_flips_sign(self):
         for f in (10.0, 137.0, 4000.0):
             rays = single_ray_set(doppler=f)
-            c0 = ray_coefficients(rays, OMNI, OMNI, t=0.0)[0]
-            c1 = ray_coefficients(rays, OMNI, OMNI, t=0.5 / f)[0]
+            c0 = ray_coefficients(rays, OMNI, t=0.0)[0]
+            c1 = ray_coefficients(rays, OMNI, t=0.5 / f)[0]
             assert c1 == pytest.approx(-c0, rel=1e-9)
 
     def test_magnitude_matches_matrix_product(self):
@@ -141,7 +141,7 @@ class TestRayCoefficient:
                           aod=np.stack([rng.uniform(0, 6.28, n), np.full(n, 0.1)], axis=1),
                           aoa=np.stack([rng.uniform(0, 6.28, n), np.full(n, -0.1)], axis=1),
                           xpr=xpr, phases=phases, doppler=rng.uniform(-100, 100, n))
-        c = ray_coefficients(rays, OMNI, OMNI, t=rng.uniform(0, 1e-3))
+        c = ray_coefficients(rays, OMNI, t=rng.uniform(0, 1e-3))
         f = np.array([1.0, 0.0])
         for i in range(n):
             expected = math.sqrt(power[i]) * abs(f @ cross_polarization_matrix(xpr[i], phases[i]) @ f)
@@ -151,7 +151,7 @@ class TestRayCoefficient:
         rays = ClusterSet(power=0.7, delay=1e-9, aod=(0.3, 0.0), aoa=(1.1, 0.2),
                           xpr=5.0, phases=(0.1, 0.2, 0.3, 0.4), doppler=55.0)
         horn = AntennaModel(kind="horn", hpbw_deg=30.0, peak_gain_db=10.0)
-        coeffs = [ray_coefficients(rays, horn, OMNI, t=t)[0] for t in (0.0, 1e-4, 3e-3)]
+        coeffs = [ray_coefficients(rays, horn, t=t)[0] for t in (0.0, 1e-4, 3e-3)]
         assert len({round(abs(c), 14) for c in coeffs}) == 1
         assert len({c for c in coeffs}) == 3
 
@@ -188,57 +188,60 @@ class TestAntennaModel:
 
 class TestSampleClusters:
     def test_seed_determinism(self):
-        prof = GenerationProfile(n_clusters=6, rays_per_cluster=4, seed=7)
-        a, b = sample_clusters(prof), sample_clusters(prof)
+        prof = GenerationProfile(n_clusters=6, rays_per_cluster=4)
+        a, b = sample_clusters(prof, 7), sample_clusters(prof, 7)
         for name in ("power", "delay", "aod", "aoa", "xpr", "phases", "doppler",
-                     "bounce_order", "cluster"):
+                     "bounce_order"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_rays_grouped_by_cluster(self):
-        cs = sample_clusters(GenerationProfile(n_clusters=6, rays_per_cluster=4, seed=7))
-        assert len(cs) == 24 and cs.n_clusters == 6
-        assert cs.cluster.tolist() == [i for i in range(6) for _ in range(4)]
+        # the rays of a cluster are adjacent rows sharing its delay and power
+        cs = sample_clusters(GenerationProfile(n_clusters=6, rays_per_cluster=4), 7)
+        assert len(cs) == 24
+        for col in (cs.delay, cs.power):
+            rows = col.reshape(6, 4)
+            np.testing.assert_array_equal(rows, rows[:, :1].repeat(4, axis=1))
+        assert len(np.unique(cs.delay)) == 6
 
     def test_zero_clusters_is_error(self):
         with pytest.raises(EmptyChannelError):
-            sample_clusters(GenerationProfile(n_clusters=0, seed=1))
+            sample_clusters(GenerationProfile(n_clusters=0), 1)
 
     def test_normalization_single_ray(self):
-        cs = sample_clusters(GenerationProfile(n_clusters=1, rays_per_cluster=1, seed=5))
+        cs = sample_clusters(GenerationProfile(n_clusters=1, rays_per_cluster=1), 5)
         assert len(cs) == 1
         assert cs.power[0] == pytest.approx(1.0)
 
     def test_power_sums_to_one(self):
-        cs = sample_clusters(GenerationProfile(n_clusters=25, rays_per_cluster=3, seed=2))
+        cs = sample_clusters(GenerationProfile(n_clusters=25, rays_per_cluster=3), 2)
         assert cs.power.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_mean_delay_law_of_large_numbers(self):
         # exponential delays: the empirical mean over 1e5 clusters sits
         # within 3% of the 30 ns scale
         prof = GenerationProfile(n_clusters=100_000, rays_per_cluster=1,
-                                 delay_scale_s=30e-9, seed=42)
-        cs = sample_clusters(prof)
+                                 delay_scale_s=30e-9)
+        cs = sample_clusters(prof, 42)
         assert cs.delay.mean() == pytest.approx(30e-9, rel=0.03)
 
 
 class TestSynthesizeCir:
     def test_single_ray_single_path(self):
-        cir = synthesize_cir(single_ray_set(delay=12e-9), OMNI, OMNI)
+        cir = synthesize_cir(single_ray_set(delay=12e-9), OMNI)
         assert len(cir) == 1
         assert cir.delay[0] == 12e-9
 
     def test_destructive_interference_with_merge(self):
         cs = ClusterSet(power=0.5, delay=10e-9, aod=(0, 0), aoa=(0, 0),
-                        phases=[[0.0] * 4, [math.pi] * 4], cluster=[0, 1])
-        cir = merge_paths(synthesize_cir(cs, OMNI, OMNI), 0.0, 0.0)
+                        phases=[[0.0] * 4, [math.pi] * 4])
+        cir = merge_paths(synthesize_cir(cs, OMNI), 0.0, 0.0)
         assert len(cir) == 1
         assert abs(cir.amp[0]) < 1e-12
 
     def test_total_power_matches_bruteforce_sum(self):
-        prof = GenerationProfile(n_clusters=9, rays_per_cluster=7, seed=31,
-                                 doppler_max_hz=200.0)
-        cs = sample_clusters(prof)
-        cir = synthesize_cir(cs, OMNI, OMNI, t=1e-4)
+        prof = GenerationProfile(n_clusters=9, rays_per_cluster=7, doppler_max_hz=200.0)
+        cs = sample_clusters(prof, 31)
+        cir = synthesize_cir(cs, OMNI, t=1e-4)
         f = np.array([1.0, 0.0])
         brute = sum(p * abs(f @ cross_polarization_matrix(x, ph) @ f) ** 2
                     for p, x, ph in zip(cs.power, cs.xpr, cs.phases))
@@ -247,20 +250,21 @@ class TestSynthesizeCir:
         assert cir.total_power() == pytest.approx(1.0, rel=1e-9)
 
     def test_origin_tagging(self):
-        cir = synthesize_cir(single_ray_set(), OMNI, OMNI, origin=Origin.TARGET)
+        cir = synthesize_cir(single_ray_set(), OMNI, origin=Origin.TARGET)
         assert ORIGINS[cir.origin_code[0]] is Origin.TARGET
 
 
 class TestWithLosRay:
     def test_power_split_and_normalization(self):
-        cs = sample_clusters(GenerationProfile(n_clusters=4, rays_per_cluster=2, seed=9))
+        cs = sample_clusters(GenerationProfile(n_clusters=4, rays_per_cluster=2), 9)
         los = ClusterSet(power=1.0, delay=5e-9, aod=(0, 0), aoa=(0, 0), bounce_order=0)
         k = 3.0
         out = with_los_ray(cs, los, k)
-        assert len(out) == 9 and out.n_clusters == 5
+        assert len(out) == 9
         assert out.power[0] == pytest.approx(k / (1 + k))
-        assert out.bounce_order[0] == 0 and out.cluster[0] == 0
-        np.testing.assert_array_equal(out.cluster[1:], cs.cluster + 1)
+        assert out.bounce_order[0] == 0 and out.delay[0] == 5e-9
+        np.testing.assert_array_equal(out.delay[1:], cs.delay)
+        np.testing.assert_allclose(out.power[1:], cs.power / (1 + k), rtol=1e-15)
         assert out.power.sum() == pytest.approx(1.0, abs=1e-9)
 
 

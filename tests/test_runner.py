@@ -78,6 +78,15 @@ class TestLoadConfig:
         assert cfg.sensing_mode == "bi_static"
         assert len(cfg.scan_angles_deg()) == 72
 
+    @pytest.mark.parametrize("start, stop, step, n", [
+        (1.0, 1.3, 0.1, 3), (10.0, 11.3, 0.1, 13), (0.0, 360.0, 5.0, 72), (0.0, 0.3, 0.1, 3)])
+    def test_scan_never_reaches_stop_angle(self, tmp_path, start, stop, step, n):
+        cfg = load_config(scen1_like(tmp_path, scan={"start_deg": start, "stop_deg": stop,
+                                                     "step_deg": step}))
+        angles = cfg.scan_angles_deg()
+        assert len(angles) == n
+        np.testing.assert_array_equal(angles, np.arange(start, stop, step)[:n])
+
     def test_step_must_divide_range(self, tmp_path):
         path = scen1_like(tmp_path, scan={"start_deg": 0.0, "stop_deg": 360.0,
                                           "step_deg": 7.0})
@@ -435,6 +444,29 @@ class TestRunValidate:
         with pytest.raises(FileNotFoundError):
             run_validate(tmp_path)
 
+    def test_condition_without_golden_rows_fails_its_mean(self, tmp_path):
+        golden = perturbed_golden(tmp_path / "golden", "pcf_measurements.csv")
+        table = golden / "pcf_measurements.csv"
+        table.write_text("".join(line for line in table.read_text().splitlines(True)
+                                 if "los_nlos" not in line))
+        report = run_validate(golden)
+        assert [r.name for r in report.rows if not r.passed] == ["PCF los_nlos mean = 0.915"]
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("concatenated_power_checks.csv", ("tol_db,note", "tol_db,remark"),
+         "lacks column(s) note"),
+        ("concatenated_power_checks.csv", None, "has no rows"),
+        ("pcf_measurements.csv", None, "has no rows"),
+        ("bounce_power_proportions.csv", ("pp1_pct", "pp_1_pct"), "lacks column(s) pp1_pct"),
+    ], ids=["renamed-column", "empty-concat", "empty-pcf", "renamed-proportion"])
+    def test_malformed_golden_table_exits_2(self, tmp_path, capsys, name, edit, message):
+        golden = perturbed_golden(tmp_path / "golden", name, *([edit] if edit else []))
+        if edit is None:  # keep the header only
+            text = (golden / name).read_text()
+            (golden / name).write_text(text[:text.index("\n") + 1])
+        assert cli_main(["validate", str(golden)]) == 2
+        assert capsys.readouterr().err == f"error: golden table {golden / name} {message}\n"
+
 
 class TestRunAnalyze:
     def test_analyze_finds_direct_path(self, tmp_path):
@@ -570,6 +602,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "invalid scenario config" in err
         assert "scan.step_deg must be > 0" in err
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda r: r.pop("config"), "has no config"),
+        (lambda r: r.update(config_dir=5), "has no config_dir string"),
+        (lambda r: r.pop("config_dir"), "has no config_dir string"),
+    ], ids=["no-config", "config_dir-5", "no-config_dir"])
+    def test_analyze_rejects_damaged_report(self, tmp_path, capsys, change, message):
+        cfg_path = scen1_like(tmp_path)
+        assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        report_path = tmp_path / "run" / "report.json"
+        report = json.loads(report_path.read_text())
+        change(report)
+        report_path.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert cli_main(["analyze", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {report_path} {message}; simulate again\n"
 
     def test_analyze_resolves_table_rcs_against_config_dir(self, tmp_path, monkeypatch):
         cfg_dir = tmp_path / "cfg"

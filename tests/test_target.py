@@ -10,7 +10,6 @@ from isacsim import (
     AntennaModel,
     ClusterSet,
     ConstantRcs,
-    CosineLobeRcs,
     GenerationProfile,
     Origin,
     ScatteringPoint,
@@ -60,16 +59,12 @@ class TestRcsEval:
         t = TableRcs([0.0], [0.0], [0.0], [0.0], np.array([[[[8.48]]]]))
         assert rcs_linear(t, (0, 0), (0, 0)) == pytest.approx(7.046930689671469)
 
-    def test_cosine_lobe_degenerate_exponent(self):
-        m = CosineLobeRcs(3.0, exponent=0.0)
-        for az in (0.0, 2.0, 4.0):
-            assert rcs_linear(m, (az, 0), (0, 0)) == pytest.approx(10 ** 0.3)
 
-
-def reference_concatenate(a, b, sp, wl, tx, rx, t):
-    """One ray pair at a time, over the rows of the two ray tables:
-    (delay, amp, doppler, (aod azimuth, elevation), (aoa azimuth,
-    elevation), bounce order) per pair, in delay order."""
+def reference_concatenate(a, b, sp, wl, tx, t):
+    """One ray pair at a time, over the rows of the two ray tables, with
+    the omni receive field: (delay, amp, doppler, (aod azimuth,
+    elevation), (aoa azimuth, elevation), bounce order) per pair, in
+    delay order."""
     k = 2.0 * math.pi / wl
     ra, rb = a.clusters, b.clusters
     out = []
@@ -78,7 +73,7 @@ def reference_concatenate(a, b, sp, wl, tx, rx, t):
         for j in range(len(rb)):
             aod2, aoa2 = tuple(rb.aod[j].tolist()), tuple(rb.aoa[j].tolist())
             sigma = rcs_linear(sp.rcs_model, ra.aoa[i], rb.aod[j])
-            gain = complex(rx.fields([rb.aoa[j]])[0]
+            gain = complex(OMNI.fields([rb.aoa[j]])[0]
                            @ cross_polarization_matrix(rb.xpr[j], rb.phases[j])
                            @ sp.cpm_k @ cross_polarization_matrix(ra.xpr[i], ra.phases[i])
                            @ tx.fields([ra.aod[i]])[0])
@@ -109,28 +104,25 @@ class NanRcs:
 class TestConcatenate:
     @pytest.mark.parametrize("rcs", [
         ConstantRcs(8.48),
-        CosineLobeRcs(3.0, exponent=2.0, axis=(1.0, 0.1)),
         TableRcs(np.linspace(0.0, 6.0, 7), [0.0], np.linspace(0.5, 5.5, 4),
                  [-0.1, 0.0, 0.1],
                  np.random.default_rng(3).uniform(-10.0, 10.0, (7, 1, 4, 3))),
-    ], ids=["constant", "cosine_lobe", "table"])
+    ], ids=["constant", "table"])
     def test_matches_per_pair_reference(self, rcs):
         def link(side, seed):
             profile = GenerationProfile(n_clusters=3, rays_per_cluster=4,
-                                        doppler_max_hz=300.0, seed=seed)
+                                        doppler_max_hz=300.0)
             los = ClusterSet(power=1.0, delay=12e-9, aod=(0.4, 0.05), aoa=(3.5, -0.05),
                              doppler=40.0, bounce_order=0)
-            return SubLink(side, with_los_ray(sample_clusters(profile), los, 4.0))
+            return SubLink(side, with_los_ray(sample_clusters(profile, seed), los, 4.0))
 
         tx = AntennaModel(kind="horn", hpbw_deg=15.0, peak_gain_db=20.0,
                           boresight=(0.7, 0.1))
-        rx = AntennaModel(kind="horn", hpbw_deg=30.0, peak_gain_db=10.0,
-                          boresight=(4.0, -0.2))
         sp = ScatteringPoint(position=[4.6, 2.5, 1.5], rcs_model=rcs,
                              cpm_k=[[0.9, 0.2j], [0.1 - 0.3j, -0.7]])
         a, b = link(Side.TX_TO_TARGET, 1), link(Side.TARGET_TO_RX, 2)
-        cir = concatenate(a, b, sp, WL, tx, rx, t=1.3e-3)
-        want = reference_concatenate(a, b, sp, WL, tx, rx, 1.3e-3)
+        cir = concatenate(a, b, sp, WL, tx, t=1.3e-3)
+        want = reference_concatenate(a, b, sp, WL, tx, 1.3e-3)
         assert len(cir) == len(a.clusters) * len(b.clusters)
         got = zip(cir.delay.tolist(), cir.doppler.tolist(),
                   zip(cir.aod_az.tolist(), cir.aod_el.tolist()),
@@ -280,7 +272,7 @@ class TestConcatenationLaws:
         a, b = SubLink(Side.TX_TO_TARGET, rays_a), SubLink(Side.TARGET_TO_RX, rays_b)
         sp = point(sigma_dbsm)
         cir = concatenate(a, b, sp, WL)
-        want = reference_concatenate(a, b, sp, WL, OMNI, OMNI, 0.0)
+        want = reference_concatenate(a, b, sp, WL, OMNI, 0.0)
         # sums of the two rays' delays and Dopplers, exactly
         assert cir.delay.tolist() == [row[0] for row in want]
         assert cir.doppler.tolist() == [row[2] for row in want]
@@ -297,7 +289,7 @@ class TestMultiPointTarget:
         b = make_sublink(Side.TARGET_TO_RX, [20e-9], seed=9)
         sp = point(3.0)
         direct = concatenate(a, b, sp, WL)
-        combined = multi_point_target([sp], [(a, b)], WL, pl_tar_db=[20.0])
+        combined = multi_point_target([sp], [(a, b)], WL, [20.0], OMNI)
         assert len(combined) == len(direct)
         assert combined.amp[0] == pytest.approx(direct.amp[0] * 0.1)
 
@@ -305,8 +297,8 @@ class TestMultiPointTarget:
         a = make_sublink(Side.TX_TO_TARGET, [10e-9], seed=8)
         b = make_sublink(Side.TARGET_TO_RX, [20e-9], seed=9)
         sp = point()
-        one = multi_point_target([sp], [(a, b)], WL)
-        two = multi_point_target([sp, sp], [(a, b), (a, b)], WL)
+        one = multi_point_target([sp], [(a, b)], WL, [0.0], OMNI)
+        two = multi_point_target([sp, sp], [(a, b), (a, b)], WL, [0.0, 0.0], OMNI)
         assert len(two) == 1
         assert abs(two.amp[0]) == pytest.approx(2 * abs(one.amp[0]))
         # +6.02 dB
@@ -324,12 +316,12 @@ class TestMultiPointTarget:
             ))
             points.append(point())
             expected += na * nb
-        cir = multi_point_target(points, links, WL)
+        cir = multi_point_target(points, links, WL, [0.0] * len(points), OMNI)
         assert len(cir) == expected
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
-            multi_point_target([], [], WL)
+            multi_point_target([], [], WL, [], OMNI)
 
 
 class TestRcsTableCsv:
