@@ -78,30 +78,26 @@ def _check_edges(delay_bins) -> np.ndarray:
     return edges
 
 
-def _bin_rows(delays: np.ndarray, powers: np.ndarray, delay_bins) -> np.ndarray:
-    """Non-coherent delay binning of every row of ``powers`` (rows x paths).
+def _bin_index(delays: np.ndarray, delay_bins) -> tuple[np.ndarray, int]:
+    """The delay-bin index of every delay, and the number of bins.
 
     Bins are half-open [lo, hi), except that a delay on the last edge
-    goes into the last bin. Each bin is summed on its own in path order,
-    so a weak bin keeps its full precision whatever came before it.
-    Every path must fall inside the grid, so that each row conserves
-    its total power.
+    goes into the last bin. Every delay must fall inside the grid, so
+    that binning conserves power.
     """
     edges = _check_edges(delay_bins)
-    n_rows, n_bins = powers.shape[0], len(edges) - 1
-    if len(delays) == 0:
-        return np.zeros((n_rows, n_bins))
-    if delays.min() < edges[0] or delays.max() > edges[-1]:
+    n_bins = len(edges) - 1
+    if len(delays) and (delays.min() < edges[0] or delays.max() > edges[-1]):
         raise ValueError("a path delay falls outside the delay grid")
-    idx = np.minimum(np.searchsorted(edges, delays, side="right") - 1, n_bins - 1)
-    cells = np.arange(n_rows)[:, None] * n_bins + idx
-    return np.bincount(cells.ravel(), weights=powers.ravel(),
-                       minlength=n_rows * n_bins).reshape(n_rows, n_bins)
+    return np.minimum(np.searchsorted(edges, delays, side="right") - 1, n_bins - 1), n_bins
 
 
 def pdp(cir: Cir, delay_bins: np.ndarray) -> np.ndarray:
-    """Power delay profile: non-coherent |amp|^2 binning over delay."""
-    return _bin_rows(cir.delay, np.abs(cir.amp)[None, :] ** 2, delay_bins)[0]
+    """Power delay profile: non-coherent |amp|^2 binning over delay. Each
+    bin is summed on its own in path order, so a weak bin keeps its full
+    precision whatever came before it."""
+    idx, n_bins = _bin_index(cir.delay, delay_bins)
+    return np.bincount(idx, weights=np.abs(cir.amp) ** 2, minlength=n_bins)
 
 
 def padp(grid: ScanGrid) -> np.ndarray:
@@ -113,17 +109,33 @@ def turntable_scan(cir: Cir, rx_antenna: AntennaModel, angles_deg: Sequence[floa
                    delay_bins: np.ndarray) -> ScanGrid:
     """Emulate a rotating directional receive antenna over one CIR.
 
-    At each pointing angle (horizontal boresight) every path amplitude
-    is weighted by the antenna's field gain toward its arrival
-    direction before the powers are binned. An omni antenna gives the
-    same PDP at every angle.
+    At each pointing angle (horizontal boresight) every path's power is
+    weighted by the antenna's power gain toward its arrival direction
+    and binned over delay (the bins of :func:`pdp`). Paths that share an
+    arrival direction and a delay bin share one cell: the cell holds
+    W = sum(|amp|^2), the lobe is evaluated once per distinct direction,
+    and each row accumulates g^2 * W over the occupied cells. An omni
+    antenna gives the same PDP at every angle.
     """
     angles = np.asarray(angles_deg, dtype=float)
+    idx, n_bins = _bin_index(cir.delay, delay_bins)
+    # one stable sort groups the paths by arrival direction, then by delay
+    # bin; the comparisons take -0.0 and 0.0 as one elevation
+    order = np.lexsort((idx, cir.aoa_el, cir.aoa_az))
+    az, el, idx = cir.aoa_az[order], cir.aoa_el[order], idx[order]
+    new_dir = np.ones(len(order), dtype=bool)
+    new_dir[1:] = (az[1:] != az[:-1]) | (el[1:] != el[:-1])
+    new_cell = new_dir.copy()
+    new_cell[1:] |= idx[1:] != idx[:-1]
+    heads = np.flatnonzero(new_cell)  # the first path of each occupied cell
+    cell_dir = np.cumsum(new_dir)[heads] - 1
+    w = np.bincount(np.cumsum(new_cell) - 1, weights=np.abs(cir.amp[order]) ** 2)
     boresight = np.column_stack([np.radians(angles) % TWO_PI, np.zeros(len(angles))])
-    arrival = np.column_stack([cir.aoa_az, cir.aoa_el])
-    gain = rx_antenna.field_gain(boresight, arrival)
-    powers = np.abs(cir.amp * gain) ** 2
-    return ScanGrid(angles, _bin_rows(cir.delay, powers, delay_bins), delay_bins)
+    gain = rx_antenna.field_gain(boresight, np.column_stack([az[new_dir], el[new_dir]]))
+    cells = np.arange(len(angles))[:, None] * n_bins + idx[heads]
+    power = np.bincount(cells.ravel(), weights=((gain ** 2)[:, cell_dir] * w).ravel(),
+                        minlength=len(angles) * n_bins)
+    return ScanGrid(angles, power.reshape(len(angles), n_bins), delay_bins)
 
 
 # ---------------------------------------------------------------------------

@@ -403,7 +403,10 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0,
     run_dir = Path(run_dir)
     report_path = run_dir / "report.json"
     with open(report_path) as f:
-        report = json.load(f)
+        try:
+            report = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{report_path} is not valid JSON ({exc}); simulate again") from None
     if not isinstance(report, dict) or "config" not in report:
         raise ValueError(f"{report_path} has no config; simulate again")
     if not isinstance(report.get("config_dir"), str):
@@ -459,15 +462,27 @@ def packaged_golden_dir() -> Path:
     return Path(str(resources.files("isacsim") / "data"))
 
 
-def _golden_rows(golden: Path, name: str, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    """The rows of a golden table, which must have rows and each of ``columns``."""
+def _golden_rows(golden: Path, name: str, columns: dict[str, type]) -> list[dict]:
+    """The rows of a golden table, which must have rows and each of
+    ``columns``; every row fills each column, read with its type."""
     path = golden / name
+    rows = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        rows = list(reader)
-    missing = [c for c in columns if c not in (reader.fieldnames or ())]
-    if missing:
-        raise ValueError(f"golden table {path} lacks column(s) {', '.join(missing)}")
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"golden table {path} lacks column(s) {', '.join(missing)}")
+        for rec in reader:
+            where = f"golden table {path} line {reader.line_num}"
+            for col, kind in columns.items():
+                if rec[col] is None:
+                    raise ValueError(f"{where} ends before column {col}")
+                try:
+                    rec[col] = kind(rec[col])
+                except ValueError:
+                    raise ValueError(f"{where}, column {col}: {rec[col]!r} is not a valid "
+                                     f"{kind.__name__}") from None
+            rows.append(rec)
     if not rows:
         raise ValueError(f"golden table {path} has no rows")
     return rows
@@ -482,12 +497,13 @@ def run_validate(golden_dir=None) -> ValidationReport:
 
     abs_dps = []
     for rec in _golden_rows(golden, "concatenated_power_checks.csv",
-                            ("path_id", "p_n1_db", "p_n2_db", "sigma_dbsm", "p_conv_db",
-                             "p_meas_db", "delta_p_db", "tol_db", "note")):
-        p1, p2 = float(rec["p_n1_db"]), float(rec["p_n2_db"])
-        sigma = float(rec["sigma_dbsm"])
-        expected = float(rec["p_conv_db"])
-        tol = float(rec["tol_db"])
+                            {"path_id": str, "p_n1_db": float, "p_n2_db": float,
+                             "sigma_dbsm": float, "p_conv_db": float, "p_meas_db": float,
+                             "delta_p_db": float, "tol_db": float, "note": str}):
+        p1, p2 = rec["p_n1_db"], rec["p_n2_db"]
+        sigma = rec["sigma_dbsm"]
+        expected = rec["p_conv_db"]
+        tol = rec["tol_db"]
         ambiguous = "sigma_sign_ambiguous" in rec["note"]
         got = conv_path_power(p1, p2, -sigma if ambiguous else sigma, wl)
         resid = got - expected
@@ -496,8 +512,8 @@ def run_validate(golden_dir=None) -> ValidationReport:
             f"concat-power {rec['path_id']}",
             abs(resid) <= tol,
             f"residual {resid:+.4f} dB, tol {tol} dB{note}"))
-        dp = delta_p(expected, float(rec["p_meas_db"]))
-        dp_resid = dp - float(rec["delta_p_db"])
+        dp = delta_p(expected, rec["p_meas_db"])
+        dp_resid = dp - rec["delta_p_db"]
         abs_dps.append(abs(dp))
         rows.append(ValidationRow(
             f"delta-P {rec['path_id']}",
@@ -510,8 +526,9 @@ def run_validate(golden_dir=None) -> ValidationReport:
                               f"min {min(abs_dps):.2f} dB"))
 
     for rec in _golden_rows(golden, "bounce_power_proportions.csv",
-                            ("case", "pp0_pct", "pp1_pct", "pp2plus_pct")):
-        pcts = [float(rec["pp0_pct"]), float(rec["pp1_pct"]), float(rec["pp2plus_pct"])]
+                            {"case": str, "pp0_pct": float, "pp1_pct": float,
+                             "pp2plus_pct": float}):
+        pcts = [rec["pp0_pct"], rec["pp1_pct"], rec["pp2plus_pct"]]
         total = sum(pcts)
         rows.append(ValidationRow(
             f"proportions {rec['case']} column sum",
@@ -525,16 +542,17 @@ def run_validate(golden_dir=None) -> ValidationReport:
             err <= 1e-9, f"max error {err:.2e}%"))
 
     # each measured factor against the one the model's PCF table holds
-    pcf_rows = _golden_rows(golden, "pcf_measurements.csv", ("position", "condition", "o_back"))
+    pcf_rows = _golden_rows(golden, "pcf_measurements.csv",
+                            {"position": int, "condition": str, "o_back": float})
     model_values = {(pos, cond): val for pos, cond, val in PCF_MEASUREMENTS}
     for rec in pcf_rows:
-        val = float(rec["o_back"])
-        want = model_values.get((int(rec["position"]), rec["condition"]))
+        val = rec["o_back"]
+        want = model_values.get((rec["position"], rec["condition"]))
         rows.append(ValidationRow(
             f"PCF position {rec['position']} {rec['condition']}",
             want == val, f"golden {val}, model table {want}"))
     for cond, expected_mean in (("los_los", 0.817), ("los_nlos", 0.915)):
-        vals = [float(r["o_back"]) for r in pcf_rows if r["condition"] == cond]
+        vals = [r["o_back"] for r in pcf_rows if r["condition"] == cond]
         mean = sum(vals) / len(vals) if vals else math.nan  # nan fails the check
         model = default_pcf_model(cond)
         ok = (abs(mean - expected_mean) <= 1e-12

@@ -188,6 +188,30 @@ class TestTurntableScan:
                 row_sums[i] += abs(amp) ** 2 * float(np.sum(np.abs(field) ** 2))
         return ref, row_sums
 
+    @staticmethod
+    def _shared_cir(rng, n, bins):
+        """n paths over four arrival directions and four delay bins, so
+        that several paths share each (direction, bin) cell. Two of the
+        directions differ only in the sign of a zero elevation."""
+        dirs = np.array([(0.3, -0.0), (0.3, 0.0), (2.0, 0.4), (5.5, -1.2)])
+        az, el = dirs[rng.integers(0, len(dirs), n)].T
+        width = bins[1] - bins[0]
+        delays = bins[rng.integers(0, 4, n)] + np.where(rng.random(n) < 0.5, 0.0,
+                                                        rng.uniform(0.0, width, n))
+        delays[0] = bins[-1]
+        amp = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return Cir.from_columns(delays, amp, aoa_az=az, aoa_el=el)
+
+    def _assert_matches_reference(self, cir, antenna, angles, bins):
+        got = padp(turntable_scan(cir, antenna, angles, bins))
+        ref, row_sums = self._reference(cir, antenna, angles, bins)
+        np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+        nz = ref != 0.0
+        np.testing.assert_allclose(got[nz], ref[nz], rtol=1e-12, atol=0.0)
+        # powers below about 1e-300 are near or in the subnormal range,
+        # where |amp|^2 x gain and |amp x field|^2 round differently
+        np.testing.assert_allclose(got.sum(axis=1), row_sums, rtol=1e-12, atol=1e-300)
+
     @pytest.mark.parametrize("antenna", [
         OMNI, AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0)],
         ids=["omni", "horn"])
@@ -197,15 +221,76 @@ class TestTurntableScan:
         bins = delay_grid(200e-9, 2.5e-9)
         angles = np.arange(0.0, 360.0, step)
         for n in (1, 300, rng.integers(1, 301)):
-            cir = self._random_cir(rng, int(n), bins)
-            got = padp(turntable_scan(cir, antenna, angles, bins))
-            ref, row_sums = self._reference(cir, antenna, angles, bins)
-            np.testing.assert_array_equal(got == 0.0, ref == 0.0)
-            nz = ref != 0.0
-            np.testing.assert_allclose(got[nz], ref[nz], rtol=1e-12, atol=0.0)
-            # powers below about 1e-300 are near or in the subnormal range,
-            # where |amp|^2 x gain and |amp x field|^2 round differently
-            np.testing.assert_allclose(got.sum(axis=1), row_sums, rtol=1e-12, atol=1e-300)
+            self._assert_matches_reference(self._random_cir(rng, int(n), bins),
+                                           antenna, angles, bins)
+
+    @pytest.mark.parametrize("antenna", [
+        OMNI, AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0)],
+        ids=["omni", "horn"])
+    @pytest.mark.parametrize("n", [2, 40, 500])
+    def test_shared_cells_match_per_path_reference(self, antenna, n):
+        rng = np.random.default_rng(n + len(antenna.kind))
+        bins = delay_grid(20e-9, 2.5e-9)
+        cir = self._shared_cir(rng, n, bins)
+        if n > 2:  # the cells are shared, and both signed zeros occur
+            cells = {(az, el, min(bisect.bisect_right(bins, d) - 1, len(bins) - 2))
+                     for d, az, el in zip(cir.delay, cir.aoa_az, cir.aoa_el)}
+            assert len(cells) <= 20 < n
+            assert np.signbit(cir.aoa_el[cir.aoa_el == 0.0]).any()
+            assert not np.signbit(cir.aoa_el[cir.aoa_el == 0.0]).all()
+        self._assert_matches_reference(cir, antenna, np.arange(0.0, 360.0, 5.0), bins)
+
+    def test_signed_zero_elevations_share_a_direction(self):
+        bins = delay_grid(20e-9, 2.5e-9)
+        horn = AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0)
+        angles = np.arange(0.0, 360.0, 5.0)
+        amp = [0.3, 0.7j, 1.1]
+        split = Cir.from_columns([5e-9] * 3, amp, aoa_az=0.3, aoa_el=[-0.0, 0.0, -0.0])
+        joined = Cir.from_columns([5e-9] * 3, amp, aoa_az=0.3, aoa_el=0.0)
+        np.testing.assert_array_equal(turntable_scan(split, horn, angles, bins).power,
+                                      turntable_scan(joined, horn, angles, bins).power)
+
+    @pytest.mark.parametrize("antenna", [
+        OMNI, AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0)],
+        ids=["omni", "horn"])
+    def test_empty_cir_gives_zero_padp(self, antenna):
+        grid = turntable_scan(Cir.from_columns([], []), antenna, np.arange(0.0, 360.0, 5.0),
+                              delay_grid(50e-9, 1e-9))
+        assert grid.power.shape == (72, 50)
+        assert not grid.power.any()
+
+    @pytest.mark.parametrize("delay", [5e-9, 60.000001e-9], ids=["before", "after"])
+    def test_delay_off_the_grid_rejected(self, delay):
+        bins = 10e-9 + delay_grid(50e-9, 1e-9)
+        cir = Cir.from_columns([20e-9] * 5 + [delay], [1.0] * 6, aoa_az=0.3)
+        with pytest.raises(ValueError, match="outside the delay grid"):
+            turntable_scan(cir, OMNI, np.arange(0.0, 360.0, 5.0), bins)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           antenna=st.sampled_from([OMNI,
+                                    AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0),
+                                    AntennaModel(kind="horn", hpbw_deg=60.0, peak_gain_db=8.0)]),
+           step=st.sampled_from([5.0, 30.0, 120.0]))
+    def test_rows_conserve_power(self, data, antenna, step):
+        bins = delay_grid(20e-9, 2.5e-9)
+        dirs = data.draw(st.lists(
+            st.tuples(st.floats(0.0, 6.28), st.sampled_from([-0.0, 0.0, 0.4, -1.2, 1.5])),
+            min_size=1, max_size=5))
+        rows = data.draw(st.lists(st.tuples(
+            st.integers(0, len(dirs) - 1),
+            st.sampled_from(bins.tolist()) | st.floats(bins[0], bins[-1]),
+            st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)),
+            max_size=60))
+        d = [dirs[k] for k, _, _ in rows]
+        cir = Cir.from_columns([t for _, t, _ in rows], [a for _, _, a in rows],
+                               aoa_az=[a for a, _ in d], aoa_el=[e for _, e in d])
+        angles = np.arange(0.0, 360.0, step)
+        got = turntable_scan(cir, antenna, angles, bins).power
+        boresight = np.column_stack([np.radians(angles), np.zeros(len(angles))])
+        gain = antenna.field_gain(boresight, np.column_stack([cir.aoa_az, cir.aoa_el]))
+        want = (gain ** 2 * np.abs(cir.amp) ** 2).sum(axis=1)
+        np.testing.assert_allclose(got.sum(axis=1), want, rtol=1e-12, atol=1e-300)
 
 
 class TestExtractPaths:

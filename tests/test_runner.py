@@ -458,7 +458,14 @@ class TestRunValidate:
         ("concatenated_power_checks.csv", None, "has no rows"),
         ("pcf_measurements.csv", None, "has no rows"),
         ("bounce_power_proportions.csv", ("pp1_pct", "pp_1_pct"), "lacks column(s) pp1_pct"),
-    ], ids=["renamed-column", "empty-concat", "empty-pcf", "renamed-proportion"])
+        ("concatenated_power_checks.csv", ("1.15,0.01,\n", "1.15\n"),
+         "line 2 ends before column tol_db"),
+        ("concatenated_power_checks.csv", ("1-A,-74.64", "1-A,x"),
+         "line 2, column p_n1_db: 'x' is not a valid float"),
+        ("pcf_measurements.csv", ("\n3,los_los", "\nthree,los_los"),
+         "line 4, column position: 'three' is not a valid int"),
+    ], ids=["renamed-column", "empty-concat", "empty-pcf", "renamed-proportion",
+            "short-row", "non-numeric-cell", "non-integer-position"])
     def test_malformed_golden_table_exits_2(self, tmp_path, capsys, name, edit, message):
         golden = perturbed_golden(tmp_path / "golden", name, *([edit] if edit else []))
         if edit is None:  # keep the header only
@@ -607,14 +614,20 @@ class TestCli:
         (lambda r: r.pop("config"), "has no config"),
         (lambda r: r.update(config_dir=5), "has no config_dir string"),
         (lambda r: r.pop("config_dir"), "has no config_dir string"),
-    ], ids=["no-config", "config_dir-5", "no-config_dir"])
+        ("{", "is not valid JSON (Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1))"),
+    ], ids=["no-config", "config_dir-5", "no-config_dir", "not-json"])
     def test_analyze_rejects_damaged_report(self, tmp_path, capsys, change, message):
+        """``change`` edits the report's document, or is the damaged file's text."""
         cfg_path = scen1_like(tmp_path)
         assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
         report_path = tmp_path / "run" / "report.json"
-        report = json.loads(report_path.read_text())
-        change(report)
-        report_path.write_text(json.dumps(report))
+        if isinstance(change, str):
+            report_path.write_text(change)
+        else:
+            report = json.loads(report_path.read_text())
+            change(report)
+            report_path.write_text(json.dumps(report))
         capsys.readouterr()
         assert cli_main(["analyze", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == f"error: {report_path} {message}; simulate again\n"
