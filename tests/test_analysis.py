@@ -137,6 +137,8 @@ class TestPadp:
 
 
 class TestTurntableScan:
+    HORN = AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0)
+
     def test_omni_rows_identical(self):
         cir = cir_of([path(10e-9, 1.0, az_deg=77.0)])
         grid = turntable_scan(cir, OMNI, np.arange(0.0, 360.0, 5.0), delay_grid(50e-9, 1e-9))
@@ -224,9 +226,7 @@ class TestTurntableScan:
             self._assert_matches_reference(self._random_cir(rng, int(n), bins),
                                            antenna, angles, bins)
 
-    @pytest.mark.parametrize("antenna", [
-        OMNI, AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0)],
-        ids=["omni", "horn"])
+    @pytest.mark.parametrize("antenna", [OMNI, HORN], ids=["omni", "horn"])
     @pytest.mark.parametrize("n", [2, 40, 500])
     def test_shared_cells_match_per_path_reference(self, antenna, n):
         rng = np.random.default_rng(n + len(antenna.kind))
@@ -242,17 +242,14 @@ class TestTurntableScan:
 
     def test_signed_zero_elevations_share_a_direction(self):
         bins = delay_grid(20e-9, 2.5e-9)
-        horn = AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0)
         angles = np.arange(0.0, 360.0, 5.0)
         amp = [0.3, 0.7j, 1.1]
         split = Cir.from_columns([5e-9] * 3, amp, aoa_az=0.3, aoa_el=[-0.0, 0.0, -0.0])
         joined = Cir.from_columns([5e-9] * 3, amp, aoa_az=0.3, aoa_el=0.0)
-        np.testing.assert_array_equal(turntable_scan(split, horn, angles, bins).power,
-                                      turntable_scan(joined, horn, angles, bins).power)
+        np.testing.assert_array_equal(turntable_scan(split, self.HORN, angles, bins).power,
+                                      turntable_scan(joined, self.HORN, angles, bins).power)
 
-    @pytest.mark.parametrize("antenna", [
-        OMNI, AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0)],
-        ids=["omni", "horn"])
+    @pytest.mark.parametrize("antenna", [OMNI, HORN], ids=["omni", "horn"])
     def test_empty_cir_gives_zero_padp(self, antenna):
         grid = turntable_scan(Cir.from_columns([], []), antenna, np.arange(0.0, 360.0, 5.0),
                               delay_grid(50e-9, 1e-9))
@@ -268,8 +265,7 @@ class TestTurntableScan:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(),
-           antenna=st.sampled_from([OMNI,
-                                    AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0),
+           antenna=st.sampled_from([OMNI, HORN,
                                     AntennaModel(kind="horn", hpbw_deg=60.0, peak_gain_db=8.0)]),
            step=st.sampled_from([5.0, 30.0, 120.0]))
     def test_rows_conserve_power(self, data, antenna, step):
