@@ -17,7 +17,6 @@ from .core import (
     ScatteringPoint,
     TableRcs,
     angle_from_vector,
-    identity_cpm,
     linear_to_db,
     merge_paths,
     spreading_gain,

@@ -220,8 +220,10 @@ def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
     b_padp = padp(background_scan)
     t_peaks = extract_paths(t_padp, target_scan.angles_deg, target_scan.delay_bins,
                             peak_threshold_db, min_sep_deg, min_sep_s)
-    b_peaks = extract_paths(b_padp, background_scan.angles_deg, background_scan.delay_bins,
-                            peak_threshold_db, min_sep_deg, min_sep_s)
+    # a free-space scene has no background, and so no background peaks
+    b_peaks = (extract_paths(b_padp, background_scan.angles_deg, background_scan.delay_bins,
+                             peak_threshold_db, min_sep_deg, min_sep_s)
+               if np.any(b_padp > 0.0) else [])
     centers = target_scan.bin_centers()
     margin = 10.0 ** (margin_db / 10.0)
 

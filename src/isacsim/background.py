@@ -102,8 +102,7 @@ def background_bistatic(profile: GenerationProfile, seed: int,
     Structurally identical to a conventional communication-channel
     realization; paths are tagged with the background origin.
     """
-    return synthesize_cir(sample_clusters(profile, seed), tx_antenna,
-                          origin=Origin.BACKGROUND)
+    return synthesize_cir(sample_clusters(profile, seed), tx_antenna)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .background import (PCF_CLAMP, PCF_INTERVAL, PCF_MEASUREMENTS, GeometricScatterer,
                          PcfModel, default_pcf_model)
-from .core import ConstantRcs, ScatteringPoint
+from .core import C_LIGHT, ConstantRcs, ScatteringPoint
 from .gbsm import AntennaModel, GenerationProfile
 from .sounder import DEFAULT_TAPS
 from .target import load_rcs_table_csv
@@ -294,9 +294,11 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
     # cross-field rules, each on values that passed their own checks
     mode, tx, rx, bg, scan = (c[k] for k in ("sensing_mode", "tx", "rx", "background", "scan"))
     tx_pos, rx_pos = (end and end["position_m"] for end in (tx, rx))
-    if (mode == "mono_static" and tx_pos is not None and rx_pos is not None
-            and not np.array_equal(tx_pos, rx_pos)):
-        errors.append("mono_static requires tx.position_m == rx.position_m")
+    if tx_pos is not None and rx_pos is not None:
+        if mode == "mono_static" and not np.array_equal(tx_pos, rx_pos):
+            errors.append("mono_static requires tx.position_m == rx.position_m")
+        if mode == "bi_static" and not np.linalg.norm(rx_pos - tx_pos) > 0.0:
+            errors.append("bi_static requires tx.position_m != rx.position_m")
     # the statistical engine assumes separated endpoints; co-located
     # sensing needs the geometric echo model
     if mode == "mono_static" and bg and bg["mode"] == "statistical":
@@ -311,6 +313,13 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         elif not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
             errors.append(f"scan.step_deg {step} does not divide the range {stop - start}")
     for i, t in enumerate(c["targets"] or ()):
+        pos, vel = (t and t[k] for k in ("position_m", "velocity_mps"))
+        for name, end in (("tx", tx_pos), ("rx", rx_pos)):
+            if pos is not None and end is not None and not np.linalg.norm(pos - end) > 0.0:
+                errors.append(f"targets[{i}].position_m must differ from {name}.position_m")
+        if vel is not None and not np.linalg.norm(vel) < C_LIGHT:
+            errors.append(f"targets[{i}].velocity_mps must be a speed below "
+                          f"{C_LIGHT:.0f} m/s, got {vel.tolist()!r}")
         rcs = t and t["rcs"]
         if rcs and rcs["variant"] == "table" and rcs["csv"]:
             try:

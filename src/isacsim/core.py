@@ -206,11 +206,6 @@ class Origin(enum.Enum):
     SHARED = "shared"
 
 
-def identity_cpm() -> np.ndarray:
-    """2x2 identity polarization matrix (no polarization twist)."""
-    return np.eye(2, dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class ScatteringPoint:
     """A sensing-target scattering center."""
@@ -218,19 +213,14 @@ class ScatteringPoint:
     position: np.ndarray
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     rcs_model: RcsModel = ConstantRcs(0.0)
-    cpm_k: np.ndarray = field(default_factory=identity_cpm)
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float).reshape(3)
         vel = np.asarray(self.velocity, dtype=float).reshape(3)
-        cpm = np.asarray(self.cpm_k, dtype=complex)
-        if cpm.shape != (2, 2) or not np.all(np.isfinite(cpm)):
-            raise ValueError("cpm_k must be a finite 2x2 complex matrix")
         if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(vel)):
             raise ValueError("position and velocity must be finite")
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "velocity", vel)
-        object.__setattr__(self, "cpm_k", cpm)
 
 
 # Paths are stored by origin code: the index into ORIGINS

@@ -3,8 +3,8 @@
 This is the shared machinery behind both the sensing sub-links and the
 bi-static background channel: a table of rays in statistical clusters
 is sampled from a profile and a seed, and the per-ray complex coefficients
-combine antenna field patterns, the cross-polarization matrix and the
-Doppler phase. The ray-level steps (per-ray XPR, initial phases and
+combine the Tx field gain, the cross-polarization matrix and the Doppler
+phase. The ray-level steps (per-ray XPR, initial phases and
 coefficients, 3GPP TR 38.901 §7.5) work on whole columns.
 """
 from __future__ import annotations
@@ -141,13 +141,6 @@ class AntennaModel:
         # Gaussian main lobe: power is g_peak * exp(-4 ln2 (off/hpbw)^2)
         return math.sqrt(g_peak) * np.exp(-2.0 * math.log(2.0) * (off / hpbw) ** 2)
 
-    def fields(self, angles) -> np.ndarray:
-        """Complex (F_theta, F_phi) field pattern toward each (azimuth,
-        elevation) row of ``angles`` (n, 2); the result is (n, 2)."""
-        out = np.zeros((len(angles), 2), dtype=complex)
-        out[:, 0] = self.field_gain([self.boresight], angles)[0]
-        return out
-
 
 OMNI = AntennaModel(kind="omni")
 
@@ -278,26 +271,26 @@ def cross_polarization_matrix(xpr, phases) -> np.ndarray:
 def ray_coefficients(rays: ClusterSet, tx_antenna: AntennaModel, t: float = 0.0) -> np.ndarray:
     """Complex channel coefficient of each ray.
 
-    sqrt(power) * F_rx^T . CPM . F_tx, F_rx the omni field (the turntable
-    scan applies the receive pattern), rotated by the Doppler phase at
-    time ``t``. Time only ever rotates the phase; it never changes the
-    magnitude.
+    sqrt(power) * F_rx^T . CPM . F_tx with F_tx = (g, 0), g the Tx field
+    gain toward the AoD, and F_rx the omni (1, 0), since the turntable
+    scan applies the receive pattern: g times CPM's theta-theta phasor,
+    rotated by the Doppler phase at time ``t``. Time only ever rotates
+    the phase; it never changes the magnitude.
     """
-    gain = np.einsum("ni,nij,nj->n", OMNI.fields(rays.aoa),
-                     cross_polarization_matrix(rays.xpr, rays.phases),
-                     tx_antenna.fields(rays.aod))
-    return np.sqrt(rays.power) * gain * np.exp(1j * 2.0 * math.pi * rays.doppler * t)
+    g = tx_antenna.field_gain([tx_antenna.boresight], rays.aod)[0]
+    # g times the phasor first: the product rounds as the full chain did
+    return (np.sqrt(rays.power) * (g * np.exp(1j * rays.phases[:, 0]))
+            * np.exp(1j * 2.0 * math.pi * rays.doppler * t))
 
 
-def synthesize_cir(clusters: ClusterSet, tx_antenna: AntennaModel, t: float = 0.0,
-                   origin: Origin = Origin.BACKGROUND) -> Cir:
+def synthesize_cir(clusters: ClusterSet, tx_antenna: AntennaModel, t: float = 0.0) -> Cir:
     """Assemble a sparse CIR with one path per ray, unmerged: the total
     linear power equals the sum of per-ray |coefficient|^2."""
     return Cir.from_columns(
         clusters.delay, ray_coefficients(clusters, tx_antenna, t), clusters.doppler,
         aod_az=clusters.aod[:, 0], aod_el=clusters.aod[:, 1],
         aoa_az=clusters.aoa[:, 0], aoa_el=clusters.aoa[:, 1],
-        bounce_order=clusters.bounce_order, origin=origin)
+        bounce_order=clusters.bounce_order, origin=Origin.BACKGROUND)
 
 
 def doppler_shift(v_scatterer: np.ndarray, arrival: tuple[float, float], wl: float) -> float:

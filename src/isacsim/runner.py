@@ -76,8 +76,6 @@ def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos, velocity, wl: float,
     """
     sp_pos = np.asarray(sp_pos, dtype=float)
     d = float(np.linalg.norm(sp_pos - endpoint))
-    if d <= 0.0:
-        raise ValueError("target coincides with an endpoint")
     to_endpoint = angle_from_vector(endpoint - sp_pos)
     to_target = angle_from_vector(sp_pos - endpoint)
     dop = doppler_shift(velocity, to_endpoint, wl)
@@ -155,8 +153,7 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
         aim_at = (config.targets[0].point.position if config.targets else rx_pos)
         bg_cir = background_bistatic(config.background.profile, _child_seed(bg_seq),
                                      _aim(config.tx.antenna, tx_pos, aim_at))
-        d_txrx = float(np.linalg.norm(rx_pos - tx_pos))
-        pl_back = fs_model.eval_db(d_txrx) if d_txrx > 0 else 0.0
+        pl_back = fs_model.eval_db(float(np.linalg.norm(rx_pos - tx_pos)))
         bg_cir = bg_cir.scaled(10.0 ** (-pl_back / 20.0))
     else:
         bg_cir = background_monostatic(config.background.scatterers, tx_pos, wl)

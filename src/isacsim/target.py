@@ -2,10 +2,10 @@
 
 The transmitter-to-target and target-to-receiver links are generated as
 ordinary stochastic channels; the target channel pairs every ray of one
-with every ray of the other, routing the polarization through the
-scattering point's angular RCS and polarization-twist matrix. Delays
-add, Dopplers add, and the wavelength-dependent spreading factor enters
-exactly once here (not in the link-budget module).
+with every ray of the other, chaining the two hops' polarization
+matrices and weighting each pair by the scattering point's angular RCS.
+Delays add, Dopplers add, and the wavelength-dependent spreading factor
+enters exactly once here (not in the link-budget module).
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .core import (
     spreading_gain,
     unit_vectors,
 )
-from .gbsm import OMNI, AntennaModel, ClusterSet, cross_polarization_matrix
+from .gbsm import AntennaModel, ClusterSet, cross_polarization_matrix
 
 
 class Side(enum.Enum):
@@ -62,22 +62,23 @@ def _rcs_linear(model, angles_in: np.ndarray, angles_out: np.ndarray) -> np.ndar
 
 
 def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
-                tx_antenna: AntennaModel = OMNI, t: float = 0.0) -> Cir:
+                tx_antenna: AntennaModel = AntennaModel(), t: float = 0.0) -> Cir:
     """Pair every ray of ``a`` with every ray of ``b`` through the target.
 
     Produces |a| * |b| paths (no merging). Per pair, the delay is the
     sum of the sub-link delays, the Doppler is the sum of the sub-link
     Dopplers, and the amplitude is
 
-        sqrt(p1 p2) * F_rx^T . CPM_2 . CPM_k . CPM_1 . F_tx
+        sqrt(p1 p2) * F_rx^T . CPM_2 . CPM_1 . F_tx
         * sqrt(sigma(out, in)) * sqrt(lambda^2 / 4 pi)
 
     with sigma evaluated at the target-side angle pair, rotated by the
     phase of the scattering point's position and by the Doppler phase.
-    F_rx is the omni field: the turntable scan applies the receive
-    pattern. With identity polarization matrices and an omni Tx antenna
-    the linear path power is p1 * p2 * sigma * lambda^2/(4 pi). Every
-    term is computed for all pairs at once, as an |a| x |b| array.
+    The antennas are single-polarized: F_tx = (g, 0), g the Tx field
+    gain toward the AoD, and F_rx is the omni (1, 0), since the turntable
+    scan applies the receive pattern. With an omni Tx antenna and
+    co-polar rays the linear path power is p1 * p2 * sigma * lambda^2/(4 pi).
+    Every term is computed for all pairs at once, as an |a| x |b| array.
     """
     if a.side is not Side.TX_TO_TARGET or b.side is not Side.TARGET_TO_RX:
         raise ValueError("concatenate expects (tx_to_target, target_to_rx) sub-links")
@@ -85,11 +86,10 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
         raise ValueError("wavelength must be positive")
     ra, rb = a.clusters, b.clusters
 
-    # the chain F_rx^T . CPM_2 . CPM_k . CPM_1 . F_tx, split after CPM_k
-    rx_side = np.einsum("bi,bij,jk->bk", OMNI.fields(rb.aoa),
-                        cross_polarization_matrix(rb.xpr, rb.phases), sp.cpm_k)
-    tx_side = np.einsum("akl,al->ak", cross_polarization_matrix(ra.xpr, ra.phases),
-                        tx_antenna.fields(ra.aod))
+    # the chain is CPM_2's first row times CPM_1's first column times g
+    g = tx_antenna.field_gain([tx_antenna.boresight], ra.aod)[0]
+    tx_side = cross_polarization_matrix(ra.xpr, ra.phases)[:, :, 0] * g[:, None]
+    rx_side = cross_polarization_matrix(rb.xpr, rb.phases)[:, 0, :]
     gain = np.einsum("ak,bk->ab", tx_side, rx_side)
     k = 2.0 * math.pi / wl
     phase_a = k * (unit_vectors(ra.aoa) @ sp.position)

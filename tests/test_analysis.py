@@ -184,7 +184,8 @@ class TestTurntableScan:
             for delay, amp, az, el in zip(cir.delay.tolist(), cir.amp.tolist(),
                                           cir.aoa_az.tolist(), cir.aoa_el.tolist()):
                 j = min(bisect.bisect_right(bins, delay) - 1, len(bins) - 2)
-                field = aimed.fields([[az, el]])[0]
+                # the single-polarized receive field (g, 0)
+                field = np.array([aimed.field_gain([aimed.boresight], [[az, el]])[0, 0], 0.0])
                 w = abs(amp * complex(field[0]))
                 ref[i, j] += w * w
                 row_sums[i] += abs(amp) ** 2 * float(np.sum(np.abs(field) ** 2))
@@ -366,6 +367,17 @@ class TestSubtractBackground:
                                   margin_db=6.0)
         assert len(out) == 1
         assert out[0].angle_deg == 200.0
+
+    def test_empty_background_has_no_peaks(self):
+        # a free-space scene: the no-target scan is all zeros
+        tg = [path(20e-9, 1.0, az_deg=40.0), path(120e-9, 0.8, az_deg=250.0)]
+        horn = AntennaModel(kind="horn", hpbw_deg=15.0, peak_gain_db=15.0)
+        empty = turntable_scan(Cir.from_columns([], []), horn, np.arange(0.0, 360.0, 5.0),
+                               delay_grid(200e-9, 5e-9))
+        assert not np.any(empty.power)
+        out = subtract_background(self._scan(tg), empty, match_tol=(2.5, 5e-9))
+        assert sorted(pk.angle_deg for pk in out) == [40.0, 250.0]
+        assert all(pk.origin is Origin.TARGET for pk in out)
 
     def test_grid_mismatch_rejected(self):
         a = self._scan([path(20e-9, 1.0, az_deg=40.0)])

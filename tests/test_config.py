@@ -101,6 +101,19 @@ CONFIG_CASES = [
     (RIS, TARGET0 + ("rcs", "variant"), "cosine_lobe",
      "targets[0].rcs.variant must be 'constant' or 'table', got 'cosine_lobe'"),
     (HALL, ("background", "mode"), [1], "background.mode must be a string, got [1]"),
+    (RIS, ("rx", "position_m"), [0.0, 0.0, 1.5],
+     "bi_static requires tx.position_m != rx.position_m"),
+    (RIS, TARGET0 + ("position_m",), [0.0, 0.0, 1.5],
+     "targets[0].position_m must differ from tx.position_m"),
+    (RIS, TARGET0 + ("position_m",), [8.0, -3.0, 1.5],
+     "targets[0].position_m must differ from rx.position_m"),
+    (RIS, TARGET0 + ("velocity_mps",), [3e8, 0.0, 0.0],
+     "targets[0].velocity_mps must be a speed below 299792458 m/s, "
+     "got [300000000.0, 0.0, 0.0]"),
+    # the speed, not one component, is what light bounds
+    (RIS, TARGET0 + ("velocity_mps",), [2.2e8, 2.2e8, 0.0],
+     "targets[0].velocity_mps must be a speed below 299792458 m/s, "
+     "got [220000000.0, 220000000.0, 0.0]"),
 ]
 
 
@@ -177,6 +190,7 @@ REPLACEMENTS = [None, True, "x", math.nan, math.inf, -math.inf, -1, 0, 4.7, [], 
                 [0, 0], [1]]
 # the violations of a rule across keys, as patterns
 CROSS_FIELD = (r"mono_static requires tx\.position_m == rx\.position_m",
+               r"bi_static requires tx\.position_m != rx\.position_m",
                r"mono_static sensing requires background\.mode = geometric",
                r"bi_static sensing requires background\.mode = statistical",
                r"scan\.stop_deg must exceed scan\.start_deg",

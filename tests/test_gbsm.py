@@ -141,11 +141,15 @@ class TestRayCoefficient:
                           aod=np.stack([rng.uniform(0, 6.28, n), np.full(n, 0.1)], axis=1),
                           aoa=np.stack([rng.uniform(0, 6.28, n), np.full(n, -0.1)], axis=1),
                           xpr=xpr, phases=phases, doppler=rng.uniform(-100, 100, n))
-        c = ray_coefficients(rays, OMNI, t=rng.uniform(0, 1e-3))
-        f = np.array([1.0, 0.0])
-        for i in range(n):
-            expected = math.sqrt(power[i]) * abs(f @ cross_polarization_matrix(xpr[i], phases[i]) @ f)
-            assert abs(c[i]) == pytest.approx(expected, rel=1e-12)
+        f_rx = np.array([1.0, 0.0])  # the omni receive field
+        horn = AntennaModel(kind="horn", hpbw_deg=60.0, peak_gain_db=12.0, boresight=(2.0, 0.1))
+        for tx in (OMNI, horn):
+            c = ray_coefficients(rays, tx, t=rng.uniform(0, 1e-3))
+            for i in range(n):
+                f_tx = np.array([tx.field_gain([tx.boresight], [rays.aod[i]])[0, 0], 0.0])
+                expected = math.sqrt(power[i]) * abs(
+                    f_rx @ cross_polarization_matrix(xpr[i], phases[i]) @ f_tx)
+                assert abs(c[i]) == pytest.approx(expected, rel=1e-12)
 
     def test_time_changes_phase_only(self):
         rays = ClusterSet(power=0.7, delay=1e-9, aod=(0.3, 0.0), aoa=(1.1, 0.2),
@@ -157,14 +161,13 @@ class TestRayCoefficient:
 
 
 def gain_toward(antenna, az, el=0.0):
-    return float(np.sum(np.abs(antenna.fields([[az, el]])[0]) ** 2))
+    return float(antenna.field_gain([antenna.boresight], [[az, el]])[0, 0]) ** 2
 
 
 class TestAntennaModel:
     def test_omni_everywhere(self):
-        for az in np.linspace(0, 2 * math.pi, 17):
-            f = OMNI.fields([[az, 0.3]])[0]
-            assert f[0] == 1.0 and f[1] == 0.0
+        angles = np.stack([np.linspace(0, 2 * math.pi, 17), np.full(17, 0.3)], axis=1)
+        assert np.all(OMNI.field_gain([OMNI.boresight, (1.0, -0.4)], angles) == 1.0)
 
     def test_horn_boresight_gain(self):
         horn = AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0,
@@ -242,16 +245,16 @@ class TestSynthesizeCir:
         prof = GenerationProfile(n_clusters=9, rays_per_cluster=7, doppler_max_hz=200.0)
         cs = sample_clusters(prof, 31)
         cir = synthesize_cir(cs, OMNI, t=1e-4)
-        f = np.array([1.0, 0.0])
+        f = np.array([1.0, 0.0])  # both omni fields, Tx and Rx
         brute = sum(p * abs(f @ cross_polarization_matrix(x, ph) @ f) ** 2
                     for p, x, ph in zip(cs.power, cs.xpr, cs.phases))
         assert cir.total_power() == pytest.approx(brute, rel=1e-12)
         # pre-path-loss normalization carries through for omni antennas
         assert cir.total_power() == pytest.approx(1.0, rel=1e-9)
 
-    def test_origin_tagging(self):
-        cir = synthesize_cir(single_ray_set(), OMNI, origin=Origin.TARGET)
-        assert ORIGINS[cir.origin_code[0]] is Origin.TARGET
+    def test_paths_are_background(self):
+        cir = synthesize_cir(single_ray_set(), OMNI)
+        assert ORIGINS[cir.origin_code[0]] is Origin.BACKGROUND
 
 
 class TestWithLosRay:

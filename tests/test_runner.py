@@ -562,6 +562,18 @@ class TestCli:
         assert "sha256" in out
         assert "paths.json" in out
 
+    def test_free_space_monostatic_scene_analyzes(self, tmp_path):
+        # a target and no scatterers: the no-target scan is empty
+        doc = json.loads((CONFIG_DIR / "monostatic_hall.json").read_text())
+        doc["background"]["scatterers"] = []
+        doc["targets"] = [{"position_m": [5.0, 2.0, 1.5]}]
+        cfg_path = tmp_path / "free_space.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        assert cli_main(["analyze", str(tmp_path / "run")]) == 0
+        paths = json.loads((tmp_path / "run" / "paths.json").read_text())["paths"]
+        assert paths and {p["origin"] for p in paths} == {"target"}
+
     def test_validate_exit_codes(self, tmp_path, capsys):
         assert cli_main(["validate"]) == 0
         golden = perturbed_golden(tmp_path / "concat", "concatenated_power_checks.csv",

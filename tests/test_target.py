@@ -21,6 +21,7 @@ from isacsim import (
     load_rcs_table_csv,
     merge_paths,
     multi_point_target,
+    ray_coefficients,
     sample_clusters,
     spreading_gain,
     unit_vectors,
@@ -60,11 +61,21 @@ class TestRcsEval:
         assert rcs_linear(t, (0, 0), (0, 0)) == pytest.approx(7.046930689671469)
 
 
+# the omni receive field (F_theta, F_phi) of the synthesis: the turntable
+# scan applies the receive pattern
+F_RX = np.array([1.0, 0.0])
+
+
+def tx_field(antenna, angle):
+    """The single-polarized Tx field (g, 0) toward one (azimuth, elevation) pair."""
+    return np.array([antenna.field_gain([antenna.boresight], [angle])[0, 0], 0.0])
+
+
 def reference_concatenate(a, b, sp, wl, tx, t):
     """One ray pair at a time, over the rows of the two ray tables, with
-    the omni receive field: (delay, amp, doppler, (aod azimuth,
-    elevation), (aoa azimuth, elevation), bounce order) per pair, in
-    delay order."""
+    the full 38.901 chain F_rx^T . CPM_2 . CPM_1 . F_tx: (delay, amp,
+    doppler, (aod azimuth, elevation), (aoa azimuth, elevation), bounce
+    order) per pair, in delay order."""
     k = 2.0 * math.pi / wl
     ra, rb = a.clusters, b.clusters
     out = []
@@ -73,10 +84,9 @@ def reference_concatenate(a, b, sp, wl, tx, t):
         for j in range(len(rb)):
             aod2, aoa2 = tuple(rb.aod[j].tolist()), tuple(rb.aoa[j].tolist())
             sigma = rcs_linear(sp.rcs_model, ra.aoa[i], rb.aod[j])
-            gain = complex(OMNI.fields([rb.aoa[j]])[0]
-                           @ cross_polarization_matrix(rb.xpr[j], rb.phases[j])
-                           @ sp.cpm_k @ cross_polarization_matrix(ra.xpr[i], ra.phases[i])
-                           @ tx.fields([ra.aod[i]])[0])
+            gain = complex(F_RX @ cross_polarization_matrix(rb.xpr[j], rb.phases[j])
+                           @ cross_polarization_matrix(ra.xpr[i], ra.phases[i])
+                           @ tx_field(tx, ra.aod[i]))
             u_in, u_out = unit_vectors([aoa1, aod2])
             phase = k * (u_in @ sp.position + u_out @ sp.position)
             doppler = ra.doppler[i] + rb.doppler[j]
@@ -118,8 +128,7 @@ class TestConcatenate:
 
         tx = AntennaModel(kind="horn", hpbw_deg=15.0, peak_gain_db=20.0,
                           boresight=(0.7, 0.1))
-        sp = ScatteringPoint(position=[4.6, 2.5, 1.5], rcs_model=rcs,
-                             cpm_k=[[0.9, 0.2j], [0.1 - 0.3j, -0.7]])
+        sp = ScatteringPoint(position=[4.6, 2.5, 1.5], rcs_model=rcs)
         a, b = link(Side.TX_TO_TARGET, 1), link(Side.TARGET_TO_RX, 2)
         cir = concatenate(a, b, sp, WL, tx, t=1.3e-3)
         want = reference_concatenate(a, b, sp, WL, tx, 1.3e-3)
@@ -254,15 +263,38 @@ def _column(draw, n, lo, hi):
 
 
 @st.composite
-def ray_tables(draw):
-    """A ray table of 1 to 12 co-polar rays with random delays, Dopplers,
-    powers, phases and angles."""
+def ray_tables(draw, cross_polar=False):
+    """A ray table of 1 to 12 rays with random delays, Dopplers, powers,
+    phases and angles: co-polar (XPR 1e12), or with random XPRs in
+    [0.1, 100] where ``cross_polar``."""
     n = draw(st.integers(1, 12))
     angles = lambda: np.stack([_column(draw, n, -10.0, 10.0),
                                _column(draw, n, -math.pi / 2, math.pi / 2)], axis=1)
     return ClusterSet(power=_column(draw, n, 0.0, 10.0), delay=_column(draw, n, 0.0, 1e-6),
                       aod=angles(), aoa=angles(), doppler=_column(draw, n, -1e4, 1e4),
-                      phases=np.reshape(_column(draw, 4 * n, -math.pi, math.pi), (n, 4)))
+                      phases=np.reshape(_column(draw, 4 * n, -math.pi, math.pi), (n, 4)),
+                      xpr=_column(draw, n, 0.1, 100.0) if cross_polar else 1e12)
+
+
+@st.composite
+def horns(draw):
+    """A horn with a random beamwidth, peak gain and boresight."""
+    return AntennaModel(kind="horn", hpbw_deg=draw(st.floats(5.0, 120.0)),
+                        peak_gain_db=draw(st.floats(-10.0, 30.0)),
+                        boresight=(draw(st.floats(0.0, 2 * math.pi)),
+                                   draw(st.floats(-math.pi / 2, math.pi / 2))))
+
+
+@st.composite
+def rcs_models(draw):
+    """A constant RCS, or a table over 1 to 3 values per angle axis."""
+    if draw(st.booleans()):
+        return ConstantRcs(draw(st.floats(-20.0, 40.0)))
+    axes = [np.cumsum(_column(draw, draw(st.integers(1, 3)), 0.1, 2.0)) - 2.0
+            for _ in range(4)]
+    values = np.reshape(_column(draw, math.prod(map(len, axes)), -20.0, 20.0),
+                        tuple(map(len, axes)))
+    return TableRcs(*axes, values)
 
 
 class TestConcatenationLaws:
@@ -276,11 +308,37 @@ class TestConcatenationLaws:
         # sums of the two rays' delays and Dopplers, exactly
         assert cir.delay.tolist() == [row[0] for row in want]
         assert cir.doppler.tolist() == [row[2] for row in want]
-        # identity CPM_k and XPR 1e12: |amp|^2 = p_a p_b sigma lambda^2 / 4 pi
+        # XPR 1e12 and an omni Tx: |amp|^2 = p_a p_b sigma lambda^2 / 4 pi
         pairs = sorted(((da + db, pa * pb) for da, pa in zip(rays_a.delay, rays_a.power)
                         for db, pb in zip(rays_b.delay, rays_b.power)), key=lambda r: r[0])
         law = np.array([p for _, p in pairs]) * 10.0 ** (sigma_dbsm / 10.0) * spreading_gain(WL)
         np.testing.assert_allclose(cir.powers(), law, rtol=1e-9, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ray_tables(cross_polar=True), ray_tables(cross_polar=True), horns(), rcs_models(),
+           st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3), st.floats(0.0, 1e-3))
+    def test_single_polarized_synthesis_matches_matrix_chain(self, rays_a, rays_b, tx, rcs,
+                                                             position, t):
+        a, b = SubLink(Side.TX_TO_TARGET, rays_a), SubLink(Side.TARGET_TO_RX, rays_b)
+        sp = ScatteringPoint(position=position, rcs_model=rcs)
+        cir = concatenate(a, b, sp, WL, tx, t)
+        want = np.array([row[1] for row in reference_concatenate(a, b, sp, WL, tx, t)])
+        # the scale of each pair's rounding error: the chain's terms taken
+        # with their moduli, so a pair whose terms cancel is held to it too
+        cross = lambda rays: 1.0 + 1.0 / np.sqrt(rays.xpr)
+        g = tx.field_gain([tx.boresight], rays_a.aod)[0]
+        scale = (np.sqrt(np.outer(rays_a.power, rays_b.power) * _rcs_linear(rcs, rays_a.aoa,
+                                                                            rays_b.aod))
+                 * np.outer(g * cross(rays_a), cross(rays_b)) * math.sqrt(spreading_gain(WL)))
+        order = np.argsort(np.add.outer(rays_a.delay, rays_b.delay), axis=None, kind="stable")
+        assert np.all(np.abs(cir.amp - want) <= 1e-12 * scale.ravel()[order])
+        # one hop on its own: sqrt(p) F_rx^T . CPM . F_tx, rotated by the Doppler phase
+        coeffs = ray_coefficients(rays_a, tx, t)
+        chain = [math.sqrt(p) * np.exp(1j * 2.0 * math.pi * f * t)
+                 * complex(F_RX @ cross_polarization_matrix(x, ph) @ tx_field(tx, aod))
+                 for p, x, ph, aod, f in zip(rays_a.power, rays_a.xpr, rays_a.phases,
+                                             rays_a.aod, rays_a.doppler)]
+        np.testing.assert_allclose(coeffs, chain, rtol=1e-12, atol=0.0)
 
 
 class TestMultiPointTarget:
