@@ -305,6 +305,8 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         errors.append("mono_static sensing requires background.mode = geometric")
     if mode == "bi_static" and bg and bg["mode"] == "geometric":
         errors.append("bi_static sensing requires background.mode = statistical")
+    if c["targets"] == [] and bg and bg["mode"] == "geometric" and bg["scatterers"] == []:
+        errors.append("targets and background.scatterers are both empty: the scene has no paths")
     if scan and None not in scan.values():
         start, stop, step = scan["start_deg"], scan["stop_deg"], scan["step_deg"]
         ratio = (stop - start) / step

@@ -14,7 +14,6 @@ import os
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +181,7 @@ RECORD_KEYS = ("delay_s", "delay_ns", "amp_re", "amp_im", "power_db", "doppler_h
 # one path record, each field a JSON text
 _RECORD = "{" + ",".join(f'"{key}":%s' for key in RECORD_KEYS) + "}"
 _ORIGIN_TEXTS = np.array([json.dumps(o.value) for o in ORIGINS], dtype=object)
+_BLOCK_ROWS = 1024  # records formatted at a time: the writer's memory is flat in the path count
 
 
 def _dumps(obj) -> str:
@@ -214,31 +214,23 @@ def write_cir_json(path, cir: Cir, carrier_freq_hz: float, extra: dict | None = 
     extra = extra or {}
     if {"carrier_freq_hz", "paths"} & extra.keys():
         raise ValueError("extra must not replace carrier_freq_hz or paths")
-    columns = (
-        _json_texts(cir.delay),
-        _json_texts(cir.delay * 1e9),
-        _json_texts(cir.amp.real),
-        _json_texts(cir.amp.imag),
-        _json_texts(cir.powers(), _power_db),
-        _json_texts(cir.doppler),
-        _json_texts(np.degrees(cir.aod_az)),
-        _json_texts(np.degrees(cir.aod_el)),
-        _json_texts(np.degrees(cir.aoa_az)),
-        _json_texts(np.degrees(cir.aoa_el)),
-        _json_texts(cir.bounce_order),
-        _ORIGIN_TEXTS[cir.origin_code],
-    )
-    records = zip(*(c.tolist() for c in columns))
     head = _dumps({"carrier_freq_hz": carrier_freq_hz})[:-1]
     tail = "," + _dumps(extra)[1:] if extra else "}"
     with open(path, "w") as f:
         f.write(f'{head},"paths":[')
-        # a few thousand records at a time: holding the texts of all the
-        # records of a large CIR at once raises the peak memory
-        sep = ""
-        while chunk := list(islice(records, 4096)):
-            f.write(sep + ",".join([_RECORD % row for row in chunk]))
-            sep = ","
+        for start in range(0, len(cir), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            delay, amp = cir.delay[rows], cir.amp[rows]
+            columns = (
+                _json_texts(delay), _json_texts(delay * 1e9),
+                _json_texts(amp.real), _json_texts(amp.imag),
+                _json_texts(np.abs(amp) ** 2, _power_db), _json_texts(cir.doppler[rows]),
+                *(_json_texts(np.degrees(col[rows]))
+                  for col in (cir.aod_az, cir.aod_el, cir.aoa_az, cir.aoa_el)),
+                _json_texts(cir.bounce_order[rows]), _ORIGIN_TEXTS[cir.origin_code[rows]],
+            )
+            records = zip(*(c.tolist() for c in columns))
+            f.write(("," if start else "") + ",".join([_RECORD % row for row in records]))
         f.write(f"]{tail}")
 
 
@@ -308,7 +300,9 @@ def read_path_table(path) -> Cir:
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as f:
+        while block := f.read(1 << 16):  # a 1 MiB buffer adds 1 MiB to the peak RSS
+            h.update(block)
     return h.hexdigest()
 
 

@@ -57,14 +57,13 @@ def generate_pn(m: int, chip_rate: float = 1.0) -> PnSequence:
     if chip_rate <= 0.0:
         raise ValueError("chip rate must be positive")
     taps = DEFAULT_TAPS[m]
-    state = (1,) * m
-    bits = []
-    for _ in range(2 ** m - 1):
-        bits.append(state[-1])
-        fb = 0
-        for tp in taps:
-            fb ^= state[tp - 1]
-        state = (fb,) + state[:-1]
+    # bit j of the int is stage j + 1 of the register: the output is the
+    # top bit, and the feedback, the parity of the tapped stages, enters at bit 0
+    mask, full = sum(1 << (tp - 1) for tp in taps), (1 << m) - 1
+    state, bits = full, []
+    for _ in range(full):
+        bits.append(state >> (m - 1))
+        state = ((state << 1) & full) | ((state & mask).bit_count() & 1)
     chips = 2.0 * np.array(bits, dtype=float) - 1.0
     return PnSequence(m=m, taps=taps, chips=chips, chip_rate=chip_rate)
 

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +70,22 @@ def scen1_like(tmp_path, **overrides) -> Path:
     p = tmp_path / "scenario.json"
     p.write_text(json.dumps(doc))
     return p
+
+
+def per_record_json(cir: Cir, carrier_freq_hz: float, extra) -> str:
+    """The path list of the per-record writer that write_cir_json replaced."""
+    powers = cir.powers().tolist()
+    columns = (
+        cir.delay.tolist(), (cir.delay * 1e9).tolist(),
+        cir.amp.real.tolist(), cir.amp.imag.tolist(),
+        [None if pw == 0 else 10.0 * math.log10(pw) for pw in powers],
+        cir.doppler.tolist(),
+        np.degrees(cir.aod_az).tolist(), np.degrees(cir.aod_el).tolist(),
+        np.degrees(cir.aoa_az).tolist(), np.degrees(cir.aoa_el).tolist(),
+        cir.bounce_order.tolist(), [ORIGINS[c].value for c in cir.origin_code.tolist()])
+    return json.dumps({"carrier_freq_hz": carrier_freq_hz,
+                       "paths": [dict(zip(runner.RECORD_KEYS, row)) for row in zip(*columns)],
+                       **(extra or {})}, separators=(",", ":"))
 
 
 class TestLoadConfig:
@@ -321,20 +339,53 @@ class TestRunSimulate:
                                aoa_az=np.flip(az), aoa_el=np.flip(el), bounce_order=order,
                                origin=origin.astype(np.int8))
         write_cir_json(tmp_path / "t.json", cir, 28e9, extra)
-        # the per-record writer that write_cir_json replaced
-        powers = cir.powers().tolist()
-        columns = (
-            cir.delay.tolist(), (cir.delay * 1e9).tolist(),
-            cir.amp.real.tolist(), cir.amp.imag.tolist(),
-            [None if pw == 0 else 10.0 * math.log10(pw) for pw in powers],
-            cir.doppler.tolist(),
-            np.degrees(cir.aod_az).tolist(), np.degrees(cir.aod_el).tolist(),
-            np.degrees(cir.aoa_az).tolist(), np.degrees(cir.aoa_el).tolist(),
-            cir.bounce_order.tolist(), [ORIGINS[c].value for c in cir.origin_code.tolist()])
-        want = json.dumps({"carrier_freq_hz": 28e9,
-                           "paths": [dict(zip(runner.RECORD_KEYS, row)) for row in zip(*columns)],
-                           **(extra or {})}, separators=(",", ":"))
-        assert (tmp_path / "t.json").read_text() == want
+        assert (tmp_path / "t.json").read_text() == per_record_json(cir, 28e9, extra)
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_cir_json_blocks_match_per_record_encoding(self, tmp_path, n):
+        # values from small pools, so that signed zeros and equal values fall on
+        # both sides of each block boundary; every third row has zero power
+        rng = np.random.default_rng(n)
+
+        def column(pool, spread):
+            return np.where(rng.random(n) < 0.5, rng.choice(pool, n), spread * rng.random(n))
+
+        amp = np.zeros(n, dtype=complex)
+        amp.real = column([0.5, -0.0, 0.0, 5e-324, -1.25], -1.0)
+        amp.imag = column([0.5, -0.0, 0.0, 3e-170], 1.0)
+        amp.real[::3], amp.imag[::3] = -0.0, 0.0
+        cir = Cir.from_columns(
+            rng.choice([0.0, 1e-9, 2.5e-9, 7.3e-8], n), amp, column([0.0, -0.0, 12.5], 50.0),
+            aod_az=column([0.0, -1e-17, math.nextafter(2 * math.pi, 0)], 6.0),
+            aod_el=column([-0.0, 0.25, -math.pi / 2], 1.5),
+            aoa_az=column([0.0, 1.0], 6.0), aoa_el=column([-0.0, math.pi / 2], -1.5),
+            bounce_order=rng.integers(0, 4, n),
+            origin=rng.integers(0, len(ORIGINS), n).astype(np.int8))
+        if n > 1024:
+            assert cir.delay[1023] == cir.delay[1024]
+        write_cir_json(tmp_path / "t.json", cir, 28e9, {"n": n})
+        assert (tmp_path / "t.json").read_text() == per_record_json(cir, 28e9, {"n": n})
+
+    def test_cir_json_memory_is_flat_in_paths(self, tmp_path):
+        n = 60_000  # every value distinct: no text is shared between rows
+        rng = np.random.default_rng(1)
+        cir = Cir.from_columns(
+            rng.uniform(0, 1e-6, n), rng.normal(size=n) + 1j * rng.normal(size=n),
+            rng.normal(size=n), aod_az=rng.uniform(0, 6, n), aod_el=rng.uniform(-1, 1, n),
+            aoa_az=rng.uniform(0, 6, n), aoa_el=rng.uniform(-1, 1, n),
+            bounce_order=rng.integers(0, 4, n), origin=rng.integers(0, 2, n).astype(np.int8))
+        tracemalloc.start()
+        try:
+            write_cir_json(tmp_path / "t.json", cir, 28e9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, peak
+
+    def test_sha256_reads_in_blocks(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(0).bytes(5 * 2 ** 19 + 3))
+        assert runner._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_cir_json_extra_may_not_replace_paths(self, tmp_path):
         for key in ("paths", "carrier_freq_hz"):
@@ -573,6 +624,19 @@ class TestCli:
         assert cli_main(["analyze", str(tmp_path / "run")]) == 0
         paths = json.loads((tmp_path / "run" / "paths.json").read_text())["paths"]
         assert paths and {p["origin"] for p in paths} == {"target"}
+
+    @pytest.mark.parametrize("command", ["simulate", "sounder-roundtrip"])
+    def test_empty_monostatic_scene_rejected(self, tmp_path, capsys, command):
+        # no target and no scatterer: nothing to analyze or sound
+        doc = json.loads((CONFIG_DIR / "monostatic_hall.json").read_text())
+        doc["background"]["scatterers"] = []
+        cfg_path = tmp_path / "empty.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main([command, str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            "invalid scenario config:\n  - targets and background.scatterers are both "
+            "empty: the scene has no paths\n")
+        assert not (tmp_path / "run").exists()
 
     def test_validate_exit_codes(self, tmp_path, capsys):
         assert cli_main(["validate"]) == 0

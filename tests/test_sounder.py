@@ -36,6 +36,18 @@ class TestGeneratePn:
             assert pn.length == 2 ** m - 1, m
             assert int(np.sum(pn.chips == 1)) - int(np.sum(pn.chips == -1)) == 1, m
 
+    def test_chips_match_tuple_register(self):
+        # the tuple-shift LFSR that the int register replaced
+        for m, taps in DEFAULT_TAPS.items():
+            state, bits = (1,) * m, []
+            for _ in range(2 ** m - 1):
+                bits.append(state[-1])
+                fb = 0
+                for tp in taps:
+                    fb ^= state[tp - 1]
+                state = (fb,) + state[:-1]
+            assert np.array_equal(generate_pn(m).chips, 2.0 * np.array(bits, dtype=float) - 1.0), m
+
     def test_autocorrelation_peak(self):
         pn = generate_pn(5)
         r0 = float(np.sum(pn.chips * pn.chips))
