@@ -28,7 +28,6 @@ from .gbsm import (
     OMNI,
     AntennaModel,
     ClusterSet,
-    EmptyChannelError,
     GenerationProfile,
     cross_polarization_matrix,
     doppler_shift,
@@ -50,11 +49,11 @@ from .background import (
     sample_pcf,
 )
 from .linkbudget import (
-    FreeSpacePathLoss,
     conv_path_power,
     delta_p,
     estimate_rcs,
     fit_rcs_line,
+    free_space_loss_db,
     radar_pathloss,
 )
 from .analysis import (
@@ -69,7 +68,6 @@ from .analysis import (
     extract_paths,
     identify_shared,
     padp,
-    pdp,
     power_proportion,
     sharing_degree,
     subtract_background,

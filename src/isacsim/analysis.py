@@ -1,13 +1,12 @@
-"""Multipath analysis: PDP/PADP, peak extraction, background subtraction,
+"""Multipath analysis: PADP, peak extraction, background subtraction,
 geometric bounce classification, power proportions, and sharing degree.
 
-PDP binning is non-coherent (powers add inside a bin, after any merge),
+Delay binning is non-coherent (powers add inside a bin, after any merge),
 while the sharing degree uses coherent complex sums; the two conventions
 are deliberate and must not be mixed.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -23,7 +22,6 @@ from .core import (
     Origin,
     linear_to_db,
     unit_vectors,
-    wrapped_angle_distance,
 )
 from .background import GeometricScatterer
 from .gbsm import AntennaModel
@@ -92,14 +90,6 @@ def _bin_index(delays: np.ndarray, delay_bins) -> tuple[np.ndarray, int]:
     return np.minimum(np.searchsorted(edges, delays, side="right") - 1, n_bins - 1), n_bins
 
 
-def pdp(cir: Cir, delay_bins: np.ndarray) -> np.ndarray:
-    """Power delay profile: non-coherent |amp|^2 binning over delay. Each
-    bin is summed on its own in path order, so a weak bin keeps its full
-    precision whatever came before it."""
-    idx, n_bins = _bin_index(cir.delay, delay_bins)
-    return np.bincount(idx, weights=np.abs(cir.amp) ** 2, minlength=n_bins)
-
-
 def padp(grid: ScanGrid) -> np.ndarray:
     """Power-angle delay profile: one PDP row per scan angle (linear)."""
     return grid.power
@@ -111,11 +101,13 @@ def turntable_scan(cir: Cir, rx_antenna: AntennaModel, angles_deg: Sequence[floa
 
     At each pointing angle (horizontal boresight) every path's power is
     weighted by the antenna's power gain toward its arrival direction
-    and binned over delay (the bins of :func:`pdp`). Paths that share an
-    arrival direction and a delay bin share one cell: the cell holds
-    W = sum(|amp|^2), the lobe is evaluated once per distinct direction,
-    and each row accumulates g^2 * W over the occupied cells. An omni
-    antenna gives the same PDP at every angle.
+    and binned over delay (non-coherently, by :func:`_bin_index`). Paths
+    that share an arrival direction and a delay bin share one cell: the
+    cell holds W = sum(|amp|^2), the lobe is evaluated once per distinct
+    direction, and each row accumulates g^2 * W over the occupied cells.
+    Each cell is summed on its own, so a weak bin keeps its full
+    precision. An omni antenna gives the power delay profile (PDP) at
+    every angle.
     """
     angles = np.asarray(angles_deg, dtype=float)
     idx, n_bins = _bin_index(cir.delay, delay_bins)
@@ -154,6 +146,12 @@ class PadpPeak:
         return linear_to_db(self.power)
 
 
+def _deg_apart(a: float, b: float) -> float:
+    """Shortest distance between two azimuths in degrees, in [0, 180]."""
+    d = abs(a - b) % 360.0
+    return min(d, 360.0 - d)
+
+
 def _max3x3(arr: np.ndarray) -> np.ndarray:
     """Maximum over each cell's 3 x 3 neighbourhood, the edges repeated
     outward."""
@@ -186,12 +184,8 @@ def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
     for idx in order:
         i, j = cand[idx]
         ang, dly, pwr = float(angles_deg[i]), float(centers[j]), float(arr[i, j])
-        conflict = any(
-            wrapped_angle_distance(math.radians(ang), math.radians(pk.angle_deg))
-            < math.radians(min_sep_deg)
-            and abs(dly - pk.delay_s) < min_sep_s
-            for pk in peaks
-        )
+        conflict = any(_deg_apart(ang, pk.angle_deg) < min_sep_deg
+                       and abs(dly - pk.delay_s) < min_sep_s for pk in peaks)
         if not conflict:
             peaks.append(PadpPeak(ang, dly, pwr))
     return peaks
@@ -229,12 +223,8 @@ def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
 
     out = []
     for tp in t_peaks:
-        matches = [
-            bp for bp in b_peaks
-            if wrapped_angle_distance(math.radians(tp.angle_deg), math.radians(bp.angle_deg))
-            <= math.radians(tol_deg)
-            and abs(tp.delay_s - bp.delay_s) <= tol_s
-        ]
+        matches = [bp for bp in b_peaks if _deg_apart(tp.angle_deg, bp.angle_deg) <= tol_deg
+                   and abs(tp.delay_s - bp.delay_s) <= tol_s]
         if matches:
             ref = max(bp.power for bp in matches)
         else:
@@ -313,8 +303,7 @@ def classify_bounce(peak: PadpPeak, scene: ReconstructionScene,
         if np.linalg.norm(arrival) == 0.0:
             continue
         az = math.degrees(math.atan2(arrival[1], arrival[0])) % 360.0
-        if math.degrees(wrapped_angle_distance(math.radians(az),
-                                               math.radians(peak.angle_deg))) > angle_tol_deg:
+        if _deg_apart(az, peak.angle_deg) > angle_tol_deg:
             continue
         if best is None or (order, residual) < (best.order, best.residual_s):
             best = BounceResult(order, label, length, residual)
@@ -460,7 +449,8 @@ def write_padp_csv(path, grid: ScanGrid) -> None:
     """Write a PADP as rows of (angle_deg, delay_ns, power_db).
 
     Zero-power bins (power_db = -inf) are written as an empty field.
-    Values are formatted to round-trip exactly through the reader.
+    Values are formatted with 17 significant digits, so they read back
+    exactly.
     """
     # each angle and each bin centre is formatted once, not once per cell
     centers = [f",{tau * 1e9:.17g}," for tau in grid.bin_centers().tolist()]
@@ -473,17 +463,6 @@ def write_padp_csv(path, grid: ScanGrid) -> None:
                 p_db = "" if p <= 0.0 else f"{10.0 * math.log10(p):.17g}"
                 lines.append(f"{ang}{tau}{p_db}\r\n")
             f.write("".join(lines))
-
-
-def read_padp_csv(path) -> list[tuple[float, float, float | None]]:
-    """Read rows written by :func:`write_padp_csv`; empty power is None."""
-    rows = []
-    with open(path, newline="") as f:
-        for rec in csv.DictReader(f):
-            p = rec["power_db"]
-            rows.append((float(rec["angle_deg"]), float(rec["delay_ns"]),
-                         None if p == "" else float(p)))
-    return rows
 
 
 def write_paths_json(path, peaks: Sequence[PadpPeak],

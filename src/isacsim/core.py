@@ -100,12 +100,6 @@ def angle_from_vector(v: np.ndarray) -> tuple[float, float]:
     return float(wrapped_azimuths(math.atan2(v[1], v[0]), el)), el
 
 
-def wrapped_angle_distance(a: float, b: float) -> float:
-    """Shortest angular distance between two azimuths, radians in [0, pi]."""
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
-
-
 # ---------------------------------------------------------------------------
 # RCS models
 # ---------------------------------------------------------------------------

@@ -17,10 +17,6 @@ import numpy as np
 from .core import Cir, Origin, unit_vectors, wrapped_azimuths
 
 
-class EmptyChannelError(ValueError):
-    """Raised when a generation profile would produce no paths at all."""
-
-
 # ---------------------------------------------------------------------------
 # The ray table
 # ---------------------------------------------------------------------------
@@ -65,7 +61,7 @@ class ClusterSet:
             raise ValueError("a ray table takes one row per ray")
         n = rows[0] if rows else 1
         if n == 0:
-            raise EmptyChannelError("cluster set is empty")
+            raise ValueError("cluster set is empty")
         cols = {name: np.broadcast_to(col, (n,) + _ROW[name][0]) for name, col in cols.items()}
         if not np.all(np.isfinite(cols["power"]) & (cols["power"] >= 0.0)):
             raise ValueError("ray power must be finite and >= 0")
@@ -192,7 +188,7 @@ def sample_clusters(profile: GenerationProfile, seed: int) -> ClusterSet:
     """Draw a ClusterSet from the profile; the same seed gives identical output."""
     n, m = profile.n_clusters, profile.rays_per_cluster
     if n == 0:
-        raise EmptyChannelError("profile requests zero clusters")
+        raise ValueError("profile requests zero clusters")
     if n < 0:
         raise ValueError("n_clusters must be >= 0")
     rng = np.random.default_rng(seed)

@@ -1,17 +1,16 @@
 """Radar-equation link-budget arithmetic, all in dB at the API surface.
 
 The two-hop sensing path loss, its inversion to an RCS estimate, the
-zero-slope RCS regression, and the concatenated-path power check used
-to validate the concatenation model against measured path powers.
+zero-slope RCS regression, the concatenated-path power check used to
+validate the concatenation model against measured path powers, and the
+free-space loss of one hop.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import spreading_gain_db, wavelength_m
+from .core import spreading_gain_db
 
 
 def radar_pathloss(pl1_db: float, pl2_db: float, wl: float, sigma_dbsm: float) -> float:
@@ -59,17 +58,8 @@ def fit_rcs_line(samples) -> tuple[float, float, float]:
     return slope, intercept, rmse
 
 
-# ---------------------------------------------------------------------------
-# Free-space path loss
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FreeSpacePathLoss:
-    """PL(d) = 20 log10(4 pi d / lambda)."""
-
-    frequency_hz: float
-
-    def eval_db(self, d_m: float) -> float:
-        if d_m <= 0.0:
-            raise ValueError("distance must be positive")
-        return 20.0 * math.log10(4.0 * math.pi * d_m / wavelength_m(self.frequency_hz))
+def free_space_loss_db(d_m: float, wl: float) -> float:
+    """Free-space path loss PL(d) = 20 log10(4 pi d / lambda), dB."""
+    if d_m <= 0.0:
+        raise ValueError("distance must be positive")
+    return 20.0 * math.log10(4.0 * math.pi * d_m / wl)

@@ -51,7 +51,7 @@ from .core import (
     wavelength_m,
 )
 from .gbsm import AntennaModel, ClusterSet, doppler_shift, sample_clusters, with_los_ray
-from .linkbudget import FreeSpacePathLoss, conv_path_power, delta_p
+from .linkbudget import conv_path_power, delta_p, free_space_loss_db
 from .sounder import generate_pn, process_capture, save_capture, transmit_through
 from .target import Side, SubLink, multi_point_target
 
@@ -66,9 +66,16 @@ def _child_seed(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1)[0])
 
 
+def _stage_seeds(seed: int) -> list[np.random.SeedSequence]:
+    """The run's four child seed sequences, spawned off the scenario seed:
+    background, PCF, targets and sounder noise."""
+    return np.random.SeedSequence(seed).spawn(4)
+
+
 def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos, velocity, wl: float,
-                 spec: TargetSpec, seed: int) -> SubLink:
-    """Sub-link with a geometric line-of-sight ray plus statistical clusters.
+                 spec: TargetSpec, seed: int) -> tuple[SubLink, float]:
+    """Sub-link with a geometric line-of-sight ray plus statistical
+    clusters, and the hop's length in meters.
 
     The LOS ray carries the exact geometric delay, the target-side angle,
     and the Doppler from the target's velocity projected on the hop.
@@ -85,9 +92,9 @@ def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos, velocity, wl: float,
     los = ClusterSet(power=1.0, delay=d / C_LIGHT, aod=aod, aoa=aoa, doppler=dop,
                      bounce_order=0)
     if spec.profile.n_clusters == 0:
-        return SubLink(side, los)
+        return SubLink(side, los), d
     sampled = sample_clusters(spec.profile, seed)
-    return SubLink(side, with_los_ray(sampled, los, 10.0 ** (spec.k_factor_db / 10.0)))
+    return SubLink(side, with_los_ray(sampled, los, 10.0 ** (spec.k_factor_db / 10.0))), d
 
 
 def _aim(antenna: AntennaModel, from_pos: np.ndarray, at_pos: np.ndarray) -> AntennaModel:
@@ -120,29 +127,24 @@ class SimulationResult:
 def simulate_channels(config: ScenarioConfig) -> SimulationResult:
     """Assemble the target and background CIRs for one scenario."""
     wl = wavelength_m(config.carrier_freq_hz)
-    root = np.random.SeedSequence(config.seed)
-    bg_seq, pcf_seq, target_seq = root.spawn(3)
-    fs_model = FreeSpacePathLoss(config.carrier_freq_hz)
+    bg_seq, pcf_seq, target_seq, _ = _stage_seeds(config.seed)
 
     # target channel: one concatenated pair per scattering point
     tx_pos, rx_pos = config.tx.position_m, config.rx.position_m
     if config.targets:
         tx_ant = _aim(config.tx.antenna, tx_pos, config.targets[0].point.position)
-        points, links, pls = [], [], []
+        contributions = []
         for spec, seq in zip(config.targets, target_seq.spawn(len(config.targets))):
             seed_a, seed_b = (_child_seed(s) for s in seq.spawn(2))
             sp = spec.point
-            sub_a = _los_sublink(Side.TX_TO_TARGET, tx_pos, sp.position,
-                                 sp.velocity, wl, spec, seed_a)
-            sub_b = _los_sublink(Side.TARGET_TO_RX, rx_pos, sp.position,
-                                 sp.velocity, wl, spec, seed_b)
-            d1 = float(np.linalg.norm(sp.position - tx_pos))
-            d2 = float(np.linalg.norm(sp.position - rx_pos))
-            points.append(sp)
-            links.append((sub_a, sub_b))
-            pls.append(fs_model.eval_db(d1) + fs_model.eval_db(d2))
-        target_cir = multi_point_target(points, links, wl, pl_tar_db=pls, tx_antenna=tx_ant)
-        pl_tar = tuple(pls)
+            sub_a, d1 = _los_sublink(Side.TX_TO_TARGET, tx_pos, sp.position,
+                                     sp.velocity, wl, spec, seed_a)
+            sub_b, d2 = _los_sublink(Side.TARGET_TO_RX, rx_pos, sp.position,
+                                     sp.velocity, wl, spec, seed_b)
+            contributions.append((sp, sub_a, sub_b,
+                                  free_space_loss_db(d1, wl) + free_space_loss_db(d2, wl)))
+        target_cir = multi_point_target(contributions, wl, tx_antenna=tx_ant)
+        pl_tar = tuple(pl for *_, pl in contributions)
     else:
         target_cir = Cir.from_columns([], [])
         pl_tar = ()
@@ -152,7 +154,7 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
         aim_at = (config.targets[0].point.position if config.targets else rx_pos)
         bg_cir = background_bistatic(config.background.profile, _child_seed(bg_seq),
                                      _aim(config.tx.antenna, tx_pos, aim_at))
-        pl_back = fs_model.eval_db(float(np.linalg.norm(rx_pos - tx_pos)))
+        pl_back = free_space_loss_db(float(np.linalg.norm(rx_pos - tx_pos)), wl)
         bg_cir = bg_cir.scaled(10.0 ** (-pl_back / 20.0))
     else:
         bg_cir = background_monostatic(config.background.scatterers, tx_pos, wl)
@@ -205,17 +207,12 @@ def _power_db(pw: float) -> float | None:
     return None if pw == 0 else 10.0 * math.log10(pw)
 
 
-def write_cir_json(path, cir: Cir, carrier_freq_hz: float, extra: dict | None = None) -> None:
-    """Write the CIR as compact JSON under the scenario's carrier
-    frequency, one record per path: delay_s is the exact delay (delay_ns
-    is for display only) and power_db is null at zero power. ``extra``
-    adds keys after ``carrier_freq_hz`` and ``paths``, which it must not
-    replace."""
-    extra = extra or {}
-    if {"carrier_freq_hz", "paths"} & extra.keys():
-        raise ValueError("extra must not replace carrier_freq_hz or paths")
+def write_cir_json(path, cir: Cir, carrier_freq_hz: float, link_budget: dict) -> None:
+    """Write the CIR as compact JSON: the scenario's carrier frequency,
+    one record per path (delay_s is the exact delay, delay_ns is for
+    display only, and power_db is null at zero power), then the run's
+    link budget."""
     head = _dumps({"carrier_freq_hz": carrier_freq_hz})[:-1]
-    tail = "," + _dumps(extra)[1:] if extra else "}"
     with open(path, "w") as f:
         f.write(f'{head},"paths":[')
         for start in range(0, len(cir), _BLOCK_ROWS):
@@ -231,7 +228,7 @@ def write_cir_json(path, cir: Cir, carrier_freq_hz: float, extra: dict | None = 
             )
             records = zip(*(c.tolist() for c in columns))
             f.write(("," if start else "") + ",".join([_RECORD % row for row in records]))
-        f.write(f"]{tail}")
+        f.write(f'],"link_budget":{_dumps(link_budget)}}}')
 
 
 def read_cir_json(path) -> Cir:
@@ -358,7 +355,7 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
     budget = {"pl_tar_db": list(sim.pl_tar_db), "pl_back_db": sim.pl_back_db,
               "o_back": sim.o_back, "wavelength_m": sim.wavelength}
     for name, cir in (("target.json", sim.target_cir), ("background.json", sim.background_cir)):
-        write_cir_json(out / name, cir, config.carrier_freq_hz, {"link_budget": budget})
+        write_cir_json(out / name, cir, config.carrier_freq_hz, budget)
     write_path_table(out / "target.npy", sim.target_cir)
     write_path_table(out / "background.npy", sim.background_cir)
     write_padp_csv(out / "padp.csv", grid)
@@ -570,9 +567,9 @@ def run_sounder_roundtrip(config: ScenarioConfig, out_dir=None) -> dict:
         raise ValueError("scenario produced no paths to sound")
 
     pn = generate_pn(config.sounder_m, chip_rate=config.bandwidth_hz)
-    seed = _child_seed(np.random.SeedSequence(config.seed).spawn(4)[3])
     threshold_db = 15.0
-    capture = transmit_through(combined, pn, config.sounder_snr_db, seed)
+    capture = transmit_through(combined, pn, config.sounder_snr_db,
+                               _child_seed(_stage_seeds(config.seed)[3]))
     result = process_capture(capture, pn, threshold_db=threshold_db)
     save_capture(capture, out / "capture.bin")
 

@@ -109,26 +109,20 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
         origin=Origin.TARGET)
 
 
-def multi_point_target(points: Sequence[ScatteringPoint],
-                       sublinks: Sequence[tuple[SubLink, SubLink]],
-                       wl: float,
-                       pl_tar_db: Sequence[float],
-                       tx_antenna: AntennaModel) -> Cir:
+def multi_point_target(contributions: Sequence[tuple[ScatteringPoint, SubLink, SubLink, float]],
+                       wl: float, tx_antenna: AntennaModel) -> Cir:
     """Coherent union of per-scattering-point concatenations.
 
-    Each point's contribution is weighted in amplitude by
-    10^(-pl_tar_db/20); exactly coincident paths merge coherently
-    (so two identical points double the amplitude, +6.02 dB).
+    ``contributions`` holds one (point, tx_to_target sub-link,
+    target_to_rx sub-link, pl_db) per scattering point. Each point's
+    paths are weighted in amplitude by 10^(-pl_db/20); exactly coincident
+    paths merge coherently (so two identical points double the
+    amplitude, +6.02 dB).
     """
-    if len(points) == 0:
+    if len(contributions) == 0:
         raise ValueError("at least one scattering point is required")
-    if len(sublinks) != len(points):
-        raise ValueError("need one (tx_to_target, target_to_rx) pair per point")
-    if len(pl_tar_db) != len(points):
-        raise ValueError("need one target path loss per point")
-
     cirs = [concatenate(sub_a, sub_b, sp, wl, tx_antenna).scaled(10.0 ** (-pl / 20.0))
-            for sp, (sub_a, sub_b), pl in zip(points, sublinks, pl_tar_db)]
+            for sp, sub_a, sub_b, pl in contributions]
     return merge_paths(Cir.concat(cirs), 0.0, 0.0)
 
 

@@ -26,17 +26,16 @@ from isacsim import (
     extract_paths,
     identify_shared,
     padp,
-    pdp,
     power_proportion,
     sharing_degree,
     subtract_background,
     turntable_scan,
 )
 from isacsim.analysis import (
+    _deg_apart,
     _max3x3,
     locate_bistatic,
     locate_monostatic,
-    read_padp_csv,
     write_padp_csv,
     write_paths_json,
 )
@@ -52,6 +51,11 @@ def cir_of(paths):
     delay, amp, az_deg = zip(*paths)
     az = [math.radians(a) for a in az_deg]
     return Cir.from_columns(delay, amp, aod_az=az, aoa_az=az)
+
+
+def pdp(cir, delay_bins):
+    """The power delay profile: an omni antenna's scan at one angle."""
+    return turntable_scan(cir, OMNI, [0.0], delay_bins).power[0]
 
 
 class TestPdp:
@@ -288,6 +292,20 @@ class TestTurntableScan:
         gain = antenna.field_gain(boresight, np.column_stack([cir.aoa_az, cir.aoa_el]))
         want = (gain ** 2 * np.abs(cir.amp) ** 2).sum(axis=1)
         np.testing.assert_allclose(got.sum(axis=1), want, rtol=1e-12, atol=1e-300)
+
+
+class TestDegApart:
+    @pytest.mark.parametrize("a, b, want", [
+        (0.0, 0.0, 0.0), (359.0, 1.0, 2.0), (1.0, 359.0, 2.0), (0.0, 360.0, 0.0),
+        (10.0, 190.0, 180.0), (-5.0, 5.0, 10.0), (723.0, 0.0, 3.0)])
+    def test_wraps_at_0_and_360(self, a, b, want):
+        assert _deg_apart(a, b) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    @given(a=st.floats(-1e4, 1e4), b=st.floats(-1e4, 1e4))
+    def test_symmetric_and_at_most_180(self, a, b):
+        d = _deg_apart(a, b)
+        assert d == _deg_apart(b, a)
+        assert 0.0 <= d <= 180.0
 
 
 class TestExtractPaths:
@@ -615,7 +633,10 @@ class TestFileRoundTrips:
         arr = padp(grid)
         out = tmp_path / "padp.csv"
         write_padp_csv(out, grid)
-        rows = read_padp_csv(out)
+        with open(out, newline="") as f:
+            rows = [(float(r["angle_deg"]), float(r["delay_ns"]),
+                     None if r["power_db"] == "" else float(r["power_db"]))
+                    for r in csv.DictReader(f)]
         assert len(rows) == arr.size
         k = 0
         for i, ang in enumerate(grid.angles_deg):

@@ -6,7 +6,6 @@ import pytest
 from isacsim import (
     C_LIGHT,
     OMNI,
-    EmptyChannelError,
     GenerationProfile,
     GeometricScatterer,
     Origin,
@@ -112,7 +111,7 @@ class TestBackgroundBistatic:
         assert all(ORIGINS[o] is Origin.BACKGROUND for o in bg.origin_code)
 
     def test_empty_profile_is_error(self):
-        with pytest.raises(EmptyChannelError):
+        with pytest.raises(ValueError, match="zero clusters"):
             background_bistatic(GenerationProfile(n_clusters=0), 1, OMNI)
 
     def test_unit_total_power_before_path_loss(self):

@@ -7,7 +7,6 @@ from isacsim import (
     OMNI,
     AntennaModel,
     ClusterSet,
-    EmptyChannelError,
     GenerationProfile,
     Origin,
     cross_polarization_matrix,
@@ -58,7 +57,7 @@ class TestClusterSet:
         assert cs.phases[0, 0] == 0.0
 
     def test_empty_table_is_error(self):
-        with pytest.raises(EmptyChannelError):
+        with pytest.raises(ValueError, match="cluster set is empty"):
             ClusterSet(power=[], delay=[], aod=np.zeros((0, 2)), aoa=np.zeros((0, 2)))
 
     @pytest.mark.parametrize("column, value, message", [
@@ -207,7 +206,7 @@ class TestSampleClusters:
         assert len(np.unique(cs.delay)) == 6
 
     def test_zero_clusters_is_error(self):
-        with pytest.raises(EmptyChannelError):
+        with pytest.raises(ValueError, match="zero clusters"):
             sample_clusters(GenerationProfile(n_clusters=0), 1)
 
     def test_normalization_single_ray(self):

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from isacsim import (
-    FreeSpacePathLoss,
     conv_path_power,
     delta_p,
     estimate_rcs,
     fit_rcs_line,
+    free_space_loss_db,
     radar_pathloss,
     spreading_gain_db,
     wavelength_m,
@@ -53,14 +53,14 @@ class TestEstimateRcs:
         # waveguide-like corridor fluctuation: estimates derived from a
         # +-5.45 dB oscillation about 41.85 dBsm stay inside the
         # measured [36.4, 47.3] dBsm envelope
-        model = FreeSpacePathLoss(28e9)
         wl = wavelength_m(28e9)
-        d1 = 4.0
+        pl1 = free_space_loss_db(4.0, wl)
         sigmas = []
         for i, d2 in enumerate(np.linspace(3.0, 10.0, 15)):
             sigma_true = 41.85 + 5.45 * math.sin(2.2 * d2)
-            pl_tar = radar_pathloss(model.eval_db(d1), model.eval_db(d2), wl, sigma_true)
-            sigmas.append(estimate_rcs(model.eval_db(d1), model.eval_db(d2), pl_tar, wl))
+            pl2 = free_space_loss_db(d2, wl)
+            pl_tar = radar_pathloss(pl1, pl2, wl, sigma_true)
+            sigmas.append(estimate_rcs(pl1, pl2, pl_tar, wl))
         assert min(sigmas) >= 36.4
         assert max(sigmas) <= 47.3
 
@@ -160,8 +160,9 @@ class TestDeltaP:
 
 class TestPathLossModels:
     def test_free_space_20db_per_decade(self):
-        m = FreeSpacePathLoss(28e9)
-        assert m.eval_db(100.0) - m.eval_db(10.0) == pytest.approx(20.0)
+        wl = wavelength_m(28e9)
+        assert (free_space_loss_db(100.0, wl) - free_space_loss_db(10.0, wl)
+                == pytest.approx(20.0))
 
 
 class TestSpreadingConstantSharedDefinition:

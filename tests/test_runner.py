@@ -72,7 +72,7 @@ def scen1_like(tmp_path, **overrides) -> Path:
     return p
 
 
-def per_record_json(cir: Cir, carrier_freq_hz: float, extra) -> str:
+def per_record_json(cir: Cir, carrier_freq_hz: float, link_budget: dict) -> str:
     """The path list of the per-record writer that write_cir_json replaced."""
     powers = cir.powers().tolist()
     columns = (
@@ -85,7 +85,7 @@ def per_record_json(cir: Cir, carrier_freq_hz: float, extra) -> str:
         cir.bounce_order.tolist(), [ORIGINS[c].value for c in cir.origin_code.tolist()])
     return json.dumps({"carrier_freq_hz": carrier_freq_hz,
                        "paths": [dict(zip(runner.RECORD_KEYS, row)) for row in zip(*columns)],
-                       **(extra or {})}, separators=(",", ":"))
+                       "link_budget": link_budget}, separators=(",", ":"))
 
 
 class TestLoadConfig:
@@ -287,7 +287,7 @@ class TestRunSimulate:
     def test_cir_json_round_trip(self, tmp_path):
         cfg = load_config(scen1_like(tmp_path))
         sim = simulate_channels(cfg)
-        write_cir_json(tmp_path / "t.json", sim.target_cir, cfg.carrier_freq_hz)
+        write_cir_json(tmp_path / "t.json", sim.target_cir, cfg.carrier_freq_hz, {})
         back = read_cir_json(tmp_path / "t.json")
         assert len(back) == len(sim.target_cir)
         for name in ("amp", "delay", "origin_code"):
@@ -300,7 +300,7 @@ class TestRunSimulate:
                                aoa_az=[0.0, 2.0], aoa_el=[0.0, 0.2], bounce_order=[0, 2],
                                origin=[ORIGINS.index(Origin.TARGET),
                                        ORIGINS.index(Origin.BACKGROUND)])
-        write_cir_json(tmp_path / "t.json", cir, 6e9, {"link_budget": {"o_back": 0.5}})
+        write_cir_json(tmp_path / "t.json", cir, 6e9, {"o_back": 0.5})
         text = (tmp_path / "t.json").read_text()
         assert "\n" not in text and ": " not in text and ", " not in text
         doc = json.loads(text)
@@ -328,9 +328,9 @@ class TestRunSimulate:
         st.sampled_from([0.0, -1e-17, 2 * math.pi - 1e-15, math.nextafter(2 * math.pi, 0), 1.0]),
         st.sampled_from([-0.0, 0.25, -math.pi / 2, math.pi / 2]),
         st.integers(0, 3), st.integers(0, len(ORIGINS) - 1)), max_size=30),
-        extra=st.sampled_from([None, {}, {"link_budget": {
-            "pl_tar_db": [81.25, 0.1], "pl_back_db": 0.0, "o_back": 0.88, "wavelength_m": 0.0434}}]))
-    def test_cir_json_matches_per_record_encoding(self, tmp_path, rows, extra):
+        link_budget=st.sampled_from([{}, {
+            "pl_tar_db": [81.25, 0.1], "pl_back_db": 0.0, "o_back": 0.88, "wavelength_m": 0.0434}]))
+    def test_cir_json_matches_per_record_encoding(self, tmp_path, rows, link_budget):
         delay, re, im, dop, az, el, order, origin = (
             np.array(c) for c in (zip(*rows) if rows else [[]] * 8))
         amp = np.zeros(len(rows), dtype=complex)
@@ -338,8 +338,8 @@ class TestRunSimulate:
         cir = Cir.from_columns(delay, amp, dop, aod_az=az, aod_el=el,
                                aoa_az=np.flip(az), aoa_el=np.flip(el), bounce_order=order,
                                origin=origin.astype(np.int8))
-        write_cir_json(tmp_path / "t.json", cir, 28e9, extra)
-        assert (tmp_path / "t.json").read_text() == per_record_json(cir, 28e9, extra)
+        write_cir_json(tmp_path / "t.json", cir, 28e9, link_budget)
+        assert (tmp_path / "t.json").read_text() == per_record_json(cir, 28e9, link_budget)
 
     @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
     def test_cir_json_blocks_match_per_record_encoding(self, tmp_path, n):
@@ -376,7 +376,7 @@ class TestRunSimulate:
             bounce_order=rng.integers(0, 4, n), origin=rng.integers(0, 2, n).astype(np.int8))
         tracemalloc.start()
         try:
-            write_cir_json(tmp_path / "t.json", cir, 28e9)
+            write_cir_json(tmp_path / "t.json", cir, 28e9, {})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -386,11 +386,6 @@ class TestRunSimulate:
         path = tmp_path / "big.bin"
         path.write_bytes(np.random.default_rng(0).bytes(5 * 2 ** 19 + 3))
         assert runner._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
-
-    def test_cir_json_extra_may_not_replace_paths(self, tmp_path):
-        for key in ("paths", "carrier_freq_hz"):
-            with pytest.raises(ValueError, match="must not replace"):
-                write_cir_json(tmp_path / "t.json", Cir.from_columns([], []), 28e9, {key: 1})
 
     def test_read_cir_json_matches_per_record_reader(self, tmp_path):
         def record_row(rec):  # the per-record reader that read_cir_json replaced
@@ -402,7 +397,7 @@ class TestRunSimulate:
 
         sim = simulate_channels(load_config(CONFIG_DIR / "bistatic_ris_factory.json"))
         write_cir_json(tmp_path / "t.json", Cir.concat([sim.target_cir, sim.background_cir]),
-                       6.9e9)
+                       6.9e9, {})
         doc = json.loads((tmp_path / "t.json").read_text())
         # edge cases: signed zeros, a full turn, zero power, no delay_s, equal delays
         edge = {"delay_ns": 7.0, "amp_re": -0.0, "amp_im": 0.0, "power_db": None,
@@ -602,6 +597,20 @@ class TestSounderRoundtripPipeline:
         saved = load_capture(tmp_path / "snd" / "capture.bin")
         np.testing.assert_array_equal(saved.samples,
                                       captures[0].samples.astype(np.complex64))
+
+    def test_noise_seed_is_the_fourth_stage_seed(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def transmit(cir, pn, snr_db, seed):
+            seeds.append(seed)
+            return transmit_through(cir, pn, snr_db, seed)
+
+        monkeypatch.setattr(runner, "transmit_through", transmit)
+        cfg = load_config(scen1_like(tmp_path))
+        run_sounder_roundtrip(cfg, out_dir=tmp_path / "snd")
+        stages = [runner._child_seed(s) for s in runner._stage_seeds(cfg.seed)]
+        assert seeds == [stages[3]]
+        assert len(set(stages)) == 4  # background, PCF, targets and noise all differ
 
 
 class TestCli:

@@ -347,7 +347,7 @@ class TestMultiPointTarget:
         b = make_sublink(Side.TARGET_TO_RX, [20e-9], seed=9)
         sp = point(3.0)
         direct = concatenate(a, b, sp, WL)
-        combined = multi_point_target([sp], [(a, b)], WL, [20.0], OMNI)
+        combined = multi_point_target([(sp, a, b, 20.0)], WL, OMNI)
         assert len(combined) == len(direct)
         assert combined.amp[0] == pytest.approx(direct.amp[0] * 0.1)
 
@@ -355,8 +355,8 @@ class TestMultiPointTarget:
         a = make_sublink(Side.TX_TO_TARGET, [10e-9], seed=8)
         b = make_sublink(Side.TARGET_TO_RX, [20e-9], seed=9)
         sp = point()
-        one = multi_point_target([sp], [(a, b)], WL, [0.0], OMNI)
-        two = multi_point_target([sp, sp], [(a, b), (a, b)], WL, [0.0, 0.0], OMNI)
+        one = multi_point_target([(sp, a, b, 0.0)], WL, OMNI)
+        two = multi_point_target([(sp, a, b, 0.0)] * 2, WL, OMNI)
         assert len(two) == 1
         assert abs(two.amp[0]) == pytest.approx(2 * abs(one.amp[0]))
         # +6.02 dB
@@ -365,21 +365,22 @@ class TestMultiPointTarget:
 
     def test_path_count_sums_over_points(self):
         rng = np.random.default_rng(10)
-        points, links, expected = [], [], 0
+        contributions, expected = [], 0
         for k in range(3):
             na, nb = rng.integers(2, 6, 2)
-            links.append((
+            contributions.append((
+                point(),
                 make_sublink(Side.TX_TO_TARGET, rng.uniform(0, 5e-8, na), seed=20 + k),
                 make_sublink(Side.TARGET_TO_RX, rng.uniform(0, 5e-8, nb), seed=40 + k),
+                0.0,
             ))
-            points.append(point())
             expected += na * nb
-        cir = multi_point_target(points, links, WL, [0.0] * len(points), OMNI)
+        cir = multi_point_target(contributions, WL, OMNI)
         assert len(cir) == expected
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
-            multi_point_target([], [], WL, [], OMNI)
+            multi_point_target([], WL, OMNI)
 
 
 class TestRcsTableCsv:
