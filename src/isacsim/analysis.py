@@ -152,13 +152,18 @@ def _deg_apart(a: float, b: float) -> float:
     return min(d, 360.0 - d)
 
 
-def _max3x3(arr: np.ndarray) -> np.ndarray:
-    """Maximum over each cell's 3 x 3 neighbourhood, the edges repeated
-    outward."""
+# offsets into a cell's 3 x 3 neighbourhood, from its top-left corner: all
+# nine, and the four neighbours that come before the cell in row-major order
+_AROUND = tuple((i, j) for i in range(3) for j in range(3))
+_BEFORE = ((0, 0), (0, 1), (0, 2), (1, 0))
+
+
+def _max3x3(arr: np.ndarray, offsets=_AROUND) -> np.ndarray:
+    """Maximum over the cells at ``offsets`` in each cell's 3 x 3
+    neighbourhood; cells off the array do not count."""
     rows, cols = arr.shape
-    padded = np.pad(arr, 1, mode="edge")
-    return np.max([padded[i:i + rows, j:j + cols] for i in range(3) for j in range(3)],
-                  axis=0)
+    padded = np.pad(arr, 1, constant_values=-np.inf)
+    return np.max([padded[i:i + rows, j:j + cols] for i, j in offsets], axis=0)
 
 
 def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
@@ -166,9 +171,13 @@ def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
                   min_sep_deg: float = 0.0, min_sep_s: float = 0.0) -> list[PadpPeak]:
     """Local-maximum peak picking on a PADP, ``power`` (angles x delay bins).
 
-    Returns peaks within ``peak_threshold_db`` of the global maximum,
-    strongest first, suppressing any candidate that lies within both
-    ``min_sep_deg`` and ``min_sep_s`` of an already accepted peak.
+    A cell is a peak when no cell of its 3 x 3 neighbourhood is higher
+    and each neighbour before it in row-major order is lower, so a
+    plateau of equal cells in a row, a column or a rectangle gives one
+    peak, its first cell. Returns the peaks within ``peak_threshold_db``
+    of the global maximum, strongest first, suppressing any candidate
+    that lies within both ``min_sep_deg`` and ``min_sep_s`` of an
+    already accepted peak.
     """
     arr = np.asarray(power, dtype=float)
     if arr.size == 0 or not np.any(arr > 0.0):
@@ -176,7 +185,7 @@ def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
     if peak_threshold_db <= 0.0:
         raise ValueError("peak threshold must be > 0 dB below the global peak")
     centers = 0.5 * (np.asarray(delay_bins)[:-1] + np.asarray(delay_bins)[1:])
-    local_max = (arr == _max3x3(arr)) & (arr > 0.0)
+    local_max = (arr == _max3x3(arr)) & (arr > _max3x3(arr, _BEFORE)) & (arr > 0.0)
     floor = arr.max() * 10.0 ** (-peak_threshold_db / 10.0)
     cand = np.argwhere(local_max & (arr >= floor))
     order = np.argsort(arr[cand[:, 0], cand[:, 1]])[::-1]

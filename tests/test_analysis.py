@@ -344,6 +344,28 @@ class TestExtractPaths:
         with pytest.raises(ValueError):
             extract_paths(np.zeros((4, 4)), np.arange(4.0), delay_grid(4e-9, 1e-9), 20.0)
 
+    @pytest.mark.parametrize("rows, cols", [
+        (slice(None), slice(20, 21)),  # a whole column: an omni scan's delay peak
+        (slice(10, 11), slice(20, 30)),  # a run along one row
+        (slice(3, 7), slice(40, 43)),  # a rectangle
+        (slice(0, 1), slice(0, 1)),  # one corner cell
+    ])
+    def test_plateau_gives_its_first_cell(self, rows, cols):
+        arr = self._padp_with({(60, 80): 0.5})
+        arr[rows, cols] = 1.0
+        angles = np.arange(0, 360, 5.0)
+        peaks = extract_paths(arr, angles, delay_grid(100e-9, 1e-9), 30.0)
+        first = tuple(np.argwhere(arr == 1.0)[0])
+        assert [(p.angle_deg, p.power) for p in peaks] == [(angles[first[0]], 1.0),
+                                                            (300.0, 0.5)]
+        assert peaks[0].delay_s == pytest.approx((first[1] + 0.5) * 1e-9)
+
+    def test_equal_cells_apart_are_two_peaks(self):
+        # equal cells that do not touch are not one plateau
+        arr = self._padp_with({(10, 20): 1.0, (10, 22): 1.0})
+        peaks = extract_paths(arr, np.arange(0, 360, 5.0), delay_grid(100e-9, 1e-9), 30.0)
+        assert sorted(round(p.delay_s * 1e9, 6) for p in peaks) == [20.5, 22.5]
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (17, 23)])
     def test_neighbourhood_max_matches_scipy(self, shape):
         from scipy.ndimage import maximum_filter

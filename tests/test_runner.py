@@ -634,6 +634,19 @@ class TestCli:
         paths = json.loads((tmp_path / "run" / "paths.json").read_text())["paths"]
         assert paths and {p["origin"] for p in paths} == {"target"}
 
+    def test_omni_receiver_gives_one_peak_per_delay(self, tmp_path):
+        # an omni scan repeats one row at every angle: each delay peak is a
+        # plateau across all scan angles, and gives one peak
+        doc = json.loads((CONFIG_DIR / "bistatic_ris_factory.json").read_text())
+        doc["rx"]["antenna"] = {"kind": "omni"}
+        cfg_path = tmp_path / "omni_rx.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        assert cli_main(["analyze", str(tmp_path / "run")]) == 0
+        paths = json.loads((tmp_path / "run" / "paths.json").read_text())["paths"]
+        delays = [p["tau_ns"] for p in paths]
+        assert paths and len(delays) == len(set(delays))
+
     @pytest.mark.parametrize("command", ["simulate", "sounder-roundtrip"])
     def test_empty_monostatic_scene_rejected(self, tmp_path, capsys, command):
         # no target and no scatterer: nothing to analyze or sound
