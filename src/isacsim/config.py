@@ -18,7 +18,7 @@ import numpy as np
 
 from .background import (PCF_CLAMP, PCF_INTERVAL, PCF_MEASUREMENTS, GeometricScatterer,
                          PcfModel, default_pcf_model)
-from .core import C_LIGHT, ConstantRcs, ScatteringPoint
+from .core import C_LIGHT, DB_LIMIT, ConstantRcs, ScatteringPoint
 from .gbsm import AntennaModel, GenerationProfile
 from .sounder import DEFAULT_TAPS
 from .target import load_rcs_table_csv
@@ -115,6 +115,10 @@ NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 AT_LEAST_ONE = (">= 1", lambda v: v >= 1)
 NON_EMPTY = ("non-empty", bool)
 PCF_RANGE = (f"in {PCF_INTERVAL}", lambda v: PCF_CLAMP[0] < v <= PCF_CLAMP[1])
+# a level in dB, and the standard deviation of a normal draw in dB: at 30 dB,
+# four deviations already span 12 orders of magnitude
+DB_LEVEL = (f"between {-DB_LIMIT:g} and {DB_LIMIT:g}", lambda v: -DB_LIMIT <= v <= DB_LIMIT)
+DB_SPREAD = ("between 0 and 30", lambda v: 0 <= v <= 30)
 # the PN register lengths that have default feedback taps (a contiguous range)
 REGISTER_LENGTH = (f"between {min(DEFAULT_TAPS)} and {max(DEFAULT_TAPS)}",
                    lambda v: v in DEFAULT_TAPS)
@@ -149,35 +153,35 @@ PROFILE = {
     "rays_per_cluster": (int, 10, AT_LEAST_ONE),
     "delay_scale_ns": (float, 30.0, NON_NEGATIVE),
     "angle_spread_deg": (float, 5.0, NON_NEGATIVE),
-    "xpr_mean_db": (float, 9.0, None),
-    "xpr_std_db": (float, 3.0, NON_NEGATIVE),
-    "shadow_std_db": (float, 3.0, NON_NEGATIVE),
+    "xpr_mean_db": (float, 9.0, DB_LEVEL),
+    "xpr_std_db": (float, 3.0, DB_SPREAD),
+    "shadow_std_db": (float, 3.0, DB_SPREAD),
     "doppler_max_hz": (float, 0.0, NON_NEGATIVE),
 }
 SUBLINK = {**PROFILE,
            "n_clusters": (int, 4, NON_NEGATIVE),
            "rays_per_cluster": (int, 5, AT_LEAST_ONE),
            "delay_scale_ns": (float, 20.0, NON_NEGATIVE),
-           "k_factor_db": (float, 6.0, None)}
+           "k_factor_db": (float, 6.0, DB_LEVEL)}
 ENDPOINT = {
     "position_m": (VECTOR, [0.0, 0.0, 0.0], None),
     "antenna": (Tagged("kind", "omni", {
         "omni": {},
-        "horn": {"hpbw_deg": (float, 10.0, POSITIVE), "peak_gain_db": (float, 0.0, None)},
+        "horn": {"hpbw_deg": (float, 10.0, POSITIVE), "peak_gain_db": (float, 0.0, DB_LEVEL)},
     }), {}, None),
 }
 TARGET = {
     "position_m": (VECTOR, [0.0, 0.0, 0.0], None),
     "velocity_mps": (VECTOR, [0.0, 0.0, 0.0], None),
     "rcs": (Tagged("variant", "constant", {
-        "constant": {"sigma_dbsm": (float, 0.0, None)},
+        "constant": {"sigma_dbsm": (float, 0.0, DB_LEVEL)},
         "table": {"csv": (str, REQUIRED, NON_EMPTY)},  # resolved against the config's directory
     }), {}, None),
     "sublink": (SUBLINK, {}, None),
 }
 SCATTERER = {
     "position_m": (VECTOR, REQUIRED, None),
-    "reflection_gain_db": (float, 0.0, None),
+    "reflection_gain_db": (float, 0.0, DB_LEVEL),
     "label": (str, None, None),  # S<index> where absent
 }
 SCENARIO = {
@@ -204,7 +208,8 @@ SCENARIO = {
               "step_deg": (float, 5.0, POSITIVE)}, {}, None),
     "seed": (int, REQUIRED, NON_NEGATIVE),
     "outputs": (str, None, None),  # the name where absent
-    "sounder": ({"register_length": (int, 11, REGISTER_LENGTH), "snr_db": (float, 30.0, None)}, {}, None),
+    "sounder": ({"register_length": (int, 11, REGISTER_LENGTH),
+                 "snr_db": (float, 30.0, DB_LEVEL)}, {}, None),
 }
 # the reconstruction scene that `analyze --scene` reads
 SCENE = {

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    DB_LIMIT,
     Cir,
     Origin,
     ScatteringPoint,
@@ -135,7 +136,7 @@ def load_rcs_table_csv(path) -> TableRcs:
     Expected columns, found by their header names: az_in_deg,
     el_in_deg, az_out_deg, el_out_deg, rcs_dbsm. The rows must cover a
     full regular grid (every combination of the axis values exactly
-    once).
+    once), and every rcs_dbsm value lies within ±DB_LIMIT.
     """
     with open(path) as f:
         header = [name.strip() for name in f.readline().split(",")]
@@ -147,6 +148,8 @@ def load_rcs_table_csv(path) -> TableRcs:
         raise ValueError(f"RCS table {path} lacks column(s) {', '.join(missing)}")
     data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
                       usecols=[header.index(c) for c in RCS_TABLE_COLUMNS])
+    if np.any(np.abs(data[:, 4]) > DB_LIMIT):
+        raise ValueError(f"RCS table {path} has rcs_dbsm values outside ±{DB_LIMIT:g} dBsm")
     axes_deg, index = zip(*(np.unique(data[:, i], return_inverse=True) for i in range(4)))
     shape = tuple(len(a) for a in axes_deg)
     if math.prod(shape) != len(data):

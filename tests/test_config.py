@@ -127,6 +127,51 @@ def test_bad_config_value_is_one_violation(tmp_path, capsys, base, path, value, 
     assert not (tmp_path / "run").exists()
 
 
+# dB values large enough to overflow a float once linearized, or to make a
+# drawn power non-finite: each is one violation that names its key
+DB_CASES = [
+    (RIS, TARGET0 + ("sublink", "k_factor_db"), 4000, "simulate"),
+    (RIS, TARGET0 + ("sublink", "k_factor_db"), 4000, "sounder-roundtrip"),
+    (RIS, TARGET0 + ("sublink", "k_factor_db"), -4000, "simulate"),
+    (RIS, ("tx", "antenna", "peak_gain_db"), 4000, "simulate"),
+    (RIS, ("tx", "antenna", "peak_gain_db"), 4000, "sounder-roundtrip"),
+    (RIS, ("background", "profile", "xpr_mean_db"), 4000, "simulate"),
+    (RIS, ("background", "profile", "xpr_mean_db"), 4000, "sounder-roundtrip"),
+    (RIS, ("background", "profile", "xpr_std_db"), 1e6, "simulate"),
+    (RIS, ("background", "profile", "shadow_std_db"), 1e6, "simulate"),
+    (RIS, TARGET0 + ("sublink", "shadow_std_db"), 31, "simulate"),
+    (RIS, TARGET0 + ("rcs", "sigma_dbsm"), 4000, "simulate"),
+    (RIS, ("sounder", "snr_db"), -4000, "sounder-roundtrip"),
+    (HALL, SCATTERER0 + ("reflection_gain_db",), 4000, "simulate"),
+]
+
+
+@pytest.mark.parametrize("base, path, value, command", DB_CASES,
+                         ids=[f"{c[3]}:{'.'.join(map(str, c[1]))}={c[2]!r}" for c in DB_CASES])
+def test_db_value_out_of_range_names_its_key(tmp_path, capsys, base, path, value, command):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(_edit(_load(base), path, value)))
+    assert cli_main([command, str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario config:\n  - ")
+    assert err.count("\n  - ") == 1 and "Traceback" not in err
+    assert err.split("\n  - ")[1].startswith(f"{_spelled(path)} must be between ")
+
+
+@pytest.mark.parametrize("rcs_dbsm", [4000.0, -301.0])
+def test_rcs_table_out_of_range_names_its_key(tmp_path, capsys, rcs_dbsm):
+    (tmp_path / "rcs.csv").write_text(
+        "az_in_deg,el_in_deg,az_out_deg,el_out_deg,rcs_dbsm\n"
+        f"0,0,0,0,5.0\n0,0,90,0,{rcs_dbsm}\n")
+    doc = _edit(_load(RIS), TARGET0 + ("rcs",), {"variant": "table", "csv": "rcs.csv"})
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario config:\n  - targets[0].rcs.csv must name ")
+    assert "outside ±300 dBsm" in err and "Traceback" not in err
+
+
 SCENE_CASES = [
     (("target_m",), DELETE, "target_m is missing: it must be a list of 3 numbers"),
     (("reflectors", 0, "position_m"), DELETE,
