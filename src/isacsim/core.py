@@ -27,9 +27,8 @@ C_LIGHT = 2.99792458e8  # m/s, exact by SI definition
 
 TWO_PI = 2.0 * math.pi
 
-# the largest magnitude of a dB-valued input (a gain, an RCS, a K-factor,
-# an SNR): 10^(300/10) = 1e30, and a product of a few such factors stays
-# far inside the float range
+# the largest magnitude of a dB-valued input (a gain, an RCS, a K-factor, an
+# SNR): 1e30 linear, so a product of a few such factors stays finite
 DB_LIMIT = 300.0
 
 

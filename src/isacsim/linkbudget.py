@@ -8,6 +8,7 @@ free-space loss of one hop.
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
 from .core import spreading_gain_db
