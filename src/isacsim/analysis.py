@@ -200,9 +200,13 @@ def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
     return peaks
 
 
+# how far, in dB, a target-scan peak must rise above the background to count
+# as a target peak
+TARGET_MARGIN_DB = 6.0
+
+
 def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
                         match_tol: tuple[float, float],
-                        margin_db: float = 6.0,
                         peak_threshold_db: float = 30.0,
                         min_sep_deg: float = 0.0,
                         min_sep_s: float = 0.0) -> list[PadpPeak]:
@@ -210,9 +214,9 @@ def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
 
     A target-scan peak is tagged as target if either no background peak
     lies within ``match_tol`` (angle deg, delay s) and the peak rises
-    more than ``margin_db`` above the background cell at the same
+    more than TARGET_MARGIN_DB above the background cell at the same
     (angle, delay), or a background peak does match but the power is
-    raised by more than ``margin_db``. Both scans must use the same scan
+    raised by more than TARGET_MARGIN_DB. Both scans must use the same scan
     angles and delay bin edges, exactly.
     """
     if not (np.array_equal(target_scan.angles_deg, background_scan.angles_deg)
@@ -228,7 +232,7 @@ def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
                              peak_threshold_db, min_sep_deg, min_sep_s)
                if np.any(b_padp > 0.0) else [])
     centers = target_scan.bin_centers()
-    margin = 10.0 ** (margin_db / 10.0)
+    margin = 10.0 ** (TARGET_MARGIN_DB / 10.0)
 
     out = []
     for tp in t_peaks:

@@ -22,7 +22,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("run_dir", help="directory written by simulate")
     p_an.add_argument("--scene", default=None, help="reconstruction scene JSON")
     p_an.add_argument("--threshold-db", type=float, default=30.0)
-    p_an.add_argument("--margin-db", type=float, default=6.0)
 
     p_val = sub.add_parser("validate", help="check arithmetic against golden tables")
     p_val.add_argument("golden_dir", nargs="?", default=None,
@@ -46,8 +45,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "analyze":
             paths = run_analyze(args.run_dir, scene_path=args.scene,
-                                peak_threshold_db=args.threshold_db,
-                                margin_db=args.margin_db)
+                                peak_threshold_db=args.threshold_db)
             print(f"wrote {args.run_dir}/paths.json ({len(paths)} target paths)")
             for rec in paths:
                 order = rec["bounce_order"]

@@ -384,8 +384,7 @@ def load_scene(path) -> ReconstructionScene:
                          for i, r in enumerate(scene["reflectors"])))
 
 
-def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0,
-                margin_db: float = 6.0) -> list[dict]:
+def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0) -> list[dict]:
     """Re-scan the stored path tables, separate target from background
     peaks, optionally classify bounce orders, and write paths.json."""
     run_dir = Path(run_dir)
@@ -411,7 +410,6 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0,
 
     peaks = subtract_background(with_target, without_target,
                                 match_tol=(step / 2.0, bin_w),
-                                margin_db=margin_db,
                                 peak_threshold_db=peak_threshold_db)
     bounce = None
     if scene is not None:

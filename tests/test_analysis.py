@@ -403,8 +403,7 @@ class TestSubtractBackground:
         bg = [path(20e-9, 1.0, az_deg=40.0), path(90e-9, 0.1, az_deg=200.0)]
         tg = [path(20e-9, 1.0, az_deg=40.0), path(90e-9, 0.1 * math.sqrt(10.0) * 1j,
                                                   az_deg=200.0)]
-        out = subtract_background(self._scan(tg), self._scan(bg), match_tol=(2.5, 5e-9),
-                                  margin_db=6.0)
+        out = subtract_background(self._scan(tg), self._scan(bg), match_tol=(2.5, 5e-9))
         assert len(out) == 1
         assert out[0].angle_deg == 200.0
 
