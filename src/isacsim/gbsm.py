@@ -185,7 +185,15 @@ def _clip_elevation(el: np.ndarray) -> np.ndarray:
 
 
 def sample_clusters(profile: GenerationProfile, seed: int) -> ClusterSet:
-    """Draw a ClusterSet from the profile; the same seed gives identical output."""
+    """Draw a ClusterSet from the profile; the same seed gives identical output.
+
+    ``np.random.default_rng(seed)`` draws whole columns, zero scales
+    included, in this order: the n cluster delays and shadowings,
+    the n AoA then n AoD centre azimuths, the same for the centre
+    elevations; then, for the n * m rays grouped by cluster, the AoA then
+    AoD azimuth offsets, the same for the elevation offsets, the XPRs in
+    dB, the (n * m, 4) initial phases and the Dopplers.
+    """
     n, m = profile.n_clusters, profile.rays_per_cluster
     if n == 0:
         raise ValueError("profile requests zero clusters")
@@ -193,39 +201,22 @@ def sample_clusters(profile: GenerationProfile, seed: int) -> ClusterSet:
         raise ValueError("n_clusters must be >= 0")
     rng = np.random.default_rng(seed)
 
-    tau = rng.exponential(profile.delay_scale_s, n) if profile.delay_scale_s > 0 else np.zeros(n)
-    shadow_db = rng.normal(0.0, profile.shadow_std_db, n) if profile.shadow_std_db > 0 else np.zeros(n)
-    scale = profile.delay_scale_s if profile.delay_scale_s > 0 else 1.0
-    p = np.exp(-tau / scale) * 10.0 ** (-shadow_db / 10.0)
+    tau = rng.exponential(profile.delay_scale_s, n)
+    shadow_db = rng.normal(0.0, profile.shadow_std_db, n)
+    p = np.exp(-tau / (profile.delay_scale_s or 1.0)) * 10.0 ** (-shadow_db / 10.0)
     p = p / p.sum()
-
-    az_aoa_c = rng.uniform(0.0, 2.0 * math.pi, n)
-    az_aod_c = rng.uniform(0.0, 2.0 * math.pi, n)
-    el_aoa_c = _clip_elevation(rng.normal(0.0, ELEVATION_SPREAD_RAD, n))
-    el_aod_c = _clip_elevation(rng.normal(0.0, ELEVATION_SPREAD_RAD, n))
-
-    # the ray draws cluster by cluster, in the order that fixes the stream
-    draws = []
-    for i in range(n):
-        draws.append((
-            az_aoa_c[i] + rng.normal(0.0, profile.angle_spread_rad, m),
-            az_aod_c[i] + rng.normal(0.0, profile.angle_spread_rad, m),
-            el_aoa_c[i] + rng.normal(0.0, profile.angle_spread_rad / 2, m),
-            el_aod_c[i] + rng.normal(0.0, profile.angle_spread_rad / 2, m),
-            rng.normal(profile.xpr_mean_db, profile.xpr_std_db, m),
-            rng.uniform(-math.pi, math.pi, (m, 4)),
-            (rng.uniform(-profile.doppler_max_hz, profile.doppler_max_hz, m)
-             if profile.doppler_max_hz > 0 else np.zeros(m)),
-        ))
-    az_aoa, az_aod, el_aoa, el_aod, xpr_db, phases, doppler = (
-        np.concatenate(col) for col in zip(*draws))
-    # Python's float power per ray: numpy's vectorized power can differ from it in the last bit
-    xpr = [10.0 ** (x / 10.0) for x in xpr_db.tolist()]
+    # rows (AoA, AoD): each ray is its cluster's centre plus its own offset
+    az = np.repeat(rng.uniform(0.0, 2.0 * math.pi, (2, n)), m, axis=1)
+    el = np.repeat(_clip_elevation(rng.normal(0.0, ELEVATION_SPREAD_RAD, (2, n))), m, axis=1)
+    az = az + rng.normal(0.0, profile.angle_spread_rad, (2, n * m))
+    el = _clip_elevation(el + rng.normal(0.0, profile.angle_spread_rad / 2, (2, n * m)))
+    xpr_db = rng.normal(profile.xpr_mean_db, profile.xpr_std_db, n * m)
+    phases = rng.uniform(-math.pi, math.pi, (n * m, 4))
+    doppler = rng.uniform(-profile.doppler_max_hz, profile.doppler_max_hz, n * m)
     return ClusterSet(
         power=np.repeat(p / m, m), delay=np.repeat(tau, m),
-        aod=np.stack([az_aod, _clip_elevation(el_aod)], axis=1),
-        aoa=np.stack([az_aoa, _clip_elevation(el_aoa)], axis=1),
-        xpr=xpr, phases=phases, doppler=doppler)
+        aod=np.stack([az[1], el[1]], axis=1), aoa=np.stack([az[0], el[0]], axis=1),
+        xpr=10.0 ** (xpr_db / 10.0), phases=phases, doppler=doppler)
 
 
 def with_los_ray(clusters: ClusterSet, los: ClusterSet, k_factor: float) -> ClusterSet:

@@ -18,6 +18,7 @@ from isacsim import (
     with_los_ray,
 )
 from isacsim.core import ORIGINS
+from isacsim.gbsm import ELEVATION_SPREAD_RAD
 
 
 def single_ray_set(power=1.0, delay=10e-9, xpr=1e12, phases=(0, 0, 0, 0),
@@ -217,6 +218,55 @@ class TestSampleClusters:
     def test_power_sums_to_one(self):
         cs = sample_clusters(GenerationProfile(n_clusters=25, rays_per_cluster=3), 2)
         assert cs.power.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("prof", [
+        GenerationProfile(n_clusters=5, rays_per_cluster=3, doppler_max_hz=50.0),
+        GenerationProfile(n_clusters=4, rays_per_cluster=2, delay_scale_s=0.0,
+                          angle_spread_rad=0.0, xpr_std_db=0.0, shadow_std_db=0.0),
+    ], ids=["spread", "zero-scales"])
+    def test_replays_the_documented_draw_order(self, prof):
+        # one generator call per column, in the order of the docstring
+        n, m = prof.n_clusters, prof.rays_per_cluster
+        rng = np.random.default_rng(3)
+        clip = lambda el: np.clip(el, -math.pi / 2, math.pi / 2)
+        tau = rng.exponential(prof.delay_scale_s, n)
+        shadow_db = rng.normal(0.0, prof.shadow_std_db, n)
+        az_c = [rng.uniform(0.0, 2 * math.pi, n) for _ in ("aoa", "aod")]
+        el_c = [clip(rng.normal(0.0, ELEVATION_SPREAD_RAD, n)) for _ in ("aoa", "aod")]
+        az = [np.repeat(c, m) + rng.normal(0.0, prof.angle_spread_rad, n * m) for c in az_c]
+        el = [clip(np.repeat(c, m) + rng.normal(0.0, prof.angle_spread_rad / 2, n * m))
+              for c in el_c]
+        xpr_db = rng.normal(prof.xpr_mean_db, prof.xpr_std_db, n * m)
+        phases = rng.uniform(-math.pi, math.pi, (n * m, 4))
+        doppler = rng.uniform(-prof.doppler_max_hz, prof.doppler_max_hz, n * m)
+        p = np.exp(-tau / (prof.delay_scale_s or 1.0)) * 10.0 ** (-shadow_db / 10.0)
+        want = ClusterSet(power=np.repeat(p / p.sum() / m, m), delay=np.repeat(tau, m),
+                          aoa=np.stack([az[0], el[0]], axis=1),
+                          aod=np.stack([az[1], el[1]], axis=1),
+                          xpr=10.0 ** (xpr_db / 10.0), phases=phases, doppler=doppler)
+        got = sample_clusters(prof, 3)
+        for name in ("power", "delay", "aod", "aoa", "xpr", "phases", "doppler",
+                     "bounce_order"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+
+    def test_generator_calls_do_not_grow_with_clusters(self, monkeypatch):
+        calls, make_rng = [], np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        counts = []
+        for n in (1, 2, 50):
+            calls.clear()
+            sample_clusters(GenerationProfile(n_clusters=n, rays_per_cluster=3), 1)
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 3
 
     def test_mean_delay_law_of_large_numbers(self):
         # exponential delays: the empirical mean over 1e5 clusters sits
