@@ -45,7 +45,7 @@ for delay, d_b in zip(cir.delay, sorted(delays_b)):
     print(f"  {d_b * 1e9:5.1f} ns + 17.5 ns = {delay * 1e9:6.1f} ns")
 
 sigma_lin = 10 ** 0.848
-print("\npower product law (P1 * P2 * sigma * lambda^2/4pi):")
+print("\npower product law (P1 * P2 * sigma * 4pi/lambda^2):")
 for delay, power, (d_b, pw) in zip(cir.delay, cir.powers(), sorted(zip(delays_b, powers_b))):
     predicted = 1.0 * pw * sigma_lin * spreading_gain(wl)
     print(f"  path at {delay * 1e9:6.1f} ns: |amp|^2 = {linear_to_db(power):7.2f} dB, "

@@ -53,19 +53,20 @@ def wavelength_m(carrier_freq_hz: float) -> float:
 
 
 def spreading_gain(wl_m: float) -> float:
-    """Single-point-of-truth spreading factor lambda^2 / (4 pi), linear.
+    """Single-point-of-truth spreading factor 4 pi / lambda^2, linear.
 
-    This constant couples the two-hop link budget to the concatenated
-    small-scale model; both the link-budget arithmetic and the target
-    channel concatenation use this definition.
+    The radar equation Pr/Pt = sigma lambda^2 / ((4 pi)^3 d1^2 d2^2) is
+    sigma * (4 pi / lambda^2) * (lambda / 4 pi d1)^2 * (lambda / 4 pi d2)^2:
+    the two free-space hop gains, the RCS and this factor. Both the
+    link-budget arithmetic and the target channel concatenation use it.
     """
     if wl_m <= 0.0:
         raise ValueError("wavelength must be positive")
-    return wl_m * wl_m / (4.0 * math.pi)
+    return 4.0 * math.pi / (wl_m * wl_m)
 
 
 def spreading_gain_db(wl_m: float) -> float:
-    """10 log10(lambda^2 / 4 pi)."""
+    """10 log10(4 pi / lambda^2)."""
     return linear_to_db(spreading_gain(wl_m))
 
 

@@ -15,18 +15,19 @@ from .core import spreading_gain_db
 
 
 def radar_pathloss(pl1_db: float, pl2_db: float, wl: float, sigma_dbsm: float) -> float:
-    """Two-hop target path loss: pl1 + pl2 + 10 log10(wl^2/4pi) - sigma."""
-    return pl1_db + pl2_db + spreading_gain_db(wl) - sigma_dbsm
+    """Two-hop target path loss: pl1 + pl2 - 10 log10(4pi/wl^2) - sigma."""
+    return pl1_db + pl2_db - spreading_gain_db(wl) - sigma_dbsm
 
 
 def estimate_rcs(pl1_db: float, pl2_db: float, pl_tar_db: float, wl: float) -> float:
     """Exact algebraic inverse of :func:`radar_pathloss`, solved for sigma."""
-    return pl1_db + pl2_db - pl_tar_db + spreading_gain_db(wl)
+    return pl1_db + pl2_db - pl_tar_db - spreading_gain_db(wl)
 
 
 def conv_path_power(p1_db: float, p2_db: float, sigma_dbsm: float, wl: float) -> float:
-    """Theoretical concatenated path power from the two sub-link path powers."""
-    return p1_db + p2_db + sigma_dbsm - spreading_gain_db(wl)
+    """Theoretical concatenated path power from the two sub-link path
+    powers: p1 + p2 + sigma + 10 log10(4pi/wl^2)."""
+    return p1_db + p2_db + sigma_dbsm + spreading_gain_db(wl)
 
 
 def delta_p(p_conv_db: float, p_measured_db: float) -> float:

@@ -4,8 +4,8 @@ The transmitter-to-target and target-to-receiver links are generated as
 ordinary stochastic channels; the target channel pairs every ray of one
 with every ray of the other, chaining the two hops' polarization
 matrices and weighting each pair by the scattering point's angular RCS.
-Delays add, Dopplers add, and the wavelength-dependent spreading factor
-enters exactly once here (not in the link-budget module).
+Delays add, Dopplers add, and the radar equation's spreading factor
+4 pi / lambda^2 (core.spreading_gain) enters exactly once, here.
 """
 from __future__ import annotations
 
@@ -71,14 +71,14 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
     Dopplers, and the amplitude is
 
         sqrt(p1 p2) * F_rx^T . CPM_2 . CPM_1 . F_tx
-        * sqrt(sigma(out, in)) * sqrt(lambda^2 / 4 pi)
+        * sqrt(sigma(out, in)) * sqrt(4 pi / lambda^2)
 
     with sigma evaluated at the target-side angle pair, rotated by the
     phase of the scattering point's position and by the Doppler phase.
     The antennas are single-polarized: F_tx = (g, 0), g the Tx field
     gain toward the AoD, and F_rx is the omni (1, 0), since the turntable
     scan applies the receive pattern. With an omni Tx antenna and
-    co-polar rays the linear path power is p1 * p2 * sigma * lambda^2/(4 pi).
+    co-polar rays the linear path power is p1 * p2 * sigma * 4 pi / lambda^2.
     Every term is computed for all pairs at once, as an |a| x |b| array.
     """
     if a.side is not Side.TX_TO_TARGET or b.side is not Side.TARGET_TO_RX:

@@ -180,7 +180,8 @@ class TestDbConversions:
 
 class TestSpreadingGain:
     def test_value_at_6p9_ghz(self):
-        assert spreading_gain_db(wavelength_m(6.9e9)) == pytest.approx(-38.2327, abs=0.001)
+        # 10 log10(4 pi / lambda^2)
+        assert spreading_gain_db(wavelength_m(6.9e9)) == pytest.approx(38.2327, abs=0.001)
 
     def test_wavelength_uses_exact_c(self):
         assert wavelength_m(2.99792458e8) == 1.0

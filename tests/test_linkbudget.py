@@ -131,7 +131,7 @@ class TestConvPathPower:
 
     def test_zero_inputs_give_positive_spreading_term(self):
         assert conv_path_power(0.0, 0.0, 0.0, WL_6P9) == pytest.approx(
-            -spreading_gain_db(WL_6P9), rel=1e-12)
+            spreading_gain_db(WL_6P9), rel=1e-12)
         assert conv_path_power(0.0, 0.0, 0.0, WL_6P9) == pytest.approx(38.23, abs=0.01)
 
     def test_affine_unit_coefficients(self):
@@ -172,5 +172,5 @@ class TestSpreadingConstantSharedDefinition:
         from isacsim import spreading_gain
         from isacsim.linkbudget import conv_path_power as cpp
         wl = WL_6P9
-        assert cpp(0.0, 0.0, 0.0, wl) == pytest.approx(-10 * math.log10(spreading_gain(wl)),
+        assert cpp(0.0, 0.0, 0.0, wl) == pytest.approx(10 * math.log10(spreading_gain(wl)),
                                                        rel=1e-15)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from isacsim import Cir, GenerationProfile, Origin, runner, sounder
+from isacsim import (Cir, GenerationProfile, Origin, free_space_loss_db, radar_pathloss, runner,
+                     sounder)
 from isacsim.core import C_LIGHT, COLUMNS, ORIGINS, PATH_RECORD
 from isacsim.cli import main as cli_main
 from isacsim.config import ConfigError, load_config, parse_config
@@ -209,6 +210,26 @@ class TestSimulateChannels:
         expected = -(velocity @ u1 / np.linalg.norm(u1)
                      + velocity @ u2 / np.linalg.norm(u2)) / (C_LIGHT / 28e9)
         assert sim.target_cir.doppler[0] == pytest.approx(expected, rel=1e-12)
+
+
+    @pytest.mark.parametrize("name", ["bistatic_indoor_human", "bistatic_ris_factory"])
+    def test_los_los_power_follows_the_radar_equation(self, name):
+        # the Tx horn is aimed at the target, and each hop's LOS ray takes
+        # k/(1+k) of that hop's power
+        cfg = load_config(CONFIG_DIR / f"{name}.json")
+        sim = simulate_channels(cfg)
+        spec, wl = cfg.targets[0], sim.wavelength
+        d1, d2 = (float(np.linalg.norm(spec.point.position - end))
+                  for end in (cfg.tx.position_m, cfg.rx.position_m))
+        los = np.flatnonzero(sim.target_cir.bounce_order == 0)
+        assert len(los) == 1
+        assert sim.target_cir.delay[los[0]] == pytest.approx((d1 + d2) / C_LIGHT, rel=1e-12)
+        k = 10.0 ** (spec.k_factor_db / 10.0)
+        want = (-radar_pathloss(free_space_loss_db(d1, wl), free_space_loss_db(d2, wl), wl,
+                                spec.point.rcs_model.sigma_dbsm)
+                + cfg.tx.antenna.peak_gain_db + 2 * 10.0 * math.log10(k / (1.0 + k)))
+        got = 10.0 * math.log10(sim.target_cir.powers()[los[0]])
+        assert got == pytest.approx(want, rel=0.0, abs=1e-9)
 
 
 class TestLinkBudget:

@@ -159,8 +159,10 @@ class TestConcatenate:
         cir = concatenate(a, b, point(0.0), WL)
         assert len(cir) == 1
         assert cir.delay[0] == 10e-9 + 20e-9  # exact float sum
-        # |amp|^2 = p1 p2 sigma lambda^2/4pi with sigma = 1
-        assert cir.powers()[0] == pytest.approx(spreading_gain(WL), rel=1e-12)
+        # |amp|^2 = p1 p2 sigma 4pi/lambda^2 with sigma = 1, times (1 + 1/XPR)^2:
+        # the default XPR of 1e12 leaks into the co-polar chain
+        assert cir.powers()[0] == pytest.approx(spreading_gain(WL) * (1.0 + 1e-12) ** 2,
+                                                rel=1e-14, abs=0.0)
 
     def test_cardinality_4x15(self):
         # mirrors a 4-transmitter by 15-receiver measurement grid
@@ -323,7 +325,7 @@ class TestConcatenationLaws:
         # sums of the two rays' delays and Dopplers, exactly
         assert cir.delay.tolist() == [row[0] for row in want]
         assert cir.doppler.tolist() == [row[2] for row in want]
-        # XPR 1e12 and an omni Tx: |amp|^2 = p_a p_b sigma lambda^2 / 4 pi
+        # XPR 1e12 and an omni Tx: |amp|^2 = p_a p_b sigma 4 pi / lambda^2
         pairs = sorted(((da + db, pa * pb) for da, pa in zip(rays_a.delay, rays_a.power)
                         for db, pb in zip(rays_b.delay, rays_b.power)), key=lambda r: r[0])
         law = np.array([p for _, p in pairs]) * 10.0 ** (sigma_dbsm / 10.0) * spreading_gain(WL)
