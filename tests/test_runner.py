@@ -223,7 +223,8 @@ class TestSimulateChannels:
                   for end in (cfg.tx.position_m, cfg.rx.position_m))
         los = np.flatnonzero(sim.target_cir.bounce_order == 0)
         assert len(los) == 1
-        assert sim.target_cir.delay[los[0]] == pytest.approx((d1 + d2) / C_LIGHT, rel=1e-12)
+        assert sim.target_cir.delay[los[0]] == pytest.approx((d1 + d2) / C_LIGHT,
+                                                             rel=1e-12, abs=0.0)
         k = 10.0 ** (spec.k_factor_db / 10.0)
         want = (-radar_pathloss(free_space_loss_db(d1, wl), free_space_loss_db(d2, wl), wl,
                                 spec.point.rcs_model.sigma_dbsm)
