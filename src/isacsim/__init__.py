@@ -81,7 +81,6 @@ from .sounder import (
     calibrate,
     estimate_paths,
     generate_pn,
-    load_capture,
     process_capture,
     save_capture,
     slide_correlate,

@@ -20,6 +20,7 @@ from .core import (
     TWO_PI,
     Cir,
     Origin,
+    finite_vector,
     linear_to_db,
     unit_vectors,
 )
@@ -255,7 +256,8 @@ def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionScene:
-    """User-supplied geometry for path reconstruction."""
+    """User-supplied geometry for path reconstruction; a reflector
+    without a label is named R<index>."""
 
     tx: np.ndarray
     rx: np.ndarray
@@ -264,11 +266,9 @@ class ReconstructionScene:
 
     def __post_init__(self):
         for name in ("tx", "rx", "target"):
-            v = np.asarray(getattr(self, name), dtype=float).reshape(3)
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} position must be finite")
-            object.__setattr__(self, name, v)
-        object.__setattr__(self, "reflectors", tuple(self.reflectors))
+            object.__setattr__(self, name, finite_vector(getattr(self, name), f"{name} position"))
+        object.__setattr__(self, "reflectors", tuple(
+            r if r.label else replace(r, label=f"R{i}") for i, r in enumerate(self.reflectors)))
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def _candidate_routes(scene: ReconstructionScene):
     """All Tx..ST..Rx routes with up to two non-target reflections."""
     tx, rx, st = scene.tx, scene.rx, scene.target
     yield 0, "Tx>ST>Rx", [tx, st, rx]
-    refl = [(r.label or f"R{i}", r.position) for i, r in enumerate(scene.reflectors)]
+    refl = [(r.label, r.position) for r in scene.reflectors]
     for name, p in refl:
         yield 1, f"Tx>ST>{name}>Rx", [tx, st, p, rx]
         yield 1, f"Tx>{name}>ST>Rx", [tx, p, st, rx]

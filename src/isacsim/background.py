@@ -19,6 +19,7 @@ from .core import (
     Cir,
     Origin,
     angle_from_vector,
+    finite_vector,
 )
 from .gbsm import AntennaModel, GenerationProfile, sample_clusters, synthesize_cir
 
@@ -114,10 +115,7 @@ class GeometricScatterer:
     label: str = ""
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float).reshape(3)
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("scatterer position must be finite")
-        object.__setattr__(self, "position", pos)
+        object.__setattr__(self, "position", finite_vector(self.position, "scatterer position"))
 
 
 def background_monostatic(scatterers, txrx_position, wl: float) -> Cir:
@@ -131,7 +129,7 @@ def background_monostatic(scatterers, txrx_position, wl: float) -> Cir:
     """
     if wl <= 0.0:
         raise ValueError("wavelength must be positive")
-    p0 = np.asarray(txrx_position, dtype=float).reshape(3)
+    p0 = finite_vector(txrx_position, "Tx/Rx position")
     delay, amp, az, el = [], [], [], []
     for sc in scatterers:
         d_vec = sc.position - p0

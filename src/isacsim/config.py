@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import ReconstructionScene
 from .background import (PCF_CLAMP, PCF_INTERVAL, PCF_MEASUREMENTS, GeometricScatterer,
                          PcfModel, default_pcf_model)
 from .core import C_LIGHT, DB_LIMIT, ConstantRcs, ScatteringPoint
@@ -388,13 +389,22 @@ def _pcf(spec: dict) -> PcfModel:
     return default_pcf_model(spec["condition"])
 
 
-def parse_scene(doc) -> dict:
-    """The checked values of a reconstruction scene document (SCENE);
-    raises ConfigError naming every bad key of the scene file."""
+def load_scene(path) -> ReconstructionScene:
+    """Read a reconstruction scene JSON and parse it with :func:`parse_scene`."""
+    with open(path) as f:
+        return parse_scene(json.load(f))
+
+
+def parse_scene(doc) -> ReconstructionScene:
+    """The reconstruction scene of a scene document (SCENE); raises
+    ConfigError naming every bad key of the scene file."""
     if not isinstance(doc, dict):
         raise ConfigError(["a scene must be a JSON object"], "scene file")
     errors: list[str] = []
     scene = _read(doc, SCENE, "", errors)
     if errors:
         raise ConfigError(errors, "scene file")
-    return scene
+    return ReconstructionScene(
+        tx=scene["tx_m"], rx=scene["rx_m"], target=scene["target_m"],
+        reflectors=tuple(GeometricScatterer(position=r["position_m"], label=r["label"] or "")
+                         for r in scene["reflectors"]))

@@ -70,6 +70,15 @@ def spreading_gain_db(wl_m: float) -> float:
     return linear_to_db(spreading_gain(wl_m))
 
 
+def finite_vector(value, field: str) -> np.ndarray:
+    """``value`` as a float array of shape (3,): a position or velocity.
+    Raises ValueError naming ``field`` unless it is three finite numbers."""
+    v = np.asarray(value, dtype=float)
+    if v.shape != (3,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"{field} must be 3 finite numbers, got {value!r}")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Angles
 # ---------------------------------------------------------------------------
@@ -214,12 +223,8 @@ class ScatteringPoint:
     rcs_model: RcsModel = ConstantRcs(0.0)
 
     def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float).reshape(3)
-        vel = np.asarray(self.velocity, dtype=float).reshape(3)
-        if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(vel)):
-            raise ValueError("position and velocity must be finite")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "velocity", vel)
+        object.__setattr__(self, "position", finite_vector(self.position, "position"))
+        object.__setattr__(self, "velocity", finite_vector(self.velocity, "velocity"))
 
 
 # Paths are stored by origin code: the index into ORIGINS

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    ReconstructionScene,
     classify_bounce,
     delay_grid,
     power_proportion,
@@ -29,17 +28,14 @@ from .analysis import (
     write_paths_json,
 )
 from .background import (
-    PCF_CLAMP,
-    PCF_INTERVAL,
     PCF_MEASUREMENTS,
-    GeometricScatterer,
     apply_pcf,
     background_bistatic,
     background_monostatic,
     default_pcf_model,
     sample_pcf,
 )
-from .config import ScenarioConfig, TargetSpec, parse_config, parse_scene
+from .config import ScenarioConfig, TargetSpec, load_scene, parse_config
 from .core import (
     C_LIGHT,
     COLUMNS,
@@ -112,16 +108,6 @@ class SimulationResult:
     pl_back_db: float
     o_back: float
     wavelength: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(x) for x in self.pl_tar_db):
-            raise ValueError("per-point target path losses must be finite")
-        if not math.isfinite(self.pl_back_db):
-            raise ValueError("background path loss must be finite")
-        if not (PCF_CLAMP[0] < self.o_back <= PCF_CLAMP[1]):
-            raise ValueError(f"power control factor {self.o_back} outside {PCF_INTERVAL}")
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
 
 
 def simulate_channels(config: ScenarioConfig) -> SimulationResult:
@@ -375,15 +361,6 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
 # Analyze
 # ---------------------------------------------------------------------------
 
-def load_scene(path) -> ReconstructionScene:
-    with open(path) as f:
-        scene = parse_scene(json.load(f))
-    return ReconstructionScene(
-        tx=scene["tx_m"], rx=scene["rx_m"], target=scene["target_m"],
-        reflectors=tuple(GeometricScatterer(position=r["position_m"], label=r["label"] or f"R{i}")
-                         for i, r in enumerate(scene["reflectors"])))
-
-
 def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0) -> list[dict]:
     """Re-scan the stored path tables, separate target from background
     peaks, optionally classify bounce orders, and write paths.json."""
@@ -568,7 +545,7 @@ def run_sounder_roundtrip(config: ScenarioConfig, out_dir=None) -> dict:
     threshold_db = 15.0
     capture = transmit_through(combined, pn, config.sounder_snr_db,
                                _child_seed(_stage_seeds(config.seed)[3]))
-    result = process_capture(capture, pn, threshold_db=threshold_db)
+    result = process_capture(capture, threshold_db=threshold_db)
     save_capture(capture, out / "capture.bin")
 
     # ground truth at the sounder's own resolution: coherent chip-width

@@ -70,14 +70,13 @@ def generate_pn(m: int, chip_rate: float = 1.0) -> PnSequence:
 
 @dataclass(frozen=True, eq=False)
 class CaptureRecord:
-    """Complex baseband samples captured at the receiver, one per chip."""
+    """Complex baseband samples captured at the receiver, one per chip of
+    the PN sequence they were sent with."""
 
     samples: np.ndarray
+    pn: PnSequence
     snr_db: float | None
     seed: int | None
-    pn_m: int = 0
-    pn_taps: tuple[int, ...] = ()
-    chip_rate: float = 0.0
 
 
 def transmit_through(cir: Cir, pn: PnSequence, snr_db: float | None,
@@ -115,8 +114,7 @@ def transmit_through(cir: Cir, pn: PnSequence, snr_db: float | None,
         noise = rng.normal(0.0, math.sqrt(sigma2 / 2.0), n) \
             + 1j * rng.normal(0.0, math.sqrt(sigma2 / 2.0), n)
         rx = rx + noise
-    return CaptureRecord(samples=rx, snr_db=snr_db, seed=seed,
-                         pn_m=pn.m, pn_taps=pn.taps, chip_rate=pn.chip_rate)
+    return CaptureRecord(samples=rx, pn=pn, snr_db=snr_db, seed=seed)
 
 
 def slide_correlate(samples: np.ndarray, pn: PnSequence) -> np.ndarray:
@@ -197,10 +195,10 @@ class RoundTripResult:
     flagged_bins: int
 
 
-def process_capture(capture: CaptureRecord, pn: PnSequence,
-                    system_ir: np.ndarray | None = None,
+def process_capture(capture: CaptureRecord, system_ir: np.ndarray | None = None,
                     threshold_db: float = 15.0) -> RoundTripResult:
-    """Receive side of the round trip: correlate, calibrate, estimate.
+    """Receive side of the round trip: correlate against the capture's
+    own PN sequence, calibrate, estimate.
 
     ``system_ir`` is an optional synthetic transmit/receive chain
     impulse response (applied circularly to both the channel capture
@@ -214,6 +212,7 @@ def process_capture(capture: CaptureRecord, pn: PnSequence,
         h[:len(system_ir)] = system_ir
         return np.fft.ifft(np.fft.fft(x) * np.fft.fft(h))
 
+    pn = capture.pn
     raw = slide_correlate(through_system(capture.samples), pn)
     b2b_raw = slide_correlate(through_system(pn.chips.astype(complex)), pn)
     cal = calibrate(raw, b2b_raw)
@@ -227,7 +226,7 @@ def sounder_roundtrip(cir: Cir, pn: PnSequence, snr_db: float | None, seed: int 
     """Full measurement emulation: excite and capture, then
     :func:`process_capture`."""
     capture = transmit_through(cir, pn, snr_db, seed)
-    return process_capture(capture, pn, system_ir=system_ir, threshold_db=threshold_db)
+    return process_capture(capture, system_ir=system_ir, threshold_db=threshold_db)
 
 
 # ---------------------------------------------------------------------------
@@ -242,34 +241,13 @@ def save_capture(record: CaptureRecord, path) -> None:
     interleaved[0::2] = record.samples.real.astype("<f4")
     interleaved[1::2] = record.samples.imag.astype("<f4")
     interleaved.tofile(path)
+    pn = record.pn
     sidecar = {
-        "sample_rate": record.chip_rate,
+        "sample_rate": pn.chip_rate,
         "snr_db": record.snr_db,
         "seed": record.seed,
-        "pn": {"m": record.pn_m, "taps": list(record.pn_taps),
-               "chip_rate": record.chip_rate},
+        "pn": {"m": pn.m, "taps": list(pn.taps), "chip_rate": pn.chip_rate},
         "format": "interleaved complex float32, little endian",
     }
     with open(path + ".json", "w") as f:
         json.dump(sidecar, f, indent=1)
-
-
-def load_capture(path) -> CaptureRecord:
-    """The capture that save_capture wrote. Raises ValueError if the
-    sidecar's sample rate is not its chip rate."""
-    path = str(path)
-    raw = np.fromfile(path, dtype="<f4")
-    samples = raw[0::2].astype(float) + 1j * raw[1::2].astype(float)
-    with open(path + ".json") as f:
-        sidecar = json.load(f)
-    if sidecar["sample_rate"] != sidecar["pn"]["chip_rate"]:
-        raise ValueError(f"{path}.json: sample rate {sidecar['sample_rate']} is not the chip "
-                         f"rate {sidecar['pn']['chip_rate']} (one sample per chip)")
-    return CaptureRecord(
-        samples=samples,
-        snr_db=sidecar["snr_db"],
-        seed=sidecar["seed"],
-        pn_m=sidecar["pn"]["m"],
-        pn_taps=tuple(sidecar["pn"]["taps"]),
-        chip_rate=sidecar["pn"]["chip_rate"],
-    )

@@ -126,7 +126,7 @@ class TestBackgroundMonostatic:
         cir = background_monostatic([sc], [0, 0, 0], wl=0.01)
         assert len(cir) == 1
         # 2 * 15 m / c, independently 100.069 ns
-        assert cir.delay[0] == pytest.approx(1.0006922855944561e-07, rel=1e-12)
+        assert cir.delay[0] == pytest.approx(1.0006922855944561e-07, rel=1e-12, abs=0.0)
         assert (cir.aoa_az[0], cir.aoa_el[0]) == (cir.aod_az[0], cir.aod_el[0])
 
     def test_zero_scatterers_empty_cir(self):
@@ -151,7 +151,7 @@ class TestBackgroundMonostatic:
         d = 12.0
         cir = background_monostatic([GeometricScatterer(position=[d, 0, 0])], [0, 0, 0], wl=wl)
         expected = (wl / (4 * math.pi * d)) ** 4
-        assert cir.powers()[0] == pytest.approx(expected, rel=1e-12)
+        assert cir.powers()[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_reflection_gain_scales_power(self):
         base = background_monostatic([GeometricScatterer([10, 0, 0], 0.0)], [0, 0, 0], wl=0.01)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,13 @@ from isacsim import (
     AntennaModel,
     Cir,
     ConstantRcs,
+    GeometricScatterer,
     Origin,
+    ReconstructionScene,
+    ScatteringPoint,
     TableRcs,
     angle_from_vector,
+    background_monostatic,
     linear_to_db,
     merge_paths,
     spreading_gain_db,
@@ -349,6 +354,27 @@ class TestCir:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Cir.from_columns([-1e-9], [1.0])
+
+
+# each constructor of a point, with the field its one vector argument fills
+_POINTS = {
+    "position": lambda v: ScatteringPoint(position=v),
+    "velocity": lambda v: ScatteringPoint(position=[1, 0, 0], velocity=v),
+    "scatterer position": lambda v: GeometricScatterer(position=v),
+    "tx position": lambda v: ReconstructionScene(tx=v, rx=[1, 0, 0], target=[2, 0, 0]),
+    "rx position": lambda v: ReconstructionScene(tx=[0, 0, 0], rx=v, target=[2, 0, 0]),
+    "target position": lambda v: ReconstructionScene(tx=[0, 0, 0], rx=[1, 0, 0], target=v),
+    "Tx/Rx position": lambda v: background_monostatic([], v, wl=0.01),
+}
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [1.0, 2.0]],
+                         ids=["nan", "inf", "2-vector"])
+@pytest.mark.parametrize("field", list(_POINTS))
+def test_point_must_be_three_finite_numbers(field, bad):
+    _POINTS[field]([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be 3 finite numbers"):
+        _POINTS[field](bad)
 
 
 class TestRcsModels:
