@@ -160,10 +160,10 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
 # File output
 # ---------------------------------------------------------------------------
 
-# the keys of a path record in target.json and background.json, in order
-RECORD_KEYS = ("delay_s", "delay_ns", "amp_re", "amp_im", "power_db", "doppler_hz",
-               "aod_az_deg", "aod_el_deg", "aoa_az_deg", "aoa_el_deg",
-               "bounce_order", "origin")
+# the keys of a path record in target.json and background.json, in order:
+# the CIR's columns, with the angles in degrees
+RECORD_KEYS = ("delay_s", "amp_re", "amp_im", "doppler_hz", "aod_az_deg", "aod_el_deg",
+               "aoa_az_deg", "aoa_el_deg", "bounce_order", "origin")
 
 
 # one path record, each field a JSON text
@@ -172,65 +172,49 @@ _ORIGIN_TEXTS = np.array([json.dumps(o.value) for o in ORIGINS], dtype=object)
 _BLOCK_ROWS = 1024  # records formatted at a time: the writer's memory is flat in the path count
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))  # runs in C
-
-
-def _json_texts(col: np.ndarray, value=None) -> np.ndarray:
-    """The JSON text of ``value(x)`` (default ``x``) for each element of a
-    numeric column, computing and formatting each distinct element once.
-    Elements are told apart by their bits, so -0.0 and 0.0 stay distinct."""
+def _json_texts(col: np.ndarray) -> np.ndarray:
+    """The JSON text of each element of a numeric column, formatting each
+    distinct element once. Elements are told apart by their bits, so -0.0
+    and 0.0 stay distinct."""
     col = np.ascontiguousarray(col)
     distinct, index = np.unique(col.view(np.int64), return_inverse=True)
     values = distinct.view(col.dtype).tolist()
-    if value is not None:
-        values = [value(x) for x in values]
-    texts = _dumps(values)[1:-1].split(",") if values else []
+    texts = json.dumps(values, separators=(",", ":"))[1:-1].split(",") if values else []
     return np.array(texts, dtype=object)[index]
 
 
-def _power_db(pw: float) -> float | None:
-    return None if pw == 0 else 10.0 * math.log10(pw)
-
-
-def write_cir_json(path, cir: Cir, carrier_freq_hz: float, link_budget: dict) -> None:
-    """Write the CIR as compact JSON: the scenario's carrier frequency,
-    one record per path (delay_s is the exact delay, delay_ns is for
-    display only, and power_db is null at zero power), then the run's
-    link budget."""
-    head = _dumps({"carrier_freq_hz": carrier_freq_hz})[:-1]
+def write_cir_json(path, cir: Cir) -> None:
+    """Write the CIR as compact JSON, ``{"paths": [...]}``, one record of
+    RECORD_KEYS per path."""
     with open(path, "w") as f:
-        f.write(f'{head},"paths":[')
+        f.write('{"paths":[')
         for start in range(0, len(cir), _BLOCK_ROWS):
             rows = slice(start, start + _BLOCK_ROWS)
-            delay, amp = cir.delay[rows], cir.amp[rows]
+            amp = cir.amp[rows]
             columns = (
-                _json_texts(delay), _json_texts(delay * 1e9),
-                _json_texts(amp.real), _json_texts(amp.imag),
-                _json_texts(np.abs(amp) ** 2, _power_db), _json_texts(cir.doppler[rows]),
+                _json_texts(cir.delay[rows]), _json_texts(amp.real), _json_texts(amp.imag),
+                _json_texts(cir.doppler[rows]),
                 *(_json_texts(np.degrees(col[rows]))
                   for col in (cir.aod_az, cir.aod_el, cir.aoa_az, cir.aoa_el)),
                 _json_texts(cir.bounce_order[rows]), _ORIGIN_TEXTS[cir.origin_code[rows]],
             )
             records = zip(*(c.tolist() for c in columns))
             f.write(("," if start else "") + ",".join([_RECORD % row for row in records]))
-        f.write(f'],"link_budget":{_dumps(link_budget)}}}')
+        f.write("]}")
 
 
 def read_cir_json(path) -> Cir:
-    """The CIR in a JSON path list that write_cir_json wrote (its
-    ``carrier_freq_hz`` is not part of the CIR). The angles come back
-    through degrees, so they may differ from the simulated ones in the
-    last bit; the pipelines read the path tables instead."""
+    """The CIR in a JSON path list that write_cir_json wrote. The angles
+    come back through degrees, so they may differ from the simulated ones
+    in the last bit; the pipelines read the path tables instead."""
     with open(path) as f:
         doc = json.load(f)
     recs = doc["paths"]
     codes = {o.value: i for i, o in enumerate(ORIGINS)}
-    delay = [r["delay_s"] if "delay_s" in r else r["delay_ns"] * 1e-9 for r in recs]
     amp = np.array([r["amp_re"] for r in recs], dtype=complex)
     amp.imag = [r["amp_im"] for r in recs]  # set, not added, so that signed zeros survive
     return Cir.from_columns(
-        delay, amp, [r["doppler_hz"] for r in recs],
+        [r["delay_s"] for r in recs], amp, [r["doppler_hz"] for r in recs],
         aod_az=np.radians([r["aod_az_deg"] for r in recs]),
         aod_el=np.radians([r["aod_el_deg"] for r in recs]),
         aoa_az=np.radians([r["aoa_az_deg"] for r in recs]),
@@ -291,7 +275,6 @@ def _sha256(path: Path) -> str:
 
 @dataclass(frozen=True)
 class RunReport:
-    seed: int
     manifest: dict[str, str]
     timings_s: dict[str, float]
     out_dir: str
@@ -338,21 +321,20 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
     timings["scan"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    budget = {"pl_tar_db": list(sim.pl_tar_db), "pl_back_db": sim.pl_back_db,
-              "o_back": sim.o_back, "wavelength_m": sim.wavelength}
     for name, cir in (("target.json", sim.target_cir), ("background.json", sim.background_cir)):
-        write_cir_json(out / name, cir, config.carrier_freq_hz, budget)
+        write_cir_json(out / name, cir)
     write_path_table(out / "target.npy", sim.target_cir)
     write_path_table(out / "background.npy", sim.background_cir)
     write_padp_csv(out / "padp.csv", grid)
     timings["write"] = time.perf_counter() - t0
 
     manifest = {name: _sha256(out / name) for name in OUTPUT_FILES}
-    report = RunReport(seed=config.seed, manifest=manifest, timings_s=timings,
-                       out_dir=str(out))
+    report = RunReport(manifest=manifest, timings_s=timings, out_dir=str(out))
+    budget = {"pl_tar_db": list(sim.pl_tar_db), "pl_back_db": sim.pl_back_db,
+              "o_back": sim.o_back, "wavelength_m": sim.wavelength}
     with open(out / "report.json", "w") as f:
-        json.dump({"seed": report.seed, "manifest": report.manifest,
-                   "timings_s": report.timings_s, "config": config.raw,
+        json.dump({"manifest": report.manifest, "timings_s": report.timings_s,
+                   "link_budget": budget, "config": config.raw,
                    "config_dir": str(config.base_dir.resolve())}, f, indent=1)
     return report
 

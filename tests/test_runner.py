@@ -71,20 +71,15 @@ def scen1_like(tmp_path, **overrides) -> Path:
     return p
 
 
-def per_record_json(cir: Cir, carrier_freq_hz: float, link_budget: dict) -> str:
+def per_record_json(cir: Cir) -> str:
     """The path list of the per-record writer that write_cir_json replaced."""
-    powers = cir.powers().tolist()
     columns = (
-        cir.delay.tolist(), (cir.delay * 1e9).tolist(),
-        cir.amp.real.tolist(), cir.amp.imag.tolist(),
-        [None if pw == 0 else 10.0 * math.log10(pw) for pw in powers],
-        cir.doppler.tolist(),
+        cir.delay.tolist(), cir.amp.real.tolist(), cir.amp.imag.tolist(), cir.doppler.tolist(),
         np.degrees(cir.aod_az).tolist(), np.degrees(cir.aod_el).tolist(),
         np.degrees(cir.aoa_az).tolist(), np.degrees(cir.aoa_el).tolist(),
         cir.bounce_order.tolist(), [ORIGINS[c].value for c in cir.origin_code.tolist()])
-    return json.dumps({"carrier_freq_hz": carrier_freq_hz,
-                       "paths": [dict(zip(runner.RECORD_KEYS, row)) for row in zip(*columns)],
-                       "link_budget": link_budget}, separators=(",", ":"))
+    return json.dumps({"paths": [dict(zip(runner.RECORD_KEYS, row)) for row in zip(*columns)]},
+                      separators=(",", ":"))
 
 
 class TestLoadConfig:
@@ -241,7 +236,12 @@ class TestRunSimulate:
                      "padp.csv", "report.json"):
             assert (tmp_path / "a" / name).exists()
         report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert list(report) == ["manifest", "timings_s", "link_budget", "config", "config_dir"]
         assert set(report["timings_s"]) == {"simulate", "scan", "write"}
+        sim = simulate_channels(cfg)
+        assert report["link_budget"] == {"pl_tar_db": list(sim.pl_tar_db),
+                                         "pl_back_db": sim.pl_back_db, "o_back": sim.o_back,
+                                         "wavelength_m": sim.wavelength}
         assert set(report["manifest"]) == {"target.json", "background.json", "target.npy",
                                            "background.npy", "padp.csv"}
         assert report["config"] == cfg.raw
@@ -251,8 +251,24 @@ class TestRunSimulate:
         for value in (0.37, 1.5, 2.5e-308):
             cfg = load_config(scen1_like(tmp_path, pcf={"value": value}))
             run_simulate(cfg, out_dir=tmp_path / "run")
-            doc = json.loads((tmp_path / "run" / "target.json").read_text())
+            doc = json.loads((tmp_path / "run" / "report.json").read_text())
             assert doc["link_budget"]["o_back"] == value
+
+    def test_path_lists_hold_only_the_path_columns(self, tmp_path):
+        run_simulate(load_config(CONFIG_DIR / "bistatic_ris_factory.json"), out_dir=tmp_path)
+        for stem in ("target", "background"):
+            doc = json.loads((tmp_path / f"{stem}.json").read_text())
+            assert list(doc) == ["paths"] and doc["paths"]
+            assert all(list(rec) == list(runner.RECORD_KEYS) for rec in doc["paths"])
+            got = read_cir_json(tmp_path / f"{stem}.json")
+            table = read_path_table(tmp_path / f"{stem}.npy")
+            through_degrees = {name: np.radians(np.degrees(getattr(table, name)))
+                               for name in ("aod_az", "aod_el", "aoa_az", "aoa_el")}
+            want = Cir.from_columns(table.delay, table.amp, table.doppler, **through_degrees,
+                                    bounce_order=table.bounce_order, origin=table.origin_code)
+            for name in COLUMNS:  # bit for bit, so signed zeros count
+                ref = want if name in through_degrees else table
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), (stem, name)
 
     def test_seed_changes_output(self, tmp_path):
         r1 = run_simulate(load_config(scen1_like(tmp_path)), out_dir=tmp_path / "a")
@@ -278,7 +294,7 @@ class TestRunSimulate:
     def test_cir_json_round_trip(self, tmp_path):
         cfg = load_config(scen1_like(tmp_path))
         sim = simulate_channels(cfg)
-        write_cir_json(tmp_path / "t.json", sim.target_cir, cfg.carrier_freq_hz, {})
+        write_cir_json(tmp_path / "t.json", sim.target_cir)
         back = read_cir_json(tmp_path / "t.json")
         assert len(back) == len(sim.target_cir)
         for name in ("amp", "delay", "origin_code"):
@@ -291,22 +307,19 @@ class TestRunSimulate:
                                aoa_az=[0.0, 2.0], aoa_el=[0.0, 0.2], bounce_order=[0, 2],
                                origin=[ORIGINS.index(Origin.TARGET),
                                        ORIGINS.index(Origin.BACKGROUND)])
-        write_cir_json(tmp_path / "t.json", cir, 6e9, {"o_back": 0.5})
+        write_cir_json(tmp_path / "t.json", cir)
         text = (tmp_path / "t.json").read_text()
         assert "\n" not in text and ": " not in text and ", " not in text
         doc = json.loads(text)
-        assert list(doc) == ["carrier_freq_hz", "paths", "link_budget"]
-        assert doc["carrier_freq_hz"] == 6e9
+        assert list(doc) == ["paths"]
         assert [list(r) for r in doc["paths"]] == [list(runner.RECORD_KEYS)] * 2
         first, zero = doc["paths"]
-        assert first.pop("power_db") == pytest.approx(10.0 * math.log10(0.5), rel=1e-15)
         assert first == {
-            "delay_s": 1e-9, "delay_ns": 1e-9 * 1e9, "amp_re": 0.5, "amp_im": -0.5,
-            "doppler_hz": 3.0,
+            "delay_s": 1e-9, "amp_re": 0.5, "amp_im": -0.5, "doppler_hz": 3.0,
             "aod_az_deg": math.degrees(1.0), "aod_el_deg": math.degrees(-0.1),
             "aoa_az_deg": math.degrees(2.0), "aoa_el_deg": math.degrees(0.2),
             "bounce_order": 2, "origin": "background"}
-        assert zero["power_db"] is None and zero["origin"] == "target"
+        assert (zero["amp_re"], zero["amp_im"], zero["origin"]) == (0.0, 0.0, "target")
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -318,10 +331,8 @@ class TestRunSimulate:
         st.sampled_from([0.0, -0.0, 12.5, -3.1e4]),
         st.sampled_from([0.0, -1e-17, 2 * math.pi - 1e-15, math.nextafter(2 * math.pi, 0), 1.0]),
         st.sampled_from([-0.0, 0.25, -math.pi / 2, math.pi / 2]),
-        st.integers(0, 3), st.integers(0, len(ORIGINS) - 1)), max_size=30),
-        link_budget=st.sampled_from([{}, {
-            "pl_tar_db": [81.25, 0.1], "pl_back_db": 0.0, "o_back": 0.88, "wavelength_m": 0.0434}]))
-    def test_cir_json_matches_per_record_encoding(self, tmp_path, rows, link_budget):
+        st.integers(0, 3), st.integers(0, len(ORIGINS) - 1)), max_size=30))
+    def test_cir_json_matches_per_record_encoding(self, tmp_path, rows):
         delay, re, im, dop, az, el, order, origin = (
             np.array(c) for c in (zip(*rows) if rows else [[]] * 8))
         amp = np.zeros(len(rows), dtype=complex)
@@ -329,8 +340,8 @@ class TestRunSimulate:
         cir = Cir.from_columns(delay, amp, dop, aod_az=az, aod_el=el,
                                aoa_az=np.flip(az), aoa_el=np.flip(el), bounce_order=order,
                                origin=origin.astype(np.int8))
-        write_cir_json(tmp_path / "t.json", cir, 28e9, link_budget)
-        assert (tmp_path / "t.json").read_text() == per_record_json(cir, 28e9, link_budget)
+        write_cir_json(tmp_path / "t.json", cir)
+        assert (tmp_path / "t.json").read_text() == per_record_json(cir)
 
     @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
     def test_cir_json_blocks_match_per_record_encoding(self, tmp_path, n):
@@ -354,8 +365,8 @@ class TestRunSimulate:
             origin=rng.integers(0, len(ORIGINS), n).astype(np.int8))
         if n > 1024:
             assert cir.delay[1023] == cir.delay[1024]
-        write_cir_json(tmp_path / "t.json", cir, 28e9, {"n": n})
-        assert (tmp_path / "t.json").read_text() == per_record_json(cir, 28e9, {"n": n})
+        write_cir_json(tmp_path / "t.json", cir)
+        assert (tmp_path / "t.json").read_text() == per_record_json(cir)
 
     def test_cir_json_memory_is_flat_in_paths(self, tmp_path):
         n = 60_000  # every value distinct: no text is shared between rows
@@ -367,7 +378,7 @@ class TestRunSimulate:
             bounce_order=rng.integers(0, 4, n), origin=rng.integers(0, 2, n).astype(np.int8))
         tracemalloc.start()
         try:
-            write_cir_json(tmp_path / "t.json", cir, 28e9, {})
+            write_cir_json(tmp_path / "t.json", cir)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -380,21 +391,20 @@ class TestRunSimulate:
 
     def test_read_cir_json_matches_per_record_reader(self, tmp_path):
         def record_row(rec):  # the per-record reader that read_cir_json replaced
-            return (rec.get("delay_s", rec["delay_ns"] * 1e-9),
+            return (rec["delay_s"],
                     complex(rec["amp_re"], rec["amp_im"]), rec["doppler_hz"],
                     math.radians(rec["aod_az_deg"]), math.radians(rec["aod_el_deg"]),
                     math.radians(rec["aoa_az_deg"]), math.radians(rec["aoa_el_deg"]),
                     rec["bounce_order"], ORIGINS.index(Origin(rec["origin"])))
 
         sim = simulate_channels(load_config(CONFIG_DIR / "bistatic_ris_factory.json"))
-        write_cir_json(tmp_path / "t.json", Cir.concat([sim.target_cir, sim.background_cir]),
-                       6.9e9, {})
+        write_cir_json(tmp_path / "t.json", Cir.concat([sim.target_cir, sim.background_cir]))
         doc = json.loads((tmp_path / "t.json").read_text())
-        # edge cases: signed zeros, a full turn, zero power, no delay_s, equal delays
-        edge = {"delay_ns": 7.0, "amp_re": -0.0, "amp_im": 0.0, "power_db": None,
+        # edge cases: signed zeros, a full turn, zero power, equal delays
+        edge = {"delay_s": 7e-9, "amp_re": -0.0, "amp_im": 0.0,
                 "doppler_hz": -0.0, "aod_az_deg": 360.0, "aod_el_deg": -0.0,
                 "aoa_az_deg": -0.0, "aoa_el_deg": 90.0, "bounce_order": 0, "origin": "shared"}
-        doc["paths"] += [edge, dict(edge, delay_s=7e-9, aod_az_deg=-1e-300, aoa_az_deg=359.9)]
+        doc["paths"] += [edge, dict(edge, aod_az_deg=-1e-300, aoa_az_deg=359.9)]
         (tmp_path / "t.json").write_text(json.dumps(doc))
         got = read_cir_json(tmp_path / "t.json")
         want = Cir.from_columns(*zip(*map(record_row, doc["paths"])))
