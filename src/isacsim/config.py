@@ -277,12 +277,21 @@ def _check(value, kind, rule, where: str, errors):
     return None
 
 
+def read_json(path, advice: str = ""):
+    """The document in a JSON file. A file that is not JSON raises a
+    ValueError that names it, followed by ``advice``."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"{path} is not valid JSON ({exc}){advice}") from None
+
+
 def load_config(path) -> ScenarioConfig:
     """Read a scenario JSON and parse it with :func:`parse_config`; an
     absent name is the file's stem."""
     path = Path(path)
-    with open(path) as f:
-        raw = json.load(f)
+    raw = read_json(path)
     if isinstance(raw, dict) and "name" not in raw:
         raw["name"] = path.stem
     return parse_config(raw, path.parent)
@@ -391,8 +400,7 @@ def _pcf(spec: dict) -> PcfModel:
 
 def load_scene(path) -> ReconstructionScene:
     """Read a reconstruction scene JSON and parse it with :func:`parse_scene`."""
-    with open(path) as f:
-        return parse_scene(json.load(f))
+    return parse_scene(read_json(path))
 
 
 def parse_scene(doc) -> ReconstructionScene:

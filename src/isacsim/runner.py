@@ -35,7 +35,7 @@ from .background import (
     default_pcf_model,
     sample_pcf,
 )
-from .config import ScenarioConfig, TargetSpec, load_scene, parse_config
+from .config import ScenarioConfig, TargetSpec, load_scene, parse_config, read_json
 from .core import (
     C_LIGHT,
     COLUMNS,
@@ -348,11 +348,7 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0) -> li
     peaks, optionally classify bounce orders, and write paths.json."""
     run_dir = Path(run_dir)
     report_path = run_dir / "report.json"
-    with open(report_path) as f:
-        try:
-            report = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{report_path} is not valid JSON ({exc}); simulate again") from None
+    report = read_json(report_path, "; simulate again")
     if not isinstance(report, dict) or "config" not in report:
         raise ValueError(f"{report_path} has no config; simulate again")
     if not isinstance(report.get("config_dir"), str):

@@ -731,6 +731,22 @@ class TestCli:
         assert cli_main(["analyze", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == f"error: {report_path} {message}; simulate again\n"
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze-scene"])
+    def test_input_file_not_json_exits_2_naming_it(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{\n")
+        if command == "simulate":
+            argv = ["simulate", str(bad)]
+        else:
+            assert cli_main(["simulate", str(scen1_like(tmp_path)),
+                             "--out", str(tmp_path / "run")]) == 0
+            capsys.readouterr()
+            argv = ["analyze", str(tmp_path / "run"), "--scene", str(bad)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad} is not valid JSON (Expecting property name enclosed in double "
+            "quotes: line 2 column 1 (char 2))\n")
+
     def test_analyze_resolves_table_rcs_against_config_dir(self, tmp_path, monkeypatch):
         cfg_dir = tmp_path / "cfg"
         cfg_dir.mkdir()
