@@ -30,7 +30,6 @@ from .gbsm import (
     ClusterSet,
     GenerationProfile,
     cross_polarization_matrix,
-    doppler_shift,
     ray_coefficients,
     sample_clusters,
     synthesize_cir,

@@ -157,7 +157,6 @@ PROFILE = {
     "xpr_mean_db": (float, 9.0, DB_LEVEL),
     "xpr_std_db": (float, 3.0, DB_SPREAD),
     "shadow_std_db": (float, 3.0, DB_SPREAD),
-    "doppler_max_hz": (float, 0.0, NON_NEGATIVE),
 }
 SUBLINK = {**PROFILE,
            "n_clusters": (int, 4, NON_NEGATIVE),
@@ -387,7 +386,7 @@ def _profile(spec: dict) -> GenerationProfile:
         delay_scale_s=spec["delay_scale_ns"] * 1e-9,
         angle_spread_rad=math.radians(spec["angle_spread_deg"]),
         xpr_mean_db=spec["xpr_mean_db"], xpr_std_db=spec["xpr_std_db"],
-        shadow_std_db=spec["shadow_std_db"], doppler_max_hz=spec["doppler_max_hz"])
+        shadow_std_db=spec["shadow_std_db"])
 
 
 def _pcf(spec: dict) -> PcfModel:

@@ -3,9 +3,9 @@
 This is the shared machinery behind both the sensing sub-links and the
 bi-static background channel: a table of rays in statistical clusters
 is sampled from a profile and a seed, and the per-ray complex coefficients
-combine the Tx field gain, the cross-polarization matrix and the Doppler
-phase. The ray-level steps (per-ray XPR, initial phases and
-coefficients, 3GPP TR 38.901 §7.5) work on whole columns.
+combine the Tx field gain and the cross-polarization matrix. The
+ray-level steps (per-ray XPR, initial phases and coefficients, 3GPP
+TR 38.901 §7.5) work on whole columns.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .core import Cir, Origin, unit_vectors, wrapped_azimuths
 # the shape of one row of each ClusterSet column, and its dtype
 _ROW = {"power": ((), float), "delay": ((), float), "aod": ((2,), float),
         "aoa": ((2,), float), "xpr": ((), float), "phases": ((4,), float),
-        "doppler": ((), float), "bounce_order": ((), np.int64)}
+        "bounce_order": ((), np.int64)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,9 +37,9 @@ class ClusterSet:
     elevation) rows in radians, the azimuths wrapped by
     wrapped_azimuths. ``xpr`` is the linear cross-polarization
     ratio, ``phases`` (n, 4) the initial phases (theta-theta,
-    theta-phi, phi-theta, phi-phi) in radians, ``doppler`` the Doppler
-    shift in Hz and ``bounce_order`` the number of bounces. A scalar,
-    or one angle pair, applies to every row.
+    theta-phi, phi-theta, phi-phi) in radians and ``bounce_order`` the
+    number of bounces. A scalar, or one angle pair, applies to every
+    row. A ray has no Doppler of its own (see target.concatenate).
     """
 
     power: np.ndarray
@@ -48,7 +48,6 @@ class ClusterSet:
     aoa: np.ndarray
     xpr: np.ndarray = 1e12
     phases: np.ndarray = 0.0
-    doppler: np.ndarray = 0.0
     bounce_order: np.ndarray = 1
 
     def __post_init__(self):
@@ -152,10 +151,10 @@ class GenerationProfile:
     Distribution choices follow common stochastic-model practice:
     exponential cluster delays, wrapped-Gaussian ray angles around
     uniformly drawn cluster centers, log-normal per-cluster shadowing,
-    normal XPR in dB, uniform Doppler in [-doppler_max_hz, +]. All
-    fields are configurable so calibrated parameters can replace the
-    defaults. Every ray of a cluster takes the cluster's delay, and the
-    cluster centre elevations spread by ELEVATION_SPREAD_RAD.
+    normal XPR in dB. All fields are configurable so calibrated
+    parameters can replace the defaults. Every ray of a cluster takes
+    the cluster's delay, and the cluster centre elevations spread by
+    ELEVATION_SPREAD_RAD.
     """
 
     n_clusters: int = 8
@@ -165,11 +164,9 @@ class GenerationProfile:
     xpr_mean_db: float = 9.0
     xpr_std_db: float = 3.0
     shadow_std_db: float = 3.0
-    doppler_max_hz: float = 0.0
 
     def __post_init__(self):
-        for name in ("delay_scale_s", "angle_spread_rad", "xpr_std_db",
-                     "shadow_std_db", "doppler_max_hz"):
+        for name in ("delay_scale_s", "angle_spread_rad", "xpr_std_db", "shadow_std_db"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
         if self.rays_per_cluster < 1:
@@ -192,7 +189,7 @@ def sample_clusters(profile: GenerationProfile, seed: int) -> ClusterSet:
     the n AoA then n AoD centre azimuths, the same for the centre
     elevations; then, for the n * m rays grouped by cluster, the AoA then
     AoD azimuth offsets, the same for the elevation offsets, the XPRs in
-    dB, the (n * m, 4) initial phases and the Dopplers.
+    dB and the (n * m, 4) initial phases.
     """
     n, m = profile.n_clusters, profile.rays_per_cluster
     if n == 0:
@@ -212,11 +209,10 @@ def sample_clusters(profile: GenerationProfile, seed: int) -> ClusterSet:
     el = _clip_elevation(el + rng.normal(0.0, profile.angle_spread_rad / 2, (2, n * m)))
     xpr_db = rng.normal(profile.xpr_mean_db, profile.xpr_std_db, n * m)
     phases = rng.uniform(-math.pi, math.pi, (n * m, 4))
-    doppler = rng.uniform(-profile.doppler_max_hz, profile.doppler_max_hz, n * m)
     return ClusterSet(
         power=np.repeat(p / m, m), delay=np.repeat(tau, m),
         aod=np.stack([az[1], el[1]], axis=1), aoa=np.stack([az[0], el[0]], axis=1),
-        xpr=10.0 ** (xpr_db / 10.0), phases=phases, doppler=doppler)
+        xpr=10.0 ** (xpr_db / 10.0), phases=phases)
 
 
 def with_los_ray(clusters: ClusterSet, los: ClusterSet, k_factor: float) -> ClusterSet:
@@ -255,36 +251,24 @@ def cross_polarization_matrix(xpr, phases) -> np.ndarray:
     return cpm.reshape(cpm.shape[:-1] + (2, 2))
 
 
-def ray_coefficients(rays: ClusterSet, tx_antenna: AntennaModel, t: float = 0.0) -> np.ndarray:
+def ray_coefficients(rays: ClusterSet, tx_antenna: AntennaModel) -> np.ndarray:
     """Complex channel coefficient of each ray.
 
     sqrt(power) * F_rx^T . CPM . F_tx with F_tx = (g, 0), g the Tx field
     gain toward the AoD, and F_rx the omni (1, 0), since the turntable
     scan applies the receive pattern: g times CPM's theta-theta phasor,
-    rotated by the Doppler phase at time ``t``. Time only ever rotates
-    the phase; it never changes the magnitude.
+    with no Doppler phase.
     """
     g = tx_antenna.field_gain([tx_antenna.boresight], rays.aod)[0]
     # g times the phasor first: the product rounds as the full chain did
-    return (np.sqrt(rays.power) * (g * np.exp(1j * rays.phases[:, 0]))
-            * np.exp(1j * 2.0 * math.pi * rays.doppler * t))
+    return np.sqrt(rays.power) * (g * np.exp(1j * rays.phases[:, 0]))
 
 
-def synthesize_cir(clusters: ClusterSet, tx_antenna: AntennaModel, t: float = 0.0) -> Cir:
-    """Assemble a sparse CIR with one path per ray, unmerged: the total
-    linear power equals the sum of per-ray |coefficient|^2."""
+def synthesize_cir(clusters: ClusterSet, tx_antenna: AntennaModel) -> Cir:
+    """Assemble a sparse, static CIR (every Doppler 0) with one path per
+    ray, unmerged: the total linear power is the sum of |coefficient|^2."""
     return Cir.from_columns(
-        clusters.delay, ray_coefficients(clusters, tx_antenna, t), clusters.doppler,
+        clusters.delay, ray_coefficients(clusters, tx_antenna),
         aod_az=clusters.aod[:, 0], aod_el=clusters.aod[:, 1],
         aoa_az=clusters.aoa[:, 0], aoa_el=clusters.aoa[:, 1],
         bounce_order=clusters.bounce_order, origin=Origin.BACKGROUND)
-
-
-def doppler_shift(v_scatterer: np.ndarray, arrival: tuple[float, float], wl: float) -> float:
-    """Doppler frequency, seen by a stationary observer, of a scatterer
-    moving at ``v_scatterer``: the velocity projected on ``arrival``, the
-    (azimuth, elevation) direction from the scatterer to the observer,
-    over the wavelength."""
-    if wl <= 0.0:
-        raise ValueError("wavelength must be positive")
-    return float(np.asarray(v_scatterer, dtype=float) @ unit_vectors([arrival])[0]) / wl

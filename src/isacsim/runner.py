@@ -46,7 +46,7 @@ from .core import (
     merge_paths,
     wavelength_m,
 )
-from .gbsm import AntennaModel, ClusterSet, doppler_shift, sample_clusters, with_los_ray
+from .gbsm import AntennaModel, ClusterSet, sample_clusters, with_los_ray
 from .linkbudget import conv_path_power, delta_p, free_space_loss_db
 from .sounder import generate_pn, process_capture, save_capture, transmit_through
 from .target import Side, SubLink, multi_point_target
@@ -68,25 +68,23 @@ def _stage_seeds(seed: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(4)
 
 
-def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos, velocity, wl: float,
+def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos,
                  spec: TargetSpec, seed: int) -> tuple[SubLink, float]:
     """Sub-link with a geometric line-of-sight ray plus statistical
     clusters, and the hop's length in meters.
 
-    The LOS ray carries the exact geometric delay, the target-side angle,
-    and the Doppler from the target's velocity projected on the hop.
+    The LOS ray carries the exact geometric delay and the target-side
+    angle, from which target.concatenate takes its Doppler.
     """
     sp_pos = np.asarray(sp_pos, dtype=float)
     d = float(np.linalg.norm(sp_pos - endpoint))
     to_endpoint = angle_from_vector(endpoint - sp_pos)
     to_target = angle_from_vector(sp_pos - endpoint)
-    dop = doppler_shift(velocity, to_endpoint, wl)
     if side is Side.TX_TO_TARGET:
         aod, aoa = to_target, to_endpoint  # departs the Tx, arrives at the target
     else:
         aod, aoa = to_endpoint, to_target  # departs the target, arrives at the Rx
-    los = ClusterSet(power=1.0, delay=d / C_LIGHT, aod=aod, aoa=aoa, doppler=dop,
-                     bounce_order=0)
+    los = ClusterSet(power=1.0, delay=d / C_LIGHT, aod=aod, aoa=aoa, bounce_order=0)
     if spec.profile.n_clusters == 0:
         return SubLink(side, los), d
     sampled = sample_clusters(spec.profile, seed)
@@ -123,10 +121,8 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
         for spec, seq in zip(config.targets, target_seq.spawn(len(config.targets))):
             seed_a, seed_b = (_child_seed(s) for s in seq.spawn(2))
             sp = spec.point
-            sub_a, d1 = _los_sublink(Side.TX_TO_TARGET, tx_pos, sp.position,
-                                     sp.velocity, wl, spec, seed_a)
-            sub_b, d2 = _los_sublink(Side.TARGET_TO_RX, rx_pos, sp.position,
-                                     sp.velocity, wl, spec, seed_b)
+            sub_a, d1 = _los_sublink(Side.TX_TO_TARGET, tx_pos, sp.position, spec, seed_a)
+            sub_b, d2 = _los_sublink(Side.TARGET_TO_RX, rx_pos, sp.position, spec, seed_b)
             contributions.append((sp, sub_a, sub_b,
                                   free_space_loss_db(d1, wl) + free_space_loss_db(d2, wl)))
         target_cir = multi_point_target(contributions, wl, tx_antenna=tx_ant)

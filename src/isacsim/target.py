@@ -4,8 +4,9 @@ The transmitter-to-target and target-to-receiver links are generated as
 ordinary stochastic channels; the target channel pairs every ray of one
 with every ray of the other, chaining the two hops' polarization
 matrices and weighting each pair by the scattering point's angular RCS.
-Delays add, Dopplers add, and the radar equation's spreading factor
-4 pi / lambda^2 (core.spreading_gain) enters exactly once, here.
+Delays add, each pair's Doppler follows from the target's velocity, and
+the radar equation's spreading factor 4 pi / lambda^2
+(core.spreading_gain) enters exactly once, here.
 """
 from __future__ import annotations
 
@@ -67,8 +68,10 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
     """Pair every ray of ``a`` with every ray of ``b`` through the target.
 
     Produces |a| * |b| paths (no merging). Per pair, the delay is the
-    sum of the sub-link delays, the Doppler is the sum of the sub-link
-    Dopplers, and the amplitude is
+    sum of the sub-link delays, the Doppler is (u_in . v + u_out . v) /
+    lambda, with v the point's velocity and u_in, u_out the unit vectors
+    of the AoA at the target and the AoD from it (3GPP TR 38.901 §7.9),
+    and the amplitude is
 
         sqrt(p1 p2) * F_rx^T . CPM_2 . CPM_1 . F_tx
         * sqrt(sigma(out, in)) * sqrt(4 pi / lambda^2)
@@ -93,10 +96,11 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
     rx_side = cross_polarization_matrix(rb.xpr, rb.phases)[:, 0, :]
     gain = np.einsum("ak,bk->ab", tx_side, rx_side)
     k = 2.0 * math.pi / wl
-    phase_a = k * (unit_vectors(ra.aoa) @ sp.position)
-    phase_b = k * (unit_vectors(rb.aod) @ sp.position)
+    u_a, u_b = unit_vectors(ra.aoa), unit_vectors(rb.aod)  # target-side directions
+    phase_a = k * (u_a @ sp.position)
+    phase_b = k * (u_b @ sp.position)
     sigma = _rcs_linear(sp.rcs_model, ra.aoa, rb.aod)
-    doppler = np.add.outer(ra.doppler, rb.doppler)
+    doppler = np.add.outer(u_a @ sp.velocity, u_b @ sp.velocity) / wl
     amp = (np.sqrt(ra.power[:, None] * rb.power[None, :] * sigma) * gain
            * math.sqrt(spreading_gain(wl))
            * np.exp(1j * (phase_a[:, None] + phase_b[None, :]))

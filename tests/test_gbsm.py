@@ -10,7 +10,6 @@ from isacsim import (
     GenerationProfile,
     Origin,
     cross_polarization_matrix,
-    doppler_shift,
     merge_paths,
     ray_coefficients,
     sample_clusters,
@@ -22,9 +21,9 @@ from isacsim.gbsm import ELEVATION_SPREAD_RAD
 
 
 def single_ray_set(power=1.0, delay=10e-9, xpr=1e12, phases=(0, 0, 0, 0),
-                   doppler=0.0, az_aod=0.0, az_aoa=0.0):
+                   az_aod=0.0, az_aoa=0.0):
     return ClusterSet(power=power, delay=delay, aod=(az_aod, 0.0), aoa=(az_aoa, 0.0),
-                      xpr=xpr, phases=phases, doppler=doppler)
+                      xpr=xpr, phases=phases)
 
 
 class TestClusterSet:
@@ -121,15 +120,8 @@ class TestCrossPolarizationMatrix:
 
 class TestRayCoefficient:
     def test_identity_configuration(self):
-        c = ray_coefficients(single_ray_set(), OMNI, t=0.0)[0]
+        c = ray_coefficients(single_ray_set(), OMNI)[0]
         assert c == pytest.approx(1.0 + 0.0j)
-
-    def test_half_doppler_period_flips_sign(self):
-        for f in (10.0, 137.0, 4000.0):
-            rays = single_ray_set(doppler=f)
-            c0 = ray_coefficients(rays, OMNI, t=0.0)[0]
-            c1 = ray_coefficients(rays, OMNI, t=0.5 / f)[0]
-            assert c1 == pytest.approx(-c0, rel=1e-9)
 
     def test_magnitude_matches_matrix_product(self):
         rng = np.random.default_rng(21)
@@ -140,24 +132,16 @@ class TestRayCoefficient:
         rays = ClusterSet(power=power, delay=1e-9,
                           aod=np.stack([rng.uniform(0, 6.28, n), np.full(n, 0.1)], axis=1),
                           aoa=np.stack([rng.uniform(0, 6.28, n), np.full(n, -0.1)], axis=1),
-                          xpr=xpr, phases=phases, doppler=rng.uniform(-100, 100, n))
+                          xpr=xpr, phases=phases)
         f_rx = np.array([1.0, 0.0])  # the omni receive field
         horn = AntennaModel(kind="horn", hpbw_deg=60.0, peak_gain_db=12.0, boresight=(2.0, 0.1))
         for tx in (OMNI, horn):
-            c = ray_coefficients(rays, tx, t=rng.uniform(0, 1e-3))
+            c = ray_coefficients(rays, tx)
             for i in range(n):
                 f_tx = np.array([tx.field_gain([tx.boresight], [rays.aod[i]])[0, 0], 0.0])
                 expected = math.sqrt(power[i]) * abs(
                     f_rx @ cross_polarization_matrix(xpr[i], phases[i]) @ f_tx)
                 assert abs(c[i]) == pytest.approx(expected, rel=1e-12)
-
-    def test_time_changes_phase_only(self):
-        rays = ClusterSet(power=0.7, delay=1e-9, aod=(0.3, 0.0), aoa=(1.1, 0.2),
-                          xpr=5.0, phases=(0.1, 0.2, 0.3, 0.4), doppler=55.0)
-        horn = AntennaModel(kind="horn", hpbw_deg=30.0, peak_gain_db=10.0)
-        coeffs = [ray_coefficients(rays, horn, t=t)[0] for t in (0.0, 1e-4, 3e-3)]
-        assert len({round(abs(c), 14) for c in coeffs}) == 1
-        assert len({c for c in coeffs}) == 3
 
 
 def gain_toward(antenna, az, el=0.0):
@@ -193,8 +177,7 @@ class TestSampleClusters:
     def test_seed_determinism(self):
         prof = GenerationProfile(n_clusters=6, rays_per_cluster=4)
         a, b = sample_clusters(prof, 7), sample_clusters(prof, 7)
-        for name in ("power", "delay", "aod", "aoa", "xpr", "phases", "doppler",
-                     "bounce_order"):
+        for name in ("power", "delay", "aod", "aoa", "xpr", "phases", "bounce_order"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_rays_grouped_by_cluster(self):
@@ -220,7 +203,7 @@ class TestSampleClusters:
         assert cs.power.sum() == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("prof", [
-        GenerationProfile(n_clusters=5, rays_per_cluster=3, doppler_max_hz=50.0),
+        GenerationProfile(n_clusters=5, rays_per_cluster=3),
         GenerationProfile(n_clusters=4, rays_per_cluster=2, delay_scale_s=0.0,
                           angle_spread_rad=0.0, xpr_std_db=0.0, shadow_std_db=0.0),
     ], ids=["spread", "zero-scales"])
@@ -238,15 +221,13 @@ class TestSampleClusters:
               for c in el_c]
         xpr_db = rng.normal(prof.xpr_mean_db, prof.xpr_std_db, n * m)
         phases = rng.uniform(-math.pi, math.pi, (n * m, 4))
-        doppler = rng.uniform(-prof.doppler_max_hz, prof.doppler_max_hz, n * m)
         p = np.exp(-tau / (prof.delay_scale_s or 1.0)) * 10.0 ** (-shadow_db / 10.0)
         want = ClusterSet(power=np.repeat(p / p.sum() / m, m), delay=np.repeat(tau, m),
                           aoa=np.stack([az[0], el[0]], axis=1),
                           aod=np.stack([az[1], el[1]], axis=1),
-                          xpr=10.0 ** (xpr_db / 10.0), phases=phases, doppler=doppler)
+                          xpr=10.0 ** (xpr_db / 10.0), phases=phases)
         got = sample_clusters(prof, 3)
-        for name in ("power", "delay", "aod", "aoa", "xpr", "phases", "doppler",
-                     "bounce_order"):
+        for name in ("power", "delay", "aod", "aoa", "xpr", "phases", "bounce_order"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
 
     def test_generator_calls_do_not_grow_with_clusters(self, monkeypatch):
@@ -291,9 +272,10 @@ class TestSynthesizeCir:
         assert abs(cir.amp[0]) < 1e-12
 
     def test_total_power_matches_bruteforce_sum(self):
-        prof = GenerationProfile(n_clusters=9, rays_per_cluster=7, doppler_max_hz=200.0)
+        prof = GenerationProfile(n_clusters=9, rays_per_cluster=7)
         cs = sample_clusters(prof, 31)
-        cir = synthesize_cir(cs, OMNI, t=1e-4)
+        cir = synthesize_cir(cs, OMNI)
+        assert not np.any(cir.doppler)  # the background is static
         f = np.array([1.0, 0.0])  # both omni fields, Tx and Rx
         brute = sum(p * abs(f @ cross_polarization_matrix(x, ph) @ f) ** 2
                     for p, x, ph in zip(cs.power, cs.xpr, cs.phases))
@@ -319,13 +301,3 @@ class TestWithLosRay:
         np.testing.assert_allclose(out.power[1:], cs.power / (1 + k), rtol=1e-15)
         assert out.power.sum() == pytest.approx(1.0, abs=1e-9)
 
-
-class TestDopplerShift:
-    def test_radial_motion(self):
-        # scatterer receding along +x at 3 m/s seen from origin, 1 cm carrier
-        f = doppler_shift([3.0, 0, 0], (0.0, 0.0), 0.01)
-        assert f == pytest.approx(300.0)
-
-    def test_transverse_motion_is_zero(self):
-        f = doppler_shift([0, 5.0, 0], (0.0, 0.0), 0.01)
-        assert f == pytest.approx(0.0, abs=1e-12)

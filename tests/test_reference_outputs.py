@@ -4,9 +4,10 @@ tests/data/reference_digests.json, for the shipped configs, for a moving
 variant of bistatic_ris_factory and for every benchmark scenario
 (isacbench/workloads.py) at seed 11. Every other frozen scenario holds
 its target still, so the moving variant is the one that covers the
-Doppler shift. A refactor that changes no behaviour leaves every digest
-as it is. ``analyze`` runs the
-shipped configs at the README's ``--threshold-db 120``, where it finds
+Doppler rule: each of its target paths, the NLOS ones included, shifts
+by the target's velocity on both target-side directions. A refactor
+that changes no behaviour leaves every digest as it is. ``analyze`` runs
+the shipped configs at the README's ``--threshold-db 120``, where it finds
 and classifies target paths (at the default 30 dB two configs find
 none), and each benchmark scenario with its own analyze arguments.
 

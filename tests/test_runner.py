@@ -838,8 +838,11 @@ class TestCli:
         (lambda d: d["background"], "scatterers", "background.scatterers is not a known key"),
         (lambda d: d["pcf"], "sigma", "pcf.sigma is not a known key"),
         (lambda d: d["tx"], "pos", "tx.pos is not a known key"),
+        # a Doppler comes from the target's velocity alone
+        (lambda d: d["targets"][0]["sublink"], "doppler_max_hz",
+         "targets[0].sublink.doppler_max_hz is not a known key"),
     ], ids=["sounder.snr", "scan.step", "targets.velocity", "bandwidth", "antenna", "rcs",
-            "background", "pcf", "tx"])
+            "background", "pcf", "tx", "sublink.doppler_max_hz"])
     def test_unknown_key_anywhere_is_config_error(self, tmp_path, capsys, section, key, hint):
         doc = json.loads((CONFIG_DIR / "bistatic_ris_factory.json").read_text())
         section(doc)[key] = 1

@@ -18,16 +18,19 @@ from isacsim import (
     TableRcs,
     concatenate,
     cross_polarization_matrix,
+    generate_pn,
     load_rcs_table_csv,
     merge_paths,
     multi_point_target,
+    process_capture,
     ray_coefficients,
     sample_clusters,
     spreading_gain,
+    transmit_through,
     unit_vectors,
     with_los_ray,
 )
-from isacsim.core import ORIGINS
+from isacsim.core import C_LIGHT, ORIGINS, angle_from_vector
 from isacsim.target import _rcs_linear
 
 
@@ -73,7 +76,8 @@ def tx_field(antenna, angle):
 
 def reference_concatenate(a, b, sp, wl, tx, t):
     """One ray pair at a time, over the rows of the two ray tables, with
-    the full 38.901 chain F_rx^T . CPM_2 . CPM_1 . F_tx: (delay, amp,
+    the full 38.901 chain F_rx^T . CPM_2 . CPM_1 . F_tx and the Doppler of
+    the point's velocity on both target-side directions: (delay, amp,
     doppler, (aod azimuth, elevation), (aoa azimuth, elevation), bounce
     order) per pair, in delay order."""
     k = 2.0 * math.pi / wl
@@ -89,13 +93,22 @@ def reference_concatenate(a, b, sp, wl, tx, t):
                            @ tx_field(tx, ra.aod[i]))
             u_in, u_out = unit_vectors([aoa1, aod2])
             phase = k * (u_in @ sp.position + u_out @ sp.position)
-            doppler = ra.doppler[i] + rb.doppler[j]
+            doppler = (u_in @ sp.velocity + u_out @ sp.velocity) / wl
             amp = (math.sqrt(ra.power[i] * rb.power[j] * sigma) * gain
                    * math.sqrt(spreading_gain(wl)) * np.exp(1j * phase)
                    * np.exp(1j * 2.0 * math.pi * doppler * t))
             out.append((ra.delay[i] + rb.delay[j], amp, doppler, aod1, aoa2,
                         ra.bounce_order[i] + rb.bounce_order[j]))
     return sorted(out, key=lambda row: row[0])
+
+
+def assert_dopplers(got, want, velocity, wl):
+    """Equal Doppler columns, to rel 1e-12 of the largest shift that the
+    velocity can give, 2 |v| / lambda: the two hops' projections may
+    cancel, so the rounding of their sum is bounded by their scale, not
+    by the sum itself."""
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * 2.0 * np.linalg.norm(velocity) / wl)
 
 
 class NanRcs:
@@ -120,25 +133,27 @@ class TestConcatenate:
     ], ids=["constant", "table"])
     def test_matches_per_pair_reference(self, rcs):
         def link(side, seed):
-            profile = GenerationProfile(n_clusters=3, rays_per_cluster=4,
-                                        doppler_max_hz=300.0)
+            profile = GenerationProfile(n_clusters=3, rays_per_cluster=4)
             los = ClusterSet(power=1.0, delay=12e-9, aod=(0.4, 0.05), aoa=(3.5, -0.05),
-                             doppler=40.0, bounce_order=0)
+                             bounce_order=0)
             return SubLink(side, with_los_ray(sample_clusters(profile, seed), los, 4.0))
 
         tx = AntennaModel(kind="horn", hpbw_deg=15.0, peak_gain_db=20.0,
                           boresight=(0.7, 0.1))
-        sp = ScatteringPoint(position=[4.6, 2.5, 1.5], rcs_model=rcs)
+        sp = ScatteringPoint(position=[4.6, 2.5, 1.5], velocity=[1.5, -0.8, 0.3],
+                             rcs_model=rcs)
         a, b = link(Side.TX_TO_TARGET, 1), link(Side.TARGET_TO_RX, 2)
         cir = concatenate(a, b, sp, WL, tx, t=1.3e-3)
         want = reference_concatenate(a, b, sp, WL, tx, 1.3e-3)
         assert len(cir) == len(a.clusters) * len(b.clusters)
-        got = zip(cir.delay.tolist(), cir.doppler.tolist(),
+        got = zip(cir.delay.tolist(),
                   zip(cir.aod_az.tolist(), cir.aod_el.tolist()),
                   zip(cir.aoa_az.tolist(), cir.aoa_el.tolist()),
                   cir.bounce_order.tolist(), [ORIGINS[o] for o in cir.origin_code])
-        assert list(got) == [(delay, doppler, aod, aoa, order, Origin.TARGET)
-                             for delay, _, doppler, aod, aoa, order in want]
+        assert list(got) == [(delay, aod, aoa, order, Origin.TARGET)
+                             for delay, _, _, aod, aoa, order in want]
+        assert_dopplers(cir.doppler, [row[2] for row in want], sp.velocity, WL)
+        assert np.all(cir.doppler != 0.0)  # every ray that touches the target shifts
         np.testing.assert_allclose(cir.amp, [row[1] for row in want], rtol=1e-11)
 
     def test_non_finite_rcs_names_first_angle_pair(self):
@@ -201,12 +216,17 @@ class TestConcatenate:
         assert aoas == set(map(tuple, b.clusters.aoa.tolist()))
 
     def test_doppler_adds(self):
+        # each hop shifts by the velocity projected on its target-side
+        # direction: the AoA at the target, then the AoD from it
+        v = np.array([3.0, -2.0, 0.5])
         a = SubLink(Side.TX_TO_TARGET, ClusterSet(power=1.0, delay=1e-9, aod=(0, 0),
-                                                  aoa=(1, 0), doppler=100.0))
-        b = SubLink(Side.TARGET_TO_RX, ClusterSet(power=1.0, delay=2e-9, aod=(2, 0),
-                                                  aoa=(3, 0), doppler=-30.0))
-        cir = concatenate(a, b, point(), WL)
-        assert cir.doppler[0] == pytest.approx(70.0)
+                                                  aoa=(1, 0)))
+        b = SubLink(Side.TARGET_TO_RX, ClusterSet(power=1.0, delay=2e-9, aod=(2, 0.3),
+                                                  aoa=(3, 0)))
+        cir = concatenate(a, b, ScatteringPoint(position=[0, 0, 0], velocity=v), WL)
+        hop_a = v @ [math.cos(1), math.sin(1), 0.0]
+        hop_b = v @ [math.cos(0.3) * math.cos(2), math.cos(0.3) * math.sin(2), math.sin(0.3)]
+        assert cir.doppler[0] == pytest.approx((hop_a + hop_b) / WL, rel=1e-12)
 
     def test_bounce_orders_add_without_target_hop(self):
         a = SubLink(Side.TX_TO_TARGET, ClusterSet(power=1.0, delay=1e-9, aod=(0, 0),
@@ -266,16 +286,21 @@ def _column(draw, n, lo, hi):
 
 @st.composite
 def ray_tables(draw, cross_polar=False):
-    """A ray table of 1 to 12 rays with random delays, Dopplers, powers,
-    phases and angles: co-polar (XPR 1e12), or with random XPRs in
+    """A ray table of 1 to 12 rays with random delays, powers, phases and
+    angles: co-polar (XPR 1e12), or with random XPRs in
     [0.1, 100] where ``cross_polar``."""
     n = draw(st.integers(1, 12))
     angles = lambda: np.stack([_column(draw, n, -10.0, 10.0),
                                _column(draw, n, -math.pi / 2, math.pi / 2)], axis=1)
     return ClusterSet(power=_column(draw, n, 0.0, 10.0), delay=_column(draw, n, 0.0, 1e-6),
-                      aod=angles(), aoa=angles(), doppler=_column(draw, n, -1e4, 1e4),
+                      aod=angles(), aoa=angles(),
                       phases=np.reshape(_column(draw, 4 * n, -math.pi, math.pi), (n, 4)),
                       xpr=_column(draw, n, 0.1, 100.0) if cross_polar else 1e12)
+
+
+def vectors(bound):
+    """Three floats, each within +-bound: a position or a velocity."""
+    return st.lists(st.floats(-bound, bound), min_size=3, max_size=3)
 
 
 @st.composite
@@ -322,9 +347,9 @@ class TestConcatenationLaws:
         sp = point(sigma_dbsm)
         cir = concatenate(a, b, sp, WL)
         want = reference_concatenate(a, b, sp, WL, OMNI, 0.0)
-        # sums of the two rays' delays and Dopplers, exactly
+        # sums of the two rays' delays, exactly; a still target shifts nothing
         assert cir.delay.tolist() == [row[0] for row in want]
-        assert cir.doppler.tolist() == [row[2] for row in want]
+        assert np.all(cir.doppler == 0.0)
         # XPR 1e12 and an omni Tx: |amp|^2 = p_a p_b sigma 4 pi / lambda^2
         pairs = sorted(((da + db, pa * pb) for da, pa in zip(rays_a.delay, rays_a.power)
                         for db, pb in zip(rays_b.delay, rays_b.power)), key=lambda r: r[0])
@@ -332,19 +357,30 @@ class TestConcatenationLaws:
         np.testing.assert_allclose(cir.powers(), law, rtol=1e-9, atol=0.0)
 
     @settings(max_examples=60, deadline=None)
+    # every speed stays below c: |v| <= sqrt(3) * 1e8 m/s
+    @given(ray_tables(), ray_tables(), vectors(100.0), vectors(1e8))
+    def test_doppler_sums_the_two_hops_projections(self, rays_a, rays_b, position, velocity):
+        a, b = SubLink(Side.TX_TO_TARGET, rays_a), SubLink(Side.TARGET_TO_RX, rays_b)
+        moving = ScatteringPoint(position=position, velocity=velocity)
+        want = [row[2] for row in reference_concatenate(a, b, moving, WL, OMNI, 0.0)]
+        assert_dopplers(concatenate(a, b, moving, WL).doppler, want, moving.velocity, WL)
+        still = concatenate(a, b, ScatteringPoint(position=position), WL)
+        assert np.all(still.doppler == 0.0)
+
+    @settings(max_examples=60, deadline=None)
     @given(ray_tables(cross_polar=True), ray_tables(cross_polar=True), horns(), rcs_models(),
-           st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3), st.floats(0.0, 1e-3))
+           vectors(10.0), vectors(10.0), st.floats(0.0, 1e-3))
     # the 5-degree horn's field gain toward the powered AoD is 1.45e-313, subnormal
     @example(_one_powered_ray(9, 6, 1.125, 15.0, (4.190640214454691, 1.101307130501577),
                               3.0897511604024075),
              _one_powered_ray(9, 8, 7.0, 71.0),
              AntennaModel(kind="horn", hpbw_deg=5.0, boresight=(0.59375, 0.0)),
              TableRcs([-1.0], [-1.0], [-1.0], [-1.0], np.zeros((1, 1, 1, 1))),
-             [0.0, 0.0, 0.0], 0.0)
+             [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.0)
     def test_single_polarized_synthesis_matches_matrix_chain(self, rays_a, rays_b, tx, rcs,
-                                                             position, t):
+                                                             position, velocity, t):
         a, b = SubLink(Side.TX_TO_TARGET, rays_a), SubLink(Side.TARGET_TO_RX, rays_b)
-        sp = ScatteringPoint(position=position, rcs_model=rcs)
+        sp = ScatteringPoint(position=position, velocity=velocity, rcs_model=rcs)
         cir = concatenate(a, b, sp, WL, tx, t)
         want = np.array([row[1] for row in reference_concatenate(a, b, sp, WL, tx, t)])
         # the scale of each pair's rounding error: the chain's terms taken
@@ -357,13 +393,80 @@ class TestConcatenationLaws:
         order = np.argsort(np.add.outer(rays_a.delay, rays_b.delay), axis=None, kind="stable")
         scale = scale.ravel()[order]
         assert np.all(np.abs(cir.amp - want) <= np.where(scale >= TINY, 1e-12 * scale, 1e-300))
-        # one hop on its own: sqrt(p) F_rx^T . CPM . F_tx, rotated by the Doppler phase
-        coeffs = ray_coefficients(rays_a, tx, t)
-        chain = [math.sqrt(p) * np.exp(1j * 2.0 * math.pi * f * t)
-                 * complex(F_RX @ cross_polarization_matrix(x, ph) @ tx_field(tx, aod))
-                 for p, x, ph, aod, f in zip(rays_a.power, rays_a.xpr, rays_a.phases,
-                                             rays_a.aod, rays_a.doppler)]
+        # one hop on its own: sqrt(p) F_rx^T . CPM . F_tx, with no Doppler phase
+        coeffs = ray_coefficients(rays_a, tx)
+        chain = [math.sqrt(p) * complex(F_RX @ cross_polarization_matrix(x, ph)
+                                        @ tx_field(tx, aod))
+                 for p, x, ph, aod in zip(rays_a.power, rays_a.xpr, rays_a.phases, rays_a.aod)]
         np.testing.assert_allclose(coeffs, chain, rtol=1e-12, atol=0.0)
+
+
+def one_ray(side, aod=(0.0, 0.0), aoa=(0.0, 0.0), delay=1e-9):
+    """A sub-link of one ray with the given angles."""
+    return SubLink(side, ClusterSet(power=1.0, delay=delay, aod=aod, aoa=aoa, bounce_order=0))
+
+
+class TestConcatenateDoppler:
+    """The one Doppler rule of concatenate, and the Doppler phase at time t."""
+
+    def test_radial_motion(self):
+        # Tx and Rx both lie along +x from the target, which moves toward
+        # them at 3 m/s: each hop shifts by 3 m/s over a 1 cm wavelength
+        for vx, want in ((3.0, 600.0), (-3.0, -600.0)):
+            sp = ScatteringPoint(position=[0, 0, 0], velocity=[vx, 0, 0])
+            cir = concatenate(one_ray(Side.TX_TO_TARGET), one_ray(Side.TARGET_TO_RX), sp, 0.01)
+            assert cir.doppler[0] == pytest.approx(want, rel=1e-12)
+
+    def test_transverse_motion_is_zero(self):
+        for v in ([0, 5.0, 0], [0, 0, -2.0]):
+            sp = ScatteringPoint(position=[0, 0, 0], velocity=v)
+            cir = concatenate(one_ray(Side.TX_TO_TARGET), one_ray(Side.TARGET_TO_RX), sp, 0.01)
+            assert cir.doppler[0] == 0.0
+
+    def test_half_doppler_period_flips_sign(self):
+        for speed in (0.05, 0.7, 20.0):
+            sp = ScatteringPoint(position=[1.0, 2.0, 0.5], velocity=[speed, 0, 0])
+            a, b = one_ray(Side.TX_TO_TARGET), one_ray(Side.TARGET_TO_RX, aod=(0.4, 0.1))
+            c0 = concatenate(a, b, sp, WL, t=0.0)
+            c1 = concatenate(a, b, sp, WL, t=0.5 / c0.doppler[0])
+            assert c1.amp[0] == pytest.approx(-c0.amp[0], rel=1e-9)
+
+    def test_time_changes_phase_only(self):
+        a = SubLink(Side.TX_TO_TARGET, ClusterSet(power=0.7, delay=1e-9, aod=(0.3, 0.0),
+                                                  aoa=(1.1, 0.2), xpr=5.0,
+                                                  phases=(0.1, 0.2, 0.3, 0.4)))
+        b = one_ray(Side.TARGET_TO_RX, aod=(2.0, -0.1))
+        sp = ScatteringPoint(position=[1.0, 2.0, 0.5], velocity=[0.5, -1.0, 0.2])
+        horn = AntennaModel(kind="horn", hpbw_deg=30.0, peak_gain_db=10.0)
+        coeffs = [concatenate(a, b, sp, WL, horn, t=t).amp[0] for t in (0.0, 1e-4, 3e-3)]
+        assert [abs(c) for c in coeffs] == pytest.approx([abs(coeffs[0])] * 3, rel=1e-14)
+        assert len(set(coeffs)) == 3
+
+    @pytest.mark.parametrize("velocity", [[3.0, -2.0, 0.5], [-40.0, 10.0, 0.0]])
+    def test_slow_time_fft_recovers_the_los_doppler(self, velocity):
+        # K snapshots of a moving, LOS-only target, one every T, each sent
+        # through the sounder; the FFT over the K recovered amplitudes
+        # peaks within one bin of the LOS x LOS Doppler
+        tx, rx, target = np.array([0, 0, 1.5]), np.array([7.45, 0, 1.5]), np.array([4.45, 1, 1.5])
+        a = one_ray(Side.TX_TO_TARGET, aod=angle_from_vector(target - tx),
+                    aoa=angle_from_vector(tx - target),
+                    delay=np.linalg.norm(target - tx) / C_LIGHT)
+        b = one_ray(Side.TARGET_TO_RX, aod=angle_from_vector(rx - target),
+                    aoa=angle_from_vector(target - rx),
+                    delay=np.linalg.norm(rx - target) / C_LIGHT)
+        sp = ScatteringPoint(position=target, velocity=velocity)
+        k_snapshots, period = 128, 1e-3  # 7.8 Hz bins, +-500 Hz unaliased
+        pn = generate_pn(7, chip_rate=1e9)
+        amps = []
+        for k in range(k_snapshots):
+            cir = concatenate(a, b, sp, WL, t=k * period)
+            recovered = process_capture(transmit_through(cir, pn, None, None)).recovered
+            amps.append(max(recovered, key=lambda path: abs(path[1]))[1])
+        doppler = cir.doppler[0]
+        assert abs(doppler) > 1.0 / (k_snapshots * period)  # more than one bin from 0 Hz
+        freqs = np.fft.fftfreq(k_snapshots, period)
+        peak = freqs[np.argmax(np.abs(np.fft.fft(amps)))]
+        assert abs(peak - doppler) <= 1.0 / (k_snapshots * period)
 
 
 class TestMultiPointTarget:
