@@ -92,7 +92,9 @@ def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos,
 
 
 def _aim(antenna: AntennaModel, from_pos: np.ndarray, at_pos: np.ndarray) -> AntennaModel:
-    if antenna.kind != "horn":
+    """A horn turned from ``from_pos`` toward ``at_pos``; with no direction
+    to turn in (a mono-static Tx without a target) it keeps its boresight."""
+    if antenna.kind != "horn" or np.array_equal(from_pos, at_pos):
         return antenna
     boresight = angle_from_vector(np.asarray(at_pos, float) - np.asarray(from_pos, float))
     return replace(antenna, boresight=boresight)
@@ -113,10 +115,13 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
     wl = wavelength_m(config.carrier_freq_hz)
     bg_seq, pcf_seq, target_seq, _ = _stage_seeds(config.seed)
 
-    # target channel: one concatenated pair per scattering point
+    # the Tx horn points at the first target, or at the Rx without one
     tx_pos, rx_pos = config.tx.position_m, config.rx.position_m
+    tx_ant = _aim(config.tx.antenna, tx_pos,
+                  config.targets[0].point.position if config.targets else rx_pos)
+
+    # target channel: one concatenated pair per scattering point
     if config.targets:
-        tx_ant = _aim(config.tx.antenna, tx_pos, config.targets[0].point.position)
         contributions = []
         for spec, seq in zip(config.targets, target_seq.spawn(len(config.targets))):
             seed_a, seed_b = (_child_seed(s) for s in seq.spawn(2))
@@ -133,9 +138,7 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
 
     # background channel
     if config.background.mode == "statistical":
-        aim_at = (config.targets[0].point.position if config.targets else rx_pos)
-        bg_cir = background_bistatic(config.background.profile, _child_seed(bg_seq),
-                                     _aim(config.tx.antenna, tx_pos, aim_at))
+        bg_cir = background_bistatic(config.background.profile, _child_seed(bg_seq), tx_ant)
         pl_back = free_space_loss_db(float(np.linalg.norm(rx_pos - tx_pos)), wl)
         bg_cir = bg_cir.scaled(10.0 ** (-pl_back / 20.0))
     else:
