@@ -183,7 +183,7 @@ def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
     arr = np.asarray(power, dtype=float)
     if arr.size == 0 or not np.any(arr > 0.0):
         raise ValueError("PADP is empty")
-    if peak_threshold_db <= 0.0:
+    if not peak_threshold_db > 0.0:  # NaN included
         raise ValueError("peak threshold must be > 0 dB below the global peak")
     centers = 0.5 * (np.asarray(delay_bins)[:-1] + np.asarray(delay_bins)[1:])
     local_max = (arr == _max3x3(arr)) & (arr > _max3x3(arr, _BEFORE)) & (arr > 0.0)

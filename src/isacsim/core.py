@@ -161,8 +161,8 @@ class TableRcs:
         if not np.all(np.isfinite(vals)):
             raise ValueError("RCS table must be finite")
         for a in axes:
-            if len(a) > 1 and np.any(np.diff(a) <= 0):
-                raise ValueError("RCS table axes must be strictly increasing")
+            if not np.all(np.isfinite(a)) or np.any(np.diff(a) <= 0):
+                raise ValueError("RCS table axes must be finite and strictly increasing")
         object.__setattr__(self, "az_in", axes[0])
         object.__setattr__(self, "el_in", axes[1])
         object.__setattr__(self, "az_out", axes[2])
@@ -264,9 +264,9 @@ class Cir:
                      origin: Origin | np.ndarray = Origin.BACKGROUND) -> "Cir":
         """Cir from per-path arrays; scalars broadcast to every path.
         ``origin`` is one Origin or an array of origin codes. Checks that
-        delays are finite and >= 0, amplitudes finite and bounce orders
-        >= 0, checks and wraps the angles with wrapped_azimuths and sorts
-        the rows by delay."""
+        delays are finite and >= 0, amplitudes and Dopplers finite and
+        bounce orders >= 0, checks and wraps the angles with
+        wrapped_azimuths and sorts the rows by delay."""
         if isinstance(origin, Origin):
             origin = _ORIGIN_CODE[origin]
         delay = np.asarray(delay, dtype=float).ravel()
@@ -279,8 +279,9 @@ class Cir:
         ok = np.isfinite(delay) & (delay >= 0.0)
         if not ok.all():
             raise ValueError(f"delay must be finite and >= 0, got {delay[~ok][0]}")
-        if not np.all(np.isfinite(cols["amp"])):
-            raise ValueError("amplitude must be finite")
+        for name, label in (("amp", "amplitude"), ("doppler", "Doppler")):
+            if not np.all(np.isfinite(cols[name])):
+                raise ValueError(f"{label} must be finite")
         if np.any(cols["bounce_order"] < 0):
             raise ValueError("bounce_order must be >= 0")
         for az, el in (("aod_az", "aod_el"), ("aoa_az", "aoa_el")):

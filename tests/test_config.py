@@ -172,6 +172,22 @@ def test_rcs_table_out_of_range_names_its_key(tmp_path, capsys, rcs_dbsm):
     assert "outside ±300 dBsm" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("az_in_deg", ["inf", "nan"])
+def test_rcs_table_axis_not_finite_names_its_key(tmp_path, capsys, az_in_deg):
+    (tmp_path / "rcs.csv").write_text(
+        "az_in_deg,el_in_deg,az_out_deg,el_out_deg,rcs_dbsm\n"
+        f"0,0,0,0,5.0\n{az_in_deg},0,0,0,8.0\n")
+    doc = _edit(_load(RIS), TARGET0 + ("rcs",), {"variant": "table", "csv": "rcs.csv"})
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario config:\n  - targets[0].rcs.csv must name ")
+    assert err.count("\n  - ") == 1
+    assert "axes must be finite and strictly increasing" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 SCENE_CASES = [
     (("target_m",), DELETE, "target_m is missing: it must be a list of 3 numbers"),
     (("reflectors", 0, "position_m"), DELETE,

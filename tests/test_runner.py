@@ -623,6 +623,17 @@ class TestCli:
         assert "sha256" in out
         assert "paths.json" in out
 
+    @pytest.mark.parametrize("threshold", ["nan", "-5", "0"])
+    def test_threshold_not_above_zero_exits_2(self, tmp_path, capsys, threshold):
+        cfg_path = scen1_like(tmp_path)
+        assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        argv = ["analyze", str(tmp_path / "run"), f"--threshold-db={threshold}"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == ("error: peak threshold must be > 0 dB "
+                                           "below the global peak\n")
+        assert not (tmp_path / "run" / "paths.json").exists()
+
     def test_free_space_monostatic_scene_analyzes(self, tmp_path):
         # a target and no scatterers: the no-target scan is empty
         doc = json.loads((CONFIG_DIR / "monostatic_hall.json").read_text())
@@ -913,11 +924,13 @@ class TestAnalyzeReadsPathTables:
          "not path records"),
         (lambda p: _save(p, np.stack([np.load(p)] * 2)), "holds a 2-D array"),
         (_with_first_value("amp", complex(math.nan, 0.0)), "amplitude must be finite"),
+        (_with_first_value("doppler", math.nan), "Doppler must be finite"),
+        (_with_first_value("doppler", math.inf), "Doppler must be finite"),
         (_with_first_value("delay", -1e-9), "delay must be finite and >= 0, got -1e-09"),
         (_with_first_value("origin_code", 7), "origin code outside ORIGINS"),
     ], ids=["empty", "truncated", "truncated-header", "not-npy", "object-array",
             "trailing-bytes", "wrong-dtype", "big-endian", "2-D", "nan-amplitude",
-            "negative-delay", "bad-origin"])
+            "nan-doppler", "inf-doppler", "negative-delay", "bad-origin"])
     def test_bad_table_exits_2_naming_the_file(self, run_dir, capsys, damage, message):
         table = run_dir / "target.npy"
         damage(table)
