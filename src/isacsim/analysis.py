@@ -140,7 +140,6 @@ class PadpPeak:
     angle_deg: float
     delay_s: float
     power: float  # linear
-    origin: Origin = Origin.BACKGROUND
 
     @property
     def power_db(self) -> float:
@@ -207,46 +206,29 @@ TARGET_MARGIN_DB = 6.0
 
 
 def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
-                        match_tol: tuple[float, float],
                         peak_threshold_db: float = 30.0,
                         min_sep_deg: float = 0.0,
                         min_sep_s: float = 0.0) -> list[PadpPeak]:
     """Identify target-channel peaks by comparison with a no-target scan.
 
-    A target-scan peak is tagged as target if either no background peak
-    lies within ``match_tol`` (angle deg, delay s) and the peak rises
-    more than TARGET_MARGIN_DB above the background cell at the same
-    (angle, delay), or a background peak does match but the power is
-    raised by more than TARGET_MARGIN_DB. Both scans must use the same scan
-    angles and delay bin edges, exactly.
+    Peaks are picked in the target scan only. A peak is a target peak
+    when the no-target scan's cell at the same (angle, delay) is empty,
+    or when the peak rises more than TARGET_MARGIN_DB above that cell;
+    the no-target scan is compared cell by cell and never peak-picked.
+    Both scans must use the same scan angles and delay bin edges, exactly.
     """
     if not (np.array_equal(target_scan.angles_deg, background_scan.angles_deg)
             and np.array_equal(target_scan.delay_bins, background_scan.delay_bins)):
         raise ValueError("target and background scans use different grids")
-    tol_deg, tol_s = match_tol
-    t_padp = padp(target_scan)
-    b_padp = padp(background_scan)
-    t_peaks = extract_paths(t_padp, target_scan.angles_deg, target_scan.delay_bins,
-                            peak_threshold_db, min_sep_deg, min_sep_s)
-    # a free-space scene has no background, and so no background peaks
-    b_peaks = (extract_paths(b_padp, background_scan.angles_deg, background_scan.delay_bins,
-                             peak_threshold_db, min_sep_deg, min_sep_s)
-               if np.any(b_padp > 0.0) else [])
-    centers = target_scan.bin_centers()
+    peaks = extract_paths(target_scan.power, target_scan.angles_deg, target_scan.delay_bins,
+                          peak_threshold_db, min_sep_deg, min_sep_s)
+    angles, centers = target_scan.angles_deg.tolist(), target_scan.bin_centers().tolist()
     margin = 10.0 ** (TARGET_MARGIN_DB / 10.0)
-
     out = []
-    for tp in t_peaks:
-        matches = [bp for bp in b_peaks if _deg_apart(tp.angle_deg, bp.angle_deg) <= tol_deg
-                   and abs(tp.delay_s - bp.delay_s) <= tol_s]
-        if matches:
-            ref = max(bp.power for bp in matches)
-        else:
-            i = int(np.argmin(np.abs(target_scan.angles_deg - tp.angle_deg)))
-            j = int(np.argmin(np.abs(centers - tp.delay_s)))
-            ref = float(b_padp[i, j])
-        if ref == 0.0 or tp.power > ref * margin:
-            out.append(replace(tp, origin=Origin.TARGET))
+    for pk in peaks:
+        ref = background_scan.power[angles.index(pk.angle_deg), centers.index(pk.delay_s)]
+        if ref == 0.0 or pk.power > ref * margin:
+            out.append(pk)
     return out
 
 
@@ -490,7 +472,7 @@ def write_paths_json(path, peaks: Sequence[PadpPeak],
             "tau_ns": pk.delay_s * 1e9,
             "power_db": pk.power_db,
             "bounce_order": None if b is None else b.order,
-            "origin": pk.origin.value,
+            "origin": Origin.TARGET.value,
             "route_labels": None if b is None else b.route,
         })
     with open(path, "w") as f:

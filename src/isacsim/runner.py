@@ -362,9 +362,7 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0) -> li
     with_target = turntable_scan(combined, config.rx.antenna, angles, bins)
     without_target = turntable_scan(bg_cir, config.rx.antenna, angles, bins)
 
-    peaks = subtract_background(with_target, without_target,
-                                match_tol=(step / 2.0, bin_w),
-                                peak_threshold_db=peak_threshold_db)
+    peaks = subtract_background(with_target, without_target, peak_threshold_db=peak_threshold_db)
     bounce = None
     if scene is not None:
         bounce = [classify_bounce(pk, scene, delay_tol=bin_w, angle_tol_deg=step / 2.0)

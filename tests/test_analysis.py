@@ -16,7 +16,6 @@ from isacsim import (
     AntennaModel,
     Cir,
     GeometricScatterer,
-    Origin,
     PadpPeak,
     ReconstructionScene,
     ScanGrid,
@@ -386,26 +385,36 @@ class TestSubtractBackground:
 
     def test_identical_scans_empty(self):
         paths = [path(20e-9, 1.0, az_deg=40.0), path(90e-9, 0.3, az_deg=200.0)]
-        out = subtract_background(self._scan(paths), self._scan(paths),
-                                  match_tol=(2.5, 5e-9))
+        out = subtract_background(self._scan(paths), self._scan(paths))
         assert out == []
 
     def test_added_peak_detected(self):
         bg = [path(20e-9, 1.0, az_deg=40.0)]
         tg = bg + [path(120e-9, 0.8, az_deg=250.0)]
-        out = subtract_background(self._scan(tg), self._scan(bg), match_tol=(2.5, 5e-9))
+        out = subtract_background(self._scan(tg), self._scan(bg))
         assert len(out) == 1
         assert out[0].angle_deg == 250.0
-        assert out[0].origin is Origin.TARGET
 
     def test_raised_peak_detected(self):
         # same angle/delay cell but ~10 dB stronger than the background
         bg = [path(20e-9, 1.0, az_deg=40.0), path(90e-9, 0.1, az_deg=200.0)]
         tg = [path(20e-9, 1.0, az_deg=40.0), path(90e-9, 0.1 * math.sqrt(10.0) * 1j,
                                                   az_deg=200.0)]
-        out = subtract_background(self._scan(tg), self._scan(bg), match_tol=(2.5, 5e-9))
+        out = subtract_background(self._scan(tg), self._scan(bg))
         assert len(out) == 1
         assert out[0].angle_deg == 200.0
+
+    def test_background_peak_one_bin_away_is_not_the_reference(self):
+        # the no-target cell under the target peak is empty, so the peak is
+        # a target peak, however close the background's own peak lies
+        bins = delay_grid(200e-9, 5e-9)
+        tg = [path(7.5e-9, math.sqrt(2.0), az_deg=40.0)]
+        bg = [path(12.5e-9, 1.0, az_deg=40.0)]
+        with_target = self._scan(tg + bg)
+        without_target = self._scan(bg)
+        assert without_target.power[8, 1] == 0.0
+        out = subtract_background(with_target, without_target)
+        assert [(pk.angle_deg, pk.delay_s) for pk in out] == [(40.0, 0.5 * (bins[1] + bins[2]))]
 
     def test_empty_background_has_no_peaks(self):
         # a free-space scene: the no-target scan is all zeros
@@ -414,15 +423,14 @@ class TestSubtractBackground:
         empty = turntable_scan(Cir.from_columns([], []), horn, np.arange(0.0, 360.0, 5.0),
                                delay_grid(200e-9, 5e-9))
         assert not np.any(empty.power)
-        out = subtract_background(self._scan(tg), empty, match_tol=(2.5, 5e-9))
+        out = subtract_background(self._scan(tg), empty)
         assert sorted(pk.angle_deg for pk in out) == [40.0, 250.0]
-        assert all(pk.origin is Origin.TARGET for pk in out)
 
     def test_grid_mismatch_rejected(self):
         a = self._scan([path(20e-9, 1.0, az_deg=40.0)])
         b = self._scan([path(20e-9, 1.0, az_deg=40.0)], angles=np.arange(0.0, 180.0, 5.0))
         with pytest.raises(ValueError):
-            subtract_background(a, b, match_tol=(2.5, 5e-9))
+            subtract_background(a, b)
 
     def test_delay_grids_compared_exactly(self):
         # 7 edges at 0.6 and at 1.2 GHz: each pair of edges is within
@@ -432,7 +440,7 @@ class TestSubtractBackground:
         a = ScanGrid(angles, power, np.arange(7) / 0.6e9)
         b = ScanGrid(angles, power, np.arange(7) / 1.2e9)
         with pytest.raises(ValueError, match="different grids"):
-            subtract_background(a, b, match_tol=(2.5, 1e-9))
+            subtract_background(a, b)
 
 
 def make_scene():
@@ -703,8 +711,7 @@ class TestFileRoundTrips:
         sc = make_scene()
         south = sc.reflectors[0].position
         length = route_len(sc.tx, sc.target, south, sc.rx)
-        pk = PadpPeak(arrival_az_deg(south, sc.rx), length / C_LIGHT, 0.25,
-                      origin=Origin.TARGET)
+        pk = PadpPeak(arrival_az_deg(south, sc.rx), length / C_LIGHT, 0.25)
         res = classify_bounce(pk, sc, 1e-9, 2.5)
         out = tmp_path / "paths.json"
         records = write_paths_json(out, [pk], [res])

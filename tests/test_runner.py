@@ -29,7 +29,7 @@ from isacsim.runner import (
     write_cir_json,
     write_path_table,
 )
-from isacsim.analysis import turntable_scan
+from isacsim.analysis import TARGET_MARGIN_DB, extract_paths, turntable_scan
 from isacsim.sounder import transmit_through
 
 CONFIG_DIR = Path(__file__).parents[1] / "demos" / "configs"
@@ -558,6 +558,34 @@ class TestRunAnalyze:
         run_analyze(tmp_path / "run")
         simulated, with_target, _ = grids
         assert np.array_equal(with_target.power, simulated.power)
+
+    @pytest.mark.parametrize("threshold_db", [30.0, 120.0])
+    @pytest.mark.parametrize("cfg_path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_written_peaks_follow_the_cell_rule(self, tmp_path, cfg_path, threshold_db):
+        # the peaks of the with-target scan that rise more than the margin
+        # above the no-target scan's cell at the same (angle, delay), or
+        # whose no-target cell is empty, and no others
+        cfg = load_config(cfg_path)
+        run_simulate(cfg, out_dir=tmp_path / "run")
+        written = run_analyze(tmp_path / "run", peak_threshold_db=threshold_db)
+        target = read_path_table(tmp_path / "run" / "target.npy")
+        background = read_path_table(tmp_path / "run" / "background.npy")
+        combined, _, bins = runner._scan_input(target, background, cfg.bandwidth_hz)
+        angles = cfg.scan_angles_deg()
+        with_target = turntable_scan(combined, cfg.rx.antenna, angles, bins)
+        without_target = turntable_scan(background, cfg.rx.antenna, angles, bins)
+        candidates = extract_paths(with_target.power, angles, bins, threshold_db)
+        margin = 10.0 ** (TARGET_MARGIN_DB / 10.0)
+        want = []
+        for pk in candidates:
+            i = int(np.flatnonzero(angles == pk.angle_deg)[0])
+            j = int(np.searchsorted(bins, pk.delay_s)) - 1
+            assert with_target.power[i, j] == pk.power
+            ref = without_target.power[i, j]
+            if ref == 0.0 or pk.power > ref * margin:
+                want.append((pk.angle_deg, pk.delay_s * 1e9, pk.power_db))
+        assert [(p["theta_deg"], p["tau_ns"], p["power_db"]) for p in written] == want
+        assert {p["origin"] for p in written} <= {"target"}
 
     def test_shipped_scene_loads(self):
         # the file still carries beamwidth_deg, which nothing reads
