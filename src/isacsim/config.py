@@ -62,7 +62,6 @@ class ScenarioConfig:
     name: str
     carrier_freq_hz: float
     bandwidth_hz: float
-    sensing_mode: str  # "mono_static" | "bi_static"
     tx: EndpointSpec
     rx: EndpointSpec
     targets: tuple[TargetSpec, ...]
@@ -349,7 +348,7 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
 
     return ScenarioConfig(
         name=c["name"], carrier_freq_hz=c["carrier_freq_hz"], bandwidth_hz=c["bandwidth_hz"],
-        sensing_mode=mode, tx=EndpointSpec(tx_pos, AntennaModel(**tx["antenna"])),
+        tx=EndpointSpec(tx_pos, AntennaModel(**tx["antenna"])),
         rx=EndpointSpec(rx_pos, AntennaModel(**rx["antenna"])),
         targets=tuple(TargetSpec(
             point=ScatteringPoint(position=t["position_m"], velocity=t["velocity_mps"],

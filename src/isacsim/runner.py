@@ -10,7 +10,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -50,8 +49,6 @@ from .gbsm import AntennaModel, ClusterSet, sample_clusters, with_los_ray
 from .linkbudget import conv_path_power, delta_p, free_space_loss_db
 from .sounder import generate_pn, process_capture, save_capture, transmit_through
 from .target import Side, SubLink, multi_point_target
-
-OUTPUT_ROOT_ENV = "ISACSIM_OUTPUT_ROOT"
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +276,6 @@ class RunReport:
     out_dir: str
 
 
-def _resolve_out_dir(config: ScenarioConfig, out_dir) -> Path:
-    if out_dir is not None:
-        return Path(out_dir)
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root:
-        return Path(root) / config.name
-    return Path(config.outputs)
-
-
 def _scan_input(target_cir: Cir, bg_cir: Cir, bandwidth_hz: float):
     """The combined sensing CIR, the delay-bin width (one over the
     bandwidth) and the delay bins a scan of it uses."""
@@ -305,7 +293,7 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
     """Simulate one scenario and write OUTPUT_FILES and report.json into
     the output directory: the path lists as JSON for people and other
     tools, and as the path tables that analyze reads."""
-    out = _resolve_out_dir(config, out_dir)
+    out = Path(config.outputs if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
 
@@ -509,7 +497,7 @@ def run_validate(golden_dir=None) -> ValidationReport:
 def run_sounder_roundtrip(config: ScenarioConfig, out_dir=None) -> dict:
     """Push the simulated sensing CIR through the sliding-correlation
     pipeline and report how well the paths survive."""
-    out = _resolve_out_dir(config, out_dir)
+    out = Path(config.outputs if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sim = simulate_channels(config)
     combined = Cir.concat([sim.target_cir, sim.background_cir])

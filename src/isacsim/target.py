@@ -64,7 +64,7 @@ def _rcs_linear(model, angles_in: np.ndarray, angles_out: np.ndarray) -> np.ndar
 
 
 def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
-                tx_antenna: AntennaModel = AntennaModel(), t: float = 0.0) -> Cir:
+                tx_antenna: AntennaModel = AntennaModel()) -> Cir:
     """Pair every ray of ``a`` with every ray of ``b`` through the target.
 
     Produces |a| * |b| paths (no merging). Per pair, the delay is the
@@ -77,7 +77,7 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
         * sqrt(sigma(out, in)) * sqrt(4 pi / lambda^2)
 
     with sigma evaluated at the target-side angle pair, rotated by the
-    phase of the scattering point's position and by the Doppler phase.
+    phase of the scattering point's position.
     The antennas are single-polarized: F_tx = (g, 0), g the Tx field
     gain toward the AoD, and F_rx is the omni (1, 0), since the turntable
     scan applies the receive pattern. With an omni Tx antenna and
@@ -103,8 +103,7 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
     doppler = np.add.outer(u_a @ sp.velocity, u_b @ sp.velocity) / wl
     amp = (np.sqrt(ra.power[:, None] * rb.power[None, :] * sigma) * gain
            * math.sqrt(spreading_gain(wl))
-           * np.exp(1j * (phase_a[:, None] + phase_b[None, :]))
-           * np.exp(1j * 2.0 * math.pi * doppler * t))
+           * np.exp(1j * (phase_a[:, None] + phase_b[None, :])))
 
     return Cir.from_columns(
         np.add.outer(ra.delay, rb.delay), amp, doppler,

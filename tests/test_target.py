@@ -74,7 +74,7 @@ def tx_field(antenna, angle):
     return np.array([antenna.field_gain([antenna.boresight], [angle])[0, 0], 0.0])
 
 
-def reference_concatenate(a, b, sp, wl, tx, t):
+def reference_concatenate(a, b, sp, wl, tx):
     """One ray pair at a time, over the rows of the two ray tables, with
     the full 38.901 chain F_rx^T . CPM_2 . CPM_1 . F_tx and the Doppler of
     the point's velocity on both target-side directions: (delay, amp,
@@ -95,8 +95,7 @@ def reference_concatenate(a, b, sp, wl, tx, t):
             phase = k * (u_in @ sp.position + u_out @ sp.position)
             doppler = (u_in @ sp.velocity + u_out @ sp.velocity) / wl
             amp = (math.sqrt(ra.power[i] * rb.power[j] * sigma) * gain
-                   * math.sqrt(spreading_gain(wl)) * np.exp(1j * phase)
-                   * np.exp(1j * 2.0 * math.pi * doppler * t))
+                   * math.sqrt(spreading_gain(wl)) * np.exp(1j * phase))
             out.append((ra.delay[i] + rb.delay[j], amp, doppler, aod1, aoa2,
                         ra.bounce_order[i] + rb.bounce_order[j]))
     return sorted(out, key=lambda row: row[0])
@@ -143,8 +142,8 @@ class TestConcatenate:
         sp = ScatteringPoint(position=[4.6, 2.5, 1.5], velocity=[1.5, -0.8, 0.3],
                              rcs_model=rcs)
         a, b = link(Side.TX_TO_TARGET, 1), link(Side.TARGET_TO_RX, 2)
-        cir = concatenate(a, b, sp, WL, tx, t=1.3e-3)
-        want = reference_concatenate(a, b, sp, WL, tx, 1.3e-3)
+        cir = concatenate(a, b, sp, WL, tx)
+        want = reference_concatenate(a, b, sp, WL, tx)
         assert len(cir) == len(a.clusters) * len(b.clusters)
         got = zip(cir.delay.tolist(),
                   zip(cir.aod_az.tolist(), cir.aod_el.tolist()),
@@ -346,7 +345,7 @@ class TestConcatenationLaws:
         a, b = SubLink(Side.TX_TO_TARGET, rays_a), SubLink(Side.TARGET_TO_RX, rays_b)
         sp = point(sigma_dbsm)
         cir = concatenate(a, b, sp, WL)
-        want = reference_concatenate(a, b, sp, WL, OMNI, 0.0)
+        want = reference_concatenate(a, b, sp, WL, OMNI)
         # sums of the two rays' delays, exactly; a still target shifts nothing
         assert cir.delay.tolist() == [row[0] for row in want]
         assert np.all(cir.doppler == 0.0)
@@ -362,27 +361,27 @@ class TestConcatenationLaws:
     def test_doppler_sums_the_two_hops_projections(self, rays_a, rays_b, position, velocity):
         a, b = SubLink(Side.TX_TO_TARGET, rays_a), SubLink(Side.TARGET_TO_RX, rays_b)
         moving = ScatteringPoint(position=position, velocity=velocity)
-        want = [row[2] for row in reference_concatenate(a, b, moving, WL, OMNI, 0.0)]
+        want = [row[2] for row in reference_concatenate(a, b, moving, WL, OMNI)]
         assert_dopplers(concatenate(a, b, moving, WL).doppler, want, moving.velocity, WL)
         still = concatenate(a, b, ScatteringPoint(position=position), WL)
         assert np.all(still.doppler == 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(ray_tables(cross_polar=True), ray_tables(cross_polar=True), horns(), rcs_models(),
-           vectors(10.0), vectors(10.0), st.floats(0.0, 1e-3))
+           vectors(10.0), vectors(10.0))
     # the 5-degree horn's field gain toward the powered AoD is 1.45e-313, subnormal
     @example(_one_powered_ray(9, 6, 1.125, 15.0, (4.190640214454691, 1.101307130501577),
                               3.0897511604024075),
              _one_powered_ray(9, 8, 7.0, 71.0),
              AntennaModel(kind="horn", hpbw_deg=5.0, boresight=(0.59375, 0.0)),
              TableRcs([-1.0], [-1.0], [-1.0], [-1.0], np.zeros((1, 1, 1, 1))),
-             [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0.0)
+             [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
     def test_single_polarized_synthesis_matches_matrix_chain(self, rays_a, rays_b, tx, rcs,
-                                                             position, velocity, t):
+                                                             position, velocity):
         a, b = SubLink(Side.TX_TO_TARGET, rays_a), SubLink(Side.TARGET_TO_RX, rays_b)
         sp = ScatteringPoint(position=position, velocity=velocity, rcs_model=rcs)
-        cir = concatenate(a, b, sp, WL, tx, t)
-        want = np.array([row[1] for row in reference_concatenate(a, b, sp, WL, tx, t)])
+        cir = concatenate(a, b, sp, WL, tx)
+        want = np.array([row[1] for row in reference_concatenate(a, b, sp, WL, tx)])
         # the scale of each pair's rounding error: the chain's terms taken
         # with their moduli, so a pair whose terms cancel is held to it too
         cross = lambda rays: 1.0 + 1.0 / np.sqrt(rays.xpr)
@@ -407,7 +406,7 @@ def one_ray(side, aod=(0.0, 0.0), aoa=(0.0, 0.0), delay=1e-9):
 
 
 class TestConcatenateDoppler:
-    """The one Doppler rule of concatenate, and the Doppler phase at time t."""
+    """The one Doppler rule of concatenate."""
 
     def test_radial_motion(self):
         # Tx and Rx both lie along +x from the target, which moves toward
@@ -423,30 +422,12 @@ class TestConcatenateDoppler:
             cir = concatenate(one_ray(Side.TX_TO_TARGET), one_ray(Side.TARGET_TO_RX), sp, 0.01)
             assert cir.doppler[0] == 0.0
 
-    def test_half_doppler_period_flips_sign(self):
-        for speed in (0.05, 0.7, 20.0):
-            sp = ScatteringPoint(position=[1.0, 2.0, 0.5], velocity=[speed, 0, 0])
-            a, b = one_ray(Side.TX_TO_TARGET), one_ray(Side.TARGET_TO_RX, aod=(0.4, 0.1))
-            c0 = concatenate(a, b, sp, WL, t=0.0)
-            c1 = concatenate(a, b, sp, WL, t=0.5 / c0.doppler[0])
-            assert c1.amp[0] == pytest.approx(-c0.amp[0], rel=1e-9)
-
-    def test_time_changes_phase_only(self):
-        a = SubLink(Side.TX_TO_TARGET, ClusterSet(power=0.7, delay=1e-9, aod=(0.3, 0.0),
-                                                  aoa=(1.1, 0.2), xpr=5.0,
-                                                  phases=(0.1, 0.2, 0.3, 0.4)))
-        b = one_ray(Side.TARGET_TO_RX, aod=(2.0, -0.1))
-        sp = ScatteringPoint(position=[1.0, 2.0, 0.5], velocity=[0.5, -1.0, 0.2])
-        horn = AntennaModel(kind="horn", hpbw_deg=30.0, peak_gain_db=10.0)
-        coeffs = [concatenate(a, b, sp, WL, horn, t=t).amp[0] for t in (0.0, 1e-4, 3e-3)]
-        assert [abs(c) for c in coeffs] == pytest.approx([abs(coeffs[0])] * 3, rel=1e-14)
-        assert len(set(coeffs)) == 3
-
     @pytest.mark.parametrize("velocity", [[3.0, -2.0, 0.5], [-40.0, 10.0, 0.0]])
     def test_slow_time_fft_recovers_the_los_doppler(self, velocity):
-        # K snapshots of a moving, LOS-only target, one every T, each sent
-        # through the sounder; the FFT over the K recovered amplitudes
-        # peaks within one bin of the LOS x LOS Doppler
+        # K snapshots of a moving, LOS-only target, one every T: snapshot k
+        # turns the path by its own Doppler column, amp * exp(2 pi j f_D k T),
+        # and goes through the sounder; the FFT over the K recovered
+        # amplitudes peaks within one bin of the LOS x LOS Doppler
         tx, rx, target = np.array([0, 0, 1.5]), np.array([7.45, 0, 1.5]), np.array([4.45, 1, 1.5])
         a = one_ray(Side.TX_TO_TARGET, aod=angle_from_vector(target - tx),
                     aoa=angle_from_vector(tx - target),
@@ -457,12 +438,13 @@ class TestConcatenateDoppler:
         sp = ScatteringPoint(position=target, velocity=velocity)
         k_snapshots, period = 128, 1e-3  # 7.8 Hz bins, +-500 Hz unaliased
         pn = generate_pn(7, chip_rate=1e9)
+        cir = concatenate(a, b, sp, WL)
+        doppler = cir.doppler[0]
         amps = []
         for k in range(k_snapshots):
-            cir = concatenate(a, b, sp, WL, t=k * period)
-            recovered = process_capture(transmit_through(cir, pn, None, None)).recovered
+            snapshot = cir.scaled(np.exp(2j * math.pi * doppler * k * period))
+            recovered = process_capture(transmit_through(snapshot, pn, None, None)).recovered
             amps.append(max(recovered, key=lambda path: abs(path[1]))[1])
-        doppler = cir.doppler[0]
         assert abs(doppler) > 1.0 / (k_snapshots * period)  # more than one bin from 0 Hz
         freqs = np.fft.fftfreq(k_snapshots, period)
         peak = freqs[np.argmax(np.abs(np.fft.fft(amps)))]
