@@ -158,11 +158,14 @@ _AROUND = tuple((i, j) for i in range(3) for j in range(3))
 _BEFORE = ((0, 0), (0, 1), (0, 2), (1, 0))
 
 
-def _max3x3(arr: np.ndarray, offsets=_AROUND) -> np.ndarray:
+def _max3x3(arr: np.ndarray, offsets=_AROUND, ring: bool = False) -> np.ndarray:
     """Maximum over the cells at ``offsets`` in each cell's 3 x 3
-    neighbourhood; cells off the array do not count."""
+    neighbourhood; cells off the array do not count, except that with
+    ``ring`` the first and last rows are neighbours."""
     rows, cols = arr.shape
     padded = np.pad(arr, 1, constant_values=-np.inf)
+    if ring:
+        padded[0, 1:-1], padded[-1, 1:-1] = arr[-1], arr[0]
     return np.max([padded[i:i + rows, j:j + cols] for i, j in offsets], axis=0)
 
 
@@ -174,10 +177,13 @@ def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
     A cell is a peak when no cell of its 3 x 3 neighbourhood is higher
     and each neighbour before it in row-major order is lower, so a
     plateau of equal cells in a row, a column or a rectangle gives one
-    peak, its first cell. Returns the peaks within ``peak_threshold_db``
-    of the global maximum, strongest first, suppressing any candidate
-    that lies within both ``min_sep_deg`` and ``min_sep_s`` of an
-    already accepted peak.
+    peak, its first cell. When the scan angles close a full circle
+    (their count times their step is 360 degrees), the first and last
+    rows are neighbours and the first row comes before the last, so a
+    path across the 0/360 degree seam gives one peak. Returns the peaks
+    within ``peak_threshold_db`` of the global maximum, strongest first,
+    suppressing any candidate that lies within both ``min_sep_deg`` and
+    ``min_sep_s`` of an already accepted peak.
     """
     arr = np.asarray(power, dtype=float)
     if arr.size == 0 or not np.any(arr > 0.0):
@@ -185,7 +191,11 @@ def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
     if not peak_threshold_db > 0.0:  # NaN included
         raise ValueError("peak threshold must be > 0 dB below the global peak")
     centers = 0.5 * (np.asarray(delay_bins)[:-1] + np.asarray(delay_bins)[1:])
-    local_max = (arr == _max3x3(arr)) & (arr > _max3x3(arr, _BEFORE)) & (arr > 0.0)
+    ring = len(angles_deg) > 1 and abs(len(angles_deg) * (angles_deg[1] - angles_deg[0])
+                                       - 360.0) <= 1e-9
+    local_max = (arr == _max3x3(arr, ring=ring)) & (arr > _max3x3(arr, _BEFORE)) & (arr > 0.0)
+    if ring:
+        local_max[-1] &= arr[-1] > _max3x3(arr[:1])[0]
     floor = arr.max() * 10.0 ** (-peak_threshold_db / 10.0)
     cand = np.argwhere(local_max & (arr >= floor))
     order = np.argsort(arr[cand[:, 0], cand[:, 1]])[::-1]

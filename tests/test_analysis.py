@@ -365,6 +365,31 @@ class TestExtractPaths:
         peaks = extract_paths(arr, np.arange(0, 360, 5.0), delay_grid(100e-9, 1e-9), 30.0)
         assert sorted(round(p.delay_s * 1e9, 6) for p in peaks) == [20.5, 22.5]
 
+    @pytest.mark.parametrize("az_deg", [
+        357.5,  # 355 and 0 degrees see it equally: a plateau across the seam
+        2.5,  # 355 degrees sees it 2.7 dB down, and is no peak
+        0.0,
+    ])
+    def test_full_circle_scan_joins_its_seam(self, az_deg):
+        horn = AntennaModel(kind="horn", hpbw_deg=15.0, peak_gain_db=15.0)
+        cir = cir_of([path(22.5e-9, 1.0, az_deg=az_deg)])
+        bins = delay_grid(100e-9, 5e-9)
+        grid = turntable_scan(cir, horn, np.arange(0.0, 360.0, 5.0), bins)
+        peaks = extract_paths(grid.power, grid.angles_deg, grid.delay_bins, 30.0)
+        assert [(p.angle_deg, p.delay_s) for p in peaks] == [(0.0, 0.5 * (bins[4] + bins[5]))]
+
+    @pytest.mark.parametrize("angles, want", [
+        (np.arange(0.0, 180.0, 5.0), [0.0, 175.0]),  # a half circle: the edge rows are apart
+        (np.arange(0.0, 360.0, 10.0), [0.0]),  # a full circle: they are neighbours
+    ])
+    def test_edge_rows_are_neighbours_only_on_a_full_circle(self, angles, want):
+        arr = np.zeros((36, 100))
+        arr[0, 20], arr[-1, 20] = 1.0, 0.5
+        arr[-1, 60] = 0.25  # the last row keeps a peak that row 0 does not touch
+        peaks = extract_paths(arr, angles, delay_grid(100e-9, 1e-9), 30.0)
+        assert [p.angle_deg for p in peaks if p.power > 0.25] == want
+        assert [(p.angle_deg, p.power) for p in peaks if p.power == 0.25] == [(angles[-1], 0.25)]
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (17, 23)])
     def test_neighbourhood_max_matches_scipy(self, shape):
         from scipy.ndimage import maximum_filter
