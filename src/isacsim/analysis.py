@@ -234,12 +234,9 @@ def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
                           peak_threshold_db, min_sep_deg, min_sep_s)
     angles, centers = target_scan.angles_deg.tolist(), target_scan.bin_centers().tolist()
     margin = 10.0 ** (TARGET_MARGIN_DB / 10.0)
-    out = []
-    for pk in peaks:
-        ref = background_scan.power[angles.index(pk.angle_deg), centers.index(pk.delay_s)]
-        if ref == 0.0 or pk.power > ref * margin:
-            out.append(pk)
-    return out
+    # every peak is above zero, so a peak over an empty cell passes
+    return [pk for pk in peaks if pk.power > margin * background_scan.power[
+        angles.index(pk.angle_deg), centers.index(pk.delay_s)]]
 
 
 # ---------------------------------------------------------------------------
