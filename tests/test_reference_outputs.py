@@ -104,13 +104,26 @@ def run_workload(name: str, work: Path) -> dict[str, dict[str, str]]:
             for s in WORKLOADS.build(name, WORKLOAD_SEED, inputs).scenarios}
 
 
+def changed_entries(old: dict[str, dict[str, str]],
+                    new: dict[str, dict[str, str]]) -> list[str]:
+    """Every ``<chain>: <file>`` whose digest differs between ``old`` and
+    ``new``, over the chains of ``new``; a file present on one side only
+    counts as changed, and so does every file of a chain ``old`` lacks."""
+    return [f"{key}: {name}" for key, files in new.items()
+            for name in sorted(set(files) | set(old.get(key, {})))
+            if files.get(name) != old.get(key, {}).get(name)]
+
+
 def _assert_frozen(got: dict[str, dict[str, str]]) -> None:
-    frozen = json.loads(DIGESTS.read_text())
-    for key, files in got.items():
-        want = frozen[key]
-        assert sorted(files) == sorted(want), f"{key}: the set of output files changed"
-        changed = [name for name in want if files[name] != want[name]]
-        assert not changed, f"{key}: {', '.join(changed)} differ from the frozen digests"
+    changed = changed_entries(json.loads(DIGESTS.read_text()), got)
+    assert not changed, "differ from the frozen digests:\n" + "\n".join(changed)
+
+
+def test_every_changed_entry_is_reported():
+    old = {"a": {"x": "1", "y": "2"}, "b": {"x": "1"}, "c": {"x": "1"}}
+    new = {"a": {"x": "0", "y": "0"}, "b": {"x": "1", "z": "3"}, "c": {"x": "1"}}
+    assert changed_entries(old, new) == ["a: x", "a: y", "b: z"]
+    assert changed_entries({}, {"d": {"x": "1"}}) == ["d: x"]
 
 
 @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=[p.stem for p in SHIPPED_CONFIGS])
@@ -144,6 +157,10 @@ if __name__ == "__main__":
     for name in WORKLOADS.BUILDERS:
         with tempfile.TemporaryDirectory() as tmp:
             digests.update(run_workload(name, Path(tmp)))
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for entry in changed_entries(old, digests) + [f"{key}: removed" for key in old
+                                                  if key not in digests]:
+        print(f"changed {entry}", file=sys.stderr)
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}", file=sys.stderr)
