@@ -13,7 +13,6 @@ from .core import (
     C_LIGHT,
     Cir,
     ConstantRcs,
-    Origin,
     ScatteringPoint,
     TableRcs,
     angle_from_vector,

@@ -19,7 +19,6 @@ from .core import (
     C_LIGHT,
     TWO_PI,
     Cir,
-    Origin,
     finite_vector,
     linear_to_db,
     unit_vectors,
@@ -479,7 +478,7 @@ def write_paths_json(path, peaks: Sequence[PadpPeak],
             "tau_ns": pk.delay_s * 1e9,
             "power_db": pk.power_db,
             "bounce_order": None if b is None else b.order,
-            "origin": Origin.TARGET.value,
+            "origin": "target",
             "route_labels": None if b is None else b.route,
         })
     with open(path, "w") as f:

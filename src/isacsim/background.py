@@ -17,7 +17,6 @@ import numpy as np
 from .core import (
     C_LIGHT,
     Cir,
-    Origin,
     angle_from_vector,
     finite_vector,
 )
@@ -101,7 +100,7 @@ def background_bistatic(profile: GenerationProfile, seed: int,
     """Statistical background channel for separated Tx and Rx; ``seed`` draws it.
 
     Structurally identical to a conventional communication-channel
-    realization; paths are tagged with the background origin.
+    realization.
     """
     return synthesize_cir(sample_clusters(profile, seed), tx_antenna)
 
@@ -145,4 +144,4 @@ def background_monostatic(scatterers, txrx_position, wl: float) -> Cir:
         az.append(direction_az)
         el.append(direction_el)
     return Cir.from_columns(delay, amp, 0.0, aod_az=az, aod_el=el, aoa_az=az, aoa_el=el,
-                            bounce_order=1, origin=Origin.BACKGROUND)
+                            bounce_order=1)

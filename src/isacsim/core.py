@@ -14,7 +14,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import bisect
-import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -208,12 +207,6 @@ RcsModel = ConstantRcs | TableRcs
 # Scattering points and CIRs
 # ---------------------------------------------------------------------------
 
-class Origin(enum.Enum):
-    TARGET = "target"
-    BACKGROUND = "background"
-    SHARED = "shared"
-
-
 @dataclass(frozen=True, eq=False)
 class ScatteringPoint:
     """A sensing-target scattering center."""
@@ -227,14 +220,10 @@ class ScatteringPoint:
         object.__setattr__(self, "velocity", finite_vector(self.velocity, "velocity"))
 
 
-# Paths are stored by origin code: the index into ORIGINS
-ORIGINS = (Origin.TARGET, Origin.BACKGROUND, Origin.SHARED)
-_ORIGIN_CODE = {o: i for i, o in enumerate(ORIGINS)}
-
 # the per-path columns of a Cir
 COLUMNS = ("delay", "amp", "doppler", "aod_az", "aod_el", "aoa_az", "aoa_el",
-           "bounce_order", "origin_code")
-_DTYPES = (float, complex, float, float, float, float, float, np.int64, np.int8)
+           "bounce_order")
+_DTYPES = (float, complex, float, float, float, float, float, np.int64)
 # one path as one little-endian record of those columns: the row type of
 # the path table files (target.npy, background.npy)
 PATH_RECORD = np.dtype([(name, np.dtype(dt).newbyteorder("<"))
@@ -249,8 +238,7 @@ class Cir:
     ``amp`` (complex field gain), ``doppler`` (Hz), ``aod_az``,
     ``aod_el``, ``aoa_az``, ``aoa_el`` (radians, azimuths in [0, 2 pi)),
     ``bounce_order`` (interactions with objects other than the sensing
-    target, 0 = direct) and ``origin_code`` (index into ``ORIGINS``).
-    ``Cir.from_columns`` and ``Cir.concat`` build one.
+    target, 0 = direct). ``Cir.from_columns`` and ``Cir.concat`` build one.
     """
 
     __slots__ = COLUMNS
@@ -260,18 +248,14 @@ class Cir:
 
     @classmethod
     def from_columns(cls, delay, amp, doppler=0.0, aod_az=0.0, aod_el=0.0,
-                     aoa_az=0.0, aoa_el=0.0, bounce_order=0,
-                     origin: Origin | np.ndarray = Origin.BACKGROUND) -> "Cir":
+                     aoa_az=0.0, aoa_el=0.0, bounce_order=0) -> "Cir":
         """Cir from per-path arrays; scalars broadcast to every path.
-        ``origin`` is one Origin or an array of origin codes. Checks that
-        delays are finite and >= 0, amplitudes and Dopplers finite and
+        Checks that delays are finite and >= 0, amplitudes and Dopplers finite and
         bounce orders >= 0, checks and wraps the angles with
         wrapped_azimuths and sorts the rows by delay."""
-        if isinstance(origin, Origin):
-            origin = _ORIGIN_CODE[origin]
         delay = np.asarray(delay, dtype=float).ravel()
         n = len(delay)
-        raw = (delay, amp, doppler, aod_az, aod_el, aoa_az, aoa_el, bounce_order, origin)
+        raw = (delay, amp, doppler, aod_az, aod_el, aoa_az, aoa_el, bounce_order)
         cols = {}
         for name, v, dt in zip(COLUMNS, raw, _DTYPES):
             arr = np.asarray(v, dtype=dt)
@@ -286,8 +270,6 @@ class Cir:
             raise ValueError("bounce_order must be >= 0")
         for az, el in (("aod_az", "aod_el"), ("aoa_az", "aoa_el")):
             cols[az] = wrapped_azimuths(cols[az], cols[el])
-        if np.any((cols["origin_code"] < 0) | (cols["origin_code"] >= len(ORIGINS))):
-            raise ValueError("origin code outside ORIGINS")
         return cls._make(_sorted_columns(cols))
 
     @classmethod
@@ -390,8 +372,7 @@ def merge_paths(paths: Cir, delay_tol: float, angle_tol: float) -> Cir:
     Each group of coinciding paths becomes its anchor, its earliest row,
     with the complex sum of the group's amplitudes, added in row order.
     The anchor supplies the delay, angles, Doppler and bounce order,
-    which makes the merge idempotent. Mixed-origin groups become SHARED.
-    Two rules are supported:
+    which makes the merge idempotent. Two rules are supported:
 
     * ``delay_tol == angle_tol == 0``: paths with equal delay, AoA and
       AoD coincide, found by sorting on that key.
@@ -417,9 +398,6 @@ def merge_paths(paths: Cir, delay_tol: float, angle_tol: float) -> Cir:
     members = np.flatnonzero(members)
     sums = paths.amp[anchors]
     np.add.at(sums, group[members], paths.amp[members])  # in row order
-    origin = paths.origin_code[anchors]
-    mixed = group[paths.origin_code != origin[group]]
-    origin[mixed] = _ORIGIN_CODE[Origin.SHARED]
     cols = {name: getattr(paths, name)[anchors] for name in COLUMNS}
-    cols.update(amp=sums, origin_code=origin)
+    cols.update(amp=sums)
     return paths._with(**cols)

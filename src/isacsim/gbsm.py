@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cir, Origin, unit_vectors, wrapped_azimuths
+from .core import Cir, unit_vectors, wrapped_azimuths
 
 
 # ---------------------------------------------------------------------------
@@ -271,4 +271,4 @@ def synthesize_cir(clusters: ClusterSet, tx_antenna: AntennaModel) -> Cir:
         clusters.delay, ray_coefficients(clusters, tx_antenna),
         aod_az=clusters.aod[:, 0], aod_el=clusters.aod[:, 1],
         aoa_az=clusters.aoa[:, 0], aoa_el=clusters.aoa[:, 1],
-        bounce_order=clusters.bounce_order, origin=Origin.BACKGROUND)
+        bounce_order=clusters.bounce_order)

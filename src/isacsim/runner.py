@@ -38,7 +38,6 @@ from .config import ScenarioConfig, TargetSpec, load_scene, parse_config, read_j
 from .core import (
     C_LIGHT,
     COLUMNS,
-    ORIGINS,
     PATH_RECORD,
     Cir,
     angle_from_vector,
@@ -159,12 +158,11 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
 # the keys of a path record in target.json and background.json, in order:
 # the CIR's columns, with the angles in degrees
 RECORD_KEYS = ("delay_s", "amp_re", "amp_im", "doppler_hz", "aod_az_deg", "aod_el_deg",
-               "aoa_az_deg", "aoa_el_deg", "bounce_order", "origin")
+               "aoa_az_deg", "aoa_el_deg", "bounce_order")
 
 
 # one path record, each field a JSON text
 _RECORD = "{" + ",".join(f'"{key}":%s' for key in RECORD_KEYS) + "}"
-_ORIGIN_TEXTS = np.array([json.dumps(o.value) for o in ORIGINS], dtype=object)
 _BLOCK_ROWS = 1024  # records formatted at a time: the writer's memory is flat in the path count
 
 
@@ -192,7 +190,7 @@ def write_cir_json(path, cir: Cir) -> None:
                 _json_texts(cir.doppler[rows]),
                 *(_json_texts(np.degrees(col[rows]))
                   for col in (cir.aod_az, cir.aod_el, cir.aoa_az, cir.aoa_el)),
-                _json_texts(cir.bounce_order[rows]), _ORIGIN_TEXTS[cir.origin_code[rows]],
+                _json_texts(cir.bounce_order[rows]),
             )
             records = zip(*(c.tolist() for c in columns))
             f.write(("," if start else "") + ",".join([_RECORD % row for row in records]))
@@ -206,7 +204,6 @@ def read_cir_json(path) -> Cir:
     with open(path) as f:
         doc = json.load(f)
     recs = doc["paths"]
-    codes = {o.value: i for i, o in enumerate(ORIGINS)}
     amp = np.array([r["amp_re"] for r in recs], dtype=complex)
     amp.imag = [r["amp_im"] for r in recs]  # set, not added, so that signed zeros survive
     return Cir.from_columns(
@@ -215,8 +212,7 @@ def read_cir_json(path) -> Cir:
         aod_el=np.radians([r["aod_el_deg"] for r in recs]),
         aoa_az=np.radians([r["aoa_az_deg"] for r in recs]),
         aoa_el=np.radians([r["aoa_el_deg"] for r in recs]),
-        bounce_order=[r["bounce_order"] for r in recs],
-        origin=np.array([codes[r["origin"]] for r in recs], dtype=np.int8))
+        bounce_order=[r["bounce_order"] for r in recs])
 
 
 def write_path_table(path, cir: Cir) -> None:
@@ -255,8 +251,7 @@ def read_path_table(path) -> Cir:
         raise ValueError(f"{path} holds a {table.ndim}-D array, "
                          "not one record per path; simulate again")
     try:
-        return Cir.from_columns(*(table[name] for name in COLUMNS[:-1]),
-                                origin=table["origin_code"])
+        return Cir.from_columns(*(table[name] for name in COLUMNS))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

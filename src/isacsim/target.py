@@ -21,7 +21,6 @@ import numpy as np
 from .core import (
     DB_LIMIT,
     Cir,
-    Origin,
     ScatteringPoint,
     TableRcs,
     merge_paths,
@@ -109,8 +108,7 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
         np.add.outer(ra.delay, rb.delay), amp, doppler,
         aod_az=np.repeat(ra.aod[:, 0], len(rb)), aod_el=np.repeat(ra.aod[:, 1], len(rb)),
         aoa_az=np.tile(rb.aoa[:, 0], len(ra)), aoa_el=np.tile(rb.aoa[:, 1], len(ra)),
-        bounce_order=np.add.outer(ra.bounce_order, rb.bounce_order),
-        origin=Origin.TARGET)
+        bounce_order=np.add.outer(ra.bounce_order, rb.bounce_order))
 
 
 def multi_point_target(contributions: Sequence[tuple[ScatteringPoint, SubLink, SubLink, float]],

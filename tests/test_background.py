@@ -8,7 +8,6 @@ from isacsim import (
     OMNI,
     GenerationProfile,
     GeometricScatterer,
-    Origin,
     PCF_MEASUREMENTS,
     PcfModel,
     apply_pcf,
@@ -20,7 +19,7 @@ from isacsim import (
     synthesize_cir,
     sample_clusters,
 )
-from isacsim.core import ORIGINS
+from isacsim.core import COLUMNS
 
 
 class TestPcfDefaults:
@@ -106,9 +105,8 @@ class TestBackgroundBistatic:
         bg = background_bistatic(prof, 77, OMNI)
         comm = synthesize_cir(sample_clusters(prof, 77), OMNI)
         assert len(bg) == len(comm)
-        np.testing.assert_array_equal(bg.delay, comm.delay)
-        np.testing.assert_array_equal(bg.amp, comm.amp)
-        assert all(ORIGINS[o] is Origin.BACKGROUND for o in bg.origin_code)
+        for name in COLUMNS:  # the Cir is the background channel: every column agrees
+            np.testing.assert_array_equal(getattr(bg, name), getattr(comm, name))
 
     def test_empty_profile_is_error(self):
         with pytest.raises(ValueError, match="zero clusters"):

@@ -12,7 +12,6 @@ from isacsim import (
     Cir,
     ConstantRcs,
     GeometricScatterer,
-    Origin,
     ReconstructionScene,
     ScatteringPoint,
     TableRcs,
@@ -24,10 +23,7 @@ from isacsim import (
     unit_vectors,
     wavelength_m,
 )
-from isacsim.core import COLUMNS, ORIGINS, wrapped_azimuths
-
-TARGET, BACKGROUND, SHARED = (ORIGINS.index(o) for o in
-                              (Origin.TARGET, Origin.BACKGROUND, Origin.SHARED))
+from isacsim.core import COLUMNS, wrapped_azimuths
 
 
 def rows(cir):
@@ -37,11 +33,11 @@ def rows(cir):
 
 def cir_of_rows(rows):
     """A Cir from (delay, amp, (aod_az, aod_el), (aoa_az, aoa_el),
-    bounce_order, origin_code) rows."""
-    delay, amp, aod, aoa, bounce, origin = (list(c) for c in zip(*rows)) if rows else [[]] * 6
+    bounce_order) rows."""
+    delay, amp, aod, aoa, bounce = (list(c) for c in zip(*rows)) if rows else [[]] * 5
     aod, aoa = np.reshape(aod, (-1, 2)), np.reshape(aoa, (-1, 2))
     return Cir.from_columns(delay, amp, 0.0, aod[:, 0], aod[:, 1], aoa[:, 0], aoa[:, 1],
-                            bounce, np.array(origin, dtype=np.int8))
+                            bounce)
 
 
 def _close(az1, el1, az2, el2, tol):
@@ -55,7 +51,7 @@ def reference_groups(cir, delay_tol, angle_tol):
     in reach. The groups as lists of row indices, anchor first."""
     rs = rows(cir)
     groups = []
-    for i, (delay, _, _, aod_az, aod_el, aoa_az, aoa_el, _, _) in enumerate(rs):
+    for i, (delay, _, _, aod_az, aod_el, aoa_az, aoa_el, _) in enumerate(rs):
         for g in reversed(groups):
             a = rs[g[0]]
             if delay - a[0] > delay_tol:
@@ -75,15 +71,14 @@ def reference_groups(cir, delay_tol, angle_tol):
 
 def reference_merge(cir, delay_tol, angle_tol):
     """The rows of the merged Cir by the anchor scan: each anchor row with
-    the summed amplitude, SHARED if the group's origins are mixed."""
+    the summed amplitude."""
     rs = rows(cir)
     out = []
     for g in reference_groups(cir, delay_tol, angle_tol):
         amp = rs[g[0]][1]
         for i in g[1:]:
             amp += rs[i][1]
-        origin = rs[g[0]][8] if len({rs[i][8] for i in g}) == 1 else SHARED
-        out.append(rs[g[0]][:1] + (amp,) + rs[g[0]][2:8] + (origin,))
+        out.append(rs[g[0]][:1] + (amp,) + rs[g[0]][2:])
     return out
 
 
@@ -91,8 +86,7 @@ def _cirs(delay, aod, aoa):
     """Cirs of up to 40 paths, drawn row by row."""
     return st.lists(st.tuples(
         delay, st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-        aod, aoa, st.integers(0, 2), st.sampled_from([TARGET, BACKGROUND])),
-        max_size=40).map(cir_of_rows)
+        aod, aoa, st.integers(0, 2)), max_size=40).map(cir_of_rows)
 
 
 # small pools, so that equal keys, equal delays with other angles, and
@@ -193,8 +187,8 @@ class TestSpreadingGain:
 
 
 class TestMergePaths:
-    def _cir(self, delays, amps, az=0.0, origin=Origin.BACKGROUND):
-        return Cir.from_columns(delays, amps, aod_az=az, aoa_az=az, origin=origin)
+    def _cir(self, delays, amps, az=0.0):
+        return Cir.from_columns(delays, amps, aod_az=az, aoa_az=az)
 
     def test_within_resolution_merges_coherently(self):
         # 600 MHz resolution: 1.67 ns tolerance, delays 0.1 ns apart merge
@@ -287,10 +281,6 @@ class TestMergePaths:
         assert len(merged) == 1
         assert merged.amp[0] == 3.0 and merged.aoa_az[0] == 0.0
 
-    def test_mixed_origin_becomes_shared(self):
-        merged = merge_paths(self._cir([10e-9] * 2, 1.0, origin=[TARGET, BACKGROUND]), 0.0, 0.0)
-        assert ORIGINS[merged.origin_code[0]] is Origin.SHARED
-
 
 class TestCir:
     def test_paths_sorted_on_construction(self):
@@ -304,11 +294,10 @@ class TestCir:
         rs = data.draw(st.lists(st.tuples(
             st.sampled_from([0.0, 1e-9, 1e-9 + 1e-24, 2.5e-9]),
             st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-            _angles, _angles, st.integers(0, 2), st.sampled_from([TARGET, BACKGROUND])),
-            max_size=40))
+            _angles, _angles, st.integers(0, 2)), max_size=40))
         cir = cir_of_rows(rs)
-        want = [(d, a, 0.0) + aod + aoa + (b, o)
-                for d, a, aod, aoa, b, o in sorted(rs, key=lambda r: r[0])]
+        want = [(d, a, 0.0) + aod + aoa + (b,)
+                for d, a, aod, aoa, b in sorted(rs, key=lambda r: r[0])]
         # repr tells -0.0 from 0.0, which == does not
         assert repr(rows(cir)) == repr(want)
 
@@ -321,7 +310,7 @@ class TestCir:
             Cir()
 
     def test_concat_keeps_earlier_cir_first_on_ties(self):
-        a = Cir.from_columns([1e-9, 3e-9], 1.0, origin=Origin.TARGET)
+        a = Cir.from_columns([1e-9, 3e-9], 1.0)
         b = Cir.from_columns([1e-9, 2e-9], 2.0)
         both = Cir.concat([a, b])
         assert list(zip(both.delay.tolist(), both.amp.tolist())) == [
@@ -330,10 +319,9 @@ class TestCir:
 
     def test_from_columns_checks_and_normalizes(self):
         cir = Cir.from_columns([2e-9, 1e-9], [1.0, 2j], aoa_az=[-0.5, 2 * math.pi + 1.0],
-                               aoa_el=-0.0, bounce_order=1, origin=Origin.TARGET)
-        assert (cir.delay[0], cir.amp[0], cir.aoa_az[0], cir.bounce_order[0],
-                ORIGINS[cir.origin_code[0]]) == (
-            1e-9, 2j, (2 * math.pi + 1.0) % (2 * math.pi), 1, Origin.TARGET)
+                               aoa_el=-0.0, bounce_order=1)
+        assert (cir.delay[0], cir.amp[0], cir.aoa_az[0], cir.bounce_order[0]) == (
+            1e-9, 2j, (2 * math.pi + 1.0) % (2 * math.pi), 1)
         assert math.copysign(1.0, cir.aoa_el[0]) == -1.0
         assert cir.aoa_az.tolist() == [(2 * math.pi + 1.0) % (2 * math.pi), -0.5 % (2 * math.pi)]
         for bad, match in [(dict(delay=[-1e-9]), "delay"), (dict(amp=[np.nan]), "amplitude"),

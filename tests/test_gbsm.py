@@ -8,7 +8,6 @@ from isacsim import (
     AntennaModel,
     ClusterSet,
     GenerationProfile,
-    Origin,
     cross_polarization_matrix,
     merge_paths,
     ray_coefficients,
@@ -16,7 +15,6 @@ from isacsim import (
     synthesize_cir,
     with_los_ray,
 )
-from isacsim.core import ORIGINS
 from isacsim.gbsm import ELEVATION_SPREAD_RAD
 
 
@@ -284,8 +282,11 @@ class TestSynthesizeCir:
         assert cir.total_power() == pytest.approx(1.0, rel=1e-9)
 
     def test_paths_are_background(self):
-        cir = synthesize_cir(single_ray_set(), OMNI)
-        assert ORIGINS[cir.origin_code[0]] is Origin.BACKGROUND
+        # a background path keeps its ray's angles and bounce order, and
+        # the static environment gives it no Doppler
+        cir = synthesize_cir(single_ray_set(az_aod=0.5, az_aoa=1.5), OMNI)
+        assert (cir.aod_az.tolist(), cir.aoa_az.tolist(), cir.bounce_order.tolist(),
+                cir.doppler.tolist()) == ([0.5], [1.5], [1], [0.0])
 
 
 class TestWithLosRay:

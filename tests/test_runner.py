@@ -12,9 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from isacsim import (Cir, GenerationProfile, Origin, free_space_loss_db, radar_pathloss, runner,
-                     sounder)
-from isacsim.core import C_LIGHT, COLUMNS, ORIGINS, PATH_RECORD
+from isacsim import Cir, GenerationProfile, free_space_loss_db, radar_pathloss, runner, sounder
+from isacsim.core import C_LIGHT, COLUMNS, PATH_RECORD
 from isacsim.cli import main as cli_main
 from isacsim.config import ConfigError, load_config, load_scene, parse_config
 from isacsim.runner import (
@@ -77,7 +76,7 @@ def per_record_json(cir: Cir) -> str:
         cir.delay.tolist(), cir.amp.real.tolist(), cir.amp.imag.tolist(), cir.doppler.tolist(),
         np.degrees(cir.aod_az).tolist(), np.degrees(cir.aod_el).tolist(),
         np.degrees(cir.aoa_az).tolist(), np.degrees(cir.aoa_el).tolist(),
-        cir.bounce_order.tolist(), [ORIGINS[c].value for c in cir.origin_code.tolist()])
+        cir.bounce_order.tolist())
     return json.dumps({"paths": [dict(zip(runner.RECORD_KEYS, row)) for row in zip(*columns)]},
                       separators=(",", ":"))
 
@@ -264,7 +263,7 @@ class TestRunSimulate:
             through_degrees = {name: np.radians(np.degrees(getattr(table, name)))
                                for name in ("aod_az", "aod_el", "aoa_az", "aoa_el")}
             want = Cir.from_columns(table.delay, table.amp, table.doppler, **through_degrees,
-                                    bounce_order=table.bounce_order, origin=table.origin_code)
+                                    bounce_order=table.bounce_order)
             for name in COLUMNS:  # bit for bit, so signed zeros count
                 ref = want if name in through_degrees else table
                 assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), (stem, name)
@@ -289,16 +288,14 @@ class TestRunSimulate:
         write_cir_json(tmp_path / "t.json", sim.target_cir)
         back = read_cir_json(tmp_path / "t.json")
         assert len(back) == len(sim.target_cir)
-        for name in ("amp", "delay", "origin_code"):
+        for name in ("amp", "delay"):
             np.testing.assert_array_equal(getattr(back, name), getattr(sim.target_cir, name))
 
 
     def test_cir_json_is_compact_records(self, tmp_path):
         cir = Cir.from_columns([2e-9, 1e-9], [0j, 0.5 - 0.5j], doppler=[0.0, 3.0],
                                aod_az=[0.0, 1.0], aod_el=[0.0, -0.1],
-                               aoa_az=[0.0, 2.0], aoa_el=[0.0, 0.2], bounce_order=[0, 2],
-                               origin=[ORIGINS.index(Origin.TARGET),
-                                       ORIGINS.index(Origin.BACKGROUND)])
+                               aoa_az=[0.0, 2.0], aoa_el=[0.0, 0.2], bounce_order=[0, 2])
         write_cir_json(tmp_path / "t.json", cir)
         text = (tmp_path / "t.json").read_text()
         assert "\n" not in text and ": " not in text and ", " not in text
@@ -310,8 +307,8 @@ class TestRunSimulate:
             "delay_s": 1e-9, "amp_re": 0.5, "amp_im": -0.5, "doppler_hz": 3.0,
             "aod_az_deg": math.degrees(1.0), "aod_el_deg": math.degrees(-0.1),
             "aoa_az_deg": math.degrees(2.0), "aoa_el_deg": math.degrees(0.2),
-            "bounce_order": 2, "origin": "background"}
-        assert (zero["amp_re"], zero["amp_im"], zero["origin"]) == (0.0, 0.0, "target")
+            "bounce_order": 2}
+        assert (zero["amp_re"], zero["amp_im"]) == (0.0, 0.0)
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -323,15 +320,14 @@ class TestRunSimulate:
         st.sampled_from([0.0, -0.0, 12.5, -3.1e4]),
         st.sampled_from([0.0, -1e-17, 2 * math.pi - 1e-15, math.nextafter(2 * math.pi, 0), 1.0]),
         st.sampled_from([-0.0, 0.25, -math.pi / 2, math.pi / 2]),
-        st.integers(0, 3), st.integers(0, len(ORIGINS) - 1)), max_size=30))
+        st.integers(0, 3)), max_size=30))
     def test_cir_json_matches_per_record_encoding(self, tmp_path, rows):
-        delay, re, im, dop, az, el, order, origin = (
-            np.array(c) for c in (zip(*rows) if rows else [[]] * 8))
+        delay, re, im, dop, az, el, order = (
+            np.array(c) for c in (zip(*rows) if rows else [[]] * 7))
         amp = np.zeros(len(rows), dtype=complex)
         amp.real, amp.imag = re, im  # set, not added, so that signed zeros survive
         cir = Cir.from_columns(delay, amp, dop, aod_az=az, aod_el=el,
-                               aoa_az=np.flip(az), aoa_el=np.flip(el), bounce_order=order,
-                               origin=origin.astype(np.int8))
+                               aoa_az=np.flip(az), aoa_el=np.flip(el), bounce_order=order)
         write_cir_json(tmp_path / "t.json", cir)
         assert (tmp_path / "t.json").read_text() == per_record_json(cir)
 
@@ -353,8 +349,7 @@ class TestRunSimulate:
             aod_az=column([0.0, -1e-17, math.nextafter(2 * math.pi, 0)], 6.0),
             aod_el=column([-0.0, 0.25, -math.pi / 2], 1.5),
             aoa_az=column([0.0, 1.0], 6.0), aoa_el=column([-0.0, math.pi / 2], -1.5),
-            bounce_order=rng.integers(0, 4, n),
-            origin=rng.integers(0, len(ORIGINS), n).astype(np.int8))
+            bounce_order=rng.integers(0, 4, n))
         if n > 1024:
             assert cir.delay[1023] == cir.delay[1024]
         write_cir_json(tmp_path / "t.json", cir)
@@ -367,7 +362,7 @@ class TestRunSimulate:
             rng.uniform(0, 1e-6, n), rng.normal(size=n) + 1j * rng.normal(size=n),
             rng.normal(size=n), aod_az=rng.uniform(0, 6, n), aod_el=rng.uniform(-1, 1, n),
             aoa_az=rng.uniform(0, 6, n), aoa_el=rng.uniform(-1, 1, n),
-            bounce_order=rng.integers(0, 4, n), origin=rng.integers(0, 2, n).astype(np.int8))
+            bounce_order=rng.integers(0, 4, n))
         tracemalloc.start()
         try:
             write_cir_json(tmp_path / "t.json", cir)
@@ -387,7 +382,7 @@ class TestRunSimulate:
                     complex(rec["amp_re"], rec["amp_im"]), rec["doppler_hz"],
                     math.radians(rec["aod_az_deg"]), math.radians(rec["aod_el_deg"]),
                     math.radians(rec["aoa_az_deg"]), math.radians(rec["aoa_el_deg"]),
-                    rec["bounce_order"], ORIGINS.index(Origin(rec["origin"])))
+                    rec["bounce_order"])
 
         sim = simulate_channels(load_config(CONFIG_DIR / "bistatic_ris_factory.json"))
         write_cir_json(tmp_path / "t.json", Cir.concat([sim.target_cir, sim.background_cir]))
@@ -395,7 +390,7 @@ class TestRunSimulate:
         # edge cases: signed zeros, a full turn, zero power, equal delays
         edge = {"delay_s": 7e-9, "amp_re": -0.0, "amp_im": 0.0,
                 "doppler_hz": -0.0, "aod_az_deg": 360.0, "aod_el_deg": -0.0,
-                "aoa_az_deg": -0.0, "aoa_el_deg": 90.0, "bounce_order": 0, "origin": "shared"}
+                "aoa_az_deg": -0.0, "aoa_el_deg": 90.0, "bounce_order": 0}
         doc["paths"] += [edge, dict(edge, aod_az_deg=-1e-300, aoa_az_deg=359.9)]
         (tmp_path / "t.json").write_text(json.dumps(doc))
         got = read_cir_json(tmp_path / "t.json")
@@ -415,15 +410,14 @@ class TestRunSimulate:
                                    2 * math.pi - 1e-15]), st.floats(0.0, 7.0)),
         st.one_of(st.sampled_from([-0.0, -math.pi / 2, math.pi / 2]),
                   st.floats(-math.pi / 2, math.pi / 2)),
-        st.integers(0, 40), st.integers(0, len(ORIGINS) - 1)), max_size=30))
+        st.integers(0, 40)), max_size=30))
     def test_path_table_round_trip_bit_for_bit(self, tmp_path, rows):
-        delay, re, im, dop, az, el, order, origin = (
-            np.array(c) for c in (zip(*rows) if rows else [[]] * 8))
+        delay, re, im, dop, az, el, order = (
+            np.array(c) for c in (zip(*rows) if rows else [[]] * 7))
         amp = np.zeros(len(rows), dtype=complex)
         amp.real, amp.imag = re, im  # set, not added, so that signed zeros survive
         cir = Cir.from_columns(delay, amp, dop, aod_az=az, aod_el=el,
-                               aoa_az=np.flip(az), aoa_el=np.flip(el), bounce_order=order,
-                               origin=origin.astype(np.int8))
+                               aoa_az=np.flip(az), aoa_el=np.flip(el), bounce_order=order)
         write_path_table(tmp_path / "t.npy", cir)
         back = read_path_table(tmp_path / "t.npy")
         assert len(back) == len(cir)
@@ -914,6 +908,16 @@ def _with_first_value(column, value):
     return damage
 
 
+def _previous_format(path):
+    """Rewrite the table in the record layout of earlier runs: the same
+    fields plus an int8 origin_code."""
+    table = np.load(path, allow_pickle=False)
+    old = np.zeros(len(table), dtype=PATH_RECORD.descr + [("origin_code", "i1")])
+    for name in COLUMNS:
+        old[name] = table[name]
+    _save(path, old)
+
+
 class TestAnalyzeReadsPathTables:
     """analyze reads target.npy and background.npy; a damaged, foreign or
     missing table ends with one line naming the file and exit code 2."""
@@ -947,10 +951,10 @@ class TestAnalyzeReadsPathTables:
         (_with_first_value("doppler", math.nan), "Doppler must be finite"),
         (_with_first_value("doppler", math.inf), "Doppler must be finite"),
         (_with_first_value("delay", -1e-9), "delay must be finite and >= 0, got -1e-09"),
-        (_with_first_value("origin_code", 7), "origin code outside ORIGINS"),
+        (_previous_format, "not path records; simulate again"),
     ], ids=["empty", "truncated", "truncated-header", "not-npy", "object-array",
             "trailing-bytes", "wrong-dtype", "big-endian", "2-D", "nan-amplitude",
-            "nan-doppler", "inf-doppler", "negative-delay", "bad-origin"])
+            "nan-doppler", "inf-doppler", "negative-delay", "previous-format"])
     def test_bad_table_exits_2_naming_the_file(self, run_dir, capsys, damage, message):
         table = run_dir / "target.npy"
         damage(table)

@@ -11,7 +11,6 @@ from isacsim import (
     ClusterSet,
     ConstantRcs,
     GenerationProfile,
-    Origin,
     ScatteringPoint,
     Side,
     SubLink,
@@ -30,7 +29,7 @@ from isacsim import (
     unit_vectors,
     with_los_ray,
 )
-from isacsim.core import C_LIGHT, ORIGINS, angle_from_vector
+from isacsim.core import C_LIGHT, angle_from_vector
 from isacsim.target import _rcs_linear
 
 
@@ -148,8 +147,8 @@ class TestConcatenate:
         got = zip(cir.delay.tolist(),
                   zip(cir.aod_az.tolist(), cir.aod_el.tolist()),
                   zip(cir.aoa_az.tolist(), cir.aoa_el.tolist()),
-                  cir.bounce_order.tolist(), [ORIGINS[o] for o in cir.origin_code])
-        assert list(got) == [(delay, aod, aoa, order, Origin.TARGET)
+                  cir.bounce_order.tolist())
+        assert list(got) == [(delay, aod, aoa, order)
                              for delay, _, _, aod, aoa, order in want]
         assert_dopplers(cir.doppler, [row[2] for row in want], sp.velocity, WL)
         assert np.all(cir.doppler != 0.0)  # every ray that touches the target shifts
