@@ -119,6 +119,12 @@ PCF_RANGE = (f"in {PCF_INTERVAL}", lambda v: PCF_CLAMP[0] < v <= PCF_CLAMP[1])
 # four deviations already span 12 orders of magnitude
 DB_LEVEL = (f"between {-DB_LIMIT:g} and {DB_LIMIT:g}", lambda v: -DB_LIMIT <= v <= DB_LIMIT)
 DB_SPREAD = ("between 0 and 30", lambda v: 0 <= v <= 30)
+# a carrier of about 8.46e-8 to 8.46e22 Hz, whose spreading factor
+# (core.spreading_gain) is a level like any other; taken in logs, since at
+# either extreme lambda^2 leaves the floats
+CARRIER = (f"a frequency whose spreading factor 4 pi f^2 / c^2 is within ±{DB_LIMIT:g} dB",
+           lambda v: v > 0 and abs(10 * math.log10(4 * math.pi)
+                                   + 20 * (math.log10(v) - math.log10(C_LIGHT))) <= DB_LIMIT)
 # the PN register lengths that have default feedback taps (a contiguous range)
 REGISTER_LENGTH = (f"between {min(DEFAULT_TAPS)} and {max(DEFAULT_TAPS)}",
                    lambda v: v in DEFAULT_TAPS)
@@ -185,7 +191,7 @@ SCATTERER = {
 }
 SCENARIO = {
     "name": (str, REQUIRED, NON_EMPTY),  # load_config: the file's stem where absent
-    "carrier_freq_hz": (float, REQUIRED, POSITIVE),
+    "carrier_freq_hz": (float, REQUIRED, CARRIER),
     "bandwidth_hz": (float, REQUIRED, POSITIVE),
     "sensing_mode": (str, REQUIRED, _one_of("mono_static", "bi_static")),
     "tx": (ENDPOINT, {}, None),

@@ -5,6 +5,8 @@ import copy
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,7 @@ def _edit(doc, path: tuple, value):
 
 RIS = "bistatic_ris_factory.json"
 HALL = "monostatic_hall.json"
+HUMAN = "bistatic_indoor_human.json"
 TARGET0 = ("targets", 0)
 SCATTERER0 = ("background", "scatterers", 0)
 
@@ -71,6 +74,9 @@ CONFIG_CASES = [
     (RIS, ("carrier_freq_hz",), True, "carrier_freq_hz must be a number, got True"),
     (RIS, ("carrier_freq_hz",), math.nan, "carrier_freq_hz must be a number, got nan"),
     (RIS, ("carrier_freq_hz",), math.inf, "carrier_freq_hz must be a number, got inf"),
+    # lambda^2 underflows to zero, lambda overflows, a target amplitude overflows
+    *((HUMAN, ("carrier_freq_hz",), f, "carrier_freq_hz must be a frequency whose spreading "
+       f"factor 4 pi f^2 / c^2 is within ±300 dB, got {f!r}") for f in (1e300, 1e-299, 1e163)),
     (RIS, ("bandwidth_hz",), "4e8", "bandwidth_hz must be a number, got '4e8'"),
     (RIS, ("sounder", "register_length"), 11.9,
      "sounder.register_length must be an integer, got 11.9"),
@@ -156,6 +162,31 @@ def test_db_value_out_of_range_names_its_key(tmp_path, capsys, base, path, value
     assert err.startswith("invalid scenario config:\n  - ")
     assert err.count("\n  - ") == 1 and "Traceback" not in err
     assert err.split("\n  - ")[1].startswith(f"{_spelled(path)} must be between ")
+
+
+def test_carrier_out_of_range_exits_2_naming_its_key(tmp_path):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(_edit(_load(HUMAN), ("carrier_freq_hz",), 1e300)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from isacsim.cli import main; "
+            "sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), "simulate",
+                           str(cfg_path), "--out", str(tmp_path / "run")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    named = [line for line in proc.stderr.splitlines() if "carrier_freq_hz" in line]
+    assert len(named) == 1 and named == proc.stderr.splitlines()[1:], proc.stderr
+
+
+@pytest.mark.parametrize("carrier_hz", [8.5e-8, 8.4e22])  # just inside the rule's ±300 dB
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=[p.stem for p in SHIPPED_CONFIGS])
+def test_carrier_at_the_rule_limits_runs(tmp_path, capsys, config, carrier_hz):
+    cfg_path = tmp_path / config.name
+    cfg_path.write_text(json.dumps(_edit(_load(config.name), ("carrier_freq_hz",), carrier_hz)))
+    run = tmp_path / "run"
+    for argv in (["simulate", str(cfg_path), "--out", str(run)],
+                 ["analyze", str(run), "--threshold-db", "120"],
+                 ["sounder-roundtrip", str(cfg_path), "--out", str(tmp_path / "roundtrip")]):
+        assert cli_main(argv) == 0, (argv[0], capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("rcs_dbsm", [4000.0, -301.0])
