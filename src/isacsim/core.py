@@ -250,8 +250,8 @@ class Cir:
     def from_columns(cls, delay, amp, doppler=0.0, aod_az=0.0, aod_el=0.0,
                      aoa_az=0.0, aoa_el=0.0, bounce_order=0) -> "Cir":
         """Cir from per-path arrays; scalars broadcast to every path.
-        Checks that delays are finite and >= 0, amplitudes and Dopplers finite and
-        bounce orders >= 0, checks and wraps the angles with
+        Checks that delays are finite and >= 0, amplitudes and Dopplers
+        finite and bounce orders >= 0, checks and wraps the angles with
         wrapped_azimuths and sorts the rows by delay."""
         delay = np.asarray(delay, dtype=float).ravel()
         n = len(delay)
