@@ -19,10 +19,9 @@ import numpy as np
 from .analysis import ReconstructionScene
 from .background import (PCF_CLAMP, PCF_INTERVAL, PCF_MEASUREMENTS, GeometricScatterer,
                          PcfModel, default_pcf_model)
-from .core import C_LIGHT, DB_LIMIT, ConstantRcs, ScatteringPoint
+from .core import C_LIGHT, DB_LIMIT, ConstantRcs
 from .gbsm import AntennaModel, GenerationProfile
 from .sounder import DEFAULT_TAPS
-from .target import load_rcs_table_csv
 
 
 class ConfigError(ValueError):
@@ -39,7 +38,9 @@ class TargetSpec:
     hops: statistical clusters (drawn with each hop's own seed) plus a
     LOS ray whose power relative to them is the K-factor."""
 
-    point: ScatteringPoint
+    position_m: np.ndarray
+    velocity_mps: np.ndarray
+    rcs: ConstantRcs | Path  # a table's CSV file, read where the channel is built
     profile: GenerationProfile
     k_factor_db: float
 
@@ -72,7 +73,6 @@ class ScenarioConfig:
     scan_step_deg: float
     seed: int
     outputs: str
-    base_dir: Path  # relative file names in the config resolve against it
     sounder_m: int
     sounder_snr_db: float
     raw: dict = field(default_factory=dict, repr=False)
@@ -180,7 +180,7 @@ TARGET = {
     "velocity_mps": (VECTOR, [0.0, 0.0, 0.0], None),
     "rcs": (Tagged("variant", "constant", {
         "constant": {"sigma_dbsm": (float, 0.0, DB_LEVEL)},
-        "table": {"csv": (str, REQUIRED, NON_EMPTY)},  # resolved against the config's directory
+        "table": {"csv": (str, REQUIRED, NON_EMPTY)},  # relative to the config's directory
     }), {}, None),
     "sublink": (SUBLINK, {}, None),
 }
@@ -303,7 +303,8 @@ def load_config(path) -> ScenarioConfig:
 
 def parse_config(raw, base_dir) -> ScenarioConfig:
     """Validate a raw scenario dict; relative file names resolve against
-    ``base_dir``. Raises ConfigError listing every violation found."""
+    ``base_dir``, and no file is opened. Raises ConfigError listing every
+    violation found."""
     if not isinstance(raw, dict):
         raise ConfigError(["a scenario must be a JSON object"])
     base_dir = Path(base_dir)
@@ -341,13 +342,6 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         if vel is not None and not np.linalg.norm(vel) < C_LIGHT:
             errors.append(f"targets[{i}].velocity_mps must be a speed below "
                           f"{C_LIGHT:.0f} m/s, got {vel.tolist()!r}")
-        rcs = t and t["rcs"]
-        if rcs and rcs["variant"] == "table" and rcs["csv"]:
-            try:
-                rcs["table"] = load_rcs_table_csv(base_dir / rcs["csv"])
-            except Exception as exc:
-                errors.append(f"targets[{i}].rcs.csv must name a readable RCS table, "
-                              f"got {rcs['csv']!r}: {exc}")
 
     if errors:
         raise ConfigError(errors)
@@ -357,8 +351,9 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         tx=EndpointSpec(tx_pos, AntennaModel(**tx["antenna"])),
         rx=EndpointSpec(rx_pos, AntennaModel(**rx["antenna"])),
         targets=tuple(TargetSpec(
-            point=ScatteringPoint(position=t["position_m"], velocity=t["velocity_mps"],
-                                  rcs_model=_rcs(t["rcs"])),
+            position_m=t["position_m"], velocity_mps=t["velocity_mps"],
+            rcs=(ConstantRcs(t["rcs"]["sigma_dbsm"]) if t["rcs"]["variant"] == "constant"
+                 else base_dir / t["rcs"]["csv"]),
             profile=_profile(t["sublink"]), k_factor_db=t["sublink"]["k_factor_db"])
             for t in c["targets"]),
         background=BackgroundSpec(
@@ -372,16 +367,10 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         pcf=_pcf(c["pcf"]),
         scan_start_deg=scan["start_deg"], scan_stop_deg=scan["stop_deg"],
         scan_step_deg=scan["step_deg"], seed=c["seed"],
-        outputs=c["name"] if c["outputs"] is None else c["outputs"], base_dir=base_dir,
+        outputs=c["name"] if c["outputs"] is None else c["outputs"],
         sounder_m=c["sounder"]["register_length"], sounder_snr_db=c["sounder"]["snr_db"],
         raw=raw,
     )
-
-
-def _rcs(spec: dict):
-    if spec["variant"] == "constant":
-        return ConstantRcs(spec["sigma_dbsm"])
-    return spec["table"]
 
 
 def _profile(spec: dict) -> GenerationProfile:

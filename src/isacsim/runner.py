@@ -40,6 +40,7 @@ from .core import (
     COLUMNS,
     PATH_RECORD,
     Cir,
+    ScatteringPoint,
     angle_from_vector,
     merge_paths,
     wavelength_m,
@@ -47,7 +48,7 @@ from .core import (
 from .gbsm import AntennaModel, ClusterSet, sample_clusters, with_los_ray
 from .linkbudget import conv_path_power, delta_p, free_space_loss_db
 from .sounder import generate_pn, process_capture, save_capture, transmit_through
-from .target import Side, SubLink, multi_point_target
+from .target import Side, SubLink, load_rcs_table_csv, multi_point_target
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,16 @@ def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos,
     return SubLink(side, with_los_ray(sampled, los, 10.0 ** (spec.k_factor_db / 10.0))), d
 
 
+def _scattering_point(spec: TargetSpec, i: int) -> ScatteringPoint:
+    """Target i's scattering point, its RCS table read from its CSV file."""
+    try:
+        rcs = load_rcs_table_csv(spec.rcs) if isinstance(spec.rcs, Path) else spec.rcs
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"targets[{i}].rcs.csv must name a readable RCS table, "
+                         f"got {str(spec.rcs)!r}: {exc}") from None
+    return ScatteringPoint(spec.position_m, spec.velocity_mps, rcs)
+
+
 def _aim(antenna: AntennaModel, from_pos: np.ndarray, at_pos: np.ndarray) -> AntennaModel:
     """A horn turned from ``from_pos`` toward ``at_pos``; with no direction
     to turn in (a mono-static Tx without a target) it keeps its boresight."""
@@ -114,14 +125,15 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
     # the Tx horn points at the first target, or at the Rx without one
     tx_pos, rx_pos = config.tx.position_m, config.rx.position_m
     tx_ant = _aim(config.tx.antenna, tx_pos,
-                  config.targets[0].point.position if config.targets else rx_pos)
+                  config.targets[0].position_m if config.targets else rx_pos)
 
     # target channel: one concatenated pair per scattering point
     if config.targets:
         contributions = []
-        for spec, seq in zip(config.targets, target_seq.spawn(len(config.targets))):
+        seqs = target_seq.spawn(len(config.targets))
+        for i, (spec, seq) in enumerate(zip(config.targets, seqs)):
             seed_a, seed_b = (_child_seed(s) for s in seq.spawn(2))
-            sp = spec.point
+            sp = _scattering_point(spec, i)
             sub_a, d1 = _los_sublink(Side.TX_TO_TARGET, tx_pos, sp.position, spec, seed_a)
             sub_b, d2 = _los_sublink(Side.TARGET_TO_RX, rx_pos, sp.position, spec, seed_b)
             contributions.append((sp, sub_a, sub_b,
@@ -288,8 +300,6 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
     """Simulate one scenario and write OUTPUT_FILES and report.json into
     the output directory: the path lists as JSON for people and other
     tools, and as the path tables that analyze reads."""
-    out = Path(config.outputs if out_dir is None else out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
@@ -302,6 +312,8 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
     grid = turntable_scan(combined, config.rx.antenna, config.scan_angles_deg(), bins)
     timings["scan"] = time.perf_counter() - t0
 
+    out = Path(config.outputs if out_dir is None else out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     for name, cir in (("target.json", sim.target_cir), ("background.json", sim.background_cir)):
         write_cir_json(out / name, cir)
@@ -316,8 +328,7 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
               "o_back": sim.o_back, "wavelength_m": sim.wavelength}
     with open(out / "report.json", "w") as f:
         json.dump({"manifest": report.manifest, "timings_s": report.timings_s,
-                   "link_budget": budget, "config": config.raw,
-                   "config_dir": str(config.base_dir.resolve())}, f, indent=1)
+                   "link_budget": budget, "config": config.raw}, f, indent=1)
     return report
 
 
@@ -333,9 +344,8 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0) -> li
     report = read_json(report_path, "; simulate again")
     if not isinstance(report, dict) or "config" not in report:
         raise ValueError(f"{report_path} has no config; simulate again")
-    if not isinstance(report.get("config_dir"), str):
-        raise ValueError(f"{report_path} has no config_dir string; simulate again")
-    config = parse_config(report["config"], report["config_dir"])
+    # the stored tables hold the paths: no file the config names is opened
+    config = parse_config(report["config"], run_dir)
     scene = load_scene(scene_path) if scene_path is not None else None
 
     target_cir = read_path_table(run_dir / "target.npy")
@@ -492,9 +502,9 @@ def run_validate(golden_dir=None) -> ValidationReport:
 def run_sounder_roundtrip(config: ScenarioConfig, out_dir=None) -> dict:
     """Push the simulated sensing CIR through the sliding-correlation
     pipeline and report how well the paths survive."""
+    sim = simulate_channels(config)
     out = Path(config.outputs if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sim = simulate_channels(config)
     combined = Cir.concat([sim.target_cir, sim.background_cir])
     if len(combined) == 0:
         raise ValueError("scenario produced no paths to sound")

@@ -199,7 +199,7 @@ def test_rcs_table_out_of_range_names_its_key(tmp_path, capsys, rcs_dbsm):
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid scenario config:\n  - targets[0].rcs.csv must name ")
+    assert err.startswith("error: targets[0].rcs.csv must name ")
     assert "outside ±300 dBsm" in err and "Traceback" not in err
 
 
@@ -213,8 +213,8 @@ def test_rcs_table_axis_not_finite_names_its_key(tmp_path, capsys, az_in_deg):
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("invalid scenario config:\n  - targets[0].rcs.csv must name ")
-    assert err.count("\n  - ") == 1
+    assert err.startswith("error: targets[0].rcs.csv must name ")
+    assert err.count("\n") == 1
     assert "axes must be finite and strictly increasing" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 

@@ -210,7 +210,7 @@ class TestSimulateChannels:
         cfg = load_config(CONFIG_DIR / f"{name}.json")
         sim = simulate_channels(cfg)
         spec, wl = cfg.targets[0], sim.wavelength
-        d1, d2 = (float(np.linalg.norm(spec.point.position - end))
+        d1, d2 = (float(np.linalg.norm(spec.position_m - end))
                   for end in (cfg.tx.position_m, cfg.rx.position_m))
         los = np.flatnonzero(sim.target_cir.bounce_order == 0)
         assert len(los) == 1
@@ -218,7 +218,7 @@ class TestSimulateChannels:
                                                              rel=1e-12, abs=0.0)
         k = 10.0 ** (spec.k_factor_db / 10.0)
         want = (-radar_pathloss(free_space_loss_db(d1, wl), free_space_loss_db(d2, wl), wl,
-                                spec.point.rcs_model.sigma_dbsm)
+                                spec.rcs.sigma_dbsm)
                 + cfg.tx.antenna.peak_gain_db + 2 * 10.0 * math.log10(k / (1.0 + k)))
         got = 10.0 * math.log10(sim.target_cir.powers()[los[0]])
         assert got == pytest.approx(want, rel=0.0, abs=1e-9)
@@ -234,7 +234,7 @@ class TestRunSimulate:
                      "padp.csv", "report.json"):
             assert (tmp_path / "a" / name).exists()
         report = json.loads((tmp_path / "a" / "report.json").read_text())
-        assert list(report) == ["manifest", "timings_s", "link_budget", "config", "config_dir"]
+        assert list(report) == ["manifest", "timings_s", "link_budget", "config"]
         assert set(report["timings_s"]) == {"simulate", "scan", "write"}
         sim = simulate_channels(cfg)
         assert report["link_budget"] == {"pl_tar_db": list(sim.pl_tar_db),
@@ -243,7 +243,6 @@ class TestRunSimulate:
         assert set(report["manifest"]) == {"target.json", "background.json", "target.npy",
                                            "background.npy", "padp.csv"}
         assert report["config"] == cfg.raw
-        assert report["config_dir"] == str(tmp_path.resolve())
 
     def test_pcf_value_written_exactly(self, tmp_path):
         for value in (0.37, 1.5, 2.5e-308):
@@ -736,11 +735,9 @@ class TestCli:
 
     @pytest.mark.parametrize("change, message", [
         (lambda r: r.pop("config"), "has no config"),
-        (lambda r: r.update(config_dir=5), "has no config_dir string"),
-        (lambda r: r.pop("config_dir"), "has no config_dir string"),
         ("{", "is not valid JSON (Expecting property name enclosed in double quotes: "
               "line 1 column 2 (char 1))"),
-    ], ids=["no-config", "config_dir-5", "no-config_dir", "not-json"])
+    ], ids=["no-config", "not-json"])
     def test_analyze_rejects_damaged_report(self, tmp_path, capsys, change, message):
         """``change`` edits the report's document, or is the damaged file's text."""
         cfg_path = scen1_like(tmp_path)
@@ -773,7 +770,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad} is not valid JSON (") and err.count("\n") == 1
 
-    def test_analyze_resolves_table_rcs_against_config_dir(self, tmp_path, monkeypatch):
+    def test_analyze_needs_neither_the_config_nor_its_rcs_table(self, tmp_path, monkeypatch):
         cfg_dir = tmp_path / "cfg"
         cfg_dir.mkdir()
         rows = ["az_in_deg,el_in_deg,az_out_deg,el_out_deg,rcs_dbsm"]
@@ -786,11 +783,22 @@ class TestCli:
             "sublink": {"n_clusters": 0}}])
         monkeypatch.chdir(tmp_path)
         assert cli_main(["simulate", "cfg/scenario.json", "--out", "run"]) == 0
-        elsewhere = tmp_path / "elsewhere"
-        elsewhere.mkdir()
-        monkeypatch.chdir(elsewhere)
-        assert cli_main(["analyze", str(tmp_path / "run"), "--threshold-db", "90"]) == 0
-        assert (tmp_path / "run" / "paths.json").exists()
+        assert cli_main(["analyze", "run", "--threshold-db", "90"]) == 0
+        before = (tmp_path / "run" / "paths.json").read_bytes()
+        (cfg_dir / "rcs.csv").unlink()
+        cfg_path.unlink()
+        assert cli_main(["analyze", "run", "--threshold-db", "90"]) == 0
+        assert (tmp_path / "run" / "paths.json").read_bytes() == before
+
+    def test_report_names_no_absolute_directory(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "cfg"
+        cfg_dir.mkdir()
+        scen1_like(cfg_dir, outputs="run")
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["simulate", "cfg/scenario.json", "--out", "run"]) == 0
+        text = (tmp_path / "run" / "report.json").read_text()
+        for directory in (tmp_path / "run", cfg_dir):
+            assert str(directory) not in text and str(directory.resolve()) not in text
 
     def test_boolean_seed_rejected(self, tmp_path, capsys):
         cfg_path = scen1_like(tmp_path, seed=True)
