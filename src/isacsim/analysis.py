@@ -31,6 +31,12 @@ from .gbsm import AntennaModel
 # Scan grids and profiles
 # ---------------------------------------------------------------------------
 
+# the most cells (scan angles x delay bins) a scan may have. The largest grid of a
+# shipped config or benchmark workload has 72 x 122 = 8,784; at 980,568 cells,
+# analyze peaks at 137 MiB resident
+MAX_SCAN_CELLS = 1_000_000
+
+
 @dataclass(frozen=True, eq=False)
 class ScanGrid:
     """PADP of a turntable-style directional scan: linear power per

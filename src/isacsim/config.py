@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ReconstructionScene
+from .analysis import MAX_SCAN_CELLS, ReconstructionScene
 from .background import (PCF_CLAMP, PCF_INTERVAL, PCF_MEASUREMENTS, GeometricScatterer,
                          PcfModel, default_pcf_model)
 from .core import C_LIGHT, DB_LIMIT, ConstantRcs
@@ -125,6 +125,12 @@ DB_SPREAD = ("between 0 and 30", lambda v: 0 <= v <= 30)
 CARRIER = (f"a frequency whose spreading factor 4 pi f^2 / c^2 is within ±{DB_LIMIT:g} dB",
            lambda v: v > 0 and abs(10 * math.log10(4 * math.pi)
                                    + 20 * (math.log10(v) - math.log10(C_LIGHT))) <= DB_LIMIT)
+# a horn width whose pencil-beam directivity 4 pi / hpbw^2 (in radians; about
+# 41253 / hpbw_deg^2) is a level like any other: at least about 2.031e-13 deg,
+# below which the lobe's exponent overflows
+BEAMWIDTH = (f"a width whose directivity 4 pi / (hpbw in rad)^2 is within ±{DB_LIMIT:g} dB",
+             lambda v: v > 0 and abs(10 * math.log10(4 * math.pi * (180 / math.pi) ** 2)
+                                     - 20 * math.log10(v)) <= DB_LIMIT)
 # the PN register lengths that have default feedback taps (a contiguous range)
 REGISTER_LENGTH = (f"between {min(DEFAULT_TAPS)} and {max(DEFAULT_TAPS)}",
                    lambda v: v in DEFAULT_TAPS)
@@ -172,7 +178,7 @@ ENDPOINT = {
     "position_m": (VECTOR, [0.0, 0.0, 0.0], None),
     "antenna": (Tagged("kind", "omni", {
         "omni": {},
-        "horn": {"hpbw_deg": (float, 10.0, POSITIVE), "peak_gain_db": (float, 0.0, DB_LEVEL)},
+        "horn": {"hpbw_deg": (float, 10.0, BEAMWIDTH), "peak_gain_db": (float, 0.0, DB_LEVEL)},
     }), {}, None),
 }
 TARGET = {
@@ -334,6 +340,9 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
             errors.append("scan.stop_deg must exceed scan.start_deg")
         elif not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9):
             errors.append(f"scan.step_deg {step} does not divide the range {stop - start}")
+        elif ratio > MAX_SCAN_CELLS:
+            errors.append(f"scan.step_deg must leave at most {MAX_SCAN_CELLS} scan angles, "
+                          f"got {step!r} ({ratio:.4g} angles)")
     for i, t in enumerate(c["targets"] or ()):
         pos, vel = (t and t[k] for k in ("position_m", "velocity_mps"))
         for name, end in (("tx", tx_pos), ("rx", rx_pos)):

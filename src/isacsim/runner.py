@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    MAX_SCAN_CELLS,
     classify_bounce,
     delay_grid,
     power_proportion,
@@ -283,13 +284,19 @@ class RunReport:
     out_dir: str
 
 
-def _scan_input(target_cir: Cir, bg_cir: Cir, bandwidth_hz: float):
+def _scan_input(target_cir: Cir, bg_cir: Cir, config: ScenarioConfig):
     """The combined sensing CIR, the delay-bin width (one over the
-    bandwidth) and the delay bins a scan of it uses."""
+    bandwidth), and the scan angles and delay bins a scan of it uses; a
+    scan of more than MAX_SCAN_CELLS cells is refused before it is built."""
     combined = Cir.concat([target_cir, bg_cir])
-    bin_w = 1.0 / bandwidth_hz
+    bin_w = 1.0 / config.bandwidth_hz
     max_delay = combined.delay.max(initial=0.0) + 2 * bin_w
-    return combined, bin_w, delay_grid(max_delay, bin_w)
+    angles = config.scan_angles_deg()
+    if len(angles) * (max_delay / bin_w) > MAX_SCAN_CELLS:
+        raise ValueError(f"bandwidth_hz {config.bandwidth_hz!r} gives {max_delay / bin_w:.4g} "
+                         f"delay bins at each of {len(angles)} scan angles: a scan may have "
+                         f"at most {MAX_SCAN_CELLS} cells")
+    return combined, bin_w, angles, delay_grid(max_delay, bin_w)
 
 
 # the files simulate writes and report.json's manifest hashes
@@ -307,9 +314,8 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
     timings["simulate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    combined, _, bins = _scan_input(sim.target_cir, sim.background_cir,
-                                    config.bandwidth_hz)
-    grid = turntable_scan(combined, config.rx.antenna, config.scan_angles_deg(), bins)
+    combined, _, angles, bins = _scan_input(sim.target_cir, sim.background_cir, config)
+    grid = turntable_scan(combined, config.rx.antenna, angles, bins)
     timings["scan"] = time.perf_counter() - t0
 
     out = Path(config.outputs if out_dir is None else out_dir)
@@ -350,15 +356,17 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0) -> li
 
     target_cir = read_path_table(run_dir / "target.npy")
     bg_cir = read_path_table(run_dir / "background.npy")
-    combined, bin_w, bins = _scan_input(target_cir, bg_cir, config.bandwidth_hz)
-    angles, step = config.scan_angles_deg(), config.scan_step_deg
+    combined, bin_w, angles, bins = _scan_input(target_cir, bg_cir, config)
     with_target = turntable_scan(combined, config.rx.antenna, angles, bins)
+    if not with_target.power.any():
+        raise ValueError(f"{run_dir}: PADP is empty: the scan finds no power in any stored path")
     without_target = turntable_scan(bg_cir, config.rx.antenna, angles, bins)
 
     peaks = subtract_background(with_target, without_target, peak_threshold_db=peak_threshold_db)
     bounce = None
     if scene is not None:
-        bounce = [classify_bounce(pk, scene, delay_tol=bin_w, angle_tol_deg=step / 2.0)
+        bounce = [classify_bounce(pk, scene, delay_tol=bin_w,
+                                  angle_tol_deg=config.scan_step_deg / 2.0)
                   for pk in peaks]
     return write_paths_json(run_dir / "paths.json", peaks, bounce)
 

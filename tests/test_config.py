@@ -78,6 +78,12 @@ CONFIG_CASES = [
     *((HUMAN, ("carrier_freq_hz",), f, "carrier_freq_hz must be a frequency whose spreading "
        f"factor 4 pi f^2 / c^2 is within ±300 dB, got {f!r}") for f in (1e300, 1e-299, 1e163)),
     (RIS, ("bandwidth_hz",), "4e8", "bandwidth_hz must be a number, got '4e8'"),
+    # the Gaussian lobe's exponent overflows, and no path reaches the Rx
+    (HUMAN, ("rx", "antenna", "hpbw_deg"), 1e-300, "rx.antenna.hpbw_deg must be a width "
+     "whose directivity 4 pi / (hpbw in rad)^2 is within ±300 dB, got 1e-300"),
+    # numpy cannot allocate the angles
+    (HUMAN, ("scan", "step_deg"), 1e-300,
+     "scan.step_deg must leave at most 1000000 scan angles, got 1e-300 (3.6e+302 angles)"),
     (RIS, ("sounder", "register_length"), 11.9,
      "sounder.register_length must be an integer, got 11.9"),
     (RIS, ("sounder", "register_length"), 0,

@@ -555,8 +555,7 @@ class TestRunAnalyze:
         written = run_analyze(tmp_path / "run", peak_threshold_db=threshold_db)
         target = read_path_table(tmp_path / "run" / "target.npy")
         background = read_path_table(tmp_path / "run" / "background.npy")
-        combined, _, bins = runner._scan_input(target, background, cfg.bandwidth_hz)
-        angles = cfg.scan_angles_deg()
+        combined, _, angles, bins = runner._scan_input(target, background, cfg)
         with_target = turntable_scan(combined, cfg.rx.antenna, angles, bins)
         without_target = turntable_scan(background, cfg.rx.antenna, angles, bins)
         candidates = extract_paths(with_target.power, angles, bins, threshold_db)
@@ -717,8 +716,46 @@ class TestCli:
         assert cli_main(["simulate", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n  - ") == 1
-        expected = "> 0" if hpbw == -3.0 else "a number"
+        expected = ("a width whose directivity 4 pi / (hpbw in rad)^2 is within ±300 dB"
+                    if hpbw == -3.0 else "a number")
         assert f"\n  - rx.antenna.hpbw_deg must be {expected}, got {hpbw!r}\n" in err
+
+    def test_horn_too_narrow_to_see_a_path_names_the_run(self, tmp_path, capsys):
+        # just above the narrowest width the rule allows, the Rx lobe is zero
+        # toward every stored path
+        doc = json.loads((CONFIG_DIR / "bistatic_indoor_human.json").read_text())
+        doc["rx"]["antenna"]["hpbw_deg"] = 2.04e-13
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(doc))
+        run = tmp_path / "run"
+        assert cli_main(["simulate", str(cfg_path), "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert cli_main(["analyze", str(run)]) == 2
+        assert capsys.readouterr().err == (f"error: {run}: PADP is empty: "
+                                           "the scan finds no power in any stored path\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_scan_too_large_for_the_bandwidth_names_it(self, tmp_path, capsys, command):
+        doc = json.loads((CONFIG_DIR / "bistatic_indoor_human.json").read_text())
+        cfg_path, run = tmp_path / "scenario.json", tmp_path / "run"
+        cfg_path.write_text(json.dumps(doc))
+        if command == "analyze":  # a report whose stored bandwidth is out of range
+            assert cli_main(["simulate", str(cfg_path), "--out", str(run)]) == 0
+            report = json.loads((run / "report.json").read_text())
+            report["config"]["bandwidth_hz"] = 1e300
+            (run / "report.json").write_text(json.dumps(report))
+            argv = ["analyze", str(run)]
+        else:
+            doc["bandwidth_hz"] = 1e300
+            cfg_path.write_text(json.dumps(doc))
+            argv = ["simulate", str(cfg_path), "--out", str(run)]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bandwidth_hz 1e+300 gives ") and err.count("\n") == 1
+        assert err.endswith(" delay bins at each of 72 scan angles: "
+                            "a scan may have at most 1000000 cells\n")
+        assert command == "analyze" or not run.exists()
 
     def test_analyze_rejects_bad_stored_config(self, tmp_path, capsys):
         cfg_path = scen1_like(tmp_path)
