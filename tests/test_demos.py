@@ -1,5 +1,5 @@
-"""Every demo runs to completion and prints the text frozen in
-tests/data/<demo>.txt. The demos are seeded and write nothing that
+"""Every demo runs to completion with warnings as errors, writes nothing
+to stderr and prints the text frozen in tests/data/<demo>.txt. The demos are seeded and write nothing that
 outlives them, so their output is the same on every run. After a
 deliberate change of a demo's output, rewrite the frozen text with
 
@@ -22,14 +22,15 @@ FROZEN = Path(__file__).parent / "data"
 def run_demo(demo: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          env=env, cwd=ROOT, timeout=60)
+    return subprocess.run([sys.executable, "-W", "error", str(demo)], capture_output=True,
+                          text=True, env=env, cwd=ROOT, timeout=60)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_prints_frozen_text(demo):
     done = run_demo(demo)
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
     assert done.stdout == (FROZEN / f"{demo.stem}.txt").read_text()
 
 
