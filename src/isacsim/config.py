@@ -307,13 +307,12 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(raw, path.parent)
 
 
-def parse_config(raw, base_dir) -> ScenarioConfig:
+def parse_config(raw, directory) -> ScenarioConfig:
     """Validate a raw scenario dict; relative file names resolve against
-    ``base_dir``, and no file is opened. Raises ConfigError listing every
+    ``directory``, and no file is opened. Raises ConfigError listing every
     violation found."""
     if not isinstance(raw, dict):
         raise ConfigError(["a scenario must be a JSON object"])
-    base_dir = Path(base_dir)
     errors: list[str] = []
     c = _read(raw, SCENARIO, "", errors)
 
@@ -362,7 +361,7 @@ def parse_config(raw, base_dir) -> ScenarioConfig:
         targets=tuple(TargetSpec(
             position_m=t["position_m"], velocity_mps=t["velocity_mps"],
             rcs=(ConstantRcs(t["rcs"]["sigma_dbsm"]) if t["rcs"]["variant"] == "constant"
-                 else base_dir / t["rcs"]["csv"]),
+                 else Path(directory) / t["rcs"]["csv"]),
             profile=_profile(t["sublink"]), k_factor_db=t["sublink"]["k_factor_db"])
             for t in c["targets"]),
         background=BackgroundSpec(
