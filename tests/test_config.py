@@ -225,6 +225,21 @@ def test_rcs_table_axis_not_finite_names_its_key(tmp_path, capsys, az_in_deg):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sounder-roundtrip"])
+def test_rcs_table_missing_leaves_no_output_directory(tmp_path, capsys, command):
+    # the parser accepts the name; the table is read where the target is built
+    doc = _edit(_load(RIS), TARGET0 + ("rcs",), {"variant": "table", "csv": "absent.csv"})
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert parse_config(doc, tmp_path).targets[0].rcs == tmp_path / "absent.csv"
+    assert cli_main([command, str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: targets[0].rcs.csv must name a readable RCS table, "
+        f"got '{tmp_path / 'absent.csv'}': [Errno 2] No such file or directory: "
+        f"'{tmp_path / 'absent.csv'}'\n")
+    assert not (tmp_path / "out").exists()
+
+
 SCENE_CASES = [
     (("target_m",), DELETE, "target_m is missing: it must be a list of 3 numbers"),
     (("reflectors", 0, "position_m"), DELETE,
