@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Sequence
 
@@ -51,10 +51,8 @@ class ScanGrid:
         edges = _check_edges(self.delay_bins)
         if angles.ndim != 1 or len(angles) < 1:
             raise ValueError("need a 1-D array of scan angles")
-        if len(angles) > 1:
-            steps = np.diff(angles)
-            if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
-                raise ValueError("scan angles must be strictly increasing with uniform step")
+        if len(angles) > 1 and not _uniform_increasing(angles):
+            raise ValueError("scan angles must be strictly increasing with uniform step")
         power = np.array(self.power, dtype=float)
         if power.shape != (len(angles), len(edges) - 1):
             raise ValueError("need one PADP row per scan angle and one column per delay bin")
@@ -65,6 +63,19 @@ class ScanGrid:
 
     def bin_centers(self) -> np.ndarray:
         return 0.5 * (self.delay_bins[:-1] + self.delay_bins[1:])
+
+
+def _uniform_increasing(angles: np.ndarray) -> bool:
+    """Whether the steps between the angles are positive and equal to the
+    first within 1e-9: np.allclose(steps, steps[0], rtol=0, atol=1e-9),
+    under which equal infinite steps are equal and a NaN step is not, at
+    a quarter of its cost."""
+    steps = np.diff(angles)
+    if np.any(steps <= 0):
+        return False
+    if np.isinf(steps[0]):
+        return bool(np.all(steps == steps[0]))
+    return bool(np.all(np.abs(steps - steps[0]) <= 1e-9))
 
 
 def delay_grid(max_delay_s: float, bin_width_s: float) -> np.ndarray:
@@ -168,10 +179,15 @@ def _max3x3(arr: np.ndarray, offsets=_AROUND, ring: bool = False) -> np.ndarray:
     neighbourhood; cells off the array do not count, except that with
     ``ring`` the first and last rows are neighbours."""
     rows, cols = arr.shape
-    padded = np.pad(arr, 1, constant_values=-np.inf)
+    framed = np.full((rows + 2, cols + 2), -np.inf)
+    framed[1:-1, 1:-1] = arr
     if ring:
-        padded[0, 1:-1], padded[-1, 1:-1] = arr[-1], arr[0]
-    return np.max([padded[i:i + rows, j:j + cols] for i, j in offsets], axis=0)
+        framed[0, 1:-1], framed[-1, 1:-1] = arr[-1], arr[0]
+    (i, j), *rest = offsets
+    out = framed[i:i + rows, j:j + cols].copy()
+    for i, j in rest:
+        np.maximum(out, framed[i:i + rows, j:j + cols], out=out)
+    return out
 
 
 def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
@@ -248,21 +264,39 @@ def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
 # Geometric bounce classification
 # ---------------------------------------------------------------------------
 
+def _read_only(v: np.ndarray) -> np.ndarray:
+    v = v.copy()
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class ReconstructionScene:
     """User-supplied geometry for path reconstruction; a reflector
-    without a label is named R<index>."""
+    without a label is named R<index>.
+
+    The positions are read-only copies, so ``routes``, derived once from
+    them, cannot go stale: one (order, label, length in m, arrival
+    azimuth at the Rx in degrees) entry per candidate route, the azimuth
+    None where the route's last waypoint before the Rx is the Rx itself.
+    """
 
     tx: np.ndarray
     rx: np.ndarray
     target: np.ndarray
     reflectors: tuple[GeometricScatterer, ...] = ()
+    routes: tuple[tuple[int, str, float, float | None], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("tx", "rx", "target"):
-            object.__setattr__(self, name, finite_vector(getattr(self, name), f"{name} position"))
+            object.__setattr__(self, name, _read_only(
+                finite_vector(getattr(self, name), f"{name} position")))
         object.__setattr__(self, "reflectors", tuple(
-            r if r.label else replace(r, label=f"R{i}") for i, r in enumerate(self.reflectors)))
+            replace(r, position=_read_only(r.position), label=r.label or f"R{i}")
+            for i, r in enumerate(self.reflectors)))
+        object.__setattr__(self, "routes", tuple(
+            (order, label, _route_length(waypoints), _arrival_az_deg(waypoints[-2], self.rx))
+            for order, label, waypoints in _candidate_routes(self)))
 
 
 @dataclass(frozen=True)
@@ -276,6 +310,15 @@ class BounceResult:
 def _route_length(waypoints) -> float:
     pts = np.asarray(waypoints, dtype=float)
     return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+
+
+def _arrival_az_deg(last: np.ndarray, rx: np.ndarray) -> float | None:
+    """Azimuth of the arrival at ``rx`` from the waypoint ``last``; None
+    when the two coincide."""
+    arrival = last - rx
+    if np.linalg.norm(arrival) == 0.0:
+        return None
+    return math.degrees(math.atan2(arrival[1], arrival[0])) % 360.0
 
 
 def _candidate_routes(scene: ReconstructionScene):
@@ -301,16 +344,9 @@ def classify_bounce(peak: PadpPeak, scene: ReconstructionScene,
     residual; None when nothing matches (unclassified).
     """
     best: BounceResult | None = None
-    for order, label, waypoints in _candidate_routes(scene):
-        length = _route_length(waypoints)
+    for order, label, length, az in scene.routes:
         residual = abs(length / C_LIGHT - peak.delay_s)
-        if residual > delay_tol:
-            continue
-        arrival = np.asarray(waypoints[-2], dtype=float) - scene.rx
-        if np.linalg.norm(arrival) == 0.0:
-            continue
-        az = math.degrees(math.atan2(arrival[1], arrival[0])) % 360.0
-        if _deg_apart(az, peak.angle_deg) > angle_tol_deg:
+        if residual > delay_tol or az is None or _deg_apart(az, peak.angle_deg) > angle_tol_deg:
             continue
         if best is None or (order, residual) < (best.order, best.residual_s):
             best = BounceResult(order, label, length, residual)

@@ -2,13 +2,18 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import ConfigError, load_config
 from .runner import run_analyze, run_simulate, run_sounder_roundtrip, run_validate
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: parsing does not change it, and building it costs more than
+    a small subcommand's own work."""
     parser = argparse.ArgumentParser(
         prog="isacsim",
         description="Sensing-channel simulator and multipath analysis toolkit")

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -238,6 +240,33 @@ def write_path_table(path, cir: Cir) -> None:
         np.save(f, table, allow_pickle=False)
 
 
+def _table_header(n: int) -> bytes:
+    """The .npy header np.save writes for n PATH_RECORD rows."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": _RECORD_DESCR, "fortran_order": False, "shape": (n,)})
+    return buf.getvalue()
+
+
+_RECORD_DESCR = np.lib.format.dtype_to_descr(PATH_RECORD)
+_HEADER_LEN = len(_table_header(0))
+
+
+def _read_records(f) -> np.ndarray:
+    """The array in an open .npy file. A file of the size and header that
+    write_path_table gives some row count is read as those rows directly;
+    any other goes through np.lib.format.read_array, which checks it."""
+    size = os.fstat(f.fileno()).st_size
+    n = max(0, size - _HEADER_LEN) // PATH_RECORD.itemsize
+    header = _table_header(n)
+    if len(header) + n * PATH_RECORD.itemsize == size and f.read(len(header)) == header:
+        table = np.fromfile(f, dtype=PATH_RECORD, count=n)
+        if len(table) == n:
+            return table
+    f.seek(0)
+    return np.lib.format.read_array(f, allow_pickle=False)
+
+
 def read_path_table(path) -> Cir:
     """The CIR in a path table that write_path_table wrote. The file must
     hold exactly one one-dimensional array of PATH_RECORD records, and
@@ -246,7 +275,7 @@ def read_path_table(path) -> Cir:
     path = Path(path)
     try:
         with open(path, "rb") as f:
-            table = np.lib.format.read_array(f, allow_pickle=False)
+            table = _read_records(f)
             trailing = f.read(1)
     except FileNotFoundError:
         raise ValueError(f"{path} not found: the run was written before path tables "
@@ -511,13 +540,19 @@ def run_sounder_roundtrip(config: ScenarioConfig, out_dir=None) -> dict:
     """Push the simulated sensing CIR through the sliding-correlation
     pipeline and report how well the paths survive."""
     sim = simulate_channels(config)
-    out = Path(config.outputs if out_dir is None else out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     combined = Cir.concat([sim.target_cir, sim.background_cir])
     if len(combined) == 0:
         raise ValueError("scenario produced no paths to sound")
 
     pn = generate_pn(config.sounder_m, chip_rate=config.bandwidth_hz)
+    longest = combined.delay.max()
+    if longest >= pn.period_s:
+        raise ValueError(f"bandwidth_hz {config.bandwidth_hz!r} and sounder.register_length "
+                         f"{config.sounder_m} give a PN period of {pn.period_s * 1e9:.4g} ns, "
+                         f"not longer than the longest path delay, {longest * 1e9:.4g} ns: "
+                         "the range would be ambiguous")
+    out = Path(config.outputs if out_dir is None else out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     threshold_db = 15.0
     capture = transmit_through(combined, pn, config.sounder_snr_db,
                                _child_seed(_stage_seeds(config.seed)[3]))

@@ -4,11 +4,13 @@ import io
 import json
 import math
 from dataclasses import replace
+from itertools import accumulate, permutations
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from isacsim import (
     C_LIGHT,
@@ -31,6 +33,9 @@ from isacsim import (
     turntable_scan,
 )
 from isacsim.analysis import (
+    _AROUND,
+    _BEFORE,
+    BounceResult,
     _deg_apart,
     _max3x3,
     locate_bistatic,
@@ -137,6 +142,41 @@ class TestPadp:
         for (ga, gd), (wa, wd) in zip(got, want):
             assert ga == wa
             assert abs(gd - wd) <= 5e-9  # within one delay bin
+
+
+# steps around the 1e-9 degree tolerance, and ones that are not steps at all
+_STEPS = [5.0, 5.0 + 1e-9, 5.0 - 1e-9, 5.0 + 2e-9, 1e-9, 2e-9, 1 / 3, 0.0, -1.0,
+          math.inf, -math.inf, math.nan, 1e308]
+
+
+class TestScanGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(angles=st.one_of(
+        st.lists(st.floats(), min_size=1, max_size=5),
+        st.builds(lambda start, steps: list(accumulate([start, *steps])),
+                  st.sampled_from([0.0, -90.0, 0.1, 1e6, -math.inf, math.inf, math.nan]),
+                  st.lists(st.sampled_from(_STEPS), max_size=4))))
+    def test_uniform_step_rule_is_allclose(self, angles):
+        angles = np.array(angles)
+        # the check must warn of nothing that np.diff does not
+        try:
+            with np.errstate(all="raise"):
+                np.diff(angles)
+            errstate = "raise"
+        except FloatingPointError:
+            errstate = "ignore"
+        with np.errstate(all="ignore"):
+            steps = np.diff(angles)
+            want = len(angles) == 1 or bool(
+                not np.any(steps <= 0) and np.allclose(steps, steps[0], rtol=0, atol=1e-9))
+        with np.errstate(all=errstate):
+            try:
+                ScanGrid(angles, np.zeros((len(angles), 1)), [0.0, 1.0])
+                got = True
+            except ValueError as exc:
+                assert "uniform step" in str(exc)
+                got = False
+        assert got == want
 
 
 class TestTurntableScan:
@@ -400,6 +440,24 @@ class TestExtractPaths:
             np.testing.assert_array_equal(
                 _max3x3(arr), maximum_filter(arr, size=3, mode="nearest"))
 
+    @settings(max_examples=150, deadline=None)
+    @given(arr=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                          elements=st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 1.0, 3e5,
+                                                    math.inf, -math.inf, math.nan])),
+           ring=st.booleans())
+    def test_neighbourhood_max_matches_padded_reference(self, arr, ring):
+        def reference(offsets):
+            # the padded stack _max3x3 replaced
+            rows, cols = arr.shape
+            padded = np.pad(arr, 1, constant_values=-np.inf)
+            if ring:
+                padded[0, 1:-1], padded[-1, 1:-1] = arr[-1], arr[0]
+            return np.max([padded[i:i + rows, j:j + cols] for i, j in offsets], axis=0)
+
+        for offsets in (_AROUND, _BEFORE, *(((i, j),) for i, j in _AROUND)):
+            got = _max3x3(arr, offsets, ring=ring)
+            np.testing.assert_array_equal(got, reference(offsets), err_msg=str(offsets))
+
 
 class TestSubtractBackground:
     def _scan(self, paths, angles=None):
@@ -492,7 +550,69 @@ def arrival_az_deg(last, rx):
     return math.degrees(math.atan2(v[1], v[0])) % 360.0
 
 
+def classify_every_route(peak, tx, rx, target, reflectors, delay_tol, angle_tol_deg):
+    """classify_bounce as it was: every route walked again for each peak.
+    ``reflectors`` are (label, position) pairs."""
+    refl = [(label or f"R{i}", p) for i, (label, p) in enumerate(reflectors)]
+    routes = [(0, "Tx>ST>Rx", [tx, target, rx])]
+    for name, p in refl:
+        routes += [(1, f"Tx>ST>{name}>Rx", [tx, target, p, rx]),
+                   (1, f"Tx>{name}>ST>Rx", [tx, p, target, rx])]
+    for (na, pa), (nb, pb) in permutations(refl, 2):
+        routes += [(2, f"Tx>ST>{na}>{nb}>Rx", [tx, target, pa, pb, rx]),
+                   (2, f"Tx>{na}>ST>{nb}>Rx", [tx, pa, target, pb, rx]),
+                   (2, f"Tx>{na}>{nb}>ST>Rx", [tx, pa, pb, target, rx])]
+    best = None
+    for order, label, waypoints in routes:
+        length = route_len(*waypoints)
+        residual = abs(length / C_LIGHT - peak.delay_s)
+        if residual > delay_tol:
+            continue
+        if np.linalg.norm(np.asarray(waypoints[-2], float) - np.asarray(rx, float)) == 0.0:
+            continue
+        if _deg_apart(arrival_az_deg(waypoints[-2], rx), peak.angle_deg) > angle_tol_deg:
+            continue
+        if best is None or (order, residual) < (best.order, best.residual_s):
+            best = BounceResult(order, label, length, residual)
+    return best, routes
+
+
+_POSITION = st.lists(st.one_of(st.sampled_from([-7.12, -1.0, 0.0, 0.71, 1.4, 5.0, 10.0]),
+                               st.floats(-20.0, 20.0)), min_size=3, max_size=3)
+
+
 class TestClassifyBounce:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_walk_over_every_route(self, data):
+        tx, rx, target = (data.draw(_POSITION) for _ in range(3))
+        reflectors = [(data.draw(st.sampled_from(["", "", "wall", "pillar"])),
+                       data.draw(st.one_of(_POSITION, st.just(list(rx)))))  # at the Rx too
+                      for _ in range(data.draw(st.integers(0, 3)))]
+        given_arrays = [np.array(v, dtype=float) for v in (tx, rx, target)]
+        scene = ReconstructionScene(
+            *given_arrays,
+            reflectors=tuple(GeometricScatterer(np.array(p, dtype=float), label=label)
+                             for label, p in reflectors))
+        for v in (scene.tx, scene.rx, scene.target, *(r.position for r in scene.reflectors)):
+            assert not v.flags.writeable
+        for v in given_arrays:
+            v += 1.0  # the scene holds copies: its routes stay those it was given
+
+        def check(peak):
+            want, routes = classify_every_route(peak, tx, rx, target, reflectors, 1e-9, 2.5)
+            assert classify_bounce(peak, scene, delay_tol=1e-9, angle_tol_deg=2.5) == want
+            return routes
+
+        routes = check(PadpPeak(data.draw(st.floats(0.0, 360.0)),
+                                data.draw(st.floats(0.0, 200e-9)), 1.0))
+        for _, _, waypoints in routes:  # one peak on or just off each route
+            az = arrival_az_deg(waypoints[-2], rx)
+            az += data.draw(st.sampled_from([0.0, 0.0, 2.4, -2.4, 2.6, 180.0]))
+            delay = route_len(*waypoints) / C_LIGHT
+            delay += data.draw(st.sampled_from([0.0, 0.0, 0.9e-9, -0.9e-9, 1.1e-9]))
+            check(PadpPeak(az, max(delay, 0.0), 1.0))
+
     def test_direct_route_order_zero(self):
         sc = make_scene()
         length = route_len(sc.tx, sc.target, sc.rx)

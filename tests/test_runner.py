@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from isacsim import Cir, GenerationProfile, free_space_loss_db, radar_pathloss, runner, sounder
 from isacsim.core import C_LIGHT, COLUMNS, PATH_RECORD
-from isacsim.cli import main as cli_main
+from isacsim.cli import build_parser, main as cli_main
 from isacsim.config import ConfigError, load_config, load_scene, parse_config
 from isacsim.runner import (
     packaged_golden_dir,
@@ -420,6 +420,31 @@ class TestRunSimulate:
         write_path_table(tmp_path / "t.npy", cir)
         back = read_path_table(tmp_path / "t.npy")
         assert len(back) == len(cir)
+        for name in COLUMNS:
+            got, want = getattr(back, name), getattr(cir, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=name)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(0, 40), version=st.sampled_from([(1, 0), (2, 0), (3, 0)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=0, version=(1, 0), seed=0)
+    def test_path_table_with_another_valid_header_reads_back(self, tmp_path, n, version, seed):
+        # the header np.save writes is read directly; any other valid one
+        # goes through numpy's reader and gives the same bits
+        rng = np.random.default_rng(seed)
+        amp = rng.normal(size=n) + 1j * rng.normal(size=n)
+        amp.imag[::3] = -0.0
+        cir = Cir.from_columns(np.sort(rng.uniform(0.0, 1e-6, n)), amp, rng.normal(size=n),
+                               aod_az=rng.uniform(0.0, 6.0, n), aoa_el=rng.uniform(-1.5, 1.5, n),
+                               bounce_order=rng.integers(0, 5, n))
+        write_path_table(tmp_path / "t.npy", cir)
+        table = np.load(tmp_path / "t.npy", allow_pickle=False)
+        with open(tmp_path / "t.npy", "wb") as f:
+            np.lib.format.write_array(f, table, version=version, allow_pickle=False)
+        back = read_path_table(tmp_path / "t.npy")
+        assert len(back) == n
         for name in COLUMNS:
             got, want = getattr(back, name), getattr(cir, name)
             assert got.dtype == want.dtype, name
@@ -851,7 +876,9 @@ class TestCli:
         assert "chip-resolvable" in capsys.readouterr().out
 
     @pytest.mark.parametrize("m, err", [
-        (5, "error: path delay 81.8 ns outside one PN period (77.5 ns); range is ambiguous\n"),
+        (5, "error: bandwidth_hz 400000000.0 and sounder.register_length 5 give a PN period "
+            "of 77.5 ns, not longer than the longest path delay, 174.4 ns: the range would "
+            "be ambiguous\n"),
         (20, "invalid scenario config:\n"
              "  - sounder.register_length must be between 3 and 15, got 20\n"),
     ], ids=["5-outside one PN period", "20-no default taps"])
@@ -863,6 +890,71 @@ class TestCli:
         assert cli_main(["sounder-roundtrip", str(cfg_path),
                          "--out", str(tmp_path / "snd")]) == 2
         assert capsys.readouterr().err == err
+        assert not (tmp_path / "snd").exists()
+
+    def test_sounder_roundtrip_period_too_short_names_both_keys(self, tmp_path, capsys):
+        # at this chip rate the PN period rounds to 0.0 ns: the message must
+        # name what sets it, not only the path that falls outside it
+        doc = json.loads((CONFIG_DIR / "bistatic_indoor_human.json").read_text())
+        doc["bandwidth_hz"] = 1e300
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["sounder-roundtrip", str(cfg_path),
+                         "--out", str(tmp_path / "snd")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "bandwidth_hz 1e+300" in err and "sounder.register_length 11" in err
+        assert not (tmp_path / "snd").exists()
+
+    def test_repeated_calls_share_no_state(self, tmp_path, monkeypatch, capsys):
+        # one process, many calls: the parser is built once, and no option
+        # or failure of one call reaches the next. Each call must write what
+        # the same call writes first in a process, with a fresh parser.
+        doc = json.loads((CONFIG_DIR / "bistatic_indoor_human.json").read_text())
+        doc["outputs"] = "default_out"
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        shutil.copy(CONFIG_DIR / "indoor_human_scene.json", tmp_path / "scene.json")
+        monkeypatch.chdir(tmp_path)
+
+        def written(argv, run_dir):
+            assert cli_main(argv) == 0, capsys.readouterr().err
+            files = {}
+            for p in sorted(Path(run_dir).iterdir()):
+                data = p.read_bytes()
+                if p.name == "report.json":  # all of it but its timings
+                    data = json.dumps(dict(json.loads(data), timings_s=None)).encode()
+                files[p.name] = data
+            return files
+
+        calls = [
+            (["simulate", "scenario.json", "--out", "run"], "run"),
+            (["simulate", "scenario.json"], "default_out"),
+            (["analyze", "run", "--threshold-db", "120", "--scene", "scene.json"], "run"),
+            (["analyze", "run"], "run"),
+            (["analyze", "run", "--scene", "scene.json"], "run"),
+            (["analyze", "default_out", "--threshold-db", "120"], "default_out"),
+            (["sounder-roundtrip", "scenario.json", "--out", "snd"], "snd"),
+            (["sounder-roundtrip", "scenario.json"], "default_out"),
+        ]
+        bad_calls = [["analyze"], ["analyze", "run", "--threshold-db", "x"],
+                     ["simulate", "scenario.json", "--bogus"], []]
+        outputs = []
+        for k, (argv, run_dir) in enumerate(calls):
+            with pytest.raises(SystemExit) as exc:  # an argparse failure first
+                cli_main(bad_calls[k % len(bad_calls)])
+            assert exc.value.code == 2
+            warm = written(argv, run_dir)
+            build_parser.cache_clear()
+            assert written(argv, run_dir) == warm, argv
+            outputs.append(warm)
+        assert build_parser() is build_parser()
+        # the options were in force where given, and only there
+        paths = [json.loads(out["paths.json"])["paths"] for out in outputs[2:6]]
+        labelled = [any(p["route_labels"] for p in run) for run in paths]
+        assert labelled == [True, False, True, False]
+        assert [len(run) for run in paths[1:]] == [len(paths[1]), len(paths[1]), len(paths[0])]
+        assert len(paths[1]) < len(paths[0])
+        assert outputs[1]["target.npy"] == outputs[0]["target.npy"]
 
 
     @pytest.mark.parametrize("change, message", [
@@ -988,6 +1080,10 @@ class TestAnalyzeReadsPathTables:
         (lambda p: _save(p, np.array([{"delay": 0.0}], dtype=object)),
          "is not a readable .npy array"),
         (lambda p: p.write_bytes(p.read_bytes() + b"\0"), "has bytes past its array"),
+        (lambda p: p.write_bytes(p.read_bytes() + bytes(PATH_RECORD.itemsize)),
+         "has bytes past its array"),
+        (lambda p: p.write_bytes(p.read_bytes()[:-PATH_RECORD.itemsize]),
+         "is not a readable .npy array"),
         (lambda p: _save(p, np.zeros(4)), "holds records of dtype float64"),
         (lambda p: _save(p, np.load(p).astype(PATH_RECORD.newbyteorder(">"))),
          "not path records"),
@@ -998,7 +1094,7 @@ class TestAnalyzeReadsPathTables:
         (_with_first_value("delay", -1e-9), "delay must be finite and >= 0, got -1e-09"),
         (_previous_format, "not path records; simulate again"),
     ], ids=["empty", "truncated", "truncated-header", "not-npy", "object-array",
-            "trailing-bytes", "wrong-dtype", "big-endian", "2-D", "nan-amplitude",
+            "trailing-bytes", "trailing-record", "missing-record", "wrong-dtype", "big-endian", "2-D", "nan-amplitude",
             "nan-doppler", "inf-doppler", "negative-delay", "previous-format"])
     def test_bad_table_exits_2_naming_the_file(self, run_dir, capsys, damage, message):
         table = run_dir / "target.npy"
