@@ -17,7 +17,7 @@ from isacsim import (
     spreading_gain_db,
     wavelength_m,
 )
-from isacsim.runner import packaged_golden_dir
+from isacsim.core import packaged_golden_dir
 
 wl = wavelength_m(6.9e9)
 print(f"carrier 6.9 GHz -> wavelength {wl * 100:.3f} cm, "

@@ -14,32 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    C_LIGHT,
-    Cir,
-    angle_from_vector,
-    finite_vector,
-)
+from .core import C_LIGHT, Cir, angle_from_vector, finite_vector, golden_rows, packaged_golden_dir
 from .gbsm import AntennaModel, GenerationProfile, sample_clusters, synthesize_cir
 
-# Measured power control factors per position, (position, condition, value).
-# Conditions refer to the (Tx-target, target-Rx) visibility combination.
-PCF_MEASUREMENTS: tuple[tuple[int, str, float], ...] = (
-    (1, "los_los", 0.89),
-    (2, "los_los", 0.73),
-    (3, "los_los", 0.67),
-    (4, "los_los", 0.75),
-    (5, "los_los", 0.84),
-    (6, "los_los", 0.81),
-    (7, "los_los", 0.86),
-    (8, "los_los", 0.78),
-    (9, "los_los", 0.91),
-    (10, "los_los", 0.93),
-    (11, "los_nlos", 0.89),
-    (12, "los_nlos", 0.90),
-    (13, "los_nlos", 0.92),
-    (14, "los_nlos", 0.95),
-)
+# Measured power control factors, (position, condition, value), from their one home,
+# pcf_measurements.csv; a condition is the (Tx-target, target-Rx) visibility pair.
+PCF_COLUMNS = {"position": int, "condition": str, "o_back": float}
+PCF_MEASUREMENTS: tuple[tuple[int, str, float], ...] = tuple(
+    (r["position"], r["condition"], r["o_back"])
+    for r in golden_rows(packaged_golden_dir(), "pcf_measurements.csv", PCF_COLUMNS))
 
 
 def pcf_values(condition: str) -> np.ndarray:

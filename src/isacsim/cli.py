@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--scene", default=None, help="reconstruction scene JSON")
     p_an.add_argument("--threshold-db", type=float, default=30.0)
 
-    p_val = sub.add_parser("validate", help="check arithmetic against golden tables")
+    p_val = sub.add_parser("validate", help="check the model against golden tables")
     p_val.add_argument("golden_dir", nargs="?", default=None,
                        help="directory of golden CSVs (default: packaged data)")
 

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -401,3 +402,42 @@ def merge_paths(paths: Cir, delay_tol: float, angle_tol: float) -> Cir:
     cols = {name: getattr(paths, name)[anchors] for name in COLUMNS}
     cols.update(amp=sums)
     return paths._with(**cols)
+
+
+
+
+def packaged_golden_dir() -> Path:
+    """The directory of the packaged measurement tables (the golden CSVs)."""
+    return Path(__file__).parent / "data"
+
+
+def golden_rows(golden: Path, name: str, columns: dict[str, type]) -> list[dict]:
+    """The rows of a golden table: a header line of column names, then a line of
+    comma-separated cells (no quoting) per row, blank lines skipped. It needs rows and
+    each of ``columns``; a row fills each, read with its type, and no cell past the header."""
+    path = golden / name
+    with open(path) as f:
+        header, *lines = f.read().split("\n")
+    header = header.split(",")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ValueError(f"golden table {path} lacks column(s) {', '.join(missing)}")
+    rows = []
+    for line_num, cells in ((n, line.split(",")) for n, line in enumerate(lines, 2) if line):
+        where = f"golden table {path} line {line_num}"
+        if len(cells) > len(header):
+            raise ValueError(f"{where} has {len(cells)} cells, "
+                             f"more than the header's {len(header)}")
+        rec = dict(zip(header, cells))
+        for col, kind in columns.items():
+            if col not in rec:
+                raise ValueError(f"{where} ends before column {col}")
+            try:
+                rec[col] = kind(rec[col])
+            except ValueError:
+                raise ValueError(f"{where}, column {col}: {rec[col]!r} is not a valid "
+                                 f"{kind.__name__}") from None
+        rows.append(rec)
+    if not rows:
+        raise ValueError(f"golden table {path} has no rows")
+    return rows

@@ -1,9 +1,9 @@
 """Radar-equation link-budget arithmetic, all in dB at the API surface.
 
 The two-hop sensing path loss, its inversion to an RCS estimate, the
-zero-slope RCS regression, the concatenated-path power check used to
-validate the concatenation model against measured path powers, and the
-free-space loss of one hop.
+zero-slope RCS regression, the concatenated-path power formula behind
+the golden table's p_conv_db column, and the free-space loss of one
+hop.
 """
 from __future__ import annotations
 

@@ -6,7 +6,6 @@ byte; the run report records a SHA-256 manifest to make that checkable.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -14,23 +13,22 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
     MAX_SCAN_CELLS,
+    PadpPeak,
     classify_bounce,
     delay_grid,
-    power_proportion,
     subtract_background,
     turntable_scan,
     write_padp_csv,
     write_paths_json,
 )
 from .background import (
-    PCF_MEASUREMENTS,
+    PCF_COLUMNS,
     apply_pcf,
     background_bistatic,
     background_monostatic,
@@ -45,11 +43,13 @@ from .core import (
     Cir,
     ScatteringPoint,
     angle_from_vector,
+    golden_rows,
     merge_paths,
+    packaged_golden_dir,
     wavelength_m,
 )
 from .gbsm import AntennaModel, ClusterSet, sample_clusters, with_los_ray
-from .linkbudget import conv_path_power, delta_p, free_space_loss_db
+from .linkbudget import delta_p, free_space_loss_db
 from .sounder import generate_pn, process_capture, save_capture, transmit_through
 from .target import Side, SubLink, load_rcs_table_csv, multi_point_target
 
@@ -328,6 +328,18 @@ def _scan_input(target_cir: Cir, bg_cir: Cir, config: ScenarioConfig):
     return combined, bin_w, angles, delay_grid(max_delay, bin_w)
 
 
+def _target_peaks(target_cir: Cir, bg_cir: Cir, config: ScenarioConfig,
+                  peak_threshold_db: float, source) -> tuple[list[PadpPeak], float]:
+    """The target peaks of a scan of the sensing CIR against one of the background
+    alone, and the bin width; ``source`` names the CIRs in the error of an empty scan."""
+    combined, bin_w, angles, bins = _scan_input(target_cir, bg_cir, config)
+    with_target = turntable_scan(combined, config.rx.antenna, angles, bins)
+    if not with_target.power.any():
+        raise ValueError(f"{source}: PADP is empty: the scan finds no power in any stored path")
+    without_target = turntable_scan(bg_cir, config.rx.antenna, angles, bins)
+    return subtract_background(with_target, without_target, peak_threshold_db), bin_w
+
+
 # the files simulate writes and report.json's manifest hashes
 OUTPUT_FILES = ("target.json", "background.json", "target.npy", "background.npy", "padp.csv")
 
@@ -383,15 +395,9 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0) -> li
     config = parse_config(report["config"], run_dir)
     scene = load_scene(scene_path) if scene_path is not None else None
 
-    target_cir = read_path_table(run_dir / "target.npy")
-    bg_cir = read_path_table(run_dir / "background.npy")
-    combined, bin_w, angles, bins = _scan_input(target_cir, bg_cir, config)
-    with_target = turntable_scan(combined, config.rx.antenna, angles, bins)
-    if not with_target.power.any():
-        raise ValueError(f"{run_dir}: PADP is empty: the scan finds no power in any stored path")
-    without_target = turntable_scan(bg_cir, config.rx.antenna, angles, bins)
-
-    peaks = subtract_background(with_target, without_target, peak_threshold_db=peak_threshold_db)
+    peaks, bin_w = _target_peaks(read_path_table(run_dir / "target.npy"),
+                                 read_path_table(run_dir / "background.npy"),
+                                 config, peak_threshold_db, run_dir)
     bounce = None
     if scene is not None:
         bounce = [classify_bounce(pk, scene, delay_tol=bin_w,
@@ -426,108 +432,79 @@ class ValidationReport:
         print(f"{len(self.rows) - n_fail}/{len(self.rows)} checks passed")
 
 
-def packaged_golden_dir() -> Path:
-    return Path(str(resources.files("isacsim") / "data"))
-
-
-def _golden_rows(golden: Path, name: str, columns: dict[str, type]) -> list[dict]:
-    """The rows of a golden table, which must have rows and each of
-    ``columns``; every row fills each column, read with its type."""
-    path = golden / name
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"golden table {path} lacks column(s) {', '.join(missing)}")
-        for rec in reader:
-            where = f"golden table {path} line {reader.line_num}"
-            for col, kind in columns.items():
-                if rec[col] is None:
-                    raise ValueError(f"{where} ends before column {col}")
-                try:
-                    rec[col] = kind(rec[col])
-                except ValueError:
-                    raise ValueError(f"{where}, column {col}: {rec[col]!r} is not a valid "
-                                     f"{kind.__name__}") from None
-            rows.append(rec)
-    if not rows:
-        raise ValueError(f"golden table {path} has no rows")
-    return rows
+def _concat_power_row(rec: dict, directory: Path) -> ValidationRow:
+    """A concatenated-power row run through the model: the power of the one target
+    peak found in a channel with omni antennas, the Tx at the origin, the target at
+    (d1, 0, 0), the Rx at (d1, d2, 0), each hop d = lambda / (4 pi) 10^(-p / 20) long
+    for its sub-link power p, a LOS-only target of the row's RCS, a one-ray
+    background and a PCF of 1, against p_conv_db."""
+    name = f"concat-power {rec['path_id']}"
+    ambiguous = "sigma_sign_ambiguous" in rec["note"]
+    carrier = 6.9e9  # Hz, the carrier of the measured path powers
+    try:
+        d1, d2 = (wavelength_m(carrier) / (4.0 * math.pi) * 10.0 ** (-rec[key] / 20.0)
+                  for key in ("p_n1_db", "p_n2_db"))
+        config = parse_config({
+            "name": name, "carrier_freq_hz": carrier, "bandwidth_hz": 1e9,
+            "sensing_mode": "bi_static", "rx": {"position_m": [d1, d2, 0.0]},
+            "targets": [{"position_m": [d1, 0.0, 0.0], "sublink": {"n_clusters": 0},
+                         "rcs": {"sigma_dbsm": -rec["sigma_dbsm"] if ambiguous
+                                 else rec["sigma_dbsm"]}}],
+            "background": {"mode": "statistical",
+                           "profile": {"n_clusters": 1, "rays_per_cluster": 1}},
+            "pcf": {"value": 1.0}, "seed": 0}, directory)
+        sim = simulate_channels(config)
+        # 100 dB keeps the target's peak, up to 39 dB below the background's on the packaged rows
+        peaks, _ = _target_peaks(sim.target_cir, sim.background_cir, config, 100.0, name)
+    except (ValueError, OverflowError) as exc:  # powers no hop length gives, such as NaN
+        return ValidationRow(name, False, "no channel: " + " ".join(str(exc).split()))
+    if len(peaks) != 1:
+        return ValidationRow(name, False, f"{len(peaks)} target peaks, not 1")
+    resid = peaks[0].power_db - rec["p_conv_db"]
+    note = " (sigma sign flipped per annotation)" if ambiguous else ""
+    return ValidationRow(name, abs(resid) <= rec["tol_db"],
+                         f"residual {resid:+.4f} dB, tol {rec['tol_db']} dB{note}")
 
 
 def run_validate(golden_dir=None) -> ValidationReport:
-    """Check the link-budget arithmetic and statistical defaults against
-    the golden measurement tables."""
+    """Check the model against the golden measurement tables: each concatenated
+    path power through a simulated channel; the measured delta-P, the bounce
+    proportions' column sums and the PCF means by arithmetic."""
     golden = Path(golden_dir) if golden_dir is not None else packaged_golden_dir()
     rows: list[ValidationRow] = []
-    wl = wavelength_m(6.9e9)
 
     abs_dps = []
-    for rec in _golden_rows(golden, "concatenated_power_checks.csv",
-                            {"path_id": str, "p_n1_db": float, "p_n2_db": float,
-                             "sigma_dbsm": float, "p_conv_db": float, "p_meas_db": float,
-                             "delta_p_db": float, "tol_db": float, "note": str}):
-        p1, p2 = rec["p_n1_db"], rec["p_n2_db"]
-        sigma = rec["sigma_dbsm"]
-        expected = rec["p_conv_db"]
-        tol = rec["tol_db"]
-        ambiguous = "sigma_sign_ambiguous" in rec["note"]
-        got = conv_path_power(p1, p2, -sigma if ambiguous else sigma, wl)
-        resid = got - expected
-        note = " (sigma sign flipped per annotation)" if ambiguous else ""
-        rows.append(ValidationRow(
-            f"concat-power {rec['path_id']}",
-            abs(resid) <= tol,
-            f"residual {resid:+.4f} dB, tol {tol} dB{note}"))
-        dp = delta_p(expected, rec["p_meas_db"])
+    for rec in golden_rows(golden, "concatenated_power_checks.csv",
+                           {"path_id": str, "p_n1_db": float, "p_n2_db": float,
+                            "sigma_dbsm": float, "p_conv_db": float, "p_meas_db": float,
+                            "delta_p_db": float, "tol_db": float, "note": str}):
+        rows.append(_concat_power_row(rec, golden))
+        dp = delta_p(rec["p_conv_db"], rec["p_meas_db"])
         dp_resid = dp - rec["delta_p_db"]
         abs_dps.append(abs(dp))
-        rows.append(ValidationRow(
-            f"delta-P {rec['path_id']}",
-            abs(dp_resid) <= 0.01,
-            f"residual {dp_resid:+.4f} dB"))
+        rows.append(ValidationRow(f"delta-P {rec['path_id']}", abs(dp_resid) <= 0.01,
+                                  f"residual {dp_resid:+.4f} dB"))
     rows.append(ValidationRow("max |delta-P| <= 7 dB", max(abs_dps) <= 7.0,
                               f"max {max(abs_dps):.2f} dB"))
-    rows.append(ValidationRow("min |delta-P| = 0.11 dB",
-                              abs(min(abs_dps) - 0.11) <= 0.005,
+    rows.append(ValidationRow("min |delta-P| = 0.11 dB", abs(min(abs_dps) - 0.11) <= 0.005,
                               f"min {min(abs_dps):.2f} dB"))
 
-    for rec in _golden_rows(golden, "bounce_power_proportions.csv",
-                            {"case": str, "pp0_pct": float, "pp1_pct": float,
-                             "pp2plus_pct": float}):
-        pcts = [rec["pp0_pct"], rec["pp1_pct"], rec["pp2plus_pct"]]
-        total = sum(pcts)
-        rows.append(ValidationRow(
-            f"proportions {rec['case']} column sum",
-            abs(total - 100.0) <= 0.1, f"sum {total:.3f}%"))
-        planted = [(order, pct) for order, pct in enumerate(pcts) if pct > 0]
-        pp = power_proportion(planted)
-        recon = [x * 100.0 for x in pp.as_tuple()]
-        err = max(abs(a - b) for a, b in zip(recon, pcts))
-        rows.append(ValidationRow(
-            f"proportions {rec['case']} round trip",
-            err <= 1e-9, f"max error {err:.2e}%"))
+    for rec in golden_rows(golden, "bounce_power_proportions.csv",
+                           {"case": str, "pp0_pct": float, "pp1_pct": float,
+                            "pp2plus_pct": float}):
+        total = rec["pp0_pct"] + rec["pp1_pct"] + rec["pp2plus_pct"]
+        rows.append(ValidationRow(f"proportions {rec['case']} column sum",
+                                  abs(total - 100.0) <= 0.1, f"sum {total:.3f}%"))
 
-    # each measured factor against the one the model's PCF table holds
-    pcf_rows = _golden_rows(golden, "pcf_measurements.csv",
-                            {"position": int, "condition": str, "o_back": float})
-    model_values = {(pos, cond): val for pos, cond, val in PCF_MEASUREMENTS}
-    for rec in pcf_rows:
-        val = rec["o_back"]
-        want = model_values.get((rec["position"], rec["condition"]))
-        rows.append(ValidationRow(
-            f"PCF position {rec['position']} {rec['condition']}",
-            want == val, f"golden {val}, model table {want}"))
+    pcf_rows = golden_rows(golden, "pcf_measurements.csv", PCF_COLUMNS)
     for cond, expected_mean in (("los_los", 0.817), ("los_nlos", 0.915)):
         vals = [r["o_back"] for r in pcf_rows if r["condition"] == cond]
         mean = sum(vals) / len(vals) if vals else math.nan  # nan fails the check
-        model = default_pcf_model(cond)
-        ok = (abs(mean - expected_mean) <= 1e-12
-              and abs(model.mean - expected_mean) <= 1e-12)
+        model_mean = default_pcf_model(cond).mean
         rows.append(ValidationRow(
-            f"PCF {cond} mean = {expected_mean}", ok,
-            f"golden mean {mean:.6f}, default model mean {model.mean:.6f}"))
+            f"PCF {cond} mean = {expected_mean}",
+            abs(mean - expected_mean) <= 1e-12 and abs(model_mean - expected_mean) <= 1e-12,
+            f"golden mean {mean:.6f}, default model mean {model_mean:.6f}"))
 
     return ValidationReport(tuple(rows))
 

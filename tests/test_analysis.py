@@ -8,7 +8,7 @@ from itertools import accumulate, permutations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -156,25 +156,23 @@ class TestScanGrid:
         st.builds(lambda start, steps: list(accumulate([start, *steps])),
                   st.sampled_from([0.0, -90.0, 0.1, 1e6, -math.inf, math.inf, math.nan]),
                   st.lists(st.sampled_from(_STEPS), max_size=4))))
+    @example(angles=[-math.inf, 0.0])  # a non-finite angle
+    @example(angles=[-1e308, 1e308])  # finite angles, a step past the largest float
     def test_uniform_step_rule_is_allclose(self, angles):
         angles = np.array(angles)
-        # the check must warn of nothing that np.diff does not
-        try:
-            with np.errstate(all="raise"):
-                np.diff(angles)
-            errstate = "raise"
-        except FloatingPointError:
-            errstate = "ignore"
+        # finite angles and steps, then np.allclose's rule
         with np.errstate(all="ignore"):
             steps = np.diff(angles)
-            want = len(angles) == 1 or bool(
-                not np.any(steps <= 0) and np.allclose(steps, steps[0], rtol=0, atol=1e-9))
-        with np.errstate(all=errstate):
+            want = bool(np.isfinite(angles).all() and np.isfinite(steps).all()) and (
+                len(angles) == 1 or bool(not np.any(steps <= 0) and np.allclose(
+                    steps, steps[0], rtol=0, atol=1e-9)))
+        # the check warns of nothing, even where np.diff overflows
+        with np.errstate(all="raise"):
             try:
                 ScanGrid(angles, np.zeros((len(angles), 1)), [0.0, 1.0])
                 got = True
             except ValueError as exc:
-                assert "uniform step" in str(exc)
+                assert "finite uniform step" in str(exc)
                 got = False
         assert got == want
 

@@ -13,11 +13,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from isacsim import Cir, GenerationProfile, free_space_loss_db, radar_pathloss, runner, sounder
-from isacsim.core import C_LIGHT, COLUMNS, PATH_RECORD
+from isacsim.core import C_LIGHT, COLUMNS, PATH_RECORD, packaged_golden_dir
 from isacsim.cli import build_parser, main as cli_main
 from isacsim.config import ConfigError, load_config, load_scene, parse_config
 from isacsim.runner import (
-    packaged_golden_dir,
     read_cir_json,
     read_path_table,
     run_analyze,
@@ -478,7 +477,7 @@ class TestRunValidate:
     def test_packaged_golden_passes(self):
         report = run_validate()
         assert report.ok
-        assert len(report.rows) == 46
+        assert len(report.rows) == 26
 
     def test_perturbed_golden_fails_that_row_only(self, tmp_path):
         report = run_validate(perturbed_golden(
@@ -489,13 +488,28 @@ class TestRunValidate:
         # dependent delta-P rows for 1-A
         assert any("1-A" in n for n in failed)
         assert all("1-A" in n or "delta-P" in n for n in failed)
-        # two measured PCFs moved apart, keeping the los_los mean at 0.817
+        # one measured los_los PCF moved: the golden mean leaves 0.817
         report = run_validate(perturbed_golden(
-            tmp_path / "pcf", "pcf_measurements.csv",
-            ("1,los_los,0.89", "1,los_los,0.90"), ("2,los_los,0.73", "2,los_los,0.72")))
-        assert len(report.rows) == 46
-        assert [r.name for r in report.rows if not r.passed] == [
-            "PCF position 1 los_los", "PCF position 2 los_los"]
+            tmp_path / "pcf", "pcf_measurements.csv", ("1,los_los,0.89", "1,los_los,0.90")))
+        assert len(report.rows) == 26
+        assert [r.name for r in report.rows if not r.passed] == ["PCF los_los mean = 0.817"]
+
+    @pytest.mark.parametrize("old, new, detail", [
+        # a row's RCS moved by its tolerance plus 0.1 dB
+        ("1-A,-74.64,-78.46,8.48,", "1-A,-74.64,-78.46,8.59,", "residual +0.1127 dB"),
+        # 2-D's RCS is flipped per its note, so its residual moves from -0.3673 dB
+        ("2-D,-70.21,-95.59,6.70,", "2-D,-70.21,-95.59,7.20,", "residual -0.8673 dB"),
+        # sub-link powers that no hop length gives
+        ("1-B,-74.64,-83.36,", "1-B,-74.64,nan,", "no channel: invalid scenario config"),
+        ("1-B,-74.64,-83.36,", "1-B,-74.64,-1e5,", "no channel: "),
+    ], ids=["rcs", "flipped-rcs", "nan-power", "overflowing-power"])
+    def test_moved_row_fails_its_concat_power_check_only(self, tmp_path, old, new, detail):
+        report = run_validate(perturbed_golden(
+            tmp_path / "golden", "concatenated_power_checks.csv", (old, new)))
+        assert len(report.rows) == 26
+        failed = [r for r in report.rows if not r.passed]
+        assert [r.name for r in failed] == [f"concat-power {old[:3]}"]
+        assert failed[0].detail.startswith(detail)
 
     def test_missing_golden_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -521,8 +535,10 @@ class TestRunValidate:
          "line 2, column p_n1_db: 'x' is not a valid float"),
         ("pcf_measurements.csv", ("\n3,los_los", "\nthree,los_los"),
          "line 4, column position: 'three' is not a valid int"),
+        ("pcf_measurements.csv", ("3,los_los,0.67", "3,los_los,0.67,0.99"),
+         "line 4 has 4 cells, more than the header's 3"),
     ], ids=["renamed-column", "empty-concat", "empty-pcf", "renamed-proportion",
-            "short-row", "non-numeric-cell", "non-integer-position"])
+            "short-row", "non-numeric-cell", "non-integer-position", "long-row"])
     def test_malformed_golden_table_exits_2(self, tmp_path, capsys, name, edit, message):
         golden = perturbed_golden(tmp_path / "golden", name, *([edit] if edit else []))
         if edit is None:  # keep the header only
@@ -717,8 +733,8 @@ class TestCli:
         golden = perturbed_golden(tmp_path / "pcf", "pcf_measurements.csv",
                                   ("1,los_los,0.89", "1,los_los,0.90"))
         assert cli_main(["validate", str(golden)]) == 1
-        assert "[FAIL] PCF position 1 los_los: golden 0.9, model table 0.89" in (
-            capsys.readouterr().out)
+        assert ("[FAIL] PCF los_los mean = 0.817: golden mean 0.818000, "
+                "default model mean 0.817000") in capsys.readouterr().out
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = scen1_like(tmp_path, bandwidth_hz=-1.0)
