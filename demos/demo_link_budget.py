@@ -5,7 +5,6 @@ factory measurement, inverts the radar equation back to the target's
 RCS, and fits the zero-slope RCS line that justifies treating the RCS
 as distance-independent.
 """
-import csv
 import numpy as np
 
 from isacsim import (
@@ -17,7 +16,8 @@ from isacsim import (
     spreading_gain_db,
     wavelength_m,
 )
-from isacsim.core import packaged_golden_dir
+from isacsim.core import golden_rows, packaged_golden_dir
+from isacsim.runner import CONCAT_POWER_COLUMNS
 
 wl = wavelength_m(6.9e9)
 print(f"carrier 6.9 GHz -> wavelength {wl * 100:.3f} cm, "
@@ -26,17 +26,17 @@ print(f"carrier 6.9 GHz -> wavelength {wl * 100:.3f} cm, "
 print("concatenated path power vs. measured (golden table):")
 print(f"{'path':>5} {'P1':>8} {'P2':>8} {'sigma':>7} {'P_conv':>9} "
       f"{'table':>9} {'resid':>7} {'dP':>7}")
-with open(packaged_golden_dir() / "concatenated_power_checks.csv", newline="") as f:
-    for row in csv.DictReader(f):
-        sigma = float(row["sigma_dbsm"])
-        if "sigma_sign_ambiguous" in row["note"]:
-            sigma = -sigma  # the printed sign is inconsistent for these rows
-        p = conv_path_power(float(row["p_n1_db"]), float(row["p_n2_db"]), sigma, wl)
-        dp = delta_p(float(row["p_conv_db"]), float(row["p_meas_db"]))
-        mark = " *" if "sigma_sign_ambiguous" in row["note"] else ""
-        print(f"{row['path_id']:>5} {row['p_n1_db']:>8} {row['p_n2_db']:>8} "
-              f"{row['sigma_dbsm']:>7} {p:>9.2f} {row['p_conv_db']:>9} "
-              f"{p - float(row['p_conv_db']):>+7.3f} {dp:>+7.2f}{mark}")
+for row in golden_rows(packaged_golden_dir(), "concatenated_power_checks.csv",
+                       CONCAT_POWER_COLUMNS):
+    sigma = row["sigma_dbsm"]
+    if "sigma_sign_ambiguous" in row["note"]:
+        sigma = -sigma  # the printed sign is inconsistent for these rows
+    p = conv_path_power(row["p_n1_db"], row["p_n2_db"], sigma, wl)
+    dp = delta_p(row["p_conv_db"], row["p_meas_db"])
+    mark = " *" if "sigma_sign_ambiguous" in row["note"] else ""
+    print(f"{row['path_id']:>5} {row['p_n1_db']:>8.2f} {row['p_n2_db']:>8.2f} "
+          f"{row['sigma_dbsm']:>7.2f} {p:>9.2f} {row['p_conv_db']:>9.2f} "
+          f"{p - row['p_conv_db']:>+7.3f} {dp:>+7.2f}{mark}")
 print("  (* sigma sign flipped: the printed sign only reproduces the table when negated)\n")
 
 # radar equation round trip: path loss -> RCS estimate

@@ -87,9 +87,10 @@ def wrapped_azimuths(az, el) -> np.ndarray:
     """The azimuths wrapped into [0, 2 pi), once every angle is checked
     to be finite and every elevation to lie within [-pi/2, pi/2]. The
     remainder of a tiny negative azimuth rounds up to 2 pi; it wraps to 0."""
-    if not (np.all(np.isfinite(az)) and np.all(np.isfinite(el))):
+    az, el = np.asarray(az, dtype=float), np.asarray(el, dtype=float)
+    if not (np.isfinite(az).all() and np.isfinite(el).all()):
         raise ValueError("angles must be finite")
-    if np.any(np.abs(el) > math.pi / 2):
+    if (np.abs(el) > math.pi / 2).any():
         raise ValueError("elevation outside [-pi/2, pi/2]")
     wrapped = np.mod(az, TWO_PI)
     return np.where(wrapped == TWO_PI, 0.0, wrapped)
@@ -254,24 +255,31 @@ class Cir:
         Checks that delays are finite and >= 0, amplitudes and Dopplers
         finite and bounce orders >= 0, checks and wraps the angles with
         wrapped_azimuths and sorts the rows by delay."""
-        delay = np.asarray(delay, dtype=float).ravel()
-        n = len(delay)
         raw = (delay, amp, doppler, aod_az, aod_el, aoa_az, aoa_el, bounce_order)
-        cols = {}
+        n = np.size(delay)
+        # the columns built here (a dtype conversion or contiguous copy of a
+        # caller's array, the wrapped azimuths): no caller holds these
+        cols, made = {}, {"aod_az", "aoa_az"}
         for name, v, dt in zip(COLUMNS, raw, _DTYPES):
             arr = np.asarray(v, dtype=dt)
-            cols[name] = np.broadcast_to(arr.ravel() if arr.ndim else arr, (n,))
+            arr = arr.ravel() if arr.ndim else arr
+            if arr.shape != (n,):
+                arr = np.broadcast_to(arr, (n,))
+            elif isinstance(v, np.ndarray) and arr is not v and arr.base is None:
+                made.add(name)
+            cols[name] = arr
+        delay = cols["delay"]
         ok = np.isfinite(delay) & (delay >= 0.0)
         if not ok.all():
             raise ValueError(f"delay must be finite and >= 0, got {delay[~ok][0]}")
         for name, label in (("amp", "amplitude"), ("doppler", "Doppler")):
-            if not np.all(np.isfinite(cols[name])):
+            if not np.isfinite(cols[name]).all():
                 raise ValueError(f"{label} must be finite")
-        if np.any(cols["bounce_order"] < 0):
+        if (cols["bounce_order"] < 0).any():
             raise ValueError("bounce_order must be >= 0")
         for az, el in (("aod_az", "aod_el"), ("aoa_az", "aoa_el")):
             cols[az] = wrapped_azimuths(cols[az], cols[el])
-        return cls._make(_sorted_columns(cols))
+        return cls._make(_sorted_columns(cols, made))
 
     @classmethod
     def concat(cls, cirs: Iterable["Cir"]) -> "Cir":
@@ -279,7 +287,8 @@ class Cir:
         equal delays the earlier Cir's paths come first)."""
         cirs = list(cirs)
         return cls._make(_sorted_columns(
-            {name: np.concatenate([getattr(c, name) for c in cirs] or [[]]) for name in COLUMNS}))
+            {name: np.concatenate([getattr(c, name) for c in cirs] or [[]]) for name in COLUMNS},
+            COLUMNS))
 
     @classmethod
     def _make(cls, cols: dict) -> "Cir":
@@ -322,16 +331,36 @@ class Cir:
         return self._with(amp=self.amp * factor)
 
 
-def _sorted_columns(cols: dict) -> dict:
-    """The columns as arrays, rows stably sorted by delay."""
+def _sorted_columns(cols: dict, made=()) -> dict:
+    """The columns as arrays that no caller holds, rows stably sorted by
+    delay. Rows already in delay order keep it, as the stable sort would:
+    the columns named in ``made``, new contiguous arrays, are then used as
+    they are and the others copied."""
     cols = {name: np.asarray(cols[name], dtype=dt) for name, dt in zip(COLUMNS, _DTYPES)}
-    order = np.argsort(cols["delay"], kind="stable")
+    delay = cols["delay"]
+    if (delay[1:] >= delay[:-1]).all():
+        return {name: arr if name in made else arr.copy() for name, arr in cols.items()}
+    order = np.argsort(delay, kind="stable")
     return {name: arr[order] for name, arr in cols.items()}
 
 
 # ---------------------------------------------------------------------------
 # Path merging
 # ---------------------------------------------------------------------------
+
+def _keys_distinct(cir: Cir) -> bool:
+    """True when no two rows can share a (delay, AoA, AoD) key. Each row's
+    key is hashed from the bits of its values, with -0.0 read as 0.0, so
+    equal keys hash alike; when no two hashes are equal, no two keys are."""
+    mult = np.uint64(0x9E3779B97F4A7C15)  # odd, so the product step is invertible
+    h = np.zeros(len(cir), dtype=np.uint64)
+    for k in (cir.delay, cir.aoa_az, cir.aoa_el, cir.aod_az, cir.aod_el):
+        h ^= (k + 0.0).view(np.uint64)  # + 0.0 turns -0.0 into 0.0
+        h *= mult  # wraps modulo 2^64
+        h ^= h >> np.uint64(31)
+    h.sort()
+    return not (h[1:] == h[:-1]).any()
+
 
 def _exact_groups(cir: Cir) -> tuple[np.ndarray, np.ndarray]:
     """Group rows with equal (delay, AoA, AoD); -0.0 and 0.0 are equal."""
@@ -376,7 +405,8 @@ def merge_paths(paths: Cir, delay_tol: float, angle_tol: float) -> Cir:
     which makes the merge idempotent. Two rules are supported:
 
     * ``delay_tol == angle_tol == 0``: paths with equal delay, AoA and
-      AoD coincide, found by sorting on that key.
+      AoD coincide, found by sorting on that key. When a hash of the key
+      proves every key distinct, the Cir is returned as it is.
     * ``angle_tol >= pi``: every angle test passes, so each row joins
       the latest anchor unless its delay exceeds the anchor's by more
       than ``delay_tol`` (>= 0).
@@ -386,6 +416,8 @@ def merge_paths(paths: Cir, delay_tol: float, angle_tol: float) -> Cir:
     if not isinstance(paths, Cir):
         raise ValueError(f"merge_paths takes a Cir, not {type(paths).__name__}")
     if delay_tol == 0.0 and angle_tol == 0.0:
+        if _keys_distinct(paths):
+            return paths
         group, anchors = _exact_groups(paths)
     elif delay_tol >= 0.0 and angle_tol >= math.pi:
         # wrapped azimuth distances are at most pi and elevations lie in
@@ -402,8 +434,6 @@ def merge_paths(paths: Cir, delay_tol: float, angle_tol: float) -> Cir:
     cols = {name: getattr(paths, name)[anchors] for name in COLUMNS}
     cols.update(amp=sums)
     return paths._with(**cols)
-
-
 
 
 def packaged_golden_dir() -> Path:

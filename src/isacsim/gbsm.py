@@ -61,12 +61,14 @@ class ClusterSet:
         n = rows[0] if rows else 1
         if n == 0:
             raise ValueError("cluster set is empty")
-        cols = {name: np.broadcast_to(col, (n,) + _ROW[name][0]) for name, col in cols.items()}
-        if not np.all(np.isfinite(cols["power"]) & (cols["power"] >= 0.0)):
+        for name, col in cols.items():
+            shape = (n,) + _ROW[name][0]
+            cols[name] = col if col.shape == shape else np.broadcast_to(col, shape)
+        if not (np.isfinite(cols["power"]) & (cols["power"] >= 0.0)).all():
             raise ValueError("ray power must be finite and >= 0")
-        if not np.all(cols["xpr"] > 0.0):
+        if not (cols["xpr"] > 0.0).all():
             raise ValueError("XPR must be > 0")
-        if not np.all(np.isfinite(cols["delay"]) & (cols["delay"] >= 0.0)):
+        if not (np.isfinite(cols["delay"]) & (cols["delay"] >= 0.0)).all():
             raise ValueError("ray delay must be finite and >= 0")
         for name in ("aod", "aoa"):
             az, el = cols[name].T

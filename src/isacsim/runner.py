@@ -410,6 +410,11 @@ def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0) -> li
 # Validate
 # ---------------------------------------------------------------------------
 
+# the columns of concatenated_power_checks.csv, with their types
+CONCAT_POWER_COLUMNS = {"path_id": str, "p_n1_db": float, "p_n2_db": float, "sigma_dbsm": float,
+                        "p_conv_db": float, "p_meas_db": float, "delta_p_db": float,
+                        "tol_db": float, "note": str}
+
 @dataclass(frozen=True)
 class ValidationRow:
     name: str
@@ -441,9 +446,18 @@ def _concat_power_row(rec: dict, directory: Path) -> ValidationRow:
     name = f"concat-power {rec['path_id']}"
     ambiguous = "sigma_sign_ambiguous" in rec["note"]
     carrier = 6.9e9  # Hz, the carrier of the measured path powers
+    hops = []
+    for key in ("p_n1_db", "p_n2_db"):
+        try:
+            d = wavelength_m(carrier) / (4.0 * math.pi) * 10.0 ** (-rec[key] / 20.0)
+        except OverflowError:
+            d = math.inf
+        if not 0.0 < d < math.inf:  # a NaN power, or one past a float's range
+            return ValidationRow(name, False, f"no channel: {key} {rec[key]!r} dB gives "
+                                              "no finite hop length")
+        hops.append(d)
+    d1, d2 = hops
     try:
-        d1, d2 = (wavelength_m(carrier) / (4.0 * math.pi) * 10.0 ** (-rec[key] / 20.0)
-                  for key in ("p_n1_db", "p_n2_db"))
         config = parse_config({
             "name": name, "carrier_freq_hz": carrier, "bandwidth_hz": 1e9,
             "sensing_mode": "bi_static", "rx": {"position_m": [d1, d2, 0.0]},
@@ -456,7 +470,7 @@ def _concat_power_row(rec: dict, directory: Path) -> ValidationRow:
         sim = simulate_channels(config)
         # 100 dB keeps the target's peak, up to 39 dB below the background's on the packaged rows
         peaks, _ = _target_peaks(sim.target_cir, sim.background_cir, config, 100.0, name)
-    except (ValueError, OverflowError) as exc:  # powers no hop length gives, such as NaN
+    except (ValueError, OverflowError) as exc:
         return ValidationRow(name, False, "no channel: " + " ".join(str(exc).split()))
     if len(peaks) != 1:
         return ValidationRow(name, False, f"{len(peaks)} target peaks, not 1")
@@ -474,10 +488,7 @@ def run_validate(golden_dir=None) -> ValidationReport:
     rows: list[ValidationRow] = []
 
     abs_dps = []
-    for rec in golden_rows(golden, "concatenated_power_checks.csv",
-                           {"path_id": str, "p_n1_db": float, "p_n2_db": float,
-                            "sigma_dbsm": float, "p_conv_db": float, "p_meas_db": float,
-                            "delta_p_db": float, "tol_db": float, "note": str}):
+    for rec in golden_rows(golden, "concatenated_power_checks.csv", CONCAT_POWER_COLUMNS):
         rows.append(_concat_power_row(rec, golden))
         dp = delta_p(rec["p_conv_db"], rec["p_meas_db"])
         dp_resid = dp - rec["delta_p_db"]

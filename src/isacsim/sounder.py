@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,14 @@ class PnSequence:
     def period_s(self) -> float:
         return self.length / self.chip_rate
 
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The read-only FFT of one period of the chips, taken once and
+        shared by :func:`transmit_through` and :func:`slide_correlate`."""
+        spec = np.fft.fft(self.chips.astype(complex))
+        spec.flags.writeable = False
+        return spec
+
 
 def generate_pn(m: int, chip_rate: float = 1.0) -> PnSequence:
     """Run a Fibonacci LFSR with the feedback taps ``DEFAULT_TAPS[m]`` and
@@ -57,14 +66,23 @@ def generate_pn(m: int, chip_rate: float = 1.0) -> PnSequence:
     if chip_rate <= 0.0:
         raise ValueError("chip rate must be positive")
     taps = DEFAULT_TAPS[m]
-    # bit j of the int is stage j + 1 of the register: the output is the
+    # bit j of a state is stage j + 1 of the register: the output is the
     # top bit, and the feedback, the parity of the tapped stages, enters at bit 0
-    mask, full = sum(1 << (tp - 1) for tp in taps), (1 << m) - 1
-    state, bits = full, []
-    for _ in range(full):
-        bits.append(state >> (m - 1))
-        state = ((state << 1) & full) | ((state & mask).bit_count() & 1)
-    chips = 2.0 * np.array(bits, dtype=float) - 1.0
+    full = (1 << m) - 1
+    every = np.arange(full + 1)
+    parity = np.zeros_like(every)
+    for tp in taps:
+        parity ^= every >> (tp - 1)
+    nxt = ((every << 1) & full) | (parity & 1)  # the next state of every state
+    # the states from the all-ones one on, doubled per step: with ``nxt`` the
+    # table of 2^k steps, nxt[states] are the 2^k states after these
+    states = np.array([full])
+    while len(states) < full:
+        states = np.concatenate([states, nxt[states]])
+        nxt = nxt[nxt]
+    bits = states[:full] >> (m - 1)
+    chips = 2.0 * bits.astype(float) - 1.0
+    chips.flags.writeable = False  # the cached spectrum is taken of these
     return PnSequence(m=m, taps=taps, chips=chips, chip_rate=chip_rate)
 
 
@@ -105,7 +123,7 @@ def transmit_through(cir: Cir, pn: PnSequence, snr_db: float | None,
     shifts = np.ceil(delays * pn.chip_rate - 1e-9).astype(int) % n
     impulses = np.zeros(n, dtype=complex)
     np.add.at(impulses, shifts, cir.amp)
-    rx = np.fft.ifft(np.fft.fft(impulses) * np.fft.fft(pn.chips.astype(complex)))
+    rx = np.fft.ifft(np.fft.fft(impulses) * pn.spectrum)
 
     if snr_db is not None and np.isfinite(snr_db):
         rng = np.random.default_rng(seed)
@@ -128,7 +146,7 @@ def slide_correlate(samples: np.ndarray, pn: PnSequence) -> np.ndarray:
     if len(samples) != pn.length:
         raise ValueError(
             f"capture length {len(samples)} does not match one PN period {pn.length}")
-    spec = np.fft.fft(samples) * np.conj(np.fft.fft(pn.chips.astype(complex)))
+    spec = np.fft.fft(samples) * np.conj(pn.spectrum)
     return np.fft.ifft(spec) / pn.length
 
 

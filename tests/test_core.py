@@ -23,7 +23,7 @@ from isacsim import (
     unit_vectors,
     wavelength_m,
 )
-from isacsim.core import COLUMNS, wrapped_azimuths
+from isacsim.core import COLUMNS, PATH_RECORD, wrapped_azimuths
 
 
 def rows(cir):
@@ -82,18 +82,23 @@ def reference_merge(cir, delay_tol, angle_tol):
     return out
 
 
-def _cirs(delay, aod, aoa):
-    """Cirs of up to 40 paths, drawn row by row."""
+def _cirs(delay, aod, aoa, unique_by=None):
+    """Cirs of up to 40 paths, drawn row by row; ``unique_by`` as in st.lists."""
     return st.lists(st.tuples(
         delay, st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
-        aod, aoa, st.integers(0, 2)), max_size=40).map(cir_of_rows)
+        aod, aoa, st.integers(0, 2)), max_size=40, unique_by=unique_by).map(cir_of_rows)
 
 
 # small pools, so that equal keys, equal delays with other angles, and
-# -0.0 next to 0.0 all come up
+# -0.0 next to 0.0 all come up; about half the Cirs have no two rows of one
+# (delay, AoD, AoA) key (Python's == and hash take -0.0 for 0.0, as the
+# merge does), so that both the proof that every key is distinct and the
+# sort that groups equal keys are run
 _angles = st.tuples(st.sampled_from([0.0, 1.0, 2 * math.pi - 1e-9]),
                     st.sampled_from([0.0, -0.0, 0.3]))
-_key_cirs = _cirs(st.sampled_from([0.0, 1e-9, 1e-9 + 1e-24, 2.5e-9]), _angles, _angles)
+_key_args = (st.sampled_from([0.0, 1e-9, 1e-9 + 1e-24, 2.5e-9]), _angles, _angles)
+_key_cirs = st.one_of(_cirs(*_key_args),
+                      _cirs(*_key_args, unique_by=lambda r: (r[0], r[2], r[3])))
 
 
 # delays on a grid of half the tolerance, so that gaps of exactly the
@@ -207,6 +212,31 @@ class TestMergePaths:
         merged = merge_paths(self._cir([10e-9, 10e-9], 1.0, az=[0.0, 0.5]), 0.0, 0.0)
         assert len(merged) == 2
 
+    @pytest.mark.parametrize("column", ["aod_az", "aod_el", "aoa_az", "aoa_el"])
+    def test_equal_delays_other_angle_kept_apart(self, column):
+        # every key distinct, so the hash proof keeps both paths
+        pair = Cir.from_columns([10e-9] * 2, 1.0, **{column: [0.0, 0.5]})
+        assert merge_paths(pair, 0.0, 0.0).amp.tolist() == [1.0, 1.0]
+        # a repeated key sends the rows through the grouping sort, which
+        # merges that key only
+        merged = merge_paths(Cir.from_columns([10e-9] * 3, [1.0, 2.0, 4.0],
+                                              **{column: [0.0, 0.5, 0.0]}), 0.0, 0.0)
+        assert getattr(merged, column).tolist() == [0.0, 0.5]
+        assert merged.amp.tolist() == [5.0, 2.0]
+
+    def test_signed_zeros_merge(self):
+        # -0.0 and 0.0 are one key in every column: the paths merge into the first
+        cir = Cir.from_columns([-0.0, 0.0], [1.0, 2.0], aod_el=[0.0, -0.0], aoa_el=[-0.0, 0.0])
+        merged = merge_paths(cir, 0.0, 0.0)
+        assert rows(merged) == [(-0.0, 3.0, 0.0, 0.0, 0.0, 0.0, -0.0, 0)]
+        assert repr(merged.delay.tolist()) == "[-0.0]"
+
+    def test_distinct_keys_return_the_cir_itself(self):
+        rng = np.random.default_rng(13)
+        cir = self._cir(np.repeat(rng.uniform(0, 50e-9, 30), 30), 1.0,
+                        az=rng.uniform(0, 2 * math.pi, 900))
+        assert merge_paths(cir, 0.0, 0.0) is cir
+
     def test_idempotent_on_random_paths(self):
         rng = np.random.default_rng(11)
         cir = self._cir(rng.uniform(0, 50e-9, 60),
@@ -287,6 +317,30 @@ class TestCir:
         cir = Cir.from_columns([5e-9, 1e-9], [1.0, 2.0])
         assert cir.delay[0] == 1e-9
         assert cir.total_power() == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("delays", [[1e-9, 2e-9, 2e-9], [2e-9, 1e-9, 2e-9]],
+                             ids=["sorted", "unsorted"])
+    @pytest.mark.parametrize("records", [False, True], ids=["arrays", "record-fields"])
+    def test_columns_share_no_memory_with_inputs(self, delays, records):
+        # each input already of its column's dtype, so that no conversion
+        # copies it; a path table's columns are strided fields of one record array
+        inputs = {"delay": np.array(delays), "amp": np.array([1.0 + 1j, 2.0, 3.0]),
+                  "doppler": np.array([1.0, 2.0, 3.0]), "aod_az": np.array([0.1, 0.2, 0.3]),
+                  "aod_el": np.array([0.4, 0.5, 0.6]), "aoa_az": np.array([0.7, 0.8, 0.9]),
+                  "aoa_el": np.array([-0.1, -0.2, -0.3]),
+                  "bounce_order": np.array([0, 1, 2], dtype=np.int64)}
+        if records:
+            table = np.empty(3, dtype=PATH_RECORD)
+            for name in COLUMNS:
+                table[name] = inputs[name]
+            inputs = {name: table[name] for name in COLUMNS}
+        cir = Cir.from_columns(**inputs)
+        before = rows(cir)
+        for name in COLUMNS:
+            assert not np.shares_memory(getattr(cir, name), inputs[name]), name
+        for arr in inputs.values():
+            arr += 1
+        assert rows(cir) == before
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

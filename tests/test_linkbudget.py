@@ -1,6 +1,4 @@
-import csv
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,14 +13,15 @@ from isacsim import (
     spreading_gain_db,
     wavelength_m,
 )
+from isacsim.core import golden_rows, packaged_golden_dir
+from isacsim.runner import CONCAT_POWER_COLUMNS
 
 WL_6P9 = wavelength_m(6.9e9)
 
 
 def golden_concat_rows():
-    path = resources.files("isacsim.data") / "concatenated_power_checks.csv"
-    with path.open(newline="") as f:
-        return list(csv.DictReader(f))
+    return golden_rows(packaged_golden_dir(), "concatenated_power_checks.csv",
+                       CONCAT_POWER_COLUMNS)
 
 
 class TestRadarPathloss:
@@ -107,27 +106,23 @@ class TestConvPathPower:
         tight = {"1-A": -106.39, "2-A": -101.40, "1-B": -105.58, "2-B": -110.88}
         for row in golden_concat_rows():
             if row["path_id"] in tight:
-                p = conv_path_power(float(row["p_n1_db"]), float(row["p_n2_db"]),
-                                    float(row["sigma_dbsm"]), WL_6P9)
+                p = conv_path_power(row["p_n1_db"], row["p_n2_db"], row["sigma_dbsm"], WL_6P9)
                 assert p == pytest.approx(tight[row["path_id"]], abs=0.01)
 
     def test_loose_rows_within_rounding(self):
         for row in golden_concat_rows():
             if row["path_id"] in ("1-C", "1-D"):
-                p = conv_path_power(float(row["p_n1_db"]), float(row["p_n2_db"]),
-                                    float(row["sigma_dbsm"]), WL_6P9)
-                assert p == pytest.approx(float(row["p_conv_db"]), abs=0.4)
+                p = conv_path_power(row["p_n1_db"], row["p_n2_db"], row["sigma_dbsm"], WL_6P9)
+                assert p == pytest.approx(row["p_conv_db"], abs=0.4)
 
     def test_sign_ambiguous_rows_consistent_with_flipped_sigma(self):
         for row in golden_concat_rows():
             if "sigma_sign_ambiguous" in row["note"]:
-                sigma = float(row["sigma_dbsm"])
-                as_printed = conv_path_power(float(row["p_n1_db"]), float(row["p_n2_db"]),
-                                             sigma, WL_6P9)
-                flipped = conv_path_power(float(row["p_n1_db"]), float(row["p_n2_db"]),
-                                          -sigma, WL_6P9)
-                assert abs(as_printed - float(row["p_conv_db"])) > 10.0
-                assert flipped == pytest.approx(float(row["p_conv_db"]), abs=0.4)
+                sigma = row["sigma_dbsm"]
+                as_printed = conv_path_power(row["p_n1_db"], row["p_n2_db"], sigma, WL_6P9)
+                flipped = conv_path_power(row["p_n1_db"], row["p_n2_db"], -sigma, WL_6P9)
+                assert abs(as_printed - row["p_conv_db"]) > 10.0
+                assert flipped == pytest.approx(row["p_conv_db"], abs=0.4)
 
     def test_zero_inputs_give_positive_spreading_term(self):
         assert conv_path_power(0.0, 0.0, 0.0, WL_6P9) == pytest.approx(
@@ -145,14 +140,14 @@ class TestConvPathPower:
 class TestDeltaP:
     def test_golden_column(self):
         for row in golden_concat_rows():
-            dp = delta_p(float(row["p_conv_db"]), float(row["p_meas_db"]))
-            assert dp == pytest.approx(float(row["delta_p_db"]), abs=0.01)
+            dp = delta_p(row["p_conv_db"], row["p_meas_db"])
+            assert dp == pytest.approx(row["delta_p_db"], abs=0.01)
 
     def test_equal_inputs(self):
         assert delta_p(-100.0, -100.0) == 0.0
 
     def test_full_sweep_bounds(self):
-        dps = [abs(delta_p(float(r["p_conv_db"]), float(r["p_meas_db"])))
+        dps = [abs(delta_p(r["p_conv_db"], r["p_meas_db"]))
                for r in golden_concat_rows()]
         assert max(dps) <= 7.0
         assert min(dps) == pytest.approx(0.11, abs=0.005)

@@ -500,8 +500,10 @@ class TestRunValidate:
         # 2-D's RCS is flipped per its note, so its residual moves from -0.3673 dB
         ("2-D,-70.21,-95.59,6.70,", "2-D,-70.21,-95.59,7.20,", "residual -0.8673 dB"),
         # sub-link powers that no hop length gives
-        ("1-B,-74.64,-83.36,", "1-B,-74.64,nan,", "no channel: invalid scenario config"),
-        ("1-B,-74.64,-83.36,", "1-B,-74.64,-1e5,", "no channel: "),
+        ("1-B,-74.64,-83.36,", "1-B,-74.64,nan,",
+         "no channel: p_n2_db nan dB gives no finite hop length"),
+        ("1-B,-74.64,-83.36,", "1-B,-74.64,-1e5,",
+         "no channel: p_n2_db -100000.0 dB gives no finite hop length"),
     ], ids=["rcs", "flipped-rcs", "nan-power", "overflowing-power"])
     def test_moved_row_fails_its_concat_power_check_only(self, tmp_path, old, new, detail):
         report = run_validate(perturbed_golden(

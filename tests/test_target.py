@@ -472,6 +472,26 @@ class TestMultiPointTarget:
         ratio_db = 10 * math.log10(two.powers()[0] / one.powers()[0])
         assert ratio_db == pytest.approx(6.0206, abs=1e-3)
 
+    def test_co_located_points_merge_their_los_rays_only(self):
+        # two targets at one position: each sub-link holds the geometric
+        # LOS ray and a ray of its own, so of the 2 x 4 paths only the
+        # LOS-LOS pair coincides
+        def hop(side, seed):
+            ray = make_sublink(side, [30e-9], seed=seed).clusters
+            return SubLink(side, ClusterSet(power=0.5, delay=[10e-9, 30e-9],
+                                            aod=[(0.4, 0.1), ray.aod[0]],
+                                            aoa=[(1.2, -0.1), ray.aoa[0]]))
+        sp = point()
+        contributions = [(sp, hop(Side.TX_TO_TARGET, s), hop(Side.TARGET_TO_RX, s + 1), 0.0)
+                         for s in (20, 30)]
+        merged = multi_point_target(contributions, WL, OMNI)
+        each = [multi_point_target([c], WL, OMNI) for c in contributions]
+        assert len(merged) == 7 and all(len(c) == 4 for c in each)
+        # the LOS-LOS path, 20 ns, is the earliest of every point's paths
+        assert merged.delay[0] == each[0].delay[0] == each[1].delay[0] == 20e-9
+        assert merged.amp[0] == each[0].amp[0] + each[1].amp[0]
+        assert merged.delay.tolist().count(20e-9) == 1
+
     def test_path_count_sums_over_points(self):
         rng = np.random.default_rng(10)
         contributions, expected = [], 0
