@@ -70,8 +70,7 @@ with tempfile.TemporaryDirectory() as tmp:
     write_padp_csv(Path(tmp) / "padp.csv", with_target)
 print(f"PADP exported to padp.csv ({padp(with_target).size} cells)\n")
 
-peaks = subtract_background(with_target, without_target, peak_threshold_db=30.0,
-                            min_sep_deg=5.0, min_sep_s=2e-9)
+peaks = subtract_background(with_target, without_target, peak_threshold_db=30.0)
 print(f"{len(peaks)} target peaks survive the background comparison:")
 for pk in peaks:
     res = classify_bounce(pk, scene, delay_tol=1e-9, angle_tol_deg=2.5)

@@ -190,8 +190,7 @@ def _max3x3(arr: np.ndarray, offsets=_AROUND, ring: bool = False) -> np.ndarray:
 
 
 def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
-                  delay_bins: np.ndarray, peak_threshold_db: float,
-                  min_sep_deg: float = 0.0, min_sep_s: float = 0.0) -> list[PadpPeak]:
+                  delay_bins: np.ndarray, peak_threshold_db: float) -> list[PadpPeak]:
     """Local-maximum peak picking on a PADP, ``power`` (angles x delay bins).
 
     A cell is a peak when no cell of its 3 x 3 neighbourhood is higher
@@ -201,9 +200,7 @@ def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
     (their count times their step is 360 degrees), the first and last
     rows are neighbours and the first row comes before the last, so a
     path across the 0/360 degree seam gives one peak. Returns the peaks
-    within ``peak_threshold_db`` of the global maximum, strongest first,
-    suppressing any candidate that lies within both ``min_sep_deg`` and
-    ``min_sep_s`` of an already accepted peak.
+    within ``peak_threshold_db`` of the global maximum, strongest first.
     """
     arr = np.asarray(power, dtype=float)
     if arr.size == 0 or not np.any(arr > 0.0):
@@ -219,26 +216,19 @@ def extract_paths(power: np.ndarray, angles_deg: np.ndarray,
     floor = arr.max() * 10.0 ** (-peak_threshold_db / 10.0)
     cand = np.argwhere(local_max & (arr >= floor))
     order = np.argsort(arr[cand[:, 0], cand[:, 1]])[::-1]
-    peaks: list[PadpPeak] = []
-    for idx in order:
-        i, j = cand[idx]
-        ang, dly, pwr = float(angles_deg[i]), float(centers[j]), float(arr[i, j])
-        conflict = any(_deg_apart(ang, pk.angle_deg) < min_sep_deg
-                       and abs(dly - pk.delay_s) < min_sep_s for pk in peaks)
-        if not conflict:
-            peaks.append(PadpPeak(ang, dly, pwr))
-    return peaks
+    return [PadpPeak(float(angles_deg[i]), float(centers[j]), float(arr[i, j]))
+            for i, j in cand[order].tolist()]
 
 
 # how far, in dB, a target-scan peak must rise above the background to count
 # as a target peak
 TARGET_MARGIN_DB = 6.0
+# how far below the target scan's strongest cell, in dB, a peak may lie by default
+PEAK_THRESHOLD_DB = 30.0
 
 
 def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
-                        peak_threshold_db: float = 30.0,
-                        min_sep_deg: float = 0.0,
-                        min_sep_s: float = 0.0) -> list[PadpPeak]:
+                        peak_threshold_db: float = PEAK_THRESHOLD_DB) -> list[PadpPeak]:
     """Identify target-channel peaks by comparison with a no-target scan.
 
     Peaks are picked in the target scan only. A peak is a target peak
@@ -251,7 +241,7 @@ def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
             and np.array_equal(target_scan.delay_bins, background_scan.delay_bins)):
         raise ValueError("target and background scans use different grids")
     peaks = extract_paths(target_scan.power, target_scan.angles_deg, target_scan.delay_bins,
-                          peak_threshold_db, min_sep_deg, min_sep_s)
+                          peak_threshold_db)
     angles, centers = target_scan.angles_deg.tolist(), target_scan.bin_centers().tolist()
     margin = 10.0 ** (TARGET_MARGIN_DB / 10.0)
     # every peak is above zero, so a peak over an empty cell passes

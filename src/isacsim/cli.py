@@ -5,6 +5,7 @@ import argparse
 import functools
 import sys
 
+from .analysis import PEAK_THRESHOLD_DB
 from .config import ConfigError, load_config
 from .runner import run_analyze, run_simulate, run_sounder_roundtrip, run_validate
 
@@ -26,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="extract and classify paths from a run")
     p_an.add_argument("run_dir", help="directory written by simulate")
     p_an.add_argument("--scene", default=None, help="reconstruction scene JSON")
-    p_an.add_argument("--threshold-db", type=float, default=30.0)
+    p_an.add_argument("--threshold-db", type=float, default=PEAK_THRESHOLD_DB)
 
     p_val = sub.add_parser("validate", help="check the model against golden tables")
     p_val.add_argument("golden_dir", nargs="?", default=None,

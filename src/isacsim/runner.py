@@ -19,6 +19,7 @@ import numpy as np
 
 from .analysis import (
     MAX_SCAN_CELLS,
+    PEAK_THRESHOLD_DB,
     PadpPeak,
     classify_bounce,
     delay_grid,
@@ -50,7 +51,13 @@ from .core import (
 )
 from .gbsm import AntennaModel, ClusterSet, sample_clusters, with_los_ray
 from .linkbudget import delta_p, free_space_loss_db
-from .sounder import generate_pn, process_capture, save_capture, transmit_through
+from .sounder import (
+    DETECTION_THRESHOLD_DB,
+    generate_pn,
+    process_capture,
+    save_capture,
+    transmit_through,
+)
 from .target import Side, SubLink, load_rcs_table_csv, multi_point_target
 
 
@@ -130,22 +137,18 @@ def simulate_channels(config: ScenarioConfig) -> SimulationResult:
     tx_ant = _aim(config.tx.antenna, tx_pos,
                   config.targets[0].position_m if config.targets else rx_pos)
 
-    # target channel: one concatenated pair per scattering point
-    if config.targets:
-        contributions = []
-        seqs = target_seq.spawn(len(config.targets))
-        for i, (spec, seq) in enumerate(zip(config.targets, seqs)):
-            seed_a, seed_b = (_child_seed(s) for s in seq.spawn(2))
-            sp = _scattering_point(spec, i)
-            sub_a, d1 = _los_sublink(Side.TX_TO_TARGET, tx_pos, sp.position, spec, seed_a)
-            sub_b, d2 = _los_sublink(Side.TARGET_TO_RX, rx_pos, sp.position, spec, seed_b)
-            contributions.append((sp, sub_a, sub_b,
-                                  free_space_loss_db(d1, wl) + free_space_loss_db(d2, wl)))
-        target_cir = multi_point_target(contributions, wl, tx_antenna=tx_ant)
-        pl_tar = tuple(pl for *_, pl in contributions)
-    else:
-        target_cir = Cir.from_columns([], [])
-        pl_tar = ()
+    # target channel: one concatenated pair per scattering point, none without targets
+    contributions = []
+    seqs = target_seq.spawn(len(config.targets))
+    for i, (spec, seq) in enumerate(zip(config.targets, seqs)):
+        seed_a, seed_b = (_child_seed(s) for s in seq.spawn(2))
+        sp = _scattering_point(spec, i)
+        sub_a, d1 = _los_sublink(Side.TX_TO_TARGET, tx_pos, sp.position, spec, seed_a)
+        sub_b, d2 = _los_sublink(Side.TARGET_TO_RX, rx_pos, sp.position, spec, seed_b)
+        contributions.append((sp, sub_a, sub_b,
+                              free_space_loss_db(d1, wl) + free_space_loss_db(d2, wl)))
+    target_cir = multi_point_target(contributions, wl, tx_antenna=tx_ant)
+    pl_tar = tuple(pl for *_, pl in contributions)
 
     # background channel
     if config.background.mode == "statistical":
@@ -383,7 +386,7 @@ def run_simulate(config: ScenarioConfig, out_dir=None) -> RunReport:
 # Analyze
 # ---------------------------------------------------------------------------
 
-def run_analyze(run_dir, scene_path=None, peak_threshold_db: float = 30.0) -> list[dict]:
+def run_analyze(run_dir, scene_path=None, peak_threshold_db=PEAK_THRESHOLD_DB) -> list[dict]:
     """Re-scan the stored path tables, separate target from background
     peaks, optionally classify bounce orders, and write paths.json."""
     run_dir = Path(run_dir)
@@ -541,10 +544,9 @@ def run_sounder_roundtrip(config: ScenarioConfig, out_dir=None) -> dict:
                          "the range would be ambiguous")
     out = Path(config.outputs if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    threshold_db = 15.0
     capture = transmit_through(combined, pn, config.sounder_snr_db,
                                _child_seed(_stage_seeds(config.seed)[3]))
-    result = process_capture(capture, threshold_db=threshold_db)
+    result = process_capture(capture)
     save_capture(capture, out / "capture.bin")
 
     # ground truth at the sounder's own resolution: coherent chip-width
@@ -552,7 +554,7 @@ def run_sounder_roundtrip(config: ScenarioConfig, out_dir=None) -> dict:
     chip = 1.0 / config.bandwidth_hz
     merged = merge_paths(combined, chip / 2, math.pi)
     powers = merged.powers()
-    floor = powers.max() * 10.0 ** (-threshold_db / 10.0)
+    floor = powers.max() * 10.0 ** (-DETECTION_THRESHOLD_DB / 10.0)
     resolvable = merged.delay[powers >= floor].tolist()
 
     matches = []

@@ -48,7 +48,7 @@ class PnSequence:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """The read-only FFT of one period of the chips, taken once and
-        shared by :func:`transmit_through` and :func:`slide_correlate`."""
+        shared by :func:`transmit_through` and every correlation."""
         spec = np.fft.fft(self.chips.astype(complex))
         spec.flags.writeable = False
         return spec
@@ -146,8 +146,12 @@ def slide_correlate(samples: np.ndarray, pn: PnSequence) -> np.ndarray:
     if len(samples) != pn.length:
         raise ValueError(
             f"capture length {len(samples)} does not match one PN period {pn.length}")
-    spec = np.fft.fft(samples) * np.conj(pn.spectrum)
-    return np.fft.ifft(spec) / pn.length
+    return _correlate_spectrum(np.fft.fft(samples), pn)
+
+
+def _correlate_spectrum(spec: np.ndarray, pn: PnSequence) -> np.ndarray:
+    """:func:`slide_correlate` of the samples whose FFT is ``spec``."""
+    return np.fft.ifft(spec * np.conj(pn.spectrum)) / pn.length
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +192,11 @@ def calibrate(raw_cir: np.ndarray, b2b_cir: np.ndarray) -> CalibrationResult:
 # Path re-extraction and the full round trip
 # ---------------------------------------------------------------------------
 
+DETECTION_THRESHOLD_DB = 15.0  # how far below the strongest peak a kept path may lie
+
+
 def estimate_paths(response: np.ndarray, chip_rate: float,
-                   threshold_db: float = 15.0) -> list[tuple[float, complex]]:
+                   threshold_db: float = DETECTION_THRESHOLD_DB) -> list[tuple[float, complex]]:
     """Pick path (delay, amplitude) estimates from a dense CIR estimate
     sampled once per chip.
 
@@ -214,7 +221,7 @@ class RoundTripResult:
 
 
 def process_capture(capture: CaptureRecord, system_ir: np.ndarray | None = None,
-                    threshold_db: float = 15.0) -> RoundTripResult:
+                    threshold_db: float = DETECTION_THRESHOLD_DB) -> RoundTripResult:
     """Receive side of the round trip: correlate against the capture's
     own PN sequence, calibrate, estimate.
 
@@ -223,16 +230,14 @@ def process_capture(capture: CaptureRecord, system_ir: np.ndarray | None = None,
     and the back-to-back capture, exactly as a real calibration sees
     it).
     """
-    def through_system(x: np.ndarray) -> np.ndarray:
-        if system_ir is None:
-            return x
-        h = np.zeros(len(x), dtype=complex)
-        h[:len(system_ir)] = system_ir
-        return np.fft.ifft(np.fft.fft(x) * np.fft.fft(h))
-
     pn = capture.pn
-    raw = slide_correlate(through_system(capture.samples), pn)
-    b2b_raw = slide_correlate(through_system(pn.chips.astype(complex)), pn)
+    if system_ir is None:  # the back-to-back capture is the chips, whose FFT pn holds
+        raw, b2b_raw = slide_correlate(capture.samples, pn), _correlate_spectrum(pn.spectrum, pn)
+    else:
+        h = np.zeros(len(capture.samples), dtype=complex)
+        h[:len(system_ir)] = system_ir
+        raw, b2b_raw = (slide_correlate(np.fft.ifft(np.fft.fft(x) * np.fft.fft(h)), pn)
+                        for x in (capture.samples, pn.chips.astype(complex)))
     cal = calibrate(raw, b2b_raw)
     recovered = estimate_paths(cal.response, pn.chip_rate, threshold_db=threshold_db)
     return RoundTripResult(recovered=recovered, flagged_bins=int(np.sum(cal.flagged_bins)))
@@ -240,7 +245,7 @@ def process_capture(capture: CaptureRecord, system_ir: np.ndarray | None = None,
 
 def sounder_roundtrip(cir: Cir, pn: PnSequence, snr_db: float | None, seed: int | None,
                       system_ir: np.ndarray | None = None,
-                      threshold_db: float = 15.0) -> RoundTripResult:
+                      threshold_db: float = DETECTION_THRESHOLD_DB) -> RoundTripResult:
     """Full measurement emulation: excite and capture, then
     :func:`process_capture`."""
     capture = transmit_through(cir, pn, snr_db, seed)

@@ -119,10 +119,8 @@ def multi_point_target(contributions: Sequence[tuple[ScatteringPoint, SubLink, S
     target_to_rx sub-link, pl_db) per scattering point. Each point's
     paths are weighted in amplitude by 10^(-pl_db/20); exactly coincident
     paths merge coherently (so two identical points double the
-    amplitude, +6.02 dB).
+    amplitude, +6.02 dB). With no points the union is the empty Cir.
     """
-    if len(contributions) == 0:
-        raise ValueError("at least one scattering point is required")
     cirs = [concatenate(sub_a, sub_b, sp, wl, tx_antenna).scaled(10.0 ** (-pl / 20.0))
             for sp, sub_a, sub_b, pl in contributions]
     return merge_paths(Cir.concat(cirs), 0.0, 0.0)

@@ -135,7 +135,7 @@ class TestPadp:
         horn = AntennaModel(kind="horn", hpbw_deg=15.0, peak_gain_db=15.0)
         grid = turntable_scan(cir, horn, np.arange(0.0, 360.0, 5.0), delay_grid(200e-9, 5e-9))
         peaks = extract_paths(padp(grid), grid.angles_deg, grid.delay_bins,
-                              peak_threshold_db=20.0, min_sep_deg=10.0, min_sep_s=10e-9)
+                              peak_threshold_db=20.0)
         assert len(peaks) == 4
         got = sorted((p.angle_deg, p.delay_s) for p in peaks)
         want = sorted(specs)
@@ -200,7 +200,7 @@ class TestTurntableScan:
         horn = AntennaModel(kind="horn", hpbw_deg=10.31, peak_gain_db=25.0)
         grid = turntable_scan(cir, horn, np.arange(0.0, 360.0, 5.0), delay_grid(80e-9, 2e-9))
         peaks = extract_paths(padp(grid), grid.angles_deg, grid.delay_bins,
-                              peak_threshold_db=10.0, min_sep_deg=20.0, min_sep_s=1e-9)
+                              peak_threshold_db=10.0)
         assert sorted(p.angle_deg for p in peaks) == [0.0, 90.0, 180.0, 270.0]
 
     @staticmethod

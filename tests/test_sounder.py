@@ -8,7 +8,9 @@ import pytest
 from isacsim import (
     Cir,
     calibrate,
+    estimate_paths,
     generate_pn,
+    process_capture,
     save_capture,
     slide_correlate,
     sounder_roundtrip,
@@ -239,6 +241,19 @@ class TestRoundTrip:
             assert abs(d_est - d_true) <= chip
             err_db = abs(20 * math.log10(abs(a_est) / abs(a_true)))
             assert err_db <= 0.5
+
+    @pytest.mark.parametrize("m", [5, 11, 12])
+    def test_process_capture_equals_its_steps(self, m):
+        # the back-to-back correlation taken from the cached chip spectrum
+        # gives what correlating the chips as a capture gives, bit for bit
+        pn = generate_pn(m, chip_rate=600e6)
+        c = chan([(3 / 600e6, 1.0), (11.4 / 600e6, 0.4 - 0.3j), (20 / 600e6, 0.1j)])
+        cap = transmit_through(c, pn, snr_db=20.0, seed=m)
+        cal = calibrate(slide_correlate(cap.samples, pn),
+                        slide_correlate(pn.chips.astype(complex), pn))
+        result = process_capture(cap)
+        assert result.recovered == estimate_paths(cal.response, pn.chip_rate)
+        assert result.flagged_bins == int(np.sum(cal.flagged_bins))
 
     def test_processing_gain(self):
         # post-correlation SNR gain matches 10 log10(2^m - 1)

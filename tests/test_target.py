@@ -29,7 +29,7 @@ from isacsim import (
     unit_vectors,
     with_los_ray,
 )
-from isacsim.core import C_LIGHT, angle_from_vector
+from isacsim.core import _DTYPES, C_LIGHT, COLUMNS, angle_from_vector
 from isacsim.target import _rcs_linear
 
 
@@ -507,9 +507,11 @@ class TestMultiPointTarget:
         cir = multi_point_target(contributions, WL, OMNI)
         assert len(cir) == expected
 
-    def test_empty_points_rejected(self):
-        with pytest.raises(ValueError):
-            multi_point_target([], WL, OMNI)
+    def test_no_points_give_the_empty_cir(self):
+        cir = multi_point_target([], WL, OMNI)
+        assert len(cir) == 0
+        for name, dt in zip(COLUMNS, _DTYPES):
+            assert getattr(cir, name).dtype == dt, name
 
 
 class TestRcsTableCsv:
