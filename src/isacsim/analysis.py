@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
 from itertools import permutations
 from typing import Sequence
 
@@ -19,8 +18,11 @@ from .core import (
     C_LIGHT,
     TWO_PI,
     Cir,
+    Record,
+    ValueRecord,
     finite_vector,
     linear_to_db,
+    setfield,
     unit_vectors,
 )
 from .background import GeometricScatterer
@@ -37,29 +39,27 @@ from .gbsm import AntennaModel
 MAX_SCAN_CELLS = 1_000_000
 
 
-@dataclass(frozen=True, eq=False)
-class ScanGrid:
+class ScanGrid(Record):
     """PADP of a turntable-style directional scan: linear power per
-    (scan angle, delay bin)."""
+    (scan angle, delay bin), an (angles, delay bins) array, over the
+    delay bin edges in seconds."""
 
-    angles_deg: np.ndarray
-    power: np.ndarray  # (angles, delay bins), linear
-    delay_bins: np.ndarray  # bin edges, seconds
+    __slots__ = ("angles_deg", "power", "delay_bins")
 
-    def __post_init__(self):
-        angles = np.asarray(self.angles_deg, dtype=float)
-        edges = _check_edges(self.delay_bins)
+    def __init__(self, angles_deg, power, delay_bins):
+        angles = np.asarray(angles_deg, dtype=float)
+        edges = _check_edges(delay_bins)
         if angles.ndim != 1 or len(angles) < 1:
             raise ValueError("need a 1-D array of scan angles")
         if not _uniform_increasing(angles):
             raise ValueError("scan angles must be finite and increase by a finite uniform step")
-        power = np.array(self.power, dtype=float)
+        power = np.array(power, dtype=float)
         if power.shape != (len(angles), len(edges) - 1):
             raise ValueError("need one PADP row per scan angle and one column per delay bin")
         power.flags.writeable = False
-        object.__setattr__(self, "angles_deg", angles)
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "delay_bins", edges)
+        setfield(self, "angles_deg", angles)
+        setfield(self, "power", power)
+        setfield(self, "delay_bins", edges)
 
     def bin_centers(self) -> np.ndarray:
         return 0.5 * (self.delay_bins[:-1] + self.delay_bins[1:])
@@ -150,11 +150,16 @@ def turntable_scan(cir: Cir, rx_antenna: AntennaModel, angles_deg: Sequence[floa
 # Peak extraction and background subtraction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PadpPeak:
-    angle_deg: float
-    delay_s: float
-    power: float  # linear
+class PadpPeak(ValueRecord):
+    """A PADP cell that is a peak: its scan angle, its delay bin's centre
+    and its linear power."""
+
+    __slots__ = ("angle_deg", "delay_s", "power")
+
+    def __init__(self, angle_deg: float, delay_s: float, power: float):
+        setfield(self, "angle_deg", angle_deg)
+        setfield(self, "delay_s", delay_s)
+        setfield(self, "power", power)
 
     @property
     def power_db(self) -> float:
@@ -259,8 +264,7 @@ def _read_only(v: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class ReconstructionScene:
+class ReconstructionScene(Record):
     """User-supplied geometry for path reconstruction; a reflector
     without a label is named R<index>.
 
@@ -270,30 +274,28 @@ class ReconstructionScene:
     None where the route's last waypoint before the Rx is the Rx itself.
     """
 
-    tx: np.ndarray
-    rx: np.ndarray
-    target: np.ndarray
-    reflectors: tuple[GeometricScatterer, ...] = ()
-    routes: tuple[tuple[int, str, float, float | None], ...] = field(init=False, repr=False)
+    __slots__ = ("tx", "rx", "target", "reflectors", "routes")
+    _unlisted = ("routes",)
 
-    def __post_init__(self):
-        for name in ("tx", "rx", "target"):
-            object.__setattr__(self, name, _read_only(
-                finite_vector(getattr(self, name), f"{name} position")))
-        object.__setattr__(self, "reflectors", tuple(
-            replace(r, position=_read_only(r.position), label=r.label or f"R{i}")
-            for i, r in enumerate(self.reflectors)))
-        object.__setattr__(self, "routes", tuple(
+    def __init__(self, tx, rx, target, reflectors: tuple[GeometricScatterer, ...] = ()):
+        for name, position in (("tx", tx), ("rx", rx), ("target", target)):
+            setfield(self, name, _read_only(finite_vector(position, f"{name} position")))
+        setfield(self, "reflectors", tuple(
+            GeometricScatterer(_read_only(r.position), r.reflection_gain_db, r.label or f"R{i}")
+            for i, r in enumerate(reflectors)))
+        setfield(self, "routes", tuple(
             (order, label, _route_length(waypoints), _arrival_az_deg(waypoints[-2], self.rx))
             for order, label, waypoints in _candidate_routes(self)))
 
 
-@dataclass(frozen=True)
-class BounceResult:
-    order: int
-    route: str
-    length_m: float
-    residual_s: float
+class BounceResult(ValueRecord):
+    __slots__ = ("order", "route", "length_m", "residual_s")
+
+    def __init__(self, order: int, route: str, length_m: float, residual_s: float):
+        setfield(self, "order", order)
+        setfield(self, "route", route)
+        setfield(self, "length_m", length_m)
+        setfield(self, "residual_s", residual_s)
 
 
 def _route_length(waypoints) -> float:
@@ -342,11 +344,13 @@ def classify_bounce(peak: PadpPeak, scene: ReconstructionScene,
     return best
 
 
-@dataclass(frozen=True)
-class PowerProportion:
-    direct: float
-    first_order: float
-    higher_order: float
+class PowerProportion(ValueRecord):
+    __slots__ = ("direct", "first_order", "higher_order")
+
+    def __init__(self, direct: float, first_order: float, higher_order: float):
+        setfield(self, "direct", direct)
+        setfield(self, "first_order", first_order)
+        setfield(self, "higher_order", higher_order)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.direct, self.first_order, self.higher_order)
@@ -397,12 +401,19 @@ def sharing_degree(shared: Sequence[tuple[complex, float]],
     return abs(s) ** 2 / denom
 
 
-@dataclass(frozen=True)
-class SharedPartition:
-    shared_pairs: tuple[tuple[PadpPeak, PadpPeak], ...]
-    mono_only: tuple[PadpPeak, ...]
-    bi_only: tuple[PadpPeak, ...]
-    excluded: int  # paths that could not be localized
+class SharedPartition(ValueRecord):
+    """Mono- and bi-static peaks split into (mono, bi) pairs of a shared
+    scatterer and the peaks of each alone; ``excluded`` counts the
+    bi-static peaks that could not be localized."""
+
+    __slots__ = ("shared_pairs", "mono_only", "bi_only", "excluded")
+
+    def __init__(self, shared_pairs: tuple[tuple[PadpPeak, PadpPeak], ...],
+                 mono_only: tuple[PadpPeak, ...], bi_only: tuple[PadpPeak, ...], excluded: int):
+        setfield(self, "shared_pairs", shared_pairs)
+        setfield(self, "mono_only", mono_only)
+        setfield(self, "bi_only", bi_only)
+        setfield(self, "excluded", excluded)
 
 
 def locate_monostatic(peak: PadpPeak, txrx: np.ndarray) -> np.ndarray:

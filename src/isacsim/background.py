@@ -10,11 +10,11 @@ to the background as a multiplicative factor on linear received power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import C_LIGHT, Cir, angle_from_vector, finite_vector, golden_rows, packaged_golden_dir
+from .core import (C_LIGHT, Cir, Record, ValueRecord, angle_from_vector, finite_vector,
+                   golden_rows, packaged_golden_dir, setfield)
 from .gbsm import AntennaModel, GenerationProfile, sample_clusters, synthesize_cir
 
 # Measured power control factors, (position, condition, value), from their one home,
@@ -36,19 +36,19 @@ PCF_CLAMP = (0.0, 1.5)  # lower bound exclusive
 PCF_INTERVAL = f"({PCF_CLAMP[0]:g}, {PCF_CLAMP[1]:g}]"  # PCF_CLAMP as text
 
 
-@dataclass(frozen=True)
-class PcfModel:
+class PcfModel(ValueRecord):
     """Normal model for the power control factor, clamped into PCF_CLAMP."""
 
-    condition: str
-    mean: float
-    std: float
+    __slots__ = ("condition", "mean", "std")
 
-    def __post_init__(self):
-        if self.std < 0.0:
+    def __init__(self, condition: str, mean: float, std: float):
+        if not std >= 0.0:  # NaN included
             raise ValueError("std must be >= 0")
-        if not (PCF_CLAMP[0] < self.mean <= PCF_CLAMP[1]):
-            raise ValueError(f"mean {self.mean} outside {PCF_INTERVAL}")
+        if not (PCF_CLAMP[0] < mean <= PCF_CLAMP[1]):
+            raise ValueError(f"mean {mean} outside {PCF_INTERVAL}")
+        setfield(self, "condition", condition)
+        setfield(self, "mean", mean)
+        setfield(self, "std", std)
 
 
 def default_pcf_model(condition: str) -> PcfModel:
@@ -88,16 +88,15 @@ def background_bistatic(profile: GenerationProfile, seed: int,
     return synthesize_cir(sample_clusters(profile, seed), tx_antenna)
 
 
-@dataclass(frozen=True, eq=False)
-class GeometricScatterer:
+class GeometricScatterer(Record):
     """A discrete environment scatterer for mono-static echoes."""
 
-    position: np.ndarray
-    reflection_gain_db: float = 0.0
-    label: str = ""
+    __slots__ = ("position", "reflection_gain_db", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", finite_vector(self.position, "scatterer position"))
+    def __init__(self, position, reflection_gain_db: float = 0.0, label: str = ""):
+        setfield(self, "position", finite_vector(position, "scatterer position"))
+        setfield(self, "reflection_gain_db", reflection_gain_db)
+        setfield(self, "label", label)
 
 
 def background_monostatic(scatterers, txrx_position, wl: float) -> Cir:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .analysis import MAX_SCAN_CELLS, ReconstructionScene
 from .background import (PCF_CLAMP, PCF_INTERVAL, PCF_MEASUREMENTS, GeometricScatterer,
                          PcfModel, default_pcf_model)
-from .core import C_LIGHT, DB_LIMIT, ConstantRcs
+from .core import C_LIGHT, DB_LIMIT, ConstantRcs, Record, ValueRecord, setfield
 from .gbsm import AntennaModel, GenerationProfile
 from .sounder import DEFAULT_TAPS
 
@@ -32,50 +31,73 @@ class ConfigError(ValueError):
         super().__init__(f"invalid {source}:\n  - " + "\n  - ".join(self.violations))
 
 
-@dataclass(frozen=True, eq=False)
-class TargetSpec:
+class TargetSpec(Record):
     """One scattering point and the recipe of its Tx-target and target-Rx
     hops: statistical clusters (drawn with each hop's own seed) plus a
-    LOS ray whose power relative to them is the K-factor."""
+    LOS ray whose power relative to them is the K-factor. A table RCS is
+    its CSV file, read where the channel is built."""
 
-    position_m: np.ndarray
-    velocity_mps: np.ndarray
-    rcs: ConstantRcs | Path  # a table's CSV file, read where the channel is built
-    profile: GenerationProfile
-    k_factor_db: float
+    __slots__ = ("position_m", "velocity_mps", "rcs", "profile", "k_factor_db")
 
-
-@dataclass(frozen=True, eq=False)
-class EndpointSpec:
-    position_m: np.ndarray
-    antenna: AntennaModel
-
-
-@dataclass(frozen=True)
-class BackgroundSpec:
-    mode: str  # "statistical" | "geometric"
-    profile: GenerationProfile | None = None
-    scatterers: tuple[GeometricScatterer, ...] = ()
+    def __init__(self, position_m: np.ndarray, velocity_mps: np.ndarray, rcs: ConstantRcs | Path,
+                 profile: GenerationProfile, k_factor_db: float):
+        setfield(self, "position_m", position_m)
+        setfield(self, "velocity_mps", velocity_mps)
+        setfield(self, "rcs", rcs)
+        setfield(self, "profile", profile)
+        setfield(self, "k_factor_db", k_factor_db)
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioConfig:
-    name: str
-    carrier_freq_hz: float
-    bandwidth_hz: float
-    tx: EndpointSpec
-    rx: EndpointSpec
-    targets: tuple[TargetSpec, ...]
-    background: BackgroundSpec
-    pcf: PcfModel  # a fixed pcf.value is a model with std 0
-    scan_start_deg: float
-    scan_stop_deg: float
-    scan_step_deg: float
-    seed: int
-    outputs: str
-    sounder_m: int
-    sounder_snr_db: float
-    raw: dict = field(default_factory=dict, repr=False)
+class EndpointSpec(Record):
+    __slots__ = ("position_m", "antenna")
+
+    def __init__(self, position_m: np.ndarray, antenna: AntennaModel):
+        setfield(self, "position_m", position_m)
+        setfield(self, "antenna", antenna)
+
+
+class BackgroundSpec(ValueRecord):
+    """A "statistical" background's profile, or a "geometric" one's scatterers."""
+
+    __slots__ = ("mode", "profile", "scatterers")
+
+    def __init__(self, mode: str, profile: GenerationProfile | None = None,
+                 scatterers: tuple[GeometricScatterer, ...] = ()):
+        setfield(self, "mode", mode)
+        setfield(self, "profile", profile)
+        setfield(self, "scatterers", scatterers)
+
+
+class ScenarioConfig(Record):
+    """A parsed scenario; ``raw`` is the document it was read from. A fixed
+    ``pcf.value`` is a PcfModel with std 0."""
+
+    __slots__ = ("name", "carrier_freq_hz", "bandwidth_hz", "tx", "rx", "targets", "background",
+                 "pcf", "scan_start_deg", "scan_stop_deg", "scan_step_deg", "seed", "outputs",
+                 "sounder_m", "sounder_snr_db", "raw")
+    _unlisted = ("raw",)
+
+    def __init__(self, name: str, carrier_freq_hz: float, bandwidth_hz: float, tx: EndpointSpec,
+                 rx: EndpointSpec, targets: tuple[TargetSpec, ...], background: BackgroundSpec,
+                 pcf: PcfModel, scan_start_deg: float, scan_stop_deg: float,
+                 scan_step_deg: float, seed: int, outputs: str, sounder_m: int,
+                 sounder_snr_db: float, raw: dict | None = None):
+        setfield(self, "name", name)
+        setfield(self, "carrier_freq_hz", carrier_freq_hz)
+        setfield(self, "bandwidth_hz", bandwidth_hz)
+        setfield(self, "tx", tx)
+        setfield(self, "rx", rx)
+        setfield(self, "targets", targets)
+        setfield(self, "background", background)
+        setfield(self, "pcf", pcf)
+        setfield(self, "scan_start_deg", scan_start_deg)
+        setfield(self, "scan_stop_deg", scan_stop_deg)
+        setfield(self, "scan_step_deg", scan_step_deg)
+        setfield(self, "seed", seed)
+        setfield(self, "outputs", outputs)
+        setfield(self, "sounder_m", sounder_m)
+        setfield(self, "sounder_snr_db", sounder_snr_db)
+        setfield(self, "raw", {} if raw is None else raw)
 
     def scan_angles_deg(self) -> np.ndarray:
         """The round((stop - start) / step) angles from start on: never stop
@@ -136,15 +158,17 @@ REGISTER_LENGTH = (f"between {min(DEFAULT_TAPS)} and {max(DEFAULT_TAPS)}",
                    lambda v: v in DEFAULT_TAPS)
 
 
-@dataclass(frozen=True)
-class Tagged:
+class Tagged(ValueRecord):
     """Key tables chosen by the string at ``key`` (``default`` where it
     is absent), which every table accepts; with no ``key``, by the first
     table name that is a key of the object."""
 
-    key: str | None
-    default: object
-    tables: dict
+    __slots__ = ("key", "default", "tables")
+
+    def __init__(self, key: str | None, default: object, tables: dict):
+        setfield(self, "key", key)
+        setfield(self, "default", default)
+        setfield(self, "tables", tables)
 
     def pick(self, doc: dict, path: str, errors) -> dict | None:
         if self.key is None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from pathlib import Path
@@ -30,6 +29,62 @@ TWO_PI = 2.0 * math.pi
 # the largest magnitude of a dB-valued input (a gain, an RCS, a K-factor, an
 # SNR): 1e30 linear, so a product of a few such factors stays finite
 DB_LIMIT = 300.0
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+# how a record's __init__ fills a field, past Record.__setattr__
+setfield = object.__setattr__
+
+
+class Record:
+    """An immutable record. ``__slots__`` names its fields, which its own
+    ``__init__`` fills with :data:`setfield`; after that, assigning or
+    deleting an attribute raises AttributeError. A record compares by
+    identity (a ValueRecord by value), and its repr names its class and
+    each field except those in ``_unlisted``. A record that caches a
+    property lists ``__dict__`` among its slots."""
+
+    __slots__ = ()
+    _unlisted = ("__dict__",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        """Fill a copied or unpickled record from the (``__dict__``, slots)
+        pair of its original's state."""
+        for part in state:
+            for name, value in (part or {}).items():
+                setfield(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__ if name not in self._unlisted)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class ValueRecord(Record):
+    """A record equal to each record of its class whose fields are equal,
+    and hashed as the tuple of its fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 # ---------------------------------------------------------------------------
@@ -127,35 +182,33 @@ def _angle_rows(angles) -> np.ndarray:
     return np.asarray(angles, dtype=float).reshape(-1, 2)
 
 
-@dataclass(frozen=True)
-class ConstantRcs:
+class ConstantRcs(ValueRecord):
     """Angle-independent radar cross section."""
 
-    sigma_dbsm: float
+    __slots__ = ("sigma_dbsm",)
+
+    def __init__(self, sigma_dbsm: float):
+        setfield(self, "sigma_dbsm", sigma_dbsm)
 
     def eval_dbsm_pairs(self, angles_in, angles_out) -> np.ndarray:
         return np.full((len(_angle_rows(angles_in)), len(_angle_rows(angles_out))),
                        float(self.sigma_dbsm))
 
 
-@dataclass(frozen=True, eq=False)
-class TableRcs:
-    """Gridded RCS over (incoming, outgoing) angle pairs, dBsm values.
+class TableRcs(Record):
+    """Gridded RCS over (incoming, outgoing) angle pairs, dBsm values of
+    shape (az_in, el_in, az_out, el_out).
 
     Axes are radians; queries outside the grid clamp to the boundary
     (never extrapolate). Singleton axes are allowed and collapse.
     """
 
-    az_in: np.ndarray
-    el_in: np.ndarray
-    az_out: np.ndarray
-    el_out: np.ndarray
-    values_dbsm: np.ndarray  # shape (az_in, el_in, az_out, el_out)
+    __slots__ = ("az_in", "el_in", "az_out", "el_out", "values_dbsm", "__dict__")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values_dbsm, dtype=float)
+    def __init__(self, az_in, el_in, az_out, el_out, values_dbsm):
+        vals = np.asarray(values_dbsm, dtype=float)
         axes = tuple(np.atleast_1d(np.asarray(a, dtype=float))
-                     for a in (self.az_in, self.el_in, self.az_out, self.el_out))
+                     for a in (az_in, el_in, az_out, el_out))
         expected = tuple(len(a) for a in axes)
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} != axes {expected}")
@@ -164,11 +217,8 @@ class TableRcs:
         for a in axes:
             if not np.all(np.isfinite(a)) or np.any(np.diff(a) <= 0):
                 raise ValueError("RCS table axes must be finite and strictly increasing")
-        object.__setattr__(self, "az_in", axes[0])
-        object.__setattr__(self, "el_in", axes[1])
-        object.__setattr__(self, "az_out", axes[2])
-        object.__setattr__(self, "el_out", axes[3])
-        object.__setattr__(self, "values_dbsm", vals)
+        for name, value in zip(self.__slots__, axes + (vals,)):
+            setfield(self, name, value)
 
     @cached_property
     def _grid(self):
@@ -209,17 +259,16 @@ RcsModel = ConstantRcs | TableRcs
 # Scattering points and CIRs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ScatteringPoint:
+class ScatteringPoint(Record):
     """A sensing-target scattering center."""
 
-    position: np.ndarray
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rcs_model: RcsModel = ConstantRcs(0.0)
+    __slots__ = ("position", "velocity", "rcs_model")
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", finite_vector(self.position, "position"))
-        object.__setattr__(self, "velocity", finite_vector(self.velocity, "velocity"))
+    def __init__(self, position, velocity=(0.0, 0.0, 0.0),
+                 rcs_model: RcsModel = ConstantRcs(0.0)):
+        setfield(self, "position", finite_vector(position, "position"))
+        setfield(self, "velocity", finite_vector(velocity, "velocity"))
+        setfield(self, "rcs_model", rcs_model)
 
 
 # the per-path columns of a Cir
@@ -232,7 +281,7 @@ PATH_RECORD = np.dtype([(name, np.dtype(dt).newbyteorder("<"))
                         for name, dt in zip(COLUMNS, _DTYPES)])
 
 
-class Cir:
+class Cir(Record):
     """Channel impulse response: one column per path attribute, the rows
     sorted by delay (stably, so paths of equal delay keep their order).
 
@@ -297,15 +346,12 @@ class Cir:
         for name, dt in zip(COLUMNS, _DTYPES):
             arr = np.asarray(cols[name], dtype=dt)
             arr.flags.writeable = False
-            object.__setattr__(out, name, arr)
+            setfield(out, name, arr)
         return out
 
     def _with(self, **cols) -> "Cir":
         """This Cir with some columns replaced; the delay order must hold."""
         return self._make({name: cols.get(name, getattr(self, name)) for name in COLUMNS})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cir is immutable")
 
     def __len__(self) -> int:
         return len(self.delay)

@@ -10,11 +10,10 @@ TR 38.901 §7.5) work on whole columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cir, unit_vectors, wrapped_azimuths
+from .core import Cir, Record, ValueRecord, setfield, unit_vectors, wrapped_azimuths
 
 
 # ---------------------------------------------------------------------------
@@ -27,8 +26,7 @@ _ROW = {"power": ((), float), "delay": ((), float), "aod": ((2,), float),
         "bounce_order": ((), np.int64)}
 
 
-@dataclass(frozen=True, eq=False)
-class ClusterSet:
+class ClusterSet(Record):
     """The rays of a channel as a read-only table, one row per ray.
 
     ``power`` is the linear power of each ray (a sampled set sums to 1,
@@ -42,17 +40,11 @@ class ClusterSet:
     row. A ray has no Doppler of its own (see target.concatenate).
     """
 
-    power: np.ndarray
-    delay: np.ndarray
-    aod: np.ndarray
-    aoa: np.ndarray
-    xpr: np.ndarray = 1e12
-    phases: np.ndarray = 0.0
-    bounce_order: np.ndarray = 1
+    __slots__ = tuple(_ROW)
 
-    def __post_init__(self):
-        cols = {name: np.asarray(getattr(self, name), dtype=dt)
-                for name, (_, dt) in _ROW.items()}
+    def __init__(self, power, delay, aod, aoa, xpr=1e12, phases=0.0, bounce_order=1):
+        cols = {name: np.asarray(v, dtype=dt) for (name, (_, dt)), v
+                in zip(_ROW.items(), (power, delay, aod, aoa, xpr, phases, bounce_order))}
         # the leading shape that the columns share: () or (number of rays,)
         rows = np.broadcast_shapes(*(col.shape[:col.ndim - len(_ROW[name][0])]
                                      for name, col in cols.items()))
@@ -76,7 +68,7 @@ class ClusterSet:
         for name, col in cols.items():
             col = np.array(col)
             col.flags.writeable = False
-            object.__setattr__(self, name, col)
+            setfield(self, name, col)
 
     def __len__(self) -> int:
         return len(self.delay)
@@ -92,8 +84,7 @@ class ClusterSet:
 # Antennas
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class AntennaModel:
+class AntennaModel(Record):
     """One antenna element with a scalar field pattern (there is no array).
 
     ``kind`` is "omni" (unit vertical-polarization response everywhere)
@@ -103,18 +94,19 @@ class AntennaModel:
     pair.
     """
 
-    kind: str = "omni"
-    hpbw_deg: float = 10.0
-    peak_gain_db: float = 0.0
-    boresight: tuple[float, float] = (0.0, 0.0)
+    __slots__ = ("kind", "hpbw_deg", "peak_gain_db", "boresight")
 
-    def __post_init__(self):
-        if self.kind not in ("omni", "horn"):
-            raise ValueError(f"unknown antenna kind {self.kind!r}")
-        if self.kind == "horn" and self.hpbw_deg <= 0.0:
+    def __init__(self, kind: str = "omni", hpbw_deg: float = 10.0, peak_gain_db: float = 0.0,
+                 boresight: tuple[float, float] = (0.0, 0.0)):
+        if kind not in ("omni", "horn"):
+            raise ValueError(f"unknown antenna kind {kind!r}")
+        if kind == "horn" and hpbw_deg <= 0.0:
             raise ValueError("horn HPBW must be positive")
-        az, el = map(float, self.boresight)
-        object.__setattr__(self, "boresight", (float(wrapped_azimuths(az, el)), el))
+        az, el = map(float, boresight)
+        setfield(self, "kind", kind)
+        setfield(self, "hpbw_deg", hpbw_deg)
+        setfield(self, "peak_gain_db", peak_gain_db)
+        setfield(self, "boresight", (float(wrapped_azimuths(az, el)), el))
 
     def field_gain(self, boresight, arrival) -> np.ndarray:
         """Real F_theta amplitude for every (boresight, arrival) pair.
@@ -146,8 +138,7 @@ OMNI = AntennaModel(kind="omni")
 # Generation profile and sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GenerationProfile:
+class GenerationProfile(ValueRecord):
     """Statistical recipe for cluster/ray sampling.
 
     Distribution choices follow common stochastic-model practice:
@@ -159,19 +150,23 @@ class GenerationProfile:
     ELEVATION_SPREAD_RAD.
     """
 
-    n_clusters: int = 8
-    rays_per_cluster: int = 10
-    delay_scale_s: float = 30e-9
-    angle_spread_rad: float = math.radians(5.0)
-    xpr_mean_db: float = 9.0
-    xpr_std_db: float = 3.0
-    shadow_std_db: float = 3.0
+    __slots__ = ("n_clusters", "rays_per_cluster", "delay_scale_s", "angle_spread_rad",
+                 "xpr_mean_db", "xpr_std_db", "shadow_std_db")
 
-    def __post_init__(self):
+    def __init__(self, n_clusters: int = 8, rays_per_cluster: int = 10,
+                 delay_scale_s: float = 30e-9, angle_spread_rad: float = math.radians(5.0),
+                 xpr_mean_db: float = 9.0, xpr_std_db: float = 3.0, shadow_std_db: float = 3.0):
+        setfield(self, "n_clusters", n_clusters)
+        setfield(self, "rays_per_cluster", rays_per_cluster)
+        setfield(self, "delay_scale_s", delay_scale_s)
+        setfield(self, "angle_spread_rad", angle_spread_rad)
+        setfield(self, "xpr_mean_db", xpr_mean_db)
+        setfield(self, "xpr_std_db", xpr_std_db)
+        setfield(self, "shadow_std_db", shadow_std_db)
         for name in ("delay_scale_s", "angle_spread_rad", "xpr_std_db", "shadow_std_db"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.rays_per_cluster < 1:
+        if rays_per_cluster < 1:
             raise ValueError("rays_per_cluster must be >= 1")
 
 

@@ -12,7 +12,6 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +41,14 @@ from .core import (
     COLUMNS,
     PATH_RECORD,
     Cir,
+    Record,
     ScatteringPoint,
+    ValueRecord,
     angle_from_vector,
     golden_rows,
     merge_paths,
     packaged_golden_dir,
+    setfield,
     wavelength_m,
 )
 from .gbsm import AntennaModel, ClusterSet, sample_clusters, with_los_ray
@@ -114,17 +116,21 @@ def _aim(antenna: AntennaModel, from_pos: np.ndarray, at_pos: np.ndarray) -> Ant
     if antenna.kind != "horn" or np.array_equal(from_pos, at_pos):
         return antenna
     boresight = angle_from_vector(np.asarray(at_pos, float) - np.asarray(from_pos, float))
-    return replace(antenna, boresight=boresight)
+    return AntennaModel(antenna.kind, antenna.hpbw_deg, antenna.peak_gain_db, boresight)
 
 
-@dataclass(frozen=True, eq=False)
-class SimulationResult:
-    target_cir: Cir
-    background_cir: Cir
-    pl_tar_db: tuple[float, ...]
-    pl_back_db: float
-    o_back: float
-    wavelength: float
+class SimulationResult(Record):
+    __slots__ = ("target_cir", "background_cir", "pl_tar_db", "pl_back_db", "o_back",
+                 "wavelength")
+
+    def __init__(self, target_cir: Cir, background_cir: Cir, pl_tar_db: tuple[float, ...],
+                 pl_back_db: float, o_back: float, wavelength: float):
+        setfield(self, "target_cir", target_cir)
+        setfield(self, "background_cir", background_cir)
+        setfield(self, "pl_tar_db", pl_tar_db)
+        setfield(self, "pl_back_db", pl_back_db)
+        setfield(self, "o_back", o_back)
+        setfield(self, "wavelength", wavelength)
 
 
 def simulate_channels(config: ScenarioConfig) -> SimulationResult:
@@ -309,11 +315,13 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunReport:
-    manifest: dict[str, str]
-    timings_s: dict[str, float]
-    out_dir: str
+class RunReport(ValueRecord):
+    __slots__ = ("manifest", "timings_s", "out_dir")
+
+    def __init__(self, manifest: dict[str, str], timings_s: dict[str, float], out_dir: str):
+        setfield(self, "manifest", manifest)
+        setfield(self, "timings_s", timings_s)
+        setfield(self, "out_dir", out_dir)
 
 
 def _scan_input(target_cir: Cir, bg_cir: Cir, config: ScenarioConfig):
@@ -418,16 +426,20 @@ CONCAT_POWER_COLUMNS = {"path_id": str, "p_n1_db": float, "p_n2_db": float, "sig
                         "p_conv_db": float, "p_meas_db": float, "delta_p_db": float,
                         "tol_db": float, "note": str}
 
-@dataclass(frozen=True)
-class ValidationRow:
-    name: str
-    passed: bool
-    detail: str
+class ValidationRow(ValueRecord):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        setfield(self, "name", name)
+        setfield(self, "passed", passed)
+        setfield(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    rows: tuple[ValidationRow, ...]
+class ValidationReport(ValueRecord):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[ValidationRow, ...]):
+        setfield(self, "rows", rows)
 
     @property
     def ok(self) -> bool:

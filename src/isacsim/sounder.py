@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .core import Cir
+from .core import Cir, Record, setfield
 
 # Primitive feedback taps (polynomial exponents) for each register length.
 DEFAULT_TAPS: dict[int, tuple[int, ...]] = {
@@ -28,14 +27,16 @@ DEFAULT_TAPS: dict[int, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class PnSequence:
+class PnSequence(Record):
     """Maximal-length +-1 sequence with two-valued periodic autocorrelation."""
 
-    m: int
-    taps: tuple[int, ...]
-    chips: np.ndarray
-    chip_rate: float
+    __slots__ = ("m", "taps", "chips", "chip_rate", "__dict__")
+
+    def __init__(self, m: int, taps: tuple[int, ...], chips: np.ndarray, chip_rate: float):
+        setfield(self, "m", m)
+        setfield(self, "taps", taps)
+        setfield(self, "chips", chips)
+        setfield(self, "chip_rate", chip_rate)
 
     @property
     def length(self) -> int:
@@ -86,15 +87,18 @@ def generate_pn(m: int, chip_rate: float = 1.0) -> PnSequence:
     return PnSequence(m=m, taps=taps, chips=chips, chip_rate=chip_rate)
 
 
-@dataclass(frozen=True, eq=False)
-class CaptureRecord:
+class CaptureRecord(Record):
     """Complex baseband samples captured at the receiver, one per chip of
     the PN sequence they were sent with."""
 
-    samples: np.ndarray
-    pn: PnSequence
-    snr_db: float | None
-    seed: int | None
+    __slots__ = ("samples", "pn", "snr_db", "seed")
+
+    def __init__(self, samples: np.ndarray, pn: PnSequence, snr_db: float | None,
+                 seed: int | None):
+        setfield(self, "samples", samples)
+        setfield(self, "pn", pn)
+        setfield(self, "snr_db", snr_db)
+        setfield(self, "seed", seed)
 
 
 def transmit_through(cir: Cir, pn: PnSequence, snr_db: float | None,
@@ -154,10 +158,15 @@ def _correlate_spectrum(spec: np.ndarray, pn: PnSequence) -> np.ndarray:
     return np.fft.ifft(spec * np.conj(pn.spectrum)) / pn.length
 
 
-@dataclass(frozen=True, eq=False)
-class CalibrationResult:
-    response: np.ndarray
-    flagged_bins: np.ndarray  # spectral bins held at the regularization floor
+class CalibrationResult(Record):
+    """The calibrated response, and a mask of the spectral bins held at
+    the regularization floor."""
+
+    __slots__ = ("response", "flagged_bins")
+
+    def __init__(self, response: np.ndarray, flagged_bins: np.ndarray):
+        setfield(self, "response", response)
+        setfield(self, "flagged_bins", flagged_bins)
 
 
 CALIBRATION_FLOOR_DB = -40.0  # relative to the peak of the back-to-back spectrum
@@ -214,10 +223,12 @@ def estimate_paths(response: np.ndarray, chip_rate: float,
     return [(k / chip_rate, complex(response[k])) for k in np.flatnonzero(is_peak)]
 
 
-@dataclass(frozen=True, eq=False)
-class RoundTripResult:
-    recovered: list[tuple[float, complex]]
-    flagged_bins: int
+class RoundTripResult(Record):
+    __slots__ = ("recovered", "flagged_bins")
+
+    def __init__(self, recovered: list[tuple[float, complex]], flagged_bins: int):
+        setfield(self, "recovered", recovered)
+        setfield(self, "flagged_bins", flagged_bins)
 
 
 def process_capture(capture: CaptureRecord, system_ir: np.ndarray | None = None,

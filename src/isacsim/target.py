@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import io
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +22,9 @@ from .core import (
     Cir,
     ScatteringPoint,
     TableRcs,
+    ValueRecord,
     merge_paths,
+    setfield,
     spreading_gain,
     unit_vectors,
 )
@@ -35,8 +36,7 @@ class Side(enum.Enum):
     TARGET_TO_RX = "target_to_rx"
 
 
-@dataclass(frozen=True)
-class SubLink:
+class SubLink(ValueRecord):
     """One hop of the concatenated sensing link.
 
     For a TX_TO_TARGET link, each ray's AoD is at the transmitter and
@@ -45,8 +45,11 @@ class SubLink:
     at the receiver. Every ray therefore carries a target-side angle.
     """
 
-    side: Side
-    clusters: ClusterSet
+    __slots__ = ("side", "clusters")
+
+    def __init__(self, side: Side, clusters: ClusterSet):
+        setfield(self, "side", side)
+        setfield(self, "clusters", clusters)
 
 
 def _rcs_linear(model, angles_in: np.ndarray, angles_out: np.ndarray) -> np.ndarray:

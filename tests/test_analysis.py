@@ -3,7 +3,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
 from itertools import accumulate, permutations
 
 import numpy as np
@@ -221,7 +220,8 @@ class TestTurntableScan:
         ref = np.zeros((len(angles), len(bins) - 1))
         row_sums = np.zeros(len(angles))
         for i, ang in enumerate(angles):
-            aimed = replace(antenna, boresight=(math.radians(ang), 0.0))
+            aimed = AntennaModel(antenna.kind, antenna.hpbw_deg, antenna.peak_gain_db,
+                                 (math.radians(ang), 0.0))
             for delay, amp, az, el in zip(cir.delay.tolist(), cir.amp.tolist(),
                                           cir.aoa_az.tolist(), cir.aoa_el.tolist()):
                 j = min(bisect.bisect_right(bins, delay) - 1, len(bins) - 2)

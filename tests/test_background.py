@@ -42,6 +42,19 @@ class TestPcfDefaults:
         assert default_pcf_model("los_nlos").std == pytest.approx(0.02645751311064588, rel=1e-12)
 
 
+class TestPcfModel:
+    @pytest.mark.parametrize("std", [math.nan, -0.1, -math.inf])
+    def test_std_must_be_a_number_at_least_zero(self, std):
+        # a NaN std would construct, draw NaN and fail only in apply_pcf
+        with pytest.raises(ValueError, match="std must be >= 0"):
+            PcfModel("los_los", 1.0, std)
+
+    @pytest.mark.parametrize("mean", [math.nan, 0.0, 1.5000001])
+    def test_mean_must_lie_in_the_clamp_interval(self, mean):
+        with pytest.raises(ValueError, match="outside"):
+            PcfModel("los_los", mean, 0.0)
+
+
 class TestSamplePcf:
     def test_zero_std_reproduces_mean(self):
         model = PcfModel("los_los", mean=0.89, std=0.0)

@@ -389,6 +389,8 @@ class TestCir:
         cir = Cir.from_columns([1e-9], [1.0])
         with pytest.raises(AttributeError):
             cir.delay = np.zeros(1)
+        with pytest.raises(AttributeError):
+            del cir.amp
         with pytest.raises(ValueError):
             cir.amp[0] = 2.0
         assert cir.scaled(2.0).amp[0] == 2.0 and cir.amp[0] == 1.0
