@@ -22,7 +22,7 @@ from .core import (
     ValueRecord,
     finite_vector,
     linear_to_db,
-    setfield,
+    read_only,
     unit_vectors,
 )
 from .background import GeometricScatterer
@@ -53,13 +53,10 @@ class ScanGrid(Record):
             raise ValueError("need a 1-D array of scan angles")
         if not _uniform_increasing(angles):
             raise ValueError("scan angles must be finite and increase by a finite uniform step")
-        power = np.array(power, dtype=float)
+        power = read_only(power, float)
         if power.shape != (len(angles), len(edges) - 1):
             raise ValueError("need one PADP row per scan angle and one column per delay bin")
-        power.flags.writeable = False
-        setfield(self, "angles_deg", angles)
-        setfield(self, "power", power)
-        setfield(self, "delay_bins", edges)
+        self._fill(angles, power, edges)
 
     def bin_centers(self) -> np.ndarray:
         return 0.5 * (self.delay_bins[:-1] + self.delay_bins[1:])
@@ -157,9 +154,7 @@ class PadpPeak(ValueRecord):
     __slots__ = ("angle_deg", "delay_s", "power")
 
     def __init__(self, angle_deg: float, delay_s: float, power: float):
-        setfield(self, "angle_deg", angle_deg)
-        setfield(self, "delay_s", delay_s)
-        setfield(self, "power", power)
+        self._fill(angle_deg, delay_s, power)
 
     @property
     def power_db(self) -> float:
@@ -258,12 +253,6 @@ def subtract_background(target_scan: ScanGrid, background_scan: ScanGrid,
 # Geometric bounce classification
 # ---------------------------------------------------------------------------
 
-def _read_only(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    v.flags.writeable = False
-    return v
-
-
 class ReconstructionScene(Record):
     """User-supplied geometry for path reconstruction; a reflector
     without a label is named R<index>.
@@ -278,24 +267,21 @@ class ReconstructionScene(Record):
     _unlisted = ("routes",)
 
     def __init__(self, tx, rx, target, reflectors: tuple[GeometricScatterer, ...] = ()):
-        for name, position in (("tx", tx), ("rx", rx), ("target", target)):
-            setfield(self, name, _read_only(finite_vector(position, f"{name} position")))
-        setfield(self, "reflectors", tuple(
-            GeometricScatterer(_read_only(r.position), r.reflection_gain_db, r.label or f"R{i}")
-            for i, r in enumerate(reflectors)))
-        setfield(self, "routes", tuple(
-            (order, label, _route_length(waypoints), _arrival_az_deg(waypoints[-2], self.rx))
-            for order, label, waypoints in _candidate_routes(self)))
+        tx, rx, target = (read_only(finite_vector(position, f"{name} position"))
+                          for name, position in (("tx", tx), ("rx", rx), ("target", target)))
+        reflectors = tuple(
+            GeometricScatterer(read_only(r.position), r.reflection_gain_db, r.label or f"R{i}")
+            for i, r in enumerate(reflectors))
+        self._fill(tx, rx, target, reflectors, tuple(
+            (order, label, _route_length(waypoints), _arrival_az_deg(waypoints[-2], rx))
+            for order, label, waypoints in _candidate_routes(tx, rx, target, reflectors)))
 
 
 class BounceResult(ValueRecord):
     __slots__ = ("order", "route", "length_m", "residual_s")
 
     def __init__(self, order: int, route: str, length_m: float, residual_s: float):
-        setfield(self, "order", order)
-        setfield(self, "route", route)
-        setfield(self, "length_m", length_m)
-        setfield(self, "residual_s", residual_s)
+        self._fill(order, route, length_m, residual_s)
 
 
 def _route_length(waypoints) -> float:
@@ -312,11 +298,10 @@ def _arrival_az_deg(last: np.ndarray, rx: np.ndarray) -> float | None:
     return math.degrees(math.atan2(arrival[1], arrival[0])) % 360.0
 
 
-def _candidate_routes(scene: ReconstructionScene):
+def _candidate_routes(tx, rx, st, reflectors: tuple[GeometricScatterer, ...]):
     """All Tx..ST..Rx routes with up to two non-target reflections."""
-    tx, rx, st = scene.tx, scene.rx, scene.target
     yield 0, "Tx>ST>Rx", [tx, st, rx]
-    refl = [(r.label, r.position) for r in scene.reflectors]
+    refl = [(r.label, r.position) for r in reflectors]
     for name, p in refl:
         yield 1, f"Tx>ST>{name}>Rx", [tx, st, p, rx]
         yield 1, f"Tx>{name}>ST>Rx", [tx, p, st, rx]
@@ -348,9 +333,7 @@ class PowerProportion(ValueRecord):
     __slots__ = ("direct", "first_order", "higher_order")
 
     def __init__(self, direct: float, first_order: float, higher_order: float):
-        setfield(self, "direct", direct)
-        setfield(self, "first_order", first_order)
-        setfield(self, "higher_order", higher_order)
+        self._fill(direct, first_order, higher_order)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.direct, self.first_order, self.higher_order)
@@ -410,10 +393,7 @@ class SharedPartition(ValueRecord):
 
     def __init__(self, shared_pairs: tuple[tuple[PadpPeak, PadpPeak], ...],
                  mono_only: tuple[PadpPeak, ...], bi_only: tuple[PadpPeak, ...], excluded: int):
-        setfield(self, "shared_pairs", shared_pairs)
-        setfield(self, "mono_only", mono_only)
-        setfield(self, "bi_only", bi_only)
-        setfield(self, "excluded", excluded)
+        self._fill(shared_pairs, mono_only, bi_only, excluded)
 
 
 def locate_monostatic(peak: PadpPeak, txrx: np.ndarray) -> np.ndarray:

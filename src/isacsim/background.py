@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .core import (C_LIGHT, Cir, Record, ValueRecord, angle_from_vector, finite_vector,
-                   golden_rows, packaged_golden_dir, setfield)
+                   golden_rows, packaged_golden_dir)
 from .gbsm import AntennaModel, GenerationProfile, sample_clusters, synthesize_cir
 
 # Measured power control factors, (position, condition, value), from their one home,
@@ -46,9 +46,7 @@ class PcfModel(ValueRecord):
             raise ValueError("std must be >= 0")
         if not (PCF_CLAMP[0] < mean <= PCF_CLAMP[1]):
             raise ValueError(f"mean {mean} outside {PCF_INTERVAL}")
-        setfield(self, "condition", condition)
-        setfield(self, "mean", mean)
-        setfield(self, "std", std)
+        self._fill(condition, mean, std)
 
 
 def default_pcf_model(condition: str) -> PcfModel:
@@ -94,9 +92,7 @@ class GeometricScatterer(Record):
     __slots__ = ("position", "reflection_gain_db", "label")
 
     def __init__(self, position, reflection_gain_db: float = 0.0, label: str = ""):
-        setfield(self, "position", finite_vector(position, "scatterer position"))
-        setfield(self, "reflection_gain_db", reflection_gain_db)
-        setfield(self, "label", label)
+        self._fill(finite_vector(position, "scatterer position"), reflection_gain_db, label)
 
 
 def background_monostatic(scatterers, txrx_position, wl: float) -> Cir:

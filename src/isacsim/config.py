@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import MAX_SCAN_CELLS, ReconstructionScene
 from .background import (PCF_CLAMP, PCF_INTERVAL, PCF_MEASUREMENTS, GeometricScatterer,
                          PcfModel, default_pcf_model)
-from .core import C_LIGHT, DB_LIMIT, ConstantRcs, Record, ValueRecord, setfield
+from .core import C_LIGHT, DB_LIMIT, ConstantRcs, Record, ValueRecord
 from .gbsm import AntennaModel, GenerationProfile
 from .sounder import DEFAULT_TAPS
 
@@ -41,19 +41,14 @@ class TargetSpec(Record):
 
     def __init__(self, position_m: np.ndarray, velocity_mps: np.ndarray, rcs: ConstantRcs | Path,
                  profile: GenerationProfile, k_factor_db: float):
-        setfield(self, "position_m", position_m)
-        setfield(self, "velocity_mps", velocity_mps)
-        setfield(self, "rcs", rcs)
-        setfield(self, "profile", profile)
-        setfield(self, "k_factor_db", k_factor_db)
+        self._fill(position_m, velocity_mps, rcs, profile, k_factor_db)
 
 
 class EndpointSpec(Record):
     __slots__ = ("position_m", "antenna")
 
     def __init__(self, position_m: np.ndarray, antenna: AntennaModel):
-        setfield(self, "position_m", position_m)
-        setfield(self, "antenna", antenna)
+        self._fill(position_m, antenna)
 
 
 class BackgroundSpec(ValueRecord):
@@ -63,9 +58,7 @@ class BackgroundSpec(ValueRecord):
 
     def __init__(self, mode: str, profile: GenerationProfile | None = None,
                  scatterers: tuple[GeometricScatterer, ...] = ()):
-        setfield(self, "mode", mode)
-        setfield(self, "profile", profile)
-        setfield(self, "scatterers", scatterers)
+        self._fill(mode, profile, scatterers)
 
 
 class ScenarioConfig(Record):
@@ -82,22 +75,9 @@ class ScenarioConfig(Record):
                  pcf: PcfModel, scan_start_deg: float, scan_stop_deg: float,
                  scan_step_deg: float, seed: int, outputs: str, sounder_m: int,
                  sounder_snr_db: float, raw: dict | None = None):
-        setfield(self, "name", name)
-        setfield(self, "carrier_freq_hz", carrier_freq_hz)
-        setfield(self, "bandwidth_hz", bandwidth_hz)
-        setfield(self, "tx", tx)
-        setfield(self, "rx", rx)
-        setfield(self, "targets", targets)
-        setfield(self, "background", background)
-        setfield(self, "pcf", pcf)
-        setfield(self, "scan_start_deg", scan_start_deg)
-        setfield(self, "scan_stop_deg", scan_stop_deg)
-        setfield(self, "scan_step_deg", scan_step_deg)
-        setfield(self, "seed", seed)
-        setfield(self, "outputs", outputs)
-        setfield(self, "sounder_m", sounder_m)
-        setfield(self, "sounder_snr_db", sounder_snr_db)
-        setfield(self, "raw", {} if raw is None else raw)
+        self._fill(name, carrier_freq_hz, bandwidth_hz, tx, rx, targets, background, pcf,
+                   scan_start_deg, scan_stop_deg, scan_step_deg, seed, outputs, sounder_m,
+                   sounder_snr_db, {} if raw is None else raw)
 
     def scan_angles_deg(self) -> np.ndarray:
         """The round((stop - start) / step) angles from start on: never stop
@@ -166,9 +146,7 @@ class Tagged(ValueRecord):
     __slots__ = ("key", "default", "tables")
 
     def __init__(self, key: str | None, default: object, tables: dict):
-        setfield(self, "key", key)
-        setfield(self, "default", default)
-        setfield(self, "tables", tables)
+        self._fill(key, default, tables)
 
     def pick(self, doc: dict, path: str, errors) -> dict | None:
         if self.key is None:

@@ -35,13 +35,13 @@ DB_LIMIT = 300.0
 # Records
 # ---------------------------------------------------------------------------
 
-# how a record's __init__ fills a field, past Record.__setattr__
+# how a record's fields are filled, past Record.__setattr__
 setfield = object.__setattr__
 
 
 class Record:
     """An immutable record. ``__slots__`` names its fields, which its own
-    ``__init__`` fills with :data:`setfield`; after that, assigning or
+    ``__init__`` fills with :meth:`_fill`; after that, assigning or
     deleting an attribute raises AttributeError. A record compares by
     identity (a ValueRecord by value), and its repr names its class and
     each field except those in ``_unlisted``. A record that caches a
@@ -55,6 +55,13 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fill(self, *values):
+        """Set the fields to ``values`` in ``__slots__`` order; a later slot stays unset."""
+        if len(values) > len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes at most {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            setfield(self, name, value)
 
     def __setstate__(self, state):
         """Fill a copied or unpickled record from the (``__dict__``, slots)
@@ -134,6 +141,13 @@ def finite_vector(value, field: str) -> np.ndarray:
     return v
 
 
+def read_only(value, dtype=None) -> np.ndarray:
+    """A read-only copy of ``value`` as an array (of ``dtype``, where given)."""
+    v = np.array(value, dtype=dtype)
+    v.flags.writeable = False
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Angles
 # ---------------------------------------------------------------------------
@@ -188,7 +202,7 @@ class ConstantRcs(ValueRecord):
     __slots__ = ("sigma_dbsm",)
 
     def __init__(self, sigma_dbsm: float):
-        setfield(self, "sigma_dbsm", sigma_dbsm)
+        self._fill(sigma_dbsm)
 
     def eval_dbsm_pairs(self, angles_in, angles_out) -> np.ndarray:
         return np.full((len(_angle_rows(angles_in)), len(_angle_rows(angles_out))),
@@ -217,8 +231,7 @@ class TableRcs(Record):
         for a in axes:
             if not np.all(np.isfinite(a)) or np.any(np.diff(a) <= 0):
                 raise ValueError("RCS table axes must be finite and strictly increasing")
-        for name, value in zip(self.__slots__, axes + (vals,)):
-            setfield(self, name, value)
+        self._fill(*axes, vals)
 
     @cached_property
     def _grid(self):
@@ -266,9 +279,8 @@ class ScatteringPoint(Record):
 
     def __init__(self, position, velocity=(0.0, 0.0, 0.0),
                  rcs_model: RcsModel = ConstantRcs(0.0)):
-        setfield(self, "position", finite_vector(position, "position"))
-        setfield(self, "velocity", finite_vector(velocity, "velocity"))
-        setfield(self, "rcs_model", rcs_model)
+        self._fill(finite_vector(position, "position"), finite_vector(velocity, "velocity"),
+                   rcs_model)
 
 
 # the per-path columns of a Cir

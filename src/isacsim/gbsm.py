@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import Cir, Record, ValueRecord, setfield, unit_vectors, wrapped_azimuths
+from .core import Cir, Record, ValueRecord, read_only, unit_vectors, wrapped_azimuths
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +65,7 @@ class ClusterSet(Record):
         for name in ("aod", "aoa"):
             az, el = cols[name].T
             cols[name] = np.stack([wrapped_azimuths(az, el), el], axis=1)
-        for name, col in cols.items():
-            col = np.array(col)
-            col.flags.writeable = False
-            setfield(self, name, col)
+        self._fill(*map(read_only, cols.values()))
 
     def __len__(self) -> int:
         return len(self.delay)
@@ -103,10 +100,7 @@ class AntennaModel(Record):
         if kind == "horn" and hpbw_deg <= 0.0:
             raise ValueError("horn HPBW must be positive")
         az, el = map(float, boresight)
-        setfield(self, "kind", kind)
-        setfield(self, "hpbw_deg", hpbw_deg)
-        setfield(self, "peak_gain_db", peak_gain_db)
-        setfield(self, "boresight", (float(wrapped_azimuths(az, el)), el))
+        self._fill(kind, hpbw_deg, peak_gain_db, (float(wrapped_azimuths(az, el)), el))
 
     def field_gain(self, boresight, arrival) -> np.ndarray:
         """Real F_theta amplitude for every (boresight, arrival) pair.
@@ -156,13 +150,8 @@ class GenerationProfile(ValueRecord):
     def __init__(self, n_clusters: int = 8, rays_per_cluster: int = 10,
                  delay_scale_s: float = 30e-9, angle_spread_rad: float = math.radians(5.0),
                  xpr_mean_db: float = 9.0, xpr_std_db: float = 3.0, shadow_std_db: float = 3.0):
-        setfield(self, "n_clusters", n_clusters)
-        setfield(self, "rays_per_cluster", rays_per_cluster)
-        setfield(self, "delay_scale_s", delay_scale_s)
-        setfield(self, "angle_spread_rad", angle_spread_rad)
-        setfield(self, "xpr_mean_db", xpr_mean_db)
-        setfield(self, "xpr_std_db", xpr_std_db)
-        setfield(self, "shadow_std_db", shadow_std_db)
+        self._fill(n_clusters, rays_per_cluster, delay_scale_s, angle_spread_rad, xpr_mean_db,
+                   xpr_std_db, shadow_std_db)
         for name in ("delay_scale_s", "angle_spread_rad", "xpr_std_db", "shadow_std_db"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")

@@ -48,7 +48,6 @@ from .core import (
     golden_rows,
     merge_paths,
     packaged_golden_dir,
-    setfield,
     wavelength_m,
 )
 from .gbsm import AntennaModel, ClusterSet, sample_clusters, with_los_ray
@@ -125,12 +124,7 @@ class SimulationResult(Record):
 
     def __init__(self, target_cir: Cir, background_cir: Cir, pl_tar_db: tuple[float, ...],
                  pl_back_db: float, o_back: float, wavelength: float):
-        setfield(self, "target_cir", target_cir)
-        setfield(self, "background_cir", background_cir)
-        setfield(self, "pl_tar_db", pl_tar_db)
-        setfield(self, "pl_back_db", pl_back_db)
-        setfield(self, "o_back", o_back)
-        setfield(self, "wavelength", wavelength)
+        self._fill(target_cir, background_cir, pl_tar_db, pl_back_db, o_back, wavelength)
 
 
 def simulate_channels(config: ScenarioConfig) -> SimulationResult:
@@ -319,9 +313,7 @@ class RunReport(ValueRecord):
     __slots__ = ("manifest", "timings_s", "out_dir")
 
     def __init__(self, manifest: dict[str, str], timings_s: dict[str, float], out_dir: str):
-        setfield(self, "manifest", manifest)
-        setfield(self, "timings_s", timings_s)
-        setfield(self, "out_dir", out_dir)
+        self._fill(manifest, timings_s, out_dir)
 
 
 def _scan_input(target_cir: Cir, bg_cir: Cir, config: ScenarioConfig):
@@ -430,16 +422,14 @@ class ValidationRow(ValueRecord):
     __slots__ = ("name", "passed", "detail")
 
     def __init__(self, name: str, passed: bool, detail: str):
-        setfield(self, "name", name)
-        setfield(self, "passed", passed)
-        setfield(self, "detail", detail)
+        self._fill(name, passed, detail)
 
 
 class ValidationReport(ValueRecord):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[ValidationRow, ...]):
-        setfield(self, "rows", rows)
+        self._fill(rows)
 
     @property
     def ok(self) -> bool:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Cir, Record, setfield
+from .core import Cir, Record
 
 # Primitive feedback taps (polynomial exponents) for each register length.
 DEFAULT_TAPS: dict[int, tuple[int, ...]] = {
@@ -33,10 +33,7 @@ class PnSequence(Record):
     __slots__ = ("m", "taps", "chips", "chip_rate", "__dict__")
 
     def __init__(self, m: int, taps: tuple[int, ...], chips: np.ndarray, chip_rate: float):
-        setfield(self, "m", m)
-        setfield(self, "taps", taps)
-        setfield(self, "chips", chips)
-        setfield(self, "chip_rate", chip_rate)
+        self._fill(m, taps, chips, chip_rate)
 
     @property
     def length(self) -> int:
@@ -95,10 +92,7 @@ class CaptureRecord(Record):
 
     def __init__(self, samples: np.ndarray, pn: PnSequence, snr_db: float | None,
                  seed: int | None):
-        setfield(self, "samples", samples)
-        setfield(self, "pn", pn)
-        setfield(self, "snr_db", snr_db)
-        setfield(self, "seed", seed)
+        self._fill(samples, pn, snr_db, seed)
 
 
 def transmit_through(cir: Cir, pn: PnSequence, snr_db: float | None,
@@ -165,8 +159,7 @@ class CalibrationResult(Record):
     __slots__ = ("response", "flagged_bins")
 
     def __init__(self, response: np.ndarray, flagged_bins: np.ndarray):
-        setfield(self, "response", response)
-        setfield(self, "flagged_bins", flagged_bins)
+        self._fill(response, flagged_bins)
 
 
 CALIBRATION_FLOOR_DB = -40.0  # relative to the peak of the back-to-back spectrum
@@ -227,8 +220,7 @@ class RoundTripResult(Record):
     __slots__ = ("recovered", "flagged_bins")
 
     def __init__(self, recovered: list[tuple[float, complex]], flagged_bins: int):
-        setfield(self, "recovered", recovered)
-        setfield(self, "flagged_bins", flagged_bins)
+        self._fill(recovered, flagged_bins)
 
 
 def process_capture(capture: CaptureRecord, system_ir: np.ndarray | None = None,

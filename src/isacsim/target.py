@@ -24,7 +24,6 @@ from .core import (
     TableRcs,
     ValueRecord,
     merge_paths,
-    setfield,
     spreading_gain,
     unit_vectors,
 )
@@ -48,8 +47,7 @@ class SubLink(ValueRecord):
     __slots__ = ("side", "clusters")
 
     def __init__(self, side: Side, clusters: ClusterSet):
-        setfield(self, "side", side)
-        setfield(self, "clusters", clusters)
+        self._fill(side, clusters)
 
 
 def _rcs_linear(model, angles_in: np.ndarray, angles_out: np.ndarray) -> np.ndarray:
