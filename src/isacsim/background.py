@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .core import (C_LIGHT, Cir, Record, ValueRecord, angle_from_vector, finite_vector,
-                   golden_rows, packaged_golden_dir)
+from .core import (C_LIGHT, Cir, Record, ValueRecord, angle_from_vector, finite_number,
+                   finite_vector, golden_rows, packaged_golden_dir)
 from .gbsm import AntennaModel, GenerationProfile, sample_clusters, synthesize_cir
 
 # Measured power control factors, (position, condition, value), from their one home,
@@ -92,7 +92,8 @@ class GeometricScatterer(Record):
     __slots__ = ("position", "reflection_gain_db", "label")
 
     def __init__(self, position, reflection_gain_db: float = 0.0, label: str = ""):
-        self._fill(finite_vector(position, "scatterer position"), reflection_gain_db, label)
+        self._fill(finite_vector(position, "scatterer position"),
+                   finite_number(reflection_gain_db, "reflection_gain_db"), label)
 
 
 def background_monostatic(scatterers, txrx_position, wl: float) -> Cir:

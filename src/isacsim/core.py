@@ -132,6 +132,15 @@ def spreading_gain_db(wl_m: float) -> float:
     return linear_to_db(spreading_gain(wl_m))
 
 
+def finite_number(value, field: str, non_negative: bool = False):
+    """``value`` itself, once it is checked to be a finite number (and
+    >= 0 where ``non_negative``). Raises ValueError naming ``field``."""
+    if not math.isfinite(value) or (non_negative and not value >= 0.0):
+        rule = "finite and >= 0" if non_negative else "finite"
+        raise ValueError(f"{field} must be {rule}, got {value!r}")
+    return value
+
+
 def finite_vector(value, field: str) -> np.ndarray:
     """``value`` as a float array of shape (3,): a position or velocity.
     Raises ValueError naming ``field`` unless it is three finite numbers."""

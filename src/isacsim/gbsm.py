@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .core import Cir, Record, ValueRecord, read_only, unit_vectors, wrapped_azimuths
+from .core import (Cir, Record, ValueRecord, finite_number, read_only, unit_vectors,
+                   wrapped_azimuths)
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +98,12 @@ class AntennaModel(Record):
                  boresight: tuple[float, float] = (0.0, 0.0)):
         if kind not in ("omni", "horn"):
             raise ValueError(f"unknown antenna kind {kind!r}")
+        hpbw_deg = finite_number(hpbw_deg, "hpbw_deg")
         if kind == "horn" and hpbw_deg <= 0.0:
             raise ValueError("horn HPBW must be positive")
         az, el = map(float, boresight)
-        self._fill(kind, hpbw_deg, peak_gain_db, (float(wrapped_azimuths(az, el)), el))
+        self._fill(kind, hpbw_deg, finite_number(peak_gain_db, "peak_gain_db"),
+                   (float(wrapped_azimuths(az, el)), el))
 
     def field_gain(self, boresight, arrival) -> np.ndarray:
         """Real F_theta amplitude for every (boresight, arrival) pair.
@@ -152,9 +155,9 @@ class GenerationProfile(ValueRecord):
                  xpr_mean_db: float = 9.0, xpr_std_db: float = 3.0, shadow_std_db: float = 3.0):
         self._fill(n_clusters, rays_per_cluster, delay_scale_s, angle_spread_rad, xpr_mean_db,
                    xpr_std_db, shadow_std_db)
+        finite_number(xpr_mean_db, "xpr_mean_db")
         for name in ("delay_scale_s", "angle_spread_rad", "xpr_std_db", "shadow_std_db"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            finite_number(getattr(self, name), name, non_negative=True)
         if rays_per_cluster < 1:
             raise ValueError("rays_per_cluster must be >= 1")
 

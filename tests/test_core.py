@@ -11,6 +11,7 @@ from isacsim import (
     AntennaModel,
     Cir,
     ConstantRcs,
+    GenerationProfile,
     GeometricScatterer,
     ReconstructionScene,
     ScatteringPoint,
@@ -419,6 +420,34 @@ def test_point_must_be_three_finite_numbers(field, bad):
     _POINTS[field]([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match=f"^{re.escape(field)} must be 3 finite numbers"):
         _POINTS[field](bad)
+
+
+# each constructor of a record with a number argument, with the field it fills
+_NUMBERS = [
+    ("delay_scale_s", lambda v: GenerationProfile(delay_scale_s=v)),
+    ("angle_spread_rad", lambda v: GenerationProfile(angle_spread_rad=v)),
+    ("xpr_mean_db", lambda v: GenerationProfile(xpr_mean_db=v)),
+    ("xpr_std_db", lambda v: GenerationProfile(xpr_std_db=v)),
+    ("shadow_std_db", lambda v: GenerationProfile(shadow_std_db=v)),
+    ("hpbw_deg", lambda v: AntennaModel("horn", v)),
+    ("hpbw_deg", lambda v: AntennaModel("omni", v)),
+    ("peak_gain_db", lambda v: AntennaModel("horn", 10.0, v)),
+    ("reflection_gain_db", lambda v: GeometricScatterer((1.0, 0.0, 0.0), v)),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field, build", _NUMBERS,
+                         ids=[f"{field}-{i}" for i, (field, _) in enumerate(_NUMBERS)])
+def test_number_field_must_be_finite(field, build, bad):
+    build(1.0)
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        build(bad)
+
+
+def test_spread_must_be_non_negative():
+    with pytest.raises(ValueError, match="^xpr_std_db must be finite and >= 0, got -0.5$"):
+        GenerationProfile(xpr_std_db=-0.5)
 
 
 class TestRcsModels:

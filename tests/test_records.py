@@ -186,6 +186,24 @@ def test_copies_keep_every_field(cls, build, fields, hidden, by_value, duplicate
         setattr(twin, fields[0], 0)
 
 
+@pytest.mark.parametrize("cls, build, fields, hidden, by_value", RECORDS, ids=_IDS)
+def test_init_parameters_are_the_leading_fields(cls, build, fields, hidden, by_value):
+    """Record._fill sets the fields in __slots__ order, so the parameters of
+    __init__ name the first slots in order; only a scene's routes, derived
+    from them, and a cached __dict__ come after."""
+    params = tuple(inspect.signature(cls.__init__).parameters)[1:]
+    assert cls.__slots__[:len(params)] == params
+    derived = tuple(name for name in cls.__slots__[len(params):] if name != "__dict__")
+    assert derived == (("routes",) if cls is ReconstructionScene else ())
+
+
+def test_fill_refuses_more_values_than_fields():
+    peak = PadpPeak(*_PEAK)
+    with pytest.raises(TypeError, match="PadpPeak takes at most 3 fields"):
+        peak._fill(1.0, 2.0, 3.0, 4.0)
+    assert peak == PadpPeak(*_PEAK)
+
+
 def test_value_records_differ_in_any_field():
     assert PadpPeak(*_PEAK) != PadpPeak(10.0, 1e-9, 2.5)
     assert GenerationProfile() != GenerationProfile(xpr_std_db=2.0)
