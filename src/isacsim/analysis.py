@@ -20,6 +20,7 @@ from .core import (
     Cir,
     Record,
     ValueRecord,
+    finite_number,
     finite_vector,
     linear_to_db,
     read_only,
@@ -76,9 +77,8 @@ def _uniform_increasing(angles: np.ndarray) -> bool:
 
 def delay_grid(max_delay_s: float, bin_width_s: float) -> np.ndarray:
     """Uniform delay bin edges covering [0, max_delay]."""
-    if bin_width_s <= 0.0:
-        raise ValueError("bin width must be positive")
-    n = max(1, int(math.ceil(max_delay_s / bin_width_s)))
+    n = max(1, int(math.ceil(finite_number(max_delay_s, "max_delay_s", ">= 0")
+                             / finite_number(bin_width_s, "bin_width_s", "> 0"))))
     return bin_width_s * np.arange(n + 1)
 
 
@@ -319,6 +319,8 @@ def classify_bounce(peak: PadpPeak, scene: ReconstructionScene,
     Returns the lowest-order matching route, ties broken by delay
     residual; None when nothing matches (unclassified).
     """
+    finite_number(delay_tol, "delay_tol", ">= 0")
+    finite_number(angle_tol_deg, "angle_tol_deg", ">= 0")
     best: BounceResult | None = None
     for order, label, length, az in scene.routes:
         residual = abs(length / C_LIGHT - peak.delay_s)

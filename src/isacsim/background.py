@@ -42,11 +42,9 @@ class PcfModel(ValueRecord):
     __slots__ = ("condition", "mean", "std")
 
     def __init__(self, condition: str, mean: float, std: float):
-        if not std >= 0.0:  # NaN included
-            raise ValueError("std must be >= 0")
         if not (PCF_CLAMP[0] < mean <= PCF_CLAMP[1]):
             raise ValueError(f"mean {mean} outside {PCF_INTERVAL}")
-        self._fill(condition, mean, std)
+        self._fill(condition, mean, finite_number(std, "std", ">= 0"))
 
 
 def default_pcf_model(condition: str) -> PcfModel:
@@ -105,8 +103,7 @@ def background_monostatic(scatterers, txrx_position, wl: float) -> Cir:
     the scatterer's reflection gain. An empty scatterer list gives an
     empty CIR.
     """
-    if wl <= 0.0:
-        raise ValueError("wavelength must be positive")
+    finite_number(wl, "wl", "> 0")
     p0 = finite_vector(txrx_position, "Tx/Rx position")
     delay, amp, az, el = [], [], [], []
     for sc in scatterers:

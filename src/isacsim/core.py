@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from functools import cached_property
+import operator
 from itertools import product
 from pathlib import Path
 from typing import Iterable
@@ -44,11 +44,10 @@ class Record:
     ``__init__`` fills with :meth:`_fill`; after that, assigning or
     deleting an attribute raises AttributeError. A record compares by
     identity (a ValueRecord by value), and its repr names its class and
-    each field except those in ``_unlisted``. A record that caches a
-    property lists ``__dict__`` among its slots."""
+    each field except those in ``_unlisted``."""
 
     __slots__ = ()
-    _unlisted = ("__dict__",)
+    _unlisted = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -57,9 +56,10 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _fill(self, *values):
-        """Set the fields to ``values`` in ``__slots__`` order; a later slot stays unset."""
-        if len(values) > len(self.__slots__):
-            raise TypeError(f"{type(self).__qualname__} takes at most {len(self.__slots__)} fields")
+        """Set the fields to ``values``, one per slot, in ``__slots__`` order."""
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self.__slots__)} fields, "
+                            f"got {len(values)}")
         for name, value in zip(self.__slots__, values):
             setfield(self, name, value)
 
@@ -99,19 +99,14 @@ class ValueRecord(Record):
 # ---------------------------------------------------------------------------
 
 def linear_to_db(x):
-    """Convert a linear power quantity to dB. Raises on non-positive input."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError(f"linear_to_db requires positive input, got {x!r}")
-    out = 10.0 * np.log10(arr)
+    """Convert a linear power quantity to dB. Raises unless it is finite and > 0."""
+    out = 10.0 * np.log10(finite_number(np.asarray(x, dtype=float), "linear power", "> 0"))
     return float(out) if np.ndim(x) == 0 else out
 
 
 def wavelength_m(carrier_freq_hz: float) -> float:
     """Carrier wavelength lambda = c / f."""
-    if carrier_freq_hz <= 0.0:
-        raise ValueError("carrier frequency must be positive")
-    return C_LIGHT / carrier_freq_hz
+    return C_LIGHT / finite_number(carrier_freq_hz, "carrier_freq_hz", "> 0")
 
 
 def spreading_gain(wl_m: float) -> float:
@@ -122,8 +117,7 @@ def spreading_gain(wl_m: float) -> float:
     the two free-space hop gains, the RCS and this factor. Both the
     link-budget arithmetic and the target channel concatenation use it.
     """
-    if wl_m <= 0.0:
-        raise ValueError("wavelength must be positive")
+    wl_m = finite_number(wl_m, "wl_m", "> 0")
     return 4.0 * math.pi / (wl_m * wl_m)
 
 
@@ -132,12 +126,26 @@ def spreading_gain_db(wl_m: float) -> float:
     return linear_to_db(spreading_gain(wl_m))
 
 
-def finite_number(value, field: str, non_negative: bool = False):
-    """``value`` itself, once it is checked to be a finite number (and
-    >= 0 where ``non_negative``). Raises ValueError naming ``field``."""
-    if not math.isfinite(value) or (non_negative and not value >= 0.0):
-        rule = "finite and >= 0" if non_negative else "finite"
-        raise ValueError(f"{field} must be {rule}, got {value!r}")
+# the sign rules of finite_number, keyed by the text of its message
+_SIGNS = {">= 0": operator.ge, "> 0": operator.gt}
+
+
+def finite_number(value, field: str, sign: str = ""):
+    """``value`` (a number or an array) itself, once each of its numbers is
+    checked to be finite and, where ``sign`` is ">= 0" or "> 0", to have that
+    sign. Raises ValueError "<field> must be finite[ and <sign>], got <the
+    first number that is not>"."""
+    if (isinstance(value, (int, float)) and math.isfinite(value)
+            and (not sign or _SIGNS[sign](value, 0))):
+        return value  # one good number, checked without an array
+    x = np.asarray(value)
+    ok = np.True_ if x.dtype.kind in "iub" else np.isfinite(x)  # an integer is finite
+    if sign:
+        ok = ok & _SIGNS[sign](x, 0)
+    if not ok.all():
+        bad = (x[~ok] if x.ndim else x).flat[0].item()
+        rule = f"finite and {sign}" if sign else "finite"
+        raise ValueError(f"{field} must be {rule}, got {bad!r}")
     return value
 
 
@@ -211,7 +219,7 @@ class ConstantRcs(ValueRecord):
     __slots__ = ("sigma_dbsm",)
 
     def __init__(self, sigma_dbsm: float):
-        self._fill(sigma_dbsm)
+        self._fill(finite_number(sigma_dbsm, "sigma_dbsm"))
 
     def eval_dbsm_pairs(self, angles_in, angles_out) -> np.ndarray:
         return np.full((len(_angle_rows(angles_in)), len(_angle_rows(angles_out))),
@@ -226,30 +234,24 @@ class TableRcs(Record):
     (never extrapolate). Singleton axes are allowed and collapse.
     """
 
-    __slots__ = ("az_in", "el_in", "az_out", "el_out", "values_dbsm", "__dict__")
+    __slots__ = ("az_in", "el_in", "az_out", "el_out", "values_dbsm", "_grid")
+    # (indices of the non-singleton axes, those axes, the values over them):
+    # singleton axes collapse to their one value
+    _unlisted = ("_grid",)
 
     def __init__(self, az_in, el_in, az_out, el_out, values_dbsm):
-        vals = np.asarray(values_dbsm, dtype=float)
+        vals = finite_number(np.asarray(values_dbsm, dtype=float), "RCS table values")
         axes = tuple(np.atleast_1d(np.asarray(a, dtype=float))
                      for a in (az_in, el_in, az_out, el_out))
         expected = tuple(len(a) for a in axes)
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} != axes {expected}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("RCS table must be finite")
         for a in axes:
             if not np.all(np.isfinite(a)) or np.any(np.diff(a) <= 0):
                 raise ValueError("RCS table axes must be finite and strictly increasing")
-        self._fill(*axes, vals)
-
-    @cached_property
-    def _grid(self):
-        """(indices of the non-singleton axes, those axes, the values
-        over them); singleton axes collapse to their one value."""
-        axes = (self.az_in, self.el_in, self.az_out, self.el_out)
         keep = [i for i, ax in enumerate(axes) if len(ax) > 1]
-        vals = self.values_dbsm[tuple(slice(None) if i in keep else 0 for i in range(4))]
-        return keep, [axes[i] for i in keep], vals
+        self._fill(*axes, vals, (keep, [axes[i] for i in keep], vals[
+            tuple(slice(None) if i in keep else 0 for i in range(4))]))
 
     def eval_dbsm_pairs(self, angles_in, angles_out) -> np.ndarray:
         """Multilinear interpolation over the non-singleton axes, each
@@ -338,15 +340,10 @@ class Cir(Record):
             elif isinstance(v, np.ndarray) and arr is not v and arr.base is None:
                 made.add(name)
             cols[name] = arr
-        delay = cols["delay"]
-        ok = np.isfinite(delay) & (delay >= 0.0)
-        if not ok.all():
-            raise ValueError(f"delay must be finite and >= 0, got {delay[~ok][0]}")
-        for name, label in (("amp", "amplitude"), ("doppler", "Doppler")):
-            if not np.isfinite(cols[name]).all():
-                raise ValueError(f"{label} must be finite")
-        if (cols["bounce_order"] < 0).any():
-            raise ValueError("bounce_order must be >= 0")
+        for name, label, sign in (("delay", "delay", ">= 0"), ("amp", "amplitude", ""),
+                                  ("doppler", "Doppler", ""),
+                                  ("bounce_order", "bounce_order", ">= 0")):
+            finite_number(cols[name], label, sign)
         for az, el in (("aod_az", "aod_el"), ("aoa_az", "aoa_el")):
             cols[az] = wrapped_azimuths(cols[az], cols[el])
         return cls._make(_sorted_columns(cols, made))

@@ -57,12 +57,9 @@ class ClusterSet(Record):
         for name, col in cols.items():
             shape = (n,) + _ROW[name][0]
             cols[name] = col if col.shape == shape else np.broadcast_to(col, shape)
-        if not (np.isfinite(cols["power"]) & (cols["power"] >= 0.0)).all():
-            raise ValueError("ray power must be finite and >= 0")
-        if not (cols["xpr"] > 0.0).all():
-            raise ValueError("XPR must be > 0")
-        if not (np.isfinite(cols["delay"]) & (cols["delay"] >= 0.0)).all():
-            raise ValueError("ray delay must be finite and >= 0")
+        for name, label, sign in (("power", "ray power", ">= 0"), ("xpr", "XPR", "> 0"),
+                                  ("delay", "ray delay", ">= 0"), ("phases", "ray phases", "")):
+            finite_number(cols[name], label, sign)
         for name in ("aod", "aoa"):
             az, el = cols[name].T
             cols[name] = np.stack([wrapped_azimuths(az, el), el], axis=1)
@@ -98,11 +95,9 @@ class AntennaModel(Record):
                  boresight: tuple[float, float] = (0.0, 0.0)):
         if kind not in ("omni", "horn"):
             raise ValueError(f"unknown antenna kind {kind!r}")
-        hpbw_deg = finite_number(hpbw_deg, "hpbw_deg")
-        if kind == "horn" and hpbw_deg <= 0.0:
-            raise ValueError("horn HPBW must be positive")
         az, el = map(float, boresight)
-        self._fill(kind, hpbw_deg, finite_number(peak_gain_db, "peak_gain_db"),
+        self._fill(kind, finite_number(hpbw_deg, "hpbw_deg", "> 0" if kind == "horn" else ""),
+                   finite_number(peak_gain_db, "peak_gain_db"),
                    (float(wrapped_azimuths(az, el)), el))
 
     def field_gain(self, boresight, arrival) -> np.ndarray:
@@ -157,7 +152,7 @@ class GenerationProfile(ValueRecord):
                    xpr_std_db, shadow_std_db)
         finite_number(xpr_mean_db, "xpr_mean_db")
         for name in ("delay_scale_s", "angle_spread_rad", "xpr_std_db", "shadow_std_db"):
-            finite_number(getattr(self, name), name, non_negative=True)
+            finite_number(getattr(self, name), name, ">= 0")
         if rays_per_cluster < 1:
             raise ValueError("rays_per_cluster must be >= 1")
 
@@ -211,8 +206,7 @@ def with_los_ray(clusters: ClusterSet, los: ClusterSet, k_factor: float) -> Clus
     total power; the other rays are rescaled by 1/(1+k), so a normalized
     set stays normalized.
     """
-    if k_factor <= 0.0:
-        raise ValueError("K-factor must be positive")
+    finite_number(k_factor, "k_factor", "> 0")
     cols = {name: np.concatenate([getattr(los, name), getattr(clusters, name)])
             for name in _ROW}
     cols["power"] = np.concatenate([los.power * (k_factor / (1.0 + k_factor)),
@@ -232,9 +226,7 @@ def cross_polarization_matrix(xpr, phases) -> np.ndarray:
     entries are unit-modulus phasors; off-diagonal magnitudes are
     1/sqrt(xpr).
     """
-    xpr = np.asarray(xpr, dtype=float)
-    if not np.all(xpr > 0.0):
-        raise ValueError("XPR must be > 0")
+    xpr = finite_number(np.asarray(xpr, dtype=float), "XPR", "> 0")
     cpm = np.exp(1j * np.asarray(phases, dtype=float))
     cpm[..., 1:3] *= (1.0 / np.sqrt(xpr))[..., None]
     return cpm.reshape(cpm.shape[:-1] + (2, 2))

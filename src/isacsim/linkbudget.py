@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import spreading_gain_db
+from .core import finite_number, spreading_gain_db
 
 
 def radar_pathloss(pl1_db: float, pl2_db: float, wl: float, sigma_dbsm: float) -> float:
@@ -62,6 +62,5 @@ def fit_rcs_line(samples) -> tuple[float, float, float]:
 
 def free_space_loss_db(d_m: float, wl: float) -> float:
     """Free-space path loss PL(d) = 20 log10(4 pi d / lambda), dB."""
-    if d_m <= 0.0:
-        raise ValueError("distance must be positive")
-    return 20.0 * math.log10(4.0 * math.pi * d_m / wl)
+    return 20.0 * math.log10(4.0 * math.pi * finite_number(d_m, "d_m", "> 0")
+                             / finite_number(wl, "wl", "> 0"))

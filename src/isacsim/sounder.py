@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 
 import numpy as np
 
-from .core import Cir, Record
+from .core import Cir, Record, finite_number
 
 # Primitive feedback taps (polynomial exponents) for each register length.
 DEFAULT_TAPS: dict[int, tuple[int, ...]] = {
@@ -28,12 +27,17 @@ DEFAULT_TAPS: dict[int, tuple[int, ...]] = {
 
 
 class PnSequence(Record):
-    """Maximal-length +-1 sequence with two-valued periodic autocorrelation."""
+    """Maximal-length +-1 sequence with two-valued periodic autocorrelation.
+    ``spectrum`` is the read-only FFT of one period of the chips, taken once
+    and shared by :func:`transmit_through` and every correlation."""
 
-    __slots__ = ("m", "taps", "chips", "chip_rate", "__dict__")
+    __slots__ = ("m", "taps", "chips", "chip_rate", "spectrum")
+    _unlisted = ("spectrum",)
 
     def __init__(self, m: int, taps: tuple[int, ...], chips: np.ndarray, chip_rate: float):
-        self._fill(m, taps, chips, chip_rate)
+        spectrum = np.fft.fft(chips.astype(complex))
+        spectrum.flags.writeable = False
+        self._fill(m, taps, chips, finite_number(chip_rate, "chip_rate", "> 0"), spectrum)
 
     @property
     def length(self) -> int:
@@ -42,14 +46,6 @@ class PnSequence(Record):
     @property
     def period_s(self) -> float:
         return self.length / self.chip_rate
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        """The read-only FFT of one period of the chips, taken once and
-        shared by :func:`transmit_through` and every correlation."""
-        spec = np.fft.fft(self.chips.astype(complex))
-        spec.flags.writeable = False
-        return spec
 
 
 def generate_pn(m: int, chip_rate: float = 1.0) -> PnSequence:
@@ -61,8 +57,6 @@ def generate_pn(m: int, chip_rate: float = 1.0) -> PnSequence:
     """
     if m not in DEFAULT_TAPS:
         raise ValueError(f"no feedback taps for register length {m}")
-    if chip_rate <= 0.0:
-        raise ValueError("chip rate must be positive")
     taps = DEFAULT_TAPS[m]
     # bit j of a state is stage j + 1 of the register: the output is the
     # top bit, and the feedback, the parity of the tapped stages, enters at bit 0
@@ -80,7 +74,7 @@ def generate_pn(m: int, chip_rate: float = 1.0) -> PnSequence:
         nxt = nxt[nxt]
     bits = states[:full] >> (m - 1)
     chips = 2.0 * bits.astype(float) - 1.0
-    chips.flags.writeable = False  # the cached spectrum is taken of these
+    chips.flags.writeable = False  # the sequence's spectrum is taken of these
     return PnSequence(m=m, taps=taps, chips=chips, chip_rate=chip_rate)
 
 
@@ -101,9 +95,9 @@ def transmit_through(cir: Cir, pn: PnSequence, snr_db: float | None,
 
     The received samples are the sum over paths of the delayed
     rectangular-chip waveform scaled by each complex amplitude, plus
-    seeded complex Gaussian noise at the requested SNR (None or inf
-    disables noise). All delays must fit in one PN period; longer
-    delays would alias and raise.
+    seeded complex Gaussian noise at the requested SNR (None or +inf
+    disables noise; any other SNR must be finite). All delays must fit
+    in one PN period; longer delays would alias and raise.
     """
     n = pn.length
     period = pn.period_s
@@ -123,10 +117,10 @@ def transmit_through(cir: Cir, pn: PnSequence, snr_db: float | None,
     np.add.at(impulses, shifts, cir.amp)
     rx = np.fft.ifft(np.fft.fft(impulses) * pn.spectrum)
 
-    if snr_db is not None and np.isfinite(snr_db):
+    if snr_db is not None and snr_db != math.inf:
         rng = np.random.default_rng(seed)
         p_sig = float(np.mean(np.abs(rx) ** 2))
-        sigma2 = p_sig * 10.0 ** (-snr_db / 10.0)
+        sigma2 = p_sig * 10.0 ** (-finite_number(snr_db, "snr_db") / 10.0)
         noise = rng.normal(0.0, math.sqrt(sigma2 / 2.0), n) \
             + 1j * rng.normal(0.0, math.sqrt(sigma2 / 2.0), n)
         rx = rx + noise
@@ -207,6 +201,7 @@ def estimate_paths(response: np.ndarray, chip_rate: float,
     quantizes every path delay onto the chip grid, so the peak sample
     value is the amplitude estimate and the peak index the delay.
     """
+    finite_number(threshold_db, "threshold_db", "> 0")
     mag = np.abs(response)
     if len(mag) == 0 or mag.max() == 0.0:
         return []

@@ -23,6 +23,7 @@ from .core import (
     ScatteringPoint,
     TableRcs,
     ValueRecord,
+    finite_number,
     merge_paths,
     spreading_gain,
     unit_vectors,
@@ -86,8 +87,7 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
     """
     if a.side is not Side.TX_TO_TARGET or b.side is not Side.TARGET_TO_RX:
         raise ValueError("concatenate expects (tx_to_target, target_to_rx) sub-links")
-    if wl <= 0.0:
-        raise ValueError("wavelength must be positive")
+    finite_number(wl, "wl", "> 0")
     ra, rb = a.clusters, b.clusters
 
     # the chain is CPM_2's first row times CPM_1's first column times g

@@ -46,7 +46,7 @@ class TestPcfModel:
     @pytest.mark.parametrize("std", [math.nan, -0.1, -math.inf])
     def test_std_must_be_a_number_at_least_zero(self, std):
         # a NaN std would construct, draw NaN and fail only in apply_pcf
-        with pytest.raises(ValueError, match="std must be >= 0"):
+        with pytest.raises(ValueError, match="std must be finite and >= 0"):
             PcfModel("los_los", 1.0, std)
 
     @pytest.mark.parametrize("mean", [math.nan, 0.0, 1.5000001])

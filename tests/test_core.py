@@ -10,19 +10,34 @@ from scipy.interpolate import RegularGridInterpolator
 from isacsim import (
     AntennaModel,
     Cir,
+    ClusterSet,
     ConstantRcs,
     GenerationProfile,
     GeometricScatterer,
+    PadpPeak,
+    PcfModel,
     ReconstructionScene,
     ScatteringPoint,
+    Side,
+    SubLink,
     TableRcs,
     angle_from_vector,
     background_monostatic,
+    classify_bounce,
+    concatenate,
+    cross_polarization_matrix,
+    delay_grid,
+    estimate_paths,
+    free_space_loss_db,
+    generate_pn,
     linear_to_db,
     merge_paths,
+    spreading_gain,
     spreading_gain_db,
+    transmit_through,
     unit_vectors,
     wavelength_m,
+    with_los_ray,
 )
 from isacsim.core import COLUMNS, PATH_RECORD, wrapped_azimuths
 
@@ -447,6 +462,74 @@ def test_number_field_must_be_finite(field, build, bad):
 def test_spread_must_be_non_negative():
     with pytest.raises(ValueError, match="^xpr_std_db must be finite and >= 0, got -0.5$"):
         GenerationProfile(xpr_std_db=-0.5)
+
+
+_RAY = ClusterSet(1.0, 0.0, (0.0, 0.0), (0.0, 0.0))
+_SCENE = ReconstructionScene(tx=[0.0, 0.0, 0.0], rx=[4.0, 0.0, 0.0], target=[2.0, 2.0, 0.0])
+_PEAK = PadpPeak(45.0, 4 * math.sqrt(2) / 2.99792458e8, 1.0)
+
+
+def _concatenate(wl):
+    return concatenate(SubLink(Side.TX_TO_TARGET, _RAY), SubLink(Side.TARGET_TO_RX, _RAY),
+                       ScatteringPoint([1.0, 0.0, 0.0]), wl)
+
+
+def _transmit(snr_db):
+    return transmit_through(Cir.from_columns([0.0], [1.0]), generate_pn(3), snr_db, 1)
+
+
+# each call of the package with one number argument that is not finite, or of
+# the wrong sign, and the name its error gives that argument
+_REFUSED = [
+    ("chip_rate-nan", "chip_rate", lambda: generate_pn(7, chip_rate=math.nan)),
+    ("chip_rate-zero", "chip_rate", lambda: generate_pn(7, chip_rate=0.0)),
+    ("carrier-nan", "carrier_freq_hz", lambda: wavelength_m(math.nan)),
+    ("carrier-inf", "carrier_freq_hz", lambda: wavelength_m(math.inf)),
+    ("spreading-nan", "wl_m", lambda: spreading_gain(math.nan)),
+    ("fsl-distance-nan", "d_m", lambda: free_space_loss_db(math.nan, 0.01)),
+    ("fsl-distance-inf", "d_m", lambda: free_space_loss_db(math.inf, 0.01)),
+    ("fsl-wavelength-nan", "wl", lambda: free_space_loss_db(1.0, math.nan)),
+    ("delay_tol-nan", "delay_tol", lambda: classify_bounce(_PEAK, _SCENE, math.nan, math.nan)),
+    ("angle_tol-nan", "angle_tol_deg", lambda: classify_bounce(_PEAK, _SCENE, 1e-9, math.nan)),
+    ("delay_tol-negative", "delay_tol", lambda: classify_bounce(_PEAK, _SCENE, -1e-9, 2.0)),
+    ("concatenate-inf", "wl", lambda: _concatenate(math.inf)),
+    ("monostatic-nan", "wl", lambda: background_monostatic([], [0.0, 0.0, 0.0], math.nan)),
+    ("pcf-std-inf", "std", lambda: PcfModel("x", 0.8, math.inf)),
+    ("rcs-nan", "sigma_dbsm", lambda: ConstantRcs(math.nan)),
+    ("rcs-table-nan", "RCS table values", lambda: TableRcs([0.0], [0.0], [0.0], [0.0],
+                                                             [[[[math.nan]]]])),
+    ("phases-nan", "ray phases",
+     lambda: ClusterSet(1.0, 0.0, (0, 0), (0, 0), phases=math.nan)),
+    ("xpr-nan", "XPR", lambda: cross_polarization_matrix(math.nan, np.zeros(4))),
+    ("threshold-nan", "threshold_db", lambda: estimate_paths(np.ones(7), 1.0, math.nan)),
+    ("snr-nan", "snr_db", lambda: _transmit(math.nan)),
+    ("snr-minus-inf", "snr_db", lambda: _transmit(-math.inf)),
+    ("k_factor-nan", "k_factor", lambda: with_los_ray(_RAY, _RAY, math.nan)),
+    ("k_factor-inf", "k_factor", lambda: with_los_ray(_RAY, _RAY, math.inf)),
+    ("max_delay-nan", "max_delay_s", lambda: delay_grid(math.nan, 1e-9)),
+    ("bin_width-nan", "bin_width_s", lambda: delay_grid(1e-8, math.nan)),
+    ("linear-nan", "linear power", lambda: linear_to_db(math.nan)),
+    ("linear-array-inf", "linear power", lambda: linear_to_db([1.0, math.inf])),
+    ("horn-hpbw-zero", "hpbw_deg", lambda: AntennaModel("horn", 0.0)),
+    ("bounce_order-negative", "bounce_order",
+     lambda: Cir.from_columns([0.0, 1e-9], [1.0, 1.0], bounce_order=[0, -1])),
+]
+
+
+@pytest.mark.parametrize("field, call", [case[1:] for case in _REFUSED],
+                         ids=[case[0] for case in _REFUSED])
+def test_number_argument_refused(field, call):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be finite"):
+        call()
+
+
+def test_refusal_names_the_rule_and_the_first_bad_value():
+    with pytest.raises(ValueError, match=r"^delay must be finite and >= 0, got nan$"):
+        Cir.from_columns([0.0, math.nan, -1e-9], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^XPR must be finite and > 0, got -2.0$"):
+        cross_polarization_matrix([[1.0, -2.0], [0.0, 3.0]], np.zeros((2, 2, 4)))
+    with pytest.raises(ValueError, match=r"^snr_db must be finite, got -inf$"):
+        _transmit(-math.inf)
 
 
 class TestRcsModels:

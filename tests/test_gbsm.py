@@ -61,7 +61,7 @@ class TestClusterSet:
     @pytest.mark.parametrize("column, value, message", [
         ("power", -0.1, "ray power must be finite and >= 0"),
         ("power", math.nan, "ray power must be finite and >= 0"),
-        ("xpr", 0.0, "XPR must be > 0"),
+        ("xpr", 0.0, "XPR must be finite and > 0"),
         ("delay", -1e-9, "ray delay must be finite and >= 0"),
         ("aoa", (0.0, 1.6), "elevation outside"),
         ("aod", (math.inf, 0.0), "angles must be finite"),

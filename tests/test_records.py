@@ -189,18 +189,29 @@ def test_copies_keep_every_field(cls, build, fields, hidden, by_value, duplicate
 @pytest.mark.parametrize("cls, build, fields, hidden, by_value", RECORDS, ids=_IDS)
 def test_init_parameters_are_the_leading_fields(cls, build, fields, hidden, by_value):
     """Record._fill sets the fields in __slots__ order, so the parameters of
-    __init__ name the first slots in order; only a scene's routes, derived
-    from them, and a cached __dict__ come after."""
+    __init__ name the first slots in order; only the unlisted fields derived
+    from them come after: a scene's routes, a table's interpolation grid and
+    a sequence's chip spectrum."""
     params = tuple(inspect.signature(cls.__init__).parameters)[1:]
     assert cls.__slots__[:len(params)] == params
-    derived = tuple(name for name in cls.__slots__[len(params):] if name != "__dict__")
-    assert derived == (("routes",) if cls is ReconstructionScene else ())
+    derived = {ReconstructionScene: ("routes",), TableRcs: ("_grid",),
+               PnSequence: ("spectrum",)}.get(cls, ())
+    assert cls.__slots__[len(params):] == derived
+    assert set(derived) <= set(cls._unlisted)
 
 
 def test_fill_refuses_more_values_than_fields():
     peak = PadpPeak(*_PEAK)
-    with pytest.raises(TypeError, match="PadpPeak takes at most 3 fields"):
+    with pytest.raises(TypeError, match="^PadpPeak takes 3 fields, got 4$"):
         peak._fill(1.0, 2.0, 3.0, 4.0)
+    assert peak == PadpPeak(*_PEAK)
+
+
+def test_fill_refuses_fewer_values_than_fields():
+    """A record whose __init__ forgets a field fails when it is built."""
+    peak = PadpPeak(*_PEAK)
+    with pytest.raises(TypeError, match="^PadpPeak takes 3 fields, got 2$"):
+        peak._fill(1.0, 2.0)
     assert peak == PadpPeak(*_PEAK)
 
 
