@@ -39,25 +39,15 @@ scene = ReconstructionScene(
     ),
 )
 
-
-def route(label, *waypoints):
-    pts = np.asarray(waypoints, dtype=float)
-    length = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-    arrive = pts[-2] - scene.rx
-    az = math.degrees(math.atan2(arrive[1], arrive[0])) % 360.0
-    return label, length, az
-
-
-routes = [
-    route("direct", scene.tx, scene.target, scene.rx),
-    route("south wall", scene.tx, scene.target, scene.reflectors[0].position, scene.rx),
-    route("west+south walls", scene.tx, scene.target, scene.reflectors[1].position,
-          scene.reflectors[0].position, scene.rx),
-]
+# (length in m, arrival azimuth at the Rx in degrees) of the direct route, the
+# south-wall route and the west-then-south-wall route, as the scene derives them
+by_label = {label: (length, az) for _, label, length, az in scene.routes}
+routes = [by_label[label] for label in
+          ("Tx>ST>Rx", "Tx>ST>south_wall>Rx", "Tx>ST>west_wall>south_wall>Rx")]
 # per-order powers assigned from the indoor-human LOS+LOS proportions
 amps = [math.sqrt(frac) for frac in (0.189, 0.657, 0.154)]
-target = Cir.from_columns([length / C_LIGHT for _, length, _ in routes], amps,
-                          aoa_az=[math.radians(az) for _, _, az in routes])
+target = Cir.from_columns([length / C_LIGHT for length, _ in routes], amps,
+                          aoa_az=[math.radians(az) for _, az in routes])
 background = Cir.from_columns([10.0 / C_LIGHT], [1.2], aoa_az=math.radians(180.0))
 
 horn = AntennaModel(kind="horn", hpbw_deg=19.8, peak_gain_db=15.0)
@@ -82,7 +72,7 @@ print("them into a single path and the comparison cannot isolate it.\n")
 
 # proportions from the planted ground truth, all routes classified
 classified = []
-for (label, length, az), amp in zip(routes, amps):
+for (length, az), amp in zip(routes, amps):
     power = amp ** 2
     res = classify_bounce(PadpPeak(az, length / C_LIGHT, power), scene, 1e-9, 2.5)
     classified.append((res.order, power))
