@@ -77,8 +77,9 @@ def _uniform_increasing(angles: np.ndarray) -> bool:
 
 def delay_grid(max_delay_s: float, bin_width_s: float) -> np.ndarray:
     """Uniform delay bin edges covering [0, max_delay]."""
-    n = max(1, int(math.ceil(finite_number(max_delay_s, "max_delay_s", ">= 0")
-                             / finite_number(bin_width_s, "bin_width_s", "> 0"))))
+    finite_number(max_delay_s, "max_delay_s", ">= 0")
+    finite_number(bin_width_s, "bin_width_s", "> 0")
+    n = max(1, int(math.ceil(max_delay_s / bin_width_s)))
     return bin_width_s * np.arange(n + 1)
 
 

@@ -100,7 +100,7 @@ class ValueRecord(Record):
 
 def linear_to_db(x):
     """Convert a linear power quantity to dB. Raises unless it is finite and > 0."""
-    out = 10.0 * np.log10(finite_number(np.asarray(x, dtype=float), "linear power", "> 0"))
+    out = 10.0 * np.log10(finite_number(x, "linear power", "> 0"))
     return float(out) if np.ndim(x) == 0 else out
 
 
