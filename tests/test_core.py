@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from isacsim import (
+    C_LIGHT,
     AntennaModel,
     Cir,
     ClusterSet,
@@ -466,7 +467,7 @@ def test_spread_must_be_non_negative():
 
 _RAY = ClusterSet(1.0, 0.0, (0.0, 0.0), (0.0, 0.0))
 _SCENE = ReconstructionScene(tx=[0.0, 0.0, 0.0], rx=[4.0, 0.0, 0.0], target=[2.0, 2.0, 0.0])
-_PEAK = PadpPeak(45.0, 4 * math.sqrt(2) / 2.99792458e8, 1.0)
+_PEAK = PadpPeak(45.0, 4 * math.sqrt(2) / C_LIGHT, 1.0)
 
 
 def _concatenate(wl):
