@@ -117,7 +117,7 @@ def spreading_gain(wl_m: float) -> float:
     the two free-space hop gains, the RCS and this factor. Both the
     link-budget arithmetic and the target channel concatenation use it.
     """
-    wl_m = finite_number(wl_m, "wl_m", "> 0")
+    finite_number(wl_m, "wl_m", "> 0")
     return 4.0 * math.pi / (wl_m * wl_m)
 
 
