@@ -13,7 +13,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from itertools import product
@@ -135,9 +134,12 @@ def finite_number(value, field: str, sign: str = ""):
     checked to be finite and, where ``sign`` is ">= 0" or "> 0", to have that
     sign. Raises ValueError "<field> must be finite[ and <sign>], got <the
     first number that is not>"."""
-    if (isinstance(value, (int, float)) and math.isfinite(value)
-            and (not sign or _SIGNS[sign](value, 0))):
-        return value  # one good number, checked without an array
+    if isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value) and (not sign or _SIGNS[sign](value, 0)):
+                return value  # one good number, checked without an array
+        except OverflowError:  # an int past the float range is infinite as a float
+            value = math.inf if value > 0 else -math.inf
     x = np.asarray(value)
     ok = np.True_ if x.dtype.kind in "iub" else np.isfinite(x)  # an integer is finite
     if sign:
@@ -302,6 +304,9 @@ _DTYPES = (float, complex, float, float, float, float, float, np.int64)
 # the path table files (target.npy, background.npy)
 PATH_RECORD = np.dtype([(name, np.dtype(dt).newbyteorder("<"))
                         for name, dt in zip(COLUMNS, _DTYPES)])
+# the finite_number rule of each numeric column: (column, label, sign)
+NUMBER_RULES = (("delay", "delay", ">= 0"), ("amp", "amplitude", ""), ("doppler", "Doppler", ""),
+                ("bounce_order", "bounce_order", ">= 0"))
 
 
 class Cir(Record):
@@ -340,9 +345,7 @@ class Cir(Record):
             elif isinstance(v, np.ndarray) and arr is not v and arr.base is None:
                 made.add(name)
             cols[name] = arr
-        for name, label, sign in (("delay", "delay", ">= 0"), ("amp", "amplitude", ""),
-                                  ("doppler", "Doppler", ""),
-                                  ("bounce_order", "bounce_order", ">= 0")):
+        for name, label, sign in NUMBER_RULES:
             finite_number(cols[name], label, sign)
         for az, el in (("aod_az", "aod_el"), ("aoa_az", "aoa_el")):
             cols[az] = wrapped_azimuths(cols[az], cols[el])
@@ -446,17 +449,22 @@ def _exact_groups(cir: Cir) -> tuple[np.ndarray, np.ndarray]:
 def _delay_gap_groups(cir: Cir, delay_tol: float):
     """The anchor scan when no angle test can fail (``angle_tol >= pi``):
     each row joins the latest anchor unless its delay exceeds that
-    anchor's by more than ``delay_tol``, so each next anchor is found by
-    bisection with the scan's own comparison."""
-    delay = cir.delay.tolist()
+    anchor's by more than ``delay_tol``. A binary search for ``start +
+    delay_tol`` finds each next anchor, then steps until the scan's own
+    ``d - start <= delay_tol`` holds before it and fails at it."""
+    delay, n = cir.delay, len(cir)
     anchors: list[int] = []
     i = 0
-    while i < len(delay):
+    while i < n:
         anchors.append(i)
-        start = delay[i]
-        i = bisect.bisect_right(delay, delay_tol, lo=i + 1, key=lambda d: d - start)
+        start = delay.item(i)
+        i = int(np.searchsorted(delay, start + delay_tol, side="right"))
+        while i < n and delay.item(i) - start <= delay_tol:
+            i += 1
+        while delay.item(i - 1) - start > delay_tol:
+            i -= 1
     anchors = np.array(anchors, dtype=np.intp)
-    group = np.repeat(np.arange(len(anchors)), np.diff(anchors, append=len(delay)))
+    group = np.repeat(np.arange(len(anchors)), np.diff(anchors, append=n))
     return group, anchors
 
 

@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .core import (Cir, Record, ValueRecord, finite_number, read_only, unit_vectors,
-                   wrapped_azimuths)
+from .core import (Cir, Record, ValueRecord, finite_number, read_only, setfield,
+                   unit_vectors, wrapped_azimuths)
 
 
 # ---------------------------------------------------------------------------
@@ -58,12 +58,23 @@ class ClusterSet(Record):
             shape = (n,) + _ROW[name][0]
             cols[name] = col if col.shape == shape else np.broadcast_to(col, shape)
         for name, label, sign in (("power", "ray power", ">= 0"), ("xpr", "XPR", "> 0"),
-                                  ("delay", "ray delay", ">= 0"), ("phases", "ray phases", "")):
+                                  ("delay", "ray delay", ">= 0"), ("phases", "ray phases", ""),
+                                  ("bounce_order", "bounce_order", ">= 0")):
             finite_number(cols[name], label, sign)
         for name in ("aod", "aoa"):
             az, el = cols[name].T
             cols[name] = np.stack([wrapped_azimuths(az, el), el], axis=1)
         self._fill(*map(read_only, cols.values()))
+
+    @classmethod
+    def _make(cls, cols: dict) -> ClusterSet:
+        """A ClusterSet of checked columns, azimuths wrapped; one row serves every ray."""
+        out = object.__new__(cls)
+        for name, (row, dt) in _ROW.items():
+            col = np.full((len(cols["delay"]),) + row, cols[name], dt)  # a new array
+            col.flags.writeable = False
+            setfield(out, name, col)
+        return out
 
     def __len__(self) -> int:
         return len(self.delay)
@@ -211,7 +222,7 @@ def with_los_ray(clusters: ClusterSet, los: ClusterSet, k_factor: float) -> Clus
             for name in _ROW}
     cols["power"] = np.concatenate([los.power * (k_factor / (1.0 + k_factor)),
                                     clusters.power * (1.0 / (1.0 + k_factor))])
-    return ClusterSet(**cols)
+    return ClusterSet._make(cols)  # checked powers times factors in (0, 1] stay checked
 
 
 # ---------------------------------------------------------------------------

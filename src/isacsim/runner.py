@@ -92,7 +92,8 @@ def _los_sublink(side: Side, endpoint: np.ndarray, sp_pos,
         aod, aoa = to_target, to_endpoint  # departs the Tx, arrives at the target
     else:
         aod, aoa = to_endpoint, to_target  # departs the target, arrives at the Rx
-    los = ClusterSet(power=1.0, delay=d / C_LIGHT, aod=aod, aoa=aoa, bounce_order=0)
+    los = ClusterSet._make(dict(power=1.0, delay=[d / C_LIGHT], aod=aod, aoa=aoa, xpr=1e12,
+                                phases=0.0, bounce_order=0))  # angle_from_vector checked d
     if spec.profile.n_clusters == 0:
         return SubLink(side, los), d
     sampled = sample_clusters(spec.profile, seed)

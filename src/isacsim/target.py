@@ -19,10 +19,12 @@ import numpy as np
 
 from .core import (
     DB_LIMIT,
+    NUMBER_RULES,
     Cir,
     ScatteringPoint,
     TableRcs,
     ValueRecord,
+    _sorted_columns,
     finite_number,
     merge_paths,
     spreading_gain,
@@ -100,16 +102,19 @@ def concatenate(a: SubLink, b: SubLink, sp: ScatteringPoint, wl: float,
     phase_a = k * (u_a @ sp.position)
     phase_b = k * (u_b @ sp.position)
     sigma = _rcs_linear(sp.rcs_model, ra.aoa, rb.aod)
-    doppler = np.add.outer(u_a @ sp.velocity, u_b @ sp.velocity) / wl
+    doppler = (np.add.outer(u_a @ sp.velocity, u_b @ sp.velocity) / wl).ravel()
     amp = (np.sqrt(ra.power[:, None] * rb.power[None, :] * sigma) * gain
            * math.sqrt(spreading_gain(wl))
            * np.exp(1j * (phase_a[:, None] + phase_b[None, :])))
 
-    return Cir.from_columns(
-        np.add.outer(ra.delay, rb.delay), amp, doppler,
-        aod_az=np.repeat(ra.aod[:, 0], len(rb)), aod_el=np.repeat(ra.aod[:, 1], len(rb)),
-        aoa_az=np.tile(rb.aoa[:, 0], len(ra)), aoa_el=np.tile(rb.aoa[:, 1], len(ra)),
-        bounce_order=np.add.outer(ra.bounce_order, rb.bounce_order))
+    # the angles repeat checked ClusterSet columns; the sums and products may overflow
+    cols = dict(delay=np.add.outer(ra.delay, rb.delay).ravel(), amp=amp.ravel(), doppler=doppler,
+                aod_az=np.repeat(ra.aod[:, 0], len(rb)), aod_el=np.repeat(ra.aod[:, 1], len(rb)),
+                aoa_az=np.tile(rb.aoa[:, 0], len(ra)), aoa_el=np.tile(rb.aoa[:, 1], len(ra)),
+                bounce_order=np.add.outer(ra.bounce_order, rb.bounce_order).ravel())
+    for name, label, sign in NUMBER_RULES:
+        finite_number(cols[name], label, sign)
+    return Cir._make(_sorted_columns(cols, made=cols))  # every column is a new array
 
 
 def multi_point_target(contributions: Sequence[tuple[ScatteringPoint, SubLink, SubLink, float]],

@@ -62,8 +62,11 @@ def test_trace_counters_read_a_real_run(tmp_path, capsys):
             assert type(counts[name]) is int and counts[name] > 0, name
     n_target = len(np.load(run / "target.npy", allow_pickle=False))
     n_background = len(np.load(run / "background.npy", allow_pickle=False))
-    # simulate and sounder-roundtrip each build the channels of the run once
+    # simulate and sounder-roundtrip each build the channels of the run once:
+    # every concatenated pair, and the 60 + 60 target-hop and 80 background rays
     assert counts["core.merge_exact.paths_out"] == 2 * n_target
+    assert counts["target.pairs"] == 2 * n_target
+    assert counts["gbsm.rays"] == 2 * (60 + 60 + 80)
     assert counts["background.paths"] == 2 * n_background
     # the ground-truth merge of sounder-roundtrip takes both channels
     assert counts["core.merge_tol.paths_in"] == n_target + n_background

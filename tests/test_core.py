@@ -1,9 +1,10 @@
+import bisect
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
@@ -40,7 +41,7 @@ from isacsim import (
     wavelength_m,
     with_los_ray,
 )
-from isacsim.core import COLUMNS, PATH_RECORD, wrapped_azimuths
+from isacsim.core import COLUMNS, PATH_RECORD, _delay_gap_groups, wrapped_azimuths
 
 
 def rows(cir):
@@ -127,6 +128,32 @@ _gap_cirs = _cirs(
     st.tuples(st.floats(0.0, 2 * math.pi), st.floats(-math.pi / 2, math.pi / 2)),
     st.tuples(st.sampled_from([0.0, math.pi, 2 * math.pi - 1e-15]),
               st.sampled_from([-math.pi / 2, -0.0, math.pi / 2])))
+
+
+def bisect_gap_anchors(delays, delay_tol):
+    """The delay-gap anchor scan written with bisect over a list of the
+    delays: each next anchor is the first row whose ``d - start`` exceeds
+    ``delay_tol``."""
+    anchors, i = [], 0
+    while i < len(delays):
+        anchors.append(i)
+        start = delays[i]
+        i = bisect.bisect_right(delays, delay_tol, lo=i + 1, key=lambda d: d - start)
+    return anchors
+
+
+@st.composite
+def gap_delays(draw):
+    """Sorted delays with runs of ties, and a tolerance. Some delays lie a
+    few ulps either side of an earlier delay plus the tolerance, where
+    ``d - start <= tol`` and ``d <= start + tol`` can round apart."""
+    tol = draw(st.sampled_from([0.0, 0.2, 2.5e-9]) | st.floats(0.0, 1e-6))
+    starts = draw(st.lists(st.floats(0.0, 1.0) | st.floats(0.0, 1e-7), min_size=1, max_size=10))
+    steps = draw(st.lists(st.integers(-3, 3), min_size=len(starts), max_size=len(starts)))
+    values = sorted(starts + [max(0.0, s + tol + k * math.ulp(s + tol))
+                              for s, k in zip(starts, steps)])
+    runs = draw(st.lists(st.integers(1, 3), min_size=len(values), max_size=len(values)))
+    return [v for v, r in zip(values, runs) for _ in range(r)], tol
 
 
 class TestUnitVector:
@@ -315,6 +342,19 @@ class TestMergePaths:
         for p, g in zip(merged.powers(), groups):
             assert p <= len(g) * float(np.sum(cir.powers()[g])) * (1 + 1e-12) + 1e-300
 
+    @settings(max_examples=200, deadline=None)
+    @given(gap_delays())
+    # start + tol reaches d, while d - start exceeds tol: d starts a group
+    @example(([0.1, 0.30000000000000004], 0.2))
+    # d - start is within tol, while start + tol falls short of d: d joins
+    @example(([0.2, 0.9, 0.9], 0.7))
+    def test_delay_gap_groups_match_the_bisect_scan(self, delays_and_tol):
+        delays, tol = delays_and_tol
+        group, anchors = _delay_gap_groups(Cir.from_columns(delays, 1.0), tol)
+        want = bisect_gap_anchors(delays, tol)
+        assert anchors.tolist() == want
+        assert group.tolist() == [bisect.bisect_right(want, i) - 1 for i in range(len(delays))]
+
     def test_wide_angle_tolerance_gap_equal_to_tolerance(self):
         delays = [0.0, _GAP_TOL, 2 * _GAP_TOL, 2 * _GAP_TOL, 3.5 * _GAP_TOL]
         merged = merge_paths(Cir.from_columns(delays, 1.0), _GAP_TOL, math.pi)
@@ -486,6 +526,7 @@ _REFUSED = [
     ("chip_rate-zero", "chip_rate", lambda: generate_pn(7, chip_rate=0.0)),
     ("carrier-nan", "carrier_freq_hz", lambda: wavelength_m(math.nan)),
     ("carrier-inf", "carrier_freq_hz", lambda: wavelength_m(math.inf)),
+    ("carrier-int-past-float", "carrier_freq_hz", lambda: wavelength_m(10**400)),
     ("spreading-nan", "wl_m", lambda: spreading_gain(math.nan)),
     ("fsl-distance-nan", "d_m", lambda: free_space_loss_db(math.nan, 0.01)),
     ("fsl-distance-inf", "d_m", lambda: free_space_loss_db(math.inf, 0.01)),
@@ -497,6 +538,7 @@ _REFUSED = [
     ("monostatic-nan", "wl", lambda: background_monostatic([], [0.0, 0.0, 0.0], math.nan)),
     ("pcf-std-inf", "std", lambda: PcfModel("x", 0.8, math.inf)),
     ("rcs-nan", "sigma_dbsm", lambda: ConstantRcs(math.nan)),
+    ("rcs-int-past-float", "sigma_dbsm", lambda: ConstantRcs(10**400)),
     ("rcs-table-nan", "RCS table values", lambda: TableRcs([0.0], [0.0], [0.0], [0.0],
                                                              [[[[math.nan]]]])),
     ("phases-nan", "ray phases",

@@ -65,6 +65,7 @@ class TestClusterSet:
         ("delay", -1e-9, "ray delay must be finite and >= 0"),
         ("aoa", (0.0, 1.6), "elevation outside"),
         ("aod", (math.inf, 0.0), "angles must be finite"),
+        ("bounce_order", -1, "bounce_order must be finite and >= 0"),
     ])
     def test_bad_column_rejected(self, column, value, message):
         kwargs = dict(power=[0.5, 0.5], delay=[1e-9, 2e-9], aod=(0, 0), aoa=(0, 0))

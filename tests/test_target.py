@@ -1,13 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isacsim import (
     OMNI,
     AntennaModel,
+    Cir,
     ClusterSet,
     ConstantRcs,
     GenerationProfile,
@@ -29,7 +31,11 @@ from isacsim import (
     unit_vectors,
     with_los_ray,
 )
+from isacsim import target
+from isacsim.config import TargetSpec
 from isacsim.core import _DTYPES, C_LIGHT, COLUMNS, angle_from_vector
+from isacsim.gbsm import _ROW
+from isacsim.runner import _los_sublink
 from isacsim.target import _rcs_linear
 
 
@@ -398,6 +404,81 @@ class TestConcatenationLaws:
                                         @ tx_field(tx, aod))
                  for p, x, ph, aod in zip(rays_a.power, rays_a.xpr, rays_a.phases, rays_a.aod)]
         np.testing.assert_allclose(coeffs, chain, rtol=1e-12, atol=0.0)
+
+
+# azimuths that wrap to 0 or lie one ulp below 2 pi, and signed-zero and
+# polar elevations
+_edge_angles = st.tuples(
+    st.sampled_from([0.0, -0.0, -1e-17, math.nextafter(2 * math.pi, 0.0)])
+    | st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2]) | st.floats(-math.pi / 2, math.pi / 2))
+
+
+@st.composite
+def edge_ray_tables(draw):
+    """A ray table of 1 to 6 rays at edge angles, whose rays may share a
+    delay, with random powers, XPRs, phases and bounce orders."""
+    n = draw(st.integers(1, 6))
+    rows = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))
+    return ClusterSet(power=_column(draw, n, 0.0, 10.0),
+                      delay=rows(st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 1e-6)),
+                      aod=rows(_edge_angles), aoa=rows(_edge_angles),
+                      xpr=_column(draw, n, 0.1, 1e12),
+                      phases=np.reshape(_column(draw, 4 * n, -math.pi, math.pi), (n, 4)),
+                      bounce_order=rows(st.integers(0, 3)))
+
+
+def recording(calls, build):
+    """``build``, which first appends the columns it is given to ``calls``."""
+    def spy(cols, *args, **kwargs):
+        calls.append(dict(cols))
+        return build(cols, *args, **kwargs)
+    return spy
+
+
+def assert_same_bytes(got, want, names):
+    for name in names:
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+
+
+class TestDerivedTables:
+    """The tables built from checked columns without the checks equal, byte
+    for byte, the checked builds of the same columns: they skip only
+    checks whose values were checked already."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(edge_ray_tables(), edge_ray_tables(), edge_ray_tables(), edge_ray_tables(),
+           st.floats(1e-3, 1e3), rcs_models(), vectors(10.0), vectors(100.0))
+    def test_match_the_checked_builds(self, los_a, rays_a, los_b, rays_b, k_factor, rcs,
+                                      position, velocity):
+        tables, cir_cols = [], []
+        with mock.patch.object(ClusterSet, "_make", recording(tables, ClusterSet._make)):
+            hop_a = with_los_ray(rays_a, los_a, k_factor)
+            hop_b = with_los_ray(rays_b, los_b, k_factor)
+        for got, cols in zip((hop_a, hop_b), tables):
+            assert_same_bytes(got, ClusterSet(**cols), _ROW)
+        with mock.patch.object(target, "_sorted_columns",
+                               recording(cir_cols, target._sorted_columns)):
+            cir = concatenate(SubLink(Side.TX_TO_TARGET, hop_a), SubLink(Side.TARGET_TO_RX, hop_b),
+                              ScatteringPoint(position, velocity, rcs), WL)
+        assert_same_bytes(cir, Cir.from_columns(**cir_cols[0]), COLUMNS)
+
+    @settings(max_examples=80, deadline=None)
+    @given(vectors(10.0), vectors(10.0) | st.sampled_from([[0.0, 0.0, 1.0], [0.0, -0.0, -2.0],
+                                                          [3.0, -0.0, 0.0]]),
+           st.sampled_from(list(Side)))
+    def test_los_ray_matches_the_checked_build(self, endpoint, offset, side):
+        position = np.add(endpoint, offset)
+        assume(np.linalg.norm(position - endpoint) > 0.0)  # a zero hop has no direction
+        spec = TargetSpec(position, np.zeros(3), ConstantRcs(0.0), GenerationProfile(0), 0.0)
+        sub, d = _los_sublink(side, np.asarray(endpoint, float), position, spec, 0)
+        to_target, to_endpoint = (angle_from_vector(v) for v in (position - endpoint,
+                                                                 endpoint - position))
+        aod, aoa = ((to_target, to_endpoint) if side is Side.TX_TO_TARGET
+                    else (to_endpoint, to_target))
+        assert_same_bytes(sub.clusters, ClusterSet(power=1.0, delay=d / C_LIGHT, aod=aod, aoa=aoa,
+                                                   bounce_order=0), _ROW)
 
 
 def one_ray(side, aod=(0.0, 0.0), aoa=(0.0, 0.0), delay=1e-9):
